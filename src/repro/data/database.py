@@ -90,7 +90,6 @@ class Database:
             if rel.name in self._relations:
                 raise ValueError(f"duplicate relation name {rel.name!r}")
             self._relations[rel.name] = rel
-        self._domain_cache: Dict[Tuple[str, str], int] = {}
 
     # -- catalog ----------------------------------------------------------
 
@@ -188,13 +187,8 @@ class Database:
         raise KeyError(f"attribute {attr!r} not in database")
 
     def domain_size(self, relation_name: str, attr: str) -> int:
-        """Cached number of distinct values of ``attr`` in a relation."""
-        cache_key = (relation_name, attr)
-        if cache_key not in self._domain_cache:
-            self._domain_cache[cache_key] = self.relation(
-                relation_name
-            ).domain_size(attr)
-        return self._domain_cache[cache_key]
+        """Number of distinct values of ``attr`` in a relation."""
+        return self.relation(relation_name).domain_size(attr)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"{r.name}({r.n_rows})" for r in self)

@@ -1,10 +1,39 @@
-"""Vectorized relational kernels.
+"""Vectorized relational kernels over dictionary-encoded key columns.
 
-These are the low-level primitives the engine is built on: dictionary
-encoding of composite keys (*factorization* in the NumPy sense), sort-based
-equi-joins with full fan-out (one-to-many and many-to-many), and grouped
-summation.  They are the Python/NumPy analog of the tight generated C++
-loops of the paper's Compilation layer.
+The engine's joins and group-bys never sort a context-length array.  A
+key column is *encoded once* — ``(codes, uniques)`` with ``uniques``
+sorted and ``uniques[codes]`` the column — and every later operation
+works on the integer codes:
+
+* **encode once.**  :class:`ColumnEncodings` memoizes one
+  :func:`factorize` per column; :class:`~repro.data.relation.Relation`
+  owns one, so a relation's key columns are sorted at most once in its
+  lifetime.  A context column is always ``source[idx]``, so its codes
+  are ``source_codes[idx]`` over the same dictionary — a dictionary may
+  therefore hold values the column no longer contains.
+* **lookup join.**  :func:`shared_codes` translates the (small) right
+  side's key values into the left side's dictionaries with a binary
+  search and combines composite keys by mixed radix; keys the left
+  side's dictionary lacks get code ``-1``.  :func:`join_indices` then
+  fills a direct-address table from the right codes and reads it with
+  the left codes.
+* **radix group keys.**  :func:`factorize_rows` combines per-column
+  codes by mixed radix and compacts them with a presence bitmap and a
+  running count; the group keys decode through the dictionaries.
+
+Two fallbacks, both chosen from the input, never from a flag:
+
+* :func:`join_indices` keeps its sort-based merge for a right side that
+  repeats a key (a direct-address table holds one row per code) and for
+  code spaces too large to address;
+* a composite code space too large for a bitmap is compacted with one
+  integer ``np.unique`` instead, and one whose size would overflow
+  ``int64`` is compacted part-way through the columns.
+
+Every path yields the same codes, the same (lexicographic) key order and
+the same ``(left_idx, right_idx)`` order, so grouped float sums
+accumulate in one order whatever path ran.  Negative codes and NaN keys
+match nothing.
 
 All kernels are pure functions over ``np.ndarray`` inputs so they are easy
 to test against brute-force references (see ``tests/data/test_ops.py``).
@@ -12,12 +41,22 @@ to test against brute-force references (see ``tests/data/test_ops.py``).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+#: a dictionary-encoded column: ``(codes, uniques)``
+Encoded = Tuple[np.ndarray, np.ndarray]
 
-def factorize(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+#: a code space is addressed directly (bitmap, lookup table) while it is
+#: no larger than this many slots per input row, or this floor
+_DENSE_SLOTS_PER_ROW = 8
+_DENSE_FLOOR = 1 << 12
+#: mixed-radix codes stay below this, leaving ``int64`` headroom
+_MAX_RADIX = 1 << 62
+
+
+def factorize(column: np.ndarray) -> Encoded:
     """Dictionary-encode one column.
 
     Returns ``(codes, uniques)`` where ``uniques[codes] == column`` and
@@ -27,89 +66,122 @@ def factorize(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64, copy=False).ravel(), uniques
 
 
+class ColumnEncodings(dict):
+    """Column name -> its encoding, computed on first use and kept.
+
+    Two threads racing on one column may both encode it; each stores a
+    complete ``(codes, uniques)`` pair, so a reader never sees a
+    half-built entry.
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray]):
+        super().__init__()
+        self._columns = columns
+
+    def __missing__(self, name: str) -> Encoded:
+        encoded = self[name] = factorize(self._columns[name])
+        return encoded
+
+
+def _addressable(size: int, n_rows: int) -> bool:
+    return size <= max(_DENSE_FLOOR, _DENSE_SLOTS_PER_ROW * n_rows)
+
+
+def _lookup(uniques: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Codes of ``values`` in a sorted dictionary; ``-1`` where absent."""
+    if len(uniques) == 0:
+        return np.full(len(values), -1, dtype=np.int64)
+    pos = np.searchsorted(uniques, values)
+    pos[pos == len(uniques)] = 0
+    return np.where(uniques[pos] == values, pos, -1)
+
+
+def _compact(mixed: np.ndarray, radix: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of codes drawn from ``[0, radix)``.
+
+    Returns ``(codes, distinct)``: ``distinct`` the sorted distinct values
+    of ``mixed`` and ``distinct[codes] == mixed``.
+    """
+    if not _addressable(radix, len(mixed)):
+        return factorize(mixed)
+    present = np.zeros(radix, dtype=bool)
+    present[mixed] = True
+    return (np.cumsum(present) - 1)[mixed], np.flatnonzero(present)
+
+
 def factorize_rows(
-    columns: Sequence[np.ndarray],
+    columns: Sequence[Encoded],
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Dictionary-encode composite row keys.
+    """Dictionary-encode composite row keys of encoded columns.
 
-    Given ``k`` equal-length columns, returns ``(codes, key_columns)`` where
-    rows with equal tuples share a code, codes follow the lexicographic
-    order of the key tuples, and ``key_columns[j][c]`` is the value of
-    column ``j`` for code ``c``.
-
-    An empty ``columns`` encodes the nullary key: every row gets code 0.
+    Given ``k`` equal-length ``(codes, uniques)`` columns, returns
+    ``(codes, key_columns)`` where rows with equal tuples share a code,
+    codes follow the lexicographic order of the key tuples, and
+    ``key_columns[j][c]`` is the value of column ``j`` for code ``c``.
+    Only tuples that occur get a code, whatever else the dictionaries
+    hold.
     """
     if not columns:
         raise ValueError("factorize_rows requires at least one column")
-    if len(columns) == 1:
-        codes, uniques = factorize(columns[0])
-        return codes, [uniques]
-    # Pairwise combination keeps intermediate codes small and avoids
-    # overflow: combine the first two columns, then fold in the rest.
-    # ``uniq_rows`` holds, per combined code, the pair of per-column
-    # code values; decoding through each column's uniques yields the
-    # composite key columns.
-    codes0, uniques0 = factorize(columns[0])
-    codes1, uniques1 = factorize(columns[1])
-    codes, uniq_rows = _combine((codes0, None), (codes1, None))
-    key_cols = [uniques0[uniq_rows[:, 0]], uniques1[uniq_rows[:, 1]]]
-    for col in columns[2:]:
-        col_codes, col_uniques = factorize(col)
-        codes, uniq_rows = _combine((codes, None), (col_codes, None))
-        key_cols = [kc[uniq_rows[:, 0]] for kc in key_cols]
-        key_cols.append(col_uniques[uniq_rows[:, 1]])
-    return codes, key_cols
+    mixed = None
+    radix = 1
+    # what the digits of ``mixed`` decode through, most significant
+    # first: (key columns indexed by the digit, the digit's base)
+    digits: List[Tuple[List[np.ndarray], int]] = []
+    for codes, uniques in columns:
+        base = max(len(uniques), 1)
+        if radix * base > _MAX_RADIX:
+            mixed, keys = _decode(*_compact(mixed, radix), digits)
+            radix = max(len(keys[0]), 1)
+            digits = [(keys, radix)]
+        mixed = codes if mixed is None else mixed * base + codes
+        radix *= base
+        digits.append(([uniques], base))
+    return _decode(*_compact(mixed, radix), digits)
 
 
-def _combine(left, right):
-    """Combine two code columns into one; returns codes + representatives.
-
-    ``left``/``right`` are ``(codes, uniques_or_None)`` pairs.  The result
-    codes follow lexicographic (left, right) order.  The second return is an
-    ``(n_unique, 2)`` array of representative *code* values per combined
-    code.
-    """
-    lcodes, _ = left
-    rcodes, _ = right
-    lmax = int(lcodes.max(initial=-1)) + 1
-    rmax = int(rcodes.max(initial=-1)) + 1
-    if lmax * max(rmax, 1) < np.iinfo(np.int64).max // 4:
-        mixed = lcodes * max(rmax, 1) + rcodes
-        uniques, codes = np.unique(mixed, return_inverse=True)
-        reps = np.stack(
-            [uniques // max(rmax, 1), uniques % max(rmax, 1)], axis=1
-        )
-        return codes.astype(np.int64).ravel(), reps
-    stacked = np.stack([lcodes, rcodes], axis=1)
-    uniques, codes = np.unique(stacked, axis=0, return_inverse=True)
-    return codes.astype(np.int64).ravel(), uniques
+def _decode(codes, distinct, digits):
+    """Split distinct mixed-radix values back into their key columns."""
+    key_columns: List[np.ndarray] = []
+    for keys, base in reversed(digits):
+        distinct, digit = np.divmod(distinct, base)
+        key_columns[:0] = [key[digit] for key in keys]
+    return codes, key_columns
 
 
 def shared_codes(
-    left_columns: Sequence[np.ndarray],
+    left_columns: Sequence[Encoded],
     right_columns: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode two relations' key columns over one shared dictionary.
+    """Encode the right side's key tuples in the left side's code space.
 
-    Rows of the left and right inputs receive equal codes exactly when
-    their key tuples are equal, which is the precondition of
-    :func:`join_indices`.
+    ``left_columns`` are encoded, ``right_columns`` raw values.  Rows of
+    the two sides receive equal codes exactly when their key tuples are
+    equal, which is the precondition of :func:`join_indices`; a right
+    tuple with a value the left dictionaries lack gets ``-1``.
     """
     if len(left_columns) != len(right_columns):
         raise ValueError("key column lists must have equal arity")
-    n_left = len(left_columns[0]) if left_columns else 0
-    merged = [
-        np.concatenate([lc, rc]) for lc, rc in zip(left_columns, right_columns)
-    ]
-    if not merged:
-        # nullary key: single group containing every row
-        n_right = 0
-        return (
-            np.zeros(n_left, dtype=np.int64),
-            np.zeros(n_right, dtype=np.int64),
-        )
-    codes, _ = factorize_rows(merged)
-    return codes[:n_left], codes[n_left:]
+    if not left_columns:
+        raise ValueError("shared_codes requires at least one column")
+    left = right = None
+    radix = 1
+    for (codes, uniques), values in zip(left_columns, right_columns):
+        base = max(len(uniques), 1)
+        found = _lookup(uniques, np.asarray(values))
+        if left is None:
+            left, right = codes, found
+        else:
+            if radix * base > _MAX_RADIX:
+                left, distinct = factorize(left)
+                right = _lookup(distinct, right)
+                radix = max(len(distinct), 1)
+            left = left * base + codes
+            right = np.where(
+                (right < 0) | (found < 0), -1, right * base + found
+            )
+        radix *= base
+    return left, right
 
 
 def join_indices(
@@ -119,10 +191,24 @@ def join_indices(
 
     Returns ``(left_idx, right_idx)`` such that
     ``left_codes[left_idx] == right_codes[right_idx]`` and every matching
-    pair appears exactly once.  Handles many-to-many fan-out.  Output pairs
-    are grouped by left row (stable in left order, then right order).
+    pair appears exactly once; negative codes match nothing.  Handles
+    many-to-many fan-out.  Output pairs are grouped by left row (stable
+    in left order, then right order).
     """
-    order = np.argsort(right_codes, kind="stable")
+    rows = np.flatnonzero(right_codes >= 0)
+    codes = right_codes[rows]
+    size = 1 + int(
+        max(left_codes.max(initial=-1), right_codes.max(initial=-1))
+    )
+    if _addressable(size, len(left_codes) + len(codes)):
+        # slot ``size`` stays -1: it is where a left code of -1 lands
+        table = np.full(size + 1, -1, dtype=np.int64)
+        table[codes] = rows
+        if (table[codes] == rows).all():  # no right code written twice
+            matched = table[left_codes]
+            left_idx = np.flatnonzero(matched >= 0)
+            return left_idx, matched[left_idx]
+    order = rows[np.argsort(codes, kind="stable")]
     sorted_right = right_codes[order]
     starts = np.searchsorted(sorted_right, left_codes, side="left")
     ends = np.searchsorted(sorted_right, left_codes, side="right")
@@ -174,7 +260,7 @@ def group_aggregate(
             for v in value_columns
         ]
         return [], sums
-    codes, uniques = factorize_rows(list(key_columns))
+    codes, uniques = factorize_rows([factorize(c) for c in key_columns])
     n_groups = len(uniques[0])
     summed = [group_sums(codes, v, n_groups) for v in value_columns]
     return list(uniques), summed
@@ -186,8 +272,3 @@ def lexsort_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("lexsort_rows requires at least one column")
     # np.lexsort sorts by the *last* key first.
     return np.lexsort(tuple(reversed(list(columns))))
-
-
-def distinct_count(column: np.ndarray) -> int:
-    """Number of distinct values in a column (the paper's domain size)."""
-    return int(len(np.unique(column)))

@@ -2,7 +2,10 @@
 
 A :class:`Relation` stores one NumPy array per attribute.  Relations are
 immutable from the engine's point of view: every operation returns a new
-relation sharing column arrays where possible.
+relation sharing column arrays where possible.  That is what lets a
+relation keep the dictionary encoding of a key column for as long as it
+lives: nothing can change under it, and an update is a new relation
+with an empty memo.
 """
 
 from __future__ import annotations
@@ -44,6 +47,17 @@ class Relation:
             cols[attr.name] = col
         self._columns = cols
         self._n_rows = n_rows if n_rows is not None else 0
+        self._encodings = ops.ColumnEncodings(cols)
+
+    def __getstate__(self) -> dict:
+        # the encodings rebuild from the columns; never ship or store them
+        state = dict(self.__dict__)
+        del state["_encodings"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._encodings = ops.ColumnEncodings(self._columns)
 
     # -- construction helpers ------------------------------------------
 
@@ -105,9 +119,18 @@ class Relation:
         """Approximate in-memory size of the payload in bytes."""
         return int(sum(c.nbytes for c in self._columns.values()))
 
+    @property
+    def encodings(self) -> ops.ColumnEncodings:
+        """Attribute -> ``(codes, uniques)``, encoded on first use.
+
+        The executor's joins and group-bys run on these codes; an entry
+        is computed once per relation object and never changes.
+        """
+        return self._encodings
+
     def domain_size(self, name: str) -> int:
         """Number of distinct values of an attribute (paper §3.5)."""
-        return ops.distinct_count(self.column(name))
+        return len(self._encodings[name][1])
 
     # -- row-level operations -------------------------------------------
 
@@ -211,9 +234,10 @@ class Relation:
         if not columns:
             raise ValueError("match_rows requires at least one column")
         names = list(columns)
-        own = self.columns(names)
-        wanted = [np.asarray(columns[n]) for n in names]
-        lcodes, rcodes = ops.shared_codes(own, wanted)
+        lcodes, rcodes = ops.shared_codes(
+            [self._encodings[n] for n in names],
+            [np.asarray(columns[n]) for n in names],
+        )
         return np.flatnonzero(ops.semijoin_mask(lcodes, rcodes))
 
     # -- joins and aggregation ------------------------------------------
@@ -223,7 +247,7 @@ class Relation:
         shared = self.schema.intersection(other.schema)
         if shared:
             lcodes, rcodes = ops.shared_codes(
-                self.columns(shared), other.columns(shared)
+                [self._encodings[n] for n in shared], other.columns(shared)
             )
             li, ri = ops.join_indices(lcodes, rcodes)
         else:
@@ -268,7 +292,7 @@ class Relation:
         """Distinct projection onto the named attributes."""
         if not names:
             raise ValueError("distinct requires at least one attribute")
-        codes, uniques = ops.factorize_rows(self.columns(names))
+        _, uniques = ops.factorize_rows([self._encodings[n] for n in names])
         cols = dict(zip(names, uniques))
         return Relation(
             name or f"δ({self.name})", self.schema.project(names), cols

@@ -8,8 +8,9 @@ the optimizations of §3.5/Appendix C in Python form:
 * static functions are **inlined** as NumPy expressions;
 * **dynamic functions** (decision-tree conditions) are invoked through a
   parameter table ``dyn`` so re-binding does not regenerate code;
-* shared partial products and join indices appear once as local
-  variables;
+* shared partial products, join indices and key encodings appear once
+  as local variables — a relation's key columns arrive already encoded
+  (``rel_keys``), so joins and group-bys run on integer codes;
 * aggregate columns of one view are produced contiguously and emitted as
   one fixed-layout tuple (the fixed-size aggregate array analog).
 
@@ -26,6 +27,7 @@ import numpy as np
 from ..data import ops
 from .plan import (
     EmitStep,
+    EncodeStep,
     FactorStep,
     Gather,
     GroupKeyStep,
@@ -41,7 +43,7 @@ from .plan import (
 def render_source(plan: GroupPlan, fn_name: str = "group_fn") -> str:
     """Render a group plan to Python source."""
     lines: List[str] = [
-        f"def {fn_name}(rel_cols, n_rel, key_cols, agg_cols, dyn):",
+        f"def {fn_name}(rel_cols, rel_keys, n_rel, key_cols, agg_cols, dyn):",
         f"    # multi-output plan for view group {plan.group.id} at node "
         f"{plan.node!r}",
         "    out = {}",
@@ -56,10 +58,12 @@ def compile_plan(plan: GroupPlan) -> Callable:
     """Compile a group plan; returns the specialized function.
 
     The function signature is
-    ``fn(rel_cols, n_rel, key_cols, agg_cols, dyn) -> dict`` where
-    ``rel_cols`` maps attribute name to column, ``key_cols``/``agg_cols``
-    map incoming view id to its column lists, and ``dyn`` is the dynamic
-    function table.  The result maps view id to
+    ``fn(rel_cols, rel_keys, n_rel, key_cols, agg_cols, dyn) -> dict``
+    where ``rel_cols`` maps attribute name to column, ``rel_keys`` maps
+    it to the column's ``(codes, uniques)`` encoding
+    (:attr:`Relation.encodings`), ``key_cols``/``agg_cols`` map incoming
+    view id to its column lists, and ``dyn`` is the dynamic function
+    table.  The result maps view id to
     ``(group_by, key_col_list, agg_col_list)``.
     """
     source = render_source(plan)
@@ -72,8 +76,16 @@ def compile_plan(plan: GroupPlan) -> Callable:
 def _render_step(step) -> List[str]:
     if isinstance(step, Gather):
         return [_render_gather(step)]
+    if isinstance(step, EncodeStep):
+        if step.origin[0] == "rel":
+            source = f"rel_keys[{step.origin[1]!r}]"
+        else:
+            source = (
+                f"ops.factorize(key_cols[{step.origin[1]}][{step.origin[2]}])"
+            )
+        return [f"{step.out_codes}, {step.out_uniques} = {source}"]
     if isinstance(step, JoinStep):
-        left = ", ".join(step.left_vars)
+        left = _render_pairs(step.left_vars)
         right = ", ".join(step.right_vars)
         tmp_l = f"_lc_{step.out_left}"
         tmp_r = f"_rc_{step.out_left}"
@@ -97,7 +109,7 @@ def _render_step(step) -> List[str]:
     if isinstance(step, MulStep):
         return [f"{step.out} = {step.a} * {step.b}"]
     if isinstance(step, GroupKeyStep):
-        key_list = ", ".join(step.key_vars)
+        key_list = _render_pairs(step.key_vars)
         return [
             f"{step.out_codes}, {step.out_keys} = "
             f"ops.factorize_rows([{key_list}])"
@@ -121,6 +133,10 @@ def _render_step(step) -> List[str]:
             f"out[{step.view_id}] = ({step.group_by!r}, {keys}, [{aggs}])"
         ]
     raise TypeError(f"unknown step {step!r}")  # pragma: no cover
+
+
+def _render_pairs(pairs) -> str:
+    return ", ".join(f"({codes}, {uniques})" for codes, uniques in pairs)
 
 
 def _render_gather(step: Gather) -> str:

@@ -192,7 +192,14 @@ class CompiledBackend(InterpreterBackend):
             }
             key_cols = {vid: vd.key_cols for vid, vd in incoming.items()}
             agg_cols = {vid: vd.agg_cols for vid, vd in incoming.items()}
-            raw = fn(rel_cols, relation.n_rows, key_cols, agg_cols, dyn)
+            raw = fn(
+                rel_cols,
+                relation.encodings,
+                relation.n_rows,
+                key_cols,
+                agg_cols,
+                dyn,
+            )
             return views_from_raw(raw)
 
         return run
@@ -355,7 +362,9 @@ def _process_worker_run(source, rel_cols, n_rows, key_cols, agg_cols, dyn):
         )
         fn = namespace["group_fn"]
         _WORKER_FNS[source] = fn
-    return fn(rel_cols, n_rows, key_cols, agg_cols, dyn)
+    # the partition's key columns are encoded here, not shipped
+    rel_keys = ops.ColumnEncodings(rel_cols)
+    return fn(rel_cols, rel_keys, n_rows, key_cols, agg_cols, dyn)
 
 
 def _terminate_pool(pool) -> None:

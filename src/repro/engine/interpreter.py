@@ -17,6 +17,7 @@ from ..data import ops
 from ..data.relation import Relation
 from .plan import (
     EmitStep,
+    EncodeStep,
     FactorStep,
     Gather,
     GroupKeyStep,
@@ -100,9 +101,17 @@ def execute_plan(
     for step in plan.steps:
         if isinstance(step, Gather):
             env[step.out] = _gather(step, relation, incoming, env)
+        elif isinstance(step, EncodeStep):
+            if step.origin[0] == "rel":
+                encoded = relation.encodings[step.origin[1]]
+            else:
+                encoded = ops.factorize(
+                    incoming[step.origin[1]].key_cols[step.origin[2]]
+                )
+            env[step.out_codes], env[step.out_uniques] = encoded
         elif isinstance(step, JoinStep):
             lcodes, rcodes = ops.shared_codes(
-                [env[v] for v in step.left_vars],
+                [(env[c], env[u]) for c, u in step.left_vars],
                 [env[v] for v in step.right_vars],
             )
             li, ri = ops.join_indices(lcodes, rcodes)
@@ -120,7 +129,7 @@ def execute_plan(
             env[step.out] = env[step.a] * env[step.b]
         elif isinstance(step, GroupKeyStep):
             codes, keys = ops.factorize_rows(
-                [env[v] for v in step.key_vars]
+                [(env[c], env[u]) for c, u in step.key_vars]
             )
             env[step.out_codes] = codes
             env[step.out_keys] = keys

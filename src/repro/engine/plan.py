@@ -11,7 +11,12 @@ Optimization of §3.5:
 * partial products are shared via prefix caching (the paper's "reuse of
   arithmetic operations");
 * group-by key encodings are shared across all aggregates of a view and
-  across views with equal group-by.
+  across views with equal group-by;
+* join and group-by keys never carry values, only dictionary codes: a
+  key source is encoded once (a relation attribute per relation object,
+  an incoming view's key column per plan run), and a context's key
+  column is that source's codes gathered through the context's index
+  array.
 
 The same steps are either interpreted (``interpreter.py``) or rendered to
 specialized Python source (``codegen.py``), which guarantees the two
@@ -47,16 +52,30 @@ class Gather:
 
 
 @dataclass(frozen=True)
+class EncodeStep:
+    """out_codes, out_uniques = the dictionary encoding of a key source.
+
+    ``origin`` is ``("rel", attr)`` — read from the relation's memo, so
+    encoded once per relation — or ``("viewkey", vid, pos)``.
+    """
+
+    out_codes: str
+    out_uniques: str
+    origin: tuple
+
+
+@dataclass(frozen=True)
 class JoinStep:
     """Equi-join the current context with an incoming view.
 
-    ``left_vars``/``right_vars`` are the already-gathered key columns.
+    ``left_vars`` are the context's key columns as ``(codes, uniques)``
+    var pairs, ``right_vars`` the view's own key columns (values).
     Outputs the two index arrays ``out_left``/``out_right``.
     """
 
     out_left: str
     out_right: str
-    left_vars: Tuple[str, ...]
+    left_vars: Tuple[Tuple[str, str], ...]
     right_vars: Tuple[str, ...]
 
 
@@ -96,13 +115,14 @@ class MulStep:
 class GroupKeyStep:
     """Encode composite group-by keys of a context.
 
-    Outputs ``out_codes`` (row-aligned int codes) and ``out_keys`` (list
-    of per-group key columns in lexicographic order).
+    ``key_vars`` are ``(codes, uniques)`` var pairs.  Outputs
+    ``out_codes`` (row-aligned int codes) and ``out_keys`` (list of
+    per-group key columns in lexicographic order).
     """
 
     out_codes: str
     out_keys: str
-    key_vars: Tuple[str, ...]
+    key_vars: Tuple[Tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -222,6 +242,8 @@ class GroupPlanBuilder:
         self._contexts: Dict[Tuple[int, ...], _Context] = {}
         # caches for sharing
         self._gather_cache: Dict[tuple, str] = {}
+        self._encode_cache: Dict[tuple, Tuple[str, str]] = {}
+        self._code_cache: Dict[tuple, str] = {}
         self._factor_cache: Dict[tuple, str] = {}
         self._product_cache: Dict[tuple, str] = {}
         self._groupkey_cache: Dict[tuple, Tuple[str, str]] = {}
@@ -358,7 +380,7 @@ class GroupPlanBuilder:
                 f"node {self.node}"
             )
         left_vars = tuple(
-            self._gather(ctx, self._available(ctx, a)) for a in join_attrs
+            self._encoded(ctx, self._available(ctx, a)) for a in join_attrs
         )
         right_vars = tuple(
             self._gather_view_key(view_id, meta.group_by.index(a))
@@ -423,6 +445,27 @@ class GroupPlanBuilder:
         self.steps.append(Gather(out=out, origin=origin, index=index))
         self._gather_cache[cache_key] = out
         return out
+
+    def _encoded(self, ctx: _Context, origin: tuple) -> Tuple[str, str]:
+        """A context key column as ``(codes var, uniques var)``.
+
+        The source is encoded once per plan; the context's codes are the
+        source's codes gathered through the context's index array.
+        """
+        source = self._encode_cache.get(origin)
+        if source is None:
+            source = (self._new_var("kc"), self._new_var("ku"))
+            self.steps.append(EncodeStep(*source, origin=origin))
+            self._encode_cache[origin] = source
+        index = ctx.base_idx if origin[0] == "rel" else ctx.view_idx[origin[1]]
+        if index is None:
+            return source
+        cache_key = (ctx.key, origin)
+        if cache_key not in self._code_cache:
+            out = self._new_var("kc")
+            self.steps.append(IndexStep(out=out, arr=source[0], idx=index))
+            self._code_cache[cache_key] = out
+        return self._code_cache[cache_key], source[1]
 
     def _gather_view_key(self, view_id: int, pos: int) -> str:
         """A view's own key column (pre-join, identity index)."""
@@ -527,7 +570,7 @@ class GroupPlanBuilder:
         if cache_key in self._groupkey_cache:
             return self._groupkey_cache[cache_key]
         key_vars = tuple(
-            self._gather(ctx, self._require(ctx, a)) for a in group_by
+            self._encoded(ctx, self._require(ctx, a)) for a in group_by
         )
         codes = self._new_var("codes")
         keys = self._new_var("keys")

@@ -98,6 +98,10 @@ class QueryBatch:
 
         Dynamic function values are abstracted to slot numbers, so CART's
         per-node batches (same shape, new thresholds) hit the plan cache.
+        Query names are part of the identity: a plan's outputs are bound
+        to them, so two same-shaped batches with different names need
+        two plans.  (Aggregate names are not — they are read off the
+        batch being assembled, never off the plan.)
         """
         slots = {id(f): i for i, f in enumerate(self.dynamic_functions())}
         parts = []
@@ -114,7 +118,7 @@ class QueryBatch:
                     )
                     term_sigs.append((term.coefficient, factor_sigs))
                 agg_sigs.append(tuple(term_sigs))
-            parts.append((query.group_by, tuple(agg_sigs)))
+            parts.append((query.name, query.group_by, tuple(agg_sigs)))
         return tuple(parts)
 
     def referenced_attrs(self) -> Tuple[str, ...]:

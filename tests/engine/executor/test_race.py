@@ -8,6 +8,8 @@ run with many threads must match serial execution bit-for-bit, every
 time.
 """
 
+import sys
+
 import numpy as np
 
 from repro import LMFAO, Aggregate, Query, QueryBatch
@@ -61,3 +63,28 @@ def test_threaded_run_with_views_retains_everything(toy_db):
         _, plan, store = engine.run_with_views(batch)
     assert set(store) >= {v.id for v in plan.decomposed.views}
     assert not store.evicted
+
+
+def test_threads_racing_on_fresh_key_encodings_match_serial(toy_db):
+    """Same-node groups share one relation and its lazy key encodings.
+
+    No relation is partitioned here (the threshold is out of reach), so
+    the scheduler's threads all read ``relation.encodings`` of the same
+    freshly sorted — never yet encoded — relations.  Two threads may both
+    encode a column; none may see a half-built entry.
+    """
+    batch = wide_batch()
+    serial = LMFAO(toy_db, n_threads=1).run(batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(25):
+            with LMFAO(
+                toy_db, n_threads=4, partition_threshold=10**9
+            ) as engine:
+                assert not any(r.encodings for r in engine.database)
+                assert_results_equal(
+                    engine.run(batch), serial, batch, rtol=0, atol=0
+                )
+    finally:
+        sys.setswitchinterval(interval)

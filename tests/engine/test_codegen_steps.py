@@ -8,6 +8,7 @@ from repro.data import ops
 from repro.engine.codegen import _render_gather, _render_group_sum, _render_step
 from repro.engine.plan import (
     EmitStep,
+    EncodeStep,
     FactorStep,
     Gather,
     GroupKeyStep,
@@ -64,13 +65,29 @@ class TestGatherRendering:
 
 
 class TestJoinAndIndexRendering:
-    def test_join_step(self):
-        step = JoinStep("li", "ri", ("lk",), ("rk",))
+    def test_encode_relation_attribute_reads_the_memo(self):
+        step = EncodeStep("kc", "ku", ("rel", "store"))
+        encoded = ops.factorize(np.array([7, 3, 7]))
+        env = run_lines(_render_step(step), {"rel_keys": {"store": encoded}})
+        assert env["kc"] is encoded[0] and env["ku"] is encoded[1]
+
+    def test_encode_view_key_column(self):
+        step = EncodeStep("kc", "ku", ("viewkey", 7, 1))
         env = run_lines(
             _render_step(step),
-            {"lk": np.array([1, 2, 2]), "rk": np.array([2, 3])},
+            {"key_cols": {7: [np.array([0, 0]), np.array([9, 4])]}},
         )
-        assert (env["lk"][env["li"]] == env["rk"][env["ri"]]).all()
+        assert env["kc"].tolist() == [1, 0]
+        assert env["ku"].tolist() == [4, 9]
+
+    def test_join_step(self):
+        step = JoinStep("li", "ri", (("lc", "lu"),), ("rk",))
+        lk = np.array([1, 2, 2])
+        lc, lu = ops.factorize(lk)
+        env = run_lines(
+            _render_step(step), {"lc": lc, "lu": lu, "rk": np.array([2, 3])}
+        )
+        assert (lk[env["li"]] == env["rk"][env["ri"]]).all()
         assert len(env["li"]) == 2
 
     def test_index_step(self):
@@ -112,27 +129,28 @@ class TestFactorRendering:
 
 class TestGroupSumRendering:
     def test_grouped_sum(self):
-        key_step = GroupKeyStep("codes", "keys", ("g",))
+        key_step = GroupKeyStep("codes", "keys", (("gc", "gu"),))
         sum_step = GroupSumStep(
             "agg", "codes", "keys", "vals", None, 1.0, ()
         )
         env = run_lines(
             _render_step(key_step) + _render_group_sum(sum_step),
             {
-                "g": np.array([1, 0, 1]),
+                "gc": np.array([1, 0, 1]),
+                "gu": np.array([0, 1]),
                 "vals": np.array([5.0, 7.0, 2.0]),
             },
         )
         assert env["agg"].tolist() == [7.0, 7.0]
 
     def test_grouped_count_with_coefficient(self):
-        key_step = GroupKeyStep("codes", "keys", ("g",))
+        key_step = GroupKeyStep("codes", "keys", (("gc", "gu"),))
         sum_step = GroupSumStep(
             "agg", "codes", "keys", None, None, 3.0, ()
         )
         env = run_lines(
             _render_step(key_step) + _render_group_sum(sum_step),
-            {"g": np.array([0, 0, 1])},
+            {"gc": np.array([0, 0, 1]), "gu": np.array([0, 1])},
         )
         assert env["agg"].tolist() == [6.0, 3.0]
 

@@ -179,6 +179,33 @@ class TestPlanCache:
         plan2 = engine.plan(standard_batch())
         assert plan1 is plan2
 
+    def test_same_shape_under_another_name_gets_its_own_plan(self, toy_db):
+        # a plan's outputs are bound to query names: serving the second
+        # batch from the first one's plan used to raise KeyError: 'b'
+        engine = LMFAO(toy_db)
+
+        def batch_for(query_name, aggregate_name):
+            return QueryBatch(
+                [
+                    Query(
+                        query_name,
+                        [],
+                        [Aggregate.of("units", name=aggregate_name)],
+                    )
+                ]
+            )
+
+        first = engine.run(batch_for("a", "s"))
+        second = engine.run(batch_for("b", "s"))
+        assert list(second) == ["b"]
+        assert second["b"].column("s")[0] == first["a"].column("s")[0]
+        assert len(engine._plan_cache) == 2
+        # aggregate names are read off the batch, not the plan: a new
+        # one neither needs a new plan nor leaks the old name
+        renamed = engine.run(batch_for("b", "total"))
+        assert len(engine._plan_cache) == 2
+        assert renamed["b"].schema.names == ("total",)
+
     def test_dynamic_rebinding(self, toy_db):
         engine = LMFAO(toy_db)
 

@@ -1,5 +1,7 @@
 """The HTTP front-end and blocking client, over an ephemeral port."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,65 @@ def served(toy_db):
     server.shutdown()
     server.server_close()
     service.close()
+
+
+class TestSameShapedWorkloads:
+    def test_two_clients_mixing_twin_workloads_never_fail(self, toy_db):
+        # ``covar`` and ``linreg`` are the same batch under two names, so
+        # the coalescer's fused sets {covar, trees} and {linreg, trees}
+        # have one shape and differ only in query names; sharing one
+        # cached plan between them made a third of such requests 404
+        service = AnalyticsService(coalesce_ms=20, cache_mb=8)
+        service.register_dataset("toy", toy_db)
+        service.register_workload("toy", "covar", WORKLOADS["covar_style"]())
+        service.register_workload("toy", "linreg", WORKLOADS["covar_style"]())
+        service.register_workload("toy", "trees", WORKLOADS["groupbys"]())
+        server, _thread = serve_in_background(service, port=0)
+        host, port = server.server_address[:2]
+        mix = (
+            ["covar", "trees"],
+            ["linreg", "trees"],
+            ["covar"],
+            ["linreg"],
+            ["trees"],
+            ["covar", "linreg", "trees"],
+        )
+        failures, answered = [], [0, 0]
+
+        def reader(which):
+            client = AnalyticsClient(host, port)
+            for i in range(24):
+                wanted = mix[(i + which) % len(mix)]
+                try:
+                    payload = client.query("toy", wanted)
+                except ClientError as exc:
+                    failures.append((wanted, exc.status, exc.message))
+                    continue
+                assert sorted(payload["results"]) == sorted(wanted)
+                answered[which] += 1
+
+        try:
+            first = AnalyticsClient(host, port)
+            first.wait_ready(timeout=10)
+            # the collision itself, whatever the threads' timing does
+            for wanted in mix[:2]:
+                assert sorted(first.query("toy", wanted)["results"]) == wanted
+            threads = [
+                threading.Thread(target=reader, args=(which,))
+                for which in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(100)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert failures == []
+        assert answered == [24, 24]
+        assert service.coalescer.stats().failed == 0
 
 
 class TestEndpoints:
