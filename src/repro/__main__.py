@@ -356,10 +356,12 @@ def _run_incremental(args, dataset, batch) -> int:
         f"{n_rows} result rows materialized in {materialize_s:.4f}s "
         f"(root={engine.root})"
     )
-    # fair full-re-evaluation baseline: re-execute the cached plan
-    # (planning + compilation excluded, as for the maintenance side)
+    # fair full-re-evaluation baseline: a cold run on a cleared view
+    # cache (planning + compilation cached, as for the maintenance side);
+    # it leaves the views cached again for the delta below
+    engine.view_cache.clear()
     start = time.perf_counter()
-    engine.refresh()
+    engine.run(batch)
     full_s = time.perf_counter() - start
     rng = np.random.default_rng(0)
     fact = engine.database.relation(engine.root)
@@ -367,16 +369,17 @@ def _run_incremental(args, dataset, batch) -> int:
     idx = rng.integers(0, fact.n_rows, n_delta)
     inserts = {a: fact.column(a)[idx] for a in fact.schema.names}
     deletes = rng.choice(fact.n_rows, n_delta, replace=False)
+    start = time.perf_counter()
     report = engine.apply_delta(
         DeltaBatch(engine.root, inserts=inserts, delete_indices=deletes)
     )
-    maintenance = report.batches[0]
     updated = engine.run(batch)
+    maintained_s = time.perf_counter() - start
     print(
         f"delta: +{n_delta}/-{n_delta} rows on {engine.root} "
-        f"({args.delta_fraction:.1%}) maintained in "
-        f"{maintenance.seconds:.4f}s [{maintenance.mode}], "
-        f"{full_s / maintenance.seconds:.1f}x faster than full "
+        f"({args.delta_fraction:.1%}) maintained and re-served in "
+        f"{maintained_s:.4f}s [{report.maintenance[0].mode}], "
+        f"{full_s / maintained_s:.1f}x faster than full "
         f"re-evaluation ({full_s:.4f}s)"
     )
     print(

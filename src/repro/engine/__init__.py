@@ -11,7 +11,7 @@ from .executor import (
 )
 from .explain import explain
 from .grouping import GroupedPlan, ViewGroup, group_views
-from .ivm import BatchMaintenance, DeltaReport, IncrementalEngine
+from .ivm import DeltaMaintenance, DeltaReport, IncrementalEngine
 from .sql import render_batch_sql
 from .pushdown import DecomposedBatch, Decomposer
 from .roots import assign_roots, possible_roots
@@ -38,7 +38,7 @@ __all__ = [
     "FusionReport",
     "IncrementalEngine",
     "DeltaReport",
-    "BatchMaintenance",
+    "DeltaMaintenance",
     "PlanStatistics",
     "Decomposer",
     "DecomposedBatch",

@@ -300,29 +300,6 @@ class LMFAO:
         concurrent delta commit.  Defaults to the engine's current
         database.
         """
-        result, _, _ = self._run(
-            batch, retain_interior=False, database=database
-        )
-        return result
-
-    def run_with_views(
-        self, batch: QueryBatch, *, database: Optional[Database] = None
-    ) -> Tuple[BatchResult, EnginePlan, ViewStore]:
-        """Evaluate a batch, also returning the plan and materialized views.
-
-        The returned :class:`ViewStore` retains every interior view —
-        it is what the incremental-maintenance layer caches and patches
-        under deltas.
-        """
-        return self._run(batch, retain_interior=True, database=database)
-
-    def _run(
-        self,
-        batch: QueryBatch,
-        *,
-        retain_interior: bool,
-        database: Optional[Database] = None,
-    ) -> Tuple[BatchResult, EnginePlan, ViewStore]:
         # snapshot once: everything below reads this one version
         db = database if database is not None else self.database
         t0 = time.perf_counter()
@@ -334,14 +311,12 @@ class LMFAO:
                 "batch dynamic-function count changed between planning "
                 "and execution"
             )
-        store, report = self._execute_impl(
-            plan, dyn, retain_interior=retain_interior, database=db
-        )
+        store, report = self._execute_impl(plan, dyn, database=db)
         result = self.assemble(batch, plan, store, database=db)
         result.plan_seconds = t1 - t0
         result.execute_seconds = time.perf_counter() - t1
         result.cache_report = report
-        return result, plan, store
+        return result
 
     def view_signatures_for(
         self,
@@ -381,21 +356,18 @@ class LMFAO:
         plan: EnginePlan,
         dyn: Sequence,
         *,
-        retain_interior: bool = False,
         database: Optional[Database] = None,
     ) -> ViewStore:
-        """Materialize every view of a planned batch.
+        """Materialize the output views of a planned batch.
 
         The dataflow scheduler launches each view group as soon as its
         input views are published; the backend decides how a group is
-        evaluated.  With ``retain_interior=False`` interior views are
-        evicted once their last consumer finishes (output views are
-        pinned and always survive).  ``database`` pins execution to an
-        explicit database version (see :meth:`run`).
+        evaluated.  Interior views are evicted once their last consumer
+        finishes (output views are pinned and always survive).
+        ``database`` pins execution to an explicit database version (see
+        :meth:`run`).
         """
-        store, _ = self._execute_impl(
-            plan, dyn, retain_interior=retain_interior, database=database
-        )
+        store, _ = self._execute_impl(plan, dyn, database=database)
         return store
 
     def _execute_impl(
@@ -403,7 +375,6 @@ class LMFAO:
         plan: EnginePlan,
         dyn: Sequence,
         *,
-        retain_interior: bool,
         database: Optional[Database] = None,
     ) -> Tuple[ViewStore, Optional[CacheRunReport]]:
         db = database if database is not None else self.database
@@ -466,7 +437,6 @@ class LMFAO:
         store = ViewStore(
             consumers=plan.view_consumers(),
             pinned=plan.output_view_ids(),
-            retain_all=retain_interior,
             on_evict=handoff if cache is not None else None,
         )
         for vid, data in preloaded.items():
@@ -495,8 +465,8 @@ class LMFAO:
 
         scheduler.run(plan.dependencies(), task, publish)
         if cache is not None:
-            # views still resident (pinned outputs; all views when the
-            # store retains) that were cache misses are admitted too
+            # views still resident (the pinned outputs) that were cache
+            # misses are admitted too
             for vid, data in store.items():
                 if report.events.get(vid) == "miss":
                     cache.put(
@@ -506,38 +476,6 @@ class LMFAO:
                         database=db,
                     )
         return store, report
-
-    def _execute(self, plan: EnginePlan, dyn: Sequence) -> ViewStore:
-        """Back-compat alias retained for the pre-executor call sites.
-
-        Retains interior views, matching the old behavior of returning
-        the complete view dictionary.
-        """
-        return self.execute(plan, dyn, retain_interior=True)
-
-    def run_group(
-        self,
-        plan: EnginePlan,
-        group_id: int,
-        relation: Relation,
-        incoming: Mapping[int, ViewData],
-        dyn: Sequence,
-    ) -> Dict[int, ViewData]:
-        """Evaluate one view group over an explicit relation.
-
-        The incremental-maintenance layer uses this to run a cached
-        group plan over a delta partition instead of the group's node
-        relation.
-        """
-        return self.backend.run_group(
-            GroupTask(
-                plan=plan.group_plans[group_id],
-                relation=relation,
-                incoming=dict(incoming),
-                dyn=dyn,
-                compiled_fn=plan.compiled_fns[group_id],
-            )
-        )
 
     # -- output assembly ------------------------------------------------------
 

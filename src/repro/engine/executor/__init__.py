@@ -7,8 +7,9 @@ Three layers, composed by the :class:`repro.engine.engine.LMFAO` facade:
 * :mod:`~repro.engine.executor.scheduler` — *when* each group runs
   (dependency-counting dataflow over the group DAG, no level barriers);
 * :mod:`~repro.engine.executor.store` — *where* materialized views live
-  (thread-safe :class:`ViewStore` with ref-counted eviction and the
-  pin/merge API used by incremental maintenance).
+  (thread-safe :class:`ViewStore` with ref-counted eviction, and the
+  distributive-SUM merge primitives delta repair shares with the
+  partitioned backends).
 """
 
 from .backend import (

@@ -7,14 +7,11 @@ and evicts interior views the moment their last consumer finishes, so a
 batch's peak memory is bounded by the working frontier of the DAG rather
 than its total view volume.
 
-Views that outlive execution opt out of eviction in two ways:
-
-* **pinning** — query-output views are pinned by the engine; the
-  incremental-maintenance layer additionally pins its cached sink views
-  (:meth:`ViewStore.pin`);
-* **retain_all** — stores built for caching (``run_with_views`` /
-  :class:`repro.engine.ivm.IncrementalEngine`) keep every view so deltas
-  can later be merged against any group's inputs.
+Views that outlive execution are *pinned* at construction: the engine
+pins the query-output views, which result assembly reads after the last
+group has finished.  A store lives for one run; between runs
+materialized views live in the cross-run
+:class:`~repro.engine.viewcache.cache.ViewCache`.
 
 Eviction need not mean the data is lost: an ``on_evict`` callback turns
 the drop into a *handoff* — the engine uses it to move interior views
@@ -32,7 +29,7 @@ while same-level futures were reading it).
 
 This module also owns the distributive-SUM merge primitives
 (:func:`merge_partials`, :func:`retire_dead_keys`) shared by the
-domain-parallel backends and the IVM layer.
+domain-parallel backends and the view cache's delta repair.
 """
 
 from __future__ import annotations
@@ -128,9 +125,8 @@ class ViewStore:
     ``consumers`` maps each view id to the number of view groups that
     will read it; :meth:`group_finished` decrements the counts of a
     finished group's inputs, and a view whose count reaches zero is
-    evicted unless pinned (or the store was built with
-    ``retain_all=True``).  Views absent from ``consumers`` are never
-    evicted — eviction is strictly an opt-in optimization.
+    evicted unless it is in ``pinned``.  Views absent from ``consumers``
+    are never evicted — eviction is strictly an opt-in optimization.
 
     ``on_evict`` (optional) is called as ``on_evict(vid, data)`` for
     every view dropped by ref-counted eviction, outside the store lock,
@@ -147,14 +143,12 @@ class ViewStore:
         consumers: Optional[Mapping[int, int]] = None,
         pinned: Iterable[int] = (),
         *,
-        retain_all: bool = False,
         on_evict: Optional[Callable[[int, ViewData], None]] = None,
     ):
         self._data: Dict[int, ViewData] = {}
         self._lock = threading.Lock()
         self._remaining: Dict[int, int] = dict(consumers or {})
-        self._pinned = set(pinned)
-        self.retain_all = retain_all
+        self._pinned = frozenset(pinned)
         self._on_evict = on_evict
         #: ids of views dropped by ref-counted eviction (for tests/stats)
         self.evicted: set = set()
@@ -169,8 +163,7 @@ class ViewStore:
                 if vid in self.evicted:
                     raise KeyError(
                         f"view {vid} was evicted after its last consumer "
-                        "finished; pin it (or build the store with "
-                        "retain_all=True) to keep it"
+                        "finished; list it in `pinned` to keep it"
                     ) from None
                 raise
 
@@ -236,20 +229,7 @@ class ViewStore:
         with self._lock:
             return dict(self._data)
 
-    # -- pinning / eviction ------------------------------------------------
-
-    def pin(self, vid: int) -> None:
-        """Exempt a view from eviction (idempotent)."""
-        with self._lock:
-            self._pinned.add(vid)
-
-    def unpin(self, vid: int) -> None:
-        with self._lock:
-            self._pinned.discard(vid)
-
-    def is_pinned(self, vid: int) -> bool:
-        with self._lock:
-            return vid in self._pinned
+    # -- eviction ----------------------------------------------------------
 
     def group_finished(self, input_view_ids: Iterable[int]) -> None:
         """Record that one consumer of each given view has finished.
@@ -267,7 +247,6 @@ class ViewStore:
                 self._remaining[vid] -= 1
                 if (
                     self._remaining[vid] <= 0
-                    and not self.retain_all
                     and vid not in self._pinned
                     and vid in self._data
                 ):
@@ -281,31 +260,6 @@ class ViewStore:
     def remaining_consumers(self, vid: int) -> Optional[int]:
         with self._lock:
             return self._remaining.get(vid)
-
-    # -- merging (the IVM API) ---------------------------------------------
-
-    def merge_parts(
-        self,
-        parts: List[Dict[int, ViewData]],
-        *,
-        retire_dead: bool = False,
-    ) -> Dict[int, ViewData]:
-        """Merge partial view outputs and store the results.
-
-        This is the incremental-maintenance entry point: the IVM layer
-        passes ``[current sink views, +delta views, -delta views]`` and
-        the distributive-SUM re-aggregation of :func:`merge_partials`
-        produces the maintained views, optionally retiring group keys
-        whose support cancelled to zero.  Returns the merged views.
-        """
-        merged = merge_partials(parts)
-        if retire_dead:
-            merged = {
-                vid: retire_dead_keys(view) for vid, view in merged.items()
-            }
-        with self._lock:
-            self._data.update(merged)
-        return merged
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:

@@ -1,167 +1,112 @@
-"""Incremental view maintenance (IVM) over the LMFAO view DAG.
+"""Incremental view maintenance (IVM): the commit facade over the view cache.
 
-LMFAO materializes a DAG of aggregate views over a join tree; this layer
-keeps those views — and the query results assembled from them — up to
-date under inserts and retractions of base-relation tuples without
-re-running the full plan.
+Every LMFAO view aggregate is a SUM over context rows, which partition
+with the node relation's rows, so one delta rule maintains every view
+(cf. Berkholz et al., "Answering FO+MOD queries under updates"): re-run
+the unchanged group plan over the delta partition, merge the result into
+the materialized view (retractions negated), re-run the consumer groups
+above it.  That rule has one implementation, ``ViewCache.on_delta``, and
+a materialized view one home between runs, the ``ViewCache``.
 
-The maintenance strategy follows the classic delta-query idea (cf.
-Berkholz et al., "Answering FO+MOD queries under updates"): every view
-aggregate is a SUM of per-context-row products, and context rows
-partition with the node relation's rows.  Evaluating the *unchanged*
-group plan over only the delta partition therefore yields exactly the
-additive change of each view, which merges into the cached
-:class:`~repro.engine.interpreter.ViewData` with the same
-distributive-SUM re-aggregation the domain-parallel backends already
-use (:meth:`repro.engine.executor.ViewStore.merge_parts`, built on
-:func:`repro.engine.executor.merge_partials`).  Retractions are
-insertions with negated payload.  Cached views live in a pinned
-:class:`~repro.engine.executor.ViewStore` rather than a bare dict, so
-the maintenance layer shares one view-lifetime mechanism with the
-executor.
+:class:`IncrementalEngine` turns a :class:`DeltaBatch` into a commit —
+apply it to the database, hand the applied delta to the cache — and
+records what the cache did with it, one :class:`DeltaMaintenance` each:
 
-Exact key sets under retraction come from *support counts*: plans built
-with ``track_support=True`` carry a hidden context-row count per group
-key, and a key is retired exactly when its support cancels to zero — so
-maintained views match a from-scratch run key-for-key.
-
-**Propagation semantics.**  The delta of a view is a pure merge only
-while no *other* view consumes it (changed aggregate columns would
-otherwise have to be re-joined upward, where products of changed views
-break additivity).  The engine therefore plans every batch rooted at a
-single designated relation — by default the largest one, where updates
-land in practice — which makes that node's view groups sinks.  A delta
-against the root relation is maintained by pure merging
-(``"incremental"``).  A delta against any *other* relation is
-*propagated* bottom-up through the DAG (``"propagate"``): the changed
-relation's own groups are delta-merged (or, for retractions on views
-without support counts, re-run over the full updated relation), and
-every group consuming a changed view is re-run over its node relation
-with the updated inputs — the affected *cone* of the DAG, never the
-whole batch.  Groups whose inputs are untouched keep their
-materializations.  Full recomputation (``"recompute"``) remains only
-as a guarded fallback (e.g. a delta on a relation the plan has no view
-groups for), counted in :meth:`IncrementalEngine.stats` as a
-*fallback* with its reason rather than happening silently.
+* ``"incremental"`` — every affected cached view sits at the updated
+  relation and absorbed the delta by a pure merge;
+* ``"propagate"`` — at least one view was repaired by re-running its
+  group plan: a consumer above the updated relation, or a view at it
+  whose retraction could not be merged exactly (no support counts);
+* ``"recompute"`` — the counted fallback: a view could not be repaired
+  and was evicted (or no cache is attached); the next run recomputes it.
 """
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from ..data.database import AppliedDelta, Database, DeltaBatch
 from ..jointree.join_tree import JoinTree
 from ..query.query import QueryBatch
-from .engine import LMFAO, BatchResult, EnginePlan
-from .executor import ViewStore
-from .interpreter import ViewData
+from .engine import LMFAO, BatchResult
 from .viewcache.cache import ViewCache
 
 
 @dataclass
-class BatchMaintenance:
-    """How one cached batch was brought up to date by ``apply_delta``."""
+class DeltaMaintenance:
+    """How the cached views absorbed one applied delta."""
 
-    queries: Tuple[str, ...]
+    relation: str
     mode: str  # "incremental", "propagate", or "recompute"
     seconds: float
-    #: why a full recompute happened, when it did
-    reason: Optional[str] = None
+    reason: Optional[str] = None  # why views were left to be recomputed
 
 
 @dataclass
 class DeltaReport:
     """What one ``apply_delta`` call did."""
 
-    relations: Tuple[str, ...]
-    n_changes: int
-    batches: List[BatchMaintenance] = field(default_factory=list)
-    #: cache entries delta-patched (re-keyed in place) / evicted by
-    #: the attached view cache, summed over the applied deltas
-    views_patched: int = 0
-    views_evicted: int = 0
+    relations: Tuple[str, ...] = ()
+    n_changes: int = 0
+    #: one record per applied (non-empty) delta, in order
+    maintenance: List[DeltaMaintenance] = field(default_factory=list)
+    views_patched: int = 0  # cache entries repaired and re-keyed in place
+    views_evicted: int = 0  # cache entries dropped, left to be recomputed
 
     @property
     def all_incremental(self) -> bool:
-        return all(b.mode == "incremental" for b in self.batches)
+        return all(m.mode == "incremental" for m in self.maintenance)
 
     @property
     def all_maintained(self) -> bool:
-        """True when no batch fell back to full recomputation."""
-        return all(b.mode != "recompute" for b in self.batches)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        modes = ", ".join(f"{b.mode}:{b.seconds:.4f}s" for b in self.batches)
-        return (
-            f"DeltaReport({self.n_changes} changes on "
-            f"{list(self.relations)}; [{modes}])"
-        )
+        """True when no delta left a view to be recomputed."""
+        return all(m.mode != "recompute" for m in self.maintenance)
 
 
 @dataclass
 class MaintenanceStats:
-    """Lifetime counters of one :class:`IncrementalEngine` (``/stats``)."""
+    """``GET /stats`` ``ivm``: incremental+propagated+fallbacks == deltas."""
 
     deltas: int = 0  # non-empty DeltaBatches applied
-    incremental: int = 0  # batch maintenances by pure sink merging
-    propagated: int = 0  # batch maintenances through interior groups
-    fallbacks: int = 0  # full-batch recomputations
+    incremental: int = 0  # absorbed by pure merges at the updated node
+    propagated: int = 0  # repaired by re-running view groups
+    fallbacks: int = 0  # left views to be recomputed by the next run
     last_fallback_reason: Optional[str] = None
 
-    def as_dict(self) -> Dict:
-        return {
-            "deltas": self.deltas,
-            "incremental": self.incremental,
-            "propagated": self.propagated,
-            "fallbacks": self.fallbacks,
-            "last_fallback_reason": self.last_fallback_reason,
-        }
-
-
-class PropagationError(RuntimeError):
-    """Raised internally when a delta cannot be propagated through the
-    view DAG (the caller falls back to full recomputation and counts
-    it)."""
-
-
-@dataclass
-class _CachedBatch:
-    """A materialized batch: plan + live view store + bound dyn table."""
-
-    batch: QueryBatch
-    plan: EnginePlan
-    view_data: ViewStore
-    dyn: Sequence
+    def count(self, record: DeltaMaintenance) -> None:
+        self.deltas += 1
+        if record.mode == "incremental":
+            self.incremental += 1
+        elif record.mode == "propagate":
+            self.propagated += 1
+        else:
+            self.fallbacks += 1
+            self.last_fallback_reason = record.reason
 
 
 class IncrementalEngine:
-    """An :class:`LMFAO` facade that maintains results under updates.
+    """An :class:`LMFAO` facade that keeps results current under updates.
 
     Usage::
 
         engine = IncrementalEngine(dataset.database, dataset.join_tree)
         results = engine.run(batch)                  # full evaluation
-        report = engine.apply_delta(
-            DeltaBatch.insert("Sales", new_rows),
-        )
+        report = engine.apply_delta(DeltaBatch.insert("Sales", new_rows))
         updated = engine.run(batch)                  # served from views
 
-    ``root`` names the relation whose deltas are maintained by merging
-    (all queries are planned rooted there); it defaults to the largest
-    relation.  Deltas against any other relation trigger a full
-    recomputation of every cached batch (see the module docstring for
-    why).  Input relations are kept in user row order (``sort_inputs``
-    is off) so ``DeltaBatch.delete_indices`` always refer to the row
-    numbering the caller observes.
+    Every query is planned rooted at ``root`` (default: the largest
+    relation, where updates land in practice) with *support counts* on
+    that node's views — a hidden context-row count per group key — so a
+    retraction there retires a key exactly when its support cancels to
+    zero, and maintained views match a from-scratch run key-for-key.
+    Deltas on any other relation propagate through the affected cone of
+    the view DAG.  Relations keep user row order (``sort_inputs`` is
+    off), so ``delete_indices`` name the rows the caller observes.
 
-    ``view_cache`` (optional) attaches a cross-session
-    :class:`~repro.engine.viewcache.cache.ViewCache`: every applied
-    delta is forwarded to :meth:`ViewCache.on_delta`, which evicts or
-    delta-patches exactly the cached views whose relation footprint
-    contains the updated relation, and the engine's (re)materialization
-    runs serve from / feed back into the same cache.
+    ``view_cache`` is where the maintained views live: pass one to share
+    it, or omit it for a private default-budget :class:`ViewCache`.
+    ``run`` is ``LMFAO.run`` against that cache: a post-delta run is
+    assembled from the repaired entries, executing only what was lost.
     """
 
     def __init__(
@@ -187,15 +132,11 @@ class IncrementalEngine:
             compile=compile,
             n_threads=n_threads,
             partition_threshold=partition_threshold,
-            view_cache=view_cache,
+            view_cache=ViewCache() if view_cache is None else view_cache,
             backend=backend,
         )
         self.root = root
-        self.view_cache = view_cache
-        self._cache: Dict[tuple, _CachedBatch] = {}
         self._stats = MaintenanceStats()
-
-    # -- catalog ------------------------------------------------------------
 
     @property
     def database(self) -> Database:
@@ -203,274 +144,55 @@ class IncrementalEngine:
         return self.engine.database
 
     @property
-    def n_cached_batches(self) -> int:
-        return len(self._cache)
+    def view_cache(self) -> Optional[ViewCache]:
+        """The engine's cache: where the maintained views live."""
+        return self.engine.view_cache
 
     def stats(self) -> Dict:
-        """Lifetime maintenance counters (the ``ivm`` section of
-        ``GET /stats``): applied deltas, how batches were maintained,
-        and — crucially — how often propagation could *not* apply and
-        fell back to full recomputation, with the last reason."""
-        return self._stats.as_dict()
-
-    # -- evaluation ----------------------------------------------------------
+        return asdict(self._stats)
 
     def run(self, batch: QueryBatch) -> BatchResult:
-        """Evaluate a batch, serving from maintained views when possible.
-
-        The first run of a batch materializes and caches its views; after
-        that, results are assembled straight from the (delta-maintained)
-        cache until the batch object changes.
-        """
-        key = batch.structural_signature()
-        entry = self._cache.get(key)
-        if entry is not None and entry.batch is batch:
-            t0 = time.perf_counter()
-            result = self.engine.assemble(batch, entry.plan, entry.view_data)
-            result.execute_seconds = time.perf_counter() - t0
-            return result
-        result, plan, view_data = self.engine.run_with_views(batch)
-        self._pin_sinks(plan, view_data)
-        self._cache[key] = _CachedBatch(
-            batch=batch,
-            plan=plan,
-            view_data=view_data,
-            dyn=batch.dynamic_functions(),
-        )
-        return result
-
-    def refresh(self) -> None:
-        """Recompute every cached batch from scratch.
-
-        Useful to squash accumulated floating-point residue after long
-        delta sequences, or after out-of-band database changes.
-        """
-        for entry in self._cache.values():
-            entry.view_data = self._materialize(entry.plan, entry.dyn)
-
-    # -- incremental maintenance ----------------------------------------------
+        """Evaluate a batch, served from maintained views where cached."""
+        return self.engine.run(batch)
 
     def apply_delta(self, *deltas: DeltaBatch) -> DeltaReport:
-        """Apply inserts/retractions and bring cached batches up to date.
+        """Apply inserts/retractions and repair the cached views.
 
-        Deltas are applied to the database sequentially (delete indices
-        of later deltas see the row order left by earlier ones).  Cached
-        batches are maintained in place: sink deltas by pure merging,
-        deltas anywhere else by propagating the change through the
-        affected cone of the view DAG.  Full recomputation remains only
-        as a guarded fallback, counted in :meth:`stats`.
+        Deltas apply to the database in order (later delete indices see
+        the rows earlier deltas left), all before any view is touched,
+        so a malformed delta raises with nothing changed.
         """
+        live = [delta for delta in deltas if not delta.is_empty]
         applied: List[AppliedDelta] = []
         database = self.engine.database
-        for delta in deltas:
-            if delta.is_empty:
-                continue
-            step = database.apply_delta(delta)
-            database = step.database
-            applied.append(step)
+        for delta in live:
+            applied.append(database.apply_delta(delta))
+            database = applied[-1].database
         report = DeltaReport(
-            relations=tuple(
-                dict.fromkeys(step.relation for step in applied)
-            ),
-            n_changes=sum(
-                (0 if step.inserted is None else step.inserted.n_rows)
-                + (0 if step.deleted is None else step.deleted.n_rows)
-                for step in applied
-            ),
+            relations=tuple(dict.fromkeys(d.relation for d in live)),
+            n_changes=sum(d.n_changes() for d in live),
         )
-        if not applied:
-            return report
         self.engine.database = database
-        self._stats.deltas += len(applied)
-        if self.view_cache is not None:
-            # reconcile the cross-session cache first, so any engine
-            # re-execution below can already hit repaired entries
-            for step in applied:
-                for status in self.view_cache.on_delta(step).values():
-                    if status == "patched":
-                        report.views_patched += 1
-                    else:
-                        report.views_evicted += 1
-        for entry in self._cache.values():
-            t0 = time.perf_counter()
-            reason: Optional[str] = None
-            try:
-                mode = self._propagate(entry, applied)
-            except Exception as exc:  # genuine can't-propagate cases
-                entry.view_data = self._materialize(entry.plan, entry.dyn)
-                mode = "recompute"
-                reason = f"{type(exc).__name__}: {exc}"
-            if mode == "incremental":
-                self._stats.incremental += 1
-            elif mode == "propagate":
-                self._stats.propagated += 1
-            else:
-                self._stats.fallbacks += 1
-                self._stats.last_fallback_reason = reason
-            report.batches.append(
-                BatchMaintenance(
-                    queries=tuple(q.name for q in entry.batch),
-                    mode=mode,
-                    seconds=time.perf_counter() - t0,
-                    reason=reason,
-                )
-            )
-        return report
-
-    def mergeable_relations(self, batch: QueryBatch) -> Set[str]:
-        """Relations whose deltas this batch absorbs without recomputation."""
-        return self._sink_nodes(self.engine.plan(batch))
-
-    def forget(self, batch: QueryBatch) -> bool:
-        """Drop a batch's cached plan + views; returns whether it was cached.
-
-        Forgotten batches stop being maintained (and paid for) by
-        ``apply_delta``; the next ``run`` re-materializes from scratch.
-        """
-        return self._cache.pop(batch.structural_signature(), None) is not None
-
-    def clear_cache(self) -> None:
-        """Drop every cached batch."""
-        self._cache.clear()
-
-    # -- internals -------------------------------------------------------------
-
-    def _materialize(self, plan: EnginePlan, dyn: Sequence) -> ViewStore:
-        """Execute a cached plan from scratch, keeping + pinning all views."""
-        store = self.engine.execute(plan, dyn, retain_interior=True)
-        self._pin_sinks(plan, store)
-        return store
-
-    def _pin_sinks(self, plan: EnginePlan, store: ViewStore) -> None:
-        """Pin the delta-merge targets (sink-group views) in the store.
-
-        The store already retains everything (``retain_all``); pinning
-        records which views the maintenance layer patches in place, so
-        they survive even if a future engine ever re-enables eviction on
-        cached stores.
-        """
-        consumed = {
-            dep for group in plan.grouped.groups for dep in group.depends_on
-        }
-        for group in plan.grouped.groups:
-            if group.id in consumed:
-                continue
-            for vid in group.view_ids:
-                store.pin(vid)
-
-    @staticmethod
-    def _sink_nodes(plan: EnginePlan) -> Set[str]:
-        """Nodes all of whose view groups no other group consumes.
-
-        Only such a node's views can absorb a delta by pure merging; a
-        relation with no groups at all is *not* a sink (it still joins
-        into views computed elsewhere).
-        """
-        consumed = {
-            dep for group in plan.grouped.groups for dep in group.depends_on
-        }
-        by_node: Dict[str, List] = {}
-        for group in plan.grouped.groups:
-            by_node.setdefault(group.node, []).append(group)
-        return {
-            node
-            for node, groups in by_node.items()
-            if all(g.id not in consumed for g in groups)
-        }
-
-    def _propagate(
-        self, entry: _CachedBatch, applied: Sequence[AppliedDelta]
-    ) -> str:
-        """Maintain one cached batch through a sequence of applied deltas.
-
-        Each delta walks the batch's view groups in topological order,
-        tracking the set of views whose data changed.  A group *at* the
-        updated relation with untouched inputs is delta-merged; a group
-        consuming a changed view — or one whose delta cannot be merged
-        exactly — is re-run over its node relation (the version this
-        delta produced) with the current inputs.  Groups outside the
-        affected cone keep their materializations untouched.
-
-        Returns ``"incremental"`` when every delta was absorbed by pure
-        sink merges, ``"propagate"`` when interior groups re-ran.
-        """
-        plan = entry.plan
-        store = entry.view_data
-        mode = "incremental"
+        cache = self.view_cache
         for step in applied:
-            changed: Set[int] = set()
-            seen_relation = False
-            for group in plan.grouped.groups:
-                group_plan = plan.group_plans[group.id]
-                node_changed = group.node == step.relation
-                seen_relation = seen_relation or node_changed
-                inputs_changed = any(
-                    vid in changed for vid in group_plan.input_view_ids
+            t0 = time.perf_counter()
+            outcome = {} if cache is None else cache.on_delta(step)
+            seconds = time.perf_counter() - t0
+            statuses = list(outcome.values())
+            evicted = statuses.count("evicted")
+            mode, reason = "incremental", None
+            if cache is None:
+                mode, reason = "recompute", "no view cache attached"
+            elif evicted:
+                mode, reason = "recompute", (
+                    f"{evicted} of {len(statuses)} cached views over "
+                    f"{step.relation!r} evicted, not repaired"
                 )
-                if not node_changed and not inputs_changed:
-                    continue
-                if (
-                    node_changed
-                    and not inputs_changed
-                    and self._group_merge(entry, group, group_plan, step)
-                ):
-                    changed.update(group.view_ids)
-                    continue
-                incoming = store.snapshot(group_plan.input_view_ids)
-                produced = self.engine.run_group(
-                    plan,
-                    group.id,
-                    step.database.relation(group.node),
-                    incoming,
-                    entry.dyn,
-                )
-                store.put_group(produced)
-                changed.update(group.view_ids)
+            elif "rerun" in statuses:
                 mode = "propagate"
-            if not seen_relation:
-                # the plan has no view groups at this relation, yet it
-                # still joins into views computed elsewhere — there is
-                # no group whose re-execution would absorb the change
-                raise PropagationError(
-                    f"no view groups at relation {step.relation!r}"
-                )
-        return mode
-
-    def _group_merge(
-        self, entry: _CachedBatch, group, group_plan, step: AppliedDelta
-    ) -> bool:
-        """Try the pure delta-partition merge for one group.
-
-        Returns False when the merge cannot be exact — a retraction on
-        views without support counts would leave dead group keys — in
-        which case the caller re-runs the group over the full updated
-        relation instead.
-        """
-        plan = entry.plan
-        store = entry.view_data
-        current = store.snapshot(group.view_ids)
-        has_deletes = step.deleted is not None and step.deleted.n_rows > 0
-        # scalar views (no group-by) subtract exactly without support;
-        # keyed views need support counts to retire dead keys
-        if has_deletes and any(
-            vd.support is None and vd.group_by for vd in current.values()
-        ):
-            return False
-        incoming = store.snapshot(group_plan.input_view_ids)
-        parts: List[Dict[int, ViewData]] = [current]
-        if step.inserted is not None and step.inserted.n_rows:
-            parts.append(
-                self.engine.run_group(
-                    plan, group.id, step.inserted, incoming, entry.dyn
-                )
-            )
-        if has_deletes:
-            removed = self.engine.run_group(
-                plan, group.id, step.deleted, incoming, entry.dyn
-            )
-            parts.append(
-                {vid: vd.negated() for vid, vd in removed.items()}
-            )
-        if len(parts) > 1:
-            store.merge_parts(parts, retire_dead=True)
-        return True
+            record = DeltaMaintenance(step.relation, mode, seconds, reason)
+            report.maintenance.append(record)
+            report.views_evicted += evicted
+            report.views_patched += len(statuses) - evicted
+            self._stats.count(record)
+        return report

@@ -7,7 +7,7 @@ Three pieces, layered on the executor subsystem:
   independently planned batches agree on structurally equal views;
 * :mod:`~repro.engine.viewcache.cache` — :class:`ViewCache`, a
   byte-budget LRU of materialized views keyed by content digest, with
-  hit/miss/eviction stats, pinning, and delta-driven repair: affected
+  hit/miss/eviction stats and delta-driven repair: affected
   entries are patched bottom-up and re-keyed, with eviction only as
   the fallback;
 * :mod:`~repro.engine.viewcache.fusion` — :class:`WorkloadSession`,
@@ -19,7 +19,6 @@ from .cache import (
     DEFAULT_BUDGET_BYTES,
     CacheRunReport,
     CacheStats,
-    LeafRecipe,
     PatchRecipe,
     ViewCache,
     view_nbytes,
@@ -36,7 +35,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_BUDGET_BYTES",
     "FusionReport",
-    "LeafRecipe",
     "PatchRecipe",
     "SessionResult",
     "ViewCache",

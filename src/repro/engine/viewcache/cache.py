@@ -13,13 +13,14 @@ to :meth:`ViewCache.on_delta`, which touches exactly the entries whose
 relation footprint contains the updated relation, bottom-up through
 the reference DAG —
 
-* entries *at* the updated relation are **delta-patched**: the cached
-  group plan is re-evaluated over only the delta partition and merged
-  through :meth:`ViewStore.merge_parts` (retractions as negated
-  payload; a retraction on a view without support counts falls back to
-  re-running the group over the full updated relation);
-* *interior* entries above them are **telescoped**: their group plan
-  is re-run over its (unchanged) node relation with the already
+* entries *at* the updated relation are **merged**: the cached group
+  plan is re-evaluated over only the delta partition and folded in with
+  :func:`~repro.engine.executor.store.merge_partials` (retractions as
+  negated payload, dead keys retired by support count; a retraction on
+  a view without support counts falls back to re-running the group
+  over the full updated relation);
+* *interior* entries above them are **re-run**: their group plan is
+  evaluated over its (unchanged) node relation with the already
   re-keyed child views resolved from the cache;
 * entries that cannot be repaired — no recipe (revived from disk),
   stale epoch, a child view missing from both cache tiers — are
@@ -49,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...data.database import AppliedDelta
 from ...data.relation import Relation
+from ..executor.store import merge_partials, retire_dead_keys
 from ..interpreter import ViewData, execute_plan
 from ..plan import GroupPlan
 from .signature import (
@@ -91,10 +93,6 @@ class PatchRecipe:
     input_digests: Tuple[Tuple[int, str], ...] = ()
 
 
-#: back-compat alias (recipes once existed only for leaf groups)
-LeafRecipe = PatchRecipe
-
-
 @dataclass
 class CacheStats:
     """Counters over the life of one :class:`ViewCache`."""
@@ -131,7 +129,6 @@ class _Entry:
     data: ViewData
     nbytes: int
     recipe: Optional[PatchRecipe] = None
-    pinned: bool = False
 
 
 @dataclass
@@ -298,8 +295,8 @@ class ViewCache:
         """Admit one materialized view; returns whether it was cached.
 
         Uncacheable signatures and views larger than the whole budget
-        are rejected; admitting evicts least-recently-used unpinned
-        entries until the budget holds.  With a second tier attached,
+        are rejected; admitting evicts least-recently-used entries
+        until the budget holds.  With a second tier attached,
         cacheable entries are also written through to disk — including
         budget-rejected ones, since the disk tier is typically larger
         than memory and a spilled entry still serves warm restarts.
@@ -364,11 +361,7 @@ class ViewCache:
             if old is not None:
                 self._bytes -= old.nbytes
             self._entries[sig.digest] = _Entry(
-                sig=sig,
-                data=data,
-                nbytes=nbytes,
-                recipe=recipe,
-                pinned=False if old is None else old.pinned,
+                sig=sig, data=data, nbytes=nbytes, recipe=recipe
             )
             self._bytes += nbytes
             self._stats.puts += 1
@@ -377,59 +370,25 @@ class ViewCache:
 
     def _shrink_locked(self) -> None:
         while self._bytes > self.budget_bytes:
-            victim = next(
-                (
-                    digest
-                    for digest, entry in self._entries.items()
-                    if not entry.pinned
-                ),
-                None,
-            )
-            if victim is None:  # everything pinned: allow overflow
-                return
-            self._bytes -= self._entries.pop(victim).nbytes
+            _, victim = self._entries.popitem(last=False)
+            self._bytes -= victim.nbytes
             self._stats.evictions += 1
-
-    # -- pinning -----------------------------------------------------------
-
-    def pin(self, digest: str) -> None:
-        """Exempt an entry from LRU eviction (idempotent)."""
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                entry.pinned = True
-
-    def unpin(self, digest: str) -> None:
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                entry.pinned = False
-            self._shrink_locked()
-
-    def is_pinned(self, digest: str) -> bool:
-        with self._lock:
-            entry = self._entries.get(digest)
-            return entry is not None and entry.pinned
 
     # -- invalidation ------------------------------------------------------
 
     def clear(self) -> None:
+        """Drop every entry and forget the admission watermark.
+
+        The watermark goes too: a caller clears the cache to disown
+        whatever database version the entries (and the last delta)
+        belonged to — the service does after a commit it could not make
+        durable — and a watermark left pointing at that version would
+        reject every later admission from the surviving one.
+        """
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-
-    def invalidate(self, relation: str) -> int:
-        """Drop every entry whose footprint contains ``relation``."""
-        with self._lock:
-            victims = [
-                digest
-                for digest, entry in self._entries.items()
-                if relation in entry.sig.relations
-            ]
-            for digest in victims:
-                self._bytes -= self._entries.pop(digest).nbytes
-            self._stats.invalidations += len(victims)
-        return len(victims)
+            self._current_fp.clear()
 
     def on_delta(self, applied: AppliedDelta) -> Dict[str, str]:
         """Reconcile the cache with one applied delta.
@@ -444,9 +403,11 @@ class ViewCache:
         it.  Entries that cannot be repaired — no recipe, stale epoch,
         a child view missing from the cache — are evicted.
 
-        Returns {old digest: "patched" | "evicted"} for the affected
-        entries; untouched entries (footprint disjoint from the updated
-        relation) do not appear.
+        Returns {old digest: "merged" | "rerun" | "evicted"} for the
+        affected entries — delta-merged at the updated relation,
+        repaired by re-running its group plan, or dropped; untouched
+        entries (footprint disjoint from the updated relation) do not
+        appear.
         """
         relation = applied.relation
         new_fp = relation_fingerprint(applied.database.relation(relation))
@@ -501,16 +462,15 @@ class ViewCache:
             outcome[digest] = "evicted"
         return outcome
 
-    def _evict_entry(self, digest: str, *, count: bool = True) -> bool:
-        """Drop one entry by digest; returns whether it was pinned."""
+    def _evict_entry(self, digest: str, *, count: bool = True) -> None:
+        """Drop one entry by digest (``count``: as an invalidation)."""
         with self._lock:
             victim = self._entries.pop(digest, None)
             if victim is None:
-                return False
+                return
             self._bytes -= victim.nbytes
             if count:
                 self._stats.invalidations += 1
-            return victim.pinned
 
     def _resolve_input(self, digest: str) -> Optional[ViewData]:
         """A repair input by digest: in-memory first, then the disk tier."""
@@ -534,8 +494,9 @@ class ViewCache:
     ) -> Optional[str]:
         """Repair one affected entry in place.
 
-        Returns ``"patched"`` or ``"evicted"``, or None when the entry
-        must wait for a still-pending child to be re-keyed first.
+        Returns ``"merged"``, ``"rerun"`` or ``"evicted"``, or None
+        when the entry must wait for a still-pending child to be
+        re-keyed first.
         """
         recipe = entry.recipe
         if recipe is None or recipe.structure is None:
@@ -581,9 +542,11 @@ class ViewCache:
             data = self._delta_merge(
                 entry, recipe, applied, incoming, executed, input_key
             )
+        status = "merged"
         if data is None:
-            # telescope: re-run the whole group plan over the full
-            # (updated) node relation with the re-keyed child views
+            # re-run the whole group plan over the full (updated) node
+            # relation with the re-keyed child views
+            status = "rerun"
             data = self._run_plan(
                 recipe,
                 applied.database.relation(source),
@@ -609,7 +572,7 @@ class ViewCache:
             structure=new_structure,
             input_digests=input_key,
         )
-        pinned = self._evict_entry(digest, count=False)
+        self._evict_entry(digest, count=False)
         if not self.put(new_sig, data, recipe=new_recipe):
             # e.g. the repaired view outgrew the budget
             with self._lock:
@@ -617,10 +580,8 @@ class ViewCache:
             return "evicted"
         with self._lock:
             self._stats.patches += 1
-        if pinned:
-            self.pin(new_digest)
         rekey[digest] = new_digest
-        return "patched"
+        return status
 
     def _delta_merge(
         self,
@@ -662,15 +623,9 @@ class ViewCache:
             )
         if len(parts) == 1:  # empty delta: data unchanged
             return entry.data
-        # reuse the executor's merge machinery (ViewStore.merge_parts):
-        # distributive-SUM re-aggregation + support-count key retirement
-        from ..executor.store import ViewStore
-
-        scratch = ViewStore()
-        merged = scratch.merge_parts(
-            parts, retire_dead=entry.data.support is not None
-        )
-        return merged[recipe.view_id]
+        # the executor's distributive-SUM re-aggregation, then
+        # support-count key retirement (a no-op without support)
+        return retire_dead_keys(merge_partials(parts)[recipe.view_id])
 
     def _run_plan(
         self,

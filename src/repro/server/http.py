@@ -221,8 +221,13 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
                 "views_patched": response.report.views_patched,
                 "views_evicted": response.report.views_evicted,
                 "maintenance": [
-                    {"mode": b.mode, "seconds": round(b.seconds, 6)}
-                    for b in response.report.batches
+                    {
+                        "relation": m.relation,
+                        "mode": m.mode,
+                        "seconds": round(m.seconds, 6),
+                        "reason": m.reason,
+                    }
+                    for m in response.report.maintenance
                 ],
             },
         )

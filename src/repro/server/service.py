@@ -149,6 +149,11 @@ class _DatasetState:
             backend=backend,
         )
         self.engine: LMFAO = self.ivm.engine
+        if self.cache is None:
+            # cache_mb=0 means cache nothing: detach the facade's
+            # default cache, so there is nothing to maintain and every
+            # delta counts as a recompute in the ``ivm`` section
+            self.engine.view_cache = None
         self.join_tree = self.engine.join_tree
         self.workloads: Dict[str, QueryBatch] = {}
         # swapped atomically under write_lock; readers take one
@@ -478,13 +483,13 @@ class AnalyticsService:
     ) -> DeltaResponse:
         """Commit inserts/retractions as one new epoch.
 
-        The IVM layer applies the deltas, propagates them bottom-up
-        through every maintained view DAG, and fans the change through
+        The IVM facade applies the deltas and hands each to
         ``ViewCache.on_delta`` — cached views (leaf *and* interior) are
-        delta-patched and re-keyed under their new content addresses,
-        with eviction only as a fallback; the returned
-        :class:`~repro.engine.ivm.DeltaReport` carries the per-view
-        outcome stream (``views_patched`` / ``views_evicted``).  The new
+        repaired bottom-up and re-keyed under their new content
+        addresses, with eviction only as a fallback; the returned
+        :class:`~repro.engine.ivm.DeltaReport` carries one maintenance
+        record per delta plus the per-view outcome counts
+        (``views_patched`` / ``views_evicted``).  The new
         database version then becomes the next epoch with one atomic
         swap.  Queries already in flight keep reading their captured
         epoch.
@@ -509,8 +514,7 @@ class AnalyticsService:
                         # database and drop every in-memory artifact
                         # derived from the unlogged version, then tell
                         # the caller.  Recovery and memory agree again.
-                        state.ivm.engine.database = state.epoch.database
-                        state.ivm.clear_cache()
+                        state.engine.database = state.epoch.database
                         if state.cache is not None:
                             state.cache.clear()
                         raise

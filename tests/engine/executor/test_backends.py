@@ -155,21 +155,13 @@ class TestEngineEviction:
         engine = LMFAO(toy_db)
         batch = WORKLOADS["groupbys"]()
         plan = engine.plan(batch)
-        store = engine.execute(plan, [], retain_interior=False)
+        store = engine.execute(plan, [])
         outputs = plan.output_view_ids()
         interior = set(plan.view_consumers()) - outputs
         assert interior, "workload should produce interior views"
         assert store.evicted == interior
         for vid in outputs:
             assert vid in store
-
-    def test_retain_interior_keeps_everything(self, toy_db):
-        engine = LMFAO(toy_db)
-        batch = WORKLOADS["groupbys"]()
-        plan = engine.plan(batch)
-        store = engine.execute(plan, [], retain_interior=True)
-        assert set(store) == {v.id for v in plan.decomposed.views}
-        assert not store.evicted
 
 
 class TestPartitioning:

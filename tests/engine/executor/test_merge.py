@@ -10,7 +10,7 @@ import pytest
 
 from repro import LMFAO, Aggregate, Query, QueryBatch
 from repro.baselines import MaterializedEngine
-from repro.engine.executor import merge_partials
+from repro.engine.executor import merge_partials, retire_dead_keys
 from repro.engine.interpreter import ViewData
 
 from ..helpers import assert_results_equal
@@ -153,6 +153,65 @@ class TestMergePartialsEdgeCases:
         merged = merge_partials([part1, part2])
         assert merged[1].support is None
         assert merged[1].agg_cols[0].tolist() == [2.0]
+
+
+def grouped_view(keys, values, support=None):
+    return ViewData(
+        ("g",),
+        [np.asarray(keys)],
+        [np.asarray(values, dtype=np.float64)],
+        support=None if support is None else np.asarray(support, float),
+    )
+
+
+class TestDeltaMerge:
+    """``retire_dead_keys(merge_partials([current, +delta, -delta]))`` —
+    the delta-repair recipe of ``ViewCache._delta_merge`` — on the
+    degenerate partition shapes a delta stream produces."""
+
+    def test_retracted_key_is_retired(self):
+        current = {1: grouped_view([0, 1], [1.0, 2.0], support=[1.0, 1.0])}
+        delta = {1: grouped_view([1], [-2.0], support=[-1.0])}
+        merged = merge_partials([current, delta])[1]
+        # the merge alone keeps the zero-support key ...
+        assert merged.key_cols[0].tolist() == [0, 1]
+        # ... retirement drops it
+        retired = retire_dead_keys(merged)
+        assert retired.key_cols[0].tolist() == [0]
+        assert retired.agg_cols[0].tolist() == [1.0]
+
+    def test_empty_delta_partition(self):
+        """A delta partition with no view entries at all is a no-op
+        merge — empty deltas are skipped upstream, but the primitive
+        must still be safe against them."""
+        current = {1: grouped_view([0, 1], [1.0, 2.0])}
+        merged = merge_partials([current, {}])[1]
+        assert merged.key_cols[0].tolist() == [0, 1]
+        assert merged.agg_cols[0].tolist() == [1.0, 2.0]
+
+    def test_zero_row_delta_views(self):
+        """A delta partition whose views carry zero rows merges cleanly."""
+        current = {1: grouped_view([0, 1], [1.0, 2.0])}
+        empty = grouped_view(
+            np.array([], dtype=np.int64), np.array([], dtype=np.float64)
+        )
+        merged = merge_partials([current, {1: empty}])[1]
+        assert merged.key_cols[0].tolist() == [0, 1]
+        assert merged.agg_cols[0].tolist() == [1.0, 2.0]
+
+    def test_all_retracted_partition(self):
+        """Retracting every contributing row retires every group key:
+        the maintained view is empty, exactly like a from-scratch run
+        over the emptied relation."""
+        current = {1: grouped_view([0, 1], [1.0, 2.0], support=[1.0, 1.0])}
+        retract_all = {
+            1: grouped_view([0, 1], [-1.0, -2.0], support=[-1.0, -1.0])
+        }
+        merged = retire_dead_keys(merge_partials([current, retract_all])[1])
+        assert merged.n_rows == 0
+        assert merged.key_cols[0].tolist() == []
+        assert merged.agg_cols[0].tolist() == []
+        assert merged.support.tolist() == []
 
 
 class TestThreadedEngine:

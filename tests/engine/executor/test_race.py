@@ -57,12 +57,14 @@ def test_threaded_interpreter_matches_serial_repeatedly(toy_db):
             assert_results_equal(engine.run(batch), serial, batch)
 
 
-def test_threaded_run_with_views_retains_everything(toy_db):
+def test_threaded_execute_evicts_exactly_the_interior_views(toy_db):
     batch = wide_batch()
     with LMFAO(toy_db, n_threads=4) as engine:
-        _, plan, store = engine.run_with_views(batch)
-    assert set(store) >= {v.id for v in plan.decomposed.views}
-    assert not store.evicted
+        plan = engine.plan(batch)
+        store = engine.execute(plan, batch.dynamic_functions())
+    outputs = plan.output_view_ids()
+    assert outputs <= set(store)
+    assert store.evicted == set(plan.view_consumers()) - outputs
 
 
 def test_threads_racing_on_fresh_key_encodings_match_serial(toy_db):

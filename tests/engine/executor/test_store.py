@@ -1,9 +1,9 @@
-"""ViewStore: mapping protocol, ref-counted eviction, pinning, merging."""
+"""ViewStore: mapping protocol, ref-counted eviction, pinned outputs."""
 
 import numpy as np
 import pytest
 
-from repro.engine.executor import ViewStore, merge_partials, retire_dead_keys
+from repro.engine.executor import ViewStore, retire_dead_keys
 from repro.engine.interpreter import ViewData
 
 
@@ -71,20 +71,6 @@ class TestEviction:
         store[1] = scalar_view(1.0)
         store.group_finished([1])
         assert 1 in store
-        assert store.is_pinned(1)
-
-    def test_pin_after_construction(self):
-        store = ViewStore(consumers={1: 1})
-        store[1] = scalar_view(1.0)
-        store.pin(1)
-        store.group_finished([1])
-        assert 1 in store
-
-    def test_retain_all_disables_eviction(self):
-        store = ViewStore(consumers={1: 1}, retain_all=True)
-        store[1] = scalar_view(1.0)
-        store.group_finished([1])
-        assert 1 in store
 
     def test_views_without_consumer_entry_never_evicted(self):
         store = ViewStore(consumers={1: 1})
@@ -100,24 +86,13 @@ class TestEviction:
         assert 1 not in store
         assert snap[1].agg_cols[0].tolist() == [1.0, 2.0]
 
-    def test_two_consumers_pin_same_interior_view(self):
-        """Both consumers of one interior view pin it: exhausting the
-        ref count must not evict, and a late unpin only takes effect on
-        the next consumer-finished notification."""
-        store = ViewStore(consumers={1: 2})
+    def test_pinned_view_outlives_all_its_consumers(self):
+        store = ViewStore(consumers={1: 2}, pinned=[1])
         store[1] = scalar_view(7.0)
-        store.pin(1)  # consumer A wants it after the batch
-        store.pin(1)  # consumer B too (idempotent)
         store.group_finished([1])
         store.group_finished([1])
         assert 1 in store, "pinned view evicted at refcount zero"
         assert store.evicted == set()
-        assert store.is_pinned(1)
-        store.unpin(1)
-        assert 1 in store, "unpin alone must not drop the view"
-        store.group_finished([1])  # a straggler consumer finishes
-        assert 1 not in store
-        assert store.evicted == {1}
 
 
 class TestEvictionHandoff:
@@ -145,81 +120,6 @@ class TestEvictionHandoff:
         assert received == {}
         store.group_finished([1])
         assert set(received) == {1}
-
-
-class TestMergeParts:
-    def test_merge_parts_stores_merged_views(self):
-        store = ViewStore()
-        store[1] = grouped_view([0, 1], [1.0, 2.0])
-        store.merge_parts(
-            [store.snapshot([1]), {1: grouped_view([1, 2], [10.0, 20.0])}]
-        )
-        table = dict(
-            zip(store[1].key_cols[0].tolist(), store[1].agg_cols[0].tolist())
-        )
-        assert table == {0: 1.0, 1: 12.0, 2: 20.0}
-
-    def test_merge_parts_retires_dead_keys(self):
-        store = ViewStore()
-        store[1] = grouped_view([0, 1], [1.0, 2.0], support=[1.0, 1.0])
-        store.merge_parts(
-            [
-                store.snapshot([1]),
-                {1: grouped_view([1], [-2.0], support=[-1.0])},
-            ],
-            retire_dead=True,
-        )
-        assert store[1].key_cols[0].tolist() == [0]
-        assert store[1].agg_cols[0].tolist() == [1.0]
-
-    def test_merge_parts_without_retire_keeps_zero_support_keys(self):
-        store = ViewStore()
-        store[1] = grouped_view([0, 1], [1.0, 2.0], support=[1.0, 1.0])
-        store.merge_parts(
-            [
-                store.snapshot([1]),
-                {1: grouped_view([1], [-2.0], support=[-1.0])},
-            ],
-        )
-        assert store[1].key_cols[0].tolist() == [0, 1]
-
-    def test_merge_parts_with_empty_delta_partition(self):
-        """An empty delta partition (no view entries at all) is a no-op
-        merge — the IVM layer skips empty deltas, but the primitive must
-        still be safe against them."""
-        store = ViewStore()
-        store[1] = grouped_view([0, 1], [1.0, 2.0])
-        merged = store.merge_parts([store.snapshot([1]), {}])
-        assert merged[1].key_cols[0].tolist() == [0, 1]
-        assert merged[1].agg_cols[0].tolist() == [1.0, 2.0]
-
-    def test_merge_parts_with_zero_row_delta_views(self):
-        """A delta partition whose views carry zero rows merges cleanly."""
-        store = ViewStore()
-        store[1] = grouped_view([0, 1], [1.0, 2.0])
-        empty = grouped_view(
-            np.array([], dtype=np.int64), np.array([], dtype=np.float64)
-        )
-        merged = store.merge_parts([store.snapshot([1]), {1: empty}])
-        assert merged[1].key_cols[0].tolist() == [0, 1]
-        assert merged[1].agg_cols[0].tolist() == [1.0, 2.0]
-
-    def test_merge_parts_all_retracted_partition(self):
-        """Retracting every contributing row retires every group key:
-        the maintained view is empty, exactly like a from-scratch run
-        over the emptied relation."""
-        store = ViewStore()
-        store[1] = grouped_view([0, 1], [1.0, 2.0], support=[1.0, 1.0])
-        retract_all = grouped_view(
-            [0, 1], [-1.0, -2.0], support=[-1.0, -1.0]
-        )
-        merged = store.merge_parts(
-            [store.snapshot([1]), {1: retract_all}], retire_dead=True
-        )
-        assert merged[1].key_cols[0].tolist() == []
-        assert merged[1].agg_cols[0].tolist() == []
-        assert merged[1].support.tolist() == []
-        assert store[1].n_rows == 0
 
 
 class TestMergePrimitives:

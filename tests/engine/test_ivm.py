@@ -184,7 +184,7 @@ class TestIncrementalMatchesRecomputation:
 
         report = self._delta_roundtrip(any_dataset, deltas)
         assert report.n_changes == 0
-        assert report.batches == []
+        assert report.maintenance == []
 
     def test_covar_workload(self, tiny_favorita):
         ds = tiny_favorita
@@ -216,7 +216,16 @@ class TestExecutePlanDelta:
         )
         batch = simple_batch(["city"])
         plan = engine.plan(batch)
-        view_data = engine._execute(plan, [])
+        view_data = {}
+        for group_plan in plan.group_plans:  # topological order
+            view_data.update(
+                execute_plan(
+                    group_plan,
+                    toy_db.relation(group_plan.node),
+                    {v: view_data[v] for v in group_plan.input_view_ids},
+                    [],
+                )
+            )
         group = next(
             g for g in plan.grouped.groups if g.node == "Sales"
         )
@@ -287,46 +296,154 @@ class TestPropagation:
         )
         assert not report.all_incremental
         assert report.all_maintained
-        assert report.batches[0].mode == "propagate"
+        assert [m.mode for m in report.maintenance] == ["propagate"]
+        assert report.maintenance[0].relation == dim
         assert engine.stats()["propagated"] == 1
         assert engine.stats()["fallbacks"] == 0
         got = engine.run(batch)
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch)
 
-    def test_fallback_counter_increments_on_propagation_error(
-        self, tiny_favorita, monkeypatch
-    ):
+    def test_unrepairable_view_is_a_counted_fallback(self, tiny_favorita):
+        """A consumer whose cached input is gone cannot be repaired: it
+        is evicted, the delta is recorded as a recompute with a reason,
+        and the next run recomputes it from the updated database."""
         ds = tiny_favorita
         engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = simple_batch([ds.categorical_features[0]])
         engine.run(batch)
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected propagation failure")
-
-        monkeypatch.setattr(engine, "_propagate", boom)
         dim = next(r.name for r in engine.database if r.name != engine.root)
+        # drop the interior view at the dimension itself (LRU pressure
+        # does the same): the views above it lose the input they would
+        # be re-run with
+        cache = engine.view_cache
+        sigs = engine.engine.view_signatures_for(engine.engine.plan(batch))
+        victims = [
+            sig.digest
+            for sig in sigs.values()
+            if sig.relations == {dim} and sig.digest in cache
+        ]
+        assert victims
+        for digest in victims:
+            cache._evict_entry(digest)
         dim_rel = engine.database.relation(dim)
         rng = np.random.default_rng(2)
         report = engine.apply_delta(
             DeltaBatch.insert(dim, sample_inserts(rng, dim_rel, 2))
         )
+        record = report.maintenance[0]
+        assert record.mode == "recompute"
+        assert "evicted" in record.reason and dim in record.reason
+        assert not report.all_maintained
+        assert report.views_evicted > 0
         stats = engine.stats()
         assert stats["fallbacks"] == 1
-        assert "injected propagation failure" in stats["last_fallback_reason"]
-        assert report.batches[0].mode == "recompute"
-        assert not report.all_maintained
+        assert stats["last_fallback_reason"] == record.reason
         # the fallback still leaves correct state behind
         got = engine.run(batch)
+        assert got.cache_report.n_misses > 0
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch)
 
-    def test_mergeable_relations_is_the_root_only(self, tiny_retailer):
-        ds = tiny_retailer
+    def test_counters_add_up_to_deltas(self, tiny_favorita):
+        ds = tiny_favorita
         engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = simple_batch([ds.categorical_features[0]])
-        assert engine.mergeable_relations(batch) == {engine.root}
+        engine.run(batch)
+        rng = np.random.default_rng(5)
+        names = [engine.root] + [
+            r.name for r in engine.database if r.name != engine.root
+        ]
+        for name in names:
+            rel = engine.database.relation(name)
+            report = engine.apply_delta(
+                DeltaBatch.insert(name, sample_inserts(rng, rel, 2))
+            )
+            assert len(report.maintenance) == 1
+        stats = engine.stats()
+        assert stats["deltas"] == len(names)
+        assert stats["incremental"] == 1
+        assert stats["propagated"] == len(names) - 1
+        assert stats["fallbacks"] == 0
+        assert stats["last_fallback_reason"] is None
+
+
+class TestServedFromMaintainedViews:
+    """``run`` after a delta is assembled from the repaired cache."""
+
+    @pytest.mark.parametrize("target", ["root", "dimension"])
+    def test_post_delta_run_has_no_cache_misses(self, any_dataset, target):
+        ds = any_dataset
+        engine = IncrementalEngine(ds.database, ds.join_tree)
+        batch = covar_batch(ds)
+        first = engine.run(batch)
+        assert first.cache_report.n_misses > 0
+        name = engine.root
+        if target == "dimension":
+            name = next(
+                r.name for r in engine.database if r.name != engine.root
+            )
+        rel = engine.database.relation(name)
+        rng = np.random.default_rng(6)
+        report = engine.apply_delta(
+            DeltaBatch(
+                name,
+                inserts=sample_inserts(rng, rel, 3),
+                delete_indices=np.array([0]),
+            )
+        )
+        assert report.all_maintained and report.views_patched > 0
+        got = engine.run(batch)
+        assert got.cache_report.n_misses == 0
+        assert got.cache_report.skipped_groups == got.cache_report.total_groups
+        expected = reference_results(engine, batch)
+        assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)
+
+    def test_udf_batch_stays_exact_across_deltas(self, tiny_favorita):
+        """Views under a ``Udf`` factor are uncacheable, so nothing
+        maintains them; every run recomputes them from the current
+        database and the results still track the deltas."""
+        from repro import Udf
+
+        ds = tiny_favorita
+        engine = IncrementalEngine(ds.database, ds.join_tree)
+        batch = QueryBatch(
+            [
+                Query("n", [], [Aggregate.count()]),
+                Query(
+                    "doubled",
+                    [ds.categorical_features[0]],
+                    [
+                        Aggregate.of(
+                            Udf(["units"], lambda x: x * 2.0, name="dbl"),
+                            name="d",
+                        )
+                    ],
+                ),
+            ]
+        )
+        first = engine.run(batch)
+        assert "uncacheable" in first.cache_report.events.values()
+        rng = np.random.default_rng(7)
+        dim = next(r.name for r in engine.database if r.name != engine.root)
+        for name in (engine.root, dim, engine.root):
+            rel = engine.database.relation(name)
+            engine.apply_delta(
+                DeltaBatch(
+                    name,
+                    inserts=sample_inserts(rng, rel, 4),
+                    delete_indices=np.array([1]),
+                )
+            )
+            got = engine.run(batch)
+            expected = reference_results(engine, batch)
+            assert_results_equal(got, expected, batch, rtol=1e-9, atol=1e-9)
+        stats = engine.stats()
+        assert stats["deltas"] == 3
+        assert (
+            stats["incremental"] + stats["propagated"] + stats["fallbacks"]
+            == 3
+        )
 
 
 class TestRandomDeltaSequences:
@@ -375,26 +492,21 @@ class TestRandomDeltaSequences:
             expected = reference_results(engine, batch)
             assert_results_equal(got, expected, batch, rtol=1e-8, atol=1e-8)
 
-    def test_forget_stops_maintenance(self, tiny_yelp):
+    def test_delta_before_the_first_run(self, tiny_yelp):
         ds = tiny_yelp
         engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = simple_batch([ds.categorical_features[0]])
-        engine.run(batch)
-        assert engine.n_cached_batches == 1
-        assert engine.forget(batch)
-        assert not engine.forget(batch)  # already gone
-        assert engine.n_cached_batches == 0
         report = engine.apply_delta(
             DeltaBatch.delete(engine.root, np.array([0]))
         )
-        assert report.batches == []  # nothing cached, nothing maintained
-        got = engine.run(batch)  # re-materializes against the updated db
+        # nothing cached, nothing to repair — and nothing left stale
+        assert report.views_patched == report.views_evicted == 0
+        assert report.all_maintained
+        got = engine.run(batch)  # materializes against the updated db
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch)
-        engine.clear_cache()
-        assert engine.n_cached_batches == 0
 
-    def test_refresh_squashes_drift(self, tiny_yelp):
+    def test_clearing_the_cache_squashes_drift(self, tiny_yelp):
         ds = tiny_yelp
         engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = simple_batch([ds.categorical_features[0]])
@@ -405,7 +517,9 @@ class TestRandomDeltaSequences:
         engine.apply_delta(
             DeltaBatch.insert(fact, sample_inserts(rng, relation, 25))
         )
-        engine.refresh()
+        # dropping the maintained views forces a from-scratch run
+        engine.view_cache.clear()
         got = engine.run(batch)
+        assert got.cache_report.n_hits == 0
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch)

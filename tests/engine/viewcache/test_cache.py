@@ -1,4 +1,4 @@
-"""ViewCache mechanics: LRU byte budget, stats, pinning, invalidation."""
+"""ViewCache mechanics: LRU byte budget, stats, footprints, clear."""
 
 import numpy as np
 import pytest
@@ -71,7 +71,7 @@ class TestLruBudget:
         cache.put(sig("a"), view(n_rows=8))
         cache.put(sig("b"), view(n_rows=8))
         assert cache.total_bytes == 2 * view_nbytes(view(n_rows=8))
-        cache.invalidate("R")
+        cache.clear()
         assert cache.total_bytes == 0
 
     def test_overwrite_same_digest_replaces_bytes(self):
@@ -82,38 +82,7 @@ class TestLruBudget:
         assert cache.total_bytes == view_nbytes(view(n_rows=16))
 
 
-class TestPinning:
-    def test_pinned_entries_survive_budget_pressure(self):
-        one = view_nbytes(view())
-        cache = ViewCache(budget_bytes=2 * one)
-        cache.put(sig("a"), view())
-        cache.pin("a")
-        cache.put(sig("b"), view())
-        cache.put(sig("c"), view())
-        assert "a" in cache, "pinned entry evicted under pressure"
-        assert "b" not in cache
-
-    def test_unpin_makes_evictable_again(self):
-        one = view_nbytes(view())
-        cache = ViewCache(budget_bytes=2 * one)
-        cache.put(sig("a"), view())
-        cache.pin("a")
-        cache.put(sig("b"), view())
-        cache.unpin("a")
-        cache.put(sig("c"), view())  # pressure: LRU unpinned is now a
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-
-
-class TestInvalidate:
-    def test_invalidate_by_relation_footprint(self):
-        cache = ViewCache()
-        cache.put(sig("a", relations=("R", "S")), view())
-        cache.put(sig("b", relations=("T",)), view())
-        assert cache.invalidate("S") == 1
-        assert "a" not in cache and "b" in cache
-        assert cache.stats().invalidations == 1
-
+class TestFootprint:
     def test_entries_containing(self):
         cache = ViewCache()
         cache.put(sig("a", relations=("R", "S")), view())

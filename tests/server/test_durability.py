@@ -199,6 +199,26 @@ class TestServiceDurability:
                 before.results["groupbys"],
                 WORKLOADS["groupbys"](),
             )
+            # the rollback also rewinds the cache's admission watermark:
+            # a workload first served after it is admitted (not
+            # stale-rejected against the rolled-back version), so its
+            # second query is all hits
+            service.register_workload(
+                "toy", "fresh", WORKLOADS["conditional"]()
+            )
+
+            def cache_stats():
+                return service.stats()["datasets"]["toy"]["cache"]
+
+            start = cache_stats()
+            service.query("toy", ["fresh"], timeout=60)
+            first = cache_stats()
+            assert first["misses"] > start["misses"]
+            service.query("toy", ["fresh"], timeout=60)
+            second = cache_stats()
+            assert second["misses"] == first["misses"]
+            assert second["hits"] > first["hits"]
+            assert second["stale_rejects"] == start["stale_rejects"]
             # the WAL can still take the next commit normally
             response = service.apply_delta("toy", insert_delta(toy_db))
             assert response.epoch == 2
@@ -267,12 +287,15 @@ class TestServiceDurability:
             service.apply_delta("toy", insert_delta(toy_db))
             service.apply_delta("toy", dimension_delta(toy_db))
             ivm = service.stats()["datasets"]["toy"]["ivm"]
-        assert ivm["deltas"] == 2
-        assert ivm["fallbacks"] == 0
-        # served queries run outside the IVM batch cache, so the
-        # per-batch counters exist but stay zero in pure serving
-        for field in ("incremental", "propagated", "last_fallback_reason"):
-            assert field in ivm
+        # the counters say what the commits did to the served views:
+        # the root delta merged, the dimension delta propagated
+        assert ivm == {
+            "deltas": 2,
+            "incremental": 1,
+            "propagated": 1,
+            "fallbacks": 0,
+            "last_fallback_reason": None,
+        }
 
     def test_spill_budget_prunes_stale_entries(self, toy_db, tmp_path):
         data_dir = str(tmp_path / "data")

@@ -136,6 +136,49 @@ class TestEndpoints:
         count = after["results"]["counts"]["count"]["data"]["count"][0]
         assert count == fact.n_rows + 1 - 3
 
+    def test_ivm_counters_and_maintenance_follow_the_delta_stream(
+        self, served, toy_db
+    ):
+        """N root + M dimension deltas over a warm cache: every /delta
+        response says how its delta was absorbed, and /stats adds up."""
+        _service, client = served
+        client.query("toy", ["groupbys"])
+        client.query("toy", ["covar_style"])
+        fact = toy_db.relation("Sales")
+        row = {
+            name: [fact.column(name)[0].item()]
+            for name in fact.schema.names
+        }
+        stream = [
+            ("Sales", {"inserts": row}),
+            ("Stores", {"inserts": {"store": [6], "city": [2],
+                                    "size": [88.0]}}),
+            ("Sales", {"delete_indices": [0, 1]}),
+            ("Oil", {"delete_indices": [0]}),
+            ("Oil", {"inserts": {"date": [25], "price": [61.0]}}),
+        ]
+        modes = []
+        for relation, change in stream:
+            payload = client.delta("toy", relation, **change)
+            assert payload["views_patched"] > 0, payload
+            assert payload["views_evicted"] == 0, payload
+            (record,) = payload["maintenance"]  # one entry per delta
+            assert record["relation"] == relation
+            assert record["seconds"] >= 0 and record["reason"] is None
+            modes.append(record["mode"])
+        assert modes == [
+            "incremental", "propagate", "incremental",
+            "propagate", "propagate",
+        ]
+        ivm = client.stats()["datasets"]["toy"]["ivm"]
+        assert ivm == {
+            "deltas": 5,
+            "incremental": 2,
+            "propagated": 3,
+            "fallbacks": 0,
+            "last_fallback_reason": None,
+        }
+
     def test_stats_reports_cache_and_coalescer(self, served):
         _service, client = served
         client.query("toy", ["counts"])

@@ -165,4 +165,21 @@ class TestStats:
             svc.register_workload("toy", "counts", WORKLOADS["counts"]())
             response = svc.query("toy", ["counts"], timeout=60)
             assert response.epoch == 0
+            assert response.results["counts"].cache_report is None
+            assert svc._state("toy").engine.view_cache is None
             assert svc.stats()["datasets"]["toy"]["cache"] is None
+            # nothing cached, so nothing maintained: a delta is an
+            # honest recompute, and the next answer is still right
+            rng = np.random.default_rng(3)
+            committed = svc.apply_delta("toy", sales_delta(toy_db, rng))
+            (record,) = committed.report.maintenance
+            assert record.mode == "recompute"
+            assert record.reason == "no view cache attached"
+            ivm = svc.stats()["datasets"]["toy"]["ivm"]
+            assert ivm["deltas"] == ivm["fallbacks"] == 1
+            after = svc.query("toy", ["counts"], timeout=60)
+            batch = svc._state("toy").workloads["counts"]
+            expected = LMFAO(svc.snapshot("toy").database).run(batch)
+            assert_results_equal(
+                after.results["counts"], expected, batch, rtol=1e-8
+            )

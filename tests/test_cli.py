@@ -142,6 +142,15 @@ class TestCli:
                 ]
             )
 
+    def test_run_incremental(self, capsys):
+        assert main(
+            ["--scale", "0.05", "run", "favorita", "covar", "--incremental"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "maintained and re-served in" in out
+        assert "[incremental]" in out
+        assert "faster than full re-evaluation" in out
+
     def test_run_single_linreg_workload(self, capsys):
         assert main(["--scale", "0.05", "run", "favorita", "linreg"]) == 0
         assert "linreg on favorita" in capsys.readouterr().out
