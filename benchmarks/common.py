@@ -13,7 +13,10 @@ Scale via ``REPRO_BENCH_SCALE`` (default 0.3).
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 from typing import Dict, List
 
 from repro.datasets import favorita, retailer, tpcds, yelp
@@ -48,6 +51,24 @@ def regression_label(ds) -> str:
     if ds.database.attribute_kind(ds.label) == "continuous":
         return ds.label
     return ds.continuous_features[0]
+
+
+def measured_in_fresh_interpreter(module: str):
+    """Run ``python -m <module>`` and parse the JSON it prints.
+
+    Timing ratios depend on the allocator state earlier benchmark
+    modules leave behind (see ``test_incremental.grid``); a module that
+    asserts one measures its grid in a child process, which is in the
+    same state whatever ran first.
+    """
+    done = subprocess.run(
+        [sys.executable, "-m", module],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ holds the full grid.
 """
 
 import json
-import os
-import subprocess
 import sys
 import time
 
@@ -27,7 +25,13 @@ import pytest
 
 from repro import DeltaBatch, IncrementalEngine
 
-from .common import DATASET_NAMES, Report, covar_workload, dataset
+from .common import (
+    DATASET_NAMES,
+    Report,
+    covar_workload,
+    dataset,
+    measured_in_fresh_interpreter,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -93,16 +97,11 @@ def grid():
     ~25 ms.  A fresh process is the state a standalone
     ``IncrementalEngine`` user is in, and the same whatever ran first.
     """
-    done = subprocess.run(
-        [sys.executable, "-m", __name__],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
     return {
         (name, fraction): (incremental_s, full_s)
-        for name, fraction, incremental_s, full_s in json.loads(done.stdout)
+        for name, fraction, incremental_s, full_s in (
+            measured_in_fresh_interpreter(__name__)
+        )
     }
 
 

@@ -7,6 +7,10 @@ claim: the speedup over the per-query baseline is non-shrinking in
 scale.  Writes ``results/scale_sensitivity.txt``.
 """
 
+import json
+import sys
+import time
+
 import pytest
 
 from repro import LMFAO
@@ -14,13 +18,12 @@ from repro.baselines import MaterializedEngine
 from repro.datasets import favorita
 from repro.ml import CovarBatch
 
-from .common import Report
+from .common import Report, measured_in_fresh_interpreter
 
 pytestmark = pytest.mark.slow
 
 SCALES = [0.1, 0.3, 0.9]
-
-_measured = {}
+ROUNDS = 5
 
 
 def covar_batch_for(ds):
@@ -31,50 +34,69 @@ def covar_batch_for(ds):
     ).batch
 
 
-@pytest.mark.parametrize("scale", SCALES)
-def test_lmfao_at_scale(benchmark, scale):
+def best_of(run) -> float:
+    """Min seconds of ``ROUNDS`` runs after one unmeasured warm-up."""
+    run()
+    times = []
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def measure(scale):
+    """(lmfao, baseline) seconds for the covar batch at one scale."""
     ds = favorita(scale=scale)
+    batch = covar_batch_for(ds)
     engine = LMFAO(ds.database, ds.join_tree)
-    batch = covar_batch_for(ds)
-    engine.plan(batch)
-    result = benchmark.pedantic(
-        lambda: engine.run(batch), rounds=2, iterations=1, warmup_rounds=1
+    baseline = MaterializedEngine(ds.database)
+    assert len(engine.run(batch)) == len(batch)
+    assert len(baseline.run(batch)) == len(batch)
+    return best_of(lambda: engine.run(batch)), best_of(
+        lambda: baseline.run(batch)
     )
-    assert len(result) == len(batch)
-    _measured[("lmfao", scale)] = benchmark.stats["mean"]
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """{scale: (lmfao s, baseline s)}, measured in a fresh interpreter.
+
+    Timed inside the suite, the ratio at the largest scale swings
+    between 4.2 and 6.0 with the allocator state the modules before
+    this one leave; a fresh process is the same state whatever ran
+    first (see ``test_incremental.grid``).
+    """
+    return {
+        scale: (lmfao_s, base_s)
+        for scale, lmfao_s, base_s in measured_in_fresh_interpreter(__name__)
+    }
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_baseline_at_scale(benchmark, scale):
-    ds = favorita(scale=scale)
-    engine = MaterializedEngine(ds.database)
-    batch = covar_batch_for(ds)
-    result = benchmark.pedantic(
-        lambda: engine.run(batch), rounds=2, iterations=1
-    )
-    assert len(result) == len(batch)
-    _measured[("baseline", scale)] = benchmark.stats["mean"]
+def test_lmfao_beats_baseline_at_scale(grid, scale):
+    lmfao_s, base_s = grid[scale]
+    assert lmfao_s < base_s, (scale, lmfao_s, base_s)
 
 
-def test_zz_scale_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_zz_scale_report(grid):
     report = Report(
         "scale_sensitivity",
         f"{'scale':>7}{'lmfao s':>10}{'baseline s':>12}{'speedup':>9}",
     )
     speedups = []
     for scale in SCALES:
-        lmfao_s = _measured.get(("lmfao", scale))
-        base_s = _measured.get(("baseline", scale))
-        if lmfao_s is None or base_s is None:
-            continue
-        speedup = base_s / lmfao_s
-        speedups.append(speedup)
+        lmfao_s, base_s = grid[scale]
+        speedups.append(base_s / lmfao_s)
         report.add(
-            f"{scale:>7}{lmfao_s:>10.4f}{base_s:>12.4f}{speedup:>8.1f}x"
+            f"{scale:>7}{lmfao_s:>10.4f}{base_s:>12.4f}"
+            f"{speedups[-1]:>8.1f}x"
         )
     path = report.write()
     print(f"\nwrote {path}")
     # the claim: the gap does not shrink as data grows (allowing noise)
-    if len(speedups) == len(SCALES):
-        assert speedups[-1] >= speedups[0] * 0.8, speedups
+    assert speedups[-1] >= speedups[0] * 0.8, speedups
+
+
+if __name__ == "__main__":  # the child process of the ``grid`` fixture
+    json.dump([[scale, *measure(scale)] for scale in SCALES], sys.stdout)

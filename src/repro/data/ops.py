@@ -20,6 +20,10 @@ works on the integer codes:
 * **radix group keys.**  :func:`factorize_rows` combines per-column
   codes by mixed radix and compacts them with a presence bitmap and a
   running count; the group keys decode through the dictionaries.
+* **a row per group.**  :func:`group_rows` scatters row numbers by
+  group code, so a column that is constant within each group is read
+  once per group instead of once per row (``engine/plan.py``'s
+  post-sum factors).
 
 Two fallbacks, both chosen from the input, never from a flag:
 
@@ -242,6 +246,17 @@ def group_sums(
     return np.bincount(codes, weights=values, minlength=n_groups).astype(
         np.float64, copy=False
     )
+
+
+def group_rows(codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """A representative row per group code: ``codes[out[g]] == g``.
+
+    Every code below ``n_groups`` must occur, as :func:`factorize_rows`
+    guarantees; which of a group's rows is returned is unspecified.
+    """
+    rows = np.empty(n_groups, dtype=np.int64)
+    rows[codes] = np.arange(len(codes), dtype=np.int64)
+    return rows
 
 
 def group_aggregate(

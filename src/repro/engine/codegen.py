@@ -11,6 +11,11 @@ the optimizations of §3.5/Appendix C in Python form:
 * shared partial products, join indices and key encodings appear once
   as local variables — a relation's key columns arrive already encoded
   (``rel_keys``), so joins and group-bys run on integer codes;
+* a row-level sum shared by many aggregates appears once
+  (``sum7 = ops.group_sums(...)``); each aggregate is that sum times its
+  per-group factors — covered views' payloads read through
+  ``ops.group_rows``, scalar views, the coefficient — so those products
+  run over ``(n_groups,)`` arrays, not over rows;
 * aggregate columns of one view are produced contiguously and emitted as
   one fixed-layout tuple (the fixed-size aggregate array analog).
 
@@ -32,11 +37,11 @@ from .plan import (
     Gather,
     GroupKeyStep,
     GroupPlan,
+    GroupRowsStep,
     GroupSumStep,
     IndexStep,
     JoinStep,
     MulStep,
-    ScalarViewStep,
 )
 
 
@@ -114,13 +119,13 @@ def _render_step(step) -> List[str]:
             f"{step.out_codes}, {step.out_keys} = "
             f"ops.factorize_rows([{key_list}])"
         ]
-    if isinstance(step, GroupSumStep):
-        return _render_group_sum(step)
-    if isinstance(step, ScalarViewStep):
+    if isinstance(step, GroupRowsStep):
         return [
-            f"{step.out} = float("
-            f"agg_cols[{step.view_id}][{step.agg_index}][0])"
+            f"{step.out} = "
+            f"ops.group_rows({step.codes}, {_n_groups_expr(step.keys)})"
         ]
+    if isinstance(step, GroupSumStep):
+        return [_render_group_sum(step)]
     if isinstance(step, EmitStep):
         keys = step.keys_var if step.keys_var is not None else "[]"
         aggs = ", ".join(step.agg_vars)
@@ -152,10 +157,13 @@ def _render_gather(step: Gather) -> str:
     return f"{step.out} = {base}[{step.index}]"
 
 
-def _render_group_sum(step: GroupSumStep) -> List[str]:
-    lines: List[str] = []
+def _n_groups_expr(keys: str) -> str:
+    return f"(len({keys}[0]) if {keys} else 0)"
+
+
+def _render_group_sum(step: GroupSumStep) -> str:
     if step.codes is not None:
-        n_expr = f"(len({step.keys}[0]) if {step.keys} else 0)"
+        n_expr = _n_groups_expr(step.keys)
         if step.values is None:
             expr = (
                 f"np.bincount({step.codes}, minlength={n_expr})"
@@ -175,11 +183,4 @@ def _render_group_sum(step: GroupSumStep) -> List[str]:
                 "else 0.0)"
             )
         expr = f"np.asarray([{total}], dtype=np.float64)"
-    factors = []
-    if step.coefficient != 1.0:
-        factors.append(repr(step.coefficient))
-    factors.extend(step.scalar_vars)
-    if factors:
-        expr = f"({expr}) * " + " * ".join(factors)
-    lines.append(f"{step.out} = {expr}")
-    return lines
+    return f"{step.out} = {expr}"

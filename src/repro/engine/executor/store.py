@@ -224,11 +224,6 @@ class ViewStore:
         with self._lock:
             return {vid: self._data[vid] for vid in vids}
 
-    def views(self) -> Dict[int, ViewData]:
-        """A plain-dict copy of everything currently stored."""
-        with self._lock:
-            return dict(self._data)
-
     # -- eviction ----------------------------------------------------------
 
     def group_finished(self, input_view_ids: Iterable[int]) -> None:
@@ -256,10 +251,6 @@ class ViewStore:
                         handoff.append((vid, data))
         for vid, data in handoff:
             self._on_evict(vid, data)
-
-    def remaining_consumers(self, vid: int) -> Optional[int]:
-        with self._lock:
-            return self._remaining.get(vid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:

@@ -12,6 +12,7 @@ from typing import Dict, List
 
 from ..jointree.join_tree import JoinTree
 from .engine import EnginePlan
+from .plan import GroupSumStep
 
 
 def explain(plan: EnginePlan, tree: JoinTree) -> str:
@@ -82,10 +83,18 @@ def _explain_groups(plan: EnginePlan) -> List[str]:
         level_of[group.id] = max(
             (level_of[dep] + 1 for dep in group.depends_on), default=0
         )
+    views = plan.decomposed.views
     for group in plan.grouped.groups:
+        # what the post-sum factoring of ``plan.py`` left to do row by row
+        n_aggregates = sum(len(views[v].aggregates) for v in group.view_ids)
+        n_sums = sum(
+            isinstance(step, GroupSumStep)
+            for step in plan.group_plans[group.id].steps
+        )
         lines.append(
             f"  level {level_of[group.id]}: group {group.id} @ "
-            f"{group.node} computes views {sorted(group.view_ids)}"
+            f"{group.node} computes views {sorted(group.view_ids)}  "
+            f"aggregates -> row-level sums: {n_aggregates} -> {n_sums}"
         )
     return lines
 

@@ -22,11 +22,11 @@ from .plan import (
     Gather,
     GroupKeyStep,
     GroupPlan,
+    GroupRowsStep,
     GroupSumStep,
     IndexStep,
     JoinStep,
     MulStep,
-    ScalarViewStep,
 )
 
 
@@ -126,19 +126,20 @@ def execute_plan(
             else:
                 env[step.out] = step.function.evaluate(columns)
         elif isinstance(step, MulStep):
-            env[step.out] = env[step.a] * env[step.b]
+            b = env[step.b] if isinstance(step.b, str) else step.b
+            env[step.out] = env[step.a] * b
         elif isinstance(step, GroupKeyStep):
             codes, keys = ops.factorize_rows(
                 [(env[c], env[u]) for c, u in step.key_vars]
             )
             env[step.out_codes] = codes
             env[step.out_keys] = keys
+        elif isinstance(step, GroupRowsStep):
+            env[step.out] = ops.group_rows(
+                env[step.codes], _n_groups(env[step.keys])
+            )
         elif isinstance(step, GroupSumStep):
             env[step.out] = _group_sum(step, env)
-        elif isinstance(step, ScalarViewStep):
-            env[step.out] = float(
-                incoming[step.view_id].agg_cols[step.agg_index][0]
-            )
         elif isinstance(step, EmitStep):
             keys = env[step.keys_var] if step.keys_var is not None else []
             support = (
@@ -158,31 +159,6 @@ def execute_plan(
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step {step!r}")
     return produced
-
-
-def execute_plan_delta(
-    plan: GroupPlan,
-    delta_relation: Relation,
-    incoming: Dict[int, ViewData],
-    dyn: Sequence,
-    sign: int = 1,
-) -> Dict[int, ViewData]:
-    """Run one group plan over a delta partition of its node relation.
-
-    Every view aggregate is a SUM over context rows, and context rows
-    partition with the node relation's rows (the same property the
-    domain-parallel layer exploits), so evaluating the unchanged plan
-    over only the inserted (``sign=+1``) or deleted (``sign=-1``) rows
-    yields exactly the additive change of each view.  The caller merges
-    the result into cached :class:`ViewData` with
-    :func:`repro.engine.executor.store.merge_partials`-style re-aggregation.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    produced = execute_plan(plan, delta_relation, incoming, dyn)
-    if sign == 1:
-        return produced
-    return {vid: vd.negated() for vid, vd in produced.items()}
 
 
 def _gather(step: Gather, relation: Relation, incoming, env) -> np.ndarray:
@@ -207,26 +183,20 @@ def _context_length(env: Dict[str, object], n_var: str) -> int:
     return len(value)
 
 
+def _n_groups(keys: List[np.ndarray]) -> int:
+    return len(keys[0]) if keys else 0
+
+
 def _group_sum(step: GroupSumStep, env: Dict[str, object]) -> np.ndarray:
     if step.codes is not None:
-        keys = env[step.keys]
-        n_groups = len(keys[0]) if keys else 0
+        n_groups = _n_groups(env[step.keys])
         codes = env[step.codes]
         if step.values is None:
-            column = np.bincount(codes, minlength=n_groups).astype(
-                np.float64
-            )
-        else:
-            column = ops.group_sums(codes, env[step.values], n_groups)
+            return np.bincount(codes, minlength=n_groups).astype(np.float64)
+        return ops.group_sums(codes, env[step.values], n_groups)
+    if step.values is None:
+        total = float(_context_length(env, step.n_var))
     else:
-        if step.values is None:
-            total = float(_context_length(env, step.n_var))
-        else:
-            values = env[step.values]
-            total = float(np.sum(values)) if len(values) else 0.0
-        column = np.asarray([total], dtype=np.float64)
-    if step.coefficient != 1.0:
-        column = column * step.coefficient
-    for scalar_var in step.scalar_vars:
-        column = column * env[scalar_var]
-    return column
+        values = env[step.values]
+        total = float(np.sum(values)) if len(values) else 0.0
+    return np.asarray([total], dtype=np.float64)

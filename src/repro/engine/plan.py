@@ -12,6 +12,17 @@ Optimization of §3.5:
   arithmetic operations");
 * group-by key encodings are shared across all aggregates of a view and
   across views with equal group-by;
+* **sum before you multiply** (the loop-invariant decomposition of
+  Appendix C, Figure 4's alpha/beta variables): a factor that is
+  constant within every output group — the coefficient, and the payload
+  of an incoming view whose whole key is contained in the output view's
+  group-by — multiplies the group's *sum*, not the context's rows.  It
+  is gathered once per group, the row-level product holds only
+  relation-column functions and views whose key is not covered, and
+  aggregates left with the same row-level product share one sum.  The
+  view still joins into the context: the join drops the rows that have
+  no partner and tells each group which payload row is its own.  The
+  rule is stated once, in :meth:`GroupPlanBuilder._build_view`;
 * join and group-by keys never carry values, only dictionary codes: a
   key source is encoded once (a relation attribute per relation object,
   an incoming view's key column per plan run), and a context's key
@@ -26,7 +37,7 @@ execution modes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..data.relation import Relation
 from ..query.functions import Function
@@ -104,11 +115,17 @@ class FactorStep:
 
 @dataclass(frozen=True)
 class MulStep:
-    """out = a * b (both row-aligned arrays)."""
+    """out = a * b.
+
+    Before the sum both are row-aligned columns.  After it ``a`` is a
+    group-aligned sum and ``b`` a post-sum factor: a covered view's
+    aggregate column gathered once per group, a scalar view's length-1
+    column (it broadcasts), or a plan-time constant given as a float.
+    """
 
     out: str
     a: str
-    b: str
+    b: Union[str, float]
 
 
 @dataclass(frozen=True)
@@ -126,13 +143,27 @@ class GroupKeyStep:
 
 
 @dataclass(frozen=True)
+class GroupRowsStep:
+    """out[g] = one context row whose group code is ``g``.
+
+    Which row does not matter: what is read through it is constant
+    within the group.
+    """
+
+    out: str
+    codes: str
+    keys: str
+
+
+@dataclass(frozen=True)
 class GroupSumStep:
-    """One aggregate column: grouped (or scalar) summation.
+    """One row-level sum: grouped (or scalar) summation.
 
     ``values`` is the product array var, or ``None`` for pure counts.
-    ``codes``/``keys`` are ``None`` for scalar (no group-by) aggregates;
-    then ``n_var`` holds the context length var for counts.
-    ``scalar_vars`` multiply the result (scalar incoming views).
+    ``codes``/``keys`` are ``None`` for scalar (no group-by) sums; then
+    ``n_var`` holds the context length var for counts.  Aggregates whose
+    row-level products and groups are equal share one step; what differs
+    between them multiplies the sum (:class:`MulStep`).
     """
 
     out: str
@@ -140,17 +171,6 @@ class GroupSumStep:
     keys: Optional[str]
     values: Optional[str]
     n_var: Optional[str]
-    coefficient: float
-    scalar_vars: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ScalarViewStep:
-    """out = incoming[vid].agg_cols[pos][0] — a scalar child view value."""
-
-    out: str
-    view_id: int
-    agg_index: int
 
 
 @dataclass(frozen=True)
@@ -207,19 +227,6 @@ class _Context:
     n_var: str  # var holding the context length
 
 
-class ViewMeta:
-    """What the builder needs to know about an incoming view."""
-
-    def __init__(self, view: View):
-        self.view_id = view.id
-        self.group_by = view.group_by
-        self.n_aggregates = len(view.aggregates)
-
-    @property
-    def is_scalar(self) -> bool:
-        return not self.group_by
-
-
 class GroupPlanBuilder:
     """Builds the step list for one view group."""
 
@@ -243,11 +250,12 @@ class GroupPlanBuilder:
         # caches for sharing
         self._gather_cache: Dict[tuple, str] = {}
         self._encode_cache: Dict[tuple, Tuple[str, str]] = {}
-        self._code_cache: Dict[tuple, str] = {}
+        self._index_cache: Dict[tuple, str] = {}
         self._factor_cache: Dict[tuple, str] = {}
         self._product_cache: Dict[tuple, str] = {}
         self._groupkey_cache: Dict[tuple, Tuple[str, str]] = {}
-        self._scalar_cache: Dict[tuple, str] = {}
+        self._grouprows_cache: Dict[str, str] = {}  # codes var -> rows var
+        self._sum_cache: Dict[tuple, str] = {}
         self._input_views: Dict[int, None] = {}
 
     # -- var bookkeeping -----------------------------------------------------
@@ -272,79 +280,63 @@ class GroupPlanBuilder:
         )
 
     def _build_view(self, view: View) -> None:
+        """One output view: per aggregate, a shared sum times its factors.
+
+        **The hoisting rule.**  An aggregate is
+        ``SUM over context rows of c * PROD f_i(relation columns) * PROD
+        V_j[payload]``.  A factor that is constant within every output
+        group multiplies the group's sum instead of its rows: the
+        coefficient ``c``, and the payload of every incoming view whose
+        whole key is contained in the output view's group-by (a scalar
+        view, key {}, is the smallest such key).  Rows of one output
+        group agree on the view's key, so they all read the same payload
+        row, which is gathered once per group through
+        :class:`GroupRowsStep`.  The view still joins into the context:
+        the join is what drops rows without a partner and what says
+        which payload row a group reads.  Only relation-column functions
+        and views whose key is *not* covered are multiplied row by row.
+        """
         agg_vars: List[str] = []
-        keys_var: Optional[str] = None
-        codes_var: Optional[str] = None
-        last_ctx: Optional[_Context] = None
+        codes: Optional[str] = None
+        keys: Optional[str] = None
+        ctx: Optional[_Context] = None
+        covered = set(view.group_by)
         for spec in view.aggregates:
-            joinable = []
-            scalar_refs = []
-            for ref in spec.refs:
-                meta = ViewMeta(self.views[ref.view_id])
+            row_refs, group_refs, joined = [], [], set()
+            for ref in sorted(
+                spec.refs, key=lambda r: (r.view_id, r.agg_index)
+            ):
                 self._input_views.setdefault(ref.view_id, None)
-                if meta.is_scalar:
-                    scalar_refs.append(ref)
+                view_key = self.views[ref.view_id].group_by
+                if view_key:  # key {} has nothing to join on
+                    joined.add(ref.view_id)
+                if covered.issuperset(view_key):
+                    group_refs.append(ref)
                 else:
-                    joinable.append(ref)
-            ctx = self._context_for(
-                tuple(sorted({r.view_id for r in joinable}))
-            )
-            product_var = self._build_product(ctx, spec, joinable)
-            scalar_vars = tuple(
-                self._scalar_view_var(r.view_id, r.agg_index)
-                for r in sorted(scalar_refs, key=lambda r: (r.view_id, r.agg_index))
-            )
+                    row_refs.append(ref)
+            ctx = self._context_for(tuple(sorted(joined)))
             if view.group_by:
-                codes_var, keys = self._group_keys(ctx, view.group_by)
-                keys_var = keys
-                last_ctx = ctx
-                out = self._new_var("agg")
-                self.steps.append(
-                    GroupSumStep(
-                        out=out,
-                        codes=codes_var,
-                        keys=keys,
-                        values=product_var,
-                        n_var=ctx.n_var,
-                        coefficient=spec.coefficient,
-                        scalar_vars=scalar_vars,
-                    )
-                )
-            else:
-                out = self._new_var("agg")
-                self.steps.append(
-                    GroupSumStep(
-                        out=out,
-                        codes=None,
-                        keys=None,
-                        values=product_var,
-                        n_var=ctx.n_var,
-                        coefficient=spec.coefficient,
-                        scalar_vars=scalar_vars,
-                    )
-                )
-            agg_vars.append(out)
+                codes, keys = self._group_keys(ctx, view.group_by)
+            factors: List[Union[str, float]] = [
+                self._group_payload(ctx, codes, keys, ref)
+                for ref in group_refs
+            ]
+            if spec.coefficient != 1.0:
+                factors.append(spec.coefficient)
+            total = self._group_sum(
+                ctx, codes, keys, self._build_product(ctx, spec, row_refs)
+            )
+            agg_vars.append(self._fold(total, factors))
         support_var: Optional[str] = None
-        if self.track_support and keys_var is not None and last_ctx is not None:
+        if self.track_support and keys is not None:
             # context-row count per emitted group key: the multiplicity
             # incremental maintenance needs to retire keys on retraction
-            support_var = self._new_var("sup")
-            self.steps.append(
-                GroupSumStep(
-                    out=support_var,
-                    codes=codes_var,
-                    keys=keys_var,
-                    values=None,
-                    n_var=last_ctx.n_var,
-                    coefficient=1.0,
-                    scalar_vars=(),
-                )
-            )
+            support_var = self._group_sum(ctx, codes, keys, None)
         self.steps.append(
             EmitStep(
                 view_id=view.id,
                 group_by=view.group_by,
-                keys_var=keys_var,
+                keys_var=keys,
                 agg_vars=tuple(agg_vars),
                 support_var=support_var,
             )
@@ -370,9 +362,9 @@ class GroupPlanBuilder:
     def _join(
         self, ctx: _Context, view_id: int, new_key: Tuple[int, ...]
     ) -> _Context:
-        meta = ViewMeta(self.views[view_id])
+        group_by = self.views[view_id].group_by
         join_attrs = [
-            a for a in meta.group_by if self._available(ctx, a) is not None
+            a for a in group_by if self._available(ctx, a) is not None
         ]
         if not join_attrs:
             raise RuntimeError(
@@ -383,7 +375,7 @@ class GroupPlanBuilder:
             self._encoded(ctx, self._available(ctx, a)) for a in join_attrs
         )
         right_vars = tuple(
-            self._gather_view_key(view_id, meta.group_by.index(a))
+            self._gather(("viewkey", view_id, group_by.index(a)), None, "k")
             for a in join_attrs
         )
         li = self._new_var("li")
@@ -420,31 +412,37 @@ class GroupPlanBuilder:
         if attr in self.relation_attrs:
             return ("rel", attr)
         for vid in ctx.key:
-            group_by = ViewMeta(self.views[vid]).group_by
+            group_by = self.views[vid].group_by
             if attr in group_by:
                 return ("viewkey", vid, group_by.index(attr))
         return None
 
     # -- gathers ----------------------------------------------------------------
 
-    def _gather(self, ctx: _Context, origin: tuple) -> str:
+    def _gather(
+        self, origin: tuple, index: Optional[str], hint: str = "c"
+    ) -> str:
+        """``origin``'s column read through an index array var.
+
+        ``None`` is the column itself: a relation column over the bare
+        relation, or a view's own key / aggregate column.
+        """
+        cache_key = (origin, index)
+        if cache_key not in self._gather_cache:
+            out = self._new_var(hint)
+            self.steps.append(Gather(out=out, origin=origin, index=index))
+            self._gather_cache[cache_key] = out
+        return self._gather_cache[cache_key]
+
+    def _row_column(self, ctx: _Context, origin: tuple) -> str:
         """Row-aligned column of the context for the given origin."""
         if origin[0] == "rel":
-            index = ctx.base_idx
-        else:
-            vid = origin[1]
-            index = ctx.view_idx.get(vid)
-            if index is None and vid not in ctx.key:
-                raise RuntimeError(
-                    f"origin {origin} not joined into context {ctx.key}"
-                )
-        cache_key = (ctx.key, origin)
-        if cache_key in self._gather_cache:
-            return self._gather_cache[cache_key]
-        out = self._new_var("c")
-        self.steps.append(Gather(out=out, origin=origin, index=index))
-        self._gather_cache[cache_key] = out
-        return out
+            return self._gather(origin, ctx.base_idx)
+        if origin[1] not in ctx.view_idx:
+            raise RuntimeError(
+                f"origin {origin} not joined into context {ctx.key}"
+            )
+        return self._gather(origin, ctx.view_idx[origin[1]])
 
     def _encoded(self, ctx: _Context, origin: tuple) -> Tuple[str, str]:
         """A context key column as ``(codes var, uniques var)``.
@@ -460,71 +458,97 @@ class GroupPlanBuilder:
         index = ctx.base_idx if origin[0] == "rel" else ctx.view_idx[origin[1]]
         if index is None:
             return source
-        cache_key = (ctx.key, origin)
-        if cache_key not in self._code_cache:
-            out = self._new_var("kc")
-            self.steps.append(IndexStep(out=out, arr=source[0], idx=index))
-            self._code_cache[cache_key] = out
-        return self._code_cache[cache_key], source[1]
+        return self._index(source[0], index, "kc"), source[1]
 
-    def _gather_view_key(self, view_id: int, pos: int) -> str:
-        """A view's own key column (pre-join, identity index)."""
-        cache_key = (("viewkey", view_id, pos), None)
-        if cache_key in self._gather_cache:
-            return self._gather_cache[cache_key]
-        out = self._new_var("k")
-        self.steps.append(
-            Gather(out=out, origin=("viewkey", view_id, pos), index=None)
-        )
-        self._gather_cache[cache_key] = out
-        return out
-
-    def _scalar_view_var(self, view_id: int, agg_index: int) -> str:
-        cache_key = (view_id, agg_index)
-        if cache_key in self._scalar_cache:
-            return self._scalar_cache[cache_key]
-        out = self._new_var("s")
-        self.steps.append(
-            ScalarViewStep(out=out, view_id=view_id, agg_index=agg_index)
-        )
-        self._scalar_cache[cache_key] = out
-        return out
+    def _index(self, arr: str, idx: str, hint: str) -> str:
+        """``arr[idx]``, emitted once per pair of vars."""
+        cache_key = (arr, idx)
+        if cache_key not in self._index_cache:
+            out = self._new_var(hint)
+            self.steps.append(IndexStep(out=out, arr=arr, idx=idx))
+            self._index_cache[cache_key] = out
+        return self._index_cache[cache_key]
 
     # -- products ----------------------------------------------------------------
 
-    def _build_product(self, ctx: _Context, spec, joinable_refs) -> Optional[str]:
+    def _build_product(self, ctx: _Context, spec, row_refs) -> Optional[str]:
         """Row-aligned product of factor functions and view aggregates.
 
-        Returns ``None`` when there is nothing row-wise to multiply (a
-        pure count); the coefficient and scalar views are applied by the
-        GroupSumStep.
+        ``row_refs`` are the references whose view key the output
+        group-by does not cover.  Returns ``None`` when there is nothing
+        row-wise to multiply (a pure count).
         """
         factor_vars: List[str] = []
         for function in sorted(
             spec.functions, key=lambda f: repr(f.signature())
         ):
             factor_vars.append(self._factor(ctx, function))
-        for ref in sorted(
-            joinable_refs, key=lambda r: (r.view_id, r.agg_index)
-        ):
+        for ref in row_refs:
             origin = ("viewagg", ref.view_id, ref.agg_index)
-            factor_vars.append(self._gather(ctx, origin))
+            factor_vars.append(self._row_column(ctx, origin))
         if not factor_vars:
             return None
-        # prefix-cached folding: shared leading sub-products are computed
-        # once (the paper's reuse of repeated multiplications)
-        current = factor_vars[0]
-        prefix = (ctx.key, current)
-        for var in factor_vars[1:]:
-            prefix = (prefix, var)
-            if prefix in self._product_cache:
-                current = self._product_cache[prefix]
-                continue
-            out = self._new_var("p")
-            self.steps.append(MulStep(out=out, a=current, b=var))
-            self._product_cache[prefix] = out
-            current = out
+        return self._fold(factor_vars[0], factor_vars[1:])
+
+    def _fold(self, first: str, rest: Sequence[Union[str, float]]) -> str:
+        """``first * rest[0] * rest[1] ...``, left to right.
+
+        Prefix-cached: shared leading sub-products are computed once
+        (the paper's reuse of repeated multiplications).  Var names are
+        unique per context and per group-by, so they key the cache.
+        """
+        current = first
+        prefix: tuple = (first,)
+        for factor in rest:
+            prefix = (prefix, factor)
+            if prefix not in self._product_cache:
+                out = self._new_var("p")
+                self.steps.append(MulStep(out=out, a=current, b=factor))
+                self._product_cache[prefix] = out
+            current = self._product_cache[prefix]
         return current
+
+    # -- sums and their per-group factors -----------------------------------------
+
+    def _group_sum(
+        self,
+        ctx: _Context,
+        codes: Optional[str],
+        keys: Optional[str],
+        values: Optional[str],
+    ) -> str:
+        """The (shared) sum of a row-level product per group of ``ctx``."""
+        cache_key = (ctx.key, codes, values)
+        if cache_key not in self._sum_cache:
+            out = self._new_var("sum")
+            self.steps.append(
+                GroupSumStep(
+                    out=out,
+                    codes=codes,
+                    keys=keys,
+                    values=values,
+                    n_var=ctx.n_var,
+                )
+            )
+            self._sum_cache[cache_key] = out
+        return self._sum_cache[cache_key]
+
+    def _group_payload(
+        self, ctx: _Context, codes: Optional[str], keys: Optional[str], ref
+    ) -> str:
+        """A covered view's aggregate column, one value per output group."""
+        origin = ("viewagg", ref.view_id, ref.agg_index)
+        if not self.views[ref.view_id].group_by:
+            # key {}: the length-1 column broadcasts over the groups
+            return self._gather(origin, None, "s")
+        if codes not in self._grouprows_cache:
+            rows = self._new_var("rows")
+            self.steps.append(GroupRowsStep(out=rows, codes=codes, keys=keys))
+            self._grouprows_cache[codes] = rows
+        index = self._index(
+            ctx.view_idx[ref.view_id], self._grouprows_cache[codes], "gix"
+        )
+        return self._gather(origin, index, "g")
 
     def _factor(self, ctx: _Context, function: Function) -> str:
         slot = self.dyn_slots.get(id(function))
@@ -537,7 +561,7 @@ class GroupPlanBuilder:
         if cache_key in self._factor_cache:
             return self._factor_cache[cache_key]
         col_vars = tuple(
-            (attr, self._gather(ctx, self._require(ctx, attr)))
+            (attr, self._row_column(ctx, self._require(ctx, attr)))
             for attr in function.attrs
         )
         out = self._new_var("f")

@@ -390,6 +390,16 @@ class TestColumnEncodings:
             ops.ColumnEncodings({})["a"]
 
 
+class TestGroupRows:
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_of_each_group(self, values):
+        codes, keys = ops.factorize_rows([ops.factorize(np.asarray(values, dtype=np.int64))])
+        rows = ops.group_rows(codes, len(keys[0]))
+        assert rows.dtype == np.int64
+        assert codes[rows].tolist() == list(range(len(keys[0])))
+
+
 class TestGroupAggregate:
     def test_sums_match_brute_force(self):
         rng = np.random.default_rng(6)

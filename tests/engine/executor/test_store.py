@@ -41,13 +41,6 @@ class TestMappingProtocol:
         with pytest.raises(KeyError):
             ViewStore()[7]
 
-    def test_views_returns_plain_dict_copy(self):
-        store = ViewStore()
-        store[1] = scalar_view(1.0)
-        views = store.views()
-        views[2] = scalar_view(2.0)
-        assert 2 not in store
-
 
 class TestEviction:
     def test_evicts_only_after_last_consumer(self):

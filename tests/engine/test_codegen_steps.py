@@ -6,17 +6,20 @@ import pytest
 
 from repro.data import ops
 from repro.engine.codegen import _render_gather, _render_group_sum, _render_step
+from repro.engine.grouping import ViewGroup
+from repro.engine.interpreter import ViewData, execute_plan
 from repro.engine.plan import (
     EmitStep,
     EncodeStep,
     FactorStep,
     Gather,
     GroupKeyStep,
+    GroupPlan,
+    GroupRowsStep,
     GroupSumStep,
     IndexStep,
     JoinStep,
     MulStep,
-    ScalarViewStep,
 )
 from repro.query.functions import Delta, Identity
 
@@ -126,15 +129,26 @@ class TestFactorRendering:
         )
         assert env["p"].tolist() == [8.0, 15.0]
 
+    def test_mul_by_a_plan_time_constant(self):
+        step = MulStep("p", "a", -2.5)
+        env = run_lines(_render_step(step), {"a": np.array([2.0, 4.0])})
+        assert env["p"].tolist() == [-5.0, -10.0]
+
+    def test_mul_broadcasts_a_scalar_view_column(self):
+        step = MulStep("p", "a", "s")
+        env = run_lines(
+            _render_step(step),
+            {"a": np.array([2.0, 3.0]), "s": np.array([10.0])},
+        )
+        assert env["p"].tolist() == [20.0, 30.0]
+
 
 class TestGroupSumRendering:
     def test_grouped_sum(self):
         key_step = GroupKeyStep("codes", "keys", (("gc", "gu"),))
-        sum_step = GroupSumStep(
-            "agg", "codes", "keys", "vals", None, 1.0, ()
-        )
+        sum_step = GroupSumStep("agg", "codes", "keys", "vals", None)
         env = run_lines(
-            _render_step(key_step) + _render_group_sum(sum_step),
+            _render_step(key_step) + [_render_group_sum(sum_step)],
             {
                 "gc": np.array([1, 0, 1]),
                 "gu": np.array([0, 1]),
@@ -143,38 +157,46 @@ class TestGroupSumRendering:
         )
         assert env["agg"].tolist() == [7.0, 7.0]
 
-    def test_grouped_count_with_coefficient(self):
+    def test_grouped_count(self):
         key_step = GroupKeyStep("codes", "keys", (("gc", "gu"),))
-        sum_step = GroupSumStep(
-            "agg", "codes", "keys", None, None, 3.0, ()
-        )
+        sum_step = GroupSumStep("agg", "codes", "keys", None, None)
         env = run_lines(
-            _render_step(key_step) + _render_group_sum(sum_step),
+            _render_step(key_step) + [_render_group_sum(sum_step)],
             {"gc": np.array([0, 0, 1]), "gu": np.array([0, 1])},
         )
-        assert env["agg"].tolist() == [6.0, 3.0]
+        assert env["agg"].tolist() == [2.0, 1.0]
 
-    def test_scalar_sum_with_scalar_views(self):
-        sum_step = GroupSumStep(
-            "agg", None, None, "vals", "li", 2.0, ("s1",)
-        )
+    def test_scalar_sum(self):
+        sum_step = GroupSumStep("agg", None, None, "vals", "li")
         env = run_lines(
-            _render_group_sum(sum_step),
-            {"vals": np.array([1.0, 2.0]), "li": np.zeros(2), "s1": 10.0},
+            [_render_group_sum(sum_step)],
+            {"vals": np.array([1.0, 2.0]), "li": np.zeros(2)},
         )
-        assert env["agg"].tolist() == [60.0]
+        assert env["agg"].tolist() == [3.0]
 
     def test_scalar_count_from_relation_length(self):
-        sum_step = GroupSumStep("agg", None, None, None, "_n_rel", 1.0, ())
-        env = run_lines(_render_group_sum(sum_step), {"n_rel": 42})
+        sum_step = GroupSumStep("agg", None, None, None, "_n_rel")
+        env = run_lines([_render_group_sum(sum_step)], {"n_rel": 42})
         assert env["agg"].tolist() == [42.0]
 
-    def test_scalar_view_step(self):
-        step = ScalarViewStep("s1", 4, 0)
+    def test_group_rows_step(self):
+        key_step = GroupKeyStep("codes", "keys", (("gc", "gu"),))
+        step = GroupRowsStep("rows", "codes", "keys")
+        gc = np.array([1, 0, 1, 2])
         env = run_lines(
-            _render_step(step), {"agg_cols": {4: [np.array([9.5])]}}
+            _render_step(key_step) + _render_step(step),
+            {"gc": gc, "gu": np.array([7, 8, 9])},
         )
-        assert env["s1"] == 9.5
+        assert env["codes"][env["rows"]].tolist() == [0, 1, 2]
+
+    def test_group_rows_step_on_an_empty_context(self):
+        key_step = GroupKeyStep("codes", "keys", (("gc", "gu"),))
+        step = GroupRowsStep("rows", "codes", "keys")
+        env = run_lines(
+            _render_step(key_step) + _render_step(step),
+            {"gc": np.array([], dtype=np.int64), "gu": np.array([7, 8])},
+        )
+        assert env["rows"].tolist() == []
 
     def test_emit_step(self):
         step = EmitStep(5, ("g",), "keys", ("agg",))
@@ -186,3 +208,74 @@ class TestGroupSumRendering:
         group_by, keys, aggs = env["out"][5]
         assert group_by == ("g",)
         assert aggs[0].tolist() == [1.0, 2.0]
+
+
+class TestPostSumFactorsInBothRenderers:
+    """A hand-built plan ``SUM(x) * V4[1][key] * V5[0] * 3`` grouped by the
+    key: the generated source and the interpreter walk the same steps."""
+
+    STEPS = [
+        EncodeStep("kc", "ku", ("rel", "k")),
+        Gather("vk", ("viewkey", 4, 0), None),
+        JoinStep("li", "ri", (("kc", "ku"),), ("vk",)),
+        IndexStep("kc2", "kc", "li"),
+        GroupKeyStep("codes", "keys", (("kc2", "ku"),)),
+        Gather("x", ("rel", "x"), "li"),
+        GroupSumStep("sum1", "codes", "keys", "x", "li"),
+        GroupRowsStep("rows", "codes", "keys"),
+        IndexStep("gix", "ri", "rows"),
+        Gather("g", ("viewagg", 4, 1), "gix"),
+        MulStep("p1", "sum1", "g"),
+        Gather("s", ("viewagg", 5, 0), None),
+        MulStep("p2", "p1", "s"),
+        MulStep("p3", "p2", 3.0),
+        EmitStep(9, ("k",), "keys", ("p3",)),
+    ]
+
+    def test_interpreted_equals_generated(self):
+        from repro.data.relation import Relation
+        from repro.data.schema import Attribute, Schema
+        from repro.engine.codegen import compile_plan
+        from repro.engine.executor.backend import views_from_raw
+
+        k = np.array([2, 1, 2, 3, 1])  # 3 has no partner in view 4
+        x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        relation = Relation(
+            "R",
+            Schema(
+                [
+                    Attribute("k", "categorical", np.int64),
+                    Attribute("x", "continuous", np.float64),
+                ]
+            ),
+            {"k": k, "x": x},
+        )
+        incoming = {
+            4: ViewData(
+                ("k",),
+                [np.array([1, 2])],
+                [np.zeros(2), np.array([10.0, 100.0])],
+            ),
+            5: ViewData((), [], [np.array([0.5])]),
+        }
+        plan = GroupPlan(
+            group=ViewGroup(id=0, node="R", view_ids=[9]),
+            node="R",
+            steps=self.STEPS,
+            input_view_ids=(4, 5),
+            relation_attrs=("k", "x"),
+        )
+        interpreted = execute_plan(plan, relation, incoming, [])[9]
+        raw = compile_plan(plan)(
+            {"k": k, "x": x},
+            relation.encodings,
+            relation.n_rows,
+            {vid: vd.key_cols for vid, vd in incoming.items()},
+            {vid: vd.agg_cols for vid, vd in incoming.items()},
+            [],
+        )
+        compiled = views_from_raw(raw)[9]
+        for data in (interpreted, compiled):
+            assert data.key_cols[0].tolist() == [1, 2]
+            # (2 + 16) * 10 * 0.5 * 3 and (1 + 4) * 100 * 0.5 * 3
+            assert data.agg_cols[0].tolist() == [270.0, 750.0]

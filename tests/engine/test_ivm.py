@@ -204,18 +204,19 @@ class TestIncrementalMatchesRecomputation:
         assert report.all_incremental
 
 
-class TestExecutePlanDelta:
-    """The interpreter-level delta primitive used by delta evaluation."""
+class TestDeltaPartitionRuns:
+    """A group plan run over a partition of its node relation is that
+    partition's additive share of every view: inserted rows add it,
+    retracted rows add its negation."""
 
-    def test_negated_run_is_sign_flip(self, toy_db):
-        from repro.engine.interpreter import execute_plan, execute_plan_delta
+    def _sales_group(self, toy_db):
+        from repro.engine.interpreter import execute_plan
 
         engine = LMFAO(
             toy_db, sort_inputs=False, root="Sales", track_support=True,
             compile=False,
         )
-        batch = simple_batch(["city"])
-        plan = engine.plan(batch)
+        plan = engine.plan(simple_batch(["city"]))
         view_data = {}
         for group_plan in plan.group_plans:  # topological order
             view_data.update(
@@ -226,30 +227,62 @@ class TestExecutePlanDelta:
                     [],
                 )
             )
-        group = next(
-            g for g in plan.grouped.groups if g.node == "Sales"
-        )
+        group = next(g for g in plan.grouped.groups if g.node == "Sales")
         group_plan = plan.group_plans[group.id]
-        incoming = {
-            vid: view_data[vid] for vid in group_plan.input_view_ids
+        incoming = {vid: view_data[vid] for vid in group_plan.input_view_ids}
+        return group_plan, incoming
+
+    def _assert_same_views(self, got, want):
+        assert set(got) == set(want)
+        for vid in want:
+            for a, b in zip(got[vid].key_cols, want[vid].key_cols):
+                np.testing.assert_array_equal(a, b)
+            for a, b in zip(got[vid].agg_cols, want[vid].agg_cols):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(got[vid].support, want[vid].support)
+
+    def test_inserted_rows_add_their_run(self, toy_db):
+        from repro.engine.executor.store import merge_partials
+        from repro.engine.interpreter import execute_plan
+
+        group_plan, incoming = self._sales_group(toy_db)
+        sales = toy_db.relation("Sales")
+        head = sales.take(np.arange(10))
+        tail = sales.take(np.arange(10, sales.n_rows))
+        merged = merge_partials(
+            [
+                execute_plan(group_plan, tail, incoming, []),
+                execute_plan(group_plan, head, incoming, []),
+            ]
+        )
+        self._assert_same_views(
+            merged, execute_plan(group_plan, sales, incoming, [])
+        )
+
+    def test_retracted_rows_add_their_negated_run(self, toy_db):
+        from repro.engine.executor.store import (
+            merge_partials,
+            retire_dead_keys,
+        )
+        from repro.engine.interpreter import execute_plan
+
+        group_plan, incoming = self._sales_group(toy_db)
+        sales = toy_db.relation("Sales")
+        head = sales.take(np.arange(10))
+        tail = sales.take(np.arange(10, sales.n_rows))
+        retraction = {
+            vid: data.negated()
+            for vid, data in execute_plan(
+                group_plan, head, incoming, []
+            ).items()
         }
-        part = toy_db.relation("Sales").take(np.arange(10))
-        plus = execute_plan(group_plan, part, incoming, [])
-        minus = execute_plan_delta(group_plan, part, incoming, [], sign=-1)
-        assert set(plus) == set(minus)
-        for vid in plus:
-            for got, want in zip(minus[vid].agg_cols, plus[vid].agg_cols):
-                np.testing.assert_array_equal(got, -want)
-            if plus[vid].support is not None:
-                np.testing.assert_array_equal(
-                    minus[vid].support, -plus[vid].support
-                )
-
-    def test_bad_sign_rejected(self, toy_db):
-        from repro.engine.interpreter import execute_plan_delta
-
-        with pytest.raises(ValueError):
-            execute_plan_delta(None, None, {}, [], sign=0)
+        merged = merge_partials(
+            [execute_plan(group_plan, sales, incoming, []), retraction]
+        )
+        self._assert_same_views(
+            {vid: retire_dead_keys(data) for vid, data in merged.items()},
+            execute_plan(group_plan, tail, incoming, []),
+        )
 
 
 class TestKeyRetirement:

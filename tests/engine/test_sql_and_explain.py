@@ -112,3 +112,28 @@ class TestExplain:
         text = explain(engine_plan, engine.join_tree)
         for group in engine_plan.grouped.groups:
             assert f"group {group.id} @" in text
+
+    def test_groups_show_aggregates_and_row_level_sums(self, tiny_retailer):
+        from repro.ml import CARTLearner
+
+        ds = tiny_retailer
+        engine = LMFAO(ds.database, ds.join_tree)
+        batch = CARTLearner(
+            engine,
+            [f for f in ds.continuous_features if f != ds.label],
+            list(ds.categorical_features),
+            ds.label,
+            "regression",
+        ).node_batch([])
+        text = explain(engine.plan(batch), engine.join_tree)
+        group_lines = [
+            line for line in text.splitlines() if "row-level sums:" in line
+        ]
+        assert len(group_lines) == len(engine.plan(batch).grouped.groups)
+        # the Inventory group's covered views multiply 63 shared sums
+        assert any(
+            "@ Inventory" in line and line.endswith("1032 -> 63")
+            for line in group_lines
+        )
+        # a group with no covered view sums once per aggregate
+        assert any(line.endswith("248 -> 248") for line in group_lines)
