@@ -8,7 +8,7 @@ always the natural join of the whole database, so it is left implicit.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .aggregates import Aggregate
 
@@ -64,6 +64,11 @@ class QueryBatch:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate query names in batch: {names}")
         self.queries: Tuple[Query, ...] = tuple(queries)
+        # ``queries`` and everything below it (aggregates, terms,
+        # factors) are tuples fixed here, so which functions are dynamic
+        # and the value-free signature are computed once per batch
+        self._dynamic: Optional[Tuple] = None
+        self._structural_signature: Optional[tuple] = None
 
     def __iter__(self):
         return iter(self.queries)
@@ -82,16 +87,16 @@ class QueryBatch:
         The order defines the *slots* used by compiled plans: re-running a
         structurally identical batch binds new function values by slot.
         """
-        dyn = []
-        seen = set()
-        for query in self.queries:
-            for agg in query.aggregates:
-                for term in agg.terms:
-                    for func in term.factors:
-                        if func.dynamic and id(func) not in seen:
-                            seen.add(id(func))
-                            dyn.append(func)
-        return dyn
+        if self._dynamic is None:
+            dyn = {}
+            for query in self.queries:
+                for agg in query.aggregates:
+                    for term in agg.terms:
+                        for func in term.factors:
+                            if func.dynamic:
+                                dyn.setdefault(id(func), func)
+            self._dynamic = tuple(dyn.values())
+        return list(self._dynamic)
 
     def structural_signature(self) -> tuple:
         """Value-free batch identity: the compiled-plan cache key.
@@ -101,8 +106,15 @@ class QueryBatch:
         Query names are part of the identity: a plan's outputs are bound
         to them, so two same-shaped batches with different names need
         two plans.  (Aggregate names are not — they are read off the
-        batch being assembled, never off the plan.)
+        batch being assembled, never off the plan.)  Memoized: a
+        plan-cache hit costs one hash of the tuple, not a walk over
+        every factor of the batch.
         """
+        if self._structural_signature is None:
+            self._structural_signature = self._compute_signature()
+        return self._structural_signature
+
+    def _compute_signature(self) -> tuple:
         slots = {id(f): i for i, f in enumerate(self.dynamic_functions())}
         parts = []
         for query in self.queries:

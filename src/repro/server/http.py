@@ -6,8 +6,14 @@ Endpoints (all JSON):
 * ``GET /stats`` — the service-wide report: snapshot-consistent view
   cache counters, coalescer batch-size stats, per-dataset epochs;
 * ``POST /query`` — ``{"dataset": ..., "workloads": ["covar", ...],
-  "include_data": false}``; blocks in the coalescer and answers with
-  the committed epoch it was served from;
+  "include_data": false}``; answers with the committed epoch it was
+  served from.  A repeat read within an epoch is a lookup: the service
+  answers from the epoch's memo and the body is the envelope plus the
+  workloads' already-serialised ``results`` fragments
+  (:func:`query_response_body`) — ``"batch_size": 1, "seconds": 0.0``
+  say nothing executed for it.  Otherwise the request blocks in the
+  coalescer and ``batch_size``/``seconds`` describe the execution it
+  shared;
 * ``POST /delta`` — ``{"dataset": ..., "relation": ...,
   "inserts": {col: [...]}, "delete_indices": [...]}``; commits a new
   epoch and reports the IVM maintenance modes.
@@ -15,19 +21,24 @@ Endpoints (all JSON):
 Errors map to conventional status codes: unknown dataset/relation →
 404, malformed requests → 400 (an unknown *workload* is malformed — the
 400 body lists the valid names under ``valid_workloads``),
-admission-control shedding → 503 (with ``Retry-After``).
+admission-control shedding → 503 (with ``Retry-After``), a timeout →
+504, anything else that goes wrong while answering → 500 with the
+error's type and message (never a dropped connection, which a retrying
+client would take for a transport failure).
 
 Built on :class:`http.server.ThreadingHTTPServer` only — no third-party
 dependencies — which pairs naturally with the service's design: handler
 threads block inside the coalescer while its single worker executes
 fused batches, so concurrency lives at the admission layer, not in the
-engine.
+engine; memo hits never leave their handler thread.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import traceback
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
@@ -59,14 +70,21 @@ def relation_payload(relation: Relation, include_data: bool) -> dict:
     return out
 
 
-def query_response_payload(
-    response: QueryResponse, include_data: bool
-) -> dict:
+def _envelope(response: QueryResponse) -> dict:
+    """Everything of a ``/query`` payload but ``results``, in wire order."""
     return {
         "dataset": response.dataset,
         "epoch": response.epoch,
         "batch_size": response.batch_size,
         "seconds": round(response.seconds, 6),
+    }
+
+
+def query_response_payload(
+    response: QueryResponse, include_data: bool
+) -> dict:
+    return {
+        **_envelope(response),
         "results": {
             workload: {
                 query_name: relation_payload(relation, include_data)
@@ -75,6 +93,42 @@ def query_response_payload(
             for workload, batch_result in response.results.items()
         },
     }
+
+
+def query_response_body(
+    response: QueryResponse, include_data: bool
+) -> bytes:
+    """The ``/query`` response body: ``json.dumps`` of the payload, byte
+    for byte, with each workload's ``results`` entry serialised once.
+
+    The entry is kept on the :class:`~repro.server.service.Answer` it
+    encodes, so every later response that carries the same answer — the
+    workload alone or as a member of any fused request, at that epoch —
+    is a concatenation; only answers not yet encoded in this form go
+    through :func:`query_response_payload` and ``json.dumps``.
+    """
+    fresh = {
+        name: answer
+        for name, answer in response.answers.items()
+        if include_data not in answer.encoded
+    }
+    if fresh:
+        payload = query_response_payload(
+            replace(response, answers=fresh), include_data
+        )
+        for name, section in payload["results"].items():
+            fresh[name].encoded[include_data] = json.dumps(section).encode()
+    return b"".join(
+        (
+            json.dumps(_envelope(response)).encode()[:-1],
+            b', "results": {',
+            b", ".join(
+                json.dumps(name).encode() + b": " + answer.encoded[include_data]
+                for name, answer in response.answers.items()
+            ),
+            b"}}",
+        )
+    )
 
 
 def delta_from_payload(body: dict) -> Tuple[str, DeltaBatch]:
@@ -120,7 +174,11 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, retry_after: Optional[int] = None
     ) -> None:
-        body = json.dumps(payload).encode()
+        self._send_body(status, json.dumps(payload).encode(), retry_after)
+
+    def _send_body(
+        self, status: int, body: bytes, retry_after: Optional[int] = None
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -189,6 +247,17 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
         except TimeoutError as exc:
             self._send_json(504, {"error": str(exc)})
+        except ConnectionError:
+            raise  # the peer is gone: nobody to answer
+        except Exception as exc:  # noqa: BLE001 - the handler boundary
+            # an engine error fanned out by the coalescer, a coalescer
+            # closed under shutdown: answer instead of dropping the
+            # socket, which a retrying client would take for a
+            # transport failure and repeat
+            traceback.print_exc()
+            self._send_json(
+                500, {"error": f"{type(exc).__name__}: {exc}"}
+            )
 
     def _handle_query(self, body: dict) -> None:
         dataset = body.get("dataset")
@@ -197,16 +266,20 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
         )
         if not dataset or not workloads:
             raise ValueError("query needs 'dataset' and 'workloads'")
+        if not isinstance(workloads, list) or not all(
+            isinstance(name, str) for name in workloads
+        ):
+            # a bare string would be iterated into characters
+            raise ValueError(
+                "'workloads' must be a list of workload names, got "
+                f"{workloads!r}"
+            )
         include_data = bool(body.get("include_data", False))
         timeout = body.get("timeout")
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise ValueError("'timeout' must be a number (seconds)")
-        response = self.service.query(
-            dataset, list(workloads), timeout=timeout
-        )
-        self._send_json(
-            200, query_response_payload(response, include_data)
-        )
+        response = self.service.query(dataset, workloads, timeout=timeout)
+        self._send_body(200, query_response_body(response, include_data))
 
     def _handle_delta(self, body: dict) -> None:
         dataset, delta = delta_from_payload(body)

@@ -32,6 +32,33 @@ workloads fused into one deduplicated
 :class:`~repro.engine.viewcache.fusion.WorkloadSession` DAG, executed
 once, and fanned back out per request — PR 3's fusion win becomes a
 throughput multiplier under load.
+
+**The answer memo.**  Between two commits an answer cannot change, and
+the :class:`Epoch` object already marks exactly when it stops being
+valid.  So each published epoch carries, per registered workload, the
+assembled :class:`~repro.engine.engine.BatchResult` the coalesced path
+computed *at that epoch* (an :class:`Answer`) and — filled lazily by
+:mod:`repro.server.http` — its serialised ``results`` fragment per
+``include_data`` flag.  :meth:`AnalyticsService.query` captures
+``state.epoch`` once; when every requested workload is resident there
+it answers on the caller's thread (``batch_size=1``, ``seconds=0.0``:
+nothing ran) — no coalescer window, plan probe, signatures, cache gets
+or assemble, and a fused request is the concatenation of its members'
+answers, its fused plan never run.  Anything else — a cold workload,
+the first read after a delta, a partially resident request — goes
+through the coalescer whole, where the window has execution to share;
+that is the one miss path and it is what fills the memo.
+
+The memo needs no invalidation, budget or TTL because it is reachable
+only from its epoch: it dies with the epoch object, a reader pinned to
+epoch *k* can only ever see epoch *k*'s answers, ``_execute_coalesced``
+stores on the epoch it *captured* (a commit that lands mid-run gets
+nothing), and a rolled-back commit never had an epoch to hang answers
+on.  It holds at most one answer per registered workload.  Batches
+whose dynamic functions can be re-bound in place stay correct because
+an entry is only served while :func:`answer_binding` still equals the
+key it was stored under.  ``cache_mb=0`` ("cache nothing") disables it
+along with the view cache; there is no other switch.
 """
 
 from __future__ import annotations
@@ -39,7 +66,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.database import Database, DeltaBatch
@@ -47,7 +74,9 @@ from ..engine.engine import LMFAO, BatchResult
 from ..engine.ivm import DeltaReport, IncrementalEngine
 from ..engine.viewcache.cache import ViewCache
 from ..engine.viewcache.fusion import WorkloadSession
+from ..engine.viewcache.signature import dyn_binding_key
 from ..jointree.join_tree import JoinTree
+from ..query.functions import Udf
 from ..query.query import QueryBatch
 from ..storage.manager import DatasetStorage, RecoveryStats
 from .coalescer import RequestCoalescer
@@ -74,6 +103,40 @@ class UnknownWorkloadError(ValueError):
         )
 
 
+class Answer:
+    """One registered workload's answer at one epoch.
+
+    ``result`` is the assembled :class:`BatchResult`; ``binding`` is
+    what it depended on besides the epoch's data (see
+    :func:`answer_binding`); ``encoded`` maps an ``include_data`` flag
+    to the serialised ``results`` fragment, filled by the HTTP layer the
+    first time that form is asked for.
+    """
+
+    __slots__ = ("result", "binding", "encoded")
+
+    def __init__(self, result: BatchResult, binding: tuple):
+        self.result = result
+        self.binding = binding
+        self.encoded: Dict[bool, bytes] = {}
+
+
+def answer_binding(batch: QueryBatch) -> tuple:
+    """What a registered batch's answer depends on besides the data.
+
+    A batch's dynamic functions may be re-bound in place between two
+    requests (a ``Delta``'s value or operator, a ``Udf``'s callable), so
+    a memoized answer is only served while this key is unchanged.  The
+    callables ride along because ``dyn_binding_key`` identifies a UDF by
+    name alone — enough to call its views uncacheable, not enough to
+    call an answer current.
+    """
+    dyn = batch.dynamic_functions()
+    return dyn_binding_key(dyn), tuple(
+        f.fn for f in dyn if isinstance(f, Udf)
+    )
+
+
 @dataclass(frozen=True)
 class Epoch:
     """One committed database version.
@@ -81,11 +144,17 @@ class Epoch:
     Immutable: readers capture the whole object with one atomic
     reference read and keep a consistent (number, database) pair for
     the lifetime of their query, no matter how many deltas commit
-    meanwhile.
+    meanwhile.  ``answers`` is the epoch's answer memo (module
+    docstring), the one field that is written after construction: an
+    entry is only ever computed from this epoch's database, so nothing
+    in it can go stale while the epoch is reachable.
     """
 
     number: int
     database: Database
+    answers: Dict[str, Answer] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -94,15 +163,23 @@ class QueryResponse:
 
     ``epoch`` names the committed database version every value in
     ``results`` was computed from; ``batch_size`` is how many requests
-    shared the (possibly fused) execution that produced it.
+    shared the (possibly fused) execution that produced it and
+    ``seconds`` how long that execution took — ``1`` and ``0.0`` when
+    the request was answered from the epoch's memo and nothing ran.
+    ``answers`` holds one :class:`Answer` per distinct requested
+    workload, in request order.
     """
 
     dataset: str
     workloads: Tuple[str, ...]
     epoch: int
-    results: Dict[str, BatchResult]
+    answers: Dict[str, Answer]
     batch_size: int = 1
     seconds: float = 0.0
+
+    @property
+    def results(self) -> Dict[str, BatchResult]:
+        return {name: a.result for name, a in self.answers.items()}
 
 
 @dataclass
@@ -156,12 +233,32 @@ class _DatasetState:
             self.engine.view_cache = None
         self.join_tree = self.engine.join_tree
         self.workloads: Dict[str, QueryBatch] = {}
+        # one fused session per distinct workload set (registration
+        # order), so a coalesced batch re-uses its fused QueryBatch and
+        # the plan-cache key memoized on it
+        self.sessions: Dict[Tuple[str, ...], WorkloadSession] = {}
         # swapped atomically under write_lock; readers take one
         # reference read and never lock
         self.epoch = Epoch(initial_epoch, self.engine.database)
         self.write_lock = threading.Lock()
-        self.n_queries = 0  # mutated only on the coalescer worker
+        # requests answered from an epoch's memo (handler threads) and
+        # through ``_execute_coalesced`` (coalescer worker)
+        self.count_lock = threading.Lock()
+        self.memo_hits = 0
+        self.executed = 0
         self.n_deltas = 0  # mutated only under write_lock
+
+    def session(self, names: Tuple[str, ...]) -> WorkloadSession:
+        """The fused session over ``names``, built on first use."""
+        session = self.sessions.get(names)
+        if session is None:
+            session = WorkloadSession(
+                self.engine.database, engine=self.engine
+            )
+            for name in names:
+                session.add_workload(name, self.workloads[name])
+            self.sessions[names] = session
+        return session
 
 
 class AnalyticsService:
@@ -386,18 +483,11 @@ class AnalyticsService:
             if len(state.workloads) > 1:
                 workload_sets.append(list(state.workloads))
         for names in workload_sets:
-            distinct = [w for w in state.workloads if w in set(names)]
-            if not distinct:
-                continue
+            distinct = tuple(w for w in state.workloads if w in set(names))
             if len(distinct) == 1:
                 state.engine.plan(state.workloads[distinct[0]])
-            else:
-                session = WorkloadSession(
-                    state.epoch.database, engine=state.engine
-                )
-                for name in distinct:
-                    session.add_workload(name, state.workloads[name])
-                state.engine.plan(session.fused_batch())
+            elif distinct:
+                state.engine.plan(state.session(distinct).fused_batch())
         return self
 
     def _state(self, dataset: str) -> _DatasetState:
@@ -417,7 +507,12 @@ class AnalyticsService:
         workloads: Sequence[str],
         timeout: Optional[float] = None,
     ) -> QueryResponse:
-        """Submit one request; blocks until its (coalesced) batch ran.
+        """Answer one request from the current epoch.
+
+        When the epoch's memo holds every requested workload the answer
+        is assembled from it on the caller's thread; otherwise the whole
+        request is submitted to the coalescer and blocks until its
+        (coalesced) batch ran.
 
         Raises :class:`KeyError` for unknown datasets,
         :class:`UnknownWorkloadError` for unknown workload names,
@@ -433,7 +528,20 @@ class AnalyticsService:
                 raise UnknownWorkloadError(
                     dataset, name, list(state.workloads)
                 )
-        return self.coalescer.submit(dataset, names, timeout=timeout)
+        epoch = state.epoch  # atomic snapshot: one epoch's answers only
+        answers = {}
+        for name in names:
+            answer = epoch.answers.get(name)
+            if answer is None or answer.binding != answer_binding(
+                state.workloads[name]
+            ):
+                return self.coalescer.submit(
+                    dataset, names, timeout=timeout
+                )
+            answers[name] = answer
+        with state.count_lock:
+            state.memo_hits += 1
+        return QueryResponse(dataset, names, epoch.number, answers)
 
     def _execute_coalesced(
         self, dataset: str, payloads: List[Tuple[str, ...]]
@@ -442,14 +550,20 @@ class AnalyticsService:
 
         Runs on the coalescer worker.  The epoch is captured *once* for
         the whole batch, so every coalesced request answers the same
-        committed database version.
+        committed database version — and that captured epoch, never
+        ``state.epoch``, is the one whose memo receives the answers.
         """
         state = self._state(dataset)
         epoch = state.epoch  # atomic snapshot; pins the entire batch
         # canonical order (registration order) so every request mix
         # over the same workload set fuses to one plan-cache entry
         requested = {name for payload in payloads for name in payload}
-        distinct = [w for w in state.workloads if w in requested]
+        distinct = tuple(w for w in state.workloads if w in requested)
+        # read before the run: a re-binding that lands mid-run leaves a
+        # key no later request can match
+        bindings = {
+            name: answer_binding(state.workloads[name]) for name in distinct
+        }
         start = time.perf_counter()
         if len(distinct) == 1:
             results = {
@@ -458,18 +572,21 @@ class AnalyticsService:
                 )
             }
         else:
-            session = WorkloadSession(epoch.database, engine=state.engine)
-            for name in distinct:
-                session.add_workload(name, state.workloads[name])
-            results = dict(session.run(database=epoch.database))
+            results = state.session(distinct).run(database=epoch.database)
         seconds = time.perf_counter() - start
-        state.n_queries += len(payloads)
+        answers = {
+            name: Answer(results[name], bindings[name]) for name in distinct
+        }
+        if state.cache is not None:  # cache_mb=0 caches nothing
+            epoch.answers.update(answers)
+        with state.count_lock:
+            state.executed += len(payloads)
         return [
             QueryResponse(
                 dataset=dataset,
                 workloads=payload,
                 epoch=epoch.number,
-                results={name: results[name] for name in payload},
+                answers={name: answers[name] for name in payload},
                 batch_size=len(payloads),
                 seconds=seconds,
             )
@@ -573,13 +690,26 @@ class AnalyticsService:
             states = list(self._states.values())
         for state in states:
             epoch = state.epoch
+            with state.count_lock:
+                memo_hits, executed = state.memo_hits, state.executed
+            resident = list(epoch.answers.values())
             datasets[state.name] = {
                 "epoch": epoch.number,
                 "relations": {
                     rel.name: rel.n_rows for rel in epoch.database
                 },
                 "workloads": list(state.workloads),
-                "queries": state.n_queries,
+                "queries": memo_hits + executed,
+                "answers": {
+                    "memo_hits": memo_hits,
+                    "executed": executed,
+                    "resident": len(resident),
+                    "encoded_bytes": sum(
+                        len(fragment)
+                        for answer in resident
+                        for fragment in list(answer.encoded.values())
+                    ),
+                },
                 "deltas": state.n_deltas,
                 "ivm": state.ivm.stats(),
                 "cache": (

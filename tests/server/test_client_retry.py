@@ -208,3 +208,34 @@ class TestConnectionErrorRetry:
             client._request("GET", "/not-a-route")
         assert info.value.status == 404
         assert flaky_server.state["requests"] == 1
+
+
+class TestExecutionErrorIsNotRetried:
+    def test_500_from_the_real_server_fails_once(self, toy_db):
+        """A deterministic server-side failure is an HTTP answer, not a
+        transport error: the retry budget is not spent repeating it."""
+        from repro import AnalyticsService
+        from repro.server import serve_in_background
+
+        from ..engine.helpers import WORKLOADS
+
+        service = AnalyticsService(coalesce_ms=0, cache_mb=8)
+        service.register_dataset("toy", toy_db)
+        service.register_workload("toy", "counts", WORKLOADS["counts"]())
+
+        def broken(batch, **kwargs):
+            raise RuntimeError("engine blew up")
+
+        service._state("toy").engine.run = broken
+        server, _thread = serve_in_background(service, port=0)
+        try:
+            client = client_for(server, retries=3, max_retry_after=0.01)
+            client.wait_ready(timeout=10)
+            with pytest.raises(ClientError) as info:
+                client.query("toy", ["counts"])
+            assert info.value.status == 500
+            assert service.coalescer.stats().submitted == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()

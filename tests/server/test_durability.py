@@ -190,32 +190,49 @@ class TestServiceDurability:
                     service.apply_delta("toy", insert_delta(toy_db))
             finally:
                 state.storage.log_commit = original
-            # epoch unchanged, and the served data matches it
+            # epoch unchanged, and the served data matches it: the repeat
+            # read is answered from the (still published) epoch's memo
+            # without touching the cleared view cache ...
             assert service.epoch("toy") == 1
+
+            def stats():
+                return service.stats()["datasets"]["toy"]
+
+            start = stats()
             after = service.query("toy", ["groupbys"], timeout=60)
             assert after.epoch == 1
+            assert after.answers["groupbys"] is before.answers["groupbys"]
+            assert stats()["answers"]["memo_hits"] == (
+                start["answers"]["memo_hits"] + 1
+            )
+            assert stats()["cache"] == start["cache"]
+            # ... and a read the memo cannot answer — the same batch
+            # under a new name — is served from the restored database
+            service.register_workload(
+                "toy", "groupbys_twin", WORKLOADS["groupbys"]()
+            )
+            twin = service.query("toy", ["groupbys_twin"], timeout=60)
+            assert twin.epoch == 1 and twin.seconds > 0
             assert_results_equal(
-                after.results["groupbys"],
+                twin.results["groupbys_twin"],
                 before.results["groupbys"],
                 WORKLOADS["groupbys"](),
             )
             # the rollback also rewinds the cache's admission watermark:
             # a workload first served after it is admitted (not
-            # stale-rejected against the rolled-back version), so its
-            # second query is all hits
-            service.register_workload(
-                "toy", "fresh", WORKLOADS["conditional"]()
-            )
-
-            def cache_stats():
-                return service.stats()["datasets"]["toy"]["cache"]
-
-            start = cache_stats()
+            # stale-rejected against the rolled-back version), so the
+            # same batch under a second name — a read its memo entry
+            # cannot answer — is all view-cache hits
+            for name in ("fresh", "fresh_twin"):
+                service.register_workload(
+                    "toy", name, WORKLOADS["conditional"]()
+                )
+            start = stats()["cache"]
             service.query("toy", ["fresh"], timeout=60)
-            first = cache_stats()
+            first = stats()["cache"]
             assert first["misses"] > start["misses"]
-            service.query("toy", ["fresh"], timeout=60)
-            second = cache_stats()
+            service.query("toy", ["fresh_twin"], timeout=60)
+            second = stats()["cache"]
             assert second["misses"] == first["misses"]
             assert second["hits"] > first["hits"]
             assert second["stale_rejects"] == start["stale_rejects"]

@@ -9,13 +9,21 @@ from repro import AnalyticsService
 from repro.server import AnalyticsClient, ClientError, serve_in_background
 
 from ..engine.helpers import WORKLOADS
+from .test_service import (
+    assert_same_json,
+    commit_stages,
+    counting_cache_gets,
+    fresh_results_payload,
+)
 
 pytestmark = pytest.mark.timeout(120)
 
 
 @pytest.fixture()
-def served(toy_db):
-    service = AnalyticsService(coalesce_ms=2, cache_mb=8)
+def served(toy_db, tmp_path):
+    service = AnalyticsService(
+        coalesce_ms=2, cache_mb=8, data_dir=str(tmp_path), fsync=False
+    )
     service.register_dataset("toy", toy_db)
     for name, factory in WORKLOADS.items():
         service.register_workload("toy", name, factory())
@@ -233,3 +241,71 @@ class TestEndpoints:
         with pytest.raises(ClientError) as info:
             client.delta("toy", "Sales")
         assert info.value.status == 400
+
+
+class TestAnswerMemoOverTheWire:
+    @pytest.mark.parametrize("include_data", [False, True])
+    def test_bodies_equal_a_fresh_run_at_every_stage(
+        self, served, include_data
+    ):
+        service, client = served
+        gets = counting_cache_gets(service)
+        for stage, views_cached in commit_stages(service):
+            epoch = service.epoch("toy")
+            for names in [[name] for name in WORKLOADS] + [list(WORKLOADS)]:
+                first = client.query("toy", names, include_data=include_data)
+                before = client.stats()["datasets"]["toy"]["answers"]
+                probes = gets[0]
+                again = client.query("toy", names, include_data=include_data)
+                after = client.stats()["datasets"]["toy"]["answers"]
+                assert after["memo_hits"] == before["memo_hits"] + 1, stage
+                assert after["executed"] == before["executed"]
+                assert gets[0] == probes
+                assert after["encoded_bytes"] >= before["encoded_bytes"] > 0
+                assert first["epoch"] == again["epoch"] == epoch
+                assert (again["batch_size"], again["seconds"]) == (1, 0.0)
+                assert again["results"] == first["results"]
+                assert_same_json(
+                    again["results"],
+                    fresh_results_payload(service, names, include_data),
+                    exact=views_cached,
+                    where=f"{stage}/{names}",
+                )
+
+
+class TestErrorsAreAnswered:
+    def test_execution_error_is_a_500_not_a_dropped_connection(
+        self, served, capsys
+    ):
+        service, client = served
+
+        def broken(batch, **kwargs):
+            raise ZeroDivisionError("engine blew up")
+
+        service._state("toy").engine.run = broken
+        with pytest.raises(ClientError) as info:
+            client.query("toy", ["counts"])
+        assert info.value.status == 500
+        assert "ZeroDivisionError: engine blew up" in info.value.message
+        assert "ZeroDivisionError" in capsys.readouterr().err  # traceback
+        assert service.coalescer.stats().failed == 1
+        # the server keeps answering
+        assert client.healthz()["status"] == "ok"
+
+    def test_closed_coalescer_is_a_500(self, served):
+        service, client = served
+        service.coalescer.close()
+        with pytest.raises(ClientError) as info:
+            client.query("toy", ["counts"])
+        assert info.value.status == 500
+        assert "coalescer is closed" in info.value.message
+
+    @pytest.mark.parametrize("workloads", ["counts", {"counts": 1}, [1], 7])
+    def test_workloads_must_be_a_list_of_names(self, served, workloads):
+        _service, client = served
+        with pytest.raises(ClientError) as info:
+            client._request(
+                "POST", "/query", {"dataset": "toy", "workloads": workloads}
+            )
+        assert info.value.status == 400
+        assert "must be a list" in info.value.message

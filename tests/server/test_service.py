@@ -1,14 +1,27 @@
 """AnalyticsService: registry, queries, epochs, delta commits, stats."""
 
+import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro import LMFAO, AnalyticsService, DeltaBatch
-from repro.server.service import Epoch, QueryResponse
+from repro import (
+    LMFAO,
+    Aggregate,
+    AnalyticsService,
+    Delta,
+    DeltaBatch,
+    Query,
+    QueryBatch,
+    Udf,
+)
+from repro.server.http import query_response_body, query_response_payload
+from repro.server.service import Answer, Epoch, QueryResponse
 
 from ..engine.helpers import WORKLOADS, assert_results_equal
+from .test_durability import dimension_delta
 
 
 @pytest.fixture()
@@ -28,6 +41,102 @@ def sales_delta(database, rng, n=5):
     inserts = {a: fact.column(a)[idx] for a in fact.schema.names}
     deletes = rng.choice(fact.n_rows, n, replace=False)
     return DeltaBatch("Sales", inserts=inserts, delete_indices=deletes)
+
+
+def commit_stages(service):
+    """Walk a service over ``toy`` through the states a memoized answer
+    must survive, yielding ``(label, views_cached)`` at each: epoch 0, a
+    root delta, a dimension delta and — when the service is durable — a
+    commit rolled back by a failed WAL append.  ``views_cached`` says whether a
+    fresh run at that point reads the very views the served answers were
+    assembled from (the rollback clears the cache, so it recomputes and
+    may differ in the last bits)."""
+    rng = np.random.default_rng(17)
+    yield "epoch 0", True
+    service.apply_delta(
+        "toy", sales_delta(service.snapshot("toy").database, rng)
+    )
+    yield "root delta", True
+    service.apply_delta(
+        "toy", dimension_delta(service.snapshot("toy").database)
+    )
+    yield "dimension delta", True
+    storage = service._state("toy").storage
+    if storage is None:
+        return
+    original = storage.log_commit
+
+    def broken(epoch, deltas):
+        raise OSError("disk full")
+
+    storage.log_commit = broken
+    try:
+        with pytest.raises(OSError, match="disk full"):
+            service.apply_delta(
+                "toy", sales_delta(service.snapshot("toy").database, rng)
+            )
+    finally:
+        storage.log_commit = original
+    yield "rolled-back commit", False
+
+
+def fresh_results_payload(service, names, include_data):
+    """The ``results`` a memo-less serialisation of a fresh engine run at
+    the current epoch gives: the reference the memo is held to."""
+    state = service._state("toy")
+    epoch = service.snapshot("toy")
+    fresh = QueryResponse(
+        "toy",
+        tuple(names),
+        epoch.number,
+        {
+            name: Answer(
+                state.engine.run(
+                    state.workloads[name], database=epoch.database
+                ),
+                (),
+            )
+            for name in names
+        },
+    )
+    return query_response_payload(fresh, include_data)["results"]
+
+
+def assert_same_json(got, expected, exact, where="results"):
+    """Same keys in the same order, same shapes, same values — floats to
+    1e-12 of their size unless ``exact``."""
+    assert type(got) is type(expected), where
+    if isinstance(expected, dict):
+        assert list(got) == list(expected), where
+        for key in expected:
+            assert_same_json(got[key], expected[key], exact, f"{where}/{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert_same_json(g, e, exact, f"{where}[{i}]")
+    elif isinstance(expected, float) and not exact:
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), where
+    else:
+        assert got == expected, where
+
+
+def counting_cache_gets(service):
+    """Replace the dataset's ``ViewCache.get`` with a counting wrapper;
+    returns the one-element count."""
+    cache = service._state("toy").cache
+    calls = [0]
+    original = cache.get
+
+    def get(digest):
+        calls[0] += 1
+        return original(digest)
+
+    cache.get = get
+    return calls
+
+
+def answers_stats(service):
+    return service.stats()["datasets"]["toy"]["answers"]
 
 
 class TestRegistry:
@@ -183,3 +292,264 @@ class TestStats:
             assert_results_equal(
                 after.results["counts"], expected, batch, rtol=1e-8
             )
+            # ... and "cache nothing" includes answers: every read runs
+            repeat = svc.query("toy", ["counts"], timeout=60)
+            assert repeat.seconds > 0
+            assert not svc.snapshot("toy").answers
+            assert svc.stats()["datasets"]["toy"]["answers"] == {
+                "memo_hits": 0, "executed": 3, "resident": 0,
+                "encoded_bytes": 0,
+            }
+
+
+def _udf_batch():
+    """Per-city sums through an opaque callable: uncacheable views."""
+    return QueryBatch(
+        [
+            Query(
+                "big_units",
+                ["city"],
+                [
+                    Aggregate.of(
+                        Udf(["units"], lambda u: (u > 10.0) * u, "big"),
+                        name="s",
+                    )
+                ],
+            )
+        ]
+    )
+
+
+@pytest.mark.timeout(120)
+class TestAnswerMemo:
+    @pytest.mark.parametrize("include_data", [False, True])
+    def test_memo_equals_a_fresh_run_at_every_stage(
+        self, toy_db, tmp_path, include_data
+    ):
+        with AnalyticsService(
+            coalesce_ms=0, cache_mb=8, data_dir=str(tmp_path), fsync=False
+        ) as service:
+            service.register_dataset("toy", toy_db)
+            for name, factory in WORKLOADS.items():
+                service.register_workload("toy", name, factory())
+            gets = counting_cache_gets(service)
+            for stage, views_cached in commit_stages(service):
+                epoch = service.epoch("toy")
+                for name in WORKLOADS:
+                    service.query("toy", [name], timeout=60)
+                    hits, probes = answers_stats(service)["memo_hits"], gets[0]
+                    again = service.query("toy", [name], timeout=60)
+                    # the repeat read is a lookup: counted as a hit, no
+                    # view-cache probe, nothing executed for it
+                    assert answers_stats(service)["memo_hits"] == hits + 1
+                    assert gets[0] == probes, stage
+                    assert (again.epoch, again.batch_size, again.seconds) == (
+                        epoch, 1, 0.0,
+                    )
+                    body = json.loads(query_response_body(again, include_data))
+                    assert list(body) == [
+                        "dataset", "epoch", "batch_size", "seconds", "results",
+                    ]
+                    assert body["epoch"] == epoch
+                    assert_same_json(
+                        body["results"],
+                        fresh_results_payload(service, [name], include_data),
+                        exact=views_cached,
+                        where=f"{stage}/{name}",
+                    )
+                    batch = service._state("toy").workloads[name]
+                    assert_results_equal(
+                        again.results[name],
+                        LMFAO(service.snapshot("toy").database).run(batch),
+                        batch,
+                        rtol=1e-8,
+                    )
+            stats = service.stats()["datasets"]["toy"]
+            answers = stats["answers"]
+            assert stats["queries"] == (
+                answers["memo_hits"] + answers["executed"]
+            )
+            assert answers["resident"] == len(WORKLOADS)
+            assert answers["encoded_bytes"] > 0
+            # only misses went through the coalescer
+            assert service.coalescer.stats().submitted == answers["executed"]
+
+    def test_fused_from_fragments_equals_fused_executed_equals_members(
+        self, toy_db
+    ):
+        names = ["counts", "groupbys", "covar_style"]
+
+        def service_over(db):
+            svc = AnalyticsService(coalesce_ms=0, cache_mb=8)
+            svc.register_dataset("toy", db)
+            for name in names:
+                svc.register_workload("toy", name, WORKLOADS[name]())
+            return svc
+
+        with service_over(toy_db) as executed, service_over(toy_db) as memo:
+            # nothing resident: the fused plan runs
+            fused = executed.query("toy", names, timeout=60)
+            assert fused.seconds > 0
+            assert answers_stats(executed)["memo_hits"] == 0
+            # members first: the fused request is their concatenation
+            alone = {
+                name: memo.query("toy", [name], timeout=60) for name in names
+            }
+            submitted = memo.coalescer.stats().submitted
+            stitched = memo.query("toy", names, timeout=60)
+            assert memo.coalescer.stats().submitted == submitted
+            assert (stitched.seconds, stitched.batch_size) == (0.0, 1)
+            for include_data in (False, True):
+                stitched_results = json.loads(
+                    query_response_body(stitched, include_data)
+                )["results"]
+                assert list(stitched_results) == names
+                for name in names:
+                    assert stitched_results[name] == json.loads(
+                        query_response_body(alone[name], include_data)
+                    )["results"][name]
+                assert_same_json(
+                    stitched_results,
+                    json.loads(query_response_body(fused, include_data))[
+                        "results"
+                    ],
+                    exact=False,
+                )
+            # request order, not registration order, and duplicates once
+            reordered = memo.query(
+                "toy", ["groupbys", "counts", "groupbys"], timeout=60
+            )
+            assert list(
+                json.loads(query_response_body(reordered, False))["results"]
+            ) == ["groupbys", "counts"]
+
+    def test_partially_resident_request_runs_whole(self, service):
+        service.query("toy", ["counts"], timeout=60)
+        submitted = service.coalescer.stats().submitted
+        mixed = service.query("toy", ["counts", "groupbys"], timeout=60)
+        assert service.coalescer.stats().submitted == submitted + 1
+        assert mixed.seconds > 0
+        assert answers_stats(service) == {
+            "memo_hits": 0, "executed": 2, "resident": 2, "encoded_bytes": 0,
+        }
+        # ... which made both resident
+        assert service.query("toy", ["groupbys"], timeout=60).seconds == 0.0
+
+    def test_udf_workload_hits_and_follows_deltas(self, service, toy_db):
+        batch = _udf_batch()
+        service.register_workload("toy", "udf", batch)
+        first = service.query("toy", ["udf"], timeout=60)
+        report = first.results["udf"].cache_report
+        assert "uncacheable" in report.events.values()
+        again = service.query("toy", ["udf"], timeout=60)
+        assert again.seconds == 0.0
+        assert again.answers["udf"] is first.answers["udf"]
+        service.apply_delta(
+            "toy", sales_delta(toy_db, np.random.default_rng(5), n=40)
+        )
+        after = service.query("toy", ["udf"], timeout=60)
+        assert after.epoch == 1 and after.seconds > 0
+        expected = LMFAO(service.snapshot("toy").database).run(batch)
+        assert_results_equal(after.results["udf"], expected, batch, rtol=1e-8)
+        assert not np.allclose(
+            after.results["udf"]["big_units"].column("s"),
+            first.results["udf"]["big_units"].column("s"),
+        )
+
+    def test_rebinding_a_dynamic_function_in_place_is_a_miss(
+        self, service, toy_db
+    ):
+        threshold = Delta("price", "<=", 50.0, dynamic=True)
+        opaque = Udf(["units"], lambda u: u, "f")
+        service.register_workload(
+            "toy",
+            "dyn",
+            QueryBatch(
+                [
+                    Query("n", [], [Aggregate.of(threshold, name="n")]),
+                    Query("s", [], [Aggregate.of(opaque, name="s")]),
+                ]
+            ),
+        )
+
+        def read():
+            response = service.query("toy", ["dyn"], timeout=60)
+            result = response.results["dyn"]
+            return (
+                response.seconds,
+                result["n"].column("n")[0],
+                result["s"].column("s")[0],
+            )
+
+        _, cheap, units = read()
+        assert read() == (0.0, cheap, units)
+        threshold.value = 1e9  # every row passes now
+        seconds, everything, _ = read()
+        assert seconds > 0 and everything > cheap
+        assert read() == (0.0, everything, units)
+        opaque.fn = lambda u: 2.0 * u  # same name, new behaviour
+        seconds, _, doubled = read()
+        assert seconds > 0 and doubled == pytest.approx(2.0 * units)
+        assert answers_stats(service)["resident"] == 1
+
+    def test_answers_land_on_the_epoch_they_were_computed_at(
+        self, service, toy_db
+    ):
+        """A commit that lands while a batch executes must not receive
+        that batch's (pre-commit) answers."""
+        state = service._state("toy")
+        old = service.snapshot("toy")
+        run = state.engine.run
+
+        def run_then_commit(batch, **kwargs):
+            result = run(batch, **kwargs)
+            state.engine.run = run
+            service.apply_delta(
+                "toy", sales_delta(toy_db, np.random.default_rng(9), n=30)
+            )
+            return result
+
+        state.engine.run = run_then_commit
+        stale = service.query("toy", ["counts"], timeout=60)
+        new = service.snapshot("toy")
+        assert (stale.epoch, new.number) == (0, 1)
+        assert list(old.answers) == ["counts"] and not new.answers
+        current = service.query("toy", ["counts"], timeout=60)
+        assert current.epoch == 1 and current.seconds > 0
+        batch = state.workloads["counts"]
+        assert_results_equal(
+            current.results["counts"],
+            LMFAO(new.database).run(batch),
+            batch,
+            rtol=1e-8,
+        )
+
+    def test_counters_survive_concurrent_hits(self, service):
+        """``queries == memo_hits + executed`` with more reader threads
+        than cores and a short switch interval: a lost update would
+        break the sum."""
+        n_threads, n_reads = 8, 200
+        service.query("toy", ["counts"], timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [
+                        service.query("toy", ["counts"], timeout=60)
+                        for _ in range(n_reads)
+                    ]
+                )
+                for _ in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = service.stats()["datasets"]["toy"]
+        assert stats["answers"]["memo_hits"] == n_threads * n_reads
+        assert stats["queries"] == n_threads * n_reads + 1
+        assert service.coalescer.stats().submitted == 1
