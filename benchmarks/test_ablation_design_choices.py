@@ -6,7 +6,6 @@ independently (not cumulatively) on the covar workload:
 * merge_mode: none / dedup / full   (how much view consolidation buys)
 * group_views: off / on             (multi-output shared scans)
 * input sorting: off / on           (attribute-order locality)
-* threads: 1 / 2 / 4                (task+domain parallelism)
 
 Writes ``results/ablation.txt``.
 """
@@ -29,8 +28,6 @@ CONFIGS = [
     ("groups=on", dict(group_views=True)),
     ("sort=off", dict(sort_inputs=False)),
     ("sort=on", dict(sort_inputs=True)),
-    ("threads=2", dict(n_threads=2)),
-    ("threads=4", dict(n_threads=4)),
 ]
 
 _measured = {}

@@ -1,10 +1,11 @@
 """Figure 5 — the optimization ladder ablation for the covar matrix.
 
 Starting from the AC/DC proxy (no optimizations) the layers are enabled
-one by one: compilation, multi-output (merging+grouping), multi-root,
-and parallelization with 4 threads.  The paper's shape: every step adds
-speedup >= ~1x on every dataset, with compilation and multi-output
-contributing most.  ``results/figure5.txt`` holds the ladder.
+one by one: compilation, multi-output (merging+grouping) and multi-root.
+The paper's shape: every step adds speedup >= ~1x on every dataset,
+with compilation and multi-output contributing most.  The paper's last
+step, parallelization with 4 threads, is not reproduced (the engine is
+serial).  ``results/figure5.txt`` holds the ladder.
 """
 
 import pytest
@@ -54,11 +55,8 @@ def test_zz_figure5_report(benchmark):
                 f"{step_speedup:>12.2f}x{paper_step:>10.1f}x"
             )
             previous = seconds
-        # shape check: the fully optimized engine beats the proxy
+        # shape check: the best configuration beats the proxy
         first = _measured.get((name, 0))
-        # compare against the best serial configuration; thread overhead
-        # can dominate at laptop scale, exactly as the paper's 4-core
-        # numbers are its smallest factor
         best = min(
             _measured.get((name, s), float("inf"))
             for s in range(len(FIGURE5_LADDER))

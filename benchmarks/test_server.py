@@ -16,14 +16,13 @@ server subsystem exists for:
   at least as many entries as it invalidates — dimension deltas repair
   interior views in place instead of evicting them.
 
-Everything is recorded in ``BENCH_server.json`` at the repo root
-*before* the throughput bar is asserted, so a regression still leaves
+Everything is recorded in ``results/server.txt`` *before* the
+throughput bar is asserted, so a regression still leaves
 the measurement behind.  Correctness rides along: both modes must
 return identical epoch-0 results.
 """
 
 import itertools
-import json
 import os
 import threading
 import time
@@ -45,9 +44,6 @@ from .common import (
 from .test_viewcache import linreg_workload
 
 pytestmark = [pytest.mark.slow, pytest.mark.timeout(900)]
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_server.json")
 
 N_CLIENTS = 6
 REQUESTS_PER_CLIENT = 8
@@ -238,35 +234,6 @@ def test_server_benchmark():
     p50, p95 = np.percentile(np.asarray(latencies) * 1000.0, [50, 95])
 
     # record everything BEFORE asserting the bar
-    report = {
-        "dataset": "retailer",
-        "scale": BENCH_SCALE,
-        "workloads": names,
-        "throughput": {
-            "n_clients": N_CLIENTS,
-            "requests_per_client": REQUESTS_PER_CLIENT,
-            "coalesce_window_ms": COALESCE_MS,
-            "coalesce_on": measurements["on"],
-            "coalesce_off": measurements["off"],
-            "speedup": round(speedup, 3),
-            "bar": SPEEDUP_BAR,
-        },
-        "latency_under_deltas": {
-            "n_requests": LATENCY_REQUESTS,
-            "delta_interval_ms": DELTA_INTERVAL_S * 1000,
-            "delta_fraction": DELTA_FRACTION,
-            "delta_targets": targets,
-            "deltas_committed": deltas_committed[0],
-            "epochs_observed": len(epochs_seen),
-            "p50_ms": round(float(p50), 3),
-            "p95_ms": round(float(p95), 3),
-            "cache_stats": cache_stats,
-            "ivm_stats": ivm_stats,
-        },
-    }
-    with open(BENCH_JSON, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "server.txt"), "w") as handle:
         handle.write(

@@ -10,8 +10,8 @@ retailer at benchmark scale:
   load + cache-served compute); acceptance bar >= 3x;
 * ``snapshot_vs_csv_load`` — pure data-load ratio, recorded.
 
-Numbers land in ``BENCH_storage.json`` at the repo root *before* the
-bar asserts, so a regression still leaves the measurement behind.
+Numbers land in ``results/storage.txt`` *before* the bar asserts, so
+a regression still leaves the measurement behind.
 Correctness rides along: warm results must equal cold results.
 """
 
@@ -31,9 +31,6 @@ from tests.engine.helpers import assert_results_equal
 from .common import BENCH_SCALE, Report, covar_workload, dataset
 
 pytestmark = pytest.mark.slow
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_storage.json")
 
 REPEATS = 3
 WARM_RESTART_BAR = 3.0
@@ -126,10 +123,6 @@ def test_storage_benchmark():
             "spilled_bytes": spilled_bytes,
             "warm_hits": warm_report.n_hits,
         }
-        with open(BENCH_JSON, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-
         report = Report(
             "storage",
             f"Durable storage: warm restart vs cold (retailer, "
@@ -159,7 +152,5 @@ def test_storage_benchmark():
             f"warm restart only {warm_speedup:.2f}x over cold "
             f"(bar {WARM_RESTART_BAR}x): {payload}"
         )
-        engine_cold.close()
-        engine_warm.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

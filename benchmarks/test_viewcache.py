@@ -16,13 +16,11 @@ subsystem exists for:
   content-addressed ``ViewCache`` versus the cold run (every group
   skipped; acceptance bar >= 3x).
 
-Ratios are always recorded in ``BENCH_viewcache.json`` at the repo
-root *before* the bars are asserted, so a regression still leaves the
-measurement behind.  Correctness rides along: fused results must match
-the independent runs.
+Ratios are always recorded in ``results/viewcache.txt`` *before* the
+bars are asserted, so a regression still leaves the measurement behind.
+Correctness rides along: fused results must match the independent runs.
 """
 
-import json
 import os
 import time
 
@@ -43,9 +41,6 @@ from .common import (
 )
 
 pytestmark = pytest.mark.slow
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_viewcache.json")
 
 REPEATS = 4
 #: share of the cheaper twin's (covar, linreg) time fusion must save
@@ -117,9 +112,6 @@ def test_viewcache_benchmark():
         fused_seconds = min(fused_seconds, time.perf_counter() - start)
     independent_total = sum(independent_seconds.values())
     fusion = session.fusion_report()
-    for engine in engines.values():
-        engine.close()
-    session.close()
 
     for name, batch in workloads.items():
         assert_results_equal(
@@ -152,40 +144,6 @@ def test_viewcache_benchmark():
     warm_speedup = cold_seconds / warm_seconds
 
     # record everything BEFORE asserting the bars
-    report = {
-        "dataset": "retailer",
-        "workloads": list(workloads),
-        "scale": BENCH_SCALE,
-        "cache_budget_mb": CACHE_BUDGET_MB,
-        "seconds": {
-            "independent": {
-                k: round(v, 6) for k, v in independent_seconds.items()
-            },
-            "independent_total": round(independent_total, 6),
-            "fused": round(fused_seconds, 6),
-            "cold_cached": round(cold_seconds, 6),
-            "warm_cached": round(warm_seconds, 6),
-        },
-        "fused_vs_independent": round(fused_speedup, 3),
-        "fused_saving_of_duplicate": round(fused_saving, 3),
-        "warm_vs_cold": round(warm_speedup, 3),
-        "bars": {
-            "fused_saving_of_duplicate": FUSED_SAVING_BAR,
-            "warm_vs_cold": WARM_SPEEDUP_BAR,
-        },
-        "fusion": {
-            "views_fused": fusion.views_fused,
-            "views_independent": fusion.views_independent,
-            "views_saved": fusion.views_saved,
-            "groups_fused": fusion.groups_fused,
-            "groups_independent": fusion.groups_independent,
-        },
-        "cache_stats": cache.stats().as_dict(),
-        "cache_resident_mb": round(cache.total_bytes / (1 << 20), 3),
-    }
-    with open(BENCH_JSON, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "viewcache.txt"), "w") as handle:
         handle.write(

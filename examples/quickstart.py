@@ -103,17 +103,18 @@ def main() -> None:
     print("\n== one generated group function (Compilation layer) ==")
     print(plan.generated_source().split("\n\n")[0])
 
-    print("\n== execution backends (the executor subsystem) ==")
+    print("\n== interpreted vs compiled execution ==")
     import time
 
-    for backend in ("interpret", "compiled", "process"):
-        with LMFAO(database, backend=backend, n_threads=2) as alt:
-            alt.plan(batch)  # plan+compile outside the timing
-            start = time.perf_counter()
-            alt_results = alt.run(batch)
-            elapsed = time.perf_counter() - start
+    for compile_flag in (False, True):
+        alt = LMFAO(database, compile=compile_flag)
+        alt.plan(batch)  # plan+compile outside the timing
+        start = time.perf_counter()
+        alt_results = alt.run(batch)
+        elapsed = time.perf_counter() - start
         total = float(alt_results["total_units"].column("units")[0])
-        print(f"  {backend:9} {elapsed:8.4f}s  total_units={total:.2f}")
+        name = alt.backend.name
+        print(f"  {name:9} {elapsed:8.4f}s  total_units={total:.2f}")
 
 
 if __name__ == "__main__":

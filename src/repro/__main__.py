@@ -222,14 +222,11 @@ def cmd_run(args) -> int:
     if args.incremental:
         return _run_incremental(args, dataset, batch)
     backends = (
-        ["interpret", "compiled", "process"]
-        if args.backend == "all"
-        else [args.backend]
+        ["interpret", "compiled"] if args.backend == "all" else [args.backend]
     )
     print(
         f"{args.workload} on {args.dataset}: {len(batch)} queries, "
-        f"{batch.n_application_aggregates} aggregates "
-        f"(threads={args.threads})"
+        f"{batch.n_application_aggregates} aggregates"
     )
     # one Database, loaded and attribute-sorted exactly once (by the
     # planning engine above), shared by every backend run — the timing
@@ -237,17 +234,16 @@ def cmd_run(args) -> int:
     shared_db = engine.database
     baseline = None
     for name in backends:
-        with LMFAO(
+        backend_engine = LMFAO(
             shared_db,
             dataset.join_tree,
-            backend=name,
-            n_threads=args.threads,
+            compile=name == "compiled",
             sort_inputs=False,
-        ) as backend_engine:
-            backend_engine.plan(batch)  # warm: plan+compile untimed
-            start = time.perf_counter()
-            results = backend_engine.run(batch)
-            elapsed = time.perf_counter() - start
+        )
+        backend_engine.plan(batch)  # warm: plan+compile untimed
+        start = time.perf_counter()
+        results = backend_engine.run(batch)
+        elapsed = time.perf_counter() - start
         n_rows = sum(r.n_rows for r in results.values())
         baseline = baseline or elapsed
         print(
@@ -274,8 +270,7 @@ def _run_workloads(args, dataset, engine) -> int:
         engine.database,  # loaded + sorted once, shared with the session
         dataset.join_tree,
         cache=cache,
-        backend=args.backend,
-        n_threads=args.threads,
+        compile=args.backend == "compiled",
         sort_inputs=False,
     )
     batches = {}
@@ -336,7 +331,6 @@ def _run_workloads(args, dataset, engine) -> int:
             )
             for line in run_report.lines():
                 print(f"  {line}")
-    session.close()
     return 0
 
 
@@ -411,7 +405,6 @@ def build_service(args, dataset) -> AnalyticsService:
         max_queue=args.max_queue,
         cache_mb=args.cache_mb,
         backend=args.backend,
-        n_threads=args.threads,
         data_dir=getattr(args, "data_dir", None),
         compact_wal=getattr(args, "compact_wal", 0),
         spill_mb=getattr(args, "spill_mb", 512.0),
@@ -612,10 +605,10 @@ def main(argv=None) -> int:
         if name == "run":
             p.add_argument(
                 "--backend",
-                choices=["interpret", "compiled", "process", "all"],
+                choices=["interpret", "compiled", "all"],
                 default="compiled",
-                help="execution backend; 'all' times each backend in "
-                "turn (default: compiled)",
+                help="interpret the group plans or run their generated "
+                "code; 'all' times both in turn (default: compiled)",
             )
             p.add_argument(
                 "--workloads",
@@ -635,14 +628,6 @@ def main(argv=None) -> int:
                 help="attach a content-addressed view cache with this "
                 "byte budget (MiB) and print the per-view hit/miss "
                 "report (0 = no cache)",
-            )
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="task/domain parallelism; for --backend process, "
-                "values > 1 set the worker count and 1 means all cores "
-                "(default: 1)",
             )
             p.add_argument(
                 "--incremental",
@@ -700,7 +685,6 @@ def main(argv=None) -> int:
         default="compiled",
         help="execution backend for served queries (default: compiled)",
     )
-    p_serve.add_argument("--threads", type=int, default=1)
     p_serve.add_argument(
         "--data-dir",
         default=None,

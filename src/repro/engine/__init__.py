@@ -4,9 +4,7 @@ from .engine import LMFAO, BatchResult, EnginePlan
 from .executor import (
     CompiledBackend,
     DataflowScheduler,
-    ExecutionBackend,
     InterpreterBackend,
-    ProcessBackend,
     ViewStore,
 )
 from .explain import explain
@@ -24,10 +22,8 @@ __all__ = [
     "LMFAO",
     "BatchResult",
     "EnginePlan",
-    "ExecutionBackend",
     "InterpreterBackend",
     "CompiledBackend",
-    "ProcessBackend",
     "DataflowScheduler",
     "ViewStore",
     "ViewCache",

@@ -5,18 +5,18 @@
     -> Parallelization -> Compilation
 
 Planning (this module + the layers it calls) produces an
-:class:`EnginePlan`; execution is delegated to the pluggable executor
-subsystem (:mod:`repro.engine.executor`): a :class:`DataflowScheduler`
-launches each view group the moment its inputs are ready, an
-:class:`ExecutionBackend` decides how a group is evaluated (interpreted,
-compiled, or process-partitioned), and materialized views live in a
-:class:`ViewStore` with ref-counted eviction of interior views.
+:class:`EnginePlan`; execution is delegated to the executor subsystem
+(:mod:`repro.engine.executor`): a :class:`DataflowScheduler` runs the
+view groups one at a time in topological order, a backend evaluates
+each group (interpreted, or through its generated code), and
+materialized views live in a :class:`ViewStore` with ref-counted
+eviction of interior views.
 
 Usage::
 
-    engine = LMFAO(database)                     # compiled, serial
-    engine = LMFAO(database, backend="process")  # multiprocess partitions
-    results = engine.run(batch)                  # query name -> Relation
+    engine = LMFAO(database)                  # compiled
+    engine = LMFAO(database, compile=False)   # interpreted
+    results = engine.run(batch)               # query name -> Relation
     stats = engine.plan(batch).statistics
 """
 
@@ -36,11 +36,11 @@ from ..query.query import QueryBatch
 from . import codegen
 from .attribute_order import sort_database
 from .executor import (
-    BackendSpec,
+    CompiledBackend,
     DataflowScheduler,
     GroupTask,
+    InterpreterBackend,
     ViewStore,
-    make_backend,
 )
 from .grouping import GroupedPlan, group_views
 from .interpreter import ViewData
@@ -128,16 +128,13 @@ class LMFAO:
     * ``multi_root`` — Find Roots uses per-query roots (§3.3);
     * ``merge_mode`` — ``"full"`` / ``"dedup"`` / ``"none"`` (§3.4);
     * ``group_views`` — Multi-Output groups (§3.5) vs one view per plan;
-    * ``compile`` — generate + compile specialized code vs interpret;
-    * ``n_threads`` — task/domain parallelism (1 = serial);
+    * ``compile`` — generate + compile specialized code per view group
+      and run it (:class:`CompiledBackend`), or interpret the plan
+      (:class:`InterpreterBackend`);
     * ``sort_inputs`` — sort relations by their attribute orders.
 
-    ``backend`` selects the execution backend: ``"interpret"``,
-    ``"compiled"``, ``"process"``, an :class:`ExecutionBackend`
-    instance, or ``None`` to derive it from ``compile``.  ``n_threads``
-    bounds both the scheduler's task parallelism and the backend's
-    domain parallelism (for ``"process"``, values > 1 set the worker
-    count; 1 means "all cores").
+    The paper's Parallelization layer is not reproduced: groups run
+    serially, one at a time.
 
     Two extra knobs serve the incremental-maintenance layer
     (:mod:`repro.engine.ivm`):
@@ -168,12 +165,9 @@ class LMFAO:
         merge_mode: str = "full",
         group_views: bool = True,
         compile: bool = True,
-        n_threads: int = 1,
         sort_inputs: bool = True,
-        partition_threshold: int = 20_000,
         root: Optional[str] = None,
         track_support: bool = False,
-        backend: BackendSpec = None,
         view_cache: Optional[ViewCache] = None,
     ):
         self.join_tree = join_tree or join_tree_from_database(database)
@@ -190,34 +184,15 @@ class LMFAO:
         self.multi_root = multi_root
         self.merge_mode = merge_mode
         self.group_views_enabled = group_views
-        self.n_threads = max(1, int(n_threads))
-        self.partition_threshold = partition_threshold
         self.root = root
         self.track_support = track_support
-        self.backend = make_backend(
-            backend,
-            n_threads=self.n_threads,
-            partition_threshold=partition_threshold,
-            compile_enabled=compile,
-        )
-        # the process backend executes generated source; plans must
-        # carry compiled groups regardless of the legacy compile knob
-        self.compile_enabled = compile or self.backend.name == "process"
+        self.compile_enabled = compile
+        self.backend = CompiledBackend() if compile else InterpreterBackend()
         self.view_cache = view_cache
         self._plan_cache: Dict[tuple, EnginePlan] = {}
         # id(plan) -> (plan, database, signatures); both identities are
         # re-checked so IVM database swaps invalidate stale signatures
         self._sig_memo: Dict[int, tuple] = {}
-
-    def close(self) -> None:
-        """Release the backend's worker pools (idempotent)."""
-        self.backend.close()
-
-    def __enter__(self) -> "LMFAO":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- planning -----------------------------------------------------------
 
@@ -360,9 +335,9 @@ class LMFAO:
     ) -> ViewStore:
         """Materialize the output views of a planned batch.
 
-        The dataflow scheduler launches each view group as soon as its
-        input views are published; the backend decides how a group is
-        evaluated.  Interior views are evicted once their last consumer
+        The scheduler runs each view group once its input views are
+        published; the backend decides how a group is evaluated.
+        Interior views are evicted once their last consumer
         finishes (output views are pinned and always survive).
         ``database`` pins execution to an explicit database version (see
         :meth:`run`).
@@ -439,9 +414,7 @@ class LMFAO:
             pinned=plan.output_view_ids(),
             on_evict=handoff if cache is not None else None,
         )
-        for vid, data in preloaded.items():
-            store.put(vid, data)
-        scheduler = DataflowScheduler(n_workers=self.n_threads)
+        store.update(preloaded)
 
         def task(group_id: int) -> Dict[int, ViewData]:
             if group_id in skip:
@@ -451,19 +424,21 @@ class LMFAO:
                 GroupTask(
                     plan=group_plan,
                     relation=db.relation(group_plan.node),
-                    incoming=store.snapshot(group_plan.input_view_ids),
+                    incoming={
+                        vid: store[vid] for vid in group_plan.input_view_ids
+                    },
                     dyn=dyn,
                     compiled_fn=plan.compiled_fns[group_id],
                 )
             )
 
         def publish(group_id: int, produced: Dict[int, ViewData]) -> None:
-            store.put_group(produced)
+            store.update(produced)
             store.group_finished(
                 plan.group_plans[group_id].input_view_ids
             )
 
-        scheduler.run(plan.dependencies(), task, publish)
+        DataflowScheduler().run(plan.dependencies(), task, publish)
         if cache is not None:
             # views still resident (the pinned outputs) that were cache
             # misses are admitted too

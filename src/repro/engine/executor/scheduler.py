@@ -1,40 +1,23 @@
-"""Dependency-counting dataflow scheduling of the view-group DAG.
+"""Dependency-counting scheduling of the view-group DAG.
 
-The Parallelization layer (paper §1.2) used to run the group DAG in
-*levels*: every group of level k waited for all of level k-1, even
-groups whose actual inputs finished long before.  The
-:class:`DataflowScheduler` replaces those barriers with dependency
-counting: each node carries its unmet-input count, a node is submitted
-the instant the count reaches zero, and completions are drained as they
-happen (``FIRST_COMPLETED``, not level joins).  On DAGs with uneven
-branch depths — e.g. a long chain next to a wide fan-in — this keeps
-workers busy where the level schedule would idle them.
-
-Results are published through a single ``on_result`` callback invoked in
-the scheduler's own thread, so downstream bookkeeping (view-store puts,
-ref-count decrements) needs no locking of its own and a node only ever
-starts after all of its inputs' results are fully published — the
-ordering discipline that fixes the old engine's same-level read/write
-race on the shared view dict.
+Each node carries its unmet-input count; a node becomes ready the
+instant the count reaches zero, and ready nodes run one at a time in a
+deterministic order (sorted by ``repr`` as they unlock).  Results are
+published through an ``on_result`` callback before any dependent runs,
+so a group only ever reads views that are fully published.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional
 
 
 class DataflowScheduler:
-    """Run a DAG of tasks, launching each node when its inputs are done.
+    """Run a DAG of tasks in a deterministic topological order.
 
-    ``n_workers`` bounds task parallelism: 1 executes serially in a
-    deterministic topological order (dependency counting with a sorted
-    ready list); >1 runs ready nodes on a thread pool.  The scheduler is
-    agnostic to what a task does — backends decide how a node computes.
+    The scheduler is agnostic to what a task does — backends decide how
+    a node computes.
     """
-
-    def __init__(self, n_workers: int = 1):
-        self.n_workers = max(1, int(n_workers))
 
     def run(
         self,
@@ -45,38 +28,25 @@ class DataflowScheduler:
         """Execute every node; returns {node: task(node) result}.
 
         ``dependencies`` maps each node to the nodes it reads from.
-        ``on_result`` (if given) is called exactly once per node, in the
-        scheduler thread, after the node's task returns and before any
-        dependent of the node can start.  Raises ``ValueError`` on
-        unknown dependencies or cycles; a task exception cancels all
-        not-yet-started nodes and propagates.
+        ``on_result`` (if given) is called exactly once per node, after
+        the node's task returns and before any dependent of the node
+        starts.  Raises ``ValueError`` on unknown dependencies or
+        cycles; a task exception stops the run and propagates.
         """
-        indegree, dependents = self._prepare(dependencies)
-        if self.n_workers == 1:
-            return self._run_serial(indegree, dependents, task, on_result)
-        return self._run_parallel(indegree, dependents, task, on_result)
-
-    # -- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _prepare(dependencies):
         indegree: Dict[Hashable, int] = {}
-        dependents: Dict[Hashable, List[Hashable]] = {}
+        dependents: Dict[Hashable, List[Hashable]] = {
+            node: [] for node in dependencies
+        }
         for node, deps in dependencies.items():
-            deps = set(deps)
-            deps.discard(node)  # self-loops would never fire
+            deps = set(deps) - {node}  # self-loops would never fire
             indegree[node] = len(deps)
-            dependents.setdefault(node, [])
-        for node, deps in dependencies.items():
-            for dep in set(deps) - {node}:
-                if dep not in indegree:
+            for dep in deps:
+                if dep not in dependents:
                     raise ValueError(
                         f"node {node!r} depends on unknown node {dep!r}"
                     )
                 dependents[dep].append(node)
-        return indegree, dependents
 
-    def _run_serial(self, indegree, dependents, task, on_result):
         ready = sorted(
             (n for n, count in indegree.items() if count == 0), key=repr
         )
@@ -93,45 +63,6 @@ class DataflowScheduler:
                 if indegree[dependent] == 0:
                     unlocked.append(dependent)
             ready.extend(sorted(unlocked, key=repr))
-        if len(results) != len(indegree):
-            raise ValueError(
-                f"dependency cycle: {len(indegree) - len(results)} of "
-                f"{len(indegree)} nodes unreachable"
-            )
-        return results
-
-    def _run_parallel(self, indegree, dependents, task, on_result):
-        results: Dict[Hashable, Any] = {}
-        pending: Dict[Future, Hashable] = {}
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-
-            def submit(node):
-                pending[pool.submit(task, node)] = node
-
-            for node in sorted(
-                (n for n, count in indegree.items() if count == 0),
-                key=repr,
-            ):
-                submit(node)
-            try:
-                while pending:
-                    done, _ = wait(
-                        set(pending), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        node = pending.pop(future)
-                        result = future.result()  # re-raises task errors
-                        results[node] = result
-                        if on_result is not None:
-                            on_result(node, result)
-                        for dependent in dependents[node]:
-                            indegree[dependent] -= 1
-                            if indegree[dependent] == 0:
-                                submit(dependent)
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
         if len(results) != len(indegree):
             raise ValueError(
                 f"dependency cycle: {len(indegree) - len(results)} of "

@@ -9,41 +9,22 @@ than its total view volume.
 
 Views that outlive execution are *pinned* at construction: the engine
 pins the query-output views, which result assembly reads after the last
-group has finished.  A store lives for one run; between runs
-materialized views live in the cross-run
-:class:`~repro.engine.viewcache.cache.ViewCache`.
+group has finished.  A store lives for one run, on one thread.
 
 Eviction need not mean the data is lost: an ``on_evict`` callback turns
 the drop into a *handoff* — the engine uses it to move interior views
-into the cross-run :class:`~repro.engine.viewcache.cache.ViewCache`
-the moment their last in-batch consumer finishes, instead of
-unconditionally discarding them.
-
-The store is thread-safe: the dataflow scheduler publishes finished
-groups from its completion loop while worker threads snapshot inputs
-for groups still in flight.  :class:`ViewData` values are treated as
-immutable — a put replaces the binding, never mutates the value — which
-is what makes the snapshot/publish protocol race-free (the bug class
-this replaces: the old engine ``dict.update``-ed a shared ``view_data``
-while same-level futures were reading it).
+into the cross-run :class:`~repro.engine.viewcache.cache.ViewCache`,
+where materialized views live between runs, the moment their last
+in-batch consumer finishes.
 
 This module also owns the distributive-SUM merge primitives
-(:func:`merge_partials`, :func:`retire_dead_keys`) shared by the
-domain-parallel backends and the view cache's delta repair.
+(:func:`merge_partials`, :func:`retire_dead_keys`) the view cache's
+delta repair folds partial views with.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -119,23 +100,14 @@ def retire_dead_keys(view: ViewData) -> ViewData:
     )
 
 
-class ViewStore:
-    """Materialized views by id, with consumer-counted eviction.
+class ViewStore(dict):
+    """Materialized views by id: a dict plus consumer-counted eviction.
 
     ``consumers`` maps each view id to the number of view groups that
     will read it; :meth:`group_finished` decrements the counts of a
-    finished group's inputs, and a view whose count reaches zero is
-    evicted unless it is in ``pinned``.  Views absent from ``consumers``
-    are never evicted — eviction is strictly an opt-in optimization.
-
-    ``on_evict`` (optional) is called as ``on_evict(vid, data)`` for
-    every view dropped by ref-counted eviction, outside the store lock,
-    from the thread that triggered the eviction.  The engine hands
-    evicted interior views to the cross-run view cache this way.
-
-    The mapping protocol (``store[vid]``, ``vid in store``, ``len``,
-    iteration, ``items``) is supported so the store drops in wherever a
-    plain ``Dict[int, ViewData]`` was used before.
+    finished group's inputs and evicts a view whose count reaches zero,
+    unless it is ``pinned`` or absent from ``consumers``.
+    ``on_evict(vid, data)``, when given, receives every evicted view.
     """
 
     def __init__(
@@ -145,117 +117,37 @@ class ViewStore:
         *,
         on_evict: Optional[Callable[[int, ViewData], None]] = None,
     ):
-        self._data: Dict[int, ViewData] = {}
-        self._lock = threading.Lock()
+        super().__init__()
         self._remaining: Dict[int, int] = dict(consumers or {})
         self._pinned = frozenset(pinned)
         self._on_evict = on_evict
         #: ids of views dropped by ref-counted eviction (for tests/stats)
         self.evicted: set = set()
 
-    # -- mapping protocol -------------------------------------------------
-
-    def __getitem__(self, vid: int) -> ViewData:
-        with self._lock:
-            try:
-                return self._data[vid]
-            except KeyError:
-                if vid in self.evicted:
-                    raise KeyError(
-                        f"view {vid} was evicted after its last consumer "
-                        "finished; list it in `pinned` to keep it"
-                    ) from None
-                raise
-
-    def __setitem__(self, vid: int, data: ViewData) -> None:
-        self.put(vid, data)
-
-    def __contains__(self, vid: int) -> bool:
-        with self._lock:
-            return vid in self._data
-
-    def __iter__(self) -> Iterator[int]:
-        with self._lock:
-            return iter(list(self._data))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def keys(self):
-        with self._lock:
-            return list(self._data)
-
-    def items(self):
-        with self._lock:
-            return list(self._data.items())
-
-    def values(self):
-        with self._lock:
-            return list(self._data.values())
-
-    def get(self, vid: int, default=None):
-        with self._lock:
-            return self._data.get(vid, default)
-
-    # -- writes -----------------------------------------------------------
-
-    def put(self, vid: int, data: ViewData) -> None:
-        """Publish (or replace) one view's materialization."""
-        with self._lock:
-            self._data[vid] = data
-            self.evicted.discard(vid)
-
-    def put_group(self, produced: Mapping[int, ViewData]) -> None:
-        """Publish every view a finished group produced."""
-        with self._lock:
-            for vid, data in produced.items():
-                self._data[vid] = data
-                self.evicted.discard(vid)
-
-    # -- reads ------------------------------------------------------------
-
-    def snapshot(self, vids: Iterable[int]) -> Dict[int, ViewData]:
-        """A consistent {vid: ViewData} snapshot of the named views.
-
-        Workers call this once at task start; later puts/evictions never
-        mutate the returned dict or its (immutable) values.
-        """
-        with self._lock:
-            return {vid: self._data[vid] for vid in vids}
-
-    # -- eviction ----------------------------------------------------------
+    def __missing__(self, vid: int) -> ViewData:
+        if vid in self.evicted:
+            raise KeyError(
+                f"view {vid} was evicted after its last consumer "
+                "finished; list it in `pinned` to keep it"
+            )
+        raise KeyError(vid)
 
     def group_finished(self, input_view_ids: Iterable[int]) -> None:
         """Record that one consumer of each given view has finished.
 
         Called by the engine once per completed view group with that
-        group's input view ids; inputs whose remaining-consumer count
-        hits zero are evicted unless pinned.  Evicted views are handed
-        to ``on_evict`` (when configured) after the lock is released.
+        group's input view ids.
         """
-        handoff: List[tuple] = []
-        with self._lock:
-            for vid in input_view_ids:
-                if vid not in self._remaining:
-                    continue
-                self._remaining[vid] -= 1
-                if (
-                    self._remaining[vid] <= 0
-                    and vid not in self._pinned
-                    and vid in self._data
-                ):
-                    data = self._data.pop(vid)
-                    self.evicted.add(vid)
-                    if self._on_evict is not None:
-                        handoff.append((vid, data))
-        for vid, data in handoff:
-            self._on_evict(vid, data)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        with self._lock:
-            return (
-                f"ViewStore({len(self._data)} views, "
-                f"{len(self._pinned)} pinned, "
-                f"{len(self.evicted)} evicted)"
-            )
+        for vid in input_view_ids:
+            if vid not in self._remaining:
+                continue
+            self._remaining[vid] -= 1
+            if (
+                self._remaining[vid] <= 0
+                and vid not in self._pinned
+                and vid in self
+            ):
+                data = self.pop(vid)
+                self.evicted.add(vid)
+                if self._on_evict is not None:
+                    self._on_evict(vid, data)

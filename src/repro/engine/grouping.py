@@ -9,7 +9,7 @@ pass over the node's relation.
 We assign each view a *rank* — the length of the longest reference chain
 below it — and group by ``(source node, rank)``.  Ranks strictly increase
 along dependency chains, so same-rank views at a node are independent.
-The groups form a DAG used by the Parallelization layer.
+The groups form a DAG the executor runs in topological order.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ class GroupedPlan:
 
     ``groups`` is ordered so that every group appears after all groups
     it depends on — consumers may simply iterate it front to back.  The
-    old level-barrier API (``execution_levels()``) is gone: scheduling
-    is the dependency-counting
-    :class:`~repro.engine.executor.DataflowScheduler`'s job now.
+    engine's :class:`~repro.engine.executor.DataflowScheduler` derives
+    its own serial order from each group's ``depends_on``.
     """
 
     groups: List[ViewGroup]

@@ -116,10 +116,7 @@ class IncrementalEngine:
         *,
         root: Optional[str] = None,
         compile: bool = True,
-        n_threads: int = 1,
-        partition_threshold: int = 20_000,
         view_cache: Optional[ViewCache] = None,
-        backend=None,
     ):
         if root is None:
             root = max(database, key=lambda r: r.n_rows).name
@@ -130,10 +127,7 @@ class IncrementalEngine:
             track_support=True,
             sort_inputs=False,
             compile=compile,
-            n_threads=n_threads,
-            partition_threshold=partition_threshold,
             view_cache=ViewCache() if view_cache is None else view_cache,
-            backend=backend,
         )
         self.root = root
         self._stats = MaintenanceStats()

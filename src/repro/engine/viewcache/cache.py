@@ -174,8 +174,9 @@ class CacheRunReport:
 class ViewCache:
     """A byte-budget LRU cache of materialized views, by content digest.
 
-    Thread-safe: engine schedulers publish evicted interior views from
-    worker completion threads while the engine thread probes for hits.
+    Thread-safe: one cache is shared by every thread that runs or
+    repairs views over its dataset (a service's coalescer worker probes
+    and admits while its writer repairs under ``on_delta``).
 
     ``store`` (optional) attaches a persistent second tier — any object
     with ``save(sig, data) -> bool`` and ``load(digest) ->

@@ -7,8 +7,7 @@ from scratch.  A :class:`WorkloadSession` removes that boundary by
 *fusing* the batches — every query is renamed ``workload::query`` and
 the union is planned as one mega-batch, so the Merge Views layer's own
 memo/bucketing deduplicates structurally equal views **across**
-workloads.  Shared views execute once on whatever backend the engine
-uses; results fan back out per workload with the original query names.
+workloads.  Shared views execute once; results fan back out per workload with the original query names.
 
 A :class:`~repro.engine.viewcache.cache.ViewCache` attached to the
 session extends the sharing across *runs*: the fused plan's views are
@@ -115,14 +114,12 @@ class WorkloadSession:
     def workload_names(self) -> List[str]:
         return list(self._workloads)
 
-    def close(self) -> None:
-        self.engine.close()
-
+    # a session holds nothing to release; ``with`` merely scopes it
     def __enter__(self) -> "WorkloadSession":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        return None
 
     # -- workload registry -------------------------------------------------
 

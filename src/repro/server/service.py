@@ -201,8 +201,7 @@ class _DatasetState:
         join_tree: Optional[JoinTree],
         *,
         cache_mb: float,
-        backend,
-        n_threads: int,
+        compile: bool,
         storage: Optional[DatasetStorage] = None,
         initial_epoch: int = 0,
         recovery: Optional[RecoveryStats] = None,
@@ -221,9 +220,8 @@ class _DatasetState:
         self.ivm = IncrementalEngine(
             database,
             join_tree,
-            n_threads=n_threads,
+            compile=compile,
             view_cache=self.cache,
-            backend=backend,
         )
         self.engine: LMFAO = self.ivm.engine
         if self.cache is None:
@@ -278,6 +276,9 @@ class AnalyticsService:
     ``apply_delta`` may also be called concurrently — commits serialize
     per dataset on its write lock while queries keep reading their
     captured epochs.
+
+    ``backend`` is ``"compiled"`` (generate code per view group) or
+    ``"interpret"`` — the engines' ``compile`` knob.
     """
 
     def __init__(
@@ -287,8 +288,7 @@ class AnalyticsService:
         max_batch: int = 16,
         max_queue: int = 64,
         cache_mb: float = DEFAULT_CACHE_MB,
-        backend=None,
-        n_threads: int = 1,
+        backend: str = "compiled",
         data_dir: Optional[str] = None,
         compact_wal: int = 0,
         spill_mb: float = 512.0,
@@ -298,8 +298,11 @@ class AnalyticsService:
         self._registering: set = set()
         self._registry_lock = threading.Lock()
         self._cache_mb = float(cache_mb)
-        self._backend = backend
-        self._n_threads = int(n_threads)
+        if backend not in ("interpret", "compiled"):
+            raise ValueError(
+                f"unknown backend {backend!r}; use 'interpret' or 'compiled'"
+            )
+        self._compile = backend == "compiled"
         self._data_dir = data_dir
         self._compact_wal = max(0, int(compact_wal))
         # disk budget for the persistent cache tier: without one,
@@ -373,8 +376,7 @@ class AnalyticsService:
                     database,
                     join_tree,
                     cache_mb=self._cache_mb,
-                    backend=self._backend,
-                    n_threads=self._n_threads,
+                    compile=self._compile,
                     storage=storage,
                     initial_epoch=(
                         snapshot_info.epoch if snapshot_info else 0
@@ -749,7 +751,7 @@ class AnalyticsService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Drain the coalescer, fsync+close storage, release engines.
+        """Drain the coalescer, then fsync+close storage.
 
         Idempotent.  The coalescer drains first so in-flight batches
         finish before the WAL handle closes.
@@ -758,7 +760,6 @@ class AnalyticsService:
         with self._registry_lock:
             states = list(self._states.values())
         for state in states:
-            state.engine.close()
             if state.storage is not None:
                 state.storage.close()
 

@@ -47,7 +47,7 @@ class TestAcdcProxy:
         names = [name for name, _ in FIGURE5_LADDER]
         assert names[0].startswith("acdc")
         assert "compilation" in names[1]
-        assert "parallel" in names[-1]
+        assert "multi-root" in names[-1]
 
 
 class TestMLBaselines:

@@ -1,4 +1,4 @@
-"""Execution backends: differential equivalence + backend-specific paths."""
+"""Execution backends: interpret == compiled, and what ``compile`` selects."""
 
 import numpy as np
 import pytest
@@ -6,38 +6,24 @@ import pytest
 from repro import LMFAO, Aggregate, Query, QueryBatch
 from repro.engine.executor import (
     CompiledBackend,
-    GroupTask,
     InterpreterBackend,
-    ProcessBackend,
-    make_backend,
-    partition_bounds,
     views_from_raw,
 )
 
 from ..helpers import WORKLOADS, assert_results_equal
 
-BACKENDS = ["interpret", "compiled", "process"]
-
 
 class TestDifferential:
-    """All three backends produce identical BatchResults on every workload."""
+    """Interpreted and compiled execution agree on every workload."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_backends_agree(self, toy_db, workload):
         batch = WORKLOADS[workload]()
         expected = LMFAO(toy_db, compile=False).run(batch)
-        for backend in BACKENDS:
-            with LMFAO(
-                toy_db,
-                backend=backend,
-                n_threads=2,
-                partition_threshold=50,  # force partitioning on 300 rows
-            ) as engine:
-                got = engine.run(batch)
-            assert_results_equal(got, expected, batch)
+        got = LMFAO(toy_db, compile=True).run(batch)
+        assert_results_equal(got, expected, batch)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree_on_dataset(self, tiny_favorita, backend):
+    def test_backends_agree_on_dataset(self, tiny_favorita):
         ds = tiny_favorita
         batch = QueryBatch(
             [
@@ -45,109 +31,27 @@ class TestDifferential:
                 Query("g", ["family"], [Aggregate.of("units", name="u")]),
             ]
         )
-        expected = LMFAO(ds.database, ds.join_tree).run(batch)
-        with LMFAO(
-            ds.database,
-            ds.join_tree,
-            backend=backend,
-            n_threads=2,
-            partition_threshold=100,
-        ) as engine:
-            got = engine.run(batch)
+        expected = LMFAO(ds.database, ds.join_tree, compile=False).run(batch)
+        got = LMFAO(ds.database, ds.join_tree, compile=True).run(batch)
         assert_results_equal(got, expected, batch, rtol=1e-8)
 
 
-class TestMakeBackend:
-    def test_default_follows_compile_knob(self):
-        assert isinstance(
-            make_backend(None, compile_enabled=True), CompiledBackend
-        )
-        backend = make_backend(None, compile_enabled=False)
+class TestCompileKnob:
+    def test_compile_selects_the_backend(self, toy_db):
+        assert isinstance(LMFAO(toy_db).backend, CompiledBackend)
+        backend = LMFAO(toy_db, compile=False).backend
         assert isinstance(backend, InterpreterBackend)
         assert not isinstance(backend, CompiledBackend)
 
-    def test_names(self):
-        assert make_backend("interpret").name == "interpret"
-        assert make_backend("compiled").name == "compiled"
-        assert make_backend("process").name == "process"
-
-    def test_instance_passthrough(self):
-        backend = InterpreterBackend()
-        assert make_backend(backend) is backend
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
-
-    def test_process_worker_count(self):
-        assert make_backend("process", n_threads=3).n_procs == 3
-
-    def test_engine_accepts_backend_instance(self, toy_db):
-        batch = WORKLOADS["counts"]()
-        engine = LMFAO(toy_db, backend=InterpreterBackend())
-        expected = LMFAO(toy_db).run(batch)
-        assert_results_equal(engine.run(batch), expected, batch)
-
-
-class TestCompiledFallback:
-    def test_compiled_backend_interprets_uncompiled_plans(self, toy_db):
-        # compile=False plans carry no compiled fns; the compiled
-        # backend must fall back to interpretation, not crash
-        batch = WORKLOADS["groupbys"]()
-        engine = LMFAO(toy_db, compile=False, backend=CompiledBackend())
-        expected = LMFAO(toy_db, compile=False).run(batch)
-        assert_results_equal(engine.run(batch), expected, batch)
-
-
-class TestProcessBackend:
-    def test_small_relations_run_in_process(self, toy_db):
-        backend = ProcessBackend(n_procs=2, partition_threshold=10**9)
-        engine = LMFAO(toy_db, backend=backend)
-        batch = WORKLOADS["counts"]()
-        expected = LMFAO(toy_db).run(batch)
-        assert_results_equal(engine.run(batch), expected, batch)
-        assert backend._pool is None, "threshold not reached: no pool"
-        engine.close()
-
-    def test_close_is_idempotent(self, toy_db):
-        engine = LMFAO(
-            toy_db, backend="process", n_threads=2, partition_threshold=50
+    @pytest.mark.parametrize("compile_flag", [False, True])
+    def test_plans_carry_code_exactly_when_compiled(
+        self, toy_db, compile_flag
+    ):
+        plan = LMFAO(toy_db, compile=compile_flag).plan(WORKLOADS["counts"]())
+        assert plan.compiled_fns
+        assert all(
+            (fn is not None) == compile_flag for fn in plan.compiled_fns
         )
-        engine.run(WORKLOADS["counts"]())
-        engine.close()
-        engine.close()
-
-    def test_non_picklable_udf_falls_back_in_process(self, toy_db):
-        # closures don't pickle; the process backend must run such
-        # groups in-process instead of crashing in the pool
-        from repro.query.functions import Udf
-
-        def double(units):
-            return 2.0 * units
-
-        batch = QueryBatch(
-            [
-                Query(
-                    "udf_sum",
-                    ["city"],
-                    [Aggregate.of(Udf(["units"], double, name="dbl"))],
-                ),
-                Query("n", [], [Aggregate.count()]),
-            ]
-        )
-        expected = LMFAO(toy_db).run(batch)
-        with LMFAO(
-            toy_db, backend="process", n_threads=2, partition_threshold=50
-        ) as engine:
-            got = engine.run(batch)
-        assert_results_equal(got, expected, batch)
-
-    def test_process_spec_forces_codegen(self, toy_db):
-        # the process backend executes generated source, so compile=False
-        # must not leave the plan uncompiled
-        engine = LMFAO(toy_db, compile=False, backend="process")
-        plan = engine.plan(WORKLOADS["counts"]())
-        assert all(fn is not None for fn in plan.compiled_fns)
 
 
 class TestEngineEviction:
@@ -164,15 +68,7 @@ class TestEngineEviction:
             assert vid in store
 
 
-class TestPartitioning:
-    def test_partition_bounds_cover_all_rows(self):
-        for n_rows, n_parts in [(10, 3), (2, 5), (0, 4), (100, 1)]:
-            bounds = partition_bounds(n_rows, n_parts)
-            assert sum(hi - lo for lo, hi in bounds) == n_rows
-            assert all(lo < hi for lo, hi in bounds)
-            for (_, prev_hi), (lo, _) in zip(bounds, bounds[1:]):
-                assert prev_hi == lo
-
+class TestViewsFromRaw:
     def test_views_from_raw_three_and_four_tuples(self):
         raw = {
             0: ((), [], [np.array([1.0])]),

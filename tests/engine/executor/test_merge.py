@@ -1,19 +1,12 @@
-"""The distributive-SUM merge primitive and threaded domain parallelism.
+"""The distributive-SUM merge primitive delta repair folds views with.
 
-Moved from ``tests/engine/test_parallel.py`` when the deprecated
-``repro.engine.parallel`` shim was removed; :func:`merge_partials` lives
-in :mod:`repro.engine.executor.store`.
+:func:`merge_partials` lives in :mod:`repro.engine.executor.store`.
 """
 
 import numpy as np
-import pytest
 
-from repro import LMFAO, Aggregate, Query, QueryBatch
-from repro.baselines import MaterializedEngine
 from repro.engine.executor import merge_partials, retire_dead_keys
 from repro.engine.interpreter import ViewData
-
-from ..helpers import assert_results_equal
 
 
 class TestMergePartials:
@@ -212,36 +205,3 @@ class TestDeltaMerge:
         assert merged.key_cols[0].tolist() == []
         assert merged.agg_cols[0].tolist() == []
         assert merged.support.tolist() == []
-
-
-class TestThreadedEngine:
-    @pytest.mark.parametrize("n_threads", [2, 4])
-    def test_agrees_with_serial(self, toy_db, n_threads):
-        batch = QueryBatch(
-            [
-                Query("n", [], [Aggregate.count()]),
-                Query("g", ["city"], [Aggregate.of("units", name="u")]),
-                Query("h", ["date"], [Aggregate.of("price", name="p")]),
-            ]
-        )
-        serial = LMFAO(toy_db, n_threads=1).run(batch)
-        threaded = LMFAO(
-            toy_db, n_threads=n_threads, partition_threshold=10
-        ).run(batch)
-        assert_results_equal(threaded, serial, batch)
-
-    def test_partitioned_on_datasets(self, tiny_favorita):
-        ds = tiny_favorita
-        batch = QueryBatch(
-            [
-                Query("n", [], [Aggregate.count()]),
-                Query(
-                    "g", ["family"], [Aggregate.of("units", name="u")]
-                ),
-            ]
-        )
-        threaded = LMFAO(
-            ds.database, ds.join_tree, n_threads=4, partition_threshold=100
-        ).run(batch)
-        expected = MaterializedEngine(ds.database).run(batch)
-        assert_results_equal(threaded, expected, batch, rtol=1e-8)

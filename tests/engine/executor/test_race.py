@@ -1,16 +1,16 @@
-"""Stress test for the same-level concurrency race the executor fixed.
+"""Engines on different threads sharing one never-encoded database.
 
-The old ``LMFAO._execute`` dict-updated a shared ``view_data`` while
-same-level futures were still reading it.  The executor publishes
-results through the scheduler's completion loop into a locked
-:class:`ViewStore`, and workers snapshot their inputs — so a wide batch
-run with many threads must match serial execution bit-for-bit, every
-time.
+A run is serial, but one :class:`~repro.data.database.Database` can be
+read by several runs at once: the analytics service's coalescer worker
+runs batches while its writer's ``ViewCache.on_delta`` repair reads the
+relations the epochs share.  Each relation encodes its key columns
+lazily on first use (``Relation.encodings``), so two threads may both
+encode a column; neither may see a half-built entry.
 """
 
+import pickle
 import sys
-
-import numpy as np
+import threading
 
 from repro import LMFAO, Aggregate, Query, QueryBatch
 
@@ -37,56 +37,57 @@ def wide_batch():
     return QueryBatch(queries)
 
 
-def test_wide_batch_threaded_matches_serial_repeatedly(toy_db):
+def test_execute_evicts_exactly_the_interior_views(toy_db):
     batch = wide_batch()
-    serial = LMFAO(toy_db, n_threads=1).run(batch)
-    with LMFAO(
-        toy_db, n_threads=4, partition_threshold=32
-    ) as engine:
-        for _ in range(20):
-            assert_results_equal(engine.run(batch), serial, batch)
-
-
-def test_threaded_interpreter_matches_serial_repeatedly(toy_db):
-    batch = wide_batch()
-    serial = LMFAO(toy_db, compile=False).run(batch)
-    with LMFAO(
-        toy_db, compile=False, n_threads=4, partition_threshold=32
-    ) as engine:
-        for _ in range(10):
-            assert_results_equal(engine.run(batch), serial, batch)
-
-
-def test_threaded_execute_evicts_exactly_the_interior_views(toy_db):
-    batch = wide_batch()
-    with LMFAO(toy_db, n_threads=4) as engine:
-        plan = engine.plan(batch)
-        store = engine.execute(plan, batch.dynamic_functions())
+    engine = LMFAO(toy_db)
+    plan = engine.plan(batch)
+    store = engine.execute(plan, batch.dynamic_functions())
     outputs = plan.output_view_ids()
     assert outputs <= set(store)
     assert store.evicted == set(plan.view_consumers()) - outputs
 
 
 def test_threads_racing_on_fresh_key_encodings_match_serial(toy_db):
-    """Same-node groups share one relation and its lazy key encodings.
+    """Two threads, each with its own engine, run one batch at the same
+    moment over one shared database whose relations were never encoded.
 
-    No relation is partitioned here (the threshold is out of reach), so
-    the scheduler's threads all read ``relation.encodings`` of the same
-    freshly sorted — never yet encoded — relations.  Two threads may both
-    encode a column; none may see a half-built entry.
+    The engines are planned beforehand (planning reads the encodings
+    too) and pinned to the shared database through ``run(database=)``,
+    the hook the service's epochs use, so the two runs race on the
+    shared relations' first encodings and on nothing else.
     """
     batch = wide_batch()
-    serial = LMFAO(toy_db, n_threads=1).run(batch)
+    serial = LMFAO(toy_db, sort_inputs=False).run(batch)
+    engines = [LMFAO(toy_db, sort_inputs=False) for _ in range(2)]
+    for engine in engines:
+        engine.plan(batch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(25):
-            with LMFAO(
-                toy_db, n_threads=4, partition_threshold=10**9
-            ) as engine:
-                assert not any(r.encodings for r in engine.database)
-                assert_results_equal(
-                    engine.run(batch), serial, batch, rtol=0, atol=0
-                )
+            shared = pickle.loads(pickle.dumps(toy_db))  # cold memos
+            assert not any(r.encodings for r in shared)
+            results, errors = [None, None], []
+            start = threading.Barrier(2, timeout=60)
+
+            def run(slot):
+                try:
+                    start.wait()
+                    results[slot] = engines[slot].run(batch, database=shared)
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(slot,))
+                for slot in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            for got in results:
+                assert_results_equal(got, serial, batch, rtol=0, atol=0)
     finally:
         sys.setswitchinterval(interval)

@@ -1,7 +1,4 @@
-"""Dataflow scheduler: readiness ordering, diamonds, errors, parallelism."""
-
-import threading
-import time
+"""Dataflow scheduler: readiness ordering, diamonds, errors."""
 
 import pytest
 
@@ -10,11 +7,10 @@ from repro.engine.executor import DataflowScheduler
 DIAMOND = {"a": [], "b": ["a"], "c": ["a"], "d": ["b", "c"]}
 
 
-def run_recording(dependencies, n_workers=1, task=None):
+def run_recording(dependencies, task=None):
     """Run a DAG recording completion order; returns (order, results)."""
     order = []
-    scheduler = DataflowScheduler(n_workers=n_workers)
-    results = scheduler.run(
+    results = DataflowScheduler().run(
         dependencies,
         task or (lambda node: node),
         lambda node, result: order.append(node),
@@ -73,10 +69,9 @@ class TestSerial:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_cycle_detected(self, n_workers):
+    def test_cycle_detected(self):
         with pytest.raises(ValueError, match="cycle"):
-            DataflowScheduler(n_workers=n_workers).run(
+            DataflowScheduler().run(
                 {"a": ["b"], "b": ["a"], "c": []}, lambda n: n
             )
 
@@ -84,72 +79,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown"):
             DataflowScheduler().run({"a": ["ghost"]}, lambda n: n)
 
-    @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_task_error_propagates(self, n_workers):
+    def test_task_error_propagates(self):
         def task(node):
             if node == "b":
                 raise RuntimeError("boom")
             return node
 
         with pytest.raises(RuntimeError, match="boom"):
-            DataflowScheduler(n_workers=n_workers).run(
+            DataflowScheduler().run(
                 {"a": [], "b": ["a"], "c": ["b"]}, task
             )
-
-
-class TestParallel:
-    def test_diamond_order(self):
-        order, results = run_recording(DIAMOND, n_workers=4)
-        assert_topological(order, DIAMOND)
-        assert results == {n: n for n in DIAMOND}
-
-    def test_no_level_barrier(self):
-        """A deep chain must not wait for a slow sibling at level 0.
-
-        Under the old level schedule, c2 (level 2) could never start
-        before `slow` (level 0) finished.  The dataflow scheduler lets
-        the chain run through while `slow` is still executing.
-        """
-        deps = {"slow": [], "c0": [], "c1": ["c0"], "c2": ["c1"]}
-        finished = {}
-        release = threading.Event()
-
-        def task(node):
-            if node == "slow":
-                release.wait(timeout=10)
-            finished[node] = time.perf_counter()
-            return node
-
-        def on_result(node, _):
-            if node == "c2":
-                release.set()  # only unblock `slow` once the chain is done
-
-        DataflowScheduler(n_workers=2).run(deps, task, on_result)
-        assert finished["c2"] < finished["slow"]
-
-    def test_independent_nodes_overlap(self):
-        running = []
-        peak = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(3, timeout=10)
-
-        def task(node):
-            with lock:
-                running.append(node)
-                peak.append(len(running))
-            barrier.wait()  # all three must be in flight at once
-            with lock:
-                running.remove(node)
-            return node
-
-        DataflowScheduler(n_workers=3).run(
-            {"a": [], "b": [], "c": []}, task
-        )
-        assert max(peak) == 3
-
-    def test_wide_dag_many_workers(self):
-        deps = {i: [] for i in range(20)}
-        deps.update({100 + i: [i, (i + 1) % 20] for i in range(20)})
-        order, results = run_recording(deps, n_workers=8)
-        assert len(results) == 40
-        assert_topological(order, deps)

@@ -29,7 +29,7 @@ class TestMappingProtocol:
     def test_put_get_contains_len_iter(self):
         store = ViewStore()
         store[3] = scalar_view(1.0)
-        store.put(5, scalar_view(2.0))
+        store[5] = scalar_view(2.0)
         assert 3 in store and 5 in store and 4 not in store
         assert len(store) == 2
         assert sorted(store) == [3, 5]
@@ -70,14 +70,6 @@ class TestEviction:
         store[2] = scalar_view(2.0)
         store.group_finished([2])  # no refcount entry: a no-op
         assert 2 in store
-
-    def test_snapshot_unaffected_by_later_eviction(self):
-        store = ViewStore(consumers={1: 1})
-        store[1] = grouped_view([0, 1], [1.0, 2.0])
-        snap = store.snapshot([1])
-        store.group_finished([1])
-        assert 1 not in store
-        assert snap[1].agg_cols[0].tolist() == [1.0, 2.0]
 
     def test_pinned_view_outlives_all_its_consumers(self):
         store = ViewStore(consumers={1: 2}, pinned=[1])

@@ -164,12 +164,6 @@ class TestModes:
         engine = LMFAO(toy_db, sort_inputs=False)
         assert_results_equal(engine.run(batch), reference, batch)
 
-    def test_parallel_agrees(self, toy_db):
-        batch = standard_batch()
-        reference = MaterializedEngine(toy_db).run(batch)
-        engine = LMFAO(toy_db, n_threads=4, partition_threshold=50)
-        assert_results_equal(engine.run(batch), reference, batch)
-
 
 class TestPlanCache:
     def test_same_structure_hits_cache(self, toy_db):

@@ -40,7 +40,9 @@ def dimension_names(engine):
 
 
 def build_engine(ds, backend):
-    return IncrementalEngine(ds.database, ds.join_tree, backend=backend)
+    return IncrementalEngine(
+        ds.database, ds.join_tree, compile=backend == "compiled"
+    )
 
 
 class TestDimensionDeltaDifferential:

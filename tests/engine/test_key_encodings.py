@@ -3,7 +3,7 @@
 A relation's key columns are dictionary-encoded on first use and the
 encoding lives exactly as long as the relation object: reruns reuse it,
 a delta replaces the changed relation (and so its memo) and nothing
-else, and it is never shipped to worker processes or written to disk.
+else, and it is never pickled or written to disk.
 """
 
 import pickle
@@ -21,7 +21,6 @@ from repro import (
     ViewCache,
 )
 from repro.data import ops
-from repro.engine.executor import backend as backend_module
 from repro.ml import CARTLearner, CovarBatch, build_cube_batch, build_mi_batch
 from repro.storage.snapshot import load_snapshot, write_snapshot
 
@@ -74,7 +73,9 @@ class TestRerunsEncodeNothing:
         self, request, fixture, backend, count_relation_encodings
     ):
         ds = request.getfixturevalue(fixture)
-        engine = LMFAO(ds.database, ds.join_tree, backend=backend)
+        engine = LMFAO(
+            ds.database, ds.join_tree, compile=backend == "compiled"
+        )
         batches = paper_batches(ds, engine)
         first = [engine.run(batch) for batch in batches]
         after_first = memo_entries(engine.database)
@@ -156,13 +157,15 @@ class TestDeltasReplaceTheMemo:
     @pytest.mark.parametrize("backend", ["interpret", "compiled"])
     def test_incremental_engine_tracks_never_seen_keys(self, toy_db, backend):
         batch = toy_batch()
-        engine = IncrementalEngine(toy_db, backend=backend)
+        engine = IncrementalEngine(toy_db, compile=backend == "compiled")
         engine.run(batch)
         for delta in never_seen_deltas():
             report = engine.apply_delta(delta)
             assert report.all_maintained, report
             maintained = engine.run(batch)
-            cold = LMFAO(engine.database, backend=backend).run(batch)
+            cold = LMFAO(
+                engine.database, compile=backend == "compiled"
+            ).run(batch)
             assert_results_equal(maintained, cold, batch, rtol=1e-9)
         assert engine.stats()["fallbacks"] == 0
         assert 7 in maintained["by_city"].column("city")
@@ -195,40 +198,6 @@ class TestTheMemoStaysInProcess:
         assert len(clone.encodings) == 0
         assert clone.domain_size("store") == relation.domain_size("store")
 
-    def test_process_workers_encode_their_own_partition(
-        self, toy_db, monkeypatch
-    ):
-        # run the worker entry point in process on what the parent
-        # would ship, and look at exactly that
-        shipped = []
-
-        class InlinePool:
-            def apply_async(self, fn, args):
-                shipped.append(args)
-                result = fn(*args)
-                return type("Done", (), {"get": lambda self: result})()
-
-        backend = backend_module.ProcessBackend(n_procs=2, partition_threshold=50)
-        monkeypatch.setattr(backend, "_ensure_pool", InlinePool)
-        batch = toy_batch()
-        with LMFAO(toy_db, backend=backend) as engine:
-            engine.run(batch)  # warms every relation's memo
-            shipped.clear()
-            got = engine.run(batch)
-            memos = [
-                array
-                for relation in engine.database
-                for encoded in relation.encodings.values()
-                for array in encoded
-            ]
-        assert shipped and memos
-        for args in shipped:
-            for array in _arrays_in(args):
-                assert not any(
-                    np.shares_memory(array, memo) for memo in memos
-                )
-        assert_results_equal(got, LMFAO(toy_db).run(batch), batch, rtol=1e-9)
-
     def test_snapshots_hold_columns_only(self, toy_db, tmp_path):
         database = pickle.loads(pickle.dumps(toy_db))  # private, cold memos
         LMFAO(database, sort_inputs=False).run(toy_batch())
@@ -250,13 +219,3 @@ class TestTheMemoStaysInProcess:
         restored, _info = load_snapshot(str(tmp_path / "snap"))
         assert not memo_entries(restored)
 
-
-def _arrays_in(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from _arrays_in(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _arrays_in(item)

@@ -562,30 +562,10 @@ class TestPropertyDifferential:
             assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)
 
 
-# -- partitions and deltas ---------------------------------------------------------
+# -- deltas ----------------------------------------------------------------------
 
 
-class TestPartitionsAndDeltas:
-    @pytest.mark.parametrize(
-        "backend_kwargs",
-        [
-            {"backend": "interpret", "n_threads": 2},
-            {"backend": "compiled", "n_threads": 3},
-            {"backend": "process", "n_threads": 2},
-        ],
-        ids=["interpret-threads", "compiled-threads", "process"],
-    )
-    def test_partitioned_equals_serial(self, backend_kwargs):
-        db = snowflake(n_fact=400, n_dim=12, n_other=7)
-        batch = mixed_batch()
-        serial = LMFAO(db, root="Fact").run(batch)
-        with LMFAO(
-            db, root="Fact", partition_threshold=50, **backend_kwargs
-        ) as engine:
-            assert n_group_rows_steps(engine, batch) > 0
-            partitioned = engine.run(batch)
-        assert_results_equal(partitioned, serial, batch, rtol=1e-9, atol=1e-9)
-
+class TestDeltas:
     def _assert_equals_recompute(self, engine, batch):
         maintained = engine.run(batch)
         assert maintained.cache_report.n_misses == 0

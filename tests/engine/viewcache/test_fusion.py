@@ -50,12 +50,13 @@ class TestFusedMatchesIndependent:
     @pytest.mark.parametrize("backend", ["interpret", "compiled"])
     def test_differential(self, tiny_retailer, workloads, backend):
         ds = tiny_retailer
-        independent = {}
-        for name, batch in workloads.items():
-            with LMFAO(ds.database, ds.join_tree, backend=backend) as eng:
-                independent[name] = eng.run(batch)
+        compile_flag = backend == "compiled"
+        engine = LMFAO(ds.database, ds.join_tree, compile=compile_flag)
+        independent = {
+            name: engine.run(batch) for name, batch in workloads.items()
+        }
         with WorkloadSession(
-            ds.database, ds.join_tree, backend=backend
+            ds.database, ds.join_tree, compile=compile_flag
         ) as session:
             for name, batch in workloads.items():
                 session.add_workload(name, batch)
@@ -110,8 +111,7 @@ class TestSessionWithCache:
             results = session.run_independent()
         assert results["linreg"].cache_report.n_hits > 0
         # and the shared-cache results are still correct
-        with LMFAO(ds.database, ds.join_tree) as eng:
-            expected = eng.run(workloads["linreg"])
+        expected = LMFAO(ds.database, ds.join_tree).run(workloads["linreg"])
         assert_results_equal(
             results["linreg"], expected, workloads["linreg"], rtol=1e-9
         )

@@ -176,14 +176,14 @@ def test_sigkill_recovers_every_committed_delta(backend, tmp_path):
                 },
             )
         ).database
-    with LMFAO(
+    engine = LMFAO(
         database,
         ds.join_tree,
-        backend=backend,
+        compile=backend == "compiled",
         sort_inputs=False,
-    ) as engine:
-        batch = _build_workload(ds, engine, "covar")
-        expected = engine.run(batch)
+    )
+    batch = _build_workload(ds, engine, "covar")
+    expected = engine.run(batch)
 
     wire = served["results"]["covar"]
     assert set(wire) == set(expected)

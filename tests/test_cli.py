@@ -38,23 +38,13 @@ class TestCli:
             [
                 "--scale", "0.05",
                 "run", "favorita", "covar",
-                "--backend", "all", "--threads", "2",
+                "--backend", "all",
             ]
         ) == 0
         out = capsys.readouterr().out
-        for name in ("interpret", "compiled", "process"):
+        for name in ("interpret", "compiled"):
             assert name in out
         assert "x vs interpret" in out
-
-    def test_run_backend_process(self, capsys):
-        assert main(
-            [
-                "--scale", "0.05",
-                "run", "favorita", "covar",
-                "--backend", "process",
-            ]
-        ) == 0
-        assert "process" in capsys.readouterr().out
 
     def test_run_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -199,7 +189,6 @@ class TestServeCli:
             max_queue = 64
             cache_mb = 8.0
             backend = "compiled"
-            threads = 1
 
         dataset = ALL_DATASETS["favorita"](scale=0.05)
         service = build_service(Args, dataset)
