@@ -4,9 +4,82 @@
 """
 
 import numpy as np
+import pytest
 
-from repro.engine.executor import merge_partials, retire_dead_keys
-from repro.engine.interpreter import ViewData
+from repro import LMFAO
+from repro.engine.executor import (
+    DataflowScheduler,
+    merge_partials,
+    retire_dead_keys,
+)
+from repro.engine.interpreter import ViewData, execute_plan
+
+from ..helpers import WORKLOADS
+
+
+def view_table(view, with_support):
+    """{group key: [sums..., support]} of one view, independent of row order."""
+    columns = list(view.agg_cols)
+    if with_support:
+        columns.append(view.support)
+    n_rows = len(columns[0])
+    if view.key_cols:
+        keys = list(zip(*(col.tolist() for col in view.key_cols)))
+    else:
+        keys = [()] * n_rows
+    return {key: [float(col[i]) for col in columns] for i, key in enumerate(keys)}
+
+
+class TestRowSplitsMergeToTheWhole:
+    """A group run over a split of its relation's rows merges back to the
+    run over all of them — what delta repair relies on when it folds a
+    delta partition's views into the cached ones."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_group_of_the_workload(self, toy_db, workload):
+        batch = WORKLOADS[workload]()
+        dyn = batch.dynamic_functions()
+        engine = LMFAO(toy_db, compile=False, root="Sales", track_support=True)
+        plan = engine.plan(batch)
+        views = {}
+
+        def task(group_id):
+            group_plan = plan.group_plans[group_id]
+            relation = engine.database.relation(group_plan.node)
+            incoming = {vid: views[vid] for vid in group_plan.input_view_ids}
+            whole = execute_plan(group_plan, relation, incoming, dyn)
+            cut = relation.n_rows // 3
+            merged = merge_partials(
+                [
+                    execute_plan(group_plan, relation.take(rows), incoming, dyn)
+                    for rows in (
+                        np.arange(cut),
+                        np.arange(cut, relation.n_rows),
+                    )
+                ]
+            )
+            assert set(merged) == set(whole)
+            for vid, expected in whole.items():
+                got = merged[vid]
+                assert got.group_by == expected.group_by
+                with_support = expected.support is not None and bool(
+                    expected.group_by
+                )
+                got_table = view_table(got, with_support)
+                expected_table = view_table(expected, with_support)
+                assert got_table.keys() == expected_table.keys()
+                for key, sums in expected_table.items():
+                    assert got_table[key] == pytest.approx(
+                        sums, rel=1e-9, abs=1e-9
+                    )
+            return whole
+
+        DataflowScheduler().run(
+            plan.dependencies(),
+            task,
+            lambda group_id, produced: views.update(produced),
+        )
+        assert views.keys() >= plan.output_view_ids()
 
 
 class TestMergePartials:

@@ -12,6 +12,8 @@ import pickle
 import sys
 import threading
 
+import pytest
+
 from repro import LMFAO, Aggregate, Query, QueryBatch
 
 from ..helpers import assert_results_equal
@@ -47,6 +49,15 @@ def test_execute_evicts_exactly_the_interior_views(toy_db):
     assert store.evicted == set(plan.view_consumers()) - outputs
 
 
+@pytest.mark.parametrize("compile_flag", [False, True])
+def test_wide_batch_reruns_match_the_first_run(toy_db, compile_flag):
+    batch = wide_batch()
+    engine = LMFAO(toy_db, compile=compile_flag)
+    first = engine.run(batch)
+    for _ in range(10):
+        assert_results_equal(engine.run(batch), first, batch, rtol=0, atol=0)
+
+
 def test_threads_racing_on_fresh_key_encodings_match_serial(toy_db):
     """Two threads, each with its own engine, run one batch at the same
     moment over one shared database whose relations were never encoded.
@@ -56,9 +67,21 @@ def test_threads_racing_on_fresh_key_encodings_match_serial(toy_db):
     the hook the service's epochs use, so the two runs race on the
     shared relations' first encodings and on nothing else.
     """
+    race_on_fresh_key_encodings(toy_db, compile_flag=True)
+
+
+def test_interpreters_racing_on_fresh_key_encodings_match_serial(toy_db):
+    """The same race with interpreted runs, the path view repair takes."""
+    race_on_fresh_key_encodings(toy_db, compile_flag=False)
+
+
+def race_on_fresh_key_encodings(toy_db, compile_flag):
     batch = wide_batch()
-    serial = LMFAO(toy_db, sort_inputs=False).run(batch)
-    engines = [LMFAO(toy_db, sort_inputs=False) for _ in range(2)]
+    serial = LMFAO(toy_db, compile=compile_flag, sort_inputs=False).run(batch)
+    engines = [
+        LMFAO(toy_db, compile=compile_flag, sort_inputs=False)
+        for _ in range(2)
+    ]
     for engine in engines:
         engine.plan(batch)
     interval = sys.getswitchinterval()

@@ -1,4 +1,4 @@
-"""Dataflow scheduler: readiness ordering, diamonds, errors."""
+"""Dataflow scheduler: readiness ordering, determinism, diamonds, errors."""
 
 import pytest
 
@@ -67,25 +67,86 @@ class TestSerial:
         )
         assert published == set(DIAMOND)
 
+    def test_ready_nodes_run_in_sorted_order(self):
+        order, _ = run_recording({"c": [], "a": [], "b": []})
+        assert order == ["a", "b", "c"]
+
+    def test_unlocked_nodes_queue_behind_ready_ones(self):
+        # a node unlocked by a finished task runs after every node that
+        # was already ready: the order is a pure function of the DAG
+        deps = {"slow": [], "c0": [], "c1": ["c0"], "c2": ["c1"]}
+        order, _ = run_recording(deps)
+        assert order == ["c0", "slow", "c1", "c2"]
+
+    def test_wide_dag_runs_every_task_once(self):
+        deps = {i: [] for i in range(20)}
+        deps.update({100 + i: [i, (i + 1) % 20] for i in range(20)})
+        calls = []
+
+        def task(node):
+            calls.append(node)
+            return node
+
+        order, results = run_recording(deps, task)
+        assert len(results) == 40
+        assert sorted(calls) == sorted(deps)
+        assert_topological(order, deps)
+
+    def test_self_loop_is_ignored(self):
+        deps = {"a": ["a"], "b": ["a"]}
+        order, _ = run_recording(deps)
+        assert order == ["a", "b"]
+
+    def test_repeated_dependency_counted_once(self):
+        deps = {"a": [], "b": ["a", "a"], "c": ["b", "a", "b"]}
+        order, _ = run_recording(deps)
+        assert order == ["a", "b", "c"]
+
 
 class TestErrors:
-    def test_cycle_detected(self):
+    @pytest.mark.parametrize(
+        "dependencies",
+        [
+            {"a": ["b"], "b": ["a"], "c": []},
+            {"a": ["c"], "b": ["a"], "c": ["b"]},
+            {"root": [], "a": ["root", "b"], "b": ["a"], "leaf": ["b"]},
+        ],
+        ids=["two-cycle", "three-cycle", "cycle-below-a-root"],
+    )
+    def test_cycle_detected(self, dependencies):
         with pytest.raises(ValueError, match="cycle"):
-            DataflowScheduler().run(
-                {"a": ["b"], "b": ["a"], "c": []}, lambda n: n
-            )
+            DataflowScheduler().run(dependencies, lambda n: n)
 
     def test_unknown_dependency(self):
         with pytest.raises(ValueError, match="unknown"):
             DataflowScheduler().run({"a": ["ghost"]}, lambda n: n)
 
-    def test_task_error_propagates(self):
+    def test_unknown_dependency_rejected_before_any_task_runs(self):
+        calls = []
+        with pytest.raises(ValueError, match="unknown"):
+            DataflowScheduler().run(
+                {"a": [], "b": ["a"], "c": ["ghost"]}, calls.append
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("failing", ["a", "b", "c"])
+    def test_task_error_propagates(self, failing):
+        deps = {"a": [], "b": ["a"], "c": ["b"]}
+        started = []
+
         def task(node):
-            if node == "b":
+            started.append(node)
+            if node == failing:
                 raise RuntimeError("boom")
             return node
 
+        published = []
         with pytest.raises(RuntimeError, match="boom"):
             DataflowScheduler().run(
-                {"a": [], "b": ["a"], "c": ["b"]}, task
+                deps, task, lambda node, result: published.append(node)
             )
+        # the run stops at the failing task: nothing after it starts and
+        # the failing node is never published
+        assert started[-1] == failing
+        assert failing not in published
+        assert published == started[:-1]

@@ -71,6 +71,26 @@ class TestEviction:
         store.group_finished([2])  # no refcount entry: a no-op
         assert 2 in store
 
+    def test_snapshot_unaffected_by_later_eviction(self):
+        # a group task reads its inputs into its own dict before running;
+        # evicting them afterwards must not reach into that copy
+        store = ViewStore(consumers={1: 1})
+        store[1] = grouped_view([0, 1], [1.0, 2.0])
+        snap = {vid: store[vid] for vid in [1]}
+        store.group_finished([1])
+        assert 1 not in store
+        assert snap[1].agg_cols[0].tolist() == [1.0, 2.0]
+
+    def test_view_never_stored_is_not_reported_evicted(self):
+        received = []
+        store = ViewStore(
+            consumers={1: 1},
+            on_evict=lambda vid, data: received.append(vid),
+        )
+        store.group_finished([1])  # its consumer ran off a cache hit
+        assert store.evicted == set()
+        assert received == []
+
     def test_pinned_view_outlives_all_its_consumers(self):
         store = ViewStore(consumers={1: 2}, pinned=[1])
         store[1] = scalar_view(7.0)
@@ -105,6 +125,29 @@ class TestEvictionHandoff:
         assert received == {}
         store.group_finished([1])
         assert set(received) == {1}
+
+    def test_on_evict_fires_once_per_view(self):
+        received = []
+        store = ViewStore(
+            consumers={1: 1},
+            on_evict=lambda vid, data: received.append(vid),
+        )
+        store[1] = scalar_view(1.0)
+        store.group_finished([1])
+        store.group_finished([1])  # a stray extra finish: nothing to hand off
+        assert received == [1]
+
+    def test_views_are_handed_off_in_input_order(self):
+        received = []
+        store = ViewStore(
+            consumers={1: 1, 2: 1, 3: 1},
+            on_evict=lambda vid, data: received.append(vid),
+        )
+        for vid in (1, 2, 3):
+            store[vid] = scalar_view(float(vid))
+        store.group_finished([3, 1, 2])
+        assert received == [3, 1, 2]
+        assert len(store) == 0
 
 
 class TestMergePrimitives:

@@ -46,9 +46,32 @@ class TestCli:
             assert name in out
         assert "x vs interpret" in out
 
+    @pytest.mark.parametrize(
+        "backend, other", [("interpret", "compiled"), ("compiled", "interpret")]
+    )
+    def test_run_single_backend(self, capsys, backend, other):
+        assert main(
+            [
+                "--scale", "0.05",
+                "run", "favorita", "covar",
+                "--backend", backend,
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"x vs {backend}" in out
+        assert other not in out
+
     def test_run_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             main(["run", "favorita", "covar", "--backend", "gpu"])
+
+    def test_run_rejects_the_process_backend(self):
+        with pytest.raises(SystemExit):
+            main(["run", "favorita", "covar", "--backend", "process"])
+
+    def test_run_rejects_threads(self):
+        with pytest.raises(SystemExit):
+            main(["run", "favorita", "covar", "--threads", "2"])
 
     def test_run_needs_some_workload(self):
         with pytest.raises(SystemExit, match="workload"):
@@ -164,6 +187,32 @@ class TestServeCli:
     def test_serve_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
             main(["serve", "nonexistent"])
+
+    @pytest.mark.parametrize("flag", [["--backend", "process"], ["--threads", "2"]])
+    def test_serve_rejects_removed_executor_options(self, flag):
+        with pytest.raises(SystemExit):
+            main(["serve", "favorita", *flag])
+
+    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
+    def test_build_service_maps_backend_onto_compile(self, backend):
+        from repro.__main__ import build_service
+        from repro.datasets import ALL_DATASETS
+
+        class Args:
+            dataset = "favorita"
+            coalesce_ms = 0.0
+            max_batch = 16
+            max_queue = 64
+            cache_mb = 8.0
+
+        Args.backend = backend
+        service = build_service(Args, ALL_DATASETS["favorita"](scale=0.05))
+        try:
+            engine = service._state("favorita").engine
+            assert engine.backend.name == backend
+            assert engine.compile_enabled is (backend == "compiled")
+        finally:
+            service.close()
 
     def test_client_query_needs_dataset_and_workloads(self):
         with pytest.raises(SystemExit, match="client query needs"):
