@@ -1,8 +1,11 @@
 """End-to-end integration: the paper's four workloads on every dataset."""
 
+import os
+
 import numpy as np
 import pytest
 
+import repro
 from repro import LMFAO, Aggregate, Query, QueryBatch, materialize_join
 from repro.baselines import MaterializedEngine
 from repro.ml import (
@@ -142,3 +145,37 @@ class TestEndToEndModels:
         attrs = ds.discrete_attrs[:5]
         edges, _ = chow_liu_tree(engine, attrs)
         assert len(edges) == len(attrs) - 1
+
+
+class TestMallocThresholds:
+    """Importing the package pins glibc's allocator thresholds, unless
+    the environment already configures the allocator."""
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+            pytest.skip("not glibc")
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(repro.ctypes, "CDLL", lambda name: FakeLibc())
+        for name in list(os.environ):
+            if name == "GLIBC_TUNABLES" or name.startswith("MALLOC_"):
+                monkeypatch.delenv(name)
+        return calls
+
+    def test_pins_mmap_and_trim_thresholds(self, mallopt_calls):
+        repro._pin_malloc_thresholds()
+        assert mallopt_calls == [(-3, 16 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize(
+        "name", ["GLIBC_TUNABLES", "MALLOC_ARENA_MAX", "MALLOC_TRIM_THRESHOLD_"]
+    )
+    def test_environment_settings_win(self, mallopt_calls, monkeypatch, name):
+        monkeypatch.setenv(name, "1")
+        repro._pin_malloc_thresholds()
+        assert mallopt_calls == []
