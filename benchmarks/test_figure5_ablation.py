@@ -1,11 +1,12 @@
 """Figure 5 — the optimization ladder ablation for the covar matrix.
 
 Starting from the AC/DC proxy (no optimizations) the layers are enabled
-one by one: compilation, multi-output (merging+grouping) and multi-root.
-The paper's shape: every step adds speedup >= ~1x on every dataset,
-with compilation and multi-output contributing most.  The paper's last
-step, parallelization with 4 threads, is not reproduced (the engine is
-serial).  ``results/figure5.txt`` holds the ladder.
+one by one: multi-output (merging+grouping) and multi-root.  The paper's
+shape: every step adds speedup >= ~1x on every dataset, with
+multi-output contributing most.  Two of the paper's steps are not
+reproduced: compilation (every engine interprets; README.md says why)
+and parallelization with 4 threads (the engine is serial).
+``results/figure5.txt`` holds the ladder.
 """
 
 import pytest
@@ -27,7 +28,7 @@ def test_ladder_step(benchmark, name, step):
     config_name, kwargs = FIGURE5_LADDER[step]
     engine = LMFAO(ds.database, ds.join_tree, **kwargs)
     batch = covar_workload(ds)
-    engine.plan(batch)  # exclude planning/compilation from the timing
+    engine.plan(batch)  # exclude planning from the timing
     result = benchmark.pedantic(
         lambda: engine.run(batch), rounds=2, iterations=1, warmup_rounds=1
     )

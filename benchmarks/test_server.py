@@ -58,7 +58,7 @@ DELTA_FRACTION = 0.005
 def build_workloads(ds):
     from repro import LMFAO
 
-    planner = LMFAO(ds.database, ds.join_tree, compile=False)
+    planner = LMFAO(ds.database, ds.join_tree)
     return {
         "covar": covar_workload(ds),
         "linreg": linreg_workload(ds),
@@ -76,8 +76,8 @@ def make_service(ds, workloads, *, coalesce_ms, cache_mb):
     service.register_dataset("retailer", ds.database, ds.join_tree)
     for name, batch in workloads.items():
         service.register_workload("retailer", name, batch)
-    # every subset a partially filled batch might fuse, planned and
-    # compiled up front — the measurement below is pure serving
+    # every subset a partially filled batch might fuse, planned up
+    # front — the measurement below is pure serving
     names = list(workloads)
     service.prepare(
         "retailer",

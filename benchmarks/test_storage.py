@@ -67,7 +67,7 @@ def test_storage_benchmark():
 
         # -- cold boot: full recompute over the CSV-loaded database ---
         engine_cold = LMFAO(db_csv, ds.join_tree)
-        engine_cold.plan(batch)  # plan+compile untimed on both sides
+        engine_cold.plan(batch)  # planning untimed on both sides
         t_cold_exec, cold_results = best_of(
             REPEATS, lambda: engine_cold.run(batch)
         )

@@ -54,7 +54,7 @@ def build_batch(workload, name, engine):
 def test_lmfao(benchmark, workload, name, lmfao_engine):
     engine = lmfao_engine(name)
     batch = build_batch(workload, name, engine)
-    engine.plan(batch)  # plan+compile once, outside the timing (warm cache)
+    engine.plan(batch)  # plan once, outside the timing (warm cache)
     result = benchmark.pedantic(
         lambda: engine.run(batch), rounds=2, iterations=1, warmup_rounds=1
     )

@@ -62,7 +62,7 @@ def linreg_workload(ds):
 
 
 def build_workloads(ds):
-    planner = LMFAO(ds.database, ds.join_tree, compile=False)
+    planner = LMFAO(ds.database, ds.join_tree)
     return {
         "covar": covar_workload(ds),
         "linreg": linreg_workload(ds),
@@ -90,7 +90,7 @@ def test_viewcache_benchmark():
     engines = {}
     for name, batch in workloads.items():
         engines[name] = LMFAO(ds.database, ds.join_tree)
-        engines[name].plan(batch)  # plan + compile untimed, as everywhere
+        engines[name].plan(batch)  # planning untimed, as everywhere
     session = WorkloadSession(ds.database, ds.join_tree)
     for name, batch in workloads.items():
         session.add_workload(name, batch)

@@ -4,8 +4,8 @@ Shows three capabilities the paper describes but does not benchmark:
 
 * polynomial regression of degree d (§2, eq. (5)) over moment batches;
 * k-means clustering (§2 "Further Applications") with dynamic
-  nearest-centroid UDFs re-bound each iteration — the compiled plan is
-  generated once;
+  nearest-centroid UDFs re-bound each iteration — the plan is built
+  once;
 * casting the view decomposition to SQL (§1) and explaining the plan.
 
 Run:  python examples/advanced_models.py
@@ -46,7 +46,7 @@ def main() -> None:
     sizes = np.bincount(assignment, minlength=4)
     print(f"  cluster sizes over the join: {sizes.tolist()}")
     print(
-        f"  plans compiled: {len(engine._plan_cache)} "
+        f"  plans built: {len(engine._plan_cache)} "
         "(one per batch structure, re-bound each iteration)"
     )
 

@@ -207,10 +207,6 @@ def cmd_run(args) -> int:
             raise SystemExit(
                 "give either a positional workload or --workloads, not both"
             )
-        if args.backend == "all":
-            raise SystemExit(
-                "--workloads times one backend; pick one instead of 'all'"
-            )
         if args.incremental:
             raise SystemExit("--incremental takes a single workload")
         dataset, engine = _dataset_and_engine(args)
@@ -221,36 +217,17 @@ def cmd_run(args) -> int:
     batch = _build_workload(dataset, engine, args.workload)
     if args.incremental:
         return _run_incremental(args, dataset, batch)
-    backends = (
-        ["interpret", "compiled"] if args.backend == "all" else [args.backend]
-    )
     print(
         f"{args.workload} on {args.dataset}: {len(batch)} queries, "
         f"{batch.n_application_aggregates} aggregates"
     )
-    # one Database, loaded and attribute-sorted exactly once (by the
-    # planning engine above), shared by every backend run — the timing
-    # comparison then measures execution, not repeated preprocessing
-    shared_db = engine.database
-    baseline = None
-    for name in backends:
-        backend_engine = LMFAO(
-            shared_db,
-            dataset.join_tree,
-            compile=name == "compiled",
-            sort_inputs=False,
-        )
-        backend_engine.plan(batch)  # warm: plan+compile untimed
-        start = time.perf_counter()
-        results = backend_engine.run(batch)
-        elapsed = time.perf_counter() - start
-        n_rows = sum(r.n_rows for r in results.values())
-        baseline = baseline or elapsed
-        print(
-            f"  {name:9} {elapsed:8.4f}s  {n_rows} result rows"
-            f"  ({baseline / elapsed:.2f}x vs {backends[0]})"
-        )
-    print("plan:", engine.plan(batch).statistics.table2_row())
+    plan = engine.plan(batch)  # warm: planning untimed
+    start = time.perf_counter()
+    results = engine.run(batch)
+    elapsed = time.perf_counter() - start
+    n_rows = sum(r.n_rows for r in results.values())
+    print(f"  executed in {elapsed:.4f}s, {n_rows} result rows")
+    print("plan:", plan.statistics.table2_row())
     return 0
 
 
@@ -270,7 +247,6 @@ def _run_workloads(args, dataset, engine) -> int:
         engine.database,  # loaded + sorted once, shared with the session
         dataset.join_tree,
         cache=cache,
-        compile=args.backend == "compiled",
         sort_inputs=False,
     )
     batches = {}
@@ -280,7 +256,7 @@ def _run_workloads(args, dataset, engine) -> int:
     mode = "fused" if args.fuse else "independent"
     print(
         f"{'+'.join(names)} on {args.dataset} "
-        f"[{mode}, backend={args.backend}"
+        f"[{mode}"
         + (f", cache={args.cache_mb:g}MiB]" if cache else "]")
     )
     if args.fuse:
@@ -351,7 +327,7 @@ def _run_incremental(args, dataset, batch) -> int:
         f"(root={engine.root})"
     )
     # fair full-re-evaluation baseline: a cold run on a cleared view
-    # cache (planning + compilation cached, as for the maintenance side);
+    # cache (planning cached, as for the maintenance side);
     # it leaves the views cached again for the delta below
     engine.view_cache.clear()
     start = time.perf_counter()
@@ -404,7 +380,6 @@ def build_service(args, dataset) -> AnalyticsService:
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         cache_mb=args.cache_mb,
-        backend=args.backend,
         data_dir=getattr(args, "data_dir", None),
         compact_wal=getattr(args, "compact_wal", 0),
         spill_mb=getattr(args, "spill_mb", 512.0),
@@ -431,12 +406,9 @@ def build_service(args, dataset) -> AnalyticsService:
         )
     elif getattr(args, "data_dir", None):
         print(f"initialized durable storage at {args.data_dir}")
-    # a compile-free planner builds the workload batches (the tree
-    # learner wants an engine handle; node_batch never executes it)
-    planner = LMFAO(
-        dataset.database, dataset.join_tree, compile=False,
-        sort_inputs=False,
-    )
+    # a planner builds the workload batches (the tree learner wants an
+    # engine handle; node_batch never executes it)
+    planner = LMFAO(dataset.database, dataset.join_tree, sort_inputs=False)
     for name in SERVE_WORKLOADS:
         try:
             batch = _build_workload(dataset, planner, name)
@@ -444,8 +416,8 @@ def build_service(args, dataset) -> AnalyticsService:
             print(f"skipping {exc}")
             continue
         service.register_workload(args.dataset, name, batch)
-    # plan + compile every workload (and the full fused union) before
-    # accepting traffic, so no request pays codegen inline
+    # plan every workload (and the full fused union) before accepting
+    # traffic, so no request pays planning inline
     service.prepare(args.dataset)
     return service
 
@@ -604,13 +576,6 @@ def main(argv=None) -> int:
             p.add_argument("workload", choices=WORKLOAD_CHOICES)
         if name == "run":
             p.add_argument(
-                "--backend",
-                choices=["interpret", "compiled", "all"],
-                default="compiled",
-                help="interpret the group plans or run their generated "
-                "code; 'all' times both in turn (default: compiled)",
-            )
-            p.add_argument(
                 "--workloads",
                 help="comma-separated workloads to run through one "
                 "WorkloadSession, e.g. covar,linreg,trees",
@@ -678,12 +643,6 @@ def main(argv=None) -> int:
         default=64.0,
         help="view-cache byte budget in MiB; 0 disables the cache "
         "(default: 64)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=["interpret", "compiled"],
-        default="compiled",
-        help="execution backend for served queries (default: compiled)",
     )
     p_serve.add_argument(
         "--data-dir",

@@ -1,12 +1,7 @@
 """The LMFAO engine: layered optimization and execution of aggregate batches."""
 
 from .engine import LMFAO, BatchResult, EnginePlan
-from .executor import (
-    CompiledBackend,
-    DataflowScheduler,
-    InterpreterBackend,
-    ViewStore,
-)
+from .executor import DataflowScheduler, InterpreterBackend, ViewStore
 from .explain import explain
 from .grouping import GroupedPlan, ViewGroup, group_views
 from .ivm import DeltaMaintenance, DeltaReport, IncrementalEngine
@@ -23,7 +18,6 @@ __all__ = [
     "BatchResult",
     "EnginePlan",
     "InterpreterBackend",
-    "CompiledBackend",
     "DataflowScheduler",
     "ViewStore",
     "ViewCache",

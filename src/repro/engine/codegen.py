@@ -1,9 +1,11 @@
-"""The Compilation layer: specialized Python source per view group.
+"""The Compilation layer, as a renderer: specialized Python source per view group.
 
-LMFAO generates C++ specialized to the join tree and schema; here we
-render each :class:`GroupPlan` into a dedicated Python function that is
-``compile()``d once and cached with the plan.  The generated code shows
-the optimizations of §3.5/Appendix C in Python form:
+LMFAO generates C++ specialized to the join tree and schema; here each
+:class:`GroupPlan` renders into a dedicated Python function — for
+reading, not for running.  The engine executes the same steps through
+the interpreter: a group pass is NumPy kernel calls, and generated
+Python would save only the interpreter's per-step dispatch.  The
+rendered code shows the optimizations of §3.5/Appendix C in Python form:
 
 * static functions are **inlined** as NumPy expressions;
 * **dynamic functions** (decision-tree conditions) are invoked through a
@@ -20,16 +22,19 @@ the optimizations of §3.5/Appendix C in Python form:
   one fixed-layout tuple (the fixed-size aggregate array analog).
 
 ``render_source`` exposes the generated code for inspection (the paper's
-Figure 7 analog).
+Figure 7 analog).  The function takes
+``(rel_cols, rel_keys, n_rel, key_cols, agg_cols, dyn)`` — the
+relation's columns and their ``(codes, uniques)`` encodings by
+attribute, its row count, the incoming views' key/aggregate column
+lists by view id, and the dynamic function table — and returns
+``{view id: (group_by, key_cols, agg_cols[, support])}``; ``np`` and
+``ops`` (:mod:`repro.data.ops`) are its only free names.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
-import numpy as np
-
-from ..data import ops
 from .plan import (
     EmitStep,
     EncodeStep,
@@ -57,25 +62,6 @@ def render_source(plan: GroupPlan, fn_name: str = "group_fn") -> str:
         lines.extend("    " + line for line in _render_step(step))
     lines.append("    return out")
     return "\n".join(lines) + "\n"
-
-
-def compile_plan(plan: GroupPlan) -> Callable:
-    """Compile a group plan; returns the specialized function.
-
-    The function signature is
-    ``fn(rel_cols, rel_keys, n_rel, key_cols, agg_cols, dyn) -> dict``
-    where ``rel_cols`` maps attribute name to column, ``rel_keys`` maps
-    it to the column's ``(codes, uniques)`` encoding
-    (:attr:`Relation.encodings`), ``key_cols``/``agg_cols`` map incoming
-    view id to its column lists, and ``dyn`` is the dynamic function
-    table.  The result maps view id to
-    ``(group_by, key_col_list, agg_col_list)``.
-    """
-    source = render_source(plan)
-    namespace: Dict[str, object] = {"np": np, "ops": ops}
-    code = compile(source, f"<lmfao-group-{plan.group.id}>", "exec")
-    exec(code, namespace)  # noqa: S102 - the source is engine-generated
-    return namespace["group_fn"]  # type: ignore[return-value]
 
 
 def _render_step(step) -> List[str]:

@@ -7,24 +7,26 @@
 Planning (this module + the layers it calls) produces an
 :class:`EnginePlan`; execution is delegated to the executor subsystem
 (:mod:`repro.engine.executor`): a :class:`DataflowScheduler` runs the
-view groups one at a time in topological order, a backend evaluates
-each group (interpreted, or through its generated code), and
-materialized views live in a :class:`ViewStore` with ref-counted
-eviction of interior views.
+view groups one at a time in topological order, the
+:class:`InterpreterBackend` evaluates each group by walking its step
+IR, and materialized views live in a :class:`ViewStore` with
+ref-counted eviction of interior views.  The Compilation layer renders
+each group's steps as specialized source for reading
+(:meth:`EnginePlan.generated_source`); nothing executes it.
 
 Usage::
 
-    engine = LMFAO(database)                  # compiled
-    engine = LMFAO(database, compile=False)   # interpreted
+    engine = LMFAO(database)
     results = engine.run(batch)               # query name -> Relation
     stats = engine.plan(batch).statistics
+    print(engine.plan(batch).generated_source())
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from ..query.query import QueryBatch
 from . import codegen
 from .attribute_order import sort_database
 from .executor import (
-    CompiledBackend,
     DataflowScheduler,
     GroupTask,
     InterpreterBackend,
@@ -58,12 +59,11 @@ from .viewcache.signature import (
 
 @dataclass
 class EnginePlan:
-    """A fully planned (and possibly compiled) batch."""
+    """A fully planned batch."""
 
     decomposed: DecomposedBatch
     grouped: GroupedPlan
     group_plans: List[GroupPlan]
-    compiled_fns: List[Optional[Callable]]
     statistics: PlanStatistics
     n_dynamic: int
     #: planning-time ``id(function) -> dyn slot`` (content signatures
@@ -128,13 +128,13 @@ class LMFAO:
     * ``multi_root`` — Find Roots uses per-query roots (§3.3);
     * ``merge_mode`` — ``"full"`` / ``"dedup"`` / ``"none"`` (§3.4);
     * ``group_views`` — Multi-Output groups (§3.5) vs one view per plan;
-    * ``compile`` — generate + compile specialized code per view group
-      and run it (:class:`CompiledBackend`), or interpret the plan
-      (:class:`InterpreterBackend`);
     * ``sort_inputs`` — sort relations by their attribute orders.
 
     The paper's Parallelization layer is not reproduced: groups run
-    serially, one at a time.
+    serially, one at a time.  Nor is its Compilation step: every group
+    runs through the interpreter.  ``compile`` selects nothing; it is
+    accepted only so callers that still pass it (``bench/workloads.py``)
+    keep working.
 
     Two extra knobs serve the incremental-maintenance layer
     (:mod:`repro.engine.ivm`):
@@ -164,7 +164,7 @@ class LMFAO:
         multi_root: bool = True,
         merge_mode: str = "full",
         group_views: bool = True,
-        compile: bool = True,
+        compile: bool = False,
         sort_inputs: bool = True,
         root: Optional[str] = None,
         track_support: bool = False,
@@ -186,8 +186,7 @@ class LMFAO:
         self.group_views_enabled = group_views
         self.root = root
         self.track_support = track_support
-        self.compile_enabled = compile
-        self.backend = CompiledBackend() if compile else InterpreterBackend()
+        self.backend = InterpreterBackend()
         self.view_cache = view_cache
         self._plan_cache: Dict[tuple, EnginePlan] = {}
         # id(plan) -> (plan, database, signatures); both identities are
@@ -197,13 +196,12 @@ class LMFAO:
     # -- planning -----------------------------------------------------------
 
     def plan(self, batch: QueryBatch) -> EnginePlan:
-        """Plan (and compile) a batch; cached on structural signature."""
+        """Plan a batch; cached on structural signature."""
         cache_key = (
             batch.structural_signature(),
             self.multi_root,
             self.merge_mode,
             self.group_views_enabled,
-            self.compile_enabled,
             self.root,
             self.track_support,
         )
@@ -246,14 +244,10 @@ class LMFAO:
             )
             for group in grouped.groups
         ]
-        compiled: List[Optional[Callable]] = [None] * len(group_plans)
-        if self.compile_enabled:
-            compiled = [codegen.compile_plan(p) for p in group_plans]
         plan = EnginePlan(
             decomposed=decomposed,
             grouped=grouped,
             group_plans=group_plans,
-            compiled_fns=compiled,
             statistics=compute_statistics(batch, decomposed, grouped),
             n_dynamic=len(dyn_functions),
             dyn_slots=dyn_slots,
@@ -336,7 +330,7 @@ class LMFAO:
         """Materialize the output views of a planned batch.
 
         The scheduler runs each view group once its input views are
-        published; the backend decides how a group is evaluated.
+        published; the backend evaluates each group.
         Interior views are evicted once their last consumer
         finishes (output views are pinned and always survive).
         ``database`` pins execution to an explicit database version (see
@@ -428,7 +422,6 @@ class LMFAO:
                         vid: store[vid] for vid in group_plan.input_view_ids
                     },
                     dyn=dyn,
-                    compiled_fn=plan.compiled_fns[group_id],
                 )
             )
 

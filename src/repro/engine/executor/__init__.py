@@ -3,7 +3,7 @@
 Three layers, composed by the :class:`repro.engine.engine.LMFAO` facade:
 
 * :mod:`~repro.engine.executor.backend` — *how* one view group runs
-  (interpreted or compiled);
+  (:class:`InterpreterBackend` walks its step IR);
 * :mod:`~repro.engine.executor.scheduler` — *when* each group runs
   (a deterministic topological loop over the group DAG);
 * :mod:`~repro.engine.executor.store` — *where* materialized views live
@@ -11,22 +11,15 @@ Three layers, composed by the :class:`repro.engine.engine.LMFAO` facade:
   and the distributive-SUM merge primitives delta repair uses).
 """
 
-from .backend import (
-    CompiledBackend,
-    GroupTask,
-    InterpreterBackend,
-    views_from_raw,
-)
+from .backend import GroupTask, InterpreterBackend
 from .scheduler import DataflowScheduler
 from .store import ViewStore, merge_partials, retire_dead_keys
 
 __all__ = [
-    "CompiledBackend",
     "DataflowScheduler",
     "GroupTask",
     "InterpreterBackend",
     "ViewStore",
     "merge_partials",
     "retire_dead_keys",
-    "views_from_raw",
 ]

@@ -115,7 +115,6 @@ class IncrementalEngine:
         join_tree: Optional[JoinTree] = None,
         *,
         root: Optional[str] = None,
-        compile: bool = True,
         view_cache: Optional[ViewCache] = None,
     ):
         if root is None:
@@ -126,7 +125,6 @@ class IncrementalEngine:
             root=root,
             track_support=True,
             sort_inputs=False,
-            compile=compile,
             view_cache=ViewCache() if view_cache is None else view_cache,
         )
         self.root = root

@@ -39,7 +39,7 @@ class AggregateSpec:
 
         ``dyn_slots`` maps ``id(function)`` to the batch slot of dynamic
         functions; two dynamic functions are never merged even when their
-        current values coincide, so compiled plans can re-bind each slot
+        current values coincide, so cached plans can re-bind each slot
         independently.
         """
         func_sigs = []

@@ -4,7 +4,7 @@ Each tree node is learned from one LMFAO batch: the node's dataset
 fragment is never materialized — it is encoded as a product of Kronecker
 deltas over the ancestor conditions (the *dynamic functions* of §1.2).
 Because ancestor thresholds are dynamic, re-running a node batch at the
-same depth hits the engine's compiled-plan cache.
+same depth hits the engine's plan cache.
 
 Regression trees use the variance cost, classification trees the Gini
 index, with the paper's experimental setup: bucketized continuous

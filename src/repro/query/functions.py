@@ -44,7 +44,7 @@ class Function:
 
     #: attributes this function reads (tuple of names)
     attrs: Tuple[str, ...] = ()
-    #: dynamic functions are parameters of compiled plans, not inlined
+    #: dynamic functions are parameters of cached plans, not inlined
     dynamic: bool = False
 
     def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -144,8 +144,8 @@ class Delta(Function):
 
     ``op`` is one of ``<= < >= > == !=``, or ``"in"`` with ``value`` a
     collection of categories.  Mark ``dynamic=True`` when the threshold
-    changes between engine invocations (CART learning) so compiled plans
-    are reused instead of regenerated.
+    changes between engine invocations (CART learning) so cached plans
+    are reused instead of re-planned.
     """
 
     def __init__(self, attr, op, value, dynamic: bool = False):
@@ -182,7 +182,7 @@ class Delta(Function):
 
     def structural_signature(self, slot: int) -> tuple:
         # both value AND operator are runtime-bound for dynamic deltas:
-        # the compiled plan calls the function through its slot, so a
+        # the cached plan calls the function through its slot, so a
         # CART complement branch (`>` vs `<=`) reuses the same plan
         if self.dynamic:
             return ("dyn", "delta", self.attr, slot)

@@ -84,7 +84,7 @@ class QueryBatch:
     def dynamic_functions(self) -> List:
         """All dynamic functions in deterministic batch order.
 
-        The order defines the *slots* used by compiled plans: re-running a
+        The order defines the *slots* used by cached plans: re-running a
         structurally identical batch binds new function values by slot.
         """
         if self._dynamic is None:
@@ -99,7 +99,7 @@ class QueryBatch:
         return list(self._dynamic)
 
     def structural_signature(self) -> tuple:
-        """Value-free batch identity: the compiled-plan cache key.
+        """Value-free batch identity: the plan-cache key.
 
         Dynamic function values are abstracted to slot numbers, so CART's
         per-node batches (same shape, new thresholds) hit the plan cache.

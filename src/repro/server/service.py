@@ -201,7 +201,6 @@ class _DatasetState:
         join_tree: Optional[JoinTree],
         *,
         cache_mb: float,
-        compile: bool,
         storage: Optional[DatasetStorage] = None,
         initial_epoch: int = 0,
         recovery: Optional[RecoveryStats] = None,
@@ -220,7 +219,6 @@ class _DatasetState:
         self.ivm = IncrementalEngine(
             database,
             join_tree,
-            compile=compile,
             view_cache=self.cache,
         )
         self.engine: LMFAO = self.ivm.engine
@@ -277,8 +275,10 @@ class AnalyticsService:
     per dataset on its write lock while queries keep reading their
     captured epochs.
 
-    ``backend`` is ``"compiled"`` (generate code per view group) or
-    ``"interpret"`` — the engines' ``compile`` knob.
+    Every view group runs through the interpreter.  ``backend``
+    accepts ``"interpret"`` or ``"compiled"`` and both interpret; it is
+    kept only so callers that still pass it (``bench/traced.py``) keep
+    working.
     """
 
     def __init__(
@@ -288,7 +288,7 @@ class AnalyticsService:
         max_batch: int = 16,
         max_queue: int = 64,
         cache_mb: float = DEFAULT_CACHE_MB,
-        backend: str = "compiled",
+        backend: str = "interpret",
         data_dir: Optional[str] = None,
         compact_wal: int = 0,
         spill_mb: float = 512.0,
@@ -302,7 +302,6 @@ class AnalyticsService:
             raise ValueError(
                 f"unknown backend {backend!r}; use 'interpret' or 'compiled'"
             )
-        self._compile = backend == "compiled"
         self._data_dir = data_dir
         self._compact_wal = max(0, int(compact_wal))
         # disk budget for the persistent cache tier: without one,
@@ -376,7 +375,6 @@ class AnalyticsService:
                     database,
                     join_tree,
                     cache_mb=self._cache_mb,
-                    compile=self._compile,
                     storage=storage,
                     initial_epoch=(
                         snapshot_info.epoch if snapshot_info else 0
@@ -442,7 +440,7 @@ class AnalyticsService:
         """Register one named query batch servable on a dataset.
 
         The batch object is reused across every request naming it, so
-        plans (and their compiled functions) are built once and shared.
+        plans are built once and shared.
         """
         state = self._state(dataset)
         if name in state.workloads:
@@ -472,12 +470,12 @@ class AnalyticsService:
         dataset: str,
         workload_sets: Optional[Sequence[Sequence[str]]] = None,
     ) -> "AnalyticsService":
-        """Pre-plan (and compile) workload combinations before traffic.
+        """Pre-plan workload combinations before traffic.
 
         By default every single workload plus the full union is planned;
         pass explicit ``workload_sets`` to warm other combinations a
         coalesced batch might fuse.  Serving threads then never pay
-        planning/compilation inline.
+        planning inline.
         """
         state = self._state(dataset)
         if workload_sets is None:

@@ -19,7 +19,6 @@ class TestAcdcProxy:
     def test_configuration(self, toy_db):
         engine = acdc_proxy(toy_db)
         assert not engine.multi_root
-        assert not engine.compile_enabled
         assert not engine.group_views_enabled
         assert engine.merge_mode == "dedup"
 
@@ -46,7 +45,8 @@ class TestAcdcProxy:
     def test_ladder_is_monotone_in_features(self):
         names = [name for name, _ in FIGURE5_LADDER]
         assert names[0].startswith("acdc")
-        assert "compilation" in names[1]
+        assert "multi-output" in names[1]
+        assert not any("compilation" in name for name in names)
         assert "multi-root" in names[-1]
 
 

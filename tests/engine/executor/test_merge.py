@@ -39,7 +39,7 @@ class TestRowSplitsMergeToTheWhole:
     def test_every_group_of_the_workload(self, toy_db, workload):
         batch = WORKLOADS[workload]()
         dyn = batch.dynamic_functions()
-        engine = LMFAO(toy_db, compile=False, root="Sales", track_support=True)
+        engine = LMFAO(toy_db, root="Sales", track_support=True)
         plan = engine.plan(batch)
         views = {}
 

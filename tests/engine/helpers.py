@@ -1,8 +1,70 @@
-"""Shared helpers for engine tests: result comparison + toy workloads."""
+"""Shared helpers for engine tests: result comparison + toy workloads,
+and running the Compilation layer's rendered source."""
 
 import numpy as np
 
 from repro import Aggregate, Delta, Power, Product, Query, QueryBatch
+from repro.data import ops
+from repro.engine import codegen
+from repro.engine.interpreter import ViewData
+
+
+def execute_rendered(plan, relation, incoming, dyn=()):
+    """``execute_plan``'s twin: run one group plan through the source
+    ``codegen.render_source`` renders for it; returns views by id."""
+    namespace = {"np": np, "ops": ops}
+    exec(codegen.render_source(plan), namespace)  # noqa: S102
+    raw = namespace["group_fn"](
+        {name: relation.column(name) for name in plan.relation_attrs},
+        relation.encodings,
+        relation.n_rows,
+        {vid: data.key_cols for vid, data in incoming.items()},
+        {vid: data.agg_cols for vid, data in incoming.items()},
+        dyn,
+    )
+    views = {}
+    for vid, (group_by, keys, aggs, *support) in raw.items():
+        views[vid] = ViewData(
+            group_by=group_by,
+            key_cols=list(keys),
+            agg_cols=[np.asarray(a, dtype=np.float64) for a in aggs],
+            support=(
+                np.asarray(support[0], dtype=np.float64) if support else None
+            ),
+        )
+    return views
+
+
+class RenderedBackend:
+    """Runs every view group through its rendered source."""
+
+    def run_group(self, task):
+        return execute_rendered(
+            task.plan, task.relation, task.incoming, task.dyn
+        )
+
+
+def run_rendered(engine, batch):
+    """``engine.run(batch)`` with every group executed by its rendered
+    source instead of the interpreter (the engine is left as it was)."""
+    interpreter, engine.backend = engine.backend, RenderedBackend()
+    try:
+        return engine.run(batch)
+    finally:
+        engine.backend = interpreter
+
+
+def assert_results_identical(got, expected):
+    """Two runs of one batch agree bit for bit: same queries, columns,
+    row order and values."""
+    assert set(got) == set(expected)
+    for name, relation in expected.items():
+        assert got[name].schema.names == relation.schema.names, name
+        for column in relation.schema.names:
+            np.testing.assert_array_equal(
+                got[name].column(column), relation.column(column),
+                err_msg=f"{name}.{column}",
+            )
 
 
 def _counts_batch():
@@ -73,7 +135,8 @@ def _conditional_batch():
 
 
 #: name -> QueryBatch factory over the ``toy_db`` star schema; the
-#: backend-differential tests assert every backend agrees on all of them
+#: rendered-source differential tests hold codegen to the interpreter on
+#: all of them
 WORKLOADS = {
     "counts": _counts_batch,
     "groupbys": _groupby_batch,

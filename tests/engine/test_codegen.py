@@ -1,11 +1,16 @@
-"""The Compilation layer: generated source properties and equivalence."""
+"""The Compilation layer: generated source properties, and the rendered
+source's equivalence with the interpreter that runs the same steps."""
 
 import numpy as np
 
 from repro import LMFAO, Aggregate, Delta, Query, QueryBatch, Udf
 from repro.baselines import MaterializedEngine
 
-from .helpers import assert_results_equal
+from .helpers import (
+    assert_results_equal,
+    assert_results_identical,
+    run_rendered,
+)
 
 
 def batch_with_everything():
@@ -101,13 +106,12 @@ class TestGeneratedSource:
 
 
 class TestEquivalence:
-    def test_compiled_equals_interpreted(self, toy_db):
+    def test_rendered_equals_interpreted(self, toy_db):
         batch = batch_with_everything()
-        compiled = LMFAO(toy_db, compile=True).run(batch)
-        interpreted = LMFAO(toy_db, compile=False).run(batch)
-        assert_results_equal(compiled, interpreted, batch)
+        engine = LMFAO(toy_db)
+        assert_results_identical(run_rendered(engine, batch), engine.run(batch))
 
-    def test_compiled_equals_materialized_on_datasets(self, tiny_yelp):
+    def test_rendered_equals_materialized_on_datasets(self, tiny_yelp):
         ds = tiny_yelp
         batch = QueryBatch(
             [
@@ -119,11 +123,11 @@ class TestEquivalence:
                 ),
             ]
         )
-        got = LMFAO(ds.database, ds.join_tree, compile=True).run(batch)
+        got = run_rendered(LMFAO(ds.database, ds.join_tree), batch)
         expected = MaterializedEngine(ds.database).run(batch)
         assert_results_equal(got, expected, batch)
 
-    def test_recompilation_not_needed_for_dynamic_change(self, toy_db):
+    def test_replanning_not_needed_for_dynamic_change(self, toy_db):
         engine = LMFAO(toy_db)
 
         def make(threshold):
@@ -144,7 +148,7 @@ class TestEquivalence:
 
         plan_a = engine.plan(make(5.0))
         plan_b = engine.plan(make(15.0))
-        assert plan_a is plan_b  # same compiled code object reused
+        assert plan_a is plan_b  # same plan re-bound, not rebuilt
         r5 = engine.run(make(5.0))["q"].column("v")[0]
         r15 = engine.run(make(15.0))["q"].column("v")[0]
         assert r5 < r15

@@ -23,6 +23,8 @@ from repro.engine.plan import (
 )
 from repro.query.functions import Delta, Identity
 
+from .helpers import execute_rendered
+
 
 def run_lines(lines, env):
     namespace = {"np": np, "ops": ops, "out": {}}
@@ -235,8 +237,6 @@ class TestPostSumFactorsInBothRenderers:
     def test_interpreted_equals_generated(self):
         from repro.data.relation import Relation
         from repro.data.schema import Attribute, Schema
-        from repro.engine.codegen import compile_plan
-        from repro.engine.executor.backend import views_from_raw
 
         k = np.array([2, 1, 2, 3, 1])  # 3 has no partner in view 4
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -266,16 +266,8 @@ class TestPostSumFactorsInBothRenderers:
             relation_attrs=("k", "x"),
         )
         interpreted = execute_plan(plan, relation, incoming, [])[9]
-        raw = compile_plan(plan)(
-            {"k": k, "x": x},
-            relation.encodings,
-            relation.n_rows,
-            {vid: vd.key_cols for vid, vd in incoming.items()},
-            {vid: vd.agg_cols for vid, vd in incoming.items()},
-            [],
-        )
-        compiled = views_from_raw(raw)[9]
-        for data in (interpreted, compiled):
+        generated = execute_rendered(plan, relation, incoming, [])[9]
+        for data in (interpreted, generated):
             assert data.key_cols[0].tolist() == [1, 2]
             # (2 + 16) * 10 * 0.5 * 3 and (1 + 4) * 100 * 0.5 * 3
             assert data.agg_cols[0].tolist() == [270.0, 750.0]

@@ -136,20 +136,12 @@ class TestAgainstMaterialized:
 
 
 class TestModes:
-    @pytest.mark.parametrize("compile_", [True, False])
     @pytest.mark.parametrize("multi_root", [True, False])
     @pytest.mark.parametrize("merge_mode", ["full", "dedup", "none"])
-    def test_all_mode_combinations_agree(
-        self, toy_db, compile_, multi_root, merge_mode
-    ):
+    def test_all_mode_combinations_agree(self, toy_db, multi_root, merge_mode):
         batch = standard_batch()
         reference = MaterializedEngine(toy_db).run(batch)
-        engine = LMFAO(
-            toy_db,
-            compile=compile_,
-            multi_root=multi_root,
-            merge_mode=merge_mode,
-        )
+        engine = LMFAO(toy_db, multi_root=multi_root, merge_mode=merge_mode)
         assert_results_equal(engine.run(batch), reference, batch)
 
     def test_group_views_disabled_agrees(self, toy_db):

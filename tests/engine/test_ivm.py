@@ -213,8 +213,7 @@ class TestDeltaPartitionRuns:
         from repro.engine.interpreter import execute_plan
 
         engine = LMFAO(
-            toy_db, sort_inputs=False, root="Sales", track_support=True,
-            compile=False,
+            toy_db, sort_inputs=False, root="Sales", track_support=True
         )
         plan = engine.plan(simple_batch(["city"]))
         view_data = {}

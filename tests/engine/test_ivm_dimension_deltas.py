@@ -8,9 +8,9 @@ from-scratch evaluation of the updated database produces.
 Every test here applies inserts and/or retractions to *non-root*
 (dimension) relations, asserts the maintenance mode was ``propagate``
 (never ``recompute``), and checks the differential against a cold
-engine.  Both execution backends are covered: the engine's first run
-materializes the views through the chosen backend, and every post-delta
-run is assembled from the views ``ViewCache.on_delta`` repaired.
+engine.  The engine's first run materializes the views, and every
+post-delta run is assembled from the views ``ViewCache.on_delta``
+repaired.
 """
 
 import numpy as np
@@ -26,9 +26,6 @@ from .test_ivm import (
     simple_batch,
 )
 
-BACKENDS = ["interpret", "compiled"]
-
-
 @pytest.fixture(params=DATASET_FIXTURES)
 def any_dataset(request):
     return request.getfixturevalue(request.param)
@@ -39,17 +36,11 @@ def dimension_names(engine):
     return [r.name for r in engine.database if r.name != engine.root]
 
 
-def build_engine(ds, backend):
-    return IncrementalEngine(
-        ds.database, ds.join_tree, compile=backend == "compiled"
-    )
-
-
 class TestDimensionDeltaDifferential:
-    """insert/retract on dimension tables == recomputation, per backend."""
+    """insert/retract on dimension tables == recomputation."""
 
-    def _roundtrip(self, ds, backend, deltas_fn):
-        engine = build_engine(ds, backend)
+    def _roundtrip(self, ds, deltas_fn):
+        engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = simple_batch([ds.categorical_features[0]])
         engine.run(batch)
         rng = np.random.default_rng(0)
@@ -72,16 +63,14 @@ class TestDimensionDeltaDifferential:
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch, rtol=1e-8, atol=1e-8)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_inserts_on_every_dimension(self, any_dataset, backend):
+    def test_inserts_on_every_dimension(self, any_dataset):
         def deltas(rng, rel, dim):
             n = max(1, rel.n_rows // 20)
             return [DeltaBatch.insert(dim, sample_inserts(rng, rel, n))]
 
-        self._roundtrip(any_dataset, backend, deltas)
+        self._roundtrip(any_dataset, deltas)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_retractions_on_every_dimension(self, any_dataset, backend):
+    def test_retractions_on_every_dimension(self, any_dataset):
         def deltas(rng, rel, dim):
             if rel.n_rows < 2:
                 return []
@@ -89,10 +78,9 @@ class TestDimensionDeltaDifferential:
             idx = rng.choice(rel.n_rows, n, replace=False)
             return [DeltaBatch.delete(dim, idx)]
 
-        self._roundtrip(any_dataset, backend, deltas)
+        self._roundtrip(any_dataset, deltas)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_insert_and_retract(self, any_dataset, backend):
+    def test_mixed_insert_and_retract(self, any_dataset):
         def deltas(rng, rel, dim):
             if rel.n_rows < 2:
                 return []
@@ -105,7 +93,7 @@ class TestDimensionDeltaDifferential:
                 )
             ]
 
-        self._roundtrip(any_dataset, backend, deltas)
+        self._roundtrip(any_dataset, deltas)
 
 
 class TestInterleavedRootAndDimension:

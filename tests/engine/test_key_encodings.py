@@ -68,14 +68,11 @@ def count_relation_encodings(monkeypatch):
 
 class TestRerunsEncodeNothing:
     @pytest.mark.parametrize("fixture", ["tiny_retailer", "tiny_favorita"])
-    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
     def test_second_pass_of_the_paper_batches(
-        self, request, fixture, backend, count_relation_encodings
+        self, request, fixture, count_relation_encodings
     ):
         ds = request.getfixturevalue(fixture)
-        engine = LMFAO(
-            ds.database, ds.join_tree, compile=backend == "compiled"
-        )
+        engine = LMFAO(ds.database, ds.join_tree)
         batches = paper_batches(ds, engine)
         first = [engine.run(batch) for batch in batches]
         after_first = memo_entries(engine.database)
@@ -154,18 +151,15 @@ class TestDeltasReplaceTheMemo:
         assert len(applied.inserted.encodings) == 0
         assert applied.inserted.domain_size("store") == 1
 
-    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
-    def test_incremental_engine_tracks_never_seen_keys(self, toy_db, backend):
+    def test_incremental_engine_tracks_never_seen_keys(self, toy_db):
         batch = toy_batch()
-        engine = IncrementalEngine(toy_db, compile=backend == "compiled")
+        engine = IncrementalEngine(toy_db)
         engine.run(batch)
         for delta in never_seen_deltas():
             report = engine.apply_delta(delta)
             assert report.all_maintained, report
             maintained = engine.run(batch)
-            cold = LMFAO(
-                engine.database, compile=backend == "compiled"
-            ).run(batch)
+            cold = LMFAO(engine.database).run(batch)
             assert_results_equal(maintained, cold, batch, rtol=1e-9)
         assert engine.stats()["fallbacks"] == 0
         assert 7 in maintained["by_city"].column("city")

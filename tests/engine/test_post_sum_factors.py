@@ -28,8 +28,6 @@ from repro import (
 )
 from repro.baselines import MaterializedEngine
 from repro.data.schema import Schema, continuous, key
-from repro.engine.codegen import compile_plan
-from repro.engine.executor.backend import views_from_raw
 from repro.engine.grouping import ViewGroup
 from repro.engine.interpreter import ViewData, execute_plan
 from repro.engine.plan import (
@@ -45,7 +43,13 @@ from repro.engine.views import AggregateSpec, View, ViewRef
 from repro.ml import CARTLearner
 from repro.query.functions import Identity
 
-from .helpers import assert_results_equal, relation_to_table
+from .helpers import (
+    assert_results_equal,
+    assert_results_identical,
+    execute_rendered,
+    relation_to_table,
+    run_rendered,
+)
 
 # -- plan shape ----------------------------------------------------------------
 
@@ -269,16 +273,8 @@ class TestHandBuiltGroup:
         support = np.bincount(a[keep], minlength=5).astype(float)
 
         interpreted = execute_plan(plan, fact, incoming, [])[3]
-        raw = compile_plan(plan)(
-            {c: fact.column(c) for c in ("a", "b", "x")},
-            fact.encodings,
-            fact.n_rows,
-            {vid: vd.key_cols for vid, vd in incoming.items()},
-            {vid: vd.agg_cols for vid, vd in incoming.items()},
-            [],
-        )
-        compiled = views_from_raw(raw)[3]
-        for data in (interpreted, compiled):
+        generated = execute_rendered(plan, fact, incoming, [])[3]
+        for data in (interpreted, generated):
             present = support > 0
             assert data.key_cols[0].tolist() == np.flatnonzero(present).tolist()
             np.testing.assert_allclose(data.agg_cols[0], want_sum[present], rtol=1e-12)
@@ -287,11 +283,11 @@ class TestHandBuiltGroup:
                 np.testing.assert_array_equal(data.support, support[present])
             else:
                 assert data.support is None
-        for got, want in zip(interpreted.agg_cols, compiled.agg_cols):
+        for got, want in zip(interpreted.agg_cols, generated.agg_cols):
             np.testing.assert_array_equal(got, want)
 
 
-# -- differential: interpreter == compiled == materialized join ------------------
+# -- differential: interpreter == rendered source == materialized join ----------
 
 
 def snowflake(
@@ -373,19 +369,13 @@ def n_group_rows_steps(engine, batch):
 
 
 def assert_all_modes_agree(db, batch, **engine_kwargs):
-    """interpreter == compiled (bit for bit) == materialized join."""
+    """interpreter == rendered source (bit for bit) == materialized join."""
     expected = MaterializedEngine(db).run(batch)
-    interpreted = LMFAO(db, root="Fact", compile=False, **engine_kwargs)
-    compiled = LMFAO(db, root="Fact", compile=True, **engine_kwargs)
-    assert n_group_rows_steps(interpreted, batch) > 0, "rule not exercised"
-    got_i = interpreted.run(batch)
-    got_c = compiled.run(batch)
-    assert_results_equal(got_i, expected, batch, rtol=1e-9, atol=1e-9)
-    for query in batch:
-        for name in got_i[query.name].schema.names:
-            np.testing.assert_array_equal(
-                got_i[query.name].column(name), got_c[query.name].column(name)
-            )
+    engine = LMFAO(db, root="Fact", **engine_kwargs)
+    assert n_group_rows_steps(engine, batch) > 0, "rule not exercised"
+    got = engine.run(batch)
+    assert_results_equal(got, expected, batch, rtol=1e-9, atol=1e-9)
+    assert_results_identical(run_rendered(engine, batch), got)
 
 
 class TestDifferential:
@@ -461,17 +451,16 @@ class TestDifferential:
         expected = relation_to_table(
             MaterializedEngine(db).run(batch)["by_a"], ["a"], ["sy", "x2y"]
         )
-        for compile_flag in (False, True):
-            engine = LMFAO(db, root="Fact", compile=compile_flag)
-            assert n_group_rows_steps(engine, batch) > 0
-            got = relation_to_table(
-                engine.run(batch)["by_a"], ["a"], ["sy", "x2y"]
+        engine = LMFAO(db, root="Fact")
+        assert n_group_rows_steps(engine, batch) > 0
+        got = relation_to_table(
+            engine.run(batch)["by_a"], ["a"], ["sy", "x2y"]
+        )
+        assert set(got) == set(expected)
+        for group_key, want in expected.items():
+            np.testing.assert_allclose(
+                got[group_key], want, rtol=1e-9, err_msg=str(group_key)
             )
-            assert set(got) == set(expected)
-            for group_key, want in expected.items():
-                np.testing.assert_allclose(
-                    got[group_key], want, rtol=1e-9, err_msg=str(group_key)
-                )
         a = db.relation("Fact").column("a")
         if (a == 1).any():
             assert expected[(1,)][0] == np.inf
@@ -483,8 +472,7 @@ class TestDifferential:
         batch = mixed_batch()
         assert_all_modes_agree(db, batch, track_support=True)
         engine = LMFAO(
-            db, root="Fact", track_support=True, compile=False,
-            sort_inputs=False,
+            db, root="Fact", track_support=True, sort_inputs=False,
         )
         plan = engine.plan(batch)
         view_data = {}
@@ -555,11 +543,10 @@ def random_batch(draw):
 class TestPropertyDifferential:
     @given(random_snowflake(), random_batch(), st.sampled_from(["Fact", "Dim", None]))
     @settings(max_examples=40, deadline=None)
-    def test_every_root_and_mode_matches_materialized(self, db, batch, root):
+    def test_every_root_matches_materialized(self, db, batch, root):
         expected = MaterializedEngine(db).run(batch)
-        for compile_flag in (False, True):
-            got = LMFAO(db, root=root, compile=compile_flag).run(batch)
-            assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)
+        got = LMFAO(db, root=root).run(batch)
+        assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)
 
 
 # -- deltas ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro import (
 from repro.baselines import MaterializedEngine
 from repro.data.schema import Schema, continuous, key
 
-from .helpers import assert_results_equal
+from .helpers import assert_results_equal, run_rendered
 
 ATTRS = {
     "Sales": ["date", "store", "units"],
@@ -125,15 +125,15 @@ def batches(draw):
 class TestDifferentialProperty:
     @given(databases(), batches())
     @settings(max_examples=40, deadline=None)
-    def test_compiled_matches_materialized(self, db, batch):
-        got = LMFAO(db).run(batch)
+    def test_rendered_source_matches_materialized(self, db, batch):
+        got = run_rendered(LMFAO(db), batch)
         expected = MaterializedEngine(db).run(batch)
         assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)
 
     @given(databases(), batches())
     @settings(max_examples=20, deadline=None)
     def test_interpreted_matches_materialized(self, db, batch):
-        got = LMFAO(db, compile=False).run(batch)
+        got = LMFAO(db).run(batch)
         expected = MaterializedEngine(db).run(batch)
         assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)
 

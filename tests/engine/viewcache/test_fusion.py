@@ -2,7 +2,7 @@
 
 The acceptance differential: a fused covar + linreg + trees session
 returns results ``allclose``-identical to three independent
-``LMFAO.run`` calls, on both the interpreter and compiled backends.
+``LMFAO.run`` calls.
 """
 
 import pytest
@@ -22,12 +22,12 @@ def regression_label(ds):
 
 def build_workloads(ds):
     """covar + linreg + trees over a restricted feature set (kept small
-    so both backends compile quickly in the fast lane)."""
+    so they plan quickly in the fast lane)."""
     label = regression_label(ds)
     continuous = [f for f in ds.continuous_features if f != label][:3]
     categorical = list(ds.categorical_features)[:2]
     learner = CARTLearner(
-        LMFAO(ds.database, ds.join_tree, compile=False),
+        LMFAO(ds.database, ds.join_tree),
         continuous[:2],
         categorical[:1],
         label,
@@ -47,17 +47,13 @@ def workloads(tiny_retailer):
 
 
 class TestFusedMatchesIndependent:
-    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
-    def test_differential(self, tiny_retailer, workloads, backend):
+    def test_differential(self, tiny_retailer, workloads):
         ds = tiny_retailer
-        compile_flag = backend == "compiled"
-        engine = LMFAO(ds.database, ds.join_tree, compile=compile_flag)
+        engine = LMFAO(ds.database, ds.join_tree)
         independent = {
             name: engine.run(batch) for name, batch in workloads.items()
         }
-        with WorkloadSession(
-            ds.database, ds.join_tree, compile=compile_flag
-        ) as session:
+        with WorkloadSession(ds.database, ds.join_tree) as session:
             for name, batch in workloads.items():
                 session.add_workload(name, batch)
             fused = session.run()
@@ -68,7 +64,7 @@ class TestFusedMatchesIndependent:
 
     def test_fusion_dedupes_views(self, tiny_retailer, workloads):
         with WorkloadSession(
-            tiny_retailer.database, tiny_retailer.join_tree, compile=False
+            tiny_retailer.database, tiny_retailer.join_tree
         ) as session:
             for name, batch in workloads.items():
                 session.add_workload(name, batch)

@@ -8,10 +8,6 @@ over that epoch's database snapshot.  **Every** response must equal its
 claimed epoch's ground truth exactly — a torn read (some views from
 epoch k, others from k+1) cannot match any committed snapshot.
 
-Parametrized over the interpreter and compiled backends: the two
-execute through different code paths (step-IR walk vs generated
-functions), so both must honor the pinned-database epoch hook.
-
 Readers are paced by the writer's script, not by a fixed count: a
 repeat read is a memo lookup, so a fixed number of them would be over
 before the second commit.  The writer commits its next delta only once
@@ -66,14 +62,12 @@ def wait_for_a_read_each(histories, errors, reads=1, timeout=60.0):
 
 
 @pytest.mark.timeout(300)
-@pytest.mark.parametrize("backend", ["interpret", "compiled"])
-def test_reads_under_writes_match_committed_epochs(toy_db, backend):
+def test_reads_under_writes_match_committed_epochs(toy_db):
     service = AnalyticsService(
         coalesce_ms=2,
         max_batch=8,
         max_queue=256,
         cache_mb=8,
-        backend=backend,
     )
     service.register_dataset("toy", toy_db)
     batches = {name: WORKLOADS[name]() for name in WORKLOAD_NAMES}

@@ -214,28 +214,6 @@ class TestQueries:
         response = service.query("toy", ["conditional"], timeout=60)
         assert list(response.results) == ["conditional"]
 
-    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
-    def test_backend_decides_whether_plans_are_compiled(
-        self, toy_db, backend
-    ):
-        # an interpreting service used to code-generate every group
-        # plan at plan time and then never run the generated functions
-        with AnalyticsService(coalesce_ms=0, backend=backend) as svc:
-            svc.register_dataset("toy", toy_db)
-            for name, factory in WORKLOADS.items():
-                svc.register_workload("toy", name, factory())
-            svc.query("toy", list(WORKLOADS), timeout=60)
-            engine = svc._state("toy").engine
-            plans = list(engine._plan_cache.values())
-        assert engine.backend.name == backend
-        assert plans
-        fns = [fn for plan in plans for fn in plan.compiled_fns]
-        assert fns
-        if backend == "interpret":
-            assert all(fn is None for fn in fns)
-        else:
-            assert all(fn is not None for fn in fns)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             AnalyticsService(backend="process")

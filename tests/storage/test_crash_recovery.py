@@ -4,8 +4,7 @@ The strongest durability claim the subsystem makes: kill the serving
 process *without warning* (SIGKILL — no handlers, no draining, no
 fsync-on-exit) in the middle of a delta stream, restart from the same
 ``--data-dir``, and the recovered epoch answers exactly what an offline
-engine computes over the WAL-committed prefix of the stream.  Run on
-both the interpreted and compiled backends.
+engine computes over the WAL-committed prefix of the stream.
 
 Subprocess-based and therefore slow-lane; the CI ``recovery-smoke`` job
 runs the same scenario on every push.
@@ -40,7 +39,7 @@ def free_port():
         return sock.getsockname()[1]
 
 
-def start_server(data_dir, port, backend):
+def start_server(data_dir, port):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -58,8 +57,6 @@ def start_server(data_dir, port, backend):
             str(port),
             "--coalesce-ms",
             "0",
-            "--backend",
-            backend,
             "--data-dir",
             data_dir,
         ],
@@ -91,15 +88,14 @@ def delta_stream(fact, n_deltas, rows_per_delta=4):
     return payloads
 
 
-@pytest.mark.parametrize("backend", ["interpret", "compiled"])
-def test_sigkill_recovers_every_committed_delta(backend, tmp_path):
+def test_sigkill_recovers_every_committed_delta(tmp_path):
     data_dir = str(tmp_path / "data")
     port = free_port()
     ds = favorita(scale=SCALE)
     fact = ds.database.relation("Sales")
     payloads = delta_stream(fact, n_deltas=6)
 
-    proc = start_server(data_dir, port, backend)
+    proc = start_server(data_dir, port)
     state = {"acked": 0}
     try:
         client = AnalyticsClient(port=port, retries=2)
@@ -138,7 +134,7 @@ def test_sigkill_recovers_every_committed_delta(backend, tmp_path):
     assert acknowledged >= 1
 
     # restart over the same data dir
-    proc2 = start_server(data_dir, port, backend)
+    proc2 = start_server(data_dir, port)
     try:
         client = AnalyticsClient(port=port, retries=2)
         client.wait_ready(timeout=120)
@@ -176,12 +172,7 @@ def test_sigkill_recovers_every_committed_delta(backend, tmp_path):
                 },
             )
         ).database
-    engine = LMFAO(
-        database,
-        ds.join_tree,
-        compile=backend == "compiled",
-        sort_inputs=False,
-    )
+    engine = LMFAO(database, ds.join_tree, sort_inputs=False)
     batch = _build_workload(ds, engine, "covar")
     expected = engine.run(batch)
 
@@ -206,7 +197,7 @@ def test_restart_after_clean_boot_serves_warm_cache(tmp_path):
     data_dir = str(tmp_path / "data")
     port = free_port()
 
-    proc = start_server(data_dir, port, "compiled")
+    proc = start_server(data_dir, port)
     try:
         client = AnalyticsClient(port=port, retries=2)
         client.wait_ready(timeout=120)
@@ -216,7 +207,7 @@ def test_restart_after_clean_boot_serves_warm_cache(tmp_path):
     finally:
         stop(proc)
 
-    proc2 = start_server(data_dir, port, "compiled")
+    proc2 = start_server(data_dir, port)
     try:
         client = AnalyticsClient(port=port, retries=2)
         client.wait_ready(timeout=120)

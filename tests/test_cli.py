@@ -27,39 +27,12 @@ class TestCli:
         assert main(["--scale", "0.05", "run", "favorita", "covar"]) == 0
         out = capsys.readouterr().out
         assert "covar on favorita" in out
+        assert "executed in" in out
         assert "A+I" in out
 
     def test_run_cube(self, capsys):
         assert main(["--scale", "0.05", "run", "yelp", "cube"]) == 0
         assert "cube on yelp" in capsys.readouterr().out
-
-    def test_run_backend_all(self, capsys):
-        assert main(
-            [
-                "--scale", "0.05",
-                "run", "favorita", "covar",
-                "--backend", "all",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        for name in ("interpret", "compiled"):
-            assert name in out
-        assert "x vs interpret" in out
-
-    @pytest.mark.parametrize(
-        "backend, other", [("interpret", "compiled"), ("compiled", "interpret")]
-    )
-    def test_run_single_backend(self, capsys, backend, other):
-        assert main(
-            [
-                "--scale", "0.05",
-                "run", "favorita", "covar",
-                "--backend", backend,
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert f"x vs {backend}" in out
-        assert other not in out
 
     def test_run_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -125,7 +98,7 @@ class TestCli:
         assert "view cache:" not in out
 
     def test_run_workloads_rejects_backend_all(self):
-        with pytest.raises(SystemExit, match="backend"):
+        with pytest.raises(SystemExit):
             main(
                 [
                     "--scale", "0.05",
@@ -193,27 +166,6 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "favorita", *flag])
 
-    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
-    def test_build_service_maps_backend_onto_compile(self, backend):
-        from repro.__main__ import build_service
-        from repro.datasets import ALL_DATASETS
-
-        class Args:
-            dataset = "favorita"
-            coalesce_ms = 0.0
-            max_batch = 16
-            max_queue = 64
-            cache_mb = 8.0
-
-        Args.backend = backend
-        service = build_service(Args, ALL_DATASETS["favorita"](scale=0.05))
-        try:
-            engine = service._state("favorita").engine
-            assert engine.backend.name == backend
-            assert engine.compile_enabled is (backend == "compiled")
-        finally:
-            service.close()
-
     def test_client_query_needs_dataset_and_workloads(self):
         with pytest.raises(SystemExit, match="client query needs"):
             main(["client", "query"])
@@ -237,7 +189,6 @@ class TestServeCli:
             max_batch = 16
             max_queue = 64
             cache_mb = 8.0
-            backend = "compiled"
 
         dataset = ALL_DATASETS["favorita"](scale=0.05)
         service = build_service(Args, dataset)
