@@ -69,26 +69,54 @@ class TestDifferential:
         engine = LMFAO(manytomany_db)
         assert_results_identical(run_rendered(engine, batch), engine.run(batch))
 
+    @pytest.mark.parametrize("group_views", [True, False])
+    @pytest.mark.parametrize("multi_root", [True, False])
+    @pytest.mark.parametrize("merge_mode", ["full", "dedup", "none"])
+    def test_rendered_source_agrees_under_every_layer_setting(
+        self, toy_db, merge_mode, multi_root, group_views
+    ):
+        # each setting plans differently shaped groups, so each renders
+        # different source
+        batch = QueryBatch(
+            [query for factory in WORKLOADS.values() for query in factory()]
+        )
+        engine = LMFAO(
+            toy_db,
+            merge_mode=merge_mode,
+            multi_root=multi_root,
+            group_views=group_views,
+        )
+        assert_results_identical(run_rendered(engine, batch), engine.run(batch))
+
 
 class TestCompileKnob:
     """No executor setting is left to choose."""
 
-    def test_removed_executor_knobs_are_rejected(self, toy_db):
-        knobs = {
-            "compile": True,
-            "n_threads": 2,
-            "partition_threshold": 50,
-            "backend": "process",
-        }
-        for name, value in knobs.items():
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("compile", True),
+            ("n_threads", 2),
+            ("partition_threshold", 50),
+            ("backend", "process"),
+        ],
+        ids=["compile", "n_threads", "partition_threshold", "backend"],
+    )
+    def test_removed_executor_knobs_are_rejected(self, toy_db, name, value):
+        with pytest.raises(TypeError, match=name):
+            IncrementalEngine(toy_db, **{name: value})
+        if name != "compile":  # LMFAO still accepts it, see below
             with pytest.raises(TypeError, match=name):
-                IncrementalEngine(toy_db, **{name: value})
-            if name != "compile":  # LMFAO still accepts it, see below
-                with pytest.raises(TypeError, match=name):
-                    LMFAO(toy_db, **{name: value})
-        for command in (["run", "favorita", "covar"], ["serve", "favorita"]):
-            with pytest.raises(SystemExit):
-                main([*command, "--backend", "interpret"])
+                LMFAO(toy_db, **{name: value})
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "favorita", "covar"], ["serve", "favorita"]],
+        ids=["run", "serve"],
+    )
+    def test_backend_flag_is_rejected(self, command):
+        with pytest.raises(SystemExit):
+            main([*command, "--backend", "interpret"])
 
     def test_legacy_spellings_construct_and_plan_no_code(self, toy_db):
         batch = WORKLOADS["counts"]()
@@ -107,9 +135,10 @@ class TestCompileKnob:
 
 
 class TestEngineEviction:
-    def test_plain_run_evicts_interior_views(self, toy_db):
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_plain_run_evicts_interior_views(self, toy_db, workload):
         engine = LMFAO(toy_db)
-        batch = WORKLOADS["groupbys"]()
+        batch = WORKLOADS[workload]()
         plan = engine.plan(batch)
         store = engine.execute(plan, [])
         outputs = plan.output_view_ids()
@@ -123,7 +152,8 @@ class TestEngineEviction:
 class TestGroupEntry:
     """Every planned group enters ``run_group`` once."""
 
-    def test_every_group_enters_run_group(self, toy_db, monkeypatch):
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_group_enters_run_group(self, toy_db, monkeypatch, workload):
         entered = []
         original = InterpreterBackend.run_group
 
@@ -132,7 +162,7 @@ class TestGroupEntry:
             return original(self, task)
 
         monkeypatch.setattr(InterpreterBackend, "run_group", counting)
-        batch = WORKLOADS["covar_style"]()
+        batch = WORKLOADS[workload]()
         engine = LMFAO(toy_db)
         plan = engine.plan(batch)
         engine.run(batch)

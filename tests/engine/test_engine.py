@@ -136,18 +136,20 @@ class TestAgainstMaterialized:
 
 
 class TestModes:
+    @pytest.mark.parametrize("group_views", [True, False])
     @pytest.mark.parametrize("multi_root", [True, False])
     @pytest.mark.parametrize("merge_mode", ["full", "dedup", "none"])
-    def test_all_mode_combinations_agree(self, toy_db, multi_root, merge_mode):
+    def test_all_mode_combinations_agree(
+        self, toy_db, multi_root, merge_mode, group_views
+    ):
         batch = standard_batch()
         reference = MaterializedEngine(toy_db).run(batch)
-        engine = LMFAO(toy_db, multi_root=multi_root, merge_mode=merge_mode)
-        assert_results_equal(engine.run(batch), reference, batch)
-
-    def test_group_views_disabled_agrees(self, toy_db):
-        batch = standard_batch()
-        reference = MaterializedEngine(toy_db).run(batch)
-        engine = LMFAO(toy_db, group_views=False)
+        engine = LMFAO(
+            toy_db,
+            multi_root=multi_root,
+            merge_mode=merge_mode,
+            group_views=group_views,
+        )
         assert_results_equal(engine.run(batch), reference, batch)
 
     def test_unsorted_inputs_agree(self, toy_db):

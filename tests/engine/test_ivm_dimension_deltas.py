@@ -21,6 +21,7 @@ from repro import DeltaBatch, IncrementalEngine
 from .helpers import assert_results_equal
 from .test_ivm import (
     DATASET_FIXTURES,
+    covar_batch,
     reference_results,
     sample_inserts,
     simple_batch,
@@ -31,17 +32,26 @@ def any_dataset(request):
     return request.getfixturevalue(request.param)
 
 
+#: name -> batch builder over a dataset: a count and one group-by, and
+#: the covar matrix, whose views carry many aggregate columns each
+BATCHES = {
+    "simple": lambda ds: simple_batch([ds.categorical_features[0]]),
+    "covar": covar_batch,
+}
+
+
 def dimension_names(engine):
     """Every non-root relation, in database order."""
     return [r.name for r in engine.database if r.name != engine.root]
 
 
+@pytest.mark.parametrize("workload", sorted(BATCHES))
 class TestDimensionDeltaDifferential:
     """insert/retract on dimension tables == recomputation."""
 
-    def _roundtrip(self, ds, deltas_fn):
+    def _roundtrip(self, ds, workload, deltas_fn):
         engine = IncrementalEngine(ds.database, ds.join_tree)
-        batch = simple_batch([ds.categorical_features[0]])
+        batch = BATCHES[workload](ds)
         engine.run(batch)
         rng = np.random.default_rng(0)
         reports = []
@@ -63,14 +73,14 @@ class TestDimensionDeltaDifferential:
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch, rtol=1e-8, atol=1e-8)
 
-    def test_inserts_on_every_dimension(self, any_dataset):
+    def test_inserts_on_every_dimension(self, any_dataset, workload):
         def deltas(rng, rel, dim):
             n = max(1, rel.n_rows // 20)
             return [DeltaBatch.insert(dim, sample_inserts(rng, rel, n))]
 
-        self._roundtrip(any_dataset, deltas)
+        self._roundtrip(any_dataset, workload, deltas)
 
-    def test_retractions_on_every_dimension(self, any_dataset):
+    def test_retractions_on_every_dimension(self, any_dataset, workload):
         def deltas(rng, rel, dim):
             if rel.n_rows < 2:
                 return []
@@ -78,9 +88,9 @@ class TestDimensionDeltaDifferential:
             idx = rng.choice(rel.n_rows, n, replace=False)
             return [DeltaBatch.delete(dim, idx)]
 
-        self._roundtrip(any_dataset, deltas)
+        self._roundtrip(any_dataset, workload, deltas)
 
-    def test_mixed_insert_and_retract(self, any_dataset):
+    def test_mixed_insert_and_retract(self, any_dataset, workload):
         def deltas(rng, rel, dim):
             if rel.n_rows < 2:
                 return []
@@ -93,7 +103,7 @@ class TestDimensionDeltaDifferential:
                 )
             ]
 
-        self._roundtrip(any_dataset, deltas)
+        self._roundtrip(any_dataset, workload, deltas)
 
 
 class TestInterleavedRootAndDimension:

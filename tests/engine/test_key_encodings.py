@@ -67,7 +67,9 @@ def count_relation_encodings(monkeypatch):
 
 
 class TestRerunsEncodeNothing:
-    @pytest.mark.parametrize("fixture", ["tiny_retailer", "tiny_favorita"])
+    @pytest.mark.parametrize(
+        "fixture", ["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"]
+    )
     def test_second_pass_of_the_paper_batches(
         self, request, fixture, count_relation_encodings
     ):

@@ -5,7 +5,8 @@ partner on either side of a join (``data/ops.py``).  One fact row and
 one dimension row below carry a NaN key; every answer must equal the
 hand-computed one in which both rows are simply absent — from a plain
 run under every root choice, and from an incremental engine that
-inserted another NaN-key fact row as a root delta.
+inserted another NaN-key fact row as a root delta, or another NaN-key
+dimension row as a dimension delta.
 """
 
 import numpy as np
@@ -123,3 +124,36 @@ def test_incremental_engine_after_a_nan_key_root_delta():
     assert tables(maintained, batch) == EXPECTED_AFTER_DELTA
     recomputed = LMFAO(engine.database, root="Fact").run(batch)
     assert tables(recomputed, batch) == EXPECTED_AFTER_DELTA
+
+
+#: a dimension delta inserts dim rows (k=NaN, d=50, y=7) and (k=3, d=60,
+#: y=2): only the second joins, with fact row (k=3, x=16)
+EXPECTED_AFTER_DIMENSION_DELTA = {
+    "n": {(): (4.0,)},
+    "xy": {(): (50.5,)},
+    "by_d": {(10,): (1.0, 1.0), (20,): (2.0, 6.0), (60,): (1.0, 16.0)},
+    "by_k": {(1.0,): (1.0,), (2.0,): (2.0,), (3.0,): (1.0,)},
+}
+
+
+def test_incremental_engine_after_a_nan_key_dimension_delta():
+    batch = nan_key_batch()
+    engine = IncrementalEngine(nan_key_db(), root="Fact")
+    assert tables(engine.run(batch), batch) == EXPECTED
+    report = engine.apply_delta(
+        DeltaBatch.insert(
+            "Dim",
+            {
+                "k": np.array([NAN, 3.0]),
+                "d": np.array([50, 60]),
+                "y": np.array([7.0, 2.0]),
+            },
+        )
+    )
+    assert report.all_maintained, report
+    assert [m.mode for m in report.maintenance] == ["propagate"]
+    maintained = engine.run(batch)
+    assert maintained.cache_report.n_misses == 0  # served from repaired views
+    assert tables(maintained, batch) == EXPECTED_AFTER_DIMENSION_DELTA
+    recomputed = LMFAO(engine.database, root="Fact").run(batch)
+    assert tables(recomputed, batch) == EXPECTED_AFTER_DIMENSION_DELTA

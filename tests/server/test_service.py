@@ -214,6 +214,23 @@ class TestQueries:
         response = service.query("toy", ["conditional"], timeout=60)
         assert list(response.results) == ["conditional"]
 
+    @pytest.mark.parametrize("backend", ["interpret", "compiled"])
+    def test_either_backend_name_answers_like_a_oneshot_engine(
+        self, toy_db, backend
+    ):
+        # both names are accepted and both interpret
+        with AnalyticsService(coalesce_ms=0, backend=backend) as svc:
+            svc.register_dataset("toy", toy_db)
+            for name, factory in WORKLOADS.items():
+                svc.register_workload("toy", name, factory())
+            response = svc.query("toy", list(WORKLOADS), timeout=60)
+        for name, factory in WORKLOADS.items():
+            batch = factory()
+            expected = LMFAO(toy_db).run(batch)
+            assert_results_equal(
+                response.results[name], expected, batch, rtol=1e-8
+            )
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             AnalyticsService(backend="process")
