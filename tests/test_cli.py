@@ -34,14 +34,6 @@ class TestCli:
         assert main(["--scale", "0.05", "run", "yelp", "cube"]) == 0
         assert "cube on yelp" in capsys.readouterr().out
 
-    def test_run_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["run", "favorita", "covar", "--backend", "gpu"])
-
-    def test_run_rejects_the_process_backend(self):
-        with pytest.raises(SystemExit):
-            main(["run", "favorita", "covar", "--backend", "process"])
-
     def test_run_rejects_threads(self):
         with pytest.raises(SystemExit):
             main(["run", "favorita", "covar", "--threads", "2"])
@@ -97,17 +89,6 @@ class TestCli:
         assert "fused DAG:" in out
         assert "view cache:" not in out
 
-    def test_run_workloads_rejects_backend_all(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "--scale", "0.05",
-                    "run", "favorita",
-                    "--workloads", "covar,linreg",
-                    "--backend", "all",
-                ]
-            )
-
     def test_run_workloads_rejects_both_forms(self):
         with pytest.raises(SystemExit, match="not both"):
             main(
@@ -161,10 +142,9 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "nonexistent"])
 
-    @pytest.mark.parametrize("flag", [["--backend", "process"], ["--threads", "2"]])
-    def test_serve_rejects_removed_executor_options(self, flag):
+    def test_serve_rejects_threads(self):
         with pytest.raises(SystemExit):
-            main(["serve", "favorita", *flag])
+            main(["serve", "favorita", "--threads", "2"])
 
     def test_client_query_needs_dataset_and_workloads(self):
         with pytest.raises(SystemExit, match="client query needs"):
