@@ -13,10 +13,8 @@ Expected shape: maintenance cost scales with the delta, not the
 database, so the speedup is largest at 1% and decays toward parity as
 the delta approaches the relation size.  The hard acceptance bar is a
 >=3x speedup at 1% on the largest bundled dataset; ``results/ivm.txt``
-holds the full grid.  (It was 5x while the full side ran generated
-group functions, ~160–220 ms on retailer.  Interpreted, a cold run takes
-~70–150 ms by the allocator mode the process lands in — 4.0–8.3x over
-the 1 % repair's ~18 ms, which did not move.)
+holds the full grid.  On retailer the 1 % repair takes ~19 ms and an
+interpreted cold run ~77 ms, 3.4–4.9x apart over eight fresh processes.
 """
 
 import json
