@@ -5,7 +5,6 @@ independently (not cumulatively) on the covar workload:
 
 * merge_mode: none / dedup / full   (how much view consolidation buys)
 * group_views: off / on             (multi-output shared scans)
-* input sorting: off / on           (attribute-order locality)
 
 Writes ``results/ablation.txt``.
 """
@@ -26,8 +25,6 @@ CONFIGS = [
     ("merge=full", dict(merge_mode="full")),
     ("groups=off", dict(group_views=False)),
     ("groups=on", dict(group_views=True)),
-    ("sort=off", dict(sort_inputs=False)),
-    ("sort=on", dict(sort_inputs=True)),
 ]
 
 _measured = {}

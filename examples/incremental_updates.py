@@ -101,9 +101,7 @@ def main() -> None:
     )
 
     # the maintained results are exact, not approximate
-    reference = LMFAO(
-        engine.database, dataset.join_tree, sort_inputs=False
-    ).run(batch)
+    reference = LMFAO(engine.database, dataset.join_tree).run(batch)
     maintained = engine.run(batch)
     for query in batch:
         got = maintained[query.name]

@@ -244,10 +244,9 @@ def _run_workloads(args, dataset, engine) -> int:
         else None
     )
     session = WorkloadSession(
-        engine.database,  # loaded + sorted once, shared with the session
+        engine.database,  # loaded once, shared with the session
         dataset.join_tree,
         cache=cache,
-        sort_inputs=False,
     )
     batches = {}
     for name in names:
@@ -408,7 +407,7 @@ def build_service(args, dataset) -> AnalyticsService:
         print(f"initialized durable storage at {args.data_dir}")
     # a planner builds the workload batches (the tree learner wants an
     # engine handle; node_batch never executes it)
-    planner = LMFAO(dataset.database, dataset.join_tree, sort_inputs=False)
+    planner = LMFAO(dataset.database, dataset.join_tree)
     for name in SERVE_WORKLOADS:
         try:
             batch = _build_workload(dataset, planner, name)

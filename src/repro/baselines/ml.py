@@ -24,7 +24,14 @@ from ..data.database import Database, materialize_join
 from ..data.relation import Relation
 from ..ml.covar import FeatureIndex
 from ..ml.linreg import LinearRegressionModel, design_matrix
-from ..ml.trees import Condition, DecisionTree, TreeNode, _gini, _variance
+from ..ml.trees import (
+    Condition,
+    DecisionTree,
+    TreeNode,
+    _gini,
+    _improves,
+    _variance,
+)
 
 
 def build_feature_index(
@@ -249,14 +256,18 @@ def brute_force_cart(
             for threshold in values:
                 left = mask & (column <= threshold)
                 cost = split_cost(node_stats(left), node_totals)
-                if cost is not None and (best is None or cost < best[0]):
+                if cost is not None and _improves(
+                    cost, None if best is None else best[0]
+                ):
                     best = (cost, Condition(attr, "<=", float(threshold)))
         for attr in categorical:
             column = flat.column(attr)
             for value in np.unique(column[mask]):
                 left = mask & (column == value)
                 cost = split_cost(node_stats(left), node_totals)
-                if cost is not None and (best is None or cost < best[0]):
+                if cost is not None and _improves(
+                    cost, None if best is None else best[0]
+                ):
                     best = (cost, Condition(attr, "==", float(value)))
         return best
 

@@ -186,10 +186,6 @@ class Database:
                 return rel.schema[attr].kind
         raise KeyError(f"attribute {attr!r} not in database")
 
-    def domain_size(self, relation_name: str, attr: str) -> int:
-        """Number of distinct values of ``attr`` in a relation."""
-        return self.relation(relation_name).domain_size(attr)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"{r.name}({r.n_rows})" for r in self)
         return f"Database({self.name!r}: {parts})"

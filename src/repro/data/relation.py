@@ -128,10 +128,6 @@ class Relation:
         """
         return self._encodings
 
-    def domain_size(self, name: str) -> int:
-        """Number of distinct values of an attribute (paper §3.5)."""
-        return len(self._encodings[name][1])
-
     # -- row-level operations -------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Relation":

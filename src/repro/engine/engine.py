@@ -36,7 +36,6 @@ from ..data.schema import Attribute, Schema
 from ..jointree.join_tree import JoinTree, join_tree_from_database
 from ..query.query import QueryBatch
 from . import codegen
-from .attribute_order import sort_database
 from .executor import (
     DataflowScheduler,
     GroupTask,
@@ -127,14 +126,16 @@ class LMFAO:
 
     * ``multi_root`` — Find Roots uses per-query roots (§3.3);
     * ``merge_mode`` — ``"full"`` / ``"dedup"`` / ``"none"`` (§3.4);
-    * ``group_views`` — Multi-Output groups (§3.5) vs one view per plan;
-    * ``sort_inputs`` — sort relations by their attribute orders.
+    * ``group_views`` — Multi-Output groups (§3.5) vs one view per plan.
 
     The paper's Parallelization layer is not reproduced: groups run
     serially, one at a time.  Nor is its Compilation step: every group
-    runs through the interpreter.  ``compile`` selects nothing; it is
-    accepted only so callers that still pass it (``bench/workloads.py``)
-    keep working.
+    runs through the interpreter.  Nor is its join-attribute order
+    (§3.5): joins are dictionary-code lookups and group keys radix
+    bitmaps, so no kernel reads rows in order, and ``self.database`` is
+    the database the caller passed.  ``compile`` and ``sort_inputs``
+    select nothing; they are accepted only because
+    ``bench/workloads.py`` still passes them.
 
     Two extra knobs serve the incremental-maintenance layer
     (:mod:`repro.engine.ivm`):
@@ -165,17 +166,13 @@ class LMFAO:
         merge_mode: str = "full",
         group_views: bool = True,
         compile: bool = False,
-        sort_inputs: bool = True,
+        sort_inputs: bool = False,
         root: Optional[str] = None,
         track_support: bool = False,
         view_cache: Optional[ViewCache] = None,
     ):
         self.join_tree = join_tree or join_tree_from_database(database)
-        self.database = (
-            sort_database(database, self.join_tree)
-            if sort_inputs
-            else database
-        )
+        self.database = database
         if root is not None and root not in self.join_tree.nodes:
             raise ValueError(
                 f"root {root!r} is not a join-tree node; nodes are "

@@ -100,8 +100,8 @@ class IncrementalEngine:
     retraction there retires a key exactly when its support cancels to
     zero, and maintained views match a from-scratch run key-for-key.
     Deltas on any other relation propagate through the affected cone of
-    the view DAG.  Relations keep user row order (``sort_inputs`` is
-    off), so ``delete_indices`` name the rows the caller observes.
+    the view DAG.  Relations keep user row order, as in every engine,
+    so ``delete_indices`` name the rows the caller observes.
 
     ``view_cache`` is where the maintained views live: pass one to share
     it, or omit it for a private default-budget :class:`ViewCache`.
@@ -124,7 +124,6 @@ class IncrementalEngine:
             join_tree,
             root=root,
             track_support=True,
-            sort_inputs=False,
             view_cache=ViewCache() if view_cache is None else view_cache,
         )
         self.root = root

@@ -14,6 +14,7 @@ per split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -401,7 +402,7 @@ class CARTLearner:
         if n_l < self.min_samples_leaf or n_r < self.min_samples_leaf:
             return best
         cost = _variance(n_l, sy_l, syy_l) + _variance(n_r, sy_r, syy_r)
-        if best is None or cost < best.cost:
+        if _improves(cost, None if best is None else best.cost):
             return SplitCandidate(cost, condition, left, right)
         return best
 
@@ -439,7 +440,10 @@ class CARTLearner:
                 rel.column("n").tolist(),
             ):
                 per_value.setdefault(value, {})[cls] = n
-            for value, left in per_value.items():
+            # ascending values, the order brute_force_cart tries them in
+            # (rows come in the order of the sorted group-by names)
+            for value in sorted(per_value):
+                left = per_value[value]
                 right = {
                     k: totals.get(k, 0.0) - left.get(k, 0.0) for k in totals
                 }
@@ -458,7 +462,7 @@ class CARTLearner:
         if n_l < self.min_samples_leaf or n_r < self.min_samples_leaf:
             return best
         cost = n_l * _gini(left) + n_r * _gini(right)
-        if best is None or cost < best.cost:
+        if _improves(cost, None if best is None else best.cost):
             return SplitCandidate(cost, condition, left, right)
         return best
 
@@ -482,6 +486,18 @@ def _variance(n: float, sy: float, syy: float) -> float:
     if n <= 0:
         return 0.0
     return max(0.0, syy - (sy * sy) / n)
+
+
+def _improves(cost: float, best: Optional[float]) -> bool:
+    """Whether a split of this cost replaces the best one so far.
+
+    Costs within a relative 1e-9 tie, and a tie keeps the earlier
+    candidate: ``c == 0`` and ``c == 1`` on a two-valued ``c`` are one
+    partition, whose two costs differ only by how the rows were summed.
+    """
+    return best is None or (
+        cost < best and not math.isclose(cost, best, rel_tol=1e-9)
+    )
 
 
 def _gini(counts: Mapping) -> float:

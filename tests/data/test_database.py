@@ -44,10 +44,6 @@ class TestCatalog:
         with pytest.raises(KeyError):
             toy_db.attribute_kind("nope")
 
-    def test_domain_size_cached(self, toy_db):
-        first = toy_db.domain_size("Sales", "store")
-        assert first == toy_db.domain_size("Sales", "store")
-
     def test_replace(self, toy_db):
         smaller = toy_db.relation("Sales").filter(
             toy_db.relation("Sales").column("store") == 0

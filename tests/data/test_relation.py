@@ -76,9 +76,6 @@ class TestRowOps:
         distinct = r.distinct(["a"])
         assert sorted(distinct.column("a").tolist()) == [1, 2, 3]
 
-    def test_domain_size(self, r):
-        assert r.domain_size("a") == 3
-
 
 class TestJoin:
     def test_natural_join_matches_brute_force(self):

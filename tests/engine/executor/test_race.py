@@ -66,8 +66,8 @@ def test_threads_racing_on_fresh_key_encodings_match_serial(toy_db):
     runs the same interpreter, so this is its race too.
     """
     batch = wide_batch()
-    serial = LMFAO(toy_db, sort_inputs=False).run(batch)
-    engines = [LMFAO(toy_db, sort_inputs=False) for _ in range(2)]
+    serial = LMFAO(toy_db).run(batch)
+    engines = [LMFAO(toy_db) for _ in range(2)]
     for engine in engines:
         engine.plan(batch)
     interval = sys.getswitchinterval()

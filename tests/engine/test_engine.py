@@ -152,12 +152,6 @@ class TestModes:
         )
         assert_results_equal(engine.run(batch), reference, batch)
 
-    def test_unsorted_inputs_agree(self, toy_db):
-        batch = standard_batch()
-        reference = MaterializedEngine(toy_db).run(batch)
-        engine = LMFAO(toy_db, sort_inputs=False)
-        assert_results_equal(engine.run(batch), reference, batch)
-
 
 class TestPlanCache:
     def test_same_structure_hits_cache(self, toy_db):

@@ -48,11 +48,7 @@ def covar_batch(ds):
 
 def reference_results(engine, batch):
     """From-scratch evaluation of the engine's current database."""
-    ref = LMFAO(
-        engine.database,
-        engine.engine.join_tree,
-        sort_inputs=False,
-    )
+    ref = LMFAO(engine.database, engine.engine.join_tree)
     return ref.run(batch)
 
 
@@ -212,9 +208,7 @@ class TestDeltaPartitionRuns:
     def _sales_group(self, toy_db):
         from repro.engine.interpreter import execute_plan
 
-        engine = LMFAO(
-            toy_db, sort_inputs=False, root="Sales", track_support=True
-        )
+        engine = LMFAO(toy_db, root="Sales", track_support=True)
         plan = engine.plan(simple_batch(["city"]))
         view_data = {}
         for group_plan in plan.group_plans:  # topological order

@@ -52,6 +52,11 @@ def memo_entries(database):
     }
 
 
+def n_distinct(relation, attr):
+    """Dictionary size of one key column (encodes it if need be)."""
+    return len(relation.encodings[attr][1])
+
+
 @pytest.fixture()
 def count_relation_encodings(monkeypatch):
     """Counts the columns ``ColumnEncodings`` encodes from here on."""
@@ -89,6 +94,49 @@ class TestRerunsEncodeNothing:
         )
         for batch, one, two in zip(batches, first, second):
             assert_results_equal(one, two, batch, rtol=0, atol=0)
+
+
+class TestOneAddressPerDataset:
+    """Engines read the caller's relations as given, so the same data
+    has one content address and one memo, whichever engine reads it."""
+
+    def test_the_engine_reads_the_callers_database(self, toy_db):
+        assert LMFAO(toy_db).database is toy_db
+        assert IncrementalEngine(toy_db).database is toy_db
+
+    def test_cached_views_serve_every_reader_of_the_same_data(
+        self, tiny_retailer, count_relation_encodings
+    ):
+        ds = tiny_retailer
+        cache = ViewCache()
+        engine = LMFAO(ds.database, ds.join_tree, view_cache=cache)
+        batch = paper_batches(ds, engine)[0]  # covar
+        cold = engine.run(batch)
+        cacheable = cold.cache_report.n_misses
+        assert cacheable and cold.cache_report.n_hits == 0
+        pinned = engine.run(batch, database=ds.database)
+        assert pinned.cache_report.n_hits == cacheable
+        del count_relation_encodings[:]
+        second = LMFAO(ds.database, ds.join_tree, view_cache=cache)
+        served = second.run(batch)
+        assert served.cache_report.n_hits == cacheable
+        assert count_relation_encodings == []
+        assert_results_equal(served, cold, batch, rtol=0, atol=0)
+
+    def test_a_second_engine_encodes_nothing(
+        self, tiny_favorita, count_relation_encodings
+    ):
+        ds = tiny_favorita
+        first = LMFAO(ds.database, ds.join_tree)
+        batches = paper_batches(ds, first)
+        expected = [first.run(batch) for batch in batches]
+        del count_relation_encodings[:]
+        second = LMFAO(ds.database, ds.join_tree)
+        for batch, want in zip(batches, expected):
+            assert_results_equal(
+                second.run(batch), want, batch, rtol=0, atol=0
+            )
+        assert count_relation_encodings == []
 
 
 def toy_batch():
@@ -142,8 +190,8 @@ class TestDeltasReplaceTheMemo:
         after = applied.database
         assert after.relation("Stores") is not before.relation("Stores")
         assert len(after.relation("Stores").encodings) == 0
-        assert after.relation("Stores").domain_size("store") == 7
-        assert before.relation("Stores").domain_size("store") == 6
+        assert n_distinct(after.relation("Stores"), "store") == 7
+        assert n_distinct(before.relation("Stores"), "store") == 6
         for name in ("Sales", "Oil"):
             assert after.relation(name) is before.relation(name)
             assert after.relation(name).encodings is before.relation(
@@ -151,7 +199,7 @@ class TestDeltasReplaceTheMemo:
             ).encodings
         # the delta partition is a relation of its own, with its own memo
         assert len(applied.inserted.encodings) == 0
-        assert applied.inserted.domain_size("store") == 1
+        assert n_distinct(applied.inserted, "store") == 1
 
     def test_incremental_engine_tracks_never_seen_keys(self, toy_db):
         batch = toy_batch()
@@ -176,10 +224,10 @@ class TestDeltasReplaceTheMemo:
             engine.apply_delta(delta)
             # a fresh engine sharing the cache serves the repaired
             # entries; a cold one recomputes
-            warm = LMFAO(engine.database, sort_inputs=False, view_cache=cache)
+            warm = LMFAO(engine.database, view_cache=cache)
             served = warm.run(batch)
             assert served.cache_report.n_hits > 0
-            cold = LMFAO(engine.database, sort_inputs=False).run(batch)
+            cold = LMFAO(engine.database).run(batch)
             assert_results_equal(served, cold, batch, rtol=1e-9)
         assert cache.stats().patches > 0
 
@@ -192,11 +240,11 @@ class TestTheMemoStaysInProcess:
         assert len(pickle.dumps(relation)) == cold
         clone = pickle.loads(pickle.dumps(relation))
         assert len(clone.encodings) == 0
-        assert clone.domain_size("store") == relation.domain_size("store")
+        assert n_distinct(clone, "store") == n_distinct(relation, "store")
 
     def test_snapshots_hold_columns_only(self, toy_db, tmp_path):
         database = pickle.loads(pickle.dumps(toy_db))  # private, cold memos
-        LMFAO(database, sort_inputs=False).run(toy_batch())
+        LMFAO(database).run(toy_batch())
         assert memo_entries(database)
         write_snapshot(database, str(tmp_path / "snap"), epoch=0)
         files = sorted(

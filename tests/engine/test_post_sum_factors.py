@@ -471,9 +471,7 @@ class TestDifferential:
         db = snowflake()
         batch = mixed_batch()
         assert_all_modes_agree(db, batch, track_support=True)
-        engine = LMFAO(
-            db, root="Fact", track_support=True, sort_inputs=False,
-        )
+        engine = LMFAO(db, root="Fact", track_support=True)
         plan = engine.plan(batch)
         view_data = {}
         for group_plan in plan.group_plans:  # topological order

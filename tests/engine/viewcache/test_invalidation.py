@@ -126,9 +126,9 @@ class TestFootprintExactness:
         assert cache.stats().invalidations == 0
         assert stale.isdisjoint(cache.digests())
         # the repaired entries answer exactly like a cold engine
-        warm = LMFAO(engine.database, sort_inputs=False, view_cache=cache)
+        warm = LMFAO(engine.database, view_cache=cache)
         served = warm.run(batch)
-        cold = LMFAO(engine.database, sort_inputs=False).run(batch)
+        cold = LMFAO(engine.database).run(batch)
         assert_results_equal(served, cold, batch, rtol=1e-9)
 
 
@@ -171,9 +171,9 @@ class TestInteriorRekey:
         for sig in sigs.values():
             if sig.cacheable:
                 assert sig.digest in cache
-        warm = LMFAO(engine.database, sort_inputs=False, view_cache=cache)
+        warm = LMFAO(engine.database, view_cache=cache)
         served = warm.run(batch)
-        cold = LMFAO(engine.database, sort_inputs=False).run(batch)
+        cold = LMFAO(engine.database).run(batch)
         assert_results_equal(served, cold, batch, rtol=1e-9)
 
     def test_interior_rekey_after_retraction(self, warm_engine):
@@ -215,7 +215,7 @@ class TestStaleEpochEntries:
         # and offers its (stale-fingerprint) views to the shared cache:
         # every Stores-footprint offer is rejected at admission
         digests_before = set(cache.digests())
-        old_reader = LMFAO(toy_db, sort_inputs=False, view_cache=cache)
+        old_reader = LMFAO(toy_db, view_cache=cache)
         old_reader.run(batch)
         assert cache.stats().stale_rejects > 0
         old_sigs = old_reader.view_signatures_for(old_reader.plan(batch))
@@ -243,9 +243,9 @@ class TestStaleEpochEntries:
         assert cache.stats().invalidations == invalidations_before
         # a cache-served run at the new epoch must match a cold engine
         # bit for bit; a mis-patched stale entry would poison it
-        warm = LMFAO(engine.database, sort_inputs=False, view_cache=cache)
+        warm = LMFAO(engine.database, view_cache=cache)
         served = warm.run(batch)
-        cold = LMFAO(engine.database, sort_inputs=False).run(batch)
+        cold = LMFAO(engine.database).run(batch)
         assert_results_equal(served, cold, batch, rtol=1e-9)
 
 
@@ -261,7 +261,7 @@ class TestStaleEpochEntries:
         cache.clear()
         assert len(cache) == 0
         # roll back: serve the pre-delta database again
-        reader = LMFAO(toy_db, sort_inputs=False, view_cache=cache)
+        reader = LMFAO(toy_db, view_cache=cache)
         reader.run(batch)
         assert cache.stats().stale_rejects == 0
         again = reader.run(batch)
@@ -292,9 +292,9 @@ class TestCachedRunMatchesCold:
         # a fresh engine over the updated database, sharing the cache:
         # it must serve whatever survived/was patched and still agree
         # with a completely cold engine bit for bit
-        warm = LMFAO(engine.database, sort_inputs=False, view_cache=cache)
+        warm = LMFAO(engine.database, view_cache=cache)
         served = warm.run(batch)
-        cold = LMFAO(engine.database, sort_inputs=False).run(batch)
+        cold = LMFAO(engine.database).run(batch)
         assert_results_equal(served, cold, batch, rtol=1e-9)
 
     def test_incremental_engine_results_track_deltas(self, toy_db):

@@ -121,14 +121,14 @@ class TestCanonicalAcrossPlans:
 
 class TestDataSensitivity:
     def test_delta_changes_exactly_containing_views(self, toy_db):
-        engine_before = LMFAO(toy_db, sort_inputs=False)
+        engine_before = LMFAO(toy_db)
         plan, before = signatures_for(engine_before, count_batch())
         step = toy_db.apply_delta(
             DeltaBatch.insert(
                 "Oil", {"date": np.array([99]), "price": np.array([2.0])}
             )
         )
-        engine_after = LMFAO(step.database, sort_inputs=False)
+        engine_after = LMFAO(step.database)
         _, after = signatures_for(engine_after, count_batch())
         for view in plan.decomposed.views:
             if "Oil" in before[view.id].relations:
@@ -254,7 +254,7 @@ class TestCacheability:
 class TestStructure:
     def test_every_view_exposes_rekey_structure(self, toy_db):
         plan, sigs = signatures_for(
-            LMFAO(toy_db, sort_inputs=False), count_batch()
+            LMFAO(toy_db), count_batch()
         )
         for view in plan.decomposed.views:
             sig = sigs[view.id]

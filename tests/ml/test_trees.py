@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import LMFAO, materialize_join
+from repro import LMFAO, Database, Relation, materialize_join
 from repro.baselines import brute_force_cart
 from repro.ml.trees import CARTLearner, Condition, _gini, _variance
 
@@ -139,6 +139,61 @@ class TestClassificationTree:
             np.mean(labels == v) for v in np.unique(labels)
         )
         assert lmfao_tree.accuracy(flat) >= majority
+
+
+class TestTies:
+    """Split costs within a relative 1e-9 tie, and a tie keeps the
+    earlier candidate, so the chosen split does not depend on the order
+    rows were summed in."""
+
+    def test_regression_keeps_the_earlier_of_one_ulp_apart(self, toy_db):
+        learner = CARTLearner(LMFAO(toy_db), ["price"], [], "units")
+        first = learner._consider_regression(
+            None, Condition("c", "==", 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+        )
+        one_ulp_lower = float(np.nextafter(1.0, 0.0))
+        assert one_ulp_lower < first.cost
+        kept = learner._consider_regression(
+            first,
+            Condition("c", "==", 1.0),
+            (1.0, 0.0, one_ulp_lower),
+            (1.0, 0.0, 0.0),
+        )
+        assert kept is first
+
+    def test_classification_keeps_the_earlier_of_rounding_apart(
+        self, toy_db
+    ):
+        learner = CARTLearner(
+            LMFAO(toy_db), [], [], "city", "classification"
+        )
+        first = learner._consider_classification(
+            None, Condition("c", "==", 0.0), {0: 1.0, 1: 1.0}, {0: 2.0}, 4.0
+        )
+        left = {0: 1.0, 1: float(np.nextafter(1.0, 2.0))}
+        kept = learner._consider_classification(
+            first, Condition("c", "==", 1.0), left, {0: 2.0}, 4.0
+        )
+        assert kept is first
+
+    def test_both_learners_keep_the_first_of_one_partition(self):
+        # c == 0 and c == 1 are one partition of these rows; summed in
+        # this order, c == 1 costs one ulp less
+        flat = Relation.from_dict(
+            "Flat",
+            {
+                "c": np.array([0, 0, 0, 1, 1, 1]),
+                "y": np.array([0.1, 3.7, 0.8, 6.5, 2.7, 7.0]),
+            },
+        )
+        database = Database([flat], name="ties")
+        params = dict(max_depth=1, min_samples_split=2)
+        brute = brute_force_cart(
+            database, [], ["c"], "y", flat=flat, thresholds={}, **params
+        )
+        learned = CARTLearner(LMFAO(database), [], ["c"], "y", **params)
+        assert str(brute.root.condition) == "c == 0"
+        assert str(learned.fit().root.condition) == "c == 0"
 
 
 class TestLearnerValidation:

@@ -172,7 +172,7 @@ def test_sigkill_recovers_every_committed_delta(tmp_path):
                 },
             )
         ).database
-    engine = LMFAO(database, ds.join_tree, sort_inputs=False)
+    engine = LMFAO(database, ds.join_tree)
     batch = _build_workload(ds, engine, "covar")
     expected = engine.run(batch)
 
