@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
-from repro import LMFAO, Aggregate, Delta, Identity, Power, Product, Query, QueryBatch
+from repro import (
+    LMFAO,
+    Aggregate,
+    Database,
+    Delta,
+    Identity,
+    Power,
+    Product,
+    Query,
+    QueryBatch,
+)
 from repro.baselines import MaterializedEngine
 
 from .helpers import assert_results_equal
+from .test_key_encodings import paper_batches
 
 
 def standard_batch():
@@ -151,6 +162,49 @@ class TestModes:
             group_views=group_views,
         )
         assert_results_equal(engine.run(batch), reference, batch)
+
+
+def permuted(database, order, seed=0):
+    """``database`` with every relation's rows in another order."""
+    rng = np.random.default_rng(seed)
+    relations = []
+    for relation in database:
+        n = relation.n_rows
+        if order == "reversed":
+            rows = np.arange(n)[::-1]
+        elif order == "shuffled":
+            rows = rng.permutation(n)
+        else:  # "sorted" by every key column, the old §3.5 sort order
+            keys = [a.name for a in relation.schema if a.kind == "key"]
+            rows = np.lexsort([relation.column(k) for k in reversed(keys)])
+        relations.append(relation.take(rows))
+    return Database(relations, name=database.name)
+
+
+class TestRowOrder:
+    """Engines read the caller's rows as given, so no answer may depend
+    on the order the caller's relations hold their rows in."""
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "sorted"])
+    def test_toy_answers_do_not_depend_on_row_order(self, toy_db, order):
+        batch = standard_batch()
+        reference = MaterializedEngine(toy_db).run(batch)
+        engine = LMFAO(permuted(toy_db, order))
+        assert engine.database is not toy_db
+        assert_results_equal(engine.run(batch), reference, batch)
+
+    @pytest.mark.parametrize(
+        "dataset_fixture",
+        ["tiny_favorita", "tiny_retailer", "tiny_yelp", "tiny_tpcds"],
+    )
+    def test_paper_batches_do_not_depend_on_row_order(
+        self, dataset_fixture, request
+    ):
+        ds = request.getfixturevalue(dataset_fixture)
+        given = LMFAO(ds.database, ds.join_tree)
+        shuffled = LMFAO(permuted(ds.database, "shuffled"), ds.join_tree)
+        for batch in paper_batches(ds, given):
+            assert_results_equal(shuffled.run(batch), given.run(batch), batch)
 
 
 class TestPlanCache:

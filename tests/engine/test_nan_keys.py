@@ -4,7 +4,8 @@ NaN is not equal to itself, so the encode-once kernels give a NaN key no
 partner on either side of a join (``data/ops.py``).  One fact row and
 one dimension row below carry a NaN key; every answer must equal the
 hand-computed one in which both rows are simply absent — from a plain
-run under every root choice, and from an incremental engine that
+run under every root choice and whichever row the NaN key sits in, and
+from an incremental engine that
 inserted another NaN-key fact row as a root delta, or another NaN-key
 dimension row as a dimension delta.
 """
@@ -101,10 +102,26 @@ def tables(results, batch):
     }
 
 
+def in_row_order(database, order):
+    """``database`` with its rows as given, reversed, or NaN keys first."""
+    relations = []
+    for relation in database:
+        k = relation.column("k")
+        if order == "given":
+            rows = np.arange(len(k))
+        elif order == "reversed":
+            rows = np.arange(len(k))[::-1]
+        else:  # "nan_first": the NaN key is the first key each side encodes
+            rows = np.argsort(~np.isnan(k), kind="stable")
+        relations.append(relation.take(rows))
+    return Database(relations, name=database.name)
+
+
 @pytest.mark.parametrize("root", [None, "Fact", "Dim"])
-def test_nan_keys_join_nothing(root):
+@pytest.mark.parametrize("order", ["given", "reversed", "nan_first"])
+def test_nan_keys_join_nothing(root, order):
     batch = nan_key_batch()
-    engine = LMFAO(nan_key_db(), root=root)
+    engine = LMFAO(in_row_order(nan_key_db(), order), root=root)
     assert tables(engine.run(batch), batch) == EXPECTED
 
 
