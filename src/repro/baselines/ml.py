@@ -276,7 +276,7 @@ def brute_force_cart(
         if depth >= max_depth or node.n_samples < min_samples_split:
             return node
         best = best_split(mask)
-        if best is None or best[0] >= node.impurity:
+        if best is None or not _improves(best[0], node.impurity):
             return node
         cost, condition = best
         node.condition = condition

@@ -55,11 +55,20 @@ class FeatureIndex:
         return self.offsets[feature]
 
     def categorical_pos(self, feature: str, value) -> int:
+        return int(self.categorical_positions(feature, np.array([value]))[0])
+
+    def categorical_positions(self, feature: str, column) -> np.ndarray:
+        """Positions of a column of category values, each of which must
+        be one the index knows."""
         values = self.category_values[feature]
-        idx = int(np.searchsorted(values, value))
-        if idx >= len(values) or values[idx] != value:
+        column = np.asarray(column)
+        found = np.searchsorted(values, column)
+        known = found < len(values)
+        known[known] = values[found[known]] == column[known]
+        if not known.all():
+            value = column[~known][0]
             raise KeyError(f"unseen category {value!r} of {feature!r}")
-        return self.offsets[feature] + idx
+        return self.offsets[feature] + found
 
 
 class CovarBatch:
@@ -171,29 +180,20 @@ class CovarBatch:
                 matrix[pa, pb] = relation.column(f"m2:{a}*{b}")[0]
 
     def _fill_categorical(self, matrix, index, cat, relation: Relation) -> None:
-        values = relation.column(cat)
+        positions = index.categorical_positions(cat, relation.column(cat))
         counts = relation.column("count")
-        for value, count in zip(values, counts):
-            pos = index.categorical_pos(cat, value)
-            matrix[0, pos] = count
-            matrix[pos, pos] = count  # one-hot: Xv*Xv = Xv
+        matrix[0, positions] = counts
+        matrix[positions, positions] = counts  # one-hot: Xv*Xv = Xv
         for attr in self._numeric:
-            moments = relation.column(f"m1:{attr}")
             numeric_pos = self._numeric_pos(index, attr)
-            for value, moment in zip(values, moments):
-                pos = index.categorical_pos(cat, value)
-                row, col = sorted((pos, numeric_pos))
-                matrix[row, col] = moment
+            rows = np.minimum(positions, numeric_pos)
+            cols = np.maximum(positions, numeric_pos)
+            matrix[rows, cols] = relation.column(f"m1:{attr}")
 
     def _fill_pair(self, matrix, index, a, b, relation: Relation) -> None:
-        values_a = relation.column(a)
-        values_b = relation.column(b)
-        counts = relation.column("count")
-        for va, vb, count in zip(values_a, values_b, counts):
-            pa = index.categorical_pos(a, va)
-            pb = index.categorical_pos(b, vb)
-            row, col = sorted((pa, pb))
-            matrix[row, col] = count
+        pa = index.categorical_positions(a, relation.column(a))
+        pb = index.categorical_positions(b, relation.column(b))
+        matrix[np.minimum(pa, pb), np.maximum(pa, pb)] = relation.column("count")
 
 
 def covar_batch_size(n_continuous: int, n_categorical: int) -> int:

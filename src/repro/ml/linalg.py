@@ -100,6 +100,47 @@ def decompose_join_matrix(
     )
 
 
+def solve_ridge(gram: np.ndarray, moment: np.ndarray, l2: float) -> np.ndarray:
+    """Solve the ridge normal equations ``(gram + l2 I) theta = moment``.
+
+    The regularized matrix is Jacobi-scaled to a unit diagonal, then
+    Cholesky-factored and solved by forward and back substitution.  A
+    covar matrix's columns are counts, one-hot indicators and raw
+    measures of very different magnitudes; the scaling takes retailer's
+    (scale 0.5) condition number from 1.9e13 to 2.3e4.
+    ``np.linalg.solve`` is avoided on purpose: in a process that has run
+    the engine, its first calls were measured to stall ~0.1 s each inside
+    the multi-threaded BLAS, while this path takes under 1 ms on a
+    100x100 matrix.
+
+    Raises ``ValueError`` when the matrix is not positive definite as far
+    as the Cholesky factorization can tell, e.g. ``l2 = 0`` with a
+    one-hot block that sums to the intercept column: there is no unique
+    minimizer to return.
+    """
+    regularized = gram + l2 * np.eye(len(gram))
+    diagonal = np.diag(regularized)
+    not_positive_definite = (
+        f"the ridge matrix is not positive definite at l2={l2!r}; "
+        "a larger l2 regularizes it"
+    )
+    if not np.all(diagonal > 0):
+        raise ValueError(not_positive_definite)
+    scale = np.sqrt(diagonal)
+    try:
+        lower = np.linalg.cholesky(regularized / np.outer(scale, scale))
+    except np.linalg.LinAlgError:
+        raise ValueError(not_positive_definite) from None
+    pivots = np.diag(lower)
+    x = np.asarray(moment, dtype=np.float64) / scale
+    for i in range(len(x)):  # lower @ y = x
+        x[i] = (x[i] - lower[i, :i] @ x[:i]) / pivots[i]
+    upper = np.ascontiguousarray(lower.T)
+    for i in reversed(range(len(x))):  # upper @ z = y
+        x[i] = (x[i] - upper[i, i + 1:] @ x[i + 1:]) / pivots[i]
+    return x / scale
+
+
 def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor, falling back to a jittered factorization
     for (numerically) singular Gram matrices."""

@@ -24,6 +24,7 @@ from ..data.relation import Relation
 from ..query.aggregates import Aggregate, Product
 from ..query.functions import Power
 from ..query.query import Query, QueryBatch
+from .linalg import solve_ridge
 
 
 def monomials(
@@ -203,8 +204,7 @@ def train_polynomial(
     for i, monomial in enumerate(basis):
         name = f"1.{_monomial_name(monomial)}*{label}"
         moment[i] = float(scalar.column(name)[0])
-    regularized = gram / n + l2 * np.eye(p)
-    theta = np.linalg.solve(regularized, moment / n)
+    theta = solve_ridge(gram / n, moment / n, l2)
     return PolynomialModel(
         theta=theta, basis=list(basis), label=label, degree=degree, l2=l2
     )

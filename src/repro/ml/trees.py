@@ -4,7 +4,10 @@ Each tree node is learned from one LMFAO batch: the node's dataset
 fragment is never materialized — it is encoded as a product of Kronecker
 deltas over the ancestor conditions (the *dynamic functions* of §1.2).
 Because ancestor thresholds are dynamic, re-running a node batch at the
-same depth hits the engine's plan cache.
+same depth hits the engine's plan cache.  A node's totals (count and
+label sums, or class counts) are the ones its parent's split search
+already summed for the winning split, so only the root runs a totals
+batch: a tree costs one batch plus one per node whose split was searched.
 
 Regression trees use the variance cost, classification trees the Gini
 index, with the paper's experimental setup: bucketized continuous
@@ -186,23 +189,32 @@ class CARTLearner:
     # -- learning ----------------------------------------------------------------
 
     def fit(self) -> DecisionTree:
-        root = self._grow([], depth=0)
+        root = self._grow([], 0, self._root_statistics())
         return DecisionTree(root=root, kind=self.kind, label=self.label)
 
-    def _grow(self, conditions: List[Condition], depth: int) -> TreeNode:
-        stats = self._node_statistics(conditions)
+    def _grow(self, conditions: List[Condition], depth: int, stats) -> TreeNode:
+        """Grow the subtree of the fragment ``conditions`` select, whose
+        totals are ``stats``: a child's come from its parent's split
+        search, so only the root runs a totals batch."""
         node = self._make_leaf(stats)
         if depth >= self.max_depth or node.n_samples < self.min_samples_split:
             return node
         best = self._best_split(conditions, stats)
-        if best is None or best.cost >= node.impurity:
+        # the tie rule of the split search: a child's impurity is summed
+        # differently from brute_force_cart's, so a split that only
+        # rounding makes cheaper must not be taken by one learner alone
+        if best is None or not _improves(best.cost, node.impurity):
             return node
         node.condition = best.condition
-        node.left = self._grow(conditions + [best.condition], depth + 1)
+        node.left = self._grow(
+            conditions + [best.condition], depth + 1, best.left_stats
+        )
         complement = _ComplementCondition(
             best.condition.attr, best.condition.op, best.condition.value
         )
-        node.right = self._grow(conditions + [complement], depth + 1)
+        node.right = self._grow(
+            conditions + [complement], depth + 1, best.right_stats
+        )
         return node
 
     # -- node batches ---------------------------------------------------------------
@@ -210,23 +222,17 @@ class CARTLearner:
     def _alpha(self, conditions: Sequence[Condition]) -> List[Delta]:
         return [c.delta() for c in conditions]
 
-    def _node_statistics(self, conditions: Sequence[Condition]):
-        """Totals for the node fragment (count / sums or class counts)."""
-        alpha = self._alpha(conditions)
+    def _root_statistics(self):
+        """Totals of the whole join (count / sums or class counts)."""
         if self.kind == "regression":
             queries = [
                 Query(
                     "node:totals",
                     [],
                     [
-                        Aggregate([Product(alpha)], name="n"),
-                        Aggregate(
-                            [Product(alpha + [Identity(self.label)])], name="sy"
-                        ),
-                        Aggregate(
-                            [Product(alpha + [Power(self.label, 2)])],
-                            name="syy",
-                        ),
+                        Aggregate.count(name="n"),
+                        Aggregate.of(Identity(self.label), name="sy"),
+                        Aggregate.of(Power(self.label, 2), name="syy"),
                     ],
                 )
             ]
@@ -238,13 +244,7 @@ class CARTLearner:
                 float(rel.column("sy")[0]),
                 float(rel.column("syy")[0]),
             )
-        queries = [
-            Query(
-                "node:classes",
-                [self.label],
-                [Aggregate([Product(alpha)], name="n")],
-            )
-        ]
+        queries = [Query("node:classes", [self.label], [Aggregate.count(name="n")])]
         results = self.engine.run(QueryBatch(queries))
         self.batches_run += 1
         rel = results["node:classes"]

@@ -95,6 +95,74 @@ class TestMatrixEntries:
             index.categorical_pos("city", 999_999)
 
 
+def loop_assembly(covar, results, index):
+    """The per-value assembly ``CovarBatch.assemble`` replaced: one
+    ``searchsorted`` per category value.  The reference it must equal."""
+    matrix = np.zeros((index.size, index.size))
+    numeric = list(covar.continuous) + [covar.label]
+
+    def numeric_pos(attr):
+        if attr == covar.label:
+            return index.label_position
+        return index.continuous_pos(attr)
+
+    def cat_pos(cat, value):
+        values = index.category_values[cat]
+        return index.offsets[cat] + int(np.searchsorted(values, value))
+
+    scalar = results["covar:scalar"]
+    matrix[0, 0] = scalar.column("count")[0]
+    for attr in numeric:
+        matrix[0, numeric_pos(attr)] = scalar.column(f"m1:{attr}")[0]
+    for i, a in enumerate(numeric):
+        for b in numeric[i:]:
+            pa, pb = sorted((numeric_pos(a), numeric_pos(b)))
+            matrix[pa, pb] = scalar.column(f"m2:{a}*{b}")[0]
+    for cat in covar.categorical:
+        relation = results[f"covar:g:{cat}"]
+        values = relation.column(cat)
+        for value, count in zip(values, relation.column("count")):
+            pos = cat_pos(cat, value)
+            matrix[0, pos] = count
+            matrix[pos, pos] = count
+        for attr in numeric:
+            for value, moment in zip(values, relation.column(f"m1:{attr}")):
+                row, col = sorted((cat_pos(cat, value), numeric_pos(attr)))
+                matrix[row, col] = moment
+    for i, a in enumerate(covar.categorical):
+        for b in covar.categorical[i + 1:]:
+            relation = results[f"covar:gg:{a}*{b}"]
+            for va, vb, count in zip(
+                relation.column(a), relation.column(b), relation.column("count")
+            ):
+                row, col = sorted((cat_pos(a, va), cat_pos(b, vb)))
+                matrix[row, col] = count
+    lower = np.tril_indices(index.size, -1)
+    matrix[lower] = matrix.T[lower]
+    return matrix
+
+
+class TestAssembly:
+    def test_bit_identical_to_the_per_value_loop(self, tiny_regression):
+        ds, continuous, categorical, label = tiny_regression
+        covar = CovarBatch(continuous, categorical, label)
+        results = LMFAO(ds.database, ds.join_tree).run(covar.batch)
+        matrix, index = covar.assemble(results)
+        np.testing.assert_array_equal(
+            matrix, loop_assembly(covar, results, index)
+        )
+
+    def test_positions_of_a_column(self, setup):
+        *_, index = setup
+        values = index.category_values["city"]
+        positions = index.categorical_positions("city", values[::-1])
+        assert positions.tolist() == [
+            index.categorical_pos("city", v) for v in values[::-1]
+        ]
+        with pytest.raises(KeyError, match="999999"):
+            index.categorical_positions("city", np.append(values, 999_999))
+
+
 class TestCategoricalPairs:
     def test_pair_blocks(self, tiny_favorita):
         ds = tiny_favorita

@@ -46,6 +46,28 @@ class TestClosedForm:
         assert np.isclose(lmfao_model.rmse(flat), baseline.rmse(flat))
 
 
+class TestDefaultSolve:
+    def test_equals_materialized_ols_on_every_dataset(self, tiny_regression):
+        # two continuous and three categorical features keep the matrix
+        # well conditioned, so both solvers agree to rounding; with every
+        # feature they agree on the objective, not on every coefficient
+        ds, continuous, categorical, label = tiny_regression
+        args = (ds.database, continuous[:2], categorical[:3], label)
+        model = train_ridge(*args, join_tree=ds.join_tree)
+        baseline = ols_closed_form(*args, flat=materialize_join(ds.database))
+        assert model.iterations == 0
+        np.testing.assert_allclose(model.theta, baseline.theta, rtol=1e-9)
+
+    def test_not_positive_definite_raises(self, favorita_setup):
+        # without l2 the one-hot block of each categorical feature sums to
+        # the intercept column: no unique minimizer
+        ds, _, cont, cat = favorita_setup
+        with pytest.raises(ValueError, match="l2=0"):
+            train_ridge(
+                ds.database, cont, cat, "units", join_tree=ds.join_tree, l2=0.0
+            )
+
+
 class TestBGD:
     def test_bgd_converges_to_closed_form(self, favorita_setup):
         # the one-hot design is nearly collinear with the intercept, so

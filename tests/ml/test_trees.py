@@ -5,7 +5,14 @@ import pytest
 
 from repro import LMFAO, Database, Relation, materialize_join
 from repro.baselines import brute_force_cart
-from repro.ml.trees import CARTLearner, Condition, _gini, _variance
+from repro.ml.trees import (
+    CARTLearner,
+    Condition,
+    SplitCandidate,
+    _ComplementCondition,
+    _gini,
+    _variance,
+)
 
 
 def tree_structure(node):
@@ -16,6 +23,10 @@ def tree_structure(node):
         tree_structure(node.left),
         tree_structure(node.right),
     )
+
+
+def internal_nodes(tree) -> int:
+    return (tree.node_count() - 1) // 2  # every internal node has two children
 
 
 class TestCostFunctions:
@@ -97,12 +108,29 @@ class TestRegressionTree:
         lmfao_tree, *_ = learned
         assert lmfao_tree.node_count() <= 2 ** (3 + 1) - 1
 
+    def test_one_batch_per_split_node(self, learned):
+        lmfao_tree, *_, learner = learned
+        # the root's totals, then one split search per internal node (every
+        # node searched here split); children reuse their parent's sums
+        assert learner.batches_run == 1 + internal_nodes(lmfao_tree)
+
     def test_plan_cache_reused_across_nodes(self, learned):
-        *_, learner = learned
+        lmfao_tree, *_, learner = learned
+        engine = learner.engine
+        planned = len(engine._plan_cache)
         # a plan is cached per ancestor-attribute pattern (values and
-        # comparison operators are dynamic); sibling subtrees with the
-        # same attribute path share plans, so plans < batches
-        assert len(learner.engine._plan_cache) < learner.batches_run
+        # comparison operators are dynamic): the root's two children
+        # searched their splits with one plan, made while fitting
+        condition = lmfao_tree.root.condition
+        complement = _ComplementCondition(
+            condition.attr, condition.op, condition.value
+        )
+        left = engine.plan(learner.node_batch([condition]))
+        right = engine.plan(learner.node_batch([complement]))
+        assert left is right
+        assert len(engine._plan_cache) == planned
+        # one totals plan; fewer split plans than split batches
+        assert planned - 1 < learner.batches_run - 1
 
 
 class TestClassificationTree:
@@ -122,18 +150,22 @@ class TestClassificationTree:
             ds.database, cont, cat, "preferred", "classification",
             flat=flat, thresholds=learner.thresholds, **params,
         )
-        return lmfao_tree, brute, flat
+        return lmfao_tree, brute, flat, learner
 
     def test_identical_structure(self, learned):
-        lmfao_tree, brute, _ = learned
+        lmfao_tree, brute, *_ = learned
         assert tree_structure(lmfao_tree.root) == tree_structure(brute.root)
 
     def test_identical_accuracy(self, learned):
-        lmfao_tree, brute, flat = learned
+        lmfao_tree, brute, flat, _ = learned
         assert np.isclose(lmfao_tree.accuracy(flat), brute.accuracy(flat))
 
+    def test_one_batch_per_split_node(self, learned):
+        lmfao_tree, *_, learner = learned
+        assert learner.batches_run == 1 + internal_nodes(lmfao_tree)
+
     def test_beats_majority_class(self, learned):
-        lmfao_tree, _, flat = learned
+        lmfao_tree, _, flat, _ = learned
         labels = flat.column("preferred")
         majority = max(
             np.mean(labels == v) for v in np.unique(labels)
@@ -176,15 +208,12 @@ class TestTies:
         )
         assert kept is first
 
-    def test_both_learners_keep_the_first_of_one_partition(self):
-        # c == 0 and c == 1 are one partition of these rows; summed in
-        # this order, c == 1 costs one ulp less
+    @staticmethod
+    def both_learners(y):
+        """Depth-1 trees over rows ``c = 0, 0, 0, 1, 1, 1`` with label
+        ``y``, from brute_force_cart and from CARTLearner."""
         flat = Relation.from_dict(
-            "Flat",
-            {
-                "c": np.array([0, 0, 0, 1, 1, 1]),
-                "y": np.array([0.1, 3.7, 0.8, 6.5, 2.7, 7.0]),
-            },
+            "Flat", {"c": np.array([0, 0, 0, 1, 1, 1]), "y": np.array(y)}
         )
         database = Database([flat], name="ties")
         params = dict(max_depth=1, min_samples_split=2)
@@ -192,8 +221,37 @@ class TestTies:
             database, [], ["c"], "y", flat=flat, thresholds={}, **params
         )
         learned = CARTLearner(LMFAO(database), [], ["c"], "y", **params)
-        assert str(brute.root.condition) == "c == 0"
-        assert str(learned.fit().root.condition) == "c == 0"
+        return brute, learned.fit()
+
+    def test_both_learners_keep_the_first_of_one_partition(self):
+        # c == 0 and c == 1 are one partition of these rows; summed in
+        # this order, c == 1 costs one ulp less
+        for tree in self.both_learners([0.1, 3.7, 0.8, 6.5, 2.7, 7.0]):
+            assert str(tree.root.condition) == "c == 0"
+
+    def test_both_learners_keep_a_leaf_that_rounding_would_split(self):
+        # both groups have mean 4.4, so splitting saves nothing; summed,
+        # the split costs a few ulps less than the node's impurity
+        for tree in self.both_learners([3.6, 4.2, 5.4, 4.1, 4.7, 4.4]):
+            assert tree.root.is_leaf
+
+    def test_a_split_within_rounding_of_the_impurity_is_not_taken(
+        self, toy_db, monkeypatch
+    ):
+        learner = CARTLearner(
+            LMFAO(toy_db), ["price"], [], "units",
+            max_depth=1, min_samples_split=1, n_buckets=4,
+        )
+
+        def barely_cheaper(conditions, totals):
+            impurity = learner._make_leaf(totals).impurity
+            return SplitCandidate(
+                impurity * (1 - 1e-12), Condition("price", "<=", 0.0),
+                totals, totals,
+            )
+
+        monkeypatch.setattr(learner, "_best_split", barely_cheaper)
+        assert learner.fit().root.is_leaf
 
 
 class TestLearnerValidation:
