@@ -38,7 +38,7 @@ N_DELTAS = 5
 
 def build_service(data_dir, dataset):
     service = AnalyticsService(
-        coalesce_ms=0, cache_mb=64, data_dir=data_dir, compact_wal=0
+        cache_mb=64, data_dir=data_dir, compact_wal=0
     )
     service.register_dataset(
         "favorita", dataset.database, dataset.join_tree

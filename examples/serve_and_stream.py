@@ -7,7 +7,8 @@ batches into the fact relation, and prints the ``/stats`` report.
 
 Three things to watch in the output:
 
-* concurrent requests *coalesce*: their ``batch_size`` is > 1 and near-
+* concurrent requests *coalesce*: requests that queue up while a batch
+  runs share the next one (their ``batch_size`` is > 1), and near-
   identical workloads (covar and linreg share almost their entire view
   DAG) execute as one fused run;
 * every response names the committed *epoch* it answered — reads that
@@ -40,7 +41,7 @@ def main() -> None:
         label = dataset.continuous_features[0]
     continuous = [f for f in dataset.continuous_features if f != label]
 
-    service = AnalyticsService(coalesce_ms=20, max_batch=8, cache_mb=64)
+    service = AnalyticsService(cache_mb=64)
     service.register_dataset(
         "favorita", dataset.database, dataset.join_tree
     )
@@ -64,7 +65,7 @@ def main() -> None:
     ).name
     print(
         f"serving favorita: workloads covar+linreg, fact relation "
-        f"{root!r}, coalescing window 20ms\n"
+        f"{root!r}, coalescing by backlog\n"
     )
 
     responses = []

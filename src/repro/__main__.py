@@ -12,12 +12,11 @@ Commands:
   — execute several workloads through one :class:`WorkloadSession`,
   optionally fused into one deduplicated view DAG and/or backed by a
   content-addressed view cache (per-view hit/miss report);
-* ``serve <dataset> [--port N] [--coalesce-ms N] [--cache-mb N]
-  [--data-dir DIR]`` — run the long-lived analytics service over HTTP:
-  request coalescing, epoch-snapshot isolation, streaming
-  ``POST /delta`` writes; with ``--data-dir``, durable storage —
-  restore on boot (snapshot + WAL replay + warm view cache), WAL every
-  commit, drain + fsync on SIGTERM;
+* ``serve <dataset> [--port N] [--cache-mb N] [--data-dir DIR]`` —
+  run the long-lived analytics service over HTTP: request coalescing,
+  epoch-snapshot isolation, streaming ``POST /delta`` writes; with
+  ``--data-dir``, durable storage — restore on boot (snapshot + WAL
+  replay + warm view cache), WAL every commit, drain + fsync on SIGTERM;
 * ``snapshot <dataset> --out DIR`` — write a columnar snapshot (a data
   dir ``serve --data-dir`` can boot from);
 * ``restore DIR`` — recover a data dir offline and report what's in it;
@@ -375,8 +374,6 @@ SERVE_WORKLOADS = (
 def build_service(args, dataset) -> AnalyticsService:
     """An :class:`AnalyticsService` over one dataset, all workloads."""
     service = AnalyticsService(
-        coalesce_ms=args.coalesce_ms,
-        max_batch=args.max_batch,
         max_queue=args.max_queue,
         cache_mb=args.cache_mb,
         data_dir=getattr(args, "data_dir", None),
@@ -430,14 +427,9 @@ def cmd_serve(args) -> int:
     service = build_service(args, dataset)
     server = make_http_server(service, args.host, args.port)
     host, port = server.server_address[:2]
-    mode = (
-        f"coalesce={args.coalesce_ms:g}ms (max batch {args.max_batch})"
-        if args.coalesce_ms > 0
-        else "coalescing off"
-    )
     print(
         f"serving {args.dataset} (scale {args.scale:g}) on "
-        f"http://{host}:{port} [{mode}, cache={args.cache_mb:g}MiB, "
+        f"http://{host}:{port} [cache={args.cache_mb:g}MiB, "
         f"queue cap {args.max_queue}]"
     )
     print(
@@ -615,19 +607,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=int, default=8080, help="0 picks an ephemeral port"
-    )
-    p_serve.add_argument(
-        "--coalesce-ms",
-        type=float,
-        default=5.0,
-        help="micro-batching window for request coalescing; 0 disables "
-        "coalescing (default: 5)",
-    )
-    p_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
-        help="cap on requests fused into one batch (default: 16)",
     )
     p_serve.add_argument(
         "--max-queue",

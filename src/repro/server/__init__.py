@@ -6,12 +6,13 @@ A long-running, thread-safe layer over the engine stack: one loaded
 :class:`~repro.engine.ivm.IncrementalEngine` per dataset, shared by
 every request instead of rebuilt per process.  Reads get epoch-snapshot
 isolation, writes stream in as :class:`~repro.data.database.DeltaBatch`
-commits, and concurrent requests coalesce into fused view DAGs.
+commits, and requests that queue up behind a running batch coalesce
+into one fused view DAG.
 
 * :mod:`~repro.server.service` — :class:`AnalyticsService`: epochs,
   workload registry, delta commits;
 * :mod:`~repro.server.coalescer` — :class:`RequestCoalescer`:
-  micro-batching with queue-depth admission control;
+  batching by backlog with queue-depth admission control;
 * :mod:`~repro.server.http` — stdlib HTTP endpoints
   (``/query``, ``/delta``, ``/stats``, ``/healthz``);
 * :mod:`~repro.server.client` — :class:`AnalyticsClient`, the blocking

@@ -1,32 +1,34 @@
-"""Micro-batching request coalescer with admission control.
+"""Request coalescer that batches by backlog, with admission control.
 
 Concurrent analytics requests are rarely unique: under load, many
 callers ask for the same (or near-identical) workloads at the same
 time.  The :class:`RequestCoalescer` turns that temporal locality into
-*throughput*: requests arriving inside a short time/size window are
-drained as one batch and handed to a single ``execute`` call — for the
-analytics service that means one fused
-:class:`~repro.engine.viewcache.fusion.WorkloadSession` DAG whose
+*throughput* in the style of group commit: its single worker drains at
+once whenever it is idle and a request is pending, taking every pending
+request for the head-of-queue key as one batch and handing it to a
+single ``execute`` call — for the analytics service that means one
+fused :class:`~repro.engine.viewcache.fusion.WorkloadSession` DAG whose
 shared views run once — and the per-request results fan back out to
-each blocked caller.
+each blocked caller.  Requests that arrive while a batch executes form
+the next batch.  No request ever waits for a clock: a lone request runs
+immediately, and batches grow exactly as large as the backlog that
+built up behind the previous one.
 
 Admission control is a hard queue-depth cap: once ``max_queue``
 requests are pending, further submissions are *shed* immediately with
 :class:`ServiceOverloaded` (the HTTP layer maps this to ``503``)
 instead of growing an unbounded backlog whose tail latency nobody
-would ever see answered.
+would ever see answered.  It also bounds a batch, so there is no
+separate batch-size cap.
 
 The coalescer is deliberately generic: it batches opaque payloads per
 *key* (the service keys by dataset, since only requests over the same
-data can fuse) and never inspects them.  ``window_ms <= 0`` or
-``max_batch == 1`` disables coalescing — every request executes alone,
-which is the benchmark's baseline mode.
+data can fuse) and never inspects them.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
@@ -87,31 +89,22 @@ class RequestCoalescer:
     in order.  It runs on the coalescer's single worker thread, so
     ``execute`` implementations need no internal batching locks.
 
-    * ``window_ms`` — how long the first request of a batch waits for
-      companions before the batch is drained;
-    * ``max_batch`` — drain immediately once this many same-key
-      requests are pending (also the batch size cap);
-    * ``max_queue`` — admission-control cap on total pending requests;
-      submissions beyond it raise :class:`ServiceOverloaded`.
+    A batch is every request pending for the head-of-queue key when
+    the worker is free, so a lone request executes at once and the
+    requests that arrive while a batch runs form the next one.
+    ``max_queue`` is the admission-control cap on total pending
+    requests; submissions beyond it raise :class:`ServiceOverloaded`.
     """
 
     def __init__(
         self,
         execute: Callable[[str, List[Any]], List[Any]],
         *,
-        window_ms: float = 5.0,
-        max_batch: int = 16,
         max_queue: int = 64,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self._execute = execute
-        self.window_s = max(0.0, float(window_ms)) / 1000.0
-        # a window of zero means "no coalescing": strict one-request
-        # batches, the benchmark's baseline mode
-        self.max_batch = int(max_batch) if self.window_s > 0 else 1
         self.max_queue = int(max_queue)
         self._queue: List[_Pending] = []
         self._lock = threading.Lock()
@@ -148,14 +141,15 @@ class RequestCoalescer:
         if not item.event.wait(timeout):
             # withdraw from the queue so an abandoned request neither
             # occupies an admission slot nor burns an execution; if the
-            # worker already drained it, the batch is in flight and its
-            # (discarded) result still counts as completed
+            # worker already drained it, the batch is in flight and the
+            # worker counts its (discarded) outcome instead
             with self._lock:
                 try:
                     self._queue.remove(item)
                 except ValueError:
                     pass
-                self._stats.timed_out += 1
+                else:
+                    self._stats.timed_out += 1
             raise TimeoutError(
                 f"request for {key!r} not served within {timeout}s"
             )
@@ -221,34 +215,14 @@ class RequestCoalescer:
                 item.event.set()
 
     def _next_batch(self) -> Optional[List[_Pending]]:
-        """Block for the next batch; None when closed and drained."""
+        """Every pending request for the head-of-queue key, as soon as
+        one is pending; None when closed and drained."""
         with self._lock:
             while not self._queue:
                 if self._closed:
                     return None
                 self._arrived.wait()
             key = self._queue[0].key
-            if self.window_s > 0 and not self._closed:
-                # hold the batch open for companions until the window
-                # closes or max_batch same-key requests are pending
-                deadline = time.monotonic() + self.window_s
-                while (
-                    self._count_key(key) < self.max_batch
-                    and not self._closed
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._arrived.wait(remaining)
-            batch: List[_Pending] = []
-            rest: List[_Pending] = []
-            for item in self._queue:
-                if item.key == key and len(batch) < self.max_batch:
-                    batch.append(item)
-                else:
-                    rest.append(item)
-            self._queue = rest
+            batch = [item for item in self._queue if item.key == key]
+            self._queue = [item for item in self._queue if item.key != key]
             return batch
-
-    def _count_key(self, key: str) -> int:
-        return sum(1 for item in self._queue if item.key == key)

@@ -26,12 +26,14 @@ the delta commit re-keyed (and recomputes from its own snapshot), while
 readers at the new epoch hit the delta-patched views immediately.
 
 **Request coalescing.**  Queries are admitted through a
-:class:`~repro.server.coalescer.RequestCoalescer`: concurrent requests
-against the same dataset are drained as one batch, their distinct
-workloads fused into one deduplicated
+:class:`~repro.server.coalescer.RequestCoalescer`, which batches by
+backlog: a request that finds the worker idle runs at once, and the
+requests against the same dataset that queue up while a batch executes
+are drained together as the next one, their distinct workloads fused
+into one deduplicated
 :class:`~repro.engine.viewcache.fusion.WorkloadSession` DAG, executed
-once, and fanned back out per request — PR 3's fusion win becomes a
-throughput multiplier under load.
+once, and fanned back out per request — fusion becomes a throughput
+multiplier under load without making a lone request wait.
 
 **The answer memo.**  Between two commits an answer cannot change, and
 the :class:`Epoch` object already marks exactly when it stops being
@@ -42,11 +44,11 @@ computed *at that epoch* (an :class:`Answer`) and — filled lazily by
 ``include_data`` flag.  :meth:`AnalyticsService.query` captures
 ``state.epoch`` once; when every requested workload is resident there
 it answers on the caller's thread (``batch_size=1``, ``seconds=0.0``:
-nothing ran) — no coalescer window, plan probe, signatures, cache gets
+nothing ran) — no coalescer, plan probe, signatures, cache gets
 or assemble, and a fused request is the concatenation of its members'
 answers, its fused plan never run.  Anything else — a cold workload,
 the first read after a delta, a partially resident request — goes
-through the coalescer whole, where the window has execution to share;
+through the coalescer whole, where a backlog has execution to share;
 that is the one miss path and it is what fills the memo.
 
 The memo needs no invalidation, budget or TTL because it is reachable
@@ -262,7 +264,7 @@ class AnalyticsService:
 
     Usage::
 
-        service = AnalyticsService(coalesce_ms=5)
+        service = AnalyticsService()
         service.register_dataset("retailer", db, tree)
         service.register_workload("retailer", "covar", covar_batch)
         response = service.query("retailer", ["covar"])   # blocking
@@ -284,8 +286,6 @@ class AnalyticsService:
     def __init__(
         self,
         *,
-        coalesce_ms: float = 5.0,
-        max_batch: int = 16,
         max_queue: int = 64,
         cache_mb: float = DEFAULT_CACHE_MB,
         backend: str = "interpret",
@@ -313,10 +313,7 @@ class AnalyticsService:
         self._fsync = fsync
         self._started = time.time()
         self.coalescer = RequestCoalescer(
-            self._execute_coalesced,
-            window_ms=coalesce_ms,
-            max_batch=max_batch,
-            max_queue=max_queue,
+            self._execute_coalesced, max_queue=max_queue
         )
 
     # -- registry ----------------------------------------------------------

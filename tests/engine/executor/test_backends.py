@@ -121,7 +121,7 @@ class TestCompileKnob:
     def test_legacy_spellings_construct_and_plan_no_code(self, toy_db):
         batch = WORKLOADS["counts"]()
         engines = [LMFAO(toy_db, compile=flag) for flag in (False, True)]
-        with AnalyticsService(coalesce_ms=0, backend="compiled") as service:
+        with AnalyticsService(backend="compiled") as service:
             service.register_dataset("toy", toy_db)
             service.register_workload("toy", "counts", batch)
             engines.append(service._state("toy").engine)

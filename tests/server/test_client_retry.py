@@ -219,7 +219,7 @@ class TestExecutionErrorIsNotRetried:
 
         from ..engine.helpers import WORKLOADS
 
-        service = AnalyticsService(coalesce_ms=0, cache_mb=8)
+        service = AnalyticsService(cache_mb=8)
         service.register_dataset("toy", toy_db)
         service.register_workload("toy", "counts", WORKLOADS["counts"]())
 

@@ -1,4 +1,4 @@
-"""RequestCoalescer: batching windows, fan-out, shedding, errors."""
+"""RequestCoalescer: batching by backlog, fan-out, shedding, errors."""
 
 import threading
 import time
@@ -36,20 +36,29 @@ class Recorder:
 class TestBasics:
     def test_single_request_round_trip(self):
         recorder = Recorder()
-        with RequestCoalescer(recorder, window_ms=1) as coalescer:
+        with RequestCoalescer(recorder) as coalescer:
             assert coalescer.submit("ds", "covar", timeout=30) == "ds:covar"
         assert recorder.batches == [("ds", ["covar"])]
         stats = coalescer.stats()
         assert stats.submitted == stats.completed == stats.batches == 1
 
-    def test_window_zero_disables_coalescing(self):
-        coalescer = RequestCoalescer(Recorder(), window_ms=0, max_batch=16)
-        assert coalescer.max_batch == 1
-        coalescer.close()
+    def test_a_lone_request_never_waits_on_a_clock(self):
+        recorder = Recorder()
+        with RequestCoalescer(recorder) as coalescer:
+            timeouts = []
+            wait = coalescer._arrived.wait
+
+            def recording_wait(timeout=None):
+                timeouts.append(timeout)
+                return wait(timeout)
+
+            coalescer._arrived.wait = recording_wait
+            for payload in ("covar", "linreg"):
+                assert coalescer.submit("ds", payload, timeout=30)
+        assert recorder.batches == [("ds", ["covar"]), ("ds", ["linreg"])]
+        assert all(timeout is None for timeout in timeouts), timeouts
 
     def test_rejects_bad_limits(self):
-        with pytest.raises(ValueError):
-            RequestCoalescer(Recorder(), max_batch=0)
         with pytest.raises(ValueError):
             RequestCoalescer(Recorder(), max_queue=0)
 
@@ -62,12 +71,12 @@ class TestBasics:
 
 class TestCoalescing:
     def test_concurrent_requests_share_one_batch(self):
-        # block the worker on a sacrificial first request, queue five
-        # more, then release: the five must drain as one batch
+        # block the worker on a sacrificial first request, queue twenty
+        # more, then release: the backlog drains as one batch, however
+        # long it grew
+        n = 20
         recorder = Recorder(block=True)
-        coalescer = RequestCoalescer(
-            recorder, window_ms=50, max_batch=8, max_queue=64
-        )
+        coalescer = RequestCoalescer(recorder, max_queue=64)
         threads = [
             threading.Thread(
                 target=coalescer.submit, args=("ds", "first"),
@@ -80,28 +89,26 @@ class TestCoalescing:
         def submit(i):
             results[i] = coalescer.submit("ds", f"req{i}", timeout=30)
 
-        for i in range(5):
+        for i in range(n):
             thread = threading.Thread(target=submit, args=(i,))
             threads.append(thread)
             thread.start()
-        while coalescer.stats().queue_depth < 5:
+        while coalescer.stats().queue_depth < n:
             time.sleep(0.005)
         recorder.release.set()
         for thread in threads:
             thread.join(30)
-        assert results == {i: f"ds:req{i}" for i in range(5)}
+        assert results == {i: f"ds:req{i}" for i in range(n)}
         assert len(recorder.batches) == 2
-        assert sorted(recorder.batches[1][1]) == [
-            f"req{i}" for i in range(5)
-        ]
-        assert coalescer.stats().max_batch == 5
+        assert sorted(recorder.batches[1][1]) == sorted(
+            f"req{i}" for i in range(n)
+        )
+        assert coalescer.stats().max_batch == n
         coalescer.close()
 
     def test_batches_never_mix_keys(self):
         recorder = Recorder(block=True)
-        coalescer = RequestCoalescer(
-            recorder, window_ms=50, max_batch=8, max_queue=64
-        )
+        coalescer = RequestCoalescer(recorder, max_queue=64)
         first = threading.Thread(target=coalescer.submit, args=("a", "x"))
         first.start()
         assert recorder.started.wait(10)
@@ -116,42 +123,18 @@ class TestCoalescing:
         recorder.release.set()
         for thread in [first] + threads:
             thread.join(30)
-        for key, payloads in recorder.batches:
-            assert set(payloads) <= {key, "x"}, (
-                f"batch for {key!r} mixed keys: {payloads}"
-            )
-        coalescer.close()
-
-    def test_max_batch_caps_a_drain(self):
-        recorder = Recorder(block=True)
-        coalescer = RequestCoalescer(
-            recorder, window_ms=20, max_batch=2, max_queue=64
-        )
-        threads = [
-            threading.Thread(target=coalescer.submit, args=("ds", i))
-            for i in range(5)
+        # each key's backlog drains as one batch of its own
+        assert sorted(recorder.batches[1:]) == [
+            ("a", ["a", "a"]),
+            ("b", ["b", "b"]),
         ]
-        threads[0].start()
-        assert recorder.started.wait(10)
-        for thread in threads[1:]:
-            thread.start()
-        while coalescer.stats().queue_depth < 4:
-            time.sleep(0.005)
-        recorder.release.set()
-        for thread in threads:
-            thread.join(30)
-        assert all(
-            len(payloads) <= 2 for _, payloads in recorder.batches
-        )
         coalescer.close()
 
 
 class TestAdmissionControl:
     def test_sheds_when_queue_full(self):
         recorder = Recorder(block=True)
-        coalescer = RequestCoalescer(
-            recorder, window_ms=50, max_batch=8, max_queue=2
-        )
+        coalescer = RequestCoalescer(recorder, max_queue=2)
         first = threading.Thread(target=coalescer.submit, args=("ds", 0))
         first.start()
         assert recorder.started.wait(10)
@@ -177,7 +160,7 @@ class TestErrors:
         def explode(key, payloads):
             raise ValueError("boom")
 
-        coalescer = RequestCoalescer(explode, window_ms=1)
+        coalescer = RequestCoalescer(explode)
         with pytest.raises(ValueError, match="boom"):
             coalescer.submit("ds", "x", timeout=30)
         assert coalescer.stats().failed == 1
@@ -185,7 +168,7 @@ class TestErrors:
 
     def test_timeout_raises(self):
         recorder = Recorder(block=True)
-        coalescer = RequestCoalescer(recorder, window_ms=1)
+        coalescer = RequestCoalescer(recorder)
         first = threading.Thread(target=coalescer.submit, args=("ds", 0))
         first.start()
         assert recorder.started.wait(10)
@@ -197,7 +180,7 @@ class TestErrors:
 
     def test_timed_out_request_is_withdrawn_and_never_executed(self):
         recorder = Recorder(block=True)
-        coalescer = RequestCoalescer(recorder, window_ms=1)
+        coalescer = RequestCoalescer(recorder)
         first = threading.Thread(
             target=coalescer.submit, args=("ds", "first")
         )
@@ -222,10 +205,26 @@ class TestErrors:
             "worker burned an execution for an abandoned request"
         )
 
+    def test_timeout_in_flight_counts_once(self):
+        # the caller gives up while its request executes: the worker
+        # still completes it, so it is not also counted as withdrawn
+        recorder = Recorder(block=True)
+        coalescer = RequestCoalescer(recorder)
+        with pytest.raises(TimeoutError):
+            coalescer.submit("ds", "slow", timeout=0.5)
+        assert recorder.started.is_set(), "request never reached execute"
+        recorder.release.set()
+        coalescer.close()
+        stats = coalescer.stats()
+        assert (stats.timed_out, stats.completed) == (0, 1)
+        assert stats.submitted == (
+            stats.completed + stats.failed + stats.timed_out
+        )
+
 
 class TestStats:
     def test_stats_is_a_snapshot_copy(self):
-        coalescer = RequestCoalescer(Recorder(), window_ms=1)
+        coalescer = RequestCoalescer(Recorder())
         coalescer.submit("ds", "x", timeout=30)
         stats = coalescer.stats()
         assert isinstance(stats, CoalescerStats)

@@ -13,7 +13,7 @@ pytestmark = pytest.mark.timeout(120)
 
 def make_service(data_dir, toy_db, **kwargs):
     service = AnalyticsService(
-        coalesce_ms=0, cache_mb=8, data_dir=data_dir, **kwargs
+        cache_mb=8, data_dir=data_dir, **kwargs
     )
     service.register_dataset("toy", toy_db)
     for name, factory in WORKLOADS.items():
@@ -152,7 +152,7 @@ class TestServiceDurability:
         assert storage["recovery"] is None  # first boot
 
     def test_without_data_dir_storage_is_none(self, toy_db):
-        service = AnalyticsService(coalesce_ms=0, cache_mb=8)
+        service = AnalyticsService(cache_mb=8)
         service.register_dataset("toy", toy_db)
         try:
             assert service.recovery("toy") is None

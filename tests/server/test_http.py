@@ -22,7 +22,7 @@ pytestmark = pytest.mark.timeout(120)
 @pytest.fixture()
 def served(toy_db, tmp_path):
     service = AnalyticsService(
-        coalesce_ms=2, cache_mb=8, data_dir=str(tmp_path), fsync=False
+        cache_mb=8, data_dir=str(tmp_path), fsync=False
     )
     service.register_dataset("toy", toy_db)
     for name, factory in WORKLOADS.items():
@@ -43,7 +43,7 @@ class TestSameShapedWorkloads:
         # the coalescer's fused sets {covar, trees} and {linreg, trees}
         # have one shape and differ only in query names; sharing one
         # cached plan between them made a third of such requests 404
-        service = AnalyticsService(coalesce_ms=20, cache_mb=8)
+        service = AnalyticsService(cache_mb=8)
         service.register_dataset("toy", toy_db)
         service.register_workload("toy", "covar", WORKLOADS["covar_style"]())
         service.register_workload("toy", "linreg", WORKLOADS["covar_style"]())

@@ -63,12 +63,7 @@ def wait_for_a_read_each(histories, errors, reads=1, timeout=60.0):
 
 @pytest.mark.timeout(300)
 def test_reads_under_writes_match_committed_epochs(toy_db):
-    service = AnalyticsService(
-        coalesce_ms=2,
-        max_batch=8,
-        max_queue=256,
-        cache_mb=8,
-    )
+    service = AnalyticsService(max_queue=256, cache_mb=8)
     service.register_dataset("toy", toy_db)
     batches = {name: WORKLOADS[name]() for name in WORKLOAD_NAMES}
     for name, batch in batches.items():
@@ -193,7 +188,7 @@ def epochs_matching(section, batch, truth_by_epoch):
 def test_http_histories_match_committed_epochs(toy_db):
     """N HTTP readers beside a root + dimension delta stream; the check
     runs offline, on what the clients recorded."""
-    service = AnalyticsService(coalesce_ms=2, max_queue=256, cache_mb=8)
+    service = AnalyticsService(max_queue=256, cache_mb=8)
     service.register_dataset("toy", toy_db)
     batches = {name: WORKLOADS[name]() for name in WORKLOAD_NAMES}
     for name, batch in batches.items():

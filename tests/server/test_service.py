@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro import (
     QueryBatch,
     Udf,
 )
+from repro.server.coalescer import RequestCoalescer
 from repro.server.http import query_response_body, query_response_payload
 from repro.server.service import Answer, Epoch, QueryResponse
 
@@ -26,7 +28,7 @@ from .test_durability import dimension_delta
 
 @pytest.fixture()
 def service(toy_db):
-    svc = AnalyticsService(coalesce_ms=2, cache_mb=8)
+    svc = AnalyticsService(cache_mb=8)
     svc.register_dataset("toy", toy_db)
     for name, factory in WORKLOADS.items():
         svc.register_workload("toy", name, factory())
@@ -186,12 +188,29 @@ class TestQueries:
             )
 
     def test_concurrent_requests_coalesce_onto_one_epoch(self, toy_db):
-        # a generous window so even a slow CI machine gets every thread
-        # submitted before the first batch drains
-        with AnalyticsService(coalesce_ms=250, max_batch=6) as svc:
+        # hold the worker on a first batch whose UDF blocks once; the
+        # requests that queue up behind it are the next batch
+        started, release = threading.Event(), threading.Event()
+
+        def gate(units):
+            if not started.is_set():
+                started.set()
+                assert release.wait(60), "test never released the worker"
+            return units
+
+        gated = Aggregate.of(Udf(["units"], gate, "gate"), name="g")
+        with AnalyticsService() as svc:
             svc.register_dataset("toy", toy_db)
+            svc.register_workload(
+                "toy", "gate", QueryBatch([Query("g", [], [gated])])
+            )
             for name in ("counts", "covar_style"):
                 svc.register_workload("toy", name, WORKLOADS[name]())
+            blocker = threading.Thread(
+                target=svc.query, args=("toy", ["gate"], 60)
+            )
+            blocker.start()
+            assert started.wait(60)
             responses = [None] * 6
 
             def go(i):
@@ -203,12 +222,17 @@ class TestQueries:
             ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            while svc.coalescer.stats().queue_depth < 6:
+                time.sleep(0.005)
+            release.set()
+            for thread in [blocker] + threads:
                 thread.join(60)
             assert all(r is not None for r in responses)
-            # every coalesced answer names one committed epoch
+            # one batch, so every answer names one committed epoch
             assert {r.epoch for r in responses} == {0}
-            assert max(r.batch_size for r in responses) >= 2
+            assert {r.batch_size for r in responses} == {6}
+            stats = svc.coalescer.stats()
+            assert (stats.batches, stats.max_batch) == (2, 6)
 
     def test_requested_subset_is_what_comes_back(self, service):
         response = service.query("toy", ["conditional"], timeout=60)
@@ -219,7 +243,7 @@ class TestQueries:
         self, toy_db, backend
     ):
         # both names are accepted and both interpret
-        with AnalyticsService(coalesce_ms=0, backend=backend) as svc:
+        with AnalyticsService(backend=backend) as svc:
             svc.register_dataset("toy", toy_db)
             for name, factory in WORKLOADS.items():
                 svc.register_workload("toy", name, factory())
@@ -234,6 +258,15 @@ class TestQueries:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             AnalyticsService(backend="process")
+
+    def test_no_batching_window_or_cap(self):
+        # batches form from the backlog: there is no timer or size to set
+        for knob in ("window_ms", "max_batch"):
+            with pytest.raises(TypeError, match=knob):
+                RequestCoalescer(lambda key, payloads: payloads, **{knob: 5})
+        for knob in ("coalesce_ms", "max_batch"):
+            with pytest.raises(TypeError, match=knob):
+                AnalyticsService(**{knob: 5})
 
 
 @pytest.mark.timeout(120)
@@ -290,7 +323,7 @@ class TestStats:
         }
 
     def test_cache_disabled(self, toy_db):
-        with AnalyticsService(coalesce_ms=0, cache_mb=0) as svc:
+        with AnalyticsService(cache_mb=0) as svc:
             svc.register_dataset("toy", toy_db)
             svc.register_workload("toy", "counts", WORKLOADS["counts"]())
             response = svc.query("toy", ["counts"], timeout=60)
@@ -348,7 +381,7 @@ class TestAnswerMemo:
         self, toy_db, tmp_path, include_data
     ):
         with AnalyticsService(
-            coalesce_ms=0, cache_mb=8, data_dir=str(tmp_path), fsync=False
+            cache_mb=8, data_dir=str(tmp_path), fsync=False
         ) as service:
             service.register_dataset("toy", toy_db)
             for name, factory in WORKLOADS.items():
@@ -401,7 +434,7 @@ class TestAnswerMemo:
         names = ["counts", "groupbys", "covar_style"]
 
         def service_over(db):
-            svc = AnalyticsService(coalesce_ms=0, cache_mb=8)
+            svc = AnalyticsService(cache_mb=8)
             svc.register_dataset("toy", db)
             for name in names:
                 svc.register_workload("toy", name, WORKLOADS[name]())

@@ -55,8 +55,6 @@ def start_server(data_dir, port):
             "favorita",
             "--port",
             str(port),
-            "--coalesce-ms",
-            "0",
             "--data-dir",
             data_dir,
         ],

@@ -146,6 +146,16 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "favorita", "--threads", "2"])
 
+    @pytest.mark.parametrize(
+        "option", [["--coalesce-ms", "5"], ["--max-batch", "4"]]
+    )
+    def test_serve_has_no_batching_knobs(self, option, capsys):
+        # batches form from the backlog; there is no window or cap to set
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "favorita", *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_client_query_needs_dataset_and_workloads(self):
         with pytest.raises(SystemExit, match="client query needs"):
             main(["client", "query"])
@@ -165,8 +175,6 @@ class TestServeCli:
         class Args:
             dataset = "favorita"
             scale = 0.05
-            coalesce_ms = 2.0
-            max_batch = 16
             max_queue = 64
             cache_mb = 8.0
 
