@@ -474,7 +474,7 @@ def cmd_snapshot(args) -> int:
     storage.close()
     print(
         f"snapshot of {args.dataset} (scale {args.scale:g}) -> "
-        f"{info.directory}: {info.n_relations} relations, "
+        f"{info.path}: {info.n_relations} relations, "
         f"{info.n_rows} rows, {info.nbytes / (1 << 20):.2f} MiB "
         f"in {time.perf_counter() - t0:.3f}s"
     )
@@ -488,7 +488,7 @@ def cmd_restore(args) -> int:
     directories = dataset_dirs(args.data_dir)
     if not directories:
         raise SystemExit(
-            f"no dataset storage under {args.data_dir!r} (no CURRENT file)"
+            f"no dataset storage under {args.data_dir!r} (no wal.log)"
         )
     for directory in directories:
         storage = DatasetStorage(directory)

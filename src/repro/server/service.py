@@ -292,7 +292,6 @@ class AnalyticsService:
         data_dir: Optional[str] = None,
         compact_wal: int = 0,
         spill_mb: float = 512.0,
-        fsync: bool = True,
     ):
         self._states: Dict[str, _DatasetState] = {}
         self._registering: set = set()
@@ -310,7 +309,6 @@ class AnalyticsService:
         self._spill_budget_bytes = (
             int(spill_mb * (1 << 20)) if spill_mb else None
         )
-        self._fsync = fsync
         self._started = time.time()
         self.coalescer = RequestCoalescer(
             self._execute_coalesced, max_queue=max_queue
@@ -329,17 +327,17 @@ class AnalyticsService:
         """Load one dataset into the service; returns self for chaining.
 
         With a ``data_dir`` configured, registration is where durability
-        engages: an existing snapshot is **restored** — the base
-        snapshot is loaded, then every WAL commit replays through the
-        dataset's own :meth:`IncrementalEngine.apply_delta`, i.e. the
-        exact delta-propagation code live commits use, so the recovered
-        engine, epoch, and view-cache state match what a never-crashed
-        server would hold.  The recovered database *replaces* the one
+        engages: an existing snapshot is **restored** by
+        :meth:`DatasetStorage.recover` — the snapshot is loaded and the
+        WAL's commits are folded into it, the same recovery ``repro
+        restore`` runs.  The recovered database *replaces* the one
         passed in and the last replayed epoch becomes the serving
-        epoch.  A first boot persists the passed database as the base
-        snapshot.  Either way the dataset's view cache gains the
-        persistent second tier, so warm starts serve spilled views from
-        disk.
+        epoch.  The in-memory view cache starts empty, so the ``ivm``
+        counters start at zero; the replay is counted in the
+        ``recovery`` stats.  A first boot persists the passed database
+        as the base snapshot.  Either way the dataset's view cache
+        gains the persistent second tier, so views spilled before a
+        restart are served from disk (``warm_hits``).
         """
         # reserve the name before any storage side effect: two
         # concurrent registrations of the same dataset must not both
@@ -350,21 +348,19 @@ class AnalyticsService:
             self._registering.add(name)
         try:
             storage: Optional[DatasetStorage] = None
-            snapshot_info = None
-            load_seconds = 0.0
-            replay = False
+            epoch = 0
+            recovery: Optional[RecoveryStats] = None
             try:
                 if self._data_dir is not None:
                     storage = DatasetStorage(
                         os.path.join(self._data_dir, name),
-                        fsync=self._fsync,
                         cache_budget_bytes=self._spill_budget_bytes,
                     )
                     if storage.has_snapshot():
-                        database, snapshot_info, load_seconds = (
-                            storage.load_base()
-                        )
-                        replay = True
+                        recovered = storage.recover()
+                        database = recovered.database
+                        epoch = recovered.epoch
+                        recovery = recovered.stats
                     else:
                         storage.initialize(database, epoch=0)
                 state = _DatasetState(
@@ -373,14 +369,9 @@ class AnalyticsService:
                     join_tree,
                     cache_mb=self._cache_mb,
                     storage=storage,
-                    initial_epoch=(
-                        snapshot_info.epoch if snapshot_info else 0
-                    ),
+                    initial_epoch=epoch,
+                    recovery=recovery,
                 )
-                if replay:
-                    self._replay_wal(
-                        state, snapshot_info, load_seconds
-                    )
             except BaseException:
                 if storage is not None:
                     storage.close()  # don't leak the WAL handle
@@ -393,43 +384,6 @@ class AnalyticsService:
         for workload_name, batch in (workloads or {}).items():
             self.register_workload(name, workload_name, batch)
         return self
-
-    def _replay_wal(
-        self,
-        state: _DatasetState,
-        snapshot_info,
-        load_seconds: float,
-    ) -> None:
-        """Replay WAL commits through the dataset's own IVM engine.
-
-        Each logged commit flows through ``state.ivm.apply_delta`` — the
-        exact code path live commits take — so recovery exercises delta
-        propagation (interior view patches, cache re-keying) instead of
-        a database-level fold.  The replayed epochs advance
-        ``state.epoch`` exactly as the original commits did.
-        """
-        assert state.storage is not None
-        t0 = time.perf_counter()
-        replayed = 0
-        changes = 0
-        for commit in state.storage.pending_commits(snapshot_info.epoch):
-            live = [d for d in commit.deltas if not d.is_empty]
-            if live:
-                state.ivm.apply_delta(*live)
-                changes += sum(d.n_changes() for d in live)
-            state.epoch = Epoch(commit.epoch, state.ivm.database)
-            replayed += 1
-        state.recovery = RecoveryStats(
-            snapshot_epoch=snapshot_info.epoch,
-            epoch=state.epoch.number,
-            replayed_commits=replayed,
-            replayed_changes=changes,
-            wal_tail_truncated=state.storage.wal.tail_truncated,
-            snapshot_load_seconds=load_seconds,
-            replay_seconds=time.perf_counter() - t0,
-            cache_entries=len(state.storage.cache_store),
-            cache_bytes=state.storage.cache_store.spilled_bytes,
-        )
 
     def register_workload(
         self, dataset: str, name: str, batch: QueryBatch

@@ -1,25 +1,27 @@
-"""Durable storage & recovery: snapshots, a delta WAL, a cache tier.
+"""Durable storage & recovery: a snapshot, a delta WAL, a cache tier.
 
 Everything the in-memory engine stack computes — the loaded
 :class:`~repro.data.database.Database`, the epoch history of committed
 deltas, and the content-addressed view cache — can be persisted and
-recovered by this package:
+recovered by this package.  All of it is stored in one format:
 
-* :mod:`~repro.storage.snapshot` — a versioned columnar on-disk format
-  for databases (per-relation column files + a JSON manifest carrying
-  schema, row counts, CRCs, and relation content fingerprints, so a
-  reloaded relation re-keys to identical cache digests);
-* :mod:`~repro.storage.wal` — an append-only, fsync'd, checksummed
-  write-ahead log of :class:`~repro.data.database.DeltaBatch` commits
-  with epoch numbers, replayable after a crash (torn tails truncate,
-  corruption never propagates past the first bad frame);
+* :mod:`~repro.storage.codec` — the one record: a CRC frame around a
+  JSON header and raw NumPy columns;
+* :mod:`~repro.storage.snapshot` — a database as one record in one
+  file, its header carrying schema, row counts and relation content
+  fingerprints, so a reloaded relation re-keys to identical cache
+  digests;
+* :mod:`~repro.storage.wal` — an append-only, fsync'd log of
+  :class:`~repro.data.database.DeltaBatch` commits, one record per
+  epoch (torn tails truncate, corruption never propagates past the
+  first bad frame);
 * :mod:`~repro.storage.cachestore` — the persistent second tier of the
-  :class:`~repro.engine.viewcache.cache.ViewCache`: views spill to disk
-  keyed by content digest and serve cross-process warm starts, with
+  :class:`~repro.engine.viewcache.cache.ViewCache`: one record per view,
+  keyed by content digest, serving cross-process warm starts, with
   corruption-safe loads (bad entry = miss, never a crash);
 * :mod:`~repro.storage.manager` — :class:`DatasetStorage`, the per-
-  dataset coordinator: atomic ``CURRENT``-pointer snapshot versioning,
-  boot-time recovery (snapshot load + WAL replay), and compaction.
+  dataset directory: atomic snapshot replacement, the one recovery
+  (snapshot load + WAL fold), and compaction.
 """
 
 from .cachestore import CacheStore

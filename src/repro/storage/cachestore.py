@@ -17,98 +17,52 @@ parse, or checksum an entry is a *miss* (and the bad file is removed),
 never an exception escaping to the engine.  A half-written file cannot
 exist — writes land in a temp file and ``os.replace`` into place.
 
-File framing (one view per file, ``<digest>.view``)::
-
-    b"RVC1" | u32 body_len | u32 crc32(body) | body
-    body = u32 header_len | header_json | raw column bytes
+One view per file, ``<digest>.view``: a :mod:`~repro.storage.codec`
+record (magic ``RVC1``) whose header names the digest, the relations,
+the group-by and whether a support column follows; its columns are the
+key columns, the aggregate columns, then the support column.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import threading
-import zlib
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..engine.interpreter import ViewData
 from ..engine.viewcache.signature import ViewSignature
+from . import codec
 
 _MAGIC = b"RVC1"
-_FRAME = struct.Struct("<4sII")
 
 _SUFFIX = ".view"
 
 
-def _encode_entry(sig: ViewSignature, data: ViewData) -> bytes:
-    blobs: List[bytes] = []
-    key_specs = []
-    for name, col in zip(data.group_by, data.key_cols):
-        arr = np.ascontiguousarray(col)
-        raw = arr.tobytes()
-        key_specs.append([name, str(arr.dtype), len(raw)])
-        blobs.append(raw)
-    agg_specs = []
-    for col in data.agg_cols:
-        arr = np.ascontiguousarray(col)
-        raw = arr.tobytes()
-        agg_specs.append([str(arr.dtype), len(raw)])
-        blobs.append(raw)
-    support_spec = None
-    if data.support is not None:
-        arr = np.ascontiguousarray(data.support)
-        raw = arr.tobytes()
-        support_spec = [str(arr.dtype), len(raw)]
-        blobs.append(raw)
+def _encode_entry(sig: ViewSignature, data: ViewData) -> List:
     header = {
         "digest": sig.digest,
         "relations": sorted(sig.relations),
-        "keys": key_specs,
-        "aggs": agg_specs,
-        "support": support_spec,
+        "group_by": list(data.group_by),
+        "n_aggs": len(data.agg_cols),
+        "support": data.support is not None,
     }
-    header_bytes = json.dumps(header).encode()
-    body = (
-        struct.pack("<I", len(header_bytes))
-        + header_bytes
-        + b"".join(blobs)
-    )
-    return _FRAME.pack(_MAGIC, len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
+    columns = list(data.key_cols) + list(data.agg_cols)
+    if data.support is not None:
+        columns.append(data.support)
+    return codec.encode(_MAGIC, header, columns)
 
 
-def _decode_entry(raw: bytes, digest: str) -> Tuple[ViewSignature, ViewData]:
-    magic, body_len, crc = _FRAME.unpack_from(raw, 0)
-    if magic != _MAGIC:
-        raise ValueError("bad magic")
-    body = raw[_FRAME.size : _FRAME.size + body_len]
-    if len(body) != body_len or (zlib.crc32(body) & 0xFFFFFFFF) != crc:
-        raise ValueError("checksum mismatch")
-    (header_len,) = struct.unpack_from("<I", body, 0)
-    header = json.loads(body[4 : 4 + header_len].decode())
+def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
+    record = codec.read_record(handle, _MAGIC)
+    if record is None:
+        raise codec.FrameError("empty entry")
+    header, columns = record
     if header["digest"] != digest:
         raise ValueError("digest mismatch")
-    offset = 4 + header_len
-
-    def take(dtype: str, nbytes: int) -> np.ndarray:
-        nonlocal offset
-        chunk = body[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError("entry truncated")
-        offset += nbytes
-        # copy: frombuffer views are read-only and the cache may merge
-        return np.frombuffer(chunk, dtype=np.dtype(dtype)).copy()
-
-    group_by = tuple(spec[0] for spec in header["keys"])
-    key_cols = [take(spec[1], spec[2]) for spec in header["keys"]]
-    agg_cols = [take(spec[0], spec[1]) for spec in header["aggs"]]
-    support = (
-        take(header["support"][0], header["support"][1])
-        if header["support"] is not None
-        else None
-    )
+    n_keys = len(header["group_by"])
+    n_aggs = header["n_aggs"]
+    if len(columns) != n_keys + n_aggs + bool(header["support"]):
+        raise ValueError("column count mismatch")
     sig = ViewSignature(
         digest=digest,
         relations=frozenset(header["relations"]),
@@ -116,10 +70,10 @@ def _decode_entry(raw: bytes, digest: str) -> Tuple[ViewSignature, ViewData]:
         structure=None,
     )
     data = ViewData(
-        group_by=group_by,
-        key_cols=key_cols,
-        agg_cols=agg_cols,
-        support=support,
+        group_by=tuple(header["group_by"]),
+        key_cols=columns[:n_keys],
+        agg_cols=columns[n_keys : n_keys + n_aggs],
+        support=columns[-1] if header["support"] else None,
     )
     return sig, data
 
@@ -138,11 +92,9 @@ class CacheStore:
         directory: str,
         *,
         budget_bytes: Optional[int] = None,
-        fsync: bool = False,
     ):
         self.directory = os.path.abspath(directory)
         self.budget_bytes = budget_bytes
-        self.fsync = fsync
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._saves = 0
@@ -151,7 +103,7 @@ class CacheStore:
         self._pruned = 0
         # running totals so budget checks (every save) and stats
         # (every GET /stats) are O(1), not a directory scan; one scan
-        # at construction, bookkept by save/delete, re-anchored to the
+        # at construction, bookkept by save/load, re-anchored to the
         # exact scan by every prune()
         self._tracked_bytes = 0
         self._tracked_entries = 0
@@ -198,17 +150,14 @@ class CacheStore:
                 replaced_bytes = None
             tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
             with open(tmp, "wb") as handle:
-                handle.write(record)
-                if self.fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                nbytes = codec.write(handle, record)
             os.replace(tmp, path)
         except (OSError, ValueError):
             return False
         over_budget = False
         with self._lock:
             self._saves += 1
-            self._tracked_bytes += len(record) - (replaced_bytes or 0)
+            self._tracked_bytes += nbytes - (replaced_bytes or 0)
             if replaced_bytes is None:
                 self._tracked_entries += 1
             over_budget = (
@@ -232,12 +181,13 @@ class CacheStore:
         except ValueError:
             return None
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
+            handle = open(path, "rb")
         except OSError:
             return None
         try:
-            sig, data = _decode_entry(raw, digest)
+            with handle:
+                size = os.fstat(handle.fileno()).st_size
+                sig, data = _decode_entry(handle, digest)
         except Exception:  # noqa: BLE001 - bad entry => miss, never crash
             with self._lock:
                 self._load_failures += 1
@@ -247,7 +197,7 @@ class CacheStore:
                 pass
             else:
                 with self._lock:
-                    self._tracked_bytes -= len(raw)
+                    self._tracked_bytes -= size
                     self._tracked_entries -= 1
             return None
         with self._lock:
@@ -260,51 +210,6 @@ class CacheStore:
         return sig, data
 
     # -- maintenance -------------------------------------------------------
-
-    def delete(self, digest: str) -> bool:
-        try:
-            path = self._path(digest)
-            size = os.path.getsize(path)
-            os.remove(path)
-        except (OSError, ValueError):
-            return False
-        with self._lock:
-            self._tracked_bytes -= size
-            self._tracked_entries -= 1
-        return True
-
-    def digests(self) -> List[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(
-            name[: -len(_SUFFIX)]
-            for name in names
-            if name.endswith(_SUFFIX)
-        )
-
-    def clear(self) -> None:
-        for digest in self.digests():
-            self.delete(digest)
-
-    @property
-    def spilled_bytes(self) -> int:
-        total = 0
-        try:
-            with os.scandir(self.directory) as entries:
-                for entry in entries:
-                    if entry.name.endswith(_SUFFIX):
-                        try:
-                            total += entry.stat().st_size
-                        except OSError:
-                            pass
-        except OSError:
-            pass
-        return total
-
-    def __len__(self) -> int:
-        return len(self.digests())
 
     def prune(self) -> int:
         """Remove oldest entries until the byte budget holds.
@@ -367,9 +272,3 @@ class CacheStore:
                 "entries": self._tracked_entries,
                 "spilled_bytes": self._tracked_bytes,
             }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CacheStore({self.directory!r}, {len(self)} entries, "
-            f"{self.spilled_bytes / (1 << 20):.2f} MiB)"
-        )

@@ -3,24 +3,23 @@
 :class:`DatasetStorage` owns the on-disk layout and the recovery
 protocol the serving layer uses::
 
-    <dir>/CURRENT            # name of the live snapshot directory
-    <dir>/snap-<epoch>-<n>/  # columnar snapshots (manager-versioned)
-    <dir>/wal.log            # the delta write-ahead log
-    <dir>/cache/             # spilled content-addressed views
+    <dir>/snapshot    # the database at the snapshot epoch, one file
+    <dir>/wal.log     # the delta write-ahead log
+    <dir>/cache/      # spilled content-addressed views
 
-The ``CURRENT`` pointer makes snapshot replacement atomic the LevelDB
-way: a new snapshot is written to a *fresh* directory, fsynced, and
-only then named by an atomic rewrite of ``CURRENT``; old snapshot
-directories are deleted afterwards.  A crash at any point leaves either
-the old or the new snapshot live — never neither.
+All three hold :mod:`~repro.storage.codec` records.  A new snapshot is
+streamed to a temp file, fsynced, renamed over ``snapshot`` and
+published by fsyncing the directory, so a crash at any point leaves
+either the old or the new snapshot live — never neither.
 
-**Recovery** = load the ``CURRENT`` snapshot, then replay every WAL
-commit with an epoch greater than the snapshot's.  Because the serving
-layer logs each commit *before* publishing its epoch, the recovered
-database is byte-identical (and therefore fingerprint-identical) to
-the last published epoch — reloaded relations re-key to the same
-content digests, so the spilled cache tier serves warm hits
-immediately.
+**Recovery** (:meth:`DatasetStorage.recover`, the only one: ``repro
+restore`` and the serving layer both call it) = load the snapshot, then
+fold every WAL commit with an epoch greater than the snapshot's into
+it.  Because the serving layer logs each commit *before* publishing its
+epoch, the recovered database is byte-identical (and therefore
+fingerprint-identical) to the last published epoch — reloaded
+relations re-key to the same content digests, so the spilled cache
+tier serves warm hits immediately.
 
 **Compaction** folds the WAL into a fresh snapshot at the current
 epoch and truncates the log, bounding replay time after the next
@@ -30,30 +29,22 @@ restart.
 from __future__ import annotations
 
 import os
-import shutil
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..data.database import Database
 from .cachestore import CacheStore
-from .snapshot import (
-    SnapshotError,
-    SnapshotInfo,
-    _fsync_dir,
-    load_snapshot,
-    write_snapshot,
-)
-from .wal import WalCommit, WriteAheadLog
+from .snapshot import SnapshotInfo, load_snapshot, write_snapshot
+from .wal import WriteAheadLog
 
-CURRENT_NAME = "CURRENT"
+SNAPSHOT_NAME = "snapshot"
 WAL_NAME = "wal.log"
 CACHE_DIR_NAME = "cache"
 
 
 class StorageError(RuntimeError):
-    """The data directory is unusable (missing/corrupt CURRENT, ...)."""
+    """The data directory is unusable (no snapshot, old layout, ...)."""
 
 
 @dataclass
@@ -94,123 +85,56 @@ class RecoveredState:
 
 
 class DatasetStorage:
-    """Durable storage for one dataset: snapshots, WAL, cache tier.
+    """Durable storage for one dataset: snapshot, WAL, cache tier.
 
     Typical lifecycles::
 
         storage = DatasetStorage(path)
         if storage.has_snapshot():
-            recovered = storage.recover()      # snapshot + WAL replay
+            recovered = storage.recover()      # snapshot + WAL fold
         else:
             storage.initialize(database)       # first boot
         ...
         storage.log_commit(epoch, deltas)      # on every delta commit
         storage.compact(database, epoch)       # fold WAL away
         storage.close()
+
+    Opening a directory removes the temp file of a snapshot write that
+    a crash interrupted.  A directory in the layout of an earlier
+    version (a pointer file to a snapshot directory, no ``snapshot``
+    file) is refused with a :class:`StorageError` rather than mistaken
+    for an empty one.
     """
 
     def __init__(
-        self,
-        directory: str,
-        *,
-        fsync: bool = True,
-        cache_budget_bytes: Optional[int] = None,
+        self, directory: str, *, cache_budget_bytes: Optional[int] = None
     ):
         self.directory = os.path.abspath(directory)
-        self.fsync = fsync
+        self.snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
+        if not self.has_snapshot() and os.path.exists(
+            os.path.join(self.directory, "CURRENT")
+        ):
+            raise StorageError(
+                f"{self.directory!r} holds storage in the old layout "
+                "(a CURRENT pointer file naming a snapshot directory); "
+                "this version reads only a single 'snapshot' file and "
+                "will not overwrite it"
+            )
         os.makedirs(self.directory, exist_ok=True)
-        self._lock = threading.Lock()
-        # resume the snapshot counter past every name already on disk:
-        # a fresh process must never regenerate the name CURRENT points
-        # at (write_snapshot's replace path is not crash-atomic; with
-        # unique names it is never taken for a live snapshot)
-        self._snap_counter = self._max_existing_snap_counter()
-        self._last_compaction: Optional[Dict] = None
-        # lazily cached: stats() must not re-read the manifest per call
-        self._snapshot_epoch: Optional[int] = None
+        for name in os.listdir(self.directory):
+            if name.startswith(SNAPSHOT_NAME + ".tmp-"):
+                os.remove(os.path.join(self.directory, name))
+        #: epoch of the live snapshot, once initialize/recover/compact ran
+        self.snapshot_epoch: Optional[int] = None
+        self.last_compaction: Optional[Dict] = None
         self.cache_store = CacheStore(
             os.path.join(self.directory, CACHE_DIR_NAME),
             budget_bytes=cache_budget_bytes,
         )
-        self.wal = WriteAheadLog(
-            os.path.join(self.directory, WAL_NAME), fsync=fsync
-        )
-
-    # -- the CURRENT pointer -----------------------------------------------
-
-    def _current_path(self) -> str:
-        return os.path.join(self.directory, CURRENT_NAME)
-
-    def current_snapshot_dir(self) -> Optional[str]:
-        try:
-            with open(self._current_path()) as handle:
-                name = handle.read().strip()
-        except OSError:
-            return None
-        if not name:
-            return None
-        return os.path.join(self.directory, name)
+        self.wal = WriteAheadLog(os.path.join(self.directory, WAL_NAME))
 
     def has_snapshot(self) -> bool:
-        directory = self.current_snapshot_dir()
-        return directory is not None and os.path.isdir(directory)
-
-    def _set_current(self, snapshot_name: str) -> None:
-        path = self._current_path()
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w") as handle:
-            handle.write(snapshot_name + "\n")
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if self.fsync:
-            # the rename itself must be durable before anything relies
-            # on the new snapshot being live (compaction truncates the
-            # WAL right after this — losing the rename but not the
-            # truncate would roll recovery back past acked commits)
-            _fsync_dir(self.directory)
-
-    def _max_existing_snap_counter(self) -> int:
-        highest = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.startswith("snap-"):
-                continue
-            try:
-                highest = max(highest, int(name.rsplit("-", 1)[1]))
-            except (IndexError, ValueError):
-                continue
-        return highest
-
-    def _gc_snapshots(self, keep: str) -> None:
-        for name in os.listdir(self.directory):
-            if not name.startswith("snap-") or name == keep:
-                continue
-            shutil.rmtree(
-                os.path.join(self.directory, name), ignore_errors=True
-            )
-
-    def _write_versioned_snapshot(
-        self, database: Database, epoch: int
-    ) -> SnapshotInfo:
-        with self._lock:
-            self._snap_counter += 1
-            name = f"snap-{int(epoch):08d}-{self._snap_counter}"
-        info = write_snapshot(
-            database,
-            os.path.join(self.directory, name),
-            epoch=epoch,
-            fsync=self.fsync,
-        )
-        self._set_current(name)
-        self._gc_snapshots(keep=name)
-        with self._lock:
-            self._snapshot_epoch = int(epoch)
-        return info
+        return os.path.isfile(self.snapshot_path)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -230,72 +154,51 @@ class DatasetStorage:
         """
         if self.wal.n_commits or self.wal.nbytes:
             self.wal.truncate()
-        return self._write_versioned_snapshot(database, epoch)
+        info = write_snapshot(database, self.snapshot_path, epoch=epoch)
+        self.snapshot_epoch = info.epoch
+        return info
 
-    def load_base(self) -> Tuple[Database, SnapshotInfo, float]:
-        """Load the ``CURRENT`` snapshot without replaying the WAL.
+    def recover(self) -> RecoveredState:
+        """Load the snapshot and fold the WAL's newer commits into it.
 
-        Returns ``(database, snapshot info, load seconds)``.  Callers
-        that own an incremental-maintenance layer pair this with
-        :meth:`pending_commits` so WAL replay flows through the same
-        delta-propagation code live commits use (and a recovered view
-        cache matches the live one); :meth:`recover` remains the
-        self-contained database-level fold.
+        The monotonic guard skips every commit whose epoch is not above
+        the last one applied.  That covers two cases with one test:
+        commits already folded into the snapshot (a crash between a
+        compaction's rename and its WAL truncate), and a resurrected
+        duplicate of an epoch a later commit reused (possible only if a
+        failed append's scrub was lost to a power cut) — never apply an
+        epoch twice.
         """
-        snapshot_dir = self.current_snapshot_dir()
-        if snapshot_dir is None or not os.path.isdir(snapshot_dir):
+        if not self.has_snapshot():
             raise StorageError(
                 f"no snapshot to recover in {self.directory!r}"
             )
         t0 = time.perf_counter()
-        database, info = load_snapshot(snapshot_dir)
-        seconds = time.perf_counter() - t0
-        with self._lock:
-            self._snapshot_epoch = info.epoch
-        return database, info, seconds
-
-    def pending_commits(self, after_epoch: int) -> Iterator[WalCommit]:
-        """WAL commits newer than ``after_epoch``, in commit order.
-
-        The monotonic guard covers two cases with one test: commits
-        already folded into the snapshot, and a resurrected duplicate
-        of an epoch a later commit reused (possible only if a failed
-        append's scrub was lost to a power cut) — never apply an epoch
-        twice.
-        """
-        epoch = int(after_epoch)
-        for commit in self.wal.replay():
-            if commit.epoch <= epoch:
-                continue
-            epoch = commit.epoch
-            yield commit
-
-    def recover(self) -> RecoveredState:
-        """Load the current snapshot and replay the WAL over it."""
-        database, info, load_seconds = self.load_base()
+        database, info = load_snapshot(self.snapshot_path)
         t1 = time.perf_counter()
+        self.snapshot_epoch = info.epoch
         epoch = info.epoch
         replayed = 0
         changes = 0
-        for commit in self.pending_commits(info.epoch):
+        for commit in self.wal.replay():
+            if commit.epoch <= epoch:
+                continue
             for delta in commit.deltas:
-                if delta.is_empty:
-                    continue
-                step = database.apply_delta(delta)
-                database = step.database
-                changes += delta.n_changes()
+                database = database.apply_delta(delta).database
+            changes += commit.n_changes()
             epoch = commit.epoch
             replayed += 1
+        cache = self.cache_store.stats()
         stats = RecoveryStats(
             snapshot_epoch=info.epoch,
             epoch=epoch,
             replayed_commits=replayed,
             replayed_changes=changes,
             wal_tail_truncated=self.wal.tail_truncated,
-            snapshot_load_seconds=load_seconds,
+            snapshot_load_seconds=t1 - t0,
             replay_seconds=time.perf_counter() - t1,
-            cache_entries=len(self.cache_store),
-            cache_bytes=self.cache_store.spilled_bytes,
+            cache_entries=cache["entries"],
+            cache_bytes=cache["spilled_bytes"],
         )
         return RecoveredState(database=database, epoch=epoch, stats=stats)
 
@@ -306,16 +209,14 @@ class DatasetStorage:
     def compact(self, database: Database, epoch: int) -> SnapshotInfo:
         """Fold the WAL into a fresh snapshot of ``database`` at ``epoch``.
 
-        The WAL is truncated only after the new snapshot is live, so a
-        crash mid-compaction replays the old snapshot + full WAL.
+        The WAL is truncated only after the new snapshot is durable, so
+        a crash mid-compaction recovers from the old snapshot + full WAL
+        or from the new snapshot + a WAL whose commits it already holds.
         """
-        info = self._write_versioned_snapshot(database, epoch)
+        info = write_snapshot(database, self.snapshot_path, epoch=epoch)
         self.wal.truncate()
-        with self._lock:
-            self._last_compaction = {
-                "epoch": int(epoch),
-                "unix_time": time.time(),
-            }
+        self.snapshot_epoch = info.epoch
+        self.last_compaction = {"epoch": info.epoch, "unix_time": time.time()}
         return info
 
     def sync(self) -> None:
@@ -337,30 +238,6 @@ class DatasetStorage:
     def wal_len(self) -> int:
         return self.wal.n_commits
 
-    @property
-    def last_compaction(self) -> Optional[Dict]:
-        with self._lock:
-            return dict(self._last_compaction) if self._last_compaction else None
-
-    def snapshot_epoch(self) -> Optional[int]:
-        """Epoch of the live snapshot (cached; manifest read at most
-        once per writer event — initialize/recover/compact refresh it)."""
-        with self._lock:
-            if self._snapshot_epoch is not None:
-                return self._snapshot_epoch
-        directory = self.current_snapshot_dir()
-        if directory is None:
-            return None
-        try:
-            from .snapshot import read_manifest
-
-            epoch = int(read_manifest(directory)["epoch"])
-        except (SnapshotError, KeyError, ValueError):
-            return None
-        with self._lock:
-            self._snapshot_epoch = epoch
-        return epoch
-
     def stats(self) -> Dict:
         """The ``storage`` section of ``GET /stats`` for one dataset."""
         cache = self.cache_store.stats()
@@ -368,7 +245,7 @@ class DatasetStorage:
             "data_dir": self.directory,
             "wal_len": self.wal_len,
             "wal_bytes": self.wal.nbytes,
-            "snapshot_epoch": self.snapshot_epoch(),
+            "snapshot_epoch": self.snapshot_epoch,
             "last_compaction": self.last_compaction,
             "spilled_entries": cache["entries"],
             "spilled_bytes": cache["spilled_bytes"],
@@ -380,22 +257,21 @@ class DatasetStorage:
 def dataset_dirs(data_dir: str) -> List[str]:
     """Sub-directories of ``data_dir`` that hold dataset storage.
 
-    A directory with a ``CURRENT`` file *is* a dataset storage dir (the
+    A directory with a ``wal.log`` *is* a dataset storage dir (the
     single-dataset layout); otherwise every child with one is returned.
     """
     data_dir = os.path.abspath(data_dir)
-    if os.path.isfile(os.path.join(data_dir, CURRENT_NAME)):
+    if os.path.isfile(os.path.join(data_dir, WAL_NAME)):
         return [data_dir]
-    found: List[str] = []
     try:
         names = sorted(os.listdir(data_dir))
     except OSError:
         return []
-    for name in names:
-        child = os.path.join(data_dir, name)
-        if os.path.isfile(os.path.join(child, CURRENT_NAME)):
-            found.append(child)
-    return found
+    return [
+        os.path.join(data_dir, name)
+        for name in names
+        if os.path.isfile(os.path.join(data_dir, name, WAL_NAME))
+    ]
 
 
 __all__ = [
@@ -403,6 +279,5 @@ __all__ = [
     "RecoveredState",
     "RecoveryStats",
     "StorageError",
-    "WalCommit",
     "dataset_dirs",
 ]

@@ -1,40 +1,37 @@
-"""Versioned columnar on-disk snapshots of a :class:`Database`.
+"""Snapshots of a :class:`Database`: one file, one CRC-framed record.
 
-A snapshot is one directory::
+A snapshot is a single :mod:`~repro.storage.codec` record (magic
+``RSNP``).  Its header carries the format name and version, the epoch,
+the database name, and per relation its schema, row count and content
+fingerprint; its columns are every relation's columns, relation by
+relation, in schema order.  Raw column bytes plus a JSON header is
+deliberately primitive, because primitive is what recovers — and the
+frame's CRC detects torn or bit-rotted files at load, instead of
+serving them.
 
-    <dir>/manifest.json            # schema, row counts, checksums, fps
-    <dir>/data/<relation>/<column>.col   # raw little-endian column bytes
-
-The format is deliberately primitive — raw ``ndarray.tobytes()`` per
-column plus a JSON manifest — because primitive is what recovers: any
-tool that can read JSON and ``np.fromfile`` can open it, and every
-column carries a CRC32 so torn or bit-rotted files are detected at
-load, not silently served.
-
-**The round-trip property.**  The manifest records each relation's
+**The round-trip property.**  The header records each relation's
 content fingerprint (:func:`repro.engine.viewcache.signature.
 relation_fingerprint`, the same hash the view cache keys on).  Loading
-verifies bytes (CRC) *and* recomputes the fingerprint, so a loaded
-relation is guaranteed to re-key to exactly the digests the original
-produced — which is what lets a restarted process serve warm cache
-hits from a persisted :class:`~repro.storage.cachestore.CacheStore`
-against a snapshot-loaded database.
+checks the CRC *and* recomputes every fingerprint, so a loaded relation
+is guaranteed to re-key to exactly the digests the original produced —
+which is what lets a restarted process serve warm cache hits from a
+persisted :class:`~repro.storage.cachestore.CacheStore` against a
+snapshot-loaded database.
 
-Writes are atomic at directory granularity: everything lands in a
-temp sibling first, files are fsynced, then the directory is renamed
-into place.  A crash mid-write leaves at worst a ``*.tmp-*`` orphan,
-never a half-valid snapshot.
+**Writes are atomic.**  The record is streamed to a ``<path>.tmp-<pid>``
+sibling, fsynced, renamed over ``path`` with ``os.replace``, and
+published by fsyncing the directory.  A crash at any point leaves
+either the old snapshot or the new one at ``path`` (plus, at worst, a
+temp file the next :class:`~repro.storage.manager.DatasetStorage`
+removes).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import time
-import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -42,21 +39,22 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..data.schema import Attribute, Schema
 from ..engine.viewcache.signature import relation_fingerprint
+from . import codec
 
 FORMAT_NAME = "repro-snapshot"
-FORMAT_VERSION = 1
-MANIFEST_NAME = "manifest.json"
+FORMAT_VERSION = 2
+_MAGIC = b"RSNP"
 
 
 class SnapshotError(RuntimeError):
-    """A snapshot directory is missing, malformed, or corrupt."""
+    """A snapshot file is missing, malformed, or corrupt."""
 
 
 @dataclass(frozen=True)
 class SnapshotInfo:
-    """What one snapshot holds (from its manifest)."""
+    """What one snapshot holds (from its header)."""
 
-    directory: str
+    path: str
     epoch: int
     database_name: str
     n_relations: int
@@ -65,21 +63,6 @@ class SnapshotInfo:
     created_unix: float
     #: relation name -> content fingerprint at write time
     fingerprints: Dict[str, str]
-
-
-def _safe_name(name: str) -> str:
-    """A relation/column name usable as a path component."""
-    if not name or name != os.path.basename(name) or name.startswith("."):
-        raise SnapshotError(f"name {name!r} is not snapshot-safe")
-    return name
-
-
-def _fsync_file(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _fsync_dir(path: str) -> None:
@@ -96,74 +79,32 @@ def _fsync_dir(path: str) -> None:
 
 
 def write_snapshot(
-    database: Database,
-    directory: str,
-    *,
-    epoch: int = 0,
-    fsync: bool = True,
+    database: Database, path: str, *, epoch: int = 0
 ) -> SnapshotInfo:
-    """Write a snapshot of ``database`` at ``directory`` (atomically).
+    """Write a snapshot of ``database`` to the file ``path``, atomically.
 
-    An existing snapshot at ``directory`` is replaced only after the
-    new one is fully on disk.
+    An existing snapshot at ``path`` is replaced only once the new one
+    is durable.
     """
-    directory = os.path.abspath(directory)
-    parent = os.path.dirname(directory)
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{directory}.tmp-{os.getpid()}"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(os.path.join(tmp, "data"))
+    path = os.path.abspath(path)
     relations: List[dict] = []
-    total_rows = 0
-    total_bytes = 0
+    columns: List[np.ndarray] = []
     fingerprints: Dict[str, str] = {}
     for relation in database:
-        rel_dir = os.path.join(tmp, "data", _safe_name(relation.name))
-        os.makedirs(rel_dir)
-        columns: List[dict] = []
-        for attr in relation.schema:
-            column = np.ascontiguousarray(relation.column(attr.name))
-            raw = column.tobytes()
-            file_rel = os.path.join(
-                "data", relation.name, f"{_safe_name(attr.name)}.col"
-            )
-            path = os.path.join(tmp, file_rel)
-            with open(path, "wb") as handle:
-                handle.write(raw)
-            if fsync:
-                _fsync_file(path)
-            columns.append(
-                {
-                    "name": attr.name,
-                    "dtype": str(column.dtype),
-                    "file": file_rel,
-                    "nbytes": len(raw),
-                    "crc32": zlib.crc32(raw) & 0xFFFFFFFF,
-                }
-            )
-            total_bytes += len(raw)
-        fingerprint = relation_fingerprint(relation)
-        fingerprints[relation.name] = fingerprint
-        total_rows += relation.n_rows
+        fingerprints[relation.name] = relation_fingerprint(relation)
         relations.append(
             {
                 "name": relation.name,
                 "n_rows": relation.n_rows,
                 "attributes": [
-                    {
-                        "name": a.name,
-                        "kind": a.kind,
-                        "dtype": str(a.dtype),
-                    }
-                    for a in relation.schema
+                    [a.name, a.kind, str(a.dtype)] for a in relation.schema
                 ],
-                "columns": columns,
-                "fingerprint": fingerprint,
+                "fingerprint": fingerprints[relation.name],
             }
         )
+        columns.extend(relation.column(a.name) for a in relation.schema)
     created = time.time()
-    manifest = {
+    header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "database": database.name,
@@ -171,120 +112,85 @@ def write_snapshot(
         "created_unix": created,
         "relations": relations,
     }
-    manifest_path = os.path.join(tmp, MANIFEST_NAME)
-    with open(manifest_path, "w") as handle:
-        json.dump(manifest, handle, indent=1)
-    if fsync:
-        _fsync_file(manifest_path)
-        _fsync_dir(tmp)
-    old: Optional[str] = None
-    if os.path.exists(directory):
-        old = f"{directory}.old-{os.getpid()}"
-        os.rename(directory, old)
-    os.rename(tmp, directory)
-    if fsync:
-        _fsync_dir(parent)
-    if old is not None:
-        shutil.rmtree(old, ignore_errors=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "wb") as handle:
+        codec.write(handle, codec.encode(_MAGIC, header, columns))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(path))
     return SnapshotInfo(
-        directory=directory,
+        path=path,
         epoch=int(epoch),
         database_name=database.name,
-        n_relations=len(database),
-        n_rows=total_rows,
-        nbytes=total_bytes,
+        n_relations=len(relations),
+        n_rows=sum(spec["n_rows"] for spec in relations),
+        nbytes=sum(c.nbytes for c in columns),
         created_unix=created,
         fingerprints=fingerprints,
     )
 
 
-def read_manifest(directory: str) -> dict:
-    """The parsed (and format-checked) manifest of a snapshot dir."""
-    path = os.path.join(directory, MANIFEST_NAME)
+def load_snapshot(path: str) -> Tuple[Database, SnapshotInfo]:
+    """Load a snapshot file back into an in-memory :class:`Database`.
+
+    The frame's CRC and every relation's content fingerprint are
+    checked; any mismatch raises :class:`SnapshotError` rather than
+    serving silently corrupt data.
+    """
+    path = os.path.abspath(path)
     try:
-        with open(path) as handle:
-            manifest = json.load(handle)
+        with open(path, "rb") as handle:
+            record = codec.read_record(handle, _MAGIC)
     except FileNotFoundError:
-        raise SnapshotError(f"no snapshot at {directory!r}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"unreadable manifest {path!r}: {exc}") from None
-    if manifest.get("format") != FORMAT_NAME:
-        raise SnapshotError(f"{path!r} is not a {FORMAT_NAME} manifest")
-    if manifest.get("version") != FORMAT_VERSION:
+        raise SnapshotError(f"no snapshot at {path!r}") from None
+    except (OSError, codec.FrameError) as exc:
+        raise SnapshotError(f"snapshot {path!r}: {exc}") from None
+    if record is None:
+        raise SnapshotError(f"snapshot {path!r}: truncated (empty file)")
+    header, columns = record
+    if header.get("format") != FORMAT_NAME:
+        raise SnapshotError(f"{path!r} is not a {FORMAT_NAME} file")
+    if header.get("version") != FORMAT_VERSION:
         raise SnapshotError(
             f"{path!r}: unsupported snapshot version "
-            f"{manifest.get('version')!r} (expected {FORMAT_VERSION})"
+            f"{header.get('version')!r} (expected {FORMAT_VERSION})"
         )
-    return manifest
-
-
-def load_snapshot(
-    directory: str, *, verify: bool = True
-) -> Tuple[Database, SnapshotInfo]:
-    """Load a snapshot back into an in-memory :class:`Database`.
-
-    With ``verify`` (the default) every column's CRC32 and every
-    relation's content fingerprint are checked against the manifest;
-    any mismatch raises :class:`SnapshotError` rather than serving
-    silently corrupt data.
-    """
-    directory = os.path.abspath(directory)
-    manifest = read_manifest(directory)
+    taken = iter(columns)
     relations: List[Relation] = []
-    total_rows = 0
-    total_bytes = 0
-    fingerprints: Dict[str, str] = {}
-    for spec in manifest["relations"]:
+    for spec in header["relations"]:
         attrs = [
-            Attribute(a["name"], a["kind"], np.dtype(a["dtype"]))
-            for a in spec["attributes"]
+            Attribute(name, kind, np.dtype(dtype))
+            for name, kind, dtype in spec["attributes"]
         ]
-        n_rows = int(spec["n_rows"])
-        columns: Dict[str, np.ndarray] = {}
-        for col in spec["columns"]:
-            path = os.path.join(directory, col["file"])
-            dtype = np.dtype(col["dtype"])
-            try:
-                raw = np.fromfile(path, dtype=dtype)
-            except (OSError, ValueError) as exc:
-                raise SnapshotError(
-                    f"column file {path!r} unreadable: {exc}"
-                ) from None
-            if raw.nbytes != col["nbytes"] or len(raw) != n_rows:
-                raise SnapshotError(
-                    f"column file {path!r} truncated: {raw.nbytes} bytes, "
-                    f"manifest says {col['nbytes']}"
-                )
-            if verify:
-                crc = zlib.crc32(raw.tobytes()) & 0xFFFFFFFF
-                if crc != col["crc32"]:
-                    raise SnapshotError(
-                        f"column file {path!r} failed its checksum"
-                    )
-            columns[col["name"]] = raw
-            total_bytes += raw.nbytes
-        relation = Relation(spec["name"], Schema(attrs), columns)
-        if verify:
-            fingerprint = relation_fingerprint(relation)
-            if fingerprint != spec["fingerprint"]:
-                raise SnapshotError(
-                    f"relation {spec['name']!r} fingerprint mismatch: "
-                    "snapshot does not round-trip"
-                )
-            fingerprints[spec["name"]] = fingerprint
-        else:
-            fingerprints[spec["name"]] = spec["fingerprint"]
+        relation = Relation(
+            spec["name"],
+            Schema(attrs),
+            {attr.name: next(taken) for attr in attrs},
+        )
+        if relation.n_rows != spec["n_rows"]:
+            raise SnapshotError(
+                f"relation {spec['name']!r} has {relation.n_rows} rows, "
+                f"header says {spec['n_rows']}"
+            )
+        if relation_fingerprint(relation) != spec["fingerprint"]:
+            raise SnapshotError(
+                f"relation {spec['name']!r} fingerprint mismatch: "
+                "snapshot does not round-trip"
+            )
         relations.append(relation)
-        total_rows += relation.n_rows
-    database = Database(relations, name=manifest["database"])
+    database = Database(relations, name=header["database"])
     info = SnapshotInfo(
-        directory=directory,
-        epoch=int(manifest["epoch"]),
-        database_name=manifest["database"],
+        path=path,
+        epoch=int(header["epoch"]),
+        database_name=header["database"],
         n_relations=len(relations),
-        n_rows=total_rows,
-        nbytes=total_bytes,
-        created_unix=float(manifest.get("created_unix", 0.0)),
-        fingerprints=fingerprints,
+        n_rows=sum(r.n_rows for r in relations),
+        nbytes=sum(c.nbytes for c in columns),
+        created_unix=float(header["created_unix"]),
+        fingerprints={
+            spec["name"]: spec["fingerprint"] for spec in header["relations"]
+        },
     )
     return database, info

@@ -6,16 +6,14 @@ serving layer appends the record (and fsyncs) *before* publishing the
 epoch, so every epoch a client has ever been told about is
 reconstructible by replaying the log over the last snapshot.
 
-On-disk framing, per record::
-
-    b"WALR" | u32 body_len | u32 crc32(body) | body
-    body  = u32 header_len | header_json | payload
-    header_json = {"epoch": N, "deltas": [{"relation", "inserts", ...}]}
-    payload = the raw column / index bytes, concatenated in header order
+A commit is one :mod:`~repro.storage.codec` record (magic ``WALR``)
+whose header is ``{"epoch": N, "deltas": [{"relation", "inserts":
+[column names] | null, "deletes": bool}]}`` and whose columns are each
+delta's insert columns, then its delete indices.
 
 Crash behavior is the classic one: a record is only *in* the log if its
-magic, length, and CRC all check out.  A torn tail (the process died
-mid-``write``) makes the trailing record invalid; :meth:`recover`
+magic, lengths, and CRC all check out.  A torn tail (the process died
+mid-``write``) makes the trailing record invalid; opening the log
 truncates the file back to the last valid record so subsequent appends
 extend a clean log.  Corruption never propagates past the first bad
 frame — everything before it replays, everything after is discarded.
@@ -23,20 +21,17 @@ frame — everything before it replays, everything after is discarded.
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..data.database import DeltaBatch
+from . import codec
 
 _MAGIC = b"WALR"
-_FRAME = struct.Struct("<4sII")  # magic, body length, body crc32
 
 
 class WalError(RuntimeError):
@@ -54,64 +49,40 @@ class WalCommit:
         return sum(d.n_changes() for d in self.deltas)
 
 
-def _encode_commit(epoch: int, deltas: Sequence[DeltaBatch]) -> bytes:
-    header: Dict = {"epoch": int(epoch), "deltas": []}
-    blobs: List[bytes] = []
+def _encode_commit(epoch: int, deltas: Sequence[DeltaBatch]) -> List:
+    specs: List[Dict] = []
+    columns: List[np.ndarray] = []
     for delta in deltas:
-        spec: Dict = {"relation": delta.relation}
+        inserts = None
         if delta.inserts is not None:
-            cols = []
-            for name, values in delta.inserts.items():
-                arr = np.ascontiguousarray(np.asarray(values))
-                raw = arr.tobytes()
-                cols.append([name, str(arr.dtype), len(raw)])
-                blobs.append(raw)
-            spec["inserts"] = cols
-        else:
-            spec["inserts"] = None
+            inserts = list(delta.inserts)
+            columns.extend(delta.inserts.values())
         if delta.delete_indices is not None:
-            arr = np.ascontiguousarray(
-                np.asarray(delta.delete_indices, dtype=np.int64)
-            )
-            raw = arr.tobytes()
-            spec["deletes"] = [str(arr.dtype), len(raw)]
-            blobs.append(raw)
-        else:
-            spec["deletes"] = None
-        header["deltas"].append(spec)
-    header_bytes = json.dumps(header).encode()
-    body = (
-        struct.pack("<I", len(header_bytes))
-        + header_bytes
-        + b"".join(blobs)
+            columns.append(np.asarray(delta.delete_indices, dtype=np.int64))
+        specs.append(
+            {
+                "relation": delta.relation,
+                "inserts": inserts,
+                "deletes": delta.delete_indices is not None,
+            }
+        )
+    return codec.encode(
+        _MAGIC, {"epoch": int(epoch), "deltas": specs}, columns
     )
-    return _FRAME.pack(_MAGIC, len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def _decode_body(body: bytes) -> WalCommit:
-    (header_len,) = struct.unpack_from("<I", body, 0)
-    header = json.loads(body[4 : 4 + header_len].decode())
-    offset = 4 + header_len
-    deltas: List[DeltaBatch] = []
+def _decode_commit(header: Dict, columns: List[np.ndarray]) -> WalCommit:
+    taken = iter(columns)
+    deltas = []
     for spec in header["deltas"]:
-        inserts: Optional[Dict[str, np.ndarray]] = None
+        inserts = None
         if spec["inserts"] is not None:
-            inserts = {}
-            for name, dtype, nbytes in spec["inserts"]:
-                raw = body[offset : offset + nbytes]
-                inserts[name] = np.frombuffer(raw, dtype=np.dtype(dtype))
-                offset += nbytes
-        delete_indices: Optional[np.ndarray] = None
-        if spec["deletes"] is not None:
-            dtype, nbytes = spec["deletes"]
-            raw = body[offset : offset + nbytes]
-            delete_indices = np.frombuffer(raw, dtype=np.dtype(dtype))
-            offset += nbytes
+            inserts = {name: next(taken) for name in spec["inserts"]}
         deltas.append(
             DeltaBatch(
                 relation=spec["relation"],
                 inserts=inserts,
-                delete_indices=delete_indices,
+                delete_indices=next(taken) if spec["deletes"] else None,
             )
         )
     return WalCommit(epoch=int(header["epoch"]), deltas=tuple(deltas))
@@ -123,8 +94,7 @@ def _iter_frames(path: str) -> Iterator[Tuple[WalCommit, int]]:
     The single source of truth for frame validation: both the opening
     scan and :meth:`WriteAheadLog.replay` consume it, so what is
     *counted* is always exactly what recovery *applies*.  Iteration
-    stops at the first invalid frame (bad magic, short read, CRC
-    mismatch, undecodable body).
+    stops at the end of the file or the first invalid frame.
     """
     try:
         handle = open(path, "rb")
@@ -132,19 +102,11 @@ def _iter_frames(path: str) -> Iterator[Tuple[WalCommit, int]]:
         return
     with handle:
         while True:
-            frame = handle.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                return
-            magic, body_len, crc = _FRAME.unpack(frame)
-            if magic != _MAGIC:
-                return
-            body = handle.read(body_len)
-            if len(body) < body_len or (
-                zlib.crc32(body) & 0xFFFFFFFF
-            ) != crc:
-                return
             try:
-                commit = _decode_body(body)
+                record = codec.read_record(handle, _MAGIC)
+                if record is None:
+                    return
+                commit = _decode_commit(*record)
             except Exception:  # noqa: BLE001 - any decode failure = bad frame
                 return
             yield commit, handle.tell()
@@ -172,12 +134,10 @@ class WriteAheadLog:
     Opening scans the existing file: valid records are counted, and a
     torn/corrupt tail is truncated away (``tail_truncated`` reports
     whether that happened) so appends always extend a clean log.
-    ``fsync=False`` trades durability for speed (tests, benchmarks).
     """
 
-    def __init__(self, path: str, *, fsync: bool = True):
+    def __init__(self, path: str):
         self.path = os.path.abspath(path)
-        self.fsync = fsync
         self._lock = threading.Lock()
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
         valid, commits, last_epoch, torn = _scan(self.path)
@@ -232,10 +192,9 @@ class WriteAheadLog:
                 )
             offset = self._nbytes
             try:
-                self._file.write(record)
+                nbytes = codec.write(self._file, record)
                 self._file.flush()
-                if self.fsync:
-                    os.fsync(self._file.fileno())
+                os.fsync(self._file.fileno())
             except BaseException:
                 try:
                     self._file.truncate(offset)
@@ -250,15 +209,14 @@ class WriteAheadLog:
                 raise
             self._n_commits += 1
             self._last_epoch = int(epoch)
-            self._nbytes += len(record)
+            self._nbytes += nbytes
 
     def truncate(self) -> None:
         """Reset the log to empty (after a compaction folded it away)."""
         with self._lock:
             self._file.truncate(0)
             self._file.flush()
-            if self.fsync:
-                os.fsync(self._file.fileno())
+            os.fsync(self._file.fileno())
             self._n_commits = 0
             self._last_epoch = 0
             self._nbytes = 0
@@ -275,8 +233,7 @@ class WriteAheadLog:
         with self._lock:
             if not self._file.closed:
                 self._file.flush()
-                if self.fsync:
-                    os.fsync(self._file.fileno())
+                os.fsync(self._file.fileno())
                 self._file.close()
 
     def __enter__(self) -> "WriteAheadLog":

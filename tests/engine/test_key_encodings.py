@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.data import ops
 from repro.ml import CARTLearner, CovarBatch, build_cube_batch, build_mi_batch
+from repro.storage import codec, snapshot
 from repro.storage.snapshot import load_snapshot, write_snapshot
 
 from .helpers import assert_results_equal
@@ -246,20 +247,19 @@ class TestTheMemoStaysInProcess:
         database = pickle.loads(pickle.dumps(toy_db))  # private, cold memos
         LMFAO(database).run(toy_batch())
         assert memo_entries(database)
-        write_snapshot(database, str(tmp_path / "snap"), epoch=0)
-        files = sorted(
-            str(path.relative_to(tmp_path / "snap"))
-            for path in (tmp_path / "snap").rglob("*")
-            if path.is_file()
-        )
-        assert files == sorted(
-            ["manifest.json"]
-            + [
-                f"data/{relation.name}/{attr}.col"
-                for relation in database
-                for attr in relation.schema.names
-            ]
-        )
-        restored, _info = load_snapshot(str(tmp_path / "snap"))
+        path = str(tmp_path / "snapshot")
+        write_snapshot(database, path, epoch=0)
+        with open(path, "rb") as handle:
+            _header, columns = codec.read_record(handle, snapshot._MAGIC)
+            assert handle.read() == b""  # the record is the whole file
+        expected = [
+            relation.column(attr)
+            for relation in database
+            for attr in relation.schema.names
+        ]
+        assert len(columns) == len(expected)
+        for stored, column in zip(columns, expected):
+            np.testing.assert_array_equal(stored, column)
+        restored, _info = load_snapshot(path)
         assert not memo_entries(restored)
 

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.timeout(120)
 @pytest.fixture()
 def served(toy_db, tmp_path):
     service = AnalyticsService(
-        cache_mb=8, data_dir=str(tmp_path), fsync=False
+        cache_mb=8, data_dir=str(tmp_path)
     )
     service.register_dataset("toy", toy_db)
     for name, factory in WORKLOADS.items():

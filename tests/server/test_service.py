@@ -381,7 +381,7 @@ class TestAnswerMemo:
         self, toy_db, tmp_path, include_data
     ):
         with AnalyticsService(
-            cache_mb=8, data_dir=str(tmp_path), fsync=False
+            cache_mb=8, data_dir=str(tmp_path)
         ) as service:
             service.register_dataset("toy", toy_db)
             for name, factory in WORKLOADS.items():

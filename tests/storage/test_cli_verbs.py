@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.__main__ import main
+from repro.storage import StorageError
 
 
 class TestSnapshotVerb:
@@ -20,8 +21,11 @@ class TestSnapshotVerb:
         assert "snapshot of favorita" in printed
         assert "--data-dir" in printed
         dataset_dir = os.path.join(out, "favorita")
-        assert os.path.isfile(os.path.join(dataset_dir, "CURRENT"))
-        assert os.path.isfile(os.path.join(dataset_dir, "wal.log"))
+        assert sorted(os.listdir(dataset_dir)) == [
+            "cache",
+            "snapshot",
+            "wal.log",
+        ]
 
     def test_snapshot_refuses_to_overwrite_without_force(
         self, tmp_path, capsys
@@ -85,3 +89,12 @@ class TestRestoreVerb:
     def test_restore_empty_dir_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="no dataset storage"):
             main(["restore", str(tmp_path)])
+
+    def test_restore_refuses_the_old_layout(self, tmp_path):
+        dataset_dir = tmp_path / "favorita"
+        (dataset_dir / "snap-00000000-1").mkdir(parents=True)
+        (dataset_dir / "CURRENT").write_text("snap-00000000-1\n")
+        (dataset_dir / "wal.log").write_bytes(b"old commits")
+        with pytest.raises(StorageError, match="old layout"):
+            main(["restore", str(tmp_path)])
+        assert (dataset_dir / "wal.log").read_bytes() == b"old commits"

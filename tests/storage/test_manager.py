@@ -1,6 +1,7 @@
-"""DatasetStorage: recovery protocol, compaction, CURRENT pointer."""
+"""DatasetStorage: recovery protocol, compaction, crash points, layout."""
 
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from repro import DatasetStorage
 from repro.data import DeltaBatch
 from repro.engine.viewcache.signature import database_fingerprint
+from repro.storage import SnapshotError
 from repro.storage.manager import StorageError, dataset_dirs
+
+from .test_snapshot import rewrite_header
 
 
 def insert_rows(db, n=3):
@@ -136,7 +140,7 @@ class TestCompaction:
         storage.compact(updated, 1)
         assert storage.wal_len == 0
         assert storage.last_compaction["epoch"] == 1
-        assert storage.snapshot_epoch() == 1
+        assert storage.snapshot_epoch == 1
         storage.close()
 
         recovered = DatasetStorage(data_dir).recover()
@@ -146,69 +150,71 @@ class TestCompaction:
             database_fingerprint(updated)
         )
 
-    def test_snapshot_names_never_collide_across_restarts(
-        self, toy_db, data_dir
-    ):
-        """A fresh process resumes the snapshot counter past names
-        already on disk, so compacting at the same epoch after a
-        restart never regenerates (and non-atomically replaces) the
-        directory CURRENT points at."""
-        storage = DatasetStorage(data_dir)
-        storage.initialize(toy_db)
-        first = storage.current_snapshot_dir()
-        storage.close()
-
-        again = DatasetStorage(data_dir)
-        again.compact(toy_db, 0)  # same epoch as the initial snapshot
-        second = again.current_snapshot_dir()
-        again.close()
-        assert second != first
-        assert os.path.isdir(second)
-
-        recovered = DatasetStorage(data_dir).recover()
-        assert recovered.epoch == 0
-        assert database_fingerprint(recovered.database) == (
-            database_fingerprint(toy_db)
-        )
-
-    def test_old_snapshots_garbage_collected(self, toy_db, data_dir):
-        storage = DatasetStorage(data_dir)
-        storage.initialize(toy_db)
-        storage.compact(toy_db, 1)
-        storage.compact(toy_db, 2)
-        storage.close()
-        snaps = [
-            name
-            for name in os.listdir(data_dir)
-            if name.startswith("snap-")
-        ]
-        assert len(snaps) == 1
-        assert snaps[0].startswith("snap-00000002")
-
     def test_stale_wal_commits_skipped_after_compaction(
-        self, toy_db, data_dir
+        self, toy_db, data_dir, monkeypatch
     ):
-        """A crash between snapshot flip and WAL truncate must not
-        double-apply: commits at or below the snapshot epoch are
-        skipped on replay."""
+        """A crash between the snapshot rename and the WAL truncate
+        must not double-apply: commits at or below the snapshot epoch
+        are skipped on replay."""
         storage = DatasetStorage(data_dir)
         storage.initialize(toy_db)
-        delta = insert_rows(toy_db)
-        storage.log_commit(1, [delta])
-        updated = toy_db.apply_delta(delta).database
-        # compact, then put the WAL back as if truncate never ran
+        first = insert_rows(toy_db)
+        storage.log_commit(1, [first])
+        updated = toy_db.apply_delta(first).database
+        second = insert_rows(updated, n=2)
+        storage.log_commit(2, [second])
+        # the crash point: the new snapshot is live, the truncate never ran
+        monkeypatch.setattr(storage.wal, "truncate", lambda: None)
         storage.compact(updated, 1)
-        storage.log_commit(1, [delta])  # stale: epoch 1 <= snapshot epoch
-        storage.log_commit(2, [insert_rows(updated, n=2)])
         storage.close()
 
         recovered = DatasetStorage(data_dir).recover()
+        assert recovered.stats.snapshot_epoch == 1
         assert recovered.epoch == 2
         assert recovered.stats.replayed_commits == 1
-        expected = updated.apply_delta(insert_rows(updated, n=2)).database
+        expected = updated.apply_delta(second).database
         assert database_fingerprint(recovered.database) == (
             database_fingerprint(expected)
         )
+
+    def test_leftover_temp_snapshot_is_ignored_and_removed(
+        self, toy_db, data_dir
+    ):
+        """A crash mid-write leaves a temp file beside the live
+        snapshot: recovery loads the live one and leaves no litter."""
+        storage = DatasetStorage(data_dir)
+        storage.initialize(toy_db)
+        storage.close()
+        with open(os.path.join(data_dir, "snapshot.tmp-99999"), "wb") as f:
+            f.write(b"half a snapshot")
+
+        recovered = DatasetStorage(data_dir).recover()
+        assert database_fingerprint(recovered.database) == (
+            database_fingerprint(toy_db)
+        )
+        assert sorted(os.listdir(data_dir)) == ["cache", "snapshot", "wal.log"]
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "fingerprint"])
+    def test_damaged_snapshot_raises(self, toy_db, data_dir, damage):
+        storage = DatasetStorage(data_dir)
+        storage.initialize(toy_db)
+        storage.close()
+        path = pathlib.Path(data_dir, "snapshot")
+        raw = bytearray(path.read_bytes())
+        if damage == "flip":
+            raw[len(raw) // 2] ^= 0xFF
+            path.write_bytes(raw)
+        elif damage == "truncate":
+            path.write_bytes(raw[:-8])
+        else:
+            rewrite_header(
+                path,
+                lambda header: header["relations"][0].update(
+                    fingerprint="0" * 64
+                ),
+            )
+        with pytest.raises(SnapshotError):
+            DatasetStorage(data_dir).recover()
 
 
 class TestLayout:
@@ -223,6 +229,31 @@ class TestLayout:
         assert stats["last_compaction"] is None
         assert stats["spilled_entries"] == 0
         storage.close()
+
+    def test_data_dir_holds_snapshot_wal_and_cache_only(
+        self, toy_db, data_dir
+    ):
+        storage = DatasetStorage(data_dir)
+        storage.initialize(toy_db)
+        storage.log_commit(1, [insert_rows(toy_db)])
+        assert sorted(os.listdir(data_dir)) == ["cache", "snapshot", "wal.log"]
+        storage.compact(toy_db.apply_delta(insert_rows(toy_db)).database, 1)
+        assert sorted(os.listdir(data_dir)) == ["cache", "snapshot", "wal.log"]
+        storage.close()
+
+    def test_old_layout_is_refused_not_overwritten(self, toy_db, data_dir):
+        """A data dir written by the CURRENT-pointer layout looks empty
+        to this version; opening it must fail instead of initializing
+        over it and truncating its WAL."""
+        os.makedirs(os.path.join(data_dir, "snap-00000000-1"))
+        with open(os.path.join(data_dir, "CURRENT"), "w") as handle:
+            handle.write("snap-00000000-1\n")
+        with open(os.path.join(data_dir, "wal.log"), "wb") as handle:
+            handle.write(b"old commits")
+        with pytest.raises(StorageError, match="old layout"):
+            DatasetStorage(data_dir)
+        with open(os.path.join(data_dir, "wal.log"), "rb") as handle:
+            assert handle.read() == b"old commits"
 
     def test_dataset_dirs_discovery(self, toy_db, tmp_path):
         root = str(tmp_path / "data")
