@@ -31,6 +31,7 @@ from ..ml.trees import (
     _gini,
     _improves,
     _variance,
+    bucket_thresholds,
 )
 
 
@@ -195,11 +196,7 @@ def brute_force_cart(
         # paper feeds both systems the same buckets; pass ``thresholds``
         # for an exact head-to-head)
         thresholds = {
-            attr: np.unique(
-                np.quantile(
-                    flat.column(attr), np.linspace(0, 1, n_buckets + 1)[1:-1]
-                )
-            )
+            attr: bucket_thresholds(flat.column(attr), n_buckets)
             for attr in continuous
         }
 

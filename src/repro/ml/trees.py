@@ -9,6 +9,13 @@ label sums, or class counts) are the ones its parent's split search
 already summed for the winning split, so only the root runs a totals
 batch: a tree costs one batch plus one per node whose split was searched.
 
+:meth:`CARTLearner.node_batch` is the paper's RT batch: one
+``Σ δ(x ≤ t)·{1, y, y²}`` aggregate per bucket threshold.  The learner
+runs its histogram form, :meth:`CARTLearner.split_batch`: one query per
+feature, grouped by it, whose prefix sums over the sorted feature values
+give every threshold's left sums.  A node thus costs three aggregates
+per feature (one for classification) whatever the number of buckets.
+
 Regression trees use the variance cost, classification trees the Gini
 index, with the paper's experimental setup: bucketized continuous
 attributes, maximum depth 4 (31 nodes), and a minimum number of instances
@@ -44,8 +51,11 @@ class Condition:
         return Delta(self.attr, self.op, self.value, dynamic=True)
 
     def complement_delta(self) -> Delta:
-        complement = {"<=": ">", "==": "!="}[self.op]
-        return Delta(self.attr, complement, self.value, dynamic=True)
+        """The dynamic delta selecting the rows the condition rejects,
+        NaN values included (``x <= t`` and ``x == v`` are false there)."""
+        if self.op == "<=":
+            return _NotAtMost(self.attr, self.value)
+        return Delta(self.attr, "!=", self.value, dynamic=True)
 
     def test(self, column: np.ndarray) -> np.ndarray:
         if self.op == "<=":
@@ -142,7 +152,6 @@ class CARTLearner:
         min_samples_split: int = 1_000,
         min_samples_leaf: int = 1,
         n_buckets: int = 20,
-        max_categories: int = 50,
     ):
         if kind not in ("regression", "classification"):
             raise ValueError(f"unknown tree kind {kind!r}")
@@ -155,36 +164,21 @@ class CARTLearner:
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.n_buckets = n_buckets
-        self.max_categories = max_categories
-        self.thresholds = self._bucketize()
+        # the paper's buckets, over the column of the relation storing
+        # the attribute
+        self.thresholds = {
+            attr: bucket_thresholds(self._column_of(attr), n_buckets)
+            for attr in self.continuous
+        }
         self.batches_run = 0
 
     # -- preparation ------------------------------------------------------------
-
-    def _bucketize(self) -> Dict[str, np.ndarray]:
-        """Per continuous attribute: bucket-boundary thresholds.
-
-        The paper bucketizes continuous attributes into ``n_buckets``
-        buckets; we take the inner quantiles of the attribute's column in
-        the relation that stores it.
-        """
-        thresholds: Dict[str, np.ndarray] = {}
-        for attr in self.continuous:
-            column = self._column_of(attr)
-            quantiles = np.linspace(0, 1, self.n_buckets + 1)[1:-1]
-            values = np.unique(np.quantile(column, quantiles))
-            thresholds[attr] = values
-        return thresholds
 
     def _column_of(self, attr: str) -> np.ndarray:
         for relation in self.engine.database:
             if relation.has_column(attr):
                 return relation.column(attr)
         raise KeyError(f"attribute {attr!r} not in database")
-
-    def _categories_of(self, attr: str) -> np.ndarray:
-        values = np.unique(self._column_of(attr))
-        return values[: self.max_categories]
 
     # -- learning ----------------------------------------------------------------
 
@@ -270,9 +264,49 @@ class CARTLearner:
             prediction=float(prediction), n_samples=total, impurity=impurity
         )
 
+    def split_batch(self, conditions: Sequence[Condition]) -> QueryBatch:
+        """The split-search batch the learner runs for one node.
+
+        One query ``split:<attr>`` per feature, continuous and
+        categorical alike, grouped by the feature and holding the
+        fragment's ``{α, α·y, α·y²}`` (grouped by feature and label and
+        holding ``{α}`` for classification), where ``α`` is the product
+        of the ancestor conditions' deltas.  It carries what
+        :meth:`node_batch` does: a threshold's left sums are the prefix
+        sum of the groups at or below it.
+        """
+        alpha = self._alpha(conditions)
+        if self.kind == "regression":
+            group_by = []
+            factors = {
+                "n": [],
+                "sy": [Identity(self.label)],
+                "syy": [Power(self.label, 2)],
+            }
+        else:
+            group_by = [self.label]
+            factors = {"n": []}
+        return QueryBatch(
+            [
+                Query(
+                    f"split:{attr}",
+                    [attr] + group_by,
+                    [
+                        Aggregate([Product(alpha + extra)], name=name)
+                        for name, extra in factors.items()
+                    ],
+                )
+                for attr in dict.fromkeys(self.continuous + self.categorical)
+            ]
+        )
+
     def node_batch(self, conditions: Sequence[Condition]) -> QueryBatch:
-        """The full split-search batch for one node (the Table 2/3 "RT"
-        workload is exactly this batch at the root)."""
+        """The paper's split-search batch for one node: one scalar
+        ``Σ δ(x ≤ t)·{1, y, y²}`` per bucket threshold (``Σ δ(x ≤ t)``
+        grouped by the label for classification), and per categorical
+        feature those sums grouped by it.  The Table 2/3 "RT" workload is
+        this batch at the root; the learner runs :meth:`split_batch`,
+        its histogram form."""
         alpha = self._alpha(conditions)
         if self.kind == "regression":
             return self._regression_batch(alpha)
@@ -349,7 +383,7 @@ class CARTLearner:
     def _best_split(
         self, conditions: List[Condition], totals
     ) -> Optional[SplitCandidate]:
-        batch = self.node_batch(conditions)
+        batch = self.split_batch(conditions)
         if not len(batch):
             return None
         results = self.engine.run(batch)
@@ -358,30 +392,44 @@ class CARTLearner:
             return self._best_regression_split(results, totals)
         return self._best_classification_split(results, totals)
 
+    def _threshold_sums(self, results, attr: str) -> Tuple[list, np.ndarray]:
+        """Every threshold's left sums for ``attr``, read from its
+        ``split:<attr>`` histogram in ``results``.
+
+        Returns the names of the sums (``n, sy, syy``, or the classes for
+        classification) and one row of them per threshold of ``attr``.
+        """
+        rel = results[f"split:{attr}"]
+        if self.kind == "regression":
+            names = ["n", "sy", "syy"]
+            keys = rel.column(attr)
+            sums = np.stack([rel.column(name) for name in names], axis=1)
+        else:
+            keys, key_row = np.unique(rel.column(attr), return_inverse=True)
+            classes, class_col = np.unique(
+                rel.column(self.label), return_inverse=True
+            )
+            sums = np.zeros((len(keys), len(classes)))
+            np.add.at(sums, (key_row, class_col), rel.column("n"))
+            names = classes.tolist()
+        return names, _left_sums(keys, sums, self.thresholds[attr])
+
     def _best_regression_split(
         self, results, totals
     ) -> Optional[SplitCandidate]:
         n_tot, sy_tot, syy_tot = totals
         best: Optional[SplitCandidate] = None
-        if "split:cont" in results:
-            rel = results["split:cont"]
-            for attr, values in self.thresholds.items():
-                for i, threshold in enumerate(values):
-                    left = (
-                        float(rel.column(f"n:{attr}:{i}")[0]),
-                        float(rel.column(f"sy:{attr}:{i}")[0]),
-                        float(rel.column(f"syy:{attr}:{i}")[0]),
-                    )
-                    best = self._consider_regression(
-                        best,
-                        Condition(attr, "<=", float(threshold)),
-                        left,
-                        (n_tot - left[0], sy_tot - left[1], syy_tot - left[2]),
-                    )
+        for attr, thresholds in self.thresholds.items():
+            _, lefts = self._threshold_sums(results, attr)
+            for threshold, left in zip(thresholds.tolist(), lefts.tolist()):
+                best = self._consider_regression(
+                    best,
+                    Condition(attr, "<=", threshold),
+                    tuple(left),
+                    (n_tot - left[0], sy_tot - left[1], syy_tot - left[2]),
+                )
         for attr in self.categorical:
-            rel = results.get(f"split:cat:{attr}")
-            if rel is None:
-                continue
+            rel = results[f"split:{attr}"]
             values = rel.column(attr)
             ns = rel.column("n")
             sys_ = rel.column("sy")
@@ -411,28 +459,22 @@ class CARTLearner:
     ) -> Optional[SplitCandidate]:
         best: Optional[SplitCandidate] = None
         n_tot = sum(totals.values())
-        if "split:cont" in results:
-            rel = results["split:cont"]
-            classes = rel.column(self.label).tolist()
-            for attr, values in self.thresholds.items():
-                for i, threshold in enumerate(values):
-                    counts = rel.column(f"n:{attr}:{i}")
-                    left = dict(zip(classes, counts.tolist()))
-                    right = {
-                        k: totals.get(k, 0.0) - left.get(k, 0.0)
-                        for k in totals
-                    }
-                    best = self._consider_classification(
-                        best,
-                        Condition(attr, "<=", float(threshold)),
-                        left,
-                        right,
-                        n_tot,
-                    )
+        for attr, thresholds in self.thresholds.items():
+            classes, lefts = self._threshold_sums(results, attr)
+            for threshold, row in zip(thresholds.tolist(), lefts.tolist()):
+                left = dict(zip(classes, row))
+                right = {
+                    k: totals.get(k, 0.0) - left.get(k, 0.0) for k in totals
+                }
+                best = self._consider_classification(
+                    best,
+                    Condition(attr, "<=", threshold),
+                    left,
+                    right,
+                    n_tot,
+                )
         for attr in self.categorical:
-            rel = results.get(f"split:cat:{attr}")
-            if rel is None:
-                continue
+            rel = results[f"split:{attr}"]
             per_value: Dict[float, Dict] = {}
             for value, cls, n in zip(
                 rel.column(attr).tolist(),
@@ -467,6 +509,21 @@ class CARTLearner:
         return best
 
 
+class _NotAtMost(Delta):
+    """``1 - δ(x <= t)``, shown as ``x > t``: it differs from ``δ(x > t)``
+    in keeping the rows whose ``x`` is NaN, which the right branch of a
+    ``<=`` split holds."""
+
+    def __init__(self, attr: str, value: float):
+        super().__init__(attr, ">", value, dynamic=True)
+
+    def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        return (~(columns[self.attr] <= self.value)).astype(np.float64)
+
+    def signature(self) -> tuple:
+        return ("delta", self.attr, "not <=", self.value)
+
+
 class _ComplementCondition(Condition):
     """The negated branch of a split (``> t`` / ``!= v``)."""
 
@@ -479,6 +536,34 @@ class _ComplementCondition(Condition):
     def __str__(self) -> str:
         complement = {"<=": ">", "==": "!="}[self.op]
         return f"{self.attr} {complement} {self.value:g}"
+
+
+def bucket_thresholds(column: np.ndarray, n_buckets: int) -> np.ndarray:
+    """The distinct inner ``n_buckets``-quantiles of a column's finite
+    values: the paper's bucket boundaries of a continuous attribute.
+
+    NaN and infinite values are left out, as a NaN quantile would be the
+    attribute's only threshold and no row is at or below it.
+    """
+    values = np.asarray(column, dtype=np.float64)
+    values = values[np.isfinite(values)]
+    if not len(values):
+        return values
+    return np.unique(
+        np.quantile(values, np.linspace(0, 1, n_buckets + 1)[1:-1])
+    )
+
+
+def _left_sums(
+    keys: np.ndarray, sums: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Per threshold ``t``, the column sums of the rows of ``sums`` whose
+    group key is ``<= t``: a prefix sum over the sorted keys, read with
+    one ``searchsorted``.  NaN keys sort last, above every threshold."""
+    order = np.argsort(keys, kind="stable")
+    prefix = np.zeros((len(keys) + 1, sums.shape[1]))
+    np.cumsum(sums[order], axis=0, out=prefix[1:])
+    return prefix[np.searchsorted(keys[order], thresholds, side="right")]
 
 
 def _variance(n: float, sy: float, syy: float) -> float:

@@ -4,7 +4,8 @@ import pytest
 
 
 @pytest.fixture(
-    params=["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"]
+    scope="session",
+    params=["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"],
 )
 def tiny_regression(request):
     """``(dataset, continuous, categorical, label)`` for each tiny dataset:

@@ -12,6 +12,7 @@ from repro.ml.trees import (
     _ComplementCondition,
     _gini,
     _variance,
+    bucket_thresholds,
 )
 
 
@@ -62,6 +63,13 @@ class TestConditions:
             1.0,
         ]
 
+    def test_complement_of_at_most_keeps_nan(self):
+        # x <= t is false for NaN, so its complement holds there
+        cols = {"x": np.array([1.0, 5.0, np.nan])}
+        complement = Condition("x", "<=", 3.0).complement_delta()
+        assert complement.dynamic
+        assert complement.evaluate(cols).tolist() == [0.0, 1.0, 1.0]
+
     def test_equality_condition(self):
         condition = Condition("c", "==", 2.0)
         assert condition.test(np.array([2, 3])).tolist() == [True, False]
@@ -69,23 +77,19 @@ class TestConditions:
 
 class TestRegressionTree:
     @pytest.fixture(scope="class")
-    def learned(self, request):
-        ds = request.getfixturevalue("tiny_favorita")
+    def learned(self, tiny_regression):
+        ds, cont, cat, label = tiny_regression
         flat = materialize_join(ds.database)
-        cont = ["txns", "price"]
-        cat = ["stype", "promo"]
         params = dict(
             max_depth=3, min_samples_split=40, n_buckets=6,
         )
         engine = LMFAO(ds.database, ds.join_tree)
-        learner = CARTLearner(
-            engine, cont, cat, "units", "regression", **params
-        )
+        learner = CARTLearner(engine, cont, cat, label, "regression", **params)
         lmfao_tree = learner.fit()
         # same buckets for a true head-to-head (the paper feeds all
         # systems the same buckets)
         brute = brute_force_cart(
-            ds.database, cont, cat, "units", "regression",
+            ds.database, cont, cat, label, "regression",
             flat=flat, thresholds=learner.thresholds, **params,
         )
         return lmfao_tree, brute, flat, learner
@@ -100,13 +104,13 @@ class TestRegressionTree:
 
     def test_tree_reduces_error_vs_mean(self, learned):
         lmfao_tree, _, flat, _ = learned
-        target = flat.column("units")
+        target = flat.column(lmfao_tree.label)
         baseline_rmse = float(np.sqrt(np.mean((target - target.mean()) ** 2)))
         assert lmfao_tree.rmse(flat) < baseline_rmse
 
     def test_node_count_bounded(self, learned):
         lmfao_tree, *_ = learned
-        assert lmfao_tree.node_count() <= 2 ** (3 + 1) - 1
+        assert 1 < lmfao_tree.node_count() <= 2 ** (3 + 1) - 1
 
     def test_one_batch_per_split_node(self, learned):
         lmfao_tree, *_, learner = learned
@@ -120,17 +124,196 @@ class TestRegressionTree:
         planned = len(engine._plan_cache)
         # a plan is cached per ancestor-attribute pattern (values and
         # comparison operators are dynamic): the root's two children
-        # searched their splits with one plan, made while fitting
+        # searched their splits with one plan, made while fitting; the
+        # learner plans split_batch, node_batch's histogram form
         condition = lmfao_tree.root.condition
         complement = _ComplementCondition(
             condition.attr, condition.op, condition.value
         )
-        left = engine.plan(learner.node_batch([condition]))
-        right = engine.plan(learner.node_batch([complement]))
+        left = engine.plan(learner.split_batch([condition]))
+        right = engine.plan(learner.split_batch([complement]))
         assert left is right
         assert len(engine._plan_cache) == planned
         # one totals plan; fewer split plans than split batches
         assert planned - 1 < learner.batches_run - 1
+
+
+class TestSplitBatch:
+    """split_batch's histograms carry node_batch's per-threshold sums: a
+    prefix sum over a feature's sorted values gives every threshold's
+    left sums."""
+
+    @staticmethod
+    def learner(ds, cont, cat, label, kind, **params):
+        learner = CARTLearner(
+            LMFAO(ds.database, ds.join_tree), cont, cat, label, kind, **params
+        )
+        # a threshold below every value, one equal to a value and one
+        # above every value
+        for attr, values in learner.thresholds.items():
+            column = np.unique(learner._column_of(attr))
+            learner.thresholds[attr] = np.unique(
+                np.concatenate([
+                    [column[0] - 1.0, column[len(column) // 2]],
+                    values,
+                    [column[-1] + 1.0],
+                ])
+            )
+        return learner
+
+    @staticmethod
+    def assert_same_left_sums(learner, conditions):
+        """The split search's left sums against node_batch's scalar
+        aggregates, per threshold of every continuous feature."""
+        histograms = learner.engine.run(learner.split_batch(conditions))
+        batch = learner.node_batch(conditions)
+        scalars = learner.engine.run(batch)["split:cont"]
+        for attr, values in learner.thresholds.items():
+            names, lefts = learner._threshold_sums(histograms, attr)
+            assert lefts.shape == (len(values), len(names))
+            for i in range(len(values)):
+                if learner.kind == "regression":
+                    expected = [
+                        scalars.column(f"{name}:{attr}:{i}")[0]
+                        for name in names
+                    ]
+                else:
+                    per_class = dict(
+                        zip(
+                            scalars.column(learner.label).tolist(),
+                            scalars.column(f"n:{attr}:{i}").tolist(),
+                        )
+                    )
+                    assert set(per_class) == set(names)
+                    expected = [per_class[c] for c in names]
+                np.testing.assert_allclose(lefts[i], expected, rtol=1e-12)
+            # below the minimum no row, above the maximum every row
+            n = lefts[:, 0] if learner.kind == "regression" else lefts.sum(1)
+            assert n[0] == 0
+            assert n[-1] == histograms[f"split:{attr}"].column("n").sum()
+        return histograms
+
+    @staticmethod
+    def fragments(learner, attr, category):
+        """The root, one conditioned node (a category and the right side
+        of a threshold) and an empty fragment."""
+        values = learner.thresholds[attr].tolist()
+        return [
+            [],
+            [
+                Condition(category, "==", 1.0),
+                _ComplementCondition(attr, "<=", values[len(values) // 2]),
+            ],
+            [Condition(attr, "<=", values[0])],
+        ]
+
+    def test_regression_matches_node_batch(self, tiny_favorita):
+        learner = self.learner(
+            tiny_favorita, ["txns", "price"], ["stype", "promo"], "units",
+            "regression", n_buckets=6,
+        )
+        for conditions in self.fragments(learner, "txns", "promo"):
+            histograms = self.assert_same_left_sums(learner, conditions)
+        assert not histograms["split:price"].column("n").any()  # empty
+
+    def test_classification_matches_node_batch(self, tiny_tpcds):
+        learner = self.learner(
+            tiny_tpcds, ["ss_list_price", "hd_dep_count"],
+            ["cd_marital", "cd_education"], "preferred", "classification",
+            n_buckets=5,
+        )
+        fragments = self.fragments(learner, "hd_dep_count", "cd_marital")
+        for conditions in fragments:
+            histograms = self.assert_same_left_sums(learner, conditions)
+        assert not histograms["split:cd_education"].column("n").any()
+
+    @pytest.mark.parametrize("n_buckets", [4, 20])
+    @pytest.mark.parametrize(
+        "kind, per_feature", [("regression", 3), ("classification", 1)]
+    )
+    def test_aggregates_per_feature_whatever_the_buckets(
+        self, tiny_tpcds, n_buckets, kind, per_feature
+    ):
+        cont = ["ss_list_price", "hd_dep_count"]
+        cat = ["cd_marital", "cd_education"]
+        label = "preferred" if kind == "classification" else "ss_quantity"
+        learner = CARTLearner(
+            LMFAO(tiny_tpcds.database, tiny_tpcds.join_tree),
+            cont, cat, label, kind, n_buckets=n_buckets,
+        )
+        condition = Condition("cd_marital", "==", 1.0)
+        for conditions in ([], [condition]):
+            batch = learner.split_batch(conditions)
+            assert [q.name for q in batch] == [
+                f"split:{attr}" for attr in cont + cat
+            ]
+            assert all(q.n_aggregates == per_feature for q in batch)
+
+
+class TestNaNFeature:
+    """A continuous feature with NaN values is bucketized over its finite
+    values, and its NaN rows take the right side of every ``x <= t``
+    split in both learners, as ``δ(x <= t)`` is false there."""
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        rng = np.random.default_rng(7)
+        n = 400
+        x = rng.uniform(0.0, 1.0, n)
+        z = rng.uniform(0.0, 1.0, n)
+        nan = rng.random(n) < 0.2
+        # NaN rows have the labels of large x, so the root splits on x
+        # and its right child, NaN rows included, splits on z
+        y = 5.0 * ((x > 0.5) | nan) + 3.0 * (z > 0.5) + rng.normal(0, 0.1, n)
+        x[nan] = np.nan
+        return Relation.from_dict("Flat", {"x": x, "z": z, "y": y})
+
+    @pytest.fixture(scope="class")
+    def trees(self, flat):
+        database = Database([flat], name="nan")
+        params = dict(max_depth=2, min_samples_split=20, n_buckets=8)
+        learner = CARTLearner(LMFAO(database), ["x", "z"], [], "y", **params)
+        learned = learner.fit()
+        brute = brute_force_cart(
+            database, ["x", "z"], [], "y", flat=flat, **params
+        )
+        return learner, learned, brute
+
+    def test_thresholds_are_finite(self, flat, trees):
+        learner, *_ = trees
+        x = flat.column("x")
+        thresholds = learner.thresholds["x"]
+        assert len(thresholds) == 7 and np.isfinite(thresholds).all()
+        np.testing.assert_array_equal(
+            thresholds, bucket_thresholds(x[~np.isnan(x)], 8)
+        )
+        # a column without a finite value has no threshold to split at
+        assert not len(bucket_thresholds(np.array([np.nan, np.inf]), 8))
+
+    def test_both_learners_split_on_the_feature(self, trees):
+        _, learned, brute = trees
+        for tree in (learned, brute):
+            assert tree.root.condition.attr == "x"
+            assert tree.root.right.condition.attr == "z"
+
+    def test_nan_rows_go_right(self, flat, trees):
+        _, learned, brute = trees
+        x, z = flat.column("x"), flat.column("z")
+        nan = np.isnan(x)
+        for tree in (learned, brute):
+            root, right = tree.root, tree.root.right
+            assert root.left.n_samples == np.sum(x <= root.condition.value)
+            assert root.right.n_samples == np.sum(~(x <= root.condition.value))
+            below = ~(x <= root.condition.value) & (z <= right.condition.value)
+            assert right.left.n_samples == below.sum()
+            assert (nan & below).any()
+            leaves = {right.left.prediction, right.right.prediction}
+            assert set(tree.predict(flat)[nan].tolist()) <= leaves
+
+    def test_trees_match_brute_force(self, flat, trees):
+        _, learned, brute = trees
+        assert tree_structure(learned.root) == tree_structure(brute.root)
+        assert np.isclose(learned.rmse(flat), brute.rmse(flat))
 
 
 class TestClassificationTree:
