@@ -4,14 +4,15 @@ Measures, on the retailer dataset, the two serving-layer numbers the
 server subsystem exists for:
 
 * **coalescing throughput** — a storm of concurrent single-workload
-  requests over a fusion-friendly covar/linreg/trees mix, against the
-  same requests issued back to back by one closed-loop client.  The
-  storm's requests queue up behind each running batch and are fused
-  into shared view DAGs; the lone client never has a backlog, so every
-  one of its requests executes alone — the uncoalesced baseline, with
-  no switch needed.  Both run with ``cache_mb=0``: with a cache, repeat
-  reads would be answer-memo hits and shared views would carry over
-  between requests, so the comparison would no longer isolate fusion.
+  requests over a covar/linreg/trees mix, against the same requests
+  issued back to back by one closed-loop client.  The storm's requests
+  queue up behind each running batch, and a drained batch runs each
+  distinct workload once for every request that named it; the lone
+  client never has a backlog, so every one of its requests executes
+  alone — the uncoalesced baseline, with no switch needed.  Both run
+  with ``cache_mb=0``: with a cache, repeat reads would be answer-memo
+  hits and shared views would carry over between requests, so the
+  comparison would no longer isolate coalescing.
   Acceptance bar: the storm sustains >= 1.2x the request throughput;
 * **latency under writes** — p50/p95 query latency while a background
   delta stream commits epochs on the root *and* on dimension relations
@@ -23,7 +24,7 @@ server subsystem exists for:
 
 Everything is recorded in ``results/server.txt`` *before* the
 throughput bar is asserted, so a regression still leaves
-the measurement behind.  Correctness rides along: fused and lone
+the measurement behind.  Correctness rides along: coalesced and lone
 requests must return identical epoch-0 results.
 """
 
@@ -77,17 +78,9 @@ def make_service(ds, workloads, *, cache_mb):
     service.register_dataset("retailer", ds.database, ds.join_tree)
     for name, batch in workloads.items():
         service.register_workload("retailer", name, batch)
-    # every subset a partially filled batch might fuse, planned up
-    # front — the measurement below is pure serving
-    names = list(workloads)
-    service.prepare(
-        "retailer",
-        [
-            list(combo)
-            for size in range(1, len(names) + 1)
-            for combo in itertools.combinations(names, size)
-        ],
-    )
+    # every workload planned up front — the measurement below is pure
+    # serving
+    service.prepare("retailer")
     return service
 
 
@@ -171,8 +164,8 @@ def test_server_benchmark():
         }
         service.close()
 
-    # correctness rides along: fused and lone requests answered epoch 0
-    # identically
+    # correctness rides along: coalesced and lone requests answered
+    # epoch 0 identically
     assert measurements["sequential"]["max_batch"] == 1
     for name in names:
         assert_results_equal(

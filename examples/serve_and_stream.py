@@ -8,9 +8,9 @@ batches into the fact relation, and prints the ``/stats`` report.
 Three things to watch in the output:
 
 * concurrent requests *coalesce*: requests that queue up while a batch
-  runs share the next one (their ``batch_size`` is > 1), and near-
-  identical workloads (covar and linreg share almost their entire view
-  DAG) execute as one fused run;
+  runs share the next one (their ``batch_size`` is > 1), and workloads
+  that share views (covar and linreg here have the same view DAG) share
+  them through the view cache: once one has run, the other's views hit;
 * every response names the committed *epoch* it answered — reads that
   overlap a delta commit still see exactly one database version;
 * the view cache absorbs the churn: delta commits invalidate only the
@@ -47,7 +47,7 @@ def main() -> None:
     )
     # covar and linreg are the paper's own redundancy story: the ridge
     # regression trains on the covar matrix, so the two view DAGs are
-    # near-identical and fuse almost completely
+    # the same and one workload's views are cache hits for the other
     service.register_workload(
         "favorita",
         "covar",

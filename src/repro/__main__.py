@@ -412,8 +412,8 @@ def build_service(args, dataset) -> AnalyticsService:
             print(f"skipping {exc}")
             continue
         service.register_workload(args.dataset, name, batch)
-    # plan every workload (and the full fused union) before accepting
-    # traffic, so no request pays planning inline
+    # plan every workload before accepting traffic, so no request pays
+    # planning inline
     service.prepare(args.dataset)
     return service
 

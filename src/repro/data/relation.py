@@ -179,8 +179,11 @@ class Relation:
     def append_rows(self, columns: Mapping[str, np.ndarray]) -> "Relation":
         """Relation with extra rows appended (same schema).
 
-        ``columns`` must provide one equal-length array per attribute;
-        dtypes are coerced to the existing column dtypes.
+        ``columns`` must provide one equal-length array per attribute.
+        Each is cast to its column's dtype, and a value the cast would
+        change (``2.5`` into an integer column, a bool into a numeric
+        one) raises :class:`ValueError`; an integral ``5.0`` into an
+        integer column is accepted.
         """
         n_new: Optional[int] = None
         new_cols: Dict[str, np.ndarray] = {}
@@ -199,18 +202,56 @@ class Relation:
                 )
             existing = self._columns[attr.name]
             new_cols[attr.name] = np.concatenate(
-                [existing, col.astype(existing.dtype, copy=False)]
+                [existing, self._exact_cast(attr.name, col, existing.dtype)]
             )
         return Relation(self.name, self.schema, new_cols)
+
+    def _exact_cast(
+        self, name: str, col: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
+        """``col`` as ``dtype``, or ValueError if any value would change.
+
+        A value survives only if it compares equal after the cast *and*
+        casts back to itself: the comparison alone would promote an int
+        above 2**53 to the same float its cast rounded it to.
+        """
+        if col.dtype == dtype:
+            return col
+        try:
+            with np.errstate(invalid="ignore"):
+                cast = col.astype(dtype)
+                back = cast.astype(col.dtype)
+            lossless = (
+                (col.dtype.kind == "b") == (dtype.kind == "b")
+                and np.array_equal(cast, col, equal_nan=dtype.kind == "f")
+                and np.array_equal(
+                    back, col, equal_nan=col.dtype.kind == "f"
+                )
+            )
+        except (TypeError, ValueError):  # e.g. "abc" into a number
+            lossless = False
+        if not lossless:
+            raise ValueError(
+                f"append to {self.name!r}: column {name!r} holds "
+                f"{col.dtype} values that do not fit its dtype {dtype}"
+            )
+        return cast
 
     def delete_rows(self, indices: np.ndarray) -> Tuple["Relation", "Relation"]:
         """Split off the rows at ``indices``.
 
         Returns ``(remaining, deleted)``; the deleted partition preserves
         this relation's schema so it can be re-evaluated as a delta.
-        Indices are deduplicated and must be in range.
+        Indices must be integers (not floats, not bools) and in range;
+        they are deduplicated.
         """
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(
+                f"delete indices for {self.name!r} must be integers, "
+                f"got {idx.dtype}"
+            )
+        idx = np.unique(idx.astype(np.int64))
         if len(idx) and (idx[0] < 0 or idx[-1] >= self.n_rows):
             raise IndexError(
                 f"delete indices out of range for {self.name!r} "

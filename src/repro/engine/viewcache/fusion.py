@@ -89,20 +89,11 @@ class WorkloadSession:
         join_tree: Optional[JoinTree] = None,
         *,
         cache: Optional[ViewCache] = None,
-        engine: Optional[LMFAO] = None,
         **engine_kwargs,
     ):
-        if engine is not None:
-            if cache is not None and engine.view_cache is not cache:
-                raise ValueError(
-                    "pass either an engine or a cache, not both; attach "
-                    "the cache via LMFAO(view_cache=...) instead"
-                )
-            self.engine = engine
-        else:
-            self.engine = LMFAO(
-                database, join_tree, view_cache=cache, **engine_kwargs
-            )
+        self.engine = LMFAO(
+            database, join_tree, view_cache=cache, **engine_kwargs
+        )
         self._workloads: Dict[str, QueryBatch] = {}
         self._fused: Optional[QueryBatch] = None
 
@@ -160,24 +151,18 @@ class WorkloadSession:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, *, database=None) -> SessionResult:
-        """Execute all workloads as one fused DAG; fan results back out.
-
-        ``database`` (optional) pins the run to one database version —
-        the epoch hook the analytics service uses so fused requests read
-        a consistent snapshot while deltas commit concurrently.
-        """
-        fused = self.fused_batch()
-        merged = self.engine.run(fused, database=database)
+    def run(self) -> SessionResult:
+        """Execute all workloads as one fused DAG; fan results back out."""
+        merged = self.engine.run(self.fused_batch())
         result = self._split(merged)
         result.fused = True
         return result
 
-    def run_independent(self, *, database=None) -> SessionResult:
+    def run_independent(self) -> SessionResult:
         """Execute each workload as its own batch (no DAG-level fusion)."""
         result = SessionResult()
         for workload, batch in self._workloads.items():
-            batch_result = self.engine.run(batch, database=database)
+            batch_result = self.engine.run(batch)
             result[workload] = batch_result
             result.plan_seconds += batch_result.plan_seconds
             result.execute_seconds += batch_result.execute_seconds

@@ -145,10 +145,6 @@ def structure_digest(structure: tuple, relation_fp: str) -> str:
     return view_digest(source, relation_fp, group_by, agg_parts)
 
 
-#: back-compat alias (the pre-propagation cache only re-keyed leaves)
-leaf_digest = structure_digest
-
-
 def rekey_structure(structure: tuple, rekey: Mapping[str, str]) -> tuple:
     """Substitute re-keyed child digests into a view structure.
 

@@ -34,9 +34,6 @@ class LinearRegressionModel:
     l2: float
     iterations: int
 
-    def design_row_count(self) -> int:
-        return len(self.theta)
-
     def predict(self, flat: Relation) -> np.ndarray:
         """Predict over a materialized (test) join."""
         features = design_matrix(flat, self.index)

@@ -7,7 +7,7 @@ A long-running, thread-safe layer over the engine stack: one loaded
 every request instead of rebuilt per process.  Reads get epoch-snapshot
 isolation, writes stream in as :class:`~repro.data.database.DeltaBatch`
 commits, and requests that queue up behind a running batch coalesce
-into one fused view DAG.
+into one batch that runs each distinct workload once.
 
 * :mod:`~repro.server.service` — :class:`AnalyticsService`: epochs,
   workload registry, delta commits;

@@ -6,11 +6,10 @@ time.  The :class:`RequestCoalescer` turns that temporal locality into
 *throughput* in the style of group commit: its single worker drains at
 once whenever it is idle and a request is pending, taking every pending
 request for the head-of-queue key as one batch and handing it to a
-single ``execute`` call — for the analytics service that means one
-fused :class:`~repro.engine.viewcache.fusion.WorkloadSession` DAG whose
-shared views run once — and the per-request results fan back out to
-each blocked caller.  Requests that arrive while a batch executes form
-the next batch.  No request ever waits for a clock: a lone request runs
+single ``execute`` call — for the analytics service that means each
+distinct workload in the batch runs once, however many requests named
+it — and the per-request results fan back out to each blocked caller.
+Requests that arrive while a batch executes form the next batch.  No request ever waits for a clock: a lone request runs
 immediately, and batches grow exactly as large as the backlog that
 built up behind the previous one.
 
@@ -23,7 +22,7 @@ separate batch-size cap.
 
 The coalescer is deliberately generic: it batches opaque payloads per
 *key* (the service keys by dataset, since only requests over the same
-data can fuse) and never inspects them.
+data can share work) and never inspects them.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ client would take for a transport failure).
 Built on :class:`http.server.ThreadingHTTPServer` only — no third-party
 dependencies — which pairs naturally with the service's design: handler
 threads block inside the coalescer while its single worker executes
-fused batches, so concurrency lives at the admission layer, not in the
-engine; memo hits never leave their handler thread.
+coalesced batches, so concurrency lives at the admission layer, not in
+the engine; memo hits never leave their handler thread.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ def query_response_body(
 
     The entry is kept on the :class:`~repro.server.service.Answer` it
     encodes, so every later response that carries the same answer — the
-    workload alone or as a member of any fused request, at that epoch —
-    is a concatenation; only answers not yet encoded in this form go
-    through :func:`query_response_payload` and ``json.dumps``.
+    workload alone or as a member of any multi-workload request, at that
+    epoch — is a concatenation; only answers not yet encoded in this
+    form go through :func:`query_response_payload` and ``json.dumps``.
     """
     fresh = {
         name: answer
@@ -145,7 +145,9 @@ def delta_from_payload(body: dict) -> Tuple[str, DeltaBatch]:
         }
     delete_indices = body.get("delete_indices")
     if delete_indices is not None:
-        delete_indices = np.asarray(delete_indices, dtype=np.int64)
+        # no cast: Relation.delete_rows rejects floats and bools rather
+        # than truncating them onto some other row
+        delete_indices = np.asarray(delete_indices)
     if inserts is None and delete_indices is None:
         raise ValueError(
             "delta needs 'inserts' and/or 'delete_indices'"

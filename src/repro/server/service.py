@@ -29,11 +29,13 @@ readers at the new epoch hit the delta-patched views immediately.
 :class:`~repro.server.coalescer.RequestCoalescer`, which batches by
 backlog: a request that finds the worker idle runs at once, and the
 requests against the same dataset that queue up while a batch executes
-are drained together as the next one, their distinct workloads fused
-into one deduplicated
-:class:`~repro.engine.viewcache.fusion.WorkloadSession` DAG, executed
-once, and fanned back out per request — fusion becomes a throughput
-multiplier under load without making a lone request wait.
+are drained together as the next one.  Each distinct answer in the
+batch is computed once through the dataset's engine — one run per
+workload, or per batch registered under several names — and fans back
+out to every request that named it.  Workloads in one batch share views
+the way they share them across batches and epochs: through the
+content-addressed :class:`ViewCache`, so a view one workload computed
+is a hit for the next.
 
 **The answer memo.**  Between two commits an answer cannot change, and
 the :class:`Epoch` object already marks exactly when it stops being
@@ -45,9 +47,9 @@ computed *at that epoch* (an :class:`Answer`) and — filled lazily by
 ``state.epoch`` once; when every requested workload is resident there
 it answers on the caller's thread (``batch_size=1``, ``seconds=0.0``:
 nothing ran) — no coalescer, plan probe, signatures, cache gets
-or assemble, and a fused request is the concatenation of its members'
-answers, its fused plan never run.  Anything else — a cold workload,
-the first read after a delta, a partially resident request — goes
+or assemble, and a multi-workload request is the concatenation of its
+members' answers.  Anything else — a cold workload, the first read
+after a delta, a partially resident request — goes
 through the coalescer whole, where a backlog has execution to share;
 that is the one miss path and it is what fills the memo.
 
@@ -75,7 +77,6 @@ from ..data.database import Database, DeltaBatch
 from ..engine.engine import LMFAO, BatchResult
 from ..engine.ivm import DeltaReport, IncrementalEngine
 from ..engine.viewcache.cache import ViewCache
-from ..engine.viewcache.fusion import WorkloadSession
 from ..engine.viewcache.signature import dyn_binding_key
 from ..jointree.join_tree import JoinTree
 from ..query.functions import Udf
@@ -165,7 +166,7 @@ class QueryResponse:
 
     ``epoch`` names the committed database version every value in
     ``results`` was computed from; ``batch_size`` is how many requests
-    shared the (possibly fused) execution that produced it and
+    shared the coalesced execution that produced it and
     ``seconds`` how long that execution took — ``1`` and ``0.0`` when
     the request was answered from the epoch's memo and nothing ran.
     ``answers`` holds one :class:`Answer` per distinct requested
@@ -231,10 +232,6 @@ class _DatasetState:
             self.engine.view_cache = None
         self.join_tree = self.engine.join_tree
         self.workloads: Dict[str, QueryBatch] = {}
-        # one fused session per distinct workload set (registration
-        # order), so a coalesced batch re-uses its fused QueryBatch and
-        # the plan-cache key memoized on it
-        self.sessions: Dict[Tuple[str, ...], WorkloadSession] = {}
         # swapped atomically under write_lock; readers take one
         # reference read and never lock
         self.epoch = Epoch(initial_epoch, self.engine.database)
@@ -245,18 +242,6 @@ class _DatasetState:
         self.memo_hits = 0
         self.executed = 0
         self.n_deltas = 0  # mutated only under write_lock
-
-    def session(self, names: Tuple[str, ...]) -> WorkloadSession:
-        """The fused session over ``names``, built on first use."""
-        session = self.sessions.get(names)
-        if session is None:
-            session = WorkloadSession(
-                self.engine.database, engine=self.engine
-            )
-            for name in names:
-                session.add_workload(name, self.workloads[name])
-            self.sessions[names] = session
-        return session
 
 
 class AnalyticsService:
@@ -416,29 +401,12 @@ class AnalyticsService:
         """The latest committed epoch (number + database version)."""
         return self._state(dataset).epoch
 
-    def prepare(
-        self,
-        dataset: str,
-        workload_sets: Optional[Sequence[Sequence[str]]] = None,
-    ) -> "AnalyticsService":
-        """Pre-plan workload combinations before traffic.
-
-        By default every single workload plus the full union is planned;
-        pass explicit ``workload_sets`` to warm other combinations a
-        coalesced batch might fuse.  Serving threads then never pay
-        planning inline.
-        """
+    def prepare(self, dataset: str) -> "AnalyticsService":
+        """Plan every registered workload before traffic, so serving
+        threads never pay planning inline."""
         state = self._state(dataset)
-        if workload_sets is None:
-            workload_sets = [[name] for name in state.workloads]
-            if len(state.workloads) > 1:
-                workload_sets.append(list(state.workloads))
-        for names in workload_sets:
-            distinct = tuple(w for w in state.workloads if w in set(names))
-            if len(distinct) == 1:
-                state.engine.plan(state.workloads[distinct[0]])
-            elif distinct:
-                state.engine.plan(state.session(distinct).fused_batch())
+        for batch in state.workloads.values():
+            state.engine.plan(batch)
         return self
 
     def _state(self, dataset: str) -> _DatasetState:
@@ -497,37 +465,46 @@ class AnalyticsService:
     def _execute_coalesced(
         self, dataset: str, payloads: List[Tuple[str, ...]]
     ) -> List[QueryResponse]:
-        """Run one drained batch of requests as a single fused DAG.
+        """Run one drained batch of requests: each distinct answer once.
 
         Runs on the coalescer worker.  The epoch is captured *once* for
         the whole batch, so every coalesced request answers the same
         committed database version — and that captured epoch, never
         ``state.epoch``, is the one whose memo receives the answers.
+
+        An answer is identified by its batch's plan-cache key
+        (``structural_signature``), its aggregate names (the result's
+        column names, which that key leaves out) and its
+        :func:`answer_binding`, not by its workload name: one batch
+        registered under two names (the covar matrix served as both
+        ``covar`` and ``linreg``) runs once.
         """
         state = self._state(dataset)
         epoch = state.epoch  # atomic snapshot; pins the entire batch
-        # canonical order (registration order) so every request mix
-        # over the same workload set fuses to one plan-cache entry
-        requested = {name for payload in payloads for name in payload}
-        distinct = tuple(w for w in state.workloads if w in requested)
+        distinct = dict.fromkeys(
+            name for payload in payloads for name in payload
+        )
         # read before the run: a re-binding that lands mid-run leaves a
         # key no later request can match
         bindings = {
             name: answer_binding(state.workloads[name]) for name in distinct
         }
         start = time.perf_counter()
-        if len(distinct) == 1:
-            results = {
-                distinct[0]: state.engine.run(
-                    state.workloads[distinct[0]], database=epoch.database
+        results: Dict[tuple, BatchResult] = {}
+        answers = {}
+        for name in distinct:
+            batch = state.workloads[name]
+            key = (
+                batch.structural_signature(),
+                tuple(tuple(a.name for a in q.aggregates) for q in batch),
+                bindings[name],
+            )
+            if key not in results:
+                results[key] = state.engine.run(
+                    batch, database=epoch.database
                 )
-            }
-        else:
-            results = state.session(distinct).run(database=epoch.database)
+            answers[name] = Answer(results[key], bindings[name])
         seconds = time.perf_counter() - start
-        answers = {
-            name: Answer(results[name], bindings[name]) for name in distinct
-        }
         if state.cache is not None:  # cache_mb=0 caches nothing
             epoch.answers.update(answers)
         with state.count_lock:

@@ -77,6 +77,46 @@ class TestRowOps:
         assert sorted(distinct.column("a").tolist()) == [1, 2, 3]
 
 
+class TestDeltaInput:
+    """Deltas are never truncated onto other rows or values."""
+
+    @pytest.mark.parametrize("indices", [[1.7], [True]], ids=["float", "bool"])
+    def test_non_integer_delete_indices_rejected(self, r, indices):
+        with pytest.raises(ValueError, match="must be integers"):
+            r.delete_rows(np.asarray(indices))
+
+    def test_integer_delete_indices_split(self, r):
+        remaining, deleted = r.delete_rows(np.array([1, 1], dtype=np.uint8))
+        assert remaining.column("a").tolist() == [1, 1, 3]
+        assert deleted.column("x").tolist() == [2.0]
+        assert r.delete_rows(np.asarray([]))[0].n_rows == r.n_rows
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, np.nan], ids=["fraction", "bool", "nan"]
+    )
+    def test_value_the_cast_changes_is_rejected(self, r, value):
+        with pytest.raises(ValueError, match="'a'"):
+            r.append_rows({"a": np.asarray([value]), "x": np.asarray([1.0])})
+
+    def test_int_a_float_column_would_round_is_rejected(self, r):
+        with pytest.raises(ValueError, match="'x'"):
+            r.append_rows(
+                {"a": np.asarray([4]), "x": np.asarray([2**53 + 1])}
+            )
+
+    def test_values_that_survive_the_cast_are_accepted(self, r):
+        appended = r.append_rows(
+            {"a": np.asarray([5.0]), "x": np.asarray([7])}
+        )
+        assert appended.column("a").dtype == np.int64
+        assert appended.column("a").tolist()[-1] == 5
+        assert appended.column("x").tolist()[-1] == 7.0
+        with_nan = r.append_rows(
+            {"a": np.asarray([4]), "x": np.asarray([np.nan])}
+        )
+        assert np.isnan(with_nan.column("x")[-1])
+
+
 class TestJoin:
     def test_natural_join_matches_brute_force(self):
         left = make(

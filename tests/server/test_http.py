@@ -242,6 +242,24 @@ class TestEndpoints:
             client.delta("toy", "Sales")
         assert info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "relation, change",
+        [
+            ("Sales", {"delete_indices": [1.7]}),
+            ("Sales", {"delete_indices": [True]}),
+            ("Oil", {"inserts": {"date": [2.5], "price": [50.0]}}),
+        ],
+        ids=["fractional-index", "bool-index", "fractional-key"],
+    )
+    def test_delta_a_cast_would_change_is_400(self, served, relation, change):
+        _service, client = served
+        with pytest.raises(ClientError) as info:
+            client.delta("toy", relation, **change)
+        assert info.value.status == 400
+        stats = client.stats()["datasets"]["toy"]
+        assert stats["epoch"] == 0
+        assert stats["storage"]["wal_len"] == 0
+
 
 class TestAnswerMemoOverTheWire:
     @pytest.mark.parametrize("include_data", [False, True])

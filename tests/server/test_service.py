@@ -270,6 +270,110 @@ class TestQueries:
 
 
 @pytest.mark.timeout(120)
+class TestCrossWorkloadSharing:
+    """A coalesced batch runs each workload on its own through the view
+    cache: no combination of workloads is ever planned or cached."""
+
+    def test_prepare_plans_each_registered_batch_once(self, service):
+        state = service._state("toy")
+        service.prepare("toy")
+        distinct = {
+            batch.structural_signature()
+            for batch in state.workloads.values()
+        }
+        assert len(state.engine._plan_cache) == len(distinct)
+        planned = list(state.engine._plan_cache)
+        response = service.query(
+            "toy", ["conditional", "counts", "groupbys"], timeout=60
+        )
+        assert response.seconds > 0
+        assert list(state.engine._plan_cache) == planned
+
+    def test_members_cached_before_a_delta_serve_a_multi_workload_request(
+        self, service, toy_db
+    ):
+        names = list(WORKLOADS)
+        for name in names:
+            service.query("toy", [name], timeout=60)
+        service.apply_delta(
+            "toy", sales_delta(toy_db, np.random.default_rng(5))
+        )
+        cache = service._state("toy").cache
+        entries = len(cache)
+        response = service.query("toy", names, timeout=60)
+        assert (response.epoch, list(response.results)) == (1, names)
+        for name in names:
+            report = response.results[name].cache_report
+            assert report.n_hits > 0 and report.n_misses == 0, name
+        assert len(cache) == entries
+
+    def test_one_batch_under_two_names_runs_once(self, toy_db):
+        def dynamic(threshold, fn):
+            return QueryBatch(
+                [
+                    Query(
+                        "n",
+                        [],
+                        [
+                            Aggregate.of(
+                                Delta("price", "<=", threshold, dynamic=True),
+                                name="n",
+                            )
+                        ],
+                    ),
+                    Query("s", [], [Aggregate.of(Udf(["units"], fn, "f"))]),
+                ]
+            )
+
+        def double(u):
+            return 2.0 * u
+
+        workloads = {
+            "covar": WORKLOADS["covar_style"](),
+            "linreg": WORKLOADS["covar_style"](),
+            # one shape, told apart only by their bindings
+            "cheap": dynamic(50.0, double),
+            "every": dynamic(1e9, double),
+            "halved": dynamic(50.0, lambda u: 0.5 * u),
+        }
+        with AnalyticsService(cache_mb=0) as svc:
+            svc.register_dataset("toy", toy_db, workloads=workloads)
+            engine = svc._state("toy").engine
+            runs = []
+            run = engine.run
+
+            def counting_run(batch, **kwargs):
+                runs.append(batch)
+                return run(batch, **kwargs)
+
+            engine.run = counting_run
+            response = svc.query("toy", list(workloads), timeout=60)
+        assert len(runs) == 4
+        results = response.results
+        assert results["covar"] is results["linreg"]
+        for name, batch in workloads.items():
+            assert_results_equal(
+                results[name], LMFAO(toy_db).run(batch), batch, rtol=1e-8
+            )
+
+    def test_batches_differing_only_in_aggregate_names_run_apart(
+        self, toy_db
+    ):
+        def named(agg_name):
+            return QueryBatch(
+                [Query("q", ["store"], [Aggregate.of(name=agg_name)])]
+            )
+
+        workloads = {"rows": named("rows"), "count": named("count")}
+        with AnalyticsService(cache_mb=0) as svc:
+            svc.register_dataset("toy", toy_db, workloads=workloads)
+            response = svc.query("toy", list(workloads), timeout=60)
+        for name in workloads:
+            columns = response.results[name]["q"].schema.names
+            assert columns == ("store", name), columns
+
+
+@pytest.mark.timeout(120)
 class TestDeltas:
     def test_delta_commits_new_epoch_and_updates_answers(
         self, service, toy_db
@@ -288,6 +392,28 @@ class TestDeltas:
                              rtol=1e-8)
         # the pre-delta response is untouched: it answered epoch 0
         assert before.epoch == 0
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            DeltaBatch("Sales", delete_indices=np.asarray([1.7])),
+            DeltaBatch("Sales", delete_indices=np.asarray([True])),
+            DeltaBatch(
+                "Oil",
+                inserts={
+                    "date": np.asarray([2.5]),
+                    "price": np.asarray([50.0]),
+                },
+            ),
+        ],
+        ids=["fractional-index", "bool-index", "fractional-key"],
+    )
+    def test_input_a_cast_would_change_commits_nothing(self, service, delta):
+        before = service.snapshot("toy")
+        with pytest.raises(ValueError):
+            service.apply_delta("toy", delta)
+        assert service.snapshot("toy") is before
+        assert service._state("toy").engine.database is before.database
 
     def test_empty_delta_does_not_bump_the_epoch(self, service):
         response = service.apply_delta(
@@ -441,7 +567,7 @@ class TestAnswerMemo:
             return svc
 
         with service_over(toy_db) as executed, service_over(toy_db) as memo:
-            # nothing resident: the fused plan runs
+            # nothing resident: every member runs
             fused = executed.query("toy", names, timeout=60)
             assert fused.seconds > 0
             assert answers_stats(executed)["memo_hits"] == 0
@@ -467,7 +593,7 @@ class TestAnswerMemo:
                     json.loads(query_response_body(fused, include_data))[
                         "results"
                     ],
-                    exact=False,
+                    exact=True,
                 )
             # request order, not registration order, and duplicates once
             reordered = memo.query(
