@@ -13,6 +13,9 @@ rendered code shows the optimizations of §3.5/Appendix C in Python form:
 * shared partial products, join indices and key encodings appear once
   as local variables — a relation's key columns arrive already encoded
   (``rel_keys``), so joins and group-bys run on integer codes;
+* a local is ``del``-eted after the last step that reads it
+  (``GroupPlan.frees``), so the function holds at most the plan's
+  ``peak_live`` arrays at once;
 * a row-level sum shared by many aggregates appears once
   (``sum7 = ops.group_sums(...)``); each aggregate is that sum times its
   per-group factors — covered views' payloads read through
@@ -58,8 +61,10 @@ def render_source(plan: GroupPlan, fn_name: str = "group_fn") -> str:
         f"{plan.node!r}",
         "    out = {}",
     ]
-    for step in plan.steps:
+    for step, dead in zip(plan.steps, plan.frees):
         lines.extend("    " + line for line in _render_step(step))
+        if dead:
+            lines.append(f"    del {', '.join(dead)}")
     lines.append("    return out")
     return "\n".join(lines) + "\n"
 
@@ -78,12 +83,9 @@ def _render_step(step) -> List[str]:
     if isinstance(step, JoinStep):
         left = _render_pairs(step.left_vars)
         right = ", ".join(step.right_vars)
-        tmp_l = f"_lc_{step.out_left}"
-        tmp_r = f"_rc_{step.out_left}"
         return [
-            f"{tmp_l}, {tmp_r} = ops.shared_codes([{left}], [{right}])",
-            f"{step.out_left}, {step.out_right} = "
-            f"ops.join_indices({tmp_l}, {tmp_r})",
+            f"{step.out_left}, {step.out_right} = ops.join_indices("
+            f"*ops.shared_codes([{left}], [{right}]))"
         ]
     if isinstance(step, IndexStep):
         return [f"{step.out} = {step.arr}[{step.idx}]"]

@@ -52,6 +52,7 @@ from .viewcache.cache import CacheRunReport, PatchRecipe, ViewCache
 from .viewcache.signature import (
     ViewSignature,
     dyn_binding_key,
+    view_shapes,
     view_signatures,
 )
 
@@ -186,8 +187,9 @@ class LMFAO:
         self.backend = InterpreterBackend()
         self.view_cache = view_cache
         self._plan_cache: Dict[tuple, EnginePlan] = {}
-        # id(plan) -> (plan, database, signatures); both identities are
-        # re-checked so IVM database swaps invalidate stale signatures
+        # id(plan) -> (plan, binding, shapes, database, signatures); the
+        # identities are re-checked so a database swap re-hashes digests
+        # and a re-binding rebuilds shapes
         self._sig_memo: Dict[int, tuple] = {}
 
     # -- planning -----------------------------------------------------------
@@ -298,23 +300,24 @@ class LMFAO:
         plan-cache-shared plan re-bound to new thresholds gets fresh
         digests.  ``database`` defaults to the engine's current one;
         epoch-pinned runs pass their snapshot so signatures address that
-        version's data.  Memoized per (plan, database, binding); an IVM
-        database swap or re-binding recomputes on the next run.
+        version's data.  Memoized per (plan, database, binding).  The
+        views' shapes are kept per (plan, binding): a new database
+        version re-hashes only fingerprints and child digests, and a
+        re-binding rebuilds the shapes.
         """
         db = database if database is not None else self.database
         dyn_key = dyn_binding_key(dyn)
         memo = self._sig_memo.get(id(plan))
-        if (
-            memo is not None
-            and memo[0] is plan
-            and memo[1] is db
-            and memo[2] == dyn_key
-        ):
-            return memo[3]
-        sigs = view_signatures(
-            plan.decomposed.views, db, plan.dyn_slots, dyn
-        )
-        self._sig_memo[id(plan)] = (plan, db, dyn_key, sigs)
+        if memo is not None and memo[0] is plan and memo[1] == dyn_key:
+            shapes = memo[2]
+            if memo[3] is db:
+                return memo[4]
+        else:
+            shapes = view_shapes(
+                plan.decomposed.views, plan.dyn_slots, dyn
+            )
+        sigs = view_signatures(plan.decomposed.views, db, shapes=shapes)
+        self._sig_memo[id(plan)] = (plan, dyn_key, shapes, db, sigs)
         return sigs
 
     def execute(

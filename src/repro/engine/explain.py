@@ -85,15 +85,18 @@ def _explain_groups(plan: EnginePlan) -> List[str]:
         )
     views = plan.decomposed.views
     for group in plan.grouped.groups:
-        # what the post-sum factoring of ``plan.py`` left to do row by row
+        group_plan = plan.group_plans[group.id]
+        # what the post-sum factoring of ``plan.py`` left to do row by
+        # row, and how many arrays its liveness lets a run hold at once
         n_aggregates = sum(len(views[v].aggregates) for v in group.view_ids)
         n_sums = sum(
-            isinstance(step, GroupSumStep)
-            for step in plan.group_plans[group.id].steps
+            isinstance(step, GroupSumStep) for step in group_plan.steps
         )
         lines.append(
             f"  level {level_of[group.id]}: group {group.id} @ "
             f"{group.node} computes views {sorted(group.view_ids)}  "
+            f"steps: {len(group_plan.steps)}, "
+            f"peak live arrays: {group_plan.peak_live}  "
             f"aggregates -> row-level sums: {n_aggregates} -> {n_sums}"
         )
     return lines

@@ -10,7 +10,7 @@ results bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,12 +45,27 @@ class ViewData:
     incremental-maintenance layer uses it to drop keys whose support
     reaches zero after retractions.  Supports are integer-valued floats,
     so they add and cancel exactly under the distributive-SUM merge.
+
+    :meth:`encoded` dictionary-encodes a key column on first use and
+    keeps it, as a :class:`~repro.data.relation.Relation` keeps its own
+    encodings: a cached view read by every delta run that joins or
+    groups on it is encoded once.
     """
 
     group_by: Tuple[str, ...]
     key_cols: List[np.ndarray]
     agg_cols: List[np.ndarray]
     support: Optional[np.ndarray] = None
+    _encodings: Dict[int, ops.Encoded] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def encoded(self, pos: int) -> ops.Encoded:
+        """Key column ``pos`` as ``(codes, uniques)``, encoded once."""
+        encoded = self._encodings.get(pos)
+        if encoded is None:
+            encoded = self._encodings[pos] = ops.factorize(self.key_cols[pos])
+        return encoded
 
     def negated(self) -> "ViewData":
         """This view's data with all sums (and support) sign-flipped.
@@ -99,11 +114,13 @@ def execute_plan(
 ) -> Dict[int, ViewData]:
     """Run one group plan; returns the produced views by id.
 
-    Steps dispatch on their exact type, most frequent first.
+    Steps dispatch on their exact type, most frequent first.  After each
+    step the vars no later step reads (``plan.frees``) leave ``env``, so
+    a run holds at most ``plan.peak_live`` arrays, not every step's.
     """
     env: Dict[str, object] = {"_n_rel": relation.n_rows}
     produced: Dict[int, ViewData] = {}
-    for step in plan.steps:
+    for step, dead in zip(plan.steps, plan.frees):
         kind = type(step)
         if kind is GroupSumStep:
             env[step.out] = _group_sum(step, env)
@@ -146,9 +163,7 @@ def execute_plan(
             if step.origin[0] == "rel":
                 encoded = relation.encodings[step.origin[1]]
             else:
-                encoded = ops.factorize(
-                    incoming[step.origin[1]].key_cols[step.origin[2]]
-                )
+                encoded = incoming[step.origin[1]].encoded(step.origin[2])
             env[step.out_codes], env[step.out_uniques] = encoded
         elif kind is JoinStep:
             lcodes, rcodes = ops.shared_codes(
@@ -164,6 +179,8 @@ def execute_plan(
             )
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step {step!r}")
+        for var in dead:
+            del env[var]
     return produced
 
 

@@ -25,9 +25,15 @@ Optimization of §3.5:
   rule is stated once, in :meth:`GroupPlanBuilder._build_view`;
 * join and group-by keys never carry values, only dictionary codes: a
   key source is encoded once (a relation attribute per relation object,
-  an incoming view's key column per plan run), and a context's key
+  an incoming view's key column per view object), and a context's key
   column is that source's codes gathered through the context's index
-  array.
+  array;
+* **nothing outlives its last reader**: every step declares the vars it
+  reads and writes, and :func:`step_liveness` reads off, once per plan,
+  which vars die after each step (an output no step reads dies at its
+  own step).  A run drops them there, as the paper's generated code
+  (Figure 7) lets a loop-scoped local go out of scope, so a group holds
+  ``GroupPlan.peak_live`` arrays at most, not one per step.
 
 The same steps are either interpreted (``interpreter.py``) or rendered to
 specialized Python source (``codegen.py``), which guarantees the two
@@ -61,18 +67,35 @@ class Gather:
     origin: tuple
     index: Optional[str]
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return () if self.index is None else (self.index,)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out,)
+
 
 @dataclass(frozen=True)
 class EncodeStep:
     """out_codes, out_uniques = the dictionary encoding of a key source.
 
-    ``origin`` is ``("rel", attr)`` — read from the relation's memo, so
-    encoded once per relation — or ``("viewkey", vid, pos)``.
+    ``origin`` is ``("rel", attr)`` or ``("viewkey", vid, pos)``, read
+    from the relation's or the view's memo: a key source is encoded once
+    per relation or view object.
     """
 
     out_codes: str
     out_uniques: str
     origin: tuple
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return ()
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out_codes, self.out_uniques)
 
 
 @dataclass(frozen=True)
@@ -89,6 +112,14 @@ class JoinStep:
     left_vars: Tuple[Tuple[str, str], ...]
     right_vars: Tuple[str, ...]
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return _flat(self.left_vars) + self.right_vars
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out_left, self.out_right)
+
 
 @dataclass(frozen=True)
 class IndexStep:
@@ -97,6 +128,14 @@ class IndexStep:
     out: str
     arr: str
     idx: str
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return (self.arr, self.idx)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out,)
 
 
 @dataclass(frozen=True)
@@ -111,6 +150,14 @@ class FactorStep:
     function: Function
     col_vars: Tuple[Tuple[str, str], ...]  # (attr, var)
     dyn_slot: Optional[int]
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return tuple(var for _, var in self.col_vars)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out,)
 
 
 @dataclass(frozen=True)
@@ -127,6 +174,14 @@ class MulStep:
     a: str
     b: Union[str, float]
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return (self.a, self.b) if isinstance(self.b, str) else (self.a,)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out,)
+
 
 @dataclass(frozen=True)
 class GroupKeyStep:
@@ -141,6 +196,14 @@ class GroupKeyStep:
     out_keys: str
     key_vars: Tuple[Tuple[str, str], ...]
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return _flat(self.key_vars)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out_codes, self.out_keys)
+
 
 @dataclass(frozen=True)
 class GroupRowsStep:
@@ -153,6 +216,14 @@ class GroupRowsStep:
     out: str
     codes: str
     keys: str
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        return (self.codes, self.keys)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out,)
 
 
 @dataclass(frozen=True)
@@ -172,6 +243,20 @@ class GroupSumStep:
     values: Optional[str]
     n_var: Optional[str]
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        if self.codes is not None:
+            groups = (self.codes, self.keys)
+        elif self.values is None:
+            groups = (self.n_var,)  # a scalar count reads the length
+        else:
+            groups = ()
+        return groups if self.values is None else groups + (self.values,)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return (self.out,)
+
 
 @dataclass(frozen=True)
 class EmitStep:
@@ -188,13 +273,62 @@ class EmitStep:
     agg_vars: Tuple[str, ...]
     support_var: Optional[str] = None
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        own = (self.keys_var, self.support_var)
+        return tuple(v for v in own if v is not None) + self.agg_vars
 
-Step = object  # union of the dataclasses above
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return ()
+
+
+Step = object  # union of the dataclasses above; each has reads/writes
+
+
+def _flat(pairs: Tuple[Tuple[str, str], ...]) -> Tuple[str, ...]:
+    return tuple(var for pair in pairs for var in pair)
+
+
+def step_liveness(
+    steps: Sequence[Step],
+) -> Tuple[Tuple[Tuple[str, ...], ...], int]:
+    """Which vars die after each step, and the most held at once.
+
+    A var dies after the last step that reads it, or after the step
+    that writes it when no step does.  Vars no step writes (the
+    relation length ``_n_rel``) are the plan's inputs and never die.
+    The peak counts the vars held right after a step, before its dead
+    ones go: the plan's own bound on how many arrays a run holds.
+    """
+    last: Dict[str, int] = {}
+    for i, step in enumerate(steps):
+        for var in step.reads:
+            if var in last:
+                last[var] = i
+        for var in step.writes:
+            last[var] = i
+    frees: List[List[str]] = [[] for _ in steps]
+    for var, i in last.items():
+        frees[i].append(var)
+    live = peak = 0
+    for step, dead in zip(steps, frees):
+        live += len(step.writes)
+        peak = max(peak, live)
+        live -= len(dead)
+    return tuple(tuple(dead) for dead in frees), peak
 
 
 @dataclass
 class GroupPlan:
-    """The executable plan of one view group."""
+    """The executable plan of one view group.
+
+    ``frees[i]`` names the vars no step after ``i`` reads: a run drops
+    them after step ``i``, like a loop-scoped local of the paper's
+    generated code (Figure 7) going out of scope.  ``peak_live`` is the
+    most vars held at once.  Both follow from the steps and are
+    computed once, when the plan is built.
+    """
 
     group: ViewGroup
     node: str
@@ -203,6 +337,11 @@ class GroupPlan:
     input_view_ids: Tuple[int, ...]
     #: relation attrs this plan reads
     relation_attrs: Tuple[str, ...]
+    frees: Tuple[Tuple[str, ...], ...] = field(init=False, repr=False)
+    peak_live: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.frees, self.peak_live = step_liveness(self.steps)
 
     def describe(self) -> str:
         """Human-readable plan dump (the Figure 4 analog)."""

@@ -79,11 +79,12 @@ class PatchRecipe:
 
     ``plan`` is the multi-output group plan that produced the view;
     ``dyn`` is the dynamic-function table it was executed with.
-    ``structure`` is the structural half of the view's digest (child
-    views embedded by digest), used to detect stale entries and to
-    re-key the repaired entry; ``input_digests`` maps the plan's input
-    view ids to the digests their data was read under, so re-execution
-    can resolve the same (or re-keyed) children from the cache.
+    ``structure`` is what the view's digest hashes besides its node
+    relation's fingerprint — ``(source, shape digest, child digests)``
+    — used to detect stale entries and to re-key the repaired entry;
+    ``input_digests`` maps the plan's input view ids to the digests
+    their data was read under, so re-execution can resolve the same (or
+    re-keyed) children from the cache.
     """
 
     plan: GroupPlan

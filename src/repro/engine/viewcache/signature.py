@@ -17,10 +17,17 @@ views across batches, models, and sessions.
 
 Canonicalization choices:
 
+* a digest has two halves: the view's *shape* (:func:`view_shapes`:
+  group-by, coefficients, functions, and references into child views
+  by the children's shapes), which depends only on the plan and the
+  dyn binding, and per database version the node relation's
+  fingerprint plus the children's digests in shape order
+  (:func:`structure_digest`).  A shape is built once per plan and
+  binding, so a new database version costs one short hash per view;
 * view ids never enter a signature — a :class:`ViewRef` contributes the
-  *digest* of the referenced view plus the referenced column position,
-  so two plans built independently (with different id spaces) agree on
-  structurally equal views;
+  shape of the referenced view plus the referenced column position, and
+  children are ordered by shape, so two plans built independently (with
+  different id spaces) agree on structurally equal views;
 * the view's ``target`` node is deliberately excluded: the edge a view
   flows along affects where its data is *consumed*, not what the data
   *is*, so views from differently-rooted plans can still share;
@@ -109,17 +116,39 @@ def dyn_binding_key(dyn: Sequence[Function]) -> tuple:
 
 
 @dataclass(frozen=True)
+class ViewShape:
+    """The data-independent half of a view's content address.
+
+    ``digest`` hashes the view's source, group-by and aggregate columns
+    (coefficient, factor functions under this run's dyn binding, and
+    references into child views by the *children's shape digests*);
+    ``children`` are the ids of the views it reads, one per distinct
+    child shape, in shape-digest order.  Within one database version
+    equal shapes hold equal data, so that order never depends on
+    plan-local view ids.  A shape depends only on the plan and the dyn
+    binding: it is built once and reused for every database version.
+    """
+
+    digest: str
+    source: str
+    children: Tuple[int, ...]
+    relations: frozenset
+    cacheable: bool
+
+
+@dataclass(frozen=True)
 class ViewSignature:
     """The content address of one view.
 
     ``digest`` is the cache key; ``relations`` names every base relation
     the view's data depends on (the invalidation footprint);
     ``cacheable`` is False when any factor in the view's subtree has no
-    trustworthy content identity (UDFs).  ``structure`` is the
-    structural half of the digest — ``(source, group_by, agg_parts)``
-    with child views embedded by digest — which lets the cache *re-key*
-    a delta-patched view against the updated relation fingerprint (and,
-    for interior views, the re-keyed child digests) without replanning.
+    trustworthy content identity (UDFs).  ``structure`` is what the
+    digest hashes besides the node relation's fingerprint —
+    ``(source, shape digest, child digests in shape order)`` — which
+    lets the cache *re-key* a delta-patched view against the updated
+    relation fingerprint (and, for interior views, the re-keyed child
+    digests) without replanning.
     """
 
     digest: str
@@ -128,64 +157,45 @@ class ViewSignature:
     structure: Optional[tuple] = None
 
 
-def view_digest(
-    source: str,
-    relation_fp: str,
-    group_by: Tuple[str, ...],
-    agg_parts: tuple,
-) -> str:
-    """The digest formula, shared with re-keying after deltas."""
-    payload = repr(("view", source, relation_fp, group_by, agg_parts))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def structure_digest(structure: tuple, relation_fp: str) -> str:
-    """Digest of a view's structure against a node fingerprint."""
-    source, group_by, agg_parts = structure
-    return view_digest(source, relation_fp, group_by, agg_parts)
+    """The digest formula: H(shape, node fingerprint, child digests).
+
+    One formula for :func:`view_signatures` and for re-keying repaired
+    views after deltas.
+    """
+    _, shape, children = structure
+    payload = "\0".join(("view", shape, relation_fp) + children)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def rekey_structure(structure: tuple, rekey: Mapping[str, str]) -> tuple:
     """Substitute re-keyed child digests into a view structure.
 
     After a delta patches child views in place, their digests change;
-    a parent's structure embeds them inside its ``agg_parts``, so the
-    parent's new content address is the digest of this substituted
-    structure.  Child references stay sorted by content, matching what
-    :func:`view_signatures` would compute from scratch.
+    the parent's new content address is the digest of its structure
+    with those substituted.  Children stay in shape order, matching
+    what :func:`view_signatures` computes from scratch.
     """
-    source, group_by, agg_parts = structure
-    new_parts = []
-    for coefficient, func_sigs, ref_parts in agg_parts:
-        new_refs = tuple(
-            sorted(
-                (rekey.get(digest, digest), agg_index)
-                for digest, agg_index in ref_parts
-            )
-        )
-        new_parts.append((coefficient, func_sigs, new_refs))
-    return (source, group_by, tuple(new_parts))
+    source, shape, children = structure
+    return (source, shape, tuple(rekey.get(d, d) for d in children))
 
 
-def view_signatures(
+def view_shapes(
     views: Sequence[View],
-    database: Database,
     dyn_slots: Optional[Mapping[int, int]] = None,
     dyn: Sequence[Function] = (),
-) -> Dict[int, ViewSignature]:
-    """Content signatures for every view of a decomposed batch.
-
-    Signatures are computed bottom-up over the reference DAG; a view's
-    ``relations`` set is the union of its node relation and its
-    children's sets (the subtree of the join tree it aggregates over).
+) -> Dict[int, ViewShape]:
+    """The shape of every view of a decomposed batch under one binding.
 
     ``dyn_slots`` (planning-time ``id(function) -> slot``) and ``dyn``
     (this run's slot bindings) resolve dynamic functions to the values
     execution will actually use; a dynamic function whose binding is
     unknown poisons its view's cacheability rather than risking a
-    stale-value hit.
+    stale-value hit.  A view's ``relations`` set is the union of its
+    node relation and its children's sets (the subtree of the join tree
+    it aggregates over).
     """
-    memo: Dict[int, ViewSignature] = {}
+    memo: Dict[int, ViewShape] = {}
     slots = dict(dyn_slots or {})
 
     def function_sig(function: Function) -> Tuple[bool, tuple]:
@@ -202,13 +212,14 @@ def view_signatures(
             return function_content_signature(dyn[slot])
         return function_content_signature(function)
 
-    def signature(view_id: int) -> ViewSignature:
+    def shape(view_id: int) -> ViewShape:
         cached = memo.get(view_id)
         if cached is not None:
             return cached
         view = views[view_id]
         cacheable = True
         relations = {view.source}
+        children: Dict[str, int] = {}  # shape digest -> one child id
         agg_parts = []
         for spec in view.aggregates:
             func_sigs = []
@@ -218,9 +229,10 @@ def view_signatures(
                 func_sigs.append(func_sig)
             ref_parts = []
             for ref in spec.refs:
-                child = signature(ref.view_id)
+                child = shape(ref.view_id)
                 cacheable = cacheable and child.cacheable
                 relations |= child.relations
+                children.setdefault(child.digest, ref.view_id)
                 ref_parts.append((child.digest, ref.agg_index))
             # sort refs by content, never by plan-local view id — two
             # plans assigning flipped ids to equal children must agree
@@ -231,17 +243,61 @@ def view_signatures(
                     tuple(sorted(ref_parts)),
                 )
             )
-        structure = (view.source, view.group_by, tuple(agg_parts))
-        digest = view_digest(
-            view.source,
-            relation_fingerprint(database.relation(view.source)),
-            view.group_by,
-            tuple(agg_parts),
+        payload = repr(
+            ("shape", view.source, view.group_by, tuple(agg_parts))
         )
-        memo[view_id] = ViewSignature(
-            digest=digest,
+        memo[view_id] = ViewShape(
+            digest=hashlib.sha256(payload.encode()).hexdigest(),
+            source=view.source,
+            children=tuple(children[d] for d in sorted(children)),
             relations=frozenset(relations),
             cacheable=cacheable,
+        )
+        return memo[view_id]
+
+    for view in views:
+        shape(view.id)
+    return memo
+
+
+def view_signatures(
+    views: Sequence[View],
+    database: Database,
+    dyn_slots: Optional[Mapping[int, int]] = None,
+    dyn: Sequence[Function] = (),
+    *,
+    shapes: Optional[Mapping[int, ViewShape]] = None,
+) -> Dict[int, ViewSignature]:
+    """Content signatures for every view of a decomposed batch.
+
+    A view's digest is :func:`structure_digest` over its shape, its
+    node relation's fingerprint and its children's digests, computed
+    bottom-up over the reference DAG.  ``shapes`` are the views' shapes
+    under this run's binding (:func:`view_shapes`, built from
+    ``dyn_slots`` and ``dyn`` when omitted); a caller that keeps them
+    hashes only fingerprints and digests per database version.
+    """
+    if shapes is None:
+        shapes = view_shapes(views, dyn_slots, dyn)
+    memo: Dict[int, ViewSignature] = {}
+
+    def signature(view_id: int) -> ViewSignature:
+        cached = memo.get(view_id)
+        if cached is not None:
+            return cached
+        shape = shapes[view_id]
+        structure = (
+            shape.source,
+            shape.digest,
+            tuple(signature(child).digest for child in shape.children),
+        )
+        memo[view_id] = ViewSignature(
+            digest=structure_digest(
+                structure,
+                relation_fingerprint(database.relation(shape.source)),
+            ),
+            relations=shape.relations,
+            cacheable=shape.cacheable,
             structure=structure,
         )
         return memo[view_id]

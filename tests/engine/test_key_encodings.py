@@ -233,6 +233,52 @@ class TestDeltasReplaceTheMemo:
         assert cache.stats().patches > 0
 
 
+class TestCachedViewsEncodeOnce:
+    """A view joined or grouped on by every delta run keeps its key
+    encodings, as a relation does: a root delta's repair re-encodes no
+    cached view it reads."""
+
+    def test_a_root_delta_reencodes_no_cached_view(
+        self, tiny_retailer, monkeypatch
+    ):
+        ds = tiny_retailer
+        engine = IncrementalEngine(ds.database, ds.join_tree)
+        batch = paper_batches(ds, engine.engine)[0]  # covar
+        engine.run(batch)
+        rng = np.random.default_rng(0)
+
+        def root_delta():
+            fact = engine.database.relation(engine.root)
+            rows = rng.integers(0, fact.n_rows, 3)
+            return DeltaBatch.insert(
+                engine.root,
+                {a: fact.column(a)[rows] for a in fact.schema.names},
+            )
+
+        engine.apply_delta(root_delta())
+        cache = engine.view_cache
+        repaired = set(cache.entries_containing(engine.root))
+        unchanged = {
+            id(column)
+            for digest in cache.digests()
+            if digest not in repaired
+            for column in cache.peek(digest).key_cols
+        }
+        assert unchanged
+        encoded = []
+        real = ops.factorize
+
+        def recording(column):
+            encoded.append(id(column))
+            return real(column)
+
+        monkeypatch.setattr(ops, "factorize", recording)
+        report = engine.apply_delta(root_delta())
+        assert report.all_incremental and report.views_patched > 0
+        assert encoded  # the delta partition is a new relation
+        assert not unchanged & set(encoded)
+
+
 class TestTheMemoStaysInProcess:
     def test_pickling_a_relation_drops_it(self, toy_db):
         relation = toy_db.relation("Sales").rename("Sales")

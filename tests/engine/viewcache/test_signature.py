@@ -3,13 +3,23 @@
 import numpy as np
 import pytest
 
-from repro import LMFAO, Aggregate, Delta, Query, QueryBatch, Udf, ViewCache
+from repro import (
+    LMFAO,
+    Aggregate,
+    Delta,
+    IncrementalEngine,
+    Query,
+    QueryBatch,
+    Udf,
+    ViewCache,
+)
 from repro.data.database import DeltaBatch
 from repro.engine.views import AggregateSpec, View, ViewRef
 from repro.engine.viewcache.signature import (
     database_fingerprint,
     structure_digest,
     relation_fingerprint,
+    view_shapes,
     view_signatures,
 )
 
@@ -261,3 +271,101 @@ class TestStructure:
             assert sig.structure is not None
             fp = relation_fingerprint(toy_db.relation(view.source))
             assert structure_digest(sig.structure, fp) == sig.digest
+
+
+def sample_rows(relation, rng, n=2):
+    rows = rng.integers(0, relation.n_rows, n)
+    return {a: relation.column(a)[rows] for a in relation.schema.names}
+
+
+class TestShapes:
+    """A digest is H(shape, node fingerprint, child digests in shape
+    order); shapes depend on the plan and the binding only."""
+
+    def test_a_second_database_version_builds_no_shape(
+        self, toy_db, monkeypatch
+    ):
+        from repro.engine import engine as engine_module
+
+        builds = []
+        real = engine_module.view_shapes
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "view_shapes", counting)
+        engine = IncrementalEngine(toy_db)
+        batch = count_batch()
+        engine.run(batch)
+        assert len(builds) == 1
+        for relation in ("Sales", "Oil"):
+            engine.apply_delta(
+                DeltaBatch.insert(
+                    relation,
+                    sample_rows(
+                        engine.database.relation(relation),
+                        np.random.default_rng(0),
+                    ),
+                )
+            )
+            assert engine.run(batch).cache_report.n_misses == 0
+        assert len(builds) == 1
+        # a re-binding is a new shape, built once
+        engine.run(threshold_batch(5.0))
+        engine.run(threshold_batch(7.0))
+        engine.run(threshold_batch(7.0))
+        assert len(builds) == 3
+
+    def test_signatures_reuse_the_shapes_they_are_given(self, toy_db):
+        plan = LMFAO(toy_db).plan(count_batch())
+        views = plan.decomposed.views
+        shapes = view_shapes(views)
+        assert view_signatures(views, toy_db, shapes=shapes) == (
+            view_signatures(views, toy_db)
+        )
+
+    @pytest.mark.parametrize(
+        "fixture", ["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"]
+    )
+    def test_rekeyed_digests_equal_fresh_signatures(self, request, fixture):
+        """After a root delta and then a dimension delta, the repaired
+        cache holds exactly the digests a from-scratch signature pass
+        over the updated database computes."""
+        from repro.ml import CovarBatch
+
+        from .test_fusion import regression_label
+
+        ds = request.getfixturevalue(fixture)
+        label = regression_label(ds)
+        batch = CovarBatch(
+            [f for f in ds.continuous_features if f != label][:3],
+            list(ds.categorical_features)[:2],
+            label,
+        ).batch
+        engine = IncrementalEngine(ds.database, ds.join_tree)
+        engine.run(batch)
+        plan = engine.engine.plan(batch)
+        rng = np.random.default_rng(7)
+        dimension = next(
+            rel.name for rel in ds.database
+            if rel.name != engine.root
+            and any(
+                engine.root in sig.relations and rel.name in sig.relations
+                for sig in view_signatures(
+                    plan.decomposed.views, ds.database
+                ).values()
+            )
+        )
+        for relation in (engine.root, dimension):
+            report = engine.apply_delta(
+                DeltaBatch.insert(
+                    relation,
+                    sample_rows(engine.database.relation(relation), rng),
+                )
+            )
+            assert report.views_evicted == 0 and report.views_patched > 0
+            fresh = view_signatures(plan.decomposed.views, engine.database)
+            assert set(engine.view_cache.digests()) == {
+                sig.digest for sig in fresh.values()
+            }

@@ -1,9 +1,15 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -127,6 +133,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "join tree:" in out and "Table 2 row:" in out
 
+    def test_plan_shows_each_groups_liveness(self, capsys):
+        from repro import LMFAO
+        from repro.__main__ import _build_workload
+        from repro.datasets import retailer
+
+        assert main(["--scale", "0.05", "plan", "retailer", "covar"]) == 0
+        shown = {
+            int(group): (int(steps), int(live))
+            for group, steps, live in re.findall(
+                r"group (\d+) @ \w+ computes views \[[\d, ]*\]  "
+                r"steps: (\d+), peak live arrays: (\d+)",
+                capsys.readouterr().out,
+            )
+        }
+        ds = retailer(scale=0.05)
+        engine = LMFAO(ds.database, ds.join_tree)
+        plan = engine.plan(_build_workload(ds, engine, "covar"))
+        assert shown == {
+            p.group.id: (len(p.steps), p.peak_live) for p in plan.group_plans
+        }
+        # liveness is what keeps a group's arrays below its step count
+        assert all(live < steps for steps, live in shown.values())
+
     def test_sql_covar(self, capsys):
         assert main(["--scale", "0.05", "sql", "favorita", "covar"]) == 0
         out = capsys.readouterr().out
@@ -200,3 +229,85 @@ class TestServeCli:
             server.shutdown()
             server.server_close()
             service.close()
+
+
+def start_server(data_dir, port_holder):
+    """``repro serve favorita --data-dir`` in a child that starts with
+    SIGINT ignored, as a background job of a non-interactive shell does;
+    returns the process once it has printed the port it serves on."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "--scale", "0.05",
+            "serve", "favorita", "--port", "0", "--data-dir", str(data_dir),
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    lines = []
+    for line in process.stdout:
+        lines.append(line)
+        match = re.search(r"on http://[\d.]+:(\d+)", line)
+        if match:
+            port_holder.append(int(match.group(1)))
+            return process, lines
+    process.wait(timeout=60)
+    raise AssertionError("".join(lines))
+
+
+def stop_with_sigterm(process, lines):
+    process.send_signal(signal.SIGTERM)
+    try:
+        out, _ = process.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        process.kill()  # never leave a server behind
+        process.communicate()
+        raise
+    return process.returncode, "".join(lines) + out
+
+
+class TestServeShutdown:
+    """A server whose SIGINT is ignored still shuts down cleanly on
+    SIGTERM: it drains, closes its WAL, and restarts at the same epoch."""
+
+    def test_sigterm_stops_a_server_that_ignores_sigint(self, tmp_path):
+        from repro.server import AnalyticsClient
+
+        ports = []
+        process, lines = start_server(tmp_path, ports)
+        try:
+            status = Path(f"/proc/{process.pid}/status")
+            if status.exists():
+                ignored = re.search(
+                    r"^SigIgn:\s*([0-9a-f]+)$", status.read_text(), re.M
+                )
+                assert int(ignored.group(1), 16) & (1 << (signal.SIGINT - 1))
+            client = AnalyticsClient(port=ports[0], retries=2)
+            client.wait_ready(timeout=120)
+            row = {"date": [1], "store": [1], "item": [1],
+                   "units": [5.0], "promo": [0]}
+            assert client.delta("favorita", "Sales", inserts=row)[
+                "epoch"
+            ] == 1
+        finally:
+            code, out = stop_with_sigterm(process, lines)
+        assert code == 0, out
+        assert "shutting down" in out
+
+        ports = []
+        process, lines = start_server(tmp_path, ports)
+        try:
+            client = AnalyticsClient(port=ports[0], retries=2)
+            client.wait_ready(timeout=120)
+            stats = client.stats()["datasets"]["favorita"]
+            assert stats["epoch"] == 1, stats
+            assert stats["storage"]["recovery"]["replayed_commits"] == 1
+        finally:
+            code, out = stop_with_sigterm(process, lines)
+        assert code == 0, out
