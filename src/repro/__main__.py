@@ -439,7 +439,8 @@ def cmd_serve(args) -> int:
 
     # graceful SIGTERM (the deploy/orchestrator signal): break out of
     # serve_forever, then the finally block drains in-flight coalescer
-    # batches and fsyncs+closes the WAL before the process exits
+    # batches, spills the repaired views only memory holds, and
+    # fsyncs+closes the WAL before the process exits
     def _on_sigterm(signum, frame):
         raise SystemExit(0)
 
@@ -451,7 +452,7 @@ def cmd_serve(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
         server.server_close()
-        service.close()  # drains the coalescer, fsyncs + closes storage
+        service.close()  # drain, spill repaired views, close storage
     return 0
 
 

@@ -362,7 +362,7 @@ class LMFAO:
                 if not sig.cacheable:
                     report.events[view.id] = "uncacheable"
                     continue
-                data = cache.get(sig.digest)
+                data = cache.get(sig.digest, database=db)
                 if data is None:
                     report.events[view.id] = "miss"
                 else:

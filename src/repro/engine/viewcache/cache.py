@@ -31,14 +31,18 @@ signatures will compute (updated relation fingerprint at the changed
 node, substituted child digests above it), so patches replace
 evictions throughout the DAG.  Entries whose footprint does not
 contain the updated relation keep their digests — their content
-addresses still match — and survive.
+addresses still match — and survive.  A repaired entry lives in memory
+only: the next delta re-keys it again, so writing it to the second
+tier would only leave garbage there.  It reaches disk when the LRU
+evicts it or at :meth:`ViewCache.flush`.
 
 Admission is epoch-gated: each delta advances a per-relation
 fingerprint watermark, and a :meth:`ViewCache.put` offered from an
 older database version (a reader pinned to a pre-delta epoch snapshot
 finishing after the commit) is rejected — counted as a
 ``stale_reject`` — rather than admitted only to be evicted, unpatchable,
-by the next delta.
+by the next delta.  The same holds for a disk hit such a reader finds
+through :meth:`ViewCache.get`: it is served, not admitted.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ class CacheStats:
     rejects: int = 0  # entries larger than the whole budget
     stale_rejects: int = 0  # admissions from a pre-delta database version
     warm_hits: int = 0  # hits served from the persistent second tier
-    spills: int = 0  # entries written through to the second tier
+    spills: int = 0  # entries written to the second tier
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -130,6 +134,7 @@ class _Entry:
     data: ViewData
     nbytes: int
     recipe: Optional[PatchRecipe] = None
+    on_disk: bool = False  # the second tier holds this digest's data
 
 
 @dataclass
@@ -182,12 +187,15 @@ class ViewCache:
     ``store`` (optional) attaches a persistent second tier — any object
     with ``save(sig, data) -> bool`` and ``load(digest) ->
     Optional[(sig, data)]``, e.g. a
-    :class:`~repro.storage.cachestore.CacheStore`.  Cacheable entries
-    are written through on :meth:`put`, and an in-memory miss probes
-    the store before reporting a miss: a disk hit is admitted back into
-    memory and counted as a *warm hit*.  Entries revived from disk
-    carry no patch recipe, so a later delta evicts rather than repairs
-    them — always safe, merely less incremental.
+    :class:`~repro.storage.cachestore.CacheStore`.  A cold admission
+    through :meth:`put` is written through, so a process killed right
+    after it computed a view restarts warm.  A view repaired by
+    :meth:`on_delta` stays in memory until the LRU evicts it or
+    :meth:`flush` runs.  An in-memory miss probes the store before
+    reporting a miss: a disk hit is admitted back into memory and
+    counted as a *warm hit*.  Entries revived from disk carry no patch
+    recipe, so a later delta evicts rather than repairs them — always
+    safe, merely less incremental.
     """
 
     def __init__(
@@ -252,12 +260,15 @@ class ViewCache:
 
     # -- lookup / insert ---------------------------------------------------
 
-    def get(self, digest: str) -> Optional[ViewData]:
+    def get(self, digest: str, *, database=None) -> Optional[ViewData]:
         """The cached view for a digest, or None (counts hit/miss).
 
         An in-memory miss probes the persistent second tier when one is
         attached; a disk hit is admitted back into memory and counted
-        as both a hit and a ``warm_hit``.
+        as both a hit and a ``warm_hit``.  ``database`` (optional) names
+        the version the caller reads, as in :meth:`put`: a disk hit
+        that predates the last applied delta is served but not
+        admitted, and counts as a ``stale_reject``.
         """
         with self._lock:
             entry = self._entries.get(digest)
@@ -274,10 +285,13 @@ class ViewCache:
                 self._stats.misses += 1
             return None
         sig, data = loaded
-        self._admit(sig, data, recipe=None)
+        stale = database is not None and self._stale_admission(sig, database)
+        if not stale:
+            self._admit(sig, data, on_disk=True)
         with self._lock:
             self._stats.hits += 1
             self._stats.warm_hits += 1
+            self._stats.stale_rejects += stale
         return data
 
     def peek(self, digest: str) -> Optional[ViewData]:
@@ -302,6 +316,7 @@ class ViewCache:
         cacheable entries are also written through to disk — including
         budget-rejected ones, since the disk tier is typically larger
         than memory and a spilled entry still serves warm restarts.
+        (:meth:`on_delta` admits repaired views to memory only.)
 
         ``database`` (optional) names the database version the view was
         computed from.  When given, the admission is rejected — counted
@@ -317,11 +332,8 @@ class ViewCache:
             with self._lock:
                 self._stats.stale_rejects += 1
             return False
-        admitted = self._admit(sig, data, recipe=recipe)
-        if self._store is not None and self._store.save(sig, data):
-            with self._lock:
-                self._stats.spills += 1
-        return admitted
+        on_disk = self._spill([(sig, data)]) > 0
+        return self._admit(sig, data, recipe=recipe, on_disk=on_disk)
 
     def _stale_admission(self, sig: ViewSignature, database) -> bool:
         """Whether an offered entry predates the last applied delta.
@@ -352,8 +364,14 @@ class ViewCache:
         sig: ViewSignature,
         data: ViewData,
         recipe: Optional[PatchRecipe] = None,
+        *,
+        on_disk: bool = False,
     ) -> bool:
-        """Insert into the in-memory tier only (no write-through)."""
+        """Insert into the in-memory tier (no write-through).
+
+        ``on_disk`` says whether the second tier already holds the
+        entry; LRU victims it does not hold are spilled on the way out.
+        """
         nbytes = view_nbytes(data)
         with self._lock:
             if nbytes > self.budget_bytes:
@@ -363,18 +381,49 @@ class ViewCache:
             if old is not None:
                 self._bytes -= old.nbytes
             self._entries[sig.digest] = _Entry(
-                sig=sig, data=data, nbytes=nbytes, recipe=recipe
+                sig=sig,
+                data=data,
+                nbytes=nbytes,
+                recipe=recipe,
+                on_disk=on_disk,
             )
             self._bytes += nbytes
             self._stats.puts += 1
-            self._shrink_locked()
+            victims = []
+            while self._bytes > self.budget_bytes:
+                _, victim = self._entries.popitem(last=False)
+                self._bytes -= victim.nbytes
+                self._stats.evictions += 1
+                if not victim.on_disk:
+                    victims.append((victim.sig, victim.data))
+        self._spill(victims)
         return True
 
-    def _shrink_locked(self) -> None:
-        while self._bytes > self.budget_bytes:
-            _, victim = self._entries.popitem(last=False)
-            self._bytes -= victim.nbytes
-            self._stats.evictions += 1
+    def _spill(self, views: List[Tuple[ViewSignature, ViewData]]) -> int:
+        """Write views to the second tier; returns how many it took."""
+        if self._store is None:
+            return 0
+        saved = sum(1 for sig, data in views if self._store.save(sig, data))
+        if saved:
+            with self._lock:
+                self._stats.spills += saved
+        return saved
+
+    def flush(self) -> int:
+        """Write every entry the second tier does not hold yet.
+
+        The graceful-shutdown hook: views repaired since they were
+        admitted live in memory only, and a restart after a flush serves
+        them warm.  Returns how many entries were written; the cache
+        stays usable.
+        """
+        if self._store is None:
+            return 0
+        with self._lock:
+            dirty = [e for e in self._entries.values() if not e.on_disk]
+            for entry in dirty:
+                entry.on_disk = True
+        return self._spill([(entry.sig, entry.data) for entry in dirty])
 
     # -- invalidation ------------------------------------------------------
 
@@ -575,7 +624,9 @@ class ViewCache:
             input_digests=input_key,
         )
         self._evict_entry(digest, count=False)
-        if not self.put(new_sig, data, recipe=new_recipe):
+        # memory only: the next delta re-keys it again (see the module
+        # docstring); it reaches disk on LRU eviction or flush()
+        if not self._admit(new_sig, data, recipe=new_recipe):
             # e.g. the repaired view outgrew the budget
             with self._lock:
                 self._stats.invalidations += 1

@@ -16,7 +16,11 @@ Endpoints (all JSON):
   shared;
 * ``POST /delta`` — ``{"dataset": ..., "relation": ...,
   "inserts": {col: [...]}, "delete_indices": [...]}``; commits a new
-  epoch and reports the IVM maintenance modes.
+  epoch and reports the IVM maintenance modes.  Before it answers, it
+  serialises each answer the commit published in the forms the
+  previous epoch's answer had been served in
+  (:func:`encode_answers`), so the first read of the new epoch is a
+  concatenation like every other.
 
 Errors map to conventional status codes: unknown dataset/relation →
 404, malformed requests → 400 (an unknown *workload* is malformed — the
@@ -95,18 +99,11 @@ def query_response_payload(
     }
 
 
-def query_response_body(
-    response: QueryResponse, include_data: bool
-) -> bytes:
-    """The ``/query`` response body: ``json.dumps`` of the payload, byte
-    for byte, with each workload's ``results`` entry serialised once.
-
-    The entry is kept on the :class:`~repro.server.service.Answer` it
-    encodes, so every later response that carries the same answer — the
-    workload alone or as a member of any multi-workload request, at that
-    epoch — is a concatenation; only answers not yet encoded in this
-    form go through :func:`query_response_payload` and ``json.dumps``.
-    """
+def encode_answers(response: QueryResponse, include_data: bool) -> None:
+    """Serialise each of a response's answers not yet encoded in this
+    form: its ``results`` entry goes through
+    :func:`query_response_payload` and ``json.dumps`` once, and is kept
+    on the :class:`~repro.server.service.Answer`."""
     fresh = {
         name: answer
         for name, answer in response.answers.items()
@@ -118,6 +115,20 @@ def query_response_body(
         )
         for name, section in payload["results"].items():
             fresh[name].encoded[include_data] = json.dumps(section).encode()
+
+
+def query_response_body(
+    response: QueryResponse, include_data: bool
+) -> bytes:
+    """The ``/query`` response body: ``json.dumps`` of the payload, byte
+    for byte, with each workload's ``results`` entry serialised once.
+
+    The entry is kept on the :class:`~repro.server.service.Answer` it
+    encodes (:func:`encode_answers`), so every later response that
+    carries the same answer — the workload alone or as a member of any
+    multi-workload request, at that epoch — is a concatenation.
+    """
+    encode_answers(response, include_data)
     return b"".join(
         (
             json.dumps(_envelope(response)).encode()[:-1],
@@ -286,6 +297,11 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
     def _handle_delta(self, body: dict) -> None:
         dataset, delta = delta_from_payload(body)
         response = self.service.apply_delta(dataset, delta)
+        for include_data, answers in response.encode.items():
+            published = QueryResponse(
+                dataset, tuple(answers), response.epoch, answers
+            )
+            encode_answers(published, include_data)
         self._send_json(
             200,
             {

@@ -22,7 +22,8 @@ snapshot isolation).
 The shared :class:`ViewCache` stays consistent across epochs *by
 construction*: its keys are content addresses over relation
 fingerprints, so a reader pinned to an old epoch simply misses entries
-the delta commit re-keyed (and recomputes from its own snapshot), while
+the delta commit re-keyed (and recomputes from its own snapshot, or
+reads its disk tier without admitting what it finds there), while
 readers at the new epoch hit the delta-patched views immediately.
 
 **Request coalescing.**  Queries are admitted through a
@@ -40,18 +41,31 @@ is a hit for the next.
 **The answer memo.**  Between two commits an answer cannot change, and
 the :class:`Epoch` object already marks exactly when it stops being
 valid.  So each published epoch carries, per registered workload, the
-assembled :class:`~repro.engine.engine.BatchResult` the coalesced path
-computed *at that epoch* (an :class:`Answer`) and — filled lazily by
-:mod:`repro.server.http` — its serialised ``results`` fragment per
-``include_data`` flag.  :meth:`AnalyticsService.query` captures
-``state.epoch`` once; when every requested workload is resident there
-it answers on the caller's thread (``batch_size=1``, ``seconds=0.0``:
-nothing ran) — no coalescer, plan probe, signatures, cache gets
-or assemble, and a multi-workload request is the concatenation of its
-members' answers.  Anything else — a cold workload, the first read
-after a delta, a partially resident request — goes
+assembled :class:`~repro.engine.engine.BatchResult` computed *at that
+epoch* (an :class:`Answer`) and — filled by :mod:`repro.server.http`
+when first served, or at the commit that published it — its serialised
+``results`` fragment per ``include_data`` flag.
+:meth:`AnalyticsService.query` captures ``state.epoch`` once; when
+every requested workload is resident there it answers on the caller's
+thread (``batch_size=1``, ``seconds=0.0``: nothing ran) — no
+coalescer, plan probe, signatures, cache gets or assemble, and a
+multi-workload request is the concatenation of its members' answers.
+Anything else — a cold workload, a partially resident request — goes
 through the coalescer whole, where a backlog has execution to share;
-that is the one miss path and it is what fills the memo.
+that is the one miss path.
+
+**Answers are published at commit.**  A delta does not empty the memo:
+:meth:`AnalyticsService.apply_delta` computes the next epoch's answer
+for every workload resident in the previous epoch's memo, after view
+repair and the WAL append and before the epoch swap, so the first read
+after a delta is a memo hit like any other.  The commit computes an
+answer the way the coalescer does (:meth:`AnalyticsService._answer`:
+one engine run per distinct answer, over views the repair just
+re-keyed).  Two kinds of workload are left to the miss path: one whose
+dynamic functions were re-bound since its answer was stored, and one
+with ``Udf`` views, which no cache holds, so publishing it would re-run
+it from scratch inside every commit.  A workload whose answer fails to
+compute stays a miss too; the commit stands.
 
 The memo needs no invalidation, budget or TTL because it is reachable
 only from its epoch: it dies with the epoch object, a reader pinned to
@@ -187,11 +201,18 @@ class QueryResponse:
 
 @dataclass
 class DeltaResponse:
-    """One committed delta batch: the new epoch plus the IVM report."""
+    """One committed delta batch: the new epoch plus the IVM report.
+
+    ``encode`` holds the answers the commit published, grouped by each
+    ``include_data`` form their predecessors had been served in: what
+    the HTTP layer serialises before it acknowledges the commit, so
+    that no read of the new epoch pays for it.
+    """
 
     dataset: str
     epoch: int
     report: DeltaReport
+    encode: Dict[bool, Dict[str, Answer]] = field(default_factory=dict)
 
 
 class _DatasetState:
@@ -241,6 +262,7 @@ class _DatasetState:
         self.count_lock = threading.Lock()
         self.memo_hits = 0
         self.executed = 0
+        self.published = 0  # answers computed at commit (write_lock)
         self.n_deltas = 0  # mutated only under write_lock
 
 
@@ -471,13 +493,6 @@ class AnalyticsService:
         the whole batch, so every coalesced request answers the same
         committed database version — and that captured epoch, never
         ``state.epoch``, is the one whose memo receives the answers.
-
-        An answer is identified by its batch's plan-cache key
-        (``structural_signature``), its aggregate names (the result's
-        column names, which that key leaves out) and its
-        :func:`answer_binding`, not by its workload name: one batch
-        registered under two names (the covar matrix served as both
-        ``covar`` and ``linreg``) runs once.
         """
         state = self._state(dataset)
         epoch = state.epoch  # atomic snapshot; pins the entire batch
@@ -491,19 +506,12 @@ class AnalyticsService:
         }
         start = time.perf_counter()
         results: Dict[tuple, BatchResult] = {}
-        answers = {}
-        for name in distinct:
-            batch = state.workloads[name]
-            key = (
-                batch.structural_signature(),
-                tuple(tuple(a.name for a in q.aggregates) for q in batch),
-                bindings[name],
+        answers = {
+            name: self._answer(
+                state, name, bindings[name], epoch.database, results
             )
-            if key not in results:
-                results[key] = state.engine.run(
-                    batch, database=epoch.database
-                )
-            answers[name] = Answer(results[key], bindings[name])
+            for name in distinct
+        }
         seconds = time.perf_counter() - start
         if state.cache is not None:  # cache_mb=0 caches nothing
             epoch.answers.update(answers)
@@ -521,6 +529,63 @@ class AnalyticsService:
             for payload in payloads
         ]
 
+    @staticmethod
+    def _answer(
+        state: _DatasetState,
+        name: str,
+        binding: tuple,
+        database: Database,
+        results: Dict[tuple, BatchResult],
+    ) -> Answer:
+        """One workload's answer at ``database``: the one way both the
+        coalescer and a commit compute answers.
+
+        ``results`` holds the runs the caller made so far, keyed by what
+        identifies an answer: the batch's plan-cache key
+        (``structural_signature``), its aggregate names (the result's
+        column names, which that key leaves out) and its
+        :func:`answer_binding` — not its workload name, so one batch
+        registered under two names (the covar matrix served as both
+        ``covar`` and ``linreg``) runs once.
+        """
+        batch = state.workloads[name]
+        key = (
+            batch.structural_signature(),
+            tuple(tuple(a.name for a in q.aggregates) for q in batch),
+            binding,
+        )
+        result = results.get(key)
+        if result is None:
+            result = results[key] = state.engine.run(
+                batch, database=database
+            )
+        return Answer(result, binding)
+
+    def _publish(
+        self, state: _DatasetState, previous: Epoch, epoch: Epoch
+    ) -> Dict[bool, Dict[str, Answer]]:
+        """Fill ``epoch``'s memo before it is published (module
+        docstring); returns the new answers grouped by the serialised
+        forms of their predecessors (:attr:`DeltaResponse.encode`)."""
+        results: Dict[tuple, BatchResult] = {}
+        encode: Dict[bool, Dict[str, Answer]] = {}
+        for name, old in list(previous.answers.items()):
+            binding = answer_binding(state.workloads[name])
+            if binding != old.binding or binding[1]:
+                continue  # re-bound since, or holds Udf views
+            try:
+                answer = self._answer(
+                    state, name, binding, epoch.database, results
+                )
+            except Exception:  # noqa: BLE001 - the read will retry it
+                continue
+            epoch.answers[name] = answer
+            for include_data in list(old.encoded):
+                encode.setdefault(include_data, {})[name] = answer
+        with state.count_lock:
+            state.published += len(epoch.answers)
+        return encode
+
     # -- updates -----------------------------------------------------------
 
     def apply_delta(
@@ -534,8 +599,10 @@ class AnalyticsService:
         addresses, with eviction only as a fallback; the returned
         :class:`~repro.engine.ivm.DeltaReport` carries one maintenance
         record per delta plus the per-view outcome counts
-        (``views_patched`` / ``views_evicted``).  The new
-        database version then becomes the next epoch with one atomic
+        (``views_patched`` / ``views_evicted``).  The next epoch's
+        answers are computed for every workload resident in the current
+        epoch's memo (module docstring), and the new database version
+        with those answers then becomes the next epoch with one atomic
         swap.  Queries already in flight keep reading their captured
         epoch.
 
@@ -548,6 +615,7 @@ class AnalyticsService:
         state = self._state(dataset)
         with state.write_lock:
             report = state.ivm.apply_delta(*deltas)
+            encode: Dict[bool, Dict[str, Answer]] = {}
             if report.n_changes:
                 next_epoch = state.epoch.number + 1
                 if state.storage is not None:
@@ -563,7 +631,9 @@ class AnalyticsService:
                         if state.cache is not None:
                             state.cache.clear()
                         raise
-                state.epoch = Epoch(next_epoch, state.ivm.database)
+                epoch = Epoch(next_epoch, state.ivm.database)
+                encode = self._publish(state, state.epoch, epoch)
+                state.epoch = epoch
                 state.n_deltas += 1
                 if (
                     state.storage is not None
@@ -579,7 +649,10 @@ class AnalyticsService:
                         state.epoch.database, state.epoch.number
                     )
             return DeltaResponse(
-                dataset=dataset, epoch=state.epoch.number, report=report
+                dataset=dataset,
+                epoch=state.epoch.number,
+                report=report,
+                encode=encode,
             )
 
     def compact(self, dataset: str) -> None:
@@ -620,6 +693,7 @@ class AnalyticsService:
             epoch = state.epoch
             with state.count_lock:
                 memo_hits, executed = state.memo_hits, state.executed
+                published = state.published
             resident = list(epoch.answers.values())
             datasets[state.name] = {
                 "epoch": epoch.number,
@@ -631,6 +705,7 @@ class AnalyticsService:
                 "answers": {
                     "memo_hits": memo_hits,
                     "executed": executed,
+                    "published": published,
                     "resident": len(resident),
                     "encoded_bytes": sum(
                         len(fragment)
@@ -677,16 +752,23 @@ class AnalyticsService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Drain the coalescer, then fsync+close storage.
+        """Drain the coalescer, spill the views only memory holds, then
+        fsync+close storage.
 
         Idempotent.  The coalescer drains first so in-flight batches
-        finish before the WAL handle closes.
+        finish before the WAL handle closes.  Views repaired by a
+        commit live in memory only (:class:`ViewCache`); writing them
+        out here is what lets a restart after a graceful shutdown serve
+        them warm.
         """
         self.coalescer.close()
         with self._registry_lock:
             states = list(self._states.values())
         for state in states:
             if state.storage is not None:
+                with state.write_lock:
+                    if state.cache is not None:
+                        state.cache.flush()
                 state.storage.close()
 
     def __enter__(self) -> "AnalyticsService":

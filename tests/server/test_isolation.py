@@ -202,11 +202,18 @@ def test_http_histories_match_committed_epochs(toy_db):
     errors = []
     done = threading.Event()
     mix = [[name] for name in WORKLOAD_NAMES] + [list(WORKLOAD_NAMES)]
+    executed_before_deltas = []
 
     def writer():
         client = AnalyticsClient(port=port)
         rng = np.random.default_rng(4)
         try:
+            # every reader has read every workload at epoch 0, so each
+            # is resident in its memo and no read is still executing
+            wait_for_a_read_each(histories, errors, reads=len(mix))
+            executed_before_deltas.append(
+                service.stats()["datasets"]["toy"]["answers"]["executed"]
+            )
             for step in range(N_DELTAS):
                 database = snapshots[step]
                 if step % 2 == 0:  # root: more rows in than out
@@ -301,6 +308,9 @@ def test_http_histories_match_committed_epochs(toy_db):
             if len(names) > 1:
                 fused_seen.add(epoch)
     assert fused_seen >= set(range(1, N_DELTAS + 1))
-    # and the history exercised both paths: repeat reads within an
-    # epoch were lookups, the first read after each commit was not
-    assert answers["memo_hits"] > 0 and answers["executed"] > N_DELTAS
+    # and only the reads before the first delta executed: each commit
+    # published every resident workload's answer, so every later read,
+    # the first after a commit included, was a lookup
+    assert answers["memo_hits"] > 0
+    assert answers["executed"] == executed_before_deltas[0]
+    assert answers["published"] == N_DELTAS * len(WORKLOAD_NAMES)

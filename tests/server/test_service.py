@@ -129,9 +129,9 @@ def counting_cache_gets(service):
     calls = [0]
     original = cache.get
 
-    def get(digest):
+    def get(digest, **kwargs):
         calls[0] += 1
-        return original(digest)
+        return original(digest, **kwargs)
 
     cache.get = get
     return calls
@@ -477,8 +477,8 @@ class TestStats:
             assert repeat.seconds > 0
             assert not svc.snapshot("toy").answers
             assert svc.stats()["datasets"]["toy"]["answers"] == {
-                "memo_hits": 0, "executed": 3, "resident": 0,
-                "encoded_bytes": 0,
+                "memo_hits": 0, "executed": 3, "published": 0,
+                "resident": 0, "encoded_bytes": 0,
             }
 
 
@@ -610,7 +610,8 @@ class TestAnswerMemo:
         assert service.coalescer.stats().submitted == submitted + 1
         assert mixed.seconds > 0
         assert answers_stats(service) == {
-            "memo_hits": 0, "executed": 2, "resident": 2, "encoded_bytes": 0,
+            "memo_hits": 0, "executed": 2, "published": 0, "resident": 2,
+            "encoded_bytes": 0,
         }
         # ... which made both resident
         assert service.query("toy", ["groupbys"], timeout=60).seconds == 0.0
