@@ -5,8 +5,10 @@ batches of inserts and retractions into the fact relation.  Each batch
 is absorbed by re-evaluating the unchanged plan over only the delta rows
 and merging into the cached views — results stay exactly in sync with a
 from-scratch run, at a fraction of the cost.  A final delta against a
-dimension table propagates instead: its own views merge, and the views
-above it re-run with the updated inputs.
+dimension table is merged at every level too: its own views merge the
+inserted rows, and each view above it runs only over the rows that join
+a changed key — once with the new inputs, once with the old — and
+merges the difference.
 
 Run:  python examples/incremental_updates.py
 """
@@ -113,7 +115,7 @@ def main() -> None:
             )
     print("maintained results match a from-scratch evaluation exactly")
 
-    print("\n== a delta on a dimension relation propagates up the DAG ==")
+    print("\n== a delta on a dimension relation merges up the DAG ==")
     dim = next(r.name for r in engine.database if r.name != fact)
     dim_rel = engine.database.relation(dim)
     sample = rng.integers(0, dim_rel.n_rows, 3)
@@ -126,7 +128,8 @@ def main() -> None:
     print(
         f"  delta on {dim!r}: {maintenance.mode} in "
         f"{maintenance.seconds:.4f}s ({report.views_patched} cached views "
-        f"repaired; its views feed the rest of the DAG)"
+        f"repaired; the views above it read only the {fact!r} rows that "
+        f"join a changed key)"
     )
     print(f"  lifetime counters: {engine.stats()}")
 

@@ -376,10 +376,10 @@ class LMFAO:
                     skip.add(group_plan.group.id)
                     continue
                 # remember how to repair this group's views after
-                # updates: leaf groups re-run over delta partitions,
-                # interior groups re-run over their node relation with
-                # the re-keyed child views (a cacheable view's inputs
-                # are all cacheable, so every input has a digest)
+                # updates: the group plan re-runs over what a delta can
+                # affect, resolving the re-keyed child views by digest
+                # (a cacheable view's inputs are all cacheable, so every
+                # input has a digest)
                 for vid in group_plan.group.view_ids:
                     sig = sigs[vid]
                     if sig.cacheable and sig.structure is not None:

@@ -111,19 +111,28 @@ def execute_plan(
     relation: Relation,
     incoming: Dict[int, ViewData],
     dyn: Sequence,
+    weights: Optional[np.ndarray] = None,
 ) -> Dict[int, ViewData]:
     """Run one group plan; returns the produced views by id.
 
     Steps dispatch on their exact type, most frequent first.  After each
     step the vars no later step reads (``plan.frees``) leave ``env``, so
     a run holds at most ``plan.peak_live`` arrays, not every step's.
+
+    ``weights`` (optional) gives each relation row a multiplicity: every
+    sum and count then weighs a context row by its relation row's
+    weight.  View repair runs a signed delta — inserted rows at +1,
+    retracted rows at -1 — this way, in one pass.
     """
     env: Dict[str, object] = {"_n_rel": relation.n_rows}
     produced: Dict[int, ViewData] = {}
     for step, dead in zip(plan.steps, plan.frees):
         kind = type(step)
         if kind is GroupSumStep:
-            env[step.out] = _group_sum(step, env)
+            if weights is None:
+                env[step.out] = _group_sum(step, env)
+            else:
+                env[step.out] = _weighted_sum(step, env, weights)
         elif kind is Gather:
             env[step.out] = _gather(step, relation, incoming, env)
         elif kind is MulStep:
@@ -223,3 +232,14 @@ def _group_sum(step: GroupSumStep, env: Dict[str, object]) -> np.ndarray:
         values = env[step.values]
         total = float(np.sum(values)) if len(values) else 0.0
     return np.asarray([total], dtype=np.float64)
+
+
+def _weighted_sum(
+    step: GroupSumStep, env: Dict[str, object], weights: np.ndarray
+) -> np.ndarray:
+    w = weights if step.base is None else weights[env[step.base]]
+    values = w if step.values is None else env[step.values] * w
+    if step.codes is not None:
+        n_groups = _n_groups(env[step.keys])
+        return ops.group_sums(env[step.codes], values, n_groups)
+    return np.asarray([float(np.sum(values))], dtype=np.float64)

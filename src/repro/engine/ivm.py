@@ -1,22 +1,26 @@
 """Incremental view maintenance (IVM): the commit facade over the view cache.
 
 Every LMFAO view aggregate is a SUM over context rows, which partition
-with the node relation's rows, so one delta rule maintains every view
-(cf. Berkholz et al., "Answering FO+MOD queries under updates"): re-run
-the unchanged group plan over the delta partition, merge the result into
-the materialized view (retractions negated), re-run the consumer groups
-above it.  That rule has one implementation, ``ViewCache.on_delta``, and
-a materialized view one home between runs, the ``ViewCache``.
+with the node relation's rows, and is linear in each incoming view, so
+one delta rule maintains every view (cf. Berkholz et al., "Answering
+FO+MOD queries under updates"): run the unchanged group plan over what
+the delta can affect and merge the result into the materialized view.
+At the updated relation that is the signed delta (retractions weigh
+-1); above it, the node relation's rows that join a changed child key,
+run with the new children minus run with the old.  That rule has one
+implementation, ``ViewCache.on_delta``, and a materialized view one
+home between runs, the ``ViewCache``.
 
 :class:`IncrementalEngine` turns a :class:`DeltaBatch` into a commit —
 apply it to the database, hand the applied delta to the cache — and
 records what the cache did with it, one :class:`DeltaMaintenance` each:
 
-* ``"incremental"`` — every affected cached view sits at the updated
-  relation and absorbed the delta by a pure merge;
-* ``"propagate"`` — at least one view was repaired by re-running its
-  group plan: a consumer above the updated relation, or a view at it
-  whose retraction could not be merged exactly (no support counts);
+* ``"incremental"`` — every affected cached view merged a delta (or,
+  its inputs unchanged, was only re-keyed);
+* ``"propagate"`` — at least one view re-ran its group plan over its
+  whole node relation, because a delta could not be merged exactly: a
+  keyed view without support counts under a retraction or a lost child
+  key, or a changed child key sharing no attribute with the relation;
 * ``"recompute"`` — the counted fallback: a view could not be repaired
   and was evicted (or no cache is attached); the next run recomputes it.
 """
@@ -68,8 +72,8 @@ class MaintenanceStats:
     """``GET /stats`` ``ivm``: incremental+propagated+fallbacks == deltas."""
 
     deltas: int = 0  # non-empty DeltaBatches applied
-    incremental: int = 0  # absorbed by pure merges at the updated node
-    propagated: int = 0  # repaired by re-running view groups
+    incremental: int = 0  # every affected view merged a delta
+    propagated: int = 0  # some view re-ran over its whole node relation
     fallbacks: int = 0  # left views to be recomputed by the next run
     last_fallback_reason: Optional[str] = None
 
@@ -99,8 +103,9 @@ class IncrementalEngine:
     that node's views — a hidden context-row count per group key — so a
     retraction there retires a key exactly when its support cancels to
     zero, and maintained views match a from-scratch run key-for-key.
-    Deltas on any other relation propagate through the affected cone of
-    the view DAG.  Relations keep user row order, as in every engine,
+    Deltas on any other relation are merged up the affected cone of the
+    view DAG, each view above the updated relation reading only the
+    node rows that join a changed child key.  Relations keep user row order, as in every engine,
     so ``delete_indices`` name the rows the caller observes.
 
     ``view_cache`` is where the maintained views live: pass one to share

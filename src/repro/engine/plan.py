@@ -235,6 +235,12 @@ class GroupSumStep:
     ``n_var`` holds the context length var for counts.  Aggregates whose
     row-level products and groups are equal share one step; what differs
     between them multiplies the sum (:class:`MulStep`).
+
+    ``base`` names the context's index into the relation's rows (``None``
+    when the context is the bare relation).  A weighted run — a signed
+    delta, each row carrying a multiplicity of +1 or -1 — reads each
+    context row's weight through it: it sums ``values * w[base]`` and
+    counts ``sum(w[base])``.
     """
 
     out: str
@@ -242,6 +248,7 @@ class GroupSumStep:
     keys: Optional[str]
     values: Optional[str]
     n_var: Optional[str]
+    base: Optional[str] = None
 
     @property
     def reads(self) -> Tuple[str, ...]:
@@ -251,6 +258,8 @@ class GroupSumStep:
             groups = (self.n_var,)  # a scalar count reads the length
         else:
             groups = ()
+        if self.base is not None:
+            groups += (self.base,)
         return groups if self.values is None else groups + (self.values,)
 
     @property
@@ -667,6 +676,7 @@ class GroupPlanBuilder:
                     keys=keys,
                     values=values,
                     n_var=ctx.n_var,
+                    base=ctx.base_idx,
                 )
             )
             self._sum_cache[cache_key] = out

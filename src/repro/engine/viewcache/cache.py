@@ -13,15 +13,22 @@ to :meth:`ViewCache.on_delta`, which touches exactly the entries whose
 relation footprint contains the updated relation, bottom-up through
 the reference DAG —
 
-* entries *at* the updated relation are **merged**: the cached group
-  plan is re-evaluated over only the delta partition and folded in with
-  :func:`~repro.engine.executor.store.merge_partials` (retractions as
-  negated payload, dead keys retired by support count; a retraction on
-  a view without support counts falls back to re-running the group
-  over the full updated relation);
-* *interior* entries above them are **re-run**: their group plan is
-  evaluated over its (unchanged) node relation with the already
-  re-keyed child views resolved from the cache;
+* entries *at* the updated relation **merge the signed delta**: the
+  cached group plan runs once over the inserted and retracted rows,
+  weighted +1 and -1, and the result is folded in with
+  :func:`~repro.engine.executor.store.merge_partials` (dead keys retired
+  by support count);
+* *interior* entries above them **merge a child delta**: a view is
+  linear in each incoming view, so its change is ``plan(R', V_new) -
+  plan(R', V_old)``, where ``R'`` holds the node relation's rows whose
+  shared key values match a child key whose aggregates or support
+  changed.  Every other row reads the same child rows in both runs and
+  cancels.  An entry whose children did not change is only re-keyed;
+* the counted fallback **re-runs** the group plan over the whole node
+  relation: a keyed view without support counts under a retraction (at
+  the updated relation) or a lost child key (above it), whose dead keys
+  only support could retire, or a changed child key that shares no
+  attribute with the relation;
 * entries that cannot be repaired — no recipe (revived from disk),
   stale epoch, a child view missing from both cache tiers — are
   **evicted**.
@@ -52,6 +59,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from ...data import ops
 from ...data.database import AppliedDelta
 from ...data.relation import Relation
 from ..executor.store import merge_partials, retire_dead_keys
@@ -175,6 +185,157 @@ class CacheRunReport:
             f"CacheRunReport({self.n_hits} hits, {self.n_misses} misses, "
             f"{self.skipped_groups}/{self.total_groups} groups skipped)"
         )
+
+
+@dataclass
+class _Reconciliation:
+    """The working state of one :meth:`ViewCache.on_delta` pass."""
+
+    applied: AppliedDelta
+    old_fp: Optional[str]
+    new_fp: str
+    pending: Dict[str, _Entry]
+    #: the delta's rows as one relation (None if empty), and their signs:
+    #: inserted rows +1, retracted rows -1 (None: nothing retracted)
+    delta: Optional[Relation]
+    signs: Optional[np.ndarray]
+    #: old digest -> the digest its repaired entry was re-keyed under
+    rekey: Dict[str, str] = field(default_factory=dict)
+    #: repaired digest -> the entry's data (before, after) the delta
+    repaired: Dict[str, Tuple[ViewData, ViewData]] = field(
+        default_factory=dict
+    )
+    #: group-run memo (see :meth:`ViewCache._run_plan`)
+    runs: Dict[tuple, Dict[int, ViewData]] = field(default_factory=dict)
+    _changes: Dict[str, Tuple[List[np.ndarray], bool]] = field(
+        default_factory=dict
+    )
+    _rows: Dict[tuple, Optional[Relation]] = field(default_factory=dict)
+
+    def changes(self, digest: str) -> Tuple[List[np.ndarray], bool]:
+        """A repaired entry's changed keys, and whether it lost a key."""
+        found = self._changes.get(digest)
+        if found is None:
+            found = self._changes[digest] = changed_keys(
+                *self.repaired[digest]
+            )
+        return found
+
+    def restricted(
+        self, relation: Relation, changed: Tuple[str, ...]
+    ) -> Optional[Relation]:
+        """The rows of ``relation`` that join a key the repaired entries
+        ``changed`` changed, or None if one's key shares no attribute
+        with the relation.  Computed once per pass and relation."""
+        key = (relation.name, changed)
+        if key not in self._rows:
+            self._rows[key] = _rows_joining(
+                relation,
+                [
+                    (self.repaired[digest][1].group_by,
+                     self.changes(digest)[0])
+                    for digest in changed
+                ],
+            )
+        return self._rows[key]
+
+
+def _signed_rows(
+    applied: AppliedDelta,
+) -> Tuple[Optional[Relation], Optional[np.ndarray]]:
+    """The inserted then the retracted rows, and their signs."""
+    inserted, deleted = applied.inserted, applied.deleted
+    if inserted is not None and not inserted.n_rows:
+        inserted = None
+    if deleted is None or not deleted.n_rows:
+        return inserted, None
+    if inserted is None:
+        return deleted, np.full(deleted.n_rows, -1.0)
+    rows = Relation(
+        deleted.name,
+        deleted.schema,
+        {
+            name: np.concatenate([inserted.column(name), deleted.column(name)])
+            for name in deleted.schema.names
+        },
+    )
+    signs = np.concatenate(
+        [np.ones(inserted.n_rows), np.full(deleted.n_rows, -1.0)]
+    )
+    return rows, signs
+
+
+def changed_keys(
+    old: ViewData, new: ViewData
+) -> Tuple[List[np.ndarray], bool]:
+    """The keys whose row differs between two versions of a keyed view.
+
+    A key differs when only one version holds it or when an aggregate or
+    its support differs.  Returns the differing keys' columns and
+    whether ``new`` lost a key ``old`` held.  A scalar view has no keys
+    to return.
+    """
+    if not new.group_by:
+        return [], False
+    codes, keys = ops.factorize_rows(
+        [
+            ops.factorize(np.concatenate([was, now]))
+            for was, now in zip(old.key_cols, new.key_cols)
+        ]
+    )
+    before, after = codes[: old.n_rows], codes[old.n_rows :]
+    n_keys = len(keys[0])
+    held = np.zeros(n_keys, dtype=bool)
+    held[before] = True
+    holds = np.zeros(n_keys, dtype=bool)
+    holds[after] = True
+    differs = held != holds
+    columns = list(zip(old.agg_cols, new.agg_cols))
+    if old.support is not None and new.support is not None:
+        columns.append((old.support, new.support))
+    for was, now in columns:
+        by_key = np.zeros((2, n_keys))
+        by_key[0, before] = was
+        by_key[1, after] = now
+        differs |= by_key[0] != by_key[1]
+    return [key[differs] for key in keys], bool((held & ~holds).any())
+
+
+def _rows_joining(
+    relation: Relation,
+    changed: List[Tuple[Tuple[str, ...], List[np.ndarray]]],
+) -> Optional[Relation]:
+    """The rows of ``relation`` whose shared key values match a changed key.
+
+    ``changed`` holds each changed view's group-by and changed keys.  A
+    view's key is matched on the attributes it shares with the relation
+    only, so the rows are a superset of those whose join partner
+    changed.  None when a view's key shares no attribute with it.
+    """
+    mask = np.zeros(relation.n_rows, dtype=bool)
+    for group_by, keys in changed:
+        shared = [
+            pos for pos, attr in enumerate(group_by)
+            if relation.has_column(attr)
+        ]
+        if not shared:
+            return None
+        left, right = ops.shared_codes(
+            [relation.encodings[group_by[pos]] for pos in shared],
+            [keys[pos] for pos in shared],
+        )
+        mask |= ops.semijoin_mask(left, right[right >= 0])
+    return relation.filter(mask)
+
+
+def _merged(data: ViewData, *deltas: ViewData) -> ViewData:
+    """``data`` plus partial views of the same view, summed per key.
+
+    The executor's distributive-SUM re-aggregation, then support-count
+    key retirement (a no-op without support).
+    """
+    parts = [{0: part} for part in (data,) + deltas]
+    return retire_dead_keys(merge_partials(parts)[0])
 
 
 class ViewCache:
@@ -445,18 +606,22 @@ class ViewCache:
         """Reconcile the cache with one applied delta.
 
         Affected entries (footprint contains the updated relation) are
-        repaired bottom-up through the reference DAG: entries at the
-        updated relation are delta-patched (or recomputed over the full
-        updated relation when a retraction cannot be retired exactly),
-        interior entries above them re-run their group plan with the
-        already re-keyed children, and every repaired entry is re-keyed
-        under its new content digest so the next run's signatures find
-        it.  Entries that cannot be repaired — no recipe, stale epoch,
-        a child view missing from the cache — are evicted.
+        repaired bottom-up through the reference DAG, each by merging a
+        delta: an entry at the updated relation runs its group plan once
+        over the signed delta; an entry above it runs its plan over the
+        node relation's rows that join a changed child key, once with the
+        children's new data and once with their old, and merges the
+        difference; an entry whose children did not change is only
+        re-keyed.  The counted fallback re-runs the group plan over the
+        whole node relation (see :meth:`_repair`).  Every repaired entry
+        is re-keyed under its new content digest so the next run's
+        signatures find it.  Entries that cannot be repaired — no
+        recipe, stale epoch, a child view missing from both tiers — are
+        evicted.
 
         Returns {old digest: "merged" | "rerun" | "evicted"} for the
-        affected entries — delta-merged at the updated relation,
-        repaired by re-running its group plan, or dropped; untouched
+        affected entries — repaired by merging a delta (or re-keyed
+        unchanged), repaired by the full re-run, or dropped; untouched
         entries (footprint disjoint from the updated relation) do not
         appear.
         """
@@ -486,23 +651,15 @@ class ViewCache:
                 for digest, entry in self._entries.items()
                 if relation in entry.sig.relations
             }
+        repair = _Reconciliation(
+            applied, old_fp, new_fp, pending, *_signed_rows(applied)
+        )
         outcome: Dict[str, str] = {}
-        rekey: Dict[str, str] = {}  # old digest -> repaired digest
-        executed: Dict[tuple, Dict[int, ViewData]] = {}  # group-run memo
         progress = True
         while pending and progress:
             progress = False
             for digest in list(pending):
-                status = self._repair(
-                    digest,
-                    pending[digest],
-                    applied,
-                    old_fp,
-                    new_fp,
-                    rekey,
-                    pending,
-                    executed,
-                )
+                status = self._repair(digest, pending[digest], repair)
                 if status is None:  # a child is still pending: defer
                     continue
                 del pending[digest]
@@ -533,33 +690,31 @@ class ViewCache:
         return data
 
     def _repair(
-        self,
-        digest: str,
-        entry: _Entry,
-        applied: AppliedDelta,
-        old_fp: Optional[str],
-        new_fp: str,
-        rekey: Dict[str, str],
-        pending: Dict[str, _Entry],
-        executed: Dict[tuple, Dict[int, ViewData]],
+        self, digest: str, entry: _Entry, repair: _Reconciliation
     ) -> Optional[str]:
         """Repair one affected entry in place.
 
         Returns ``"merged"``, ``"rerun"`` or ``"evicted"``, or None
         when the entry must wait for a still-pending child to be
-        re-keyed first.
+        re-keyed first.  ``"rerun"`` is the counted fallback, a run over
+        the whole node relation, taken when a delta cannot be merged
+        exactly: a keyed view without support counts that a retraction
+        (at the updated relation) or a lost child key (above it) could
+        leave with zero-valued keys a from-scratch run never emits, or a
+        changed child whose key shares no attribute with the relation.
         """
+        applied = repair.applied
         recipe = entry.recipe
         if recipe is None or recipe.structure is None:
             self._evict_entry(digest)
             return "evicted"
         source = recipe.structure[0]
         node_changed = source == applied.relation
-        if node_changed and old_fp is None:
+        if node_changed and repair.old_fp is None:
             self._evict_entry(digest)
             return "evicted"
         node_old_fp = (
-            old_fp
+            repair.old_fp
             if node_changed
             else relation_fingerprint(applied.database.relation(source))
         )
@@ -572,43 +727,39 @@ class ViewCache:
             return "evicted"
         incoming: Dict[int, ViewData] = {}
         new_inputs: List[Tuple[int, str]] = []
-        inputs_changed = False
+        changed: Dict[int, str] = {}  # input view id -> repaired digest
         for vid, child in recipe.input_digests:
-            if child in pending:
+            if child in repair.pending:
                 return None  # repair children first
-            current = rekey.get(child)
-            if current is None:
-                current = child
-            else:
-                inputs_changed = True
+            current = repair.rekey.get(child, child)
             data = self._resolve_input(current)
             if data is None:  # child evicted (delta or LRU): give up
                 self._evict_entry(digest)
                 return "evicted"
             incoming[vid] = data
             new_inputs.append((vid, current))
+            if current != child:
+                changed[vid] = current
         input_key = tuple(new_inputs)
+        relation = applied.database.relation(source)
         data = None
-        if node_changed and not inputs_changed:
-            data = self._delta_merge(
-                entry, recipe, applied, incoming, executed, input_key
+        if not node_changed:
+            data = self._merge_interior_delta(
+                entry, recipe, repair, relation, incoming, changed, input_key
+            )
+        elif not changed:
+            data = self._merge_signed_delta(
+                entry, recipe, repair, incoming, input_key
             )
         status = "merged"
         if data is None:
-            # re-run the whole group plan over the full (updated) node
-            # relation with the re-keyed child views
             status = "rerun"
             data = self._run_plan(
-                recipe,
-                applied.database.relation(source),
-                incoming,
-                executed,
-                "full",
-                input_key,
+                recipe, relation, incoming, repair, ("full", input_key)
             )[recipe.view_id]
-        new_structure = rekey_structure(recipe.structure, rekey)
+        new_structure = rekey_structure(recipe.structure, repair.rekey)
         new_digest = structure_digest(
-            new_structure, new_fp if node_changed else node_old_fp
+            new_structure, repair.new_fp if node_changed else node_old_fp
         )
         new_sig = ViewSignature(
             digest=new_digest,
@@ -633,80 +784,114 @@ class ViewCache:
             return "evicted"
         with self._lock:
             self._stats.patches += 1
-        rekey[digest] = new_digest
+        repair.rekey[digest] = new_digest
+        repair.repaired[new_digest] = (entry.data, data)
         return status
 
-    def _delta_merge(
+    def _merge_signed_delta(
         self,
         entry: _Entry,
         recipe: PatchRecipe,
-        applied: AppliedDelta,
+        repair: _Reconciliation,
         incoming: Dict[int, ViewData],
-        executed: Dict[tuple, Dict[int, ViewData]],
         input_key: tuple,
     ) -> Optional[ViewData]:
-        """Delta-partition merge for an entry at the updated relation.
+        """The entry with its group run once over the signed delta merged in.
 
-        Returns None when the merge cannot be exact — a retraction on a
-        view without per-key support counts would leave zero-valued
-        group keys a from-scratch run never emits — so the caller falls
-        back to re-running the group over the full updated relation.
+        For an entry at the updated relation.  Returns None when the
+        merge cannot be exact — a retraction on a keyed view without
+        per-key support counts would leave zero-valued group keys a
+        from-scratch run never emits.
         """
-        has_deletes = (
-            applied.deleted is not None and applied.deleted.n_rows > 0
-        )
+        data = entry.data
         # scalar views (no group-by) subtract exactly without support;
         # keyed views need support counts to retire dead keys
-        if has_deletes and entry.data.support is None and entry.data.group_by:
+        if repair.signs is not None and data.group_by and data.support is None:
             return None
-        parts: List[Dict[int, ViewData]] = [{recipe.view_id: entry.data}]
-        if applied.inserted is not None and applied.inserted.n_rows:
-            produced = self._run_plan(
-                recipe, applied.inserted, incoming, executed,
-                "insert", input_key,
-            )
-            parts.append({recipe.view_id: produced[recipe.view_id]})
-        if has_deletes:
-            produced = self._run_plan(
-                recipe, applied.deleted, incoming, executed,
-                "delete", input_key,
-            )
-            parts.append(
-                {recipe.view_id: produced[recipe.view_id].negated()}
-            )
-        if len(parts) == 1:  # empty delta: data unchanged
-            return entry.data
-        # the executor's distributive-SUM re-aggregation, then
-        # support-count key retirement (a no-op without support)
-        return retire_dead_keys(merge_partials(parts)[recipe.view_id])
+        if repair.delta is None:  # empty delta: data unchanged
+            return data
+        produced = self._run_plan(
+            recipe,
+            repair.delta,
+            incoming,
+            repair,
+            ("signed", input_key),
+            repair.signs,
+        )
+        return _merged(data, produced[recipe.view_id])
+
+    def _merge_interior_delta(
+        self,
+        entry: _Entry,
+        recipe: PatchRecipe,
+        repair: _Reconciliation,
+        relation: Relation,
+        incoming: Dict[int, ViewData],
+        changed: Dict[int, str],
+        input_key: tuple,
+    ) -> Optional[ViewData]:
+        """The entry plus ``plan(R', new) - plan(R', old)``, or None.
+
+        For an entry above the updated relation.  ``R'`` holds the node
+        relation's rows whose shared key values match a changed child
+        key; every other row reads the same child rows in both runs, so
+        its contribution cancels and need not be computed.  Support
+        counts difference the same way, so keys whose last context row
+        lost its partner retire.  Returns None — fall back to the full
+        re-run — for a keyed view without support whose child lost a key
+        (its keys could only be retired by support), or when a changed
+        child's key shares no attribute with the relation.
+        """
+        data = entry.data
+        if not changed:  # children unchanged: re-keyed only
+            return data
+        if data.group_by and data.support is None:
+            if any(repair.changes(d)[1] for d in changed.values()):
+                return None
+        rows_key = tuple(sorted(changed.values()))
+        rows = repair.restricted(relation, rows_key)
+        if rows is None:
+            return None
+        if rows.n_rows == 0:  # no row joins a changed key
+            return data
+        before = dict(incoming)
+        for vid, digest in changed.items():
+            before[vid] = repair.repaired[digest][0]
+        new = self._run_plan(
+            recipe, rows, incoming, repair, ("new", input_key, rows_key)
+        )
+        old = self._run_plan(
+            recipe, rows, before, repair, ("old", input_key, rows_key)
+        )
+        view_id = recipe.view_id
+        return _merged(data, new[view_id], old[view_id].negated())
 
     def _run_plan(
         self,
         recipe: PatchRecipe,
         relation: Relation,
         incoming: Dict[int, ViewData],
-        executed: Dict[tuple, Dict[int, ViewData]],
-        kind: str,
-        input_key: tuple,
+        repair: _Reconciliation,
+        run: tuple,
+        weights: Optional[np.ndarray] = None,
     ) -> Dict[int, ViewData]:
         """Run a recipe's group plan once per reconciliation pass.
 
         Sibling views of one multi-output group share a plan object and
         dyn binding, so the memo collapses their repairs into a single
-        execution per delta.
+        execution per delta.  ``run`` names what the run reads: its kind
+        (``"signed"`` delta, ``"new"`` or ``"old"`` children over the
+        restricted rows, or the ``"full"`` relation), the input digests
+        and, for a restricted run, the changed children that chose its
+        rows.
         """
-        key = (
-            id(recipe.plan),
-            tuple(id(f) for f in recipe.dyn),
-            kind,
-            input_key,
-        )
-        produced = executed.get(key)
+        key = (id(recipe.plan), tuple(id(f) for f in recipe.dyn)) + run
+        produced = repair.runs.get(key)
         if produced is None:
             produced = execute_plan(
-                recipe.plan, relation, incoming, recipe.dyn
+                recipe.plan, relation, incoming, recipe.dyn, weights
             )
-            executed[key] = produced
+            repair.runs[key] = produced
         return produced
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

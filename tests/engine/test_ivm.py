@@ -320,11 +320,13 @@ class TestPropagation:
         report = engine.apply_delta(
             DeltaBatch.insert(dim, sample_inserts(rng, dim_rel, 3))
         )
-        assert not report.all_incremental
+        # an insert-only dimension delta merges a delta at every level
+        assert report.all_incremental
         assert report.all_maintained
-        assert [m.mode for m in report.maintenance] == ["propagate"]
+        assert [m.mode for m in report.maintenance] == ["incremental"]
         assert report.maintenance[0].relation == dim
-        assert engine.stats()["propagated"] == 1
+        assert engine.stats()["incremental"] == 1
+        assert engine.stats()["propagated"] == 0
         assert engine.stats()["fallbacks"] == 0
         got = engine.run(batch)
         expected = reference_results(engine, batch)
@@ -388,8 +390,8 @@ class TestPropagation:
             assert len(report.maintenance) == 1
         stats = engine.stats()
         assert stats["deltas"] == len(names)
-        assert stats["incremental"] == 1
-        assert stats["propagated"] == len(names) - 1
+        assert stats["incremental"] == len(names)
+        assert stats["propagated"] == 0
         assert stats["fallbacks"] == 0
         assert stats["last_fallback_reason"] is None
 

@@ -6,9 +6,11 @@ to full recomputation, and the maintained results are exactly what a
 from-scratch evaluation of the updated database produces.
 
 Every test here applies inserts and/or retractions to *non-root*
-(dimension) relations, asserts the maintenance mode was ``propagate``
-(never ``recompute``), and checks the differential against a cold
-engine.  The engine's first run materializes the views, and every
+(dimension) relations, asserts the maintenance mode (never
+``recompute``): an insert-only delta merges a delta at every level
+(``incremental``), while a retraction re-runs the dimension's own
+views, which carry no support counts (``propagate``).  Each test
+checks the differential against a cold engine.  The engine's first run materializes the views, and every
 post-delta run is assembled from the views ``ViewCache.on_delta``
 repaired.
 """
@@ -49,7 +51,7 @@ def dimension_names(engine):
 class TestDimensionDeltaDifferential:
     """insert/retract on dimension tables == recomputation."""
 
-    def _roundtrip(self, ds, workload, deltas_fn):
+    def _roundtrip(self, ds, workload, deltas_fn, mode):
         engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = BATCHES[workload](ds)
         engine.run(batch)
@@ -65,10 +67,11 @@ class TestDimensionDeltaDifferential:
             # the whole point of the PR: dimension deltas propagate
             # through interior DAG levels instead of recomputing
             assert report.all_maintained, report
-            assert [m.mode for m in report.maintenance] == ["propagate"]
+            assert [m.mode for m in report.maintenance] == [mode]
         stats = engine.stats()
         assert stats["fallbacks"] == 0
-        assert stats["propagated"] == len(reports)
+        counter = "incremental" if mode == "incremental" else "propagated"
+        assert stats[counter] == len(reports)
         got = engine.run(batch)
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch, rtol=1e-8, atol=1e-8)
@@ -78,7 +81,7 @@ class TestDimensionDeltaDifferential:
             n = max(1, rel.n_rows // 20)
             return [DeltaBatch.insert(dim, sample_inserts(rng, rel, n))]
 
-        self._roundtrip(any_dataset, workload, deltas)
+        self._roundtrip(any_dataset, workload, deltas, "incremental")
 
     def test_retractions_on_every_dimension(self, any_dataset, workload):
         def deltas(rng, rel, dim):
@@ -88,7 +91,7 @@ class TestDimensionDeltaDifferential:
             idx = rng.choice(rel.n_rows, n, replace=False)
             return [DeltaBatch.delete(dim, idx)]
 
-        self._roundtrip(any_dataset, workload, deltas)
+        self._roundtrip(any_dataset, workload, deltas, "propagate")
 
     def test_mixed_insert_and_retract(self, any_dataset, workload):
         def deltas(rng, rel, dim):
@@ -103,7 +106,7 @@ class TestDimensionDeltaDifferential:
                 )
             ]
 
-        self._roundtrip(any_dataset, workload, deltas)
+        self._roundtrip(any_dataset, workload, deltas, "propagate")
 
 
 class TestInterleavedRootAndDimension:
@@ -154,12 +157,12 @@ class TestInterleavedRootAndDimension:
             ),
             DeltaBatch.insert(dim, sample_inserts(rng, dim_rel, 2)),
         )
-        # one record per applied delta: the root step merges, the
-        # dimension step propagates
+        # one record per applied delta: the root step merges, and so
+        # does the insert-only dimension step, at every level
         assert report.all_maintained
         assert [(m.relation, m.mode) for m in report.maintenance] == [
             (engine.root, "incremental"),
-            (dim, "propagate"),
+            (dim, "incremental"),
         ]
         got = engine.run(batch)
         expected = reference_results(engine, batch)

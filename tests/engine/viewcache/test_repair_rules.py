@@ -1,0 +1,219 @@
+"""The repair rules of ``ViewCache.on_delta``, held by counting group runs.
+
+Every repair run goes through the module attribute
+``repro.engine.viewcache.cache.execute_plan``; these tests wrap it and
+count what it was asked to read.  No timing: each rule is a statement
+about which rows a run reads and how many runs there are.
+
+* At the updated relation a group runs **once** over the signed delta
+  (inserted rows at +1, retracted rows at -1), not once per sign.
+* Above it a group runs over the node relation's rows that join a
+  changed child key — twice, with the new and the old child views —
+  never over the whole relation.
+* The full re-run stays as the counted fallback, and the fallbacks still
+  leave ground-truth answers behind.
+"""
+
+import numpy as np
+import pytest
+
+from repro import LMFAO, DeltaBatch, IncrementalEngine
+from repro.engine.interpreter import ViewData, execute_plan
+from repro.engine.viewcache import cache as cache_module
+from repro.engine.viewcache.cache import changed_keys
+
+from ..helpers import assert_results_equal
+from ..test_ivm import covar_batch, simple_batch
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Every repair run as ``(node, relation rows, weighted)``."""
+    calls = []
+
+    def counted(plan, relation, incoming, dyn, weights=None):
+        calls.append((plan.node, relation.n_rows, weights is not None))
+        return execute_plan(plan, relation, incoming, dyn, weights)
+
+    monkeypatch.setattr(cache_module, "execute_plan", counted)
+    return calls
+
+
+def groups_at(engine, relation):
+    """Distinct cached group plans whose node is ``relation``."""
+    cache = engine.view_cache
+    plans = {
+        id(entry.recipe.plan)
+        for entry in cache._entries.values()
+        if entry.recipe is not None and entry.recipe.structure[0] == relation
+    }
+    return len(plans)
+
+
+def assert_ground_truth(engine, batch):
+    got = engine.run(batch)
+    expected = LMFAO(engine.database, engine.engine.join_tree).run(batch)
+    assert_results_equal(got, expected, batch, rtol=1e-9, atol=1e-9)
+    return got
+
+
+def test_root_delta_runs_each_group_once_over_the_signed_delta(
+    tiny_retailer, runs
+):
+    ds = tiny_retailer
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batch = covar_batch(ds)
+    engine.run(batch)
+    root = engine.database.relation(engine.root)
+    n_groups = groups_at(engine, engine.root)
+    assert n_groups > 0
+    rng = np.random.default_rng(0)
+    source = rng.integers(0, root.n_rows, 20)
+    report = engine.apply_delta(
+        DeltaBatch(
+            engine.root,
+            inserts={a: root.column(a)[source] for a in root.schema.names},
+            delete_indices=rng.choice(root.n_rows, 15, replace=False),
+        )
+    )
+    assert [m.mode for m in report.maintenance] == ["incremental"]
+    # one weighted run per group, reading the 35 signed rows
+    assert runs == [(engine.root, 35, True)] * n_groups
+    assert assert_ground_truth(engine, batch).cache_report.n_misses == 0
+
+
+def test_insert_only_root_delta_runs_unweighted(toy_db, runs):
+    engine = IncrementalEngine(toy_db)
+    batch = simple_batch(["store"])
+    engine.run(batch)
+    sales = engine.database.relation("Sales")
+    engine.apply_delta(
+        DeltaBatch.insert(
+            "Sales", {a: sales.column(a)[:4] for a in sales.schema.names}
+        )
+    )
+    assert runs and all(run == ("Sales", 4, False) for run in runs)
+    assert_ground_truth(engine, batch)
+
+
+def test_dimension_update_reads_only_the_fact_rows_it_can_affect(
+    tiny_retailer, runs
+):
+    """A 2-row ``Items`` update: retract two rows, insert them back with
+    their price changed.  The root groups run over the ``Inventory``
+    rows whose ``ksn`` is one of the two, never over all of them."""
+    ds = tiny_retailer
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batch = covar_batch(ds)
+    engine.run(batch)
+    items = engine.database.relation("Items")
+    rows = np.array([3, 11])
+    inserts = {a: items.column(a)[rows].copy() for a in items.schema.names}
+    inserts["price"] = inserts["price"] + 2.5
+    report = engine.apply_delta(
+        DeltaBatch("Items", inserts=inserts, delete_indices=rows)
+    )
+    assert report.all_maintained
+    fact = engine.database.relation("Inventory")
+    matching = int(np.isin(fact.column("ksn"), inserts["ksn"]).sum())
+    assert 0 < matching < fact.n_rows
+    at_root = [n_rows for node, n_rows, _ in runs if node == "Inventory"]
+    # each affected root group runs twice (new and old children)
+    assert at_root == [matching] * (2 * groups_at(engine, "Inventory"))
+    assert assert_ground_truth(engine, batch).cache_report.n_misses == 0
+
+
+def test_unchanged_children_are_only_rekeyed(tiny_retailer, runs):
+    """An ``Items`` insert of a never-seen key changes no join partner
+    of any ``Inventory`` row: the root views are re-keyed, not run."""
+    ds = tiny_retailer
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batch = covar_batch(ds)
+    engine.run(batch)
+    items = engine.database.relation("Items")
+    new = {a: items.column(a)[:1].copy() for a in items.schema.names}
+    new["ksn"] = new["ksn"] + items.column("ksn").max() + 1
+    report = engine.apply_delta(DeltaBatch.insert("Items", new))
+    assert [m.mode for m in report.maintenance] == ["incremental"]
+    assert runs and all(node == "Items" for node, _, _ in runs)
+    assert assert_ground_truth(engine, batch).cache_report.n_misses == 0
+
+
+def test_keyed_interior_view_without_support_reruns_when_a_key_is_lost(
+    tiny_favorita, runs
+):
+    """Retracting the only ``Oil`` row of a date drops that date from
+    the ``Transactions`` views above it.  Those views are keyed and
+    carry no support counts, so only the full re-run over
+    ``Transactions`` can drop their keys: the counted fallback."""
+    ds = tiny_favorita
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batch = simple_batch(["date"])
+    engine.run(batch)
+    oil = engine.database.relation("Oil")
+    dates, counts = np.unique(oil.column("date"), return_counts=True)
+    unique_date = dates[counts == 1][0]
+    txns = engine.database.relation("Transactions")
+    assert (txns.column("date") == unique_date).any()
+    victim = np.flatnonzero(oil.column("date") == unique_date)
+    report = engine.apply_delta(DeltaBatch.delete("Oil", victim))
+    assert [m.mode for m in report.maintenance] == ["propagate"]
+    assert ("Transactions", txns.n_rows, False) in runs
+    got = assert_ground_truth(engine, batch)
+    assert unique_date not in got["by_key"].column("date")
+    assert got.cache_report.n_misses == 0
+
+
+def test_child_missing_from_both_tiers_is_a_counted_recompute(
+    tiny_retailer, runs
+):
+    """With a child view gone from memory and no disk tier, the views
+    above it cannot be repaired: they are evicted, the delta counts as a
+    recompute, and the next run recomputes them from the database."""
+    ds = tiny_retailer
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batch = covar_batch(ds)
+    engine.run(batch)
+    cache = engine.view_cache
+    for digest in cache.entries_containing("Items"):
+        if cache._entries[digest].sig.relations == {"Items"}:
+            cache._evict_entry(digest)
+    items = engine.database.relation("Items")
+    report = engine.apply_delta(
+        DeltaBatch.insert(
+            "Items", {a: items.column(a)[:2] for a in items.schema.names}
+        )
+    )
+    assert [m.mode for m in report.maintenance] == ["recompute"]
+    assert engine.stats()["fallbacks"] == 1
+    assert not any(node == "Inventory" for node, _, _ in runs)
+    assert assert_ground_truth(engine, batch).cache_report.n_misses > 0
+
+
+class TestChangedKeys:
+    def view(self, keys, values, support=None):
+        return ViewData(
+            group_by=("k",),
+            key_cols=[np.asarray(keys)],
+            agg_cols=[np.asarray(values, dtype=np.float64)],
+            support=None if support is None else np.asarray(support, float),
+        )
+
+    def test_added_dropped_and_changed_keys(self):
+        old = self.view([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+        new = self.view([2, 3, 4, 5], [2.0, 3.5, 4.0, 5.0])
+        (keys,), lost = changed_keys(old, new)
+        assert keys.tolist() == [1, 3, 5]
+        assert lost
+
+    def test_support_change_alone_is_a_change(self):
+        old = self.view([1, 2], [1.0, 2.0], support=[1, 2])
+        new = self.view([1, 2], [1.0, 2.0], support=[1, 3])
+        (keys,), lost = changed_keys(old, new)
+        assert keys.tolist() == [2]
+        assert not lost
+
+    def test_equal_views_change_nothing(self):
+        old = self.view([1, 2], [1.0, 2.0])
+        (keys,), lost = changed_keys(old, self.view([1, 2], [1.0, 2.0]))
+        assert len(keys) == 0 and not lost
