@@ -123,10 +123,6 @@ class Database:
         ]
         return Database(rels, name=self.name)
 
-    def with_relation(self, relation: Relation) -> "Database":
-        """A new database with an extra relation."""
-        return Database(list(self) + [relation], name=self.name)
-
     # -- updates -----------------------------------------------------------
 
     def apply_delta(self, delta: DeltaBatch) -> AppliedDelta:
@@ -175,9 +171,6 @@ class Database:
             for name in rel.schema.names:
                 seen.setdefault(name, None)
         return list(seen)
-
-    def relations_with_attribute(self, attr: str) -> List[str]:
-        return [r.name for r in self if r.has_column(attr)]
 
     def attribute_kind(self, attr: str) -> str:
         """Kind of an attribute (first relation that carries it wins)."""

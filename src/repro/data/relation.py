@@ -162,18 +162,6 @@ class Relation:
         order = ops.lexsort_rows(self.columns(names))
         return self.take(order)
 
-    def with_column(self, attribute: Attribute, values: np.ndarray) -> "Relation":
-        """Relation extended with one additional column."""
-        if attribute.name in self._columns:
-            raise ValueError(f"column {attribute.name!r} already exists")
-        cols = dict(self._columns)
-        cols[attribute.name] = np.asarray(values)
-        return Relation(
-            self.name,
-            Schema(list(self.schema.attributes) + [attribute]),
-            cols,
-        )
-
     # -- updates ---------------------------------------------------------
 
     def append_rows(self, columns: Mapping[str, np.ndarray]) -> "Relation":
@@ -300,30 +288,6 @@ class Relation:
             self.schema.union(other.schema),
             cols,
         )
-
-    def group_by_sum(
-        self,
-        group_by: Sequence[str],
-        value_columns: Mapping[str, np.ndarray],
-        name: Optional[str] = None,
-    ) -> "Relation":
-        """SUM the given value arrays grouped by ``group_by`` attributes.
-
-        ``value_columns`` maps output column names to per-row value arrays
-        aligned with this relation's rows.
-        """
-        keys, sums = ops.group_aggregate(
-            self.columns(group_by), list(value_columns.values())
-        )
-        cols: Dict[str, np.ndarray] = {}
-        attrs: List[Attribute] = []
-        for attr_name, key_col in zip(group_by, keys):
-            attrs.append(self.schema[attr_name])
-            cols[attr_name] = key_col
-        for out_name, summed in zip(value_columns, sums):
-            attrs.append(Attribute(out_name, "continuous", np.float64))
-            cols[out_name] = summed
-        return Relation(name or f"γ({self.name})", Schema(attrs), cols)
 
     def distinct(self, names: Sequence[str], name: Optional[str] = None) -> "Relation":
         """Distinct projection onto the named attributes."""

@@ -138,15 +138,8 @@ class LMFAO:
     select nothing; they are accepted only because
     ``bench/workloads.py`` still passes them.
 
-    Two extra knobs serve the incremental-maintenance layer
-    (:mod:`repro.engine.ivm`):
-
-    * ``root`` — force every query to root at one named join-tree node
-      (so that node's view groups become sinks whose outputs merge under
-      deltas);
-    * ``track_support`` — plans additionally maintain a per-group
-      context-row count per view, letting delta merges retire group keys
-      whose support drops to zero.
+    ``root`` forces every query to root at one named join-tree node, as
+    the incremental-maintenance layer (:mod:`repro.engine.ivm`) does.
 
     ``view_cache`` (optional) attaches a cross-run
     :class:`~repro.engine.viewcache.cache.ViewCache`: before execution
@@ -155,7 +148,11 @@ class LMFAO:
     are admitted back into the cache (interior views via the store's
     eviction handoff).  The cache may be shared between engines and
     sessions — keys are content addresses, so a hit is always the data
-    the engine would have recomputed.
+    the engine would have recomputed.  With a cache attached, every
+    keyed view also carries *support counts* (its context rows per
+    group key), so :meth:`ViewCache.on_delta` can retire a key whose
+    support cancels to zero under a retraction; without one, plans
+    compute no support.
     """
 
     def __init__(
@@ -169,7 +166,6 @@ class LMFAO:
         compile: bool = False,
         sort_inputs: bool = False,
         root: Optional[str] = None,
-        track_support: bool = False,
         view_cache: Optional[ViewCache] = None,
     ):
         self.join_tree = join_tree or join_tree_from_database(database)
@@ -183,7 +179,6 @@ class LMFAO:
         self.merge_mode = merge_mode
         self.group_views_enabled = group_views
         self.root = root
-        self.track_support = track_support
         self.backend = InterpreterBackend()
         self.view_cache = view_cache
         self._plan_cache: Dict[tuple, EnginePlan] = {}
@@ -202,7 +197,7 @@ class LMFAO:
             self.merge_mode,
             self.group_views_enabled,
             self.root,
-            self.track_support,
+            self.view_cache is not None,
         )
         cached = self._plan_cache.get(cache_key)
         if cached is not None:
@@ -225,21 +220,15 @@ class LMFAO:
         grouped = group_views(
             decomposed, group_enabled=self.group_views_enabled
         )
-        # support counts only matter where delta merges happen: groups no
-        # other group consumes (the sinks).  Interior groups skip the
-        # extra per-view bincount.
-        consumed = {
-            dep for group in grouped.groups for dep in group.depends_on
-        }
+        # support counts only matter where delta merges happen: in the
+        # cache's views
         group_plans = [
             build_group_plan(
                 group,
                 decomposed.views,
                 self.database.relation(group.node),
                 dyn_slots,
-                track_support=(
-                    self.track_support and group.id not in consumed
-                ),
+                track_support=self.view_cache is not None,
             )
             for group in grouped.groups
         ]

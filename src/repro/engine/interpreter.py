@@ -41,10 +41,11 @@ class ViewData:
     Scalar views have no key columns and length-1 aggregate arrays.
 
     ``support`` (optional) counts the context rows contributing to each
-    group key.  Plans built with ``track_support=True`` populate it; the
-    incremental-maintenance layer uses it to drop keys whose support
-    reaches zero after retractions.  Supports are integer-valued floats,
-    so they add and cancel exactly under the distributive-SUM merge.
+    group key.  An engine with a view cache attached plans it on every
+    keyed view; the cache's delta repair uses it to drop keys whose
+    support reaches zero after retractions.  Supports are integer-valued
+    floats, so they add and cancel exactly under the distributive-SUM
+    merge.
 
     :meth:`encoded` dictionary-encodes a key column on first use and
     keeps it, as a :class:`~repro.data.relation.Relation` keeps its own
@@ -86,24 +87,6 @@ class ViewData:
         if self.key_cols:
             return len(self.key_cols[0])
         return 1
-
-    def to_relation(self, name: str, schema_lookup=None) -> Relation:
-        """Convert to a Relation (used for query outputs)."""
-        from ..data.schema import Attribute, Schema
-
-        attrs = []
-        columns = {}
-        for attr_name, col in zip(self.group_by, self.key_cols):
-            if schema_lookup is not None:
-                attrs.append(schema_lookup(attr_name))
-            else:
-                attrs.append(Attribute(attr_name, "categorical", col.dtype))
-            columns[attr_name] = col
-        for i, col in enumerate(self.agg_cols):
-            col_name = f"agg_{i}"
-            attrs.append(Attribute(col_name, "continuous", np.float64))
-            columns[col_name] = col
-        return Relation(name, Schema(attrs), columns)
 
 
 def execute_plan(

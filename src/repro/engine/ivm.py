@@ -7,9 +7,11 @@ FO+MOD queries under updates"): run the unchanged group plan over what
 the delta can affect and merge the result into the materialized view.
 At the updated relation that is the signed delta (retractions weigh
 -1); above it, the node relation's rows that join a changed child key,
-run with the new children minus run with the old.  That rule has one
-implementation, ``ViewCache.on_delta``, and a materialized view one
-home between runs, the ``ViewCache``.
+run with the new children minus run with the old.  Every keyed cached
+view carries support counts (its context rows per key, one more SUM),
+so a key retires exactly when its support cancels to zero.  That rule
+has one implementation, ``ViewCache.on_delta``, and a materialized view
+one home between runs, the ``ViewCache``.
 
 :class:`IncrementalEngine` turns a :class:`DeltaBatch` into a commit —
 apply it to the database, hand the applied delta to the cache — and
@@ -17,10 +19,6 @@ records what the cache did with it, one :class:`DeltaMaintenance` each:
 
 * ``"incremental"`` — every affected cached view merged a delta (or,
   its inputs unchanged, was only re-keyed);
-* ``"propagate"`` — at least one view re-ran its group plan over its
-  whole node relation, because a delta could not be merged exactly: a
-  keyed view without support counts under a retraction or a lost child
-  key, or a changed child key sharing no attribute with the relation;
 * ``"recompute"`` — the counted fallback: a view could not be repaired
   and was evicted (or no cache is attached); the next run recomputes it.
 """
@@ -41,7 +39,7 @@ class DeltaMaintenance:
     """How the cached views absorbed one applied delta."""
 
     relation: str
-    mode: str  # "incremental", "propagate", or "recompute"
+    mode: str  # "incremental" or "recompute"
     seconds: float
     reason: Optional[str] = None  # why views were left to be recomputed
 
@@ -61,19 +59,13 @@ class DeltaReport:
     def all_incremental(self) -> bool:
         return all(m.mode == "incremental" for m in self.maintenance)
 
-    @property
-    def all_maintained(self) -> bool:
-        """True when no delta left a view to be recomputed."""
-        return all(m.mode != "recompute" for m in self.maintenance)
-
 
 @dataclass
 class MaintenanceStats:
-    """``GET /stats`` ``ivm``: incremental+propagated+fallbacks == deltas."""
+    """``GET /stats`` ``ivm``: incremental + fallbacks == deltas."""
 
     deltas: int = 0  # non-empty DeltaBatches applied
     incremental: int = 0  # every affected view merged a delta
-    propagated: int = 0  # some view re-ran over its whole node relation
     fallbacks: int = 0  # left views to be recomputed by the next run
     last_fallback_reason: Optional[str] = None
 
@@ -81,8 +73,6 @@ class MaintenanceStats:
         self.deltas += 1
         if record.mode == "incremental":
             self.incremental += 1
-        elif record.mode == "propagate":
-            self.propagated += 1
         else:
             self.fallbacks += 1
             self.last_fallback_reason = record.reason
@@ -99,14 +89,15 @@ class IncrementalEngine:
         updated = engine.run(batch)                  # served from views
 
     Every query is planned rooted at ``root`` (default: the largest
-    relation, where updates land in practice) with *support counts* on
-    that node's views — a hidden context-row count per group key — so a
-    retraction there retires a key exactly when its support cancels to
-    zero, and maintained views match a from-scratch run key-for-key.
-    Deltas on any other relation are merged up the affected cone of the
-    view DAG, each view above the updated relation reading only the
-    node rows that join a changed child key.  Relations keep user row order, as in every engine,
-    so ``delete_indices`` name the rows the caller observes.
+    relation, where updates land in practice).  Because a cache is
+    attached, every keyed view carries *support counts* — a hidden
+    context-row count per group key — so a retraction anywhere retires
+    a key exactly when its support cancels to zero, and maintained views
+    match a from-scratch run key-for-key.  A delta on any relation is
+    merged up the affected cone of the view DAG, each view above the
+    updated relation reading only the node rows that join a changed
+    child key.  Relations keep user row order, as in every engine, so
+    ``delete_indices`` name the rows the caller observes.
 
     ``view_cache`` is where the maintained views live: pass one to share
     it, or omit it for a private default-budget :class:`ViewCache`.
@@ -128,7 +119,6 @@ class IncrementalEngine:
             database,
             join_tree,
             root=root,
-            track_support=True,
             view_cache=ViewCache() if view_cache is None else view_cache,
         )
         self.root = root
@@ -184,8 +174,6 @@ class IncrementalEngine:
                     f"{evicted} of {len(statuses)} cached views over "
                     f"{step.relation!r} evicted, not repaired"
                 )
-            elif "rerun" in statuses:
-                mode = "propagate"
             record = DeltaMaintenance(step.relation, mode, seconds, reason)
             report.maintenance.append(record)
             report.views_evicted += evicted

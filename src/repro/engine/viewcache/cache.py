@@ -15,20 +15,17 @@ the reference DAG —
 
 * entries *at* the updated relation **merge the signed delta**: the
   cached group plan runs once over the inserted and retracted rows,
-  weighted +1 and -1, and the result is folded in with
-  :func:`~repro.engine.executor.store.merge_partials` (dead keys retired
-  by support count);
+  weighted +1 and -1, and the result is folded in with :func:`merge`;
 * *interior* entries above them **merge a child delta**: a view is
   linear in each incoming view, so its change is ``plan(R', V_new) -
   plan(R', V_old)``, where ``R'`` holds the node relation's rows whose
   shared key values match a child key whose aggregates or support
-  changed.  Every other row reads the same child rows in both runs and
-  cancels.  An entry whose children did not change is only re-keyed;
-* the counted fallback **re-runs** the group plan over the whole node
-  relation: a keyed view without support counts under a retraction (at
-  the updated relation) or a lost child key (above it), whose dead keys
-  only support could retire, or a changed child key that shares no
-  attribute with the relation;
+  changed (every row, for a child key sharing no attribute with the
+  relation).  Every other row reads the same child rows in both runs
+  and cancels.  An entry whose children did not change is only re-keyed;
+* every keyed view carries support counts — its context rows per key,
+  summed like any aggregate — so :func:`merge` retires exactly the keys
+  whose support cancels to zero, at the updated relation and above it;
 * entries that cannot be repaired — no recipe (revived from disk),
   stale epoch, a child view missing from both cache tiers — are
   **evicted**.
@@ -64,7 +61,6 @@ import numpy as np
 from ...data import ops
 from ...data.database import AppliedDelta
 from ...data.relation import Relation
-from ..executor.store import merge_partials, retire_dead_keys
 from ..interpreter import ViewData, execute_plan
 from ..plan import GroupPlan
 from .signature import (
@@ -207,13 +203,11 @@ class _Reconciliation:
     )
     #: group-run memo (see :meth:`ViewCache._run_plan`)
     runs: Dict[tuple, Dict[int, ViewData]] = field(default_factory=dict)
-    _changes: Dict[str, Tuple[List[np.ndarray], bool]] = field(
-        default_factory=dict
-    )
-    _rows: Dict[tuple, Optional[Relation]] = field(default_factory=dict)
+    _changes: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    _rows: Dict[tuple, Relation] = field(default_factory=dict)
 
-    def changes(self, digest: str) -> Tuple[List[np.ndarray], bool]:
-        """A repaired entry's changed keys, and whether it lost a key."""
+    def changes(self, digest: str) -> List[np.ndarray]:
+        """A repaired entry's changed keys."""
         found = self._changes.get(digest)
         if found is None:
             found = self._changes[digest] = changed_keys(
@@ -223,17 +217,16 @@ class _Reconciliation:
 
     def restricted(
         self, relation: Relation, changed: Tuple[str, ...]
-    ) -> Optional[Relation]:
+    ) -> Relation:
         """The rows of ``relation`` that join a key the repaired entries
-        ``changed`` changed, or None if one's key shares no attribute
-        with the relation.  Computed once per pass and relation."""
+        ``changed`` changed.  Computed once per pass and relation."""
         key = (relation.name, changed)
         if key not in self._rows:
             self._rows[key] = _rows_joining(
                 relation,
                 [
                     (self.repaired[digest][1].group_by,
-                     self.changes(digest)[0])
+                     self.changes(digest))
                     for digest in changed
                 ],
             )
@@ -265,18 +258,15 @@ def _signed_rows(
     return rows, signs
 
 
-def changed_keys(
-    old: ViewData, new: ViewData
-) -> Tuple[List[np.ndarray], bool]:
+def changed_keys(old: ViewData, new: ViewData) -> List[np.ndarray]:
     """The keys whose row differs between two versions of a keyed view.
 
     A key differs when only one version holds it or when an aggregate or
-    its support differs.  Returns the differing keys' columns and
-    whether ``new`` lost a key ``old`` held.  A scalar view has no keys
-    to return.
+    its support differs.  Returns the differing keys' columns; a scalar
+    view has no keys to return.
     """
     if not new.group_by:
-        return [], False
+        return []
     codes, keys = ops.factorize_rows(
         [
             ops.factorize(np.concatenate([was, now]))
@@ -298,19 +288,19 @@ def changed_keys(
         by_key[0, before] = was
         by_key[1, after] = now
         differs |= by_key[0] != by_key[1]
-    return [key[differs] for key in keys], bool((held & ~holds).any())
+    return [key[differs] for key in keys]
 
 
 def _rows_joining(
     relation: Relation,
     changed: List[Tuple[Tuple[str, ...], List[np.ndarray]]],
-) -> Optional[Relation]:
+) -> Relation:
     """The rows of ``relation`` whose shared key values match a changed key.
 
     ``changed`` holds each changed view's group-by and changed keys.  A
     view's key is matched on the attributes it shares with the relation
     only, so the rows are a superset of those whose join partner
-    changed.  None when a view's key shares no attribute with it.
+    changed; a key sharing no attribute (a keyless view) joins every row.
     """
     mask = np.zeros(relation.n_rows, dtype=bool)
     for group_by, keys in changed:
@@ -319,7 +309,7 @@ def _rows_joining(
             if relation.has_column(attr)
         ]
         if not shared:
-            return None
+            return relation
         left, right = ops.shared_codes(
             [relation.encodings[group_by[pos]] for pos in shared],
             [keys[pos] for pos in shared],
@@ -328,14 +318,40 @@ def _rows_joining(
     return relation.filter(mask)
 
 
-def _merged(data: ViewData, *deltas: ViewData) -> ViewData:
+def merge(data: ViewData, *deltas: ViewData) -> ViewData:
     """``data`` plus partial views of the same view, summed per key.
 
-    The executor's distributive-SUM re-aggregation, then support-count
-    key retirement (a no-op without support).
+    Valid because every view aggregate is a SUM over context rows, and
+    context rows partition with the node relation's rows.  Support
+    counts (when every piece carries them) sum like any other aggregate;
+    they are integer-valued, so the zero test is exact, and a key whose
+    support cancels to zero — every context row that produced it
+    retracted, when a from-scratch run would not emit it — is retired.
     """
-    parts = [{0: part} for part in (data,) + deltas]
-    return retire_dead_keys(merge_partials(parts)[0])
+    pieces = (data,) + deltas
+    with_support = bool(data.group_by) and all(
+        p.support is not None for p in pieces
+    )
+    key_cols = [
+        np.concatenate([p.key_cols[k] for p in pieces])
+        for k in range(len(data.key_cols))
+    ]
+    value_cols = [
+        np.concatenate([p.agg_cols[i] for p in pieces])
+        for i in range(len(data.agg_cols))
+    ]
+    if with_support:
+        value_cols.append(np.concatenate([p.support for p in pieces]))
+    keys, sums = ops.group_aggregate(key_cols, value_cols)
+    if not with_support:
+        return ViewData(data.group_by, keys, sums)
+    support = sums.pop()
+    alive = support > 0.5
+    if not alive.all():
+        keys = [key[alive] for key in keys]
+        sums = [col[alive] for col in sums]
+        support = support[alive]
+    return ViewData(data.group_by, keys, sums, support=support)
 
 
 class ViewCache:
@@ -612,18 +628,16 @@ class ViewCache:
         node relation's rows that join a changed child key, once with the
         children's new data and once with their old, and merges the
         difference; an entry whose children did not change is only
-        re-keyed.  The counted fallback re-runs the group plan over the
-        whole node relation (see :meth:`_repair`).  Every repaired entry
-        is re-keyed under its new content digest so the next run's
-        signatures find it.  Entries that cannot be repaired — no
-        recipe, stale epoch, a child view missing from both tiers — are
-        evicted.
+        re-keyed.  Support counts retire the keys a delta empties.
+        Every repaired entry is re-keyed under its new content digest so
+        the next run's signatures find it.  Entries that cannot be
+        repaired — no recipe, stale epoch, a child view missing from both
+        tiers — are evicted.
 
-        Returns {old digest: "merged" | "rerun" | "evicted"} for the
-        affected entries — repaired by merging a delta (or re-keyed
-        unchanged), repaired by the full re-run, or dropped; untouched
-        entries (footprint disjoint from the updated relation) do not
-        appear.
+        Returns {old digest: "merged" | "evicted"} for the affected
+        entries — repaired by merging a delta (or re-keyed unchanged), or
+        dropped; untouched entries (footprint disjoint from the updated
+        relation) do not appear.
         """
         relation = applied.relation
         new_fp = relation_fingerprint(applied.database.relation(relation))
@@ -692,16 +706,14 @@ class ViewCache:
     def _repair(
         self, digest: str, entry: _Entry, repair: _Reconciliation
     ) -> Optional[str]:
-        """Repair one affected entry in place.
+        """Repair one affected entry in place by merging a delta.
 
-        Returns ``"merged"``, ``"rerun"`` or ``"evicted"``, or None
-        when the entry must wait for a still-pending child to be
-        re-keyed first.  ``"rerun"`` is the counted fallback, a run over
-        the whole node relation, taken when a delta cannot be merged
-        exactly: a keyed view without support counts that a retraction
-        (at the updated relation) or a lost child key (above it) could
-        leave with zero-valued keys a from-scratch run never emits, or a
-        changed child whose key shares no attribute with the relation.
+        Returns ``"merged"`` or ``"evicted"``, or None when the entry
+        must wait for a still-pending child to be re-keyed first.  At the
+        updated relation the delta is the group run over the signed
+        delta rows (no child of it can have changed: a view's children
+        cover only relations below its node); above it, the group run
+        over the rows joining a changed child key, new minus old.
         """
         applied = repair.applied
         recipe = entry.recipe
@@ -741,22 +753,20 @@ class ViewCache:
             if current != child:
                 changed[vid] = current
         input_key = tuple(new_inputs)
-        relation = applied.database.relation(source)
-        data = None
-        if not node_changed:
-            data = self._merge_interior_delta(
-                entry, recipe, repair, relation, incoming, changed, input_key
-            )
-        elif not changed:
+        if node_changed:
             data = self._merge_signed_delta(
                 entry, recipe, repair, incoming, input_key
             )
-        status = "merged"
-        if data is None:
-            status = "rerun"
-            data = self._run_plan(
-                recipe, relation, incoming, repair, ("full", input_key)
-            )[recipe.view_id]
+        else:
+            data = self._merge_interior_delta(
+                entry,
+                recipe,
+                repair,
+                applied.database.relation(source),
+                incoming,
+                changed,
+                input_key,
+            )
         new_structure = rekey_structure(recipe.structure, repair.rekey)
         new_digest = structure_digest(
             new_structure, repair.new_fp if node_changed else node_old_fp
@@ -786,7 +796,7 @@ class ViewCache:
             self._stats.patches += 1
         repair.rekey[digest] = new_digest
         repair.repaired[new_digest] = (entry.data, data)
-        return status
+        return "merged"
 
     def _merge_signed_delta(
         self,
@@ -795,19 +805,12 @@ class ViewCache:
         repair: _Reconciliation,
         incoming: Dict[int, ViewData],
         input_key: tuple,
-    ) -> Optional[ViewData]:
+    ) -> ViewData:
         """The entry with its group run once over the signed delta merged in.
 
-        For an entry at the updated relation.  Returns None when the
-        merge cannot be exact — a retraction on a keyed view without
-        per-key support counts would leave zero-valued group keys a
-        from-scratch run never emits.
+        For an entry at the updated relation.
         """
         data = entry.data
-        # scalar views (no group-by) subtract exactly without support;
-        # keyed views need support counts to retire dead keys
-        if repair.signs is not None and data.group_by and data.support is None:
-            return None
         if repair.delta is None:  # empty delta: data unchanged
             return data
         produced = self._run_plan(
@@ -818,7 +821,7 @@ class ViewCache:
             ("signed", input_key),
             repair.signs,
         )
-        return _merged(data, produced[recipe.view_id])
+        return merge(data, produced[recipe.view_id])
 
     def _merge_interior_delta(
         self,
@@ -829,29 +832,21 @@ class ViewCache:
         incoming: Dict[int, ViewData],
         changed: Dict[int, str],
         input_key: tuple,
-    ) -> Optional[ViewData]:
-        """The entry plus ``plan(R', new) - plan(R', old)``, or None.
+    ) -> ViewData:
+        """The entry plus ``plan(R', new) - plan(R', old)``.
 
         For an entry above the updated relation.  ``R'`` holds the node
         relation's rows whose shared key values match a changed child
         key; every other row reads the same child rows in both runs, so
         its contribution cancels and need not be computed.  Support
         counts difference the same way, so keys whose last context row
-        lost its partner retire.  Returns None — fall back to the full
-        re-run — for a keyed view without support whose child lost a key
-        (its keys could only be retired by support), or when a changed
-        child's key shares no attribute with the relation.
+        lost its partner retire.
         """
         data = entry.data
         if not changed:  # children unchanged: re-keyed only
             return data
-        if data.group_by and data.support is None:
-            if any(repair.changes(d)[1] for d in changed.values()):
-                return None
         rows_key = tuple(sorted(changed.values()))
         rows = repair.restricted(relation, rows_key)
-        if rows is None:
-            return None
         if rows.n_rows == 0:  # no row joins a changed key
             return data
         before = dict(incoming)
@@ -864,7 +859,7 @@ class ViewCache:
             recipe, rows, before, repair, ("old", input_key, rows_key)
         )
         view_id = recipe.view_id
-        return _merged(data, new[view_id], old[view_id].negated())
+        return merge(data, new[view_id], old[view_id].negated())
 
     def _run_plan(
         self,
@@ -880,10 +875,9 @@ class ViewCache:
         Sibling views of one multi-output group share a plan object and
         dyn binding, so the memo collapses their repairs into a single
         execution per delta.  ``run`` names what the run reads: its kind
-        (``"signed"`` delta, ``"new"`` or ``"old"`` children over the
-        restricted rows, or the ``"full"`` relation), the input digests
-        and, for a restricted run, the changed children that chose its
-        rows.
+        (the ``"signed"`` delta, or ``"new"`` or ``"old"`` children over
+        the restricted rows), the input digests and, for a restricted
+        run, the changed children that chose its rows.
         """
         key = (id(recipe.plan), tuple(id(f) for f in recipe.dyn)) + run
         produced = repair.runs.get(key)

@@ -19,7 +19,7 @@ orders of magnitude larger than the database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -38,14 +38,6 @@ class JoinMatrixDecompositions:
     right_vectors: np.ndarray
     index: FeatureIndex
     n_rows: float
-
-    def condition_number(self) -> float:
-        """Condition number of the design matrix (ratio of singular
-        values), a standard diagnostic for regression stability."""
-        positive = self.singular_values[self.singular_values > 0]
-        if len(positive) == 0:
-            return float("inf")
-        return float(positive[0] / positive[-1])
 
     def rank(self, tolerance: float = 1e-10) -> int:
         """Numerical rank of the design matrix."""

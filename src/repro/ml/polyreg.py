@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -137,12 +137,6 @@ class PolynomialCovarBatch:
     @staticmethod
     def _query_name(group_by: Tuple[str, ...]) -> str:
         return "polycovar:" + (",".join(group_by) if group_by else "<>")
-
-    @property
-    def n_parameters(self) -> int:
-        """Number of model parameters for all-continuous features (the
-        paper's C(n+d, d) formula)."""
-        return len(self.basis)
 
 
 @dataclass

@@ -32,12 +32,6 @@ class TestCatalog:
         assert attrs.count("store") == 1
         assert "units" in attrs and "price" in attrs
 
-    def test_relations_with_attribute(self, toy_db):
-        assert set(toy_db.relations_with_attribute("store")) == {
-            "Sales",
-            "Stores",
-        }
-
     def test_attribute_kind(self, toy_db):
         assert toy_db.attribute_kind("units") == "continuous"
         assert toy_db.attribute_kind("city") == "categorical"
@@ -59,10 +53,6 @@ class TestCatalog:
         stray = rel("Stray", {"z": np.array([1])}, [key("z")])
         with pytest.raises(KeyError):
             toy_db.replace(stray)
-
-    def test_with_relation(self, toy_db):
-        extra = rel("Extra", {"date": np.array([0])}, [key("date")])
-        assert len(toy_db.with_relation(extra)) == 4
 
     def test_totals(self, toy_db):
         assert toy_db.total_tuples() == 300 + 6 + 25

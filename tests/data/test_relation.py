@@ -66,12 +66,6 @@ class TestRowOps:
         sorted_rel = r.sorted_by(["a", "x"])
         assert sorted_rel.column("a").tolist() == [1, 1, 2, 3]
 
-    def test_with_column(self, r):
-        extended = r.with_column(continuous("y"), np.zeros(4))
-        assert extended.column("y").tolist() == [0.0] * 4
-        with pytest.raises(ValueError):
-            extended.with_column(continuous("y"), np.zeros(4))
-
     def test_distinct(self, r):
         distinct = r.distinct(["a"])
         assert sorted(distinct.column("a").tolist()) == [1, 2, 3]
@@ -154,18 +148,7 @@ class TestJoin:
         assert left.join(right).attribute_names == ("k", "y")
 
 
-class TestGroupBySum:
-    def test_grouped(self, r):
-        result = r.group_by_sum(["a"], {"sx": r.column("x")})
-        table = dict(
-            zip(result.column("a").tolist(), result.column("sx").tolist())
-        )
-        assert table == {1: 4.0, 2: 2.0, 3: 4.0}
-
-    def test_scalar(self, r):
-        result = r.group_by_sum([], {"sx": r.column("x")})
-        assert result.column("sx").tolist() == [10.0]
-
+class TestConversion:
     def test_to_rows_empty(self):
         rel = make("E", {"a": np.array([], dtype=np.int64)}, [key("a")])
         assert rel.to_rows() == []

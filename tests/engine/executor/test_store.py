@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.executor import ViewStore, retire_dead_keys
+from repro.engine.executor import ViewStore
 from repro.engine.interpreter import ViewData
 
 
@@ -150,23 +150,9 @@ class TestEvictionHandoff:
         assert len(store) == 0
 
 
-class TestMergePrimitives:
-    """merge_partials / retire_dead_keys at their executor home."""
-
+class TestLegacyModules:
     def test_legacy_parallel_module_is_gone(self):
-        # the deprecated repro.engine.parallel shim was removed; the
-        # one import path for the merge primitive is the executor
+        # the deprecated repro.engine.parallel shim was removed; the one
+        # home of the merge delta repair folds views with is the cache
         with pytest.raises(ModuleNotFoundError):
             import repro.engine.parallel  # noqa: F401
-
-    def test_retire_dead_keys_exact_zero(self):
-        view = grouped_view([0, 1, 2], [1.0, 0.0, 3.0],
-                            support=[2.0, 0.0, 1.0])
-        retired = retire_dead_keys(view)
-        assert retired.key_cols[0].tolist() == [0, 2]
-        assert retired.agg_cols[0].tolist() == [1.0, 3.0]
-        assert retired.support.tolist() == [2.0, 1.0]
-
-    def test_retire_dead_keys_noop_without_support(self):
-        view = grouped_view([0, 1], [1.0, 2.0])
-        assert retire_dead_keys(view) is view

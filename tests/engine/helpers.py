@@ -7,6 +7,7 @@ from repro import Aggregate, Delta, Power, Product, Query, QueryBatch
 from repro.data import ops
 from repro.engine import codegen
 from repro.engine.interpreter import ViewData
+from repro.engine.viewcache import ViewCache
 
 
 def execute_rendered(plan, relation, incoming, dyn=()):
@@ -46,12 +47,18 @@ class RenderedBackend:
 
 def run_rendered(engine, batch):
     """``engine.run(batch)`` with every group executed by its rendered
-    source instead of the interpreter (the engine is left as it was)."""
+    source instead of the interpreter (the engine is left as it was).
+    An attached view cache is swapped for an empty one, so no group is
+    served from it."""
     interpreter, engine.backend = engine.backend, RenderedBackend()
+    cache = engine.view_cache
+    if cache is not None:
+        engine.view_cache = ViewCache()
     try:
         return engine.run(batch)
     finally:
         engine.backend = interpreter
+        engine.view_cache = cache
 
 
 def assert_results_identical(got, expected):

@@ -24,14 +24,6 @@ class TestViewData:
         )
         assert data.n_rows == 3
 
-    def test_to_relation(self):
-        data = ViewData(
-            ("g",), [np.array([1, 2])], [np.array([5.0, 6.0])]
-        )
-        rel = data.to_relation("out")
-        assert rel.attribute_names == ("g", "agg_0")
-        assert rel.column("agg_0").tolist() == [5.0, 6.0]
-
 
 def make_plan(db, batch):
     tree = join_tree_from_database(db)

@@ -19,6 +19,7 @@ from repro import (
     QueryBatch,
 )
 from repro.data.database import AppliedDelta
+from repro.engine.viewcache import ViewCache
 
 from .helpers import assert_results_equal
 
@@ -208,7 +209,7 @@ class TestDeltaPartitionRuns:
     def _sales_group(self, toy_db):
         from repro.engine.interpreter import execute_plan
 
-        engine = LMFAO(toy_db, root="Sales", track_support=True)
+        engine = LMFAO(toy_db, root="Sales", view_cache=ViewCache())
         plan = engine.plan(simple_batch(["city"]))
         view_data = {}
         for group_plan in plan.group_plans:  # topological order
@@ -235,29 +236,27 @@ class TestDeltaPartitionRuns:
             np.testing.assert_array_equal(got[vid].support, want[vid].support)
 
     def test_inserted_rows_add_their_run(self, toy_db):
-        from repro.engine.executor.store import merge_partials
         from repro.engine.interpreter import execute_plan
+        from repro.engine.viewcache.cache import merge
 
         group_plan, incoming = self._sales_group(toy_db)
         sales = toy_db.relation("Sales")
         head = sales.take(np.arange(10))
         tail = sales.take(np.arange(10, sales.n_rows))
-        merged = merge_partials(
-            [
-                execute_plan(group_plan, tail, incoming, []),
-                execute_plan(group_plan, head, incoming, []),
-            ]
-        )
+        inserted = execute_plan(group_plan, head, incoming, [])
+        merged = {
+            vid: merge(data, inserted[vid])
+            for vid, data in execute_plan(
+                group_plan, tail, incoming, []
+            ).items()
+        }
         self._assert_same_views(
             merged, execute_plan(group_plan, sales, incoming, [])
         )
 
     def test_retracted_rows_add_their_negated_run(self, toy_db):
-        from repro.engine.executor.store import (
-            merge_partials,
-            retire_dead_keys,
-        )
         from repro.engine.interpreter import execute_plan
+        from repro.engine.viewcache.cache import merge
 
         group_plan, incoming = self._sales_group(toy_db)
         sales = toy_db.relation("Sales")
@@ -269,12 +268,14 @@ class TestDeltaPartitionRuns:
                 group_plan, head, incoming, []
             ).items()
         }
-        merged = merge_partials(
-            [execute_plan(group_plan, sales, incoming, []), retraction]
-        )
+        merged = {
+            vid: merge(data, retraction[vid])
+            for vid, data in execute_plan(
+                group_plan, sales, incoming, []
+            ).items()
+        }
         self._assert_same_views(
-            {vid: retire_dead_keys(data) for vid, data in merged.items()},
-            execute_plan(group_plan, tail, incoming, []),
+            merged, execute_plan(group_plan, tail, incoming, [])
         )
 
 
@@ -322,11 +323,9 @@ class TestPropagation:
         )
         # an insert-only dimension delta merges a delta at every level
         assert report.all_incremental
-        assert report.all_maintained
         assert [m.mode for m in report.maintenance] == ["incremental"]
         assert report.maintenance[0].relation == dim
         assert engine.stats()["incremental"] == 1
-        assert engine.stats()["propagated"] == 0
         assert engine.stats()["fallbacks"] == 0
         got = engine.run(batch)
         expected = reference_results(engine, batch)
@@ -362,7 +361,7 @@ class TestPropagation:
         record = report.maintenance[0]
         assert record.mode == "recompute"
         assert "evicted" in record.reason and dim in record.reason
-        assert not report.all_maintained
+        assert not report.all_incremental
         assert report.views_evicted > 0
         stats = engine.stats()
         assert stats["fallbacks"] == 1
@@ -391,7 +390,6 @@ class TestPropagation:
         stats = engine.stats()
         assert stats["deltas"] == len(names)
         assert stats["incremental"] == len(names)
-        assert stats["propagated"] == 0
         assert stats["fallbacks"] == 0
         assert stats["last_fallback_reason"] is None
 
@@ -420,7 +418,7 @@ class TestServedFromMaintainedViews:
                 delete_indices=np.array([0]),
             )
         )
-        assert report.all_maintained and report.views_patched > 0
+        assert report.all_incremental and report.views_patched > 0
         got = engine.run(batch)
         assert got.cache_report.n_misses == 0
         assert got.cache_report.skipped_groups == got.cache_report.total_groups
@@ -468,10 +466,7 @@ class TestServedFromMaintainedViews:
             assert_results_equal(got, expected, batch, rtol=1e-9, atol=1e-9)
         stats = engine.stats()
         assert stats["deltas"] == 3
-        assert (
-            stats["incremental"] + stats["propagated"] + stats["fallbacks"]
-            == 3
-        )
+        assert stats["incremental"] + stats["fallbacks"] == 3
 
 
 class TestRandomDeltaSequences:
@@ -529,7 +524,7 @@ class TestRandomDeltaSequences:
         )
         # nothing cached, nothing to repair — and nothing left stale
         assert report.views_patched == report.views_evicted == 0
-        assert report.all_maintained
+        assert report.all_incremental
         got = engine.run(batch)  # materializes against the updated db
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch)

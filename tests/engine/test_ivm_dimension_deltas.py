@@ -6,13 +6,12 @@ to full recomputation, and the maintained results are exactly what a
 from-scratch evaluation of the updated database produces.
 
 Every test here applies inserts and/or retractions to *non-root*
-(dimension) relations, asserts the maintenance mode (never
-``recompute``): an insert-only delta merges a delta at every level
-(``incremental``), while a retraction re-runs the dimension's own
-views, which carry no support counts (``propagate``).  Each test
-checks the differential against a cold engine.  The engine's first run materializes the views, and every
-post-delta run is assembled from the views ``ViewCache.on_delta``
-repaired.
+(dimension) relations and asserts the maintenance mode: every delta,
+retractions included, merges a delta at every level (``incremental``),
+since support counts on every keyed view retire the keys a retraction
+empties.  Each test checks the differential against a cold engine.
+The engine's first run materializes the views, and every post-delta
+run is assembled from the views ``ViewCache.on_delta`` repaired.
 """
 
 import numpy as np
@@ -51,7 +50,7 @@ def dimension_names(engine):
 class TestDimensionDeltaDifferential:
     """insert/retract on dimension tables == recomputation."""
 
-    def _roundtrip(self, ds, workload, deltas_fn, mode):
+    def _roundtrip(self, ds, workload, deltas_fn):
         engine = IncrementalEngine(ds.database, ds.join_tree)
         batch = BATCHES[workload](ds)
         engine.run(batch)
@@ -64,14 +63,12 @@ class TestDimensionDeltaDifferential:
             reports.append(engine.apply_delta(*deltas))
         assert reports, "datasets under test must have dimension tables"
         for report in reports:
-            # the whole point of the PR: dimension deltas propagate
-            # through interior DAG levels instead of recomputing
-            assert report.all_maintained, report
-            assert [m.mode for m in report.maintenance] == [mode]
+            # dimension deltas merge through interior DAG levels
+            # instead of recomputing
+            assert [m.mode for m in report.maintenance] == ["incremental"]
         stats = engine.stats()
         assert stats["fallbacks"] == 0
-        counter = "incremental" if mode == "incremental" else "propagated"
-        assert stats[counter] == len(reports)
+        assert stats["incremental"] == len(reports)
         got = engine.run(batch)
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch, rtol=1e-8, atol=1e-8)
@@ -81,7 +78,7 @@ class TestDimensionDeltaDifferential:
             n = max(1, rel.n_rows // 20)
             return [DeltaBatch.insert(dim, sample_inserts(rng, rel, n))]
 
-        self._roundtrip(any_dataset, workload, deltas, "incremental")
+        self._roundtrip(any_dataset, workload, deltas)
 
     def test_retractions_on_every_dimension(self, any_dataset, workload):
         def deltas(rng, rel, dim):
@@ -91,7 +88,7 @@ class TestDimensionDeltaDifferential:
             idx = rng.choice(rel.n_rows, n, replace=False)
             return [DeltaBatch.delete(dim, idx)]
 
-        self._roundtrip(any_dataset, workload, deltas, "propagate")
+        self._roundtrip(any_dataset, workload, deltas)
 
     def test_mixed_insert_and_retract(self, any_dataset, workload):
         def deltas(rng, rel, dim):
@@ -106,7 +103,7 @@ class TestDimensionDeltaDifferential:
                 )
             ]
 
-        self._roundtrip(any_dataset, workload, deltas, "propagate")
+        self._roundtrip(any_dataset, workload, deltas)
 
 
 class TestInterleavedRootAndDimension:
@@ -134,7 +131,7 @@ class TestInterleavedRootAndDimension:
                 )
                 delta = DeltaBatch.delete(name, idx)
             report = engine.apply_delta(delta)
-            assert report.all_maintained, (step, name, report)
+            assert report.all_incremental, (step, name, report)
             got = engine.run(batch)
             expected = reference_results(engine, batch)
             assert_results_equal(
@@ -159,7 +156,7 @@ class TestInterleavedRootAndDimension:
         )
         # one record per applied delta: the root step merges, and so
         # does the insert-only dimension step, at every level
-        assert report.all_maintained
+        assert report.all_incremental
         assert [(m.relation, m.mode) for m in report.maintenance] == [
             (engine.root, "incremental"),
             (dim, "incremental"),
@@ -185,7 +182,7 @@ class TestInterleavedRootAndDimension:
                 delete_indices=np.array([0]),
             )
         )
-        assert report.all_maintained
+        assert report.all_incremental
         got = engine.run(batch)
         expected = reference_results(engine, batch)
         assert_results_equal(got, expected, batch, rtol=1e-7, atol=1e-7)

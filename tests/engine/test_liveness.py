@@ -32,12 +32,9 @@ DATASETS = ["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"]
 
 def engines(ds):
     """Default roots, and the serving shape: single-root with support."""
-    largest = max(ds.database, key=lambda r: r.n_rows).name
     return {
         "default": LMFAO(ds.database, ds.join_tree),
-        "single-root": LMFAO(
-            ds.database, ds.join_tree, root=largest, track_support=True
-        ),
+        "single-root": IncrementalEngine(ds.database, ds.join_tree).engine,
     }
 
 

@@ -166,7 +166,7 @@ def test_incremental_engine_after_a_nan_key_dimension_delta():
             },
         )
     )
-    assert report.all_maintained, report
+    assert report.all_incremental, report
     assert [m.mode for m in report.maintenance] == ["incremental"]
     maintained = engine.run(batch)
     assert maintained.cache_report.n_misses == 0  # served from repaired views

@@ -39,6 +39,7 @@ from repro.engine.plan import (
     MulStep,
     build_group_plan,
 )
+from repro.engine.viewcache import ViewCache
 from repro.engine.views import AggregateSpec, View, ViewRef
 from repro.ml import CARTLearner
 from repro.query.functions import Identity
@@ -470,8 +471,8 @@ class TestDifferential:
     def test_support_counts_context_rows(self):
         db = snowflake()
         batch = mixed_batch()
-        assert_all_modes_agree(db, batch, track_support=True)
-        engine = LMFAO(db, root="Fact", track_support=True)
+        assert_all_modes_agree(db, batch, view_cache=ViewCache())
+        engine = LMFAO(db, root="Fact", view_cache=ViewCache())
         plan = engine.plan(batch)
         view_data = {}
         for group_plan in plan.group_plans:  # topological order

@@ -166,7 +166,7 @@ def test_repaired_answers_match_recomputation(dataset, request):
                 assert_same_answer(engine.run(batch), expected, batch)
         stats = engine.stats()
         assert (
-            stats["incremental"] + stats["propagated"] + stats["fallbacks"]
+            stats["incremental"] + stats["fallbacks"]
             == stats["deltas"]
         )
         assert stats["fallbacks"] == 0, stats

@@ -10,8 +10,10 @@ about which rows a run reads and how many runs there are.
 * Above it a group runs over the node relation's rows that join a
   changed child key — twice, with the new and the old child views —
   never over the whole relation.
-* The full re-run stays as the counted fallback, and the fallbacks still
-  leave ground-truth answers behind.
+* Support counts on every keyed view retire the keys a delta empties,
+  at the updated relation and above it.
+* A view that cannot be repaired is evicted, a counted recompute that
+  still leaves ground-truth answers behind.
 """
 
 import numpy as np
@@ -113,7 +115,7 @@ def test_dimension_update_reads_only_the_fact_rows_it_can_affect(
     report = engine.apply_delta(
         DeltaBatch("Items", inserts=inserts, delete_indices=rows)
     )
-    assert report.all_maintained
+    assert report.all_incremental
     fact = engine.database.relation("Inventory")
     matching = int(np.isin(fact.column("ksn"), inserts["ksn"]).sum())
     assert 0 < matching < fact.n_rows
@@ -139,13 +141,13 @@ def test_unchanged_children_are_only_rekeyed(tiny_retailer, runs):
     assert assert_ground_truth(engine, batch).cache_report.n_misses == 0
 
 
-def test_keyed_interior_view_without_support_reruns_when_a_key_is_lost(
+def test_interior_key_retires_by_support_when_its_child_key_is_lost(
     tiny_favorita, runs
 ):
     """Retracting the only ``Oil`` row of a date drops that date from
-    the ``Transactions`` views above it.  Those views are keyed and
-    carry no support counts, so only the full re-run over
-    ``Transactions`` can drop their keys: the counted fallback."""
+    the ``Transactions`` views above it.  The retraction merges at every
+    level: ``Transactions`` runs only over its rows with that date, and
+    the keyed view's support for the date cancels to zero, retiring it."""
     ds = tiny_favorita
     engine = IncrementalEngine(ds.database, ds.join_tree)
     batch = simple_batch(["date"])
@@ -154,11 +156,30 @@ def test_keyed_interior_view_without_support_reruns_when_a_key_is_lost(
     dates, counts = np.unique(oil.column("date"), return_counts=True)
     unique_date = dates[counts == 1][0]
     txns = engine.database.relation("Transactions")
-    assert (txns.column("date") == unique_date).any()
+    n_dated = int((txns.column("date") == unique_date).sum())
+    assert 0 < n_dated < txns.n_rows
+    keyed = [
+        entry.data
+        for entry in engine.view_cache._entries.values()
+        if entry.recipe.structure[0] == "Transactions"
+        and "date" in entry.data.group_by
+    ]
+    assert keyed and all(data.support is not None for data in keyed)
+    assert all(unique_date in data.key_cols[0] for data in keyed)
     victim = np.flatnonzero(oil.column("date") == unique_date)
     report = engine.apply_delta(DeltaBatch.delete("Oil", victim))
-    assert [m.mode for m in report.maintenance] == ["propagate"]
-    assert ("Transactions", txns.n_rows, False) in runs
+    assert [m.mode for m in report.maintenance] == ["incremental"]
+    at_txns = [n_rows for node, n_rows, _ in runs if node == "Transactions"]
+    # new and old children over the dated rows, never the whole relation
+    assert at_txns == [n_dated] * (2 * groups_at(engine, "Transactions"))
+    repaired = [
+        entry.data
+        for entry in engine.view_cache._entries.values()
+        if entry.recipe.structure[0] == "Transactions"
+        and "date" in entry.data.group_by
+    ]
+    assert len(repaired) == len(keyed)
+    assert not any(unique_date in data.key_cols[0] for data in repaired)
     got = assert_ground_truth(engine, batch)
     assert unique_date not in got["by_key"].column("date")
     assert got.cache_report.n_misses == 0
@@ -202,18 +223,16 @@ class TestChangedKeys:
     def test_added_dropped_and_changed_keys(self):
         old = self.view([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
         new = self.view([2, 3, 4, 5], [2.0, 3.5, 4.0, 5.0])
-        (keys,), lost = changed_keys(old, new)
+        (keys,) = changed_keys(old, new)
         assert keys.tolist() == [1, 3, 5]
-        assert lost
 
     def test_support_change_alone_is_a_change(self):
         old = self.view([1, 2], [1.0, 2.0], support=[1, 2])
         new = self.view([1, 2], [1.0, 2.0], support=[1, 3])
-        (keys,), lost = changed_keys(old, new)
+        (keys,) = changed_keys(old, new)
         assert keys.tolist() == [2]
-        assert not lost
 
     def test_equal_views_change_nothing(self):
         old = self.view([1, 2], [1.0, 2.0])
-        (keys,), lost = changed_keys(old, self.view([1, 2], [1.0, 2.0]))
-        assert len(keys) == 0 and not lost
+        (keys,) = changed_keys(old, self.view([1, 2], [1.0, 2.0]))
+        assert len(keys) == 0

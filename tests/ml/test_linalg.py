@@ -46,13 +46,6 @@ class TestDecompositions:
             decomposition.singular_values, expected, rtol=1e-6
         )
 
-    def test_condition_number_matches(self, setup):
-        decomposition, design = setup
-        expected = np.linalg.cond(design)
-        assert np.isclose(
-            decomposition.condition_number(), expected, rtol=1e-5
-        )
-
     def test_rank_full(self, setup):
         decomposition, design = setup
         assert decomposition.rank() == design.shape[1]

@@ -52,10 +52,6 @@ class TestBatchShape:
         with pytest.raises(ValueError):
             PolynomialCovarBatch(["x"], [], "label", degree=0)
 
-    def test_n_parameters(self):
-        covar = PolynomialCovarBatch(["x", "y"], [], "label", degree=2)
-        assert covar.n_parameters == 6
-
 
 class TestTraining:
     @pytest.fixture(scope="class")

@@ -278,7 +278,6 @@ class TestServiceDurability:
             assert stats["storage"]["recovery"]["replayed_commits"] == 3
             assert stats["ivm"]["deltas"] == 0
             assert stats["ivm"]["incremental"] == 0
-            assert stats["ivm"]["propagated"] == 0
             assert database_fingerprint(
                 revived.snapshot("toy").database
             ) == database_fingerprint(live_db)
@@ -309,11 +308,10 @@ class TestServiceDurability:
             service.apply_delta("toy", dimension_delta(toy_db))
             ivm = service.stats()["datasets"]["toy"]["ivm"]
         # the counters say what the commits did to the served views:
-        # the root delta merged, the dimension delta propagated
+        # the root delta and the dimension delta both merged
         assert ivm == {
             "deltas": 2,
-            "incremental": 1,
-            "propagated": 1,
+            "incremental": 2,
             "fallbacks": 0,
             "last_fallback_reason": None,
         }

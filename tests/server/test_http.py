@@ -174,17 +174,13 @@ class TestEndpoints:
             assert record["relation"] == relation
             assert record["seconds"] >= 0 and record["reason"] is None
             modes.append(record["mode"])
-        # inserts merge a delta at every level; the Oil retraction
-        # re-runs Oil's own views, which carry no support counts
-        assert modes == [
-            "incremental", "incremental", "incremental",
-            "propagate", "incremental",
-        ]
+        # every delta merges at every level, the Oil retraction too:
+        # support counts retire the keys it empties
+        assert modes == ["incremental"] * 5
         ivm = client.stats()["datasets"]["toy"]["ivm"]
         assert ivm == {
             "deltas": 5,
-            "incremental": 4,
-            "propagated": 1,
+            "incremental": 5,
             "fallbacks": 0,
             "last_fallback_reason": None,
         }
