@@ -68,6 +68,15 @@ class ViewData:
             encoded = self._encodings[pos] = ops.factorize(self.key_cols[pos])
         return encoded
 
+    def with_sums(
+        self, agg_cols: List[np.ndarray], support: Optional[np.ndarray] = None
+    ) -> "ViewData":
+        """The same keys carrying new sums; key encodings made so far
+        carry over, as the key columns are the same arrays."""
+        data = ViewData(self.group_by, list(self.key_cols), agg_cols, support)
+        data._encodings.update(self._encodings)
+        return data
+
     def negated(self) -> "ViewData":
         """This view's data with all sums (and support) sign-flipped.
 

@@ -327,11 +327,68 @@ def merge(data: ViewData, *deltas: ViewData) -> ViewData:
     they are integer-valued, so the zero test is exact, and a key whose
     support cancels to zero — every context row that produced it
     retracted, when a from-scratch run would not emit it — is retired.
+
+    A delta that only touches keys the view holds is added in place at
+    those keys' rows, piece by piece as a regrouping would add it, and
+    the view's key encodings carry over; a new key regroups every piece.
     """
     pieces = (data,) + deltas
-    with_support = bool(data.group_by) and all(
-        p.support is not None for p in pieces
+    if not data.group_by:  # one row per piece
+        if not data.agg_cols:
+            return ViewData(data.group_by, [], [])
+        totals = np.stack(
+            [np.concatenate(p.agg_cols) for p in pieces], axis=1
+        ).sum(axis=1)
+        return ViewData(data.group_by, [], list(totals[:, None]))
+    with_support = all(p.support is not None for p in pieces)
+    positions = _positions(data, deltas)
+    if positions is None:
+        return _regrouped(pieces, with_support)
+    sums = _stacked(data, with_support)
+    for delta, at in zip(deltas, positions):
+        sums[:, at] += _stacked(delta, with_support)
+    if not with_support:
+        return data.with_sums(list(sums))
+    alive = sums[-1] > 0.5
+    if alive.all():
+        return data.with_sums(list(sums[:-1]), sums[-1])
+    sums = sums[:, alive]
+    return ViewData(
+        data.group_by,
+        [key[alive] for key in data.key_cols],
+        list(sums[:-1]),
+        support=sums[-1],
     )
+
+
+def _stacked(data: ViewData, with_support: bool) -> np.ndarray:
+    """A fresh (sums x keys) array of the view's sums, support last."""
+    cols = list(data.agg_cols) + ([data.support] if with_support else [])
+    return np.stack(cols) if cols else np.empty((0, data.n_rows))
+
+
+def _positions(
+    data: ViewData, deltas: Tuple[ViewData, ...]
+) -> Optional[List[np.ndarray]]:
+    """Each delta's keys as row positions in ``data``; None if a delta
+    holds a key ``data`` lacks."""
+    encoded = [data.encoded(pos) for pos in range(len(data.key_cols))]
+    positions = []
+    for delta in deltas:
+        held, wanted = ops.shared_codes(encoded, delta.key_cols)
+        if len(wanted) and not len(held):
+            return None
+        # rows are in key order, so ``held`` ascends
+        at = np.minimum(np.searchsorted(held, wanted), len(held) - 1)
+        if not (held[at] == wanted).all():
+            return None
+        positions.append(at)
+    return positions
+
+
+def _regrouped(pieces: Tuple[ViewData, ...], with_support: bool) -> ViewData:
+    """The pieces' rows grouped and summed by key afresh."""
+    data = pieces[0]
     key_cols = [
         np.concatenate([p.key_cols[k] for p in pieces])
         for k in range(len(data.key_cols))

@@ -10,7 +10,7 @@ from repro import LMFAO
 from repro.engine.executor import DataflowScheduler
 from repro.engine.interpreter import ViewData, execute_plan
 from repro.engine.viewcache import ViewCache
-from repro.engine.viewcache.cache import merge
+from repro.engine.viewcache.cache import _regrouped, merge
 
 from ..helpers import WORKLOADS
 
@@ -227,3 +227,64 @@ class TestDeltaMerge:
         assert merged.key_cols[0].tolist() == []
         assert merged.agg_cols[0].tolist() == []
         assert merged.support.tolist() == []
+
+
+class TestInPlaceMerge:
+    """A delta holding only keys the view holds is added at those keys'
+    rows instead of regrouping every piece."""
+
+    @staticmethod
+    def composite_view(rng, pairs, n_sums=3):
+        pairs = sorted(pairs)
+        return ViewData(
+            ("a", "b"),
+            [np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])],
+            [rng.normal(size=len(pairs)) for _ in range(n_sums)],
+            support=rng.integers(1, 4, len(pairs)).astype(float),
+        )
+
+    def test_bit_for_bit_what_regrouping_gives(self):
+        rng = np.random.default_rng(7)
+        held = [(a, b) for a in range(6) for b in range(5)]
+        current = self.composite_view(rng, held)
+        for seed in range(20):
+            pick = np.random.default_rng(seed).permutation(len(held))
+            new = self.composite_view(rng, [held[i] for i in pick[:9]])
+            old = self.composite_view(rng, [held[i] for i in pick[5:12]])
+            pieces = (current, new, old.negated())
+            got = merge(*pieces)
+            expected = _regrouped(pieces, with_support=True)
+            for got_col, expected_col in zip(
+                got.key_cols + got.agg_cols + [got.support],
+                expected.key_cols + expected.agg_cols + [expected.support],
+            ):
+                assert np.array_equal(got_col, expected_col)
+
+    def test_key_encodings_carry_over(self):
+        current = grouped_view([1, 4, 7], [1.0, 2.0, 3.0], support=[1, 1, 1])
+        encoded = current.encoded(0)
+        merged = merge(current, grouped_view([4], [5.0], support=[2]))
+        assert merged.key_cols[0] is current.key_cols[0]
+        assert merged.encoded(0) is encoded
+        assert merged.agg_cols[0].tolist() == [1.0, 7.0, 3.0]
+        assert merged.support.tolist() == [1.0, 3.0, 1.0]
+
+    def test_retiring_a_key_in_place_drops_its_row(self):
+        current = grouped_view([1, 4, 7], [1.0, 2.0, 3.0], support=[1, 1, 2])
+        merged = merge(
+            current, grouped_view([4, 7], [-2.0, -1.0], support=[-1, -1])
+        )
+        assert merged.key_cols[0].tolist() == [1, 7]
+        assert merged.agg_cols[0].tolist() == [1.0, 2.0]
+        assert merged.support.tolist() == [1.0, 1.0]
+
+    def test_a_new_key_regroups(self):
+        current = grouped_view([1, 4], [1.0, 2.0], support=[1, 1])
+        merged = merge(
+            current,
+            grouped_view([4], [1.0], support=[1]),
+            grouped_view([2], [5.0], support=[1]),
+        )
+        assert merged.key_cols[0].tolist() == [1, 2, 4]
+        assert merged.agg_cols[0].tolist() == [1.0, 5.0, 3.0]
+        assert merged.support.tolist() == [1.0, 1.0, 2.0]
