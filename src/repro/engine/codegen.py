@@ -166,9 +166,6 @@ def _render_group_sum(step: GroupSumStep) -> str:
             else:
                 total = f"float(len({step.n_var}))"
         else:
-            total = (
-                f"(float(np.sum({step.values})) if len({step.values}) "
-                "else 0.0)"
-            )
+            total = f"float({step.values}.sum())"
         expr = f"np.asarray([{total}], dtype=np.float64)"
     return f"{step.out} = {expr}"

@@ -8,11 +8,11 @@ achieved (the Figure 3 picture, as text).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..jointree.join_tree import JoinTree
 from .engine import EnginePlan
-from .plan import GroupSumStep
+from .plan import GroupSumStep, MulStep
 
 
 def explain(plan: EnginePlan, tree: JoinTree) -> str:
@@ -89,17 +89,36 @@ def _explain_groups(plan: EnginePlan) -> List[str]:
         # what the post-sum factoring of ``plan.py`` left to do row by
         # row, and how many arrays its liveness lets a run hold at once
         n_aggregates = sum(len(views[v].aggregates) for v in group.view_ids)
-        n_sums = sum(
-            isinstance(step, GroupSumStep) for step in group_plan.steps
-        )
+        n_sums, n_products = _row_level_work(group_plan.steps)
         lines.append(
             f"  level {level_of[group.id]}: group {group.id} @ "
             f"{group.node} computes views {sorted(group.view_ids)}  "
             f"steps: {len(group_plan.steps)}, "
             f"peak live arrays: {group_plan.peak_live}  "
+            f"row-level products: {n_products}  "
             f"aggregates -> row-level sums: {n_aggregates} -> {n_sums}"
         )
     return lines
+
+
+def _row_level_work(steps) -> Tuple[int, int]:
+    """How many sums and multiplies of a group run over context rows.
+
+    A :class:`MulStep` whose left operand is a sum, or a product of
+    one, multiplies per group, after the sum; every other one
+    multiplies rows.
+    """
+    n_sums, n_products, per_group = 0, 0, set()
+    for step in steps:
+        if isinstance(step, GroupSumStep):
+            n_sums += 1
+            per_group.add(step.out)
+        elif isinstance(step, MulStep):
+            if step.a in per_group:
+                per_group.add(step.out)
+            else:
+                n_products += 1
+    return n_sums, n_products
 
 
 def _explain_sharing(plan: EnginePlan) -> List[str]:

@@ -114,17 +114,27 @@ def execute_plan(
     ``weights`` (optional) gives each relation row a multiplicity: every
     sum and count then weighs a context row by its relation row's
     weight.  View repair runs a signed delta — inserted rows at +1,
-    retracted rows at -1 — this way, in one pass.
+    retracted rows at -1 — this way, in one pass.  A context's weights
+    are gathered once, on its first sum, and keyed by the context's
+    base var: a plan writes each var once, so the name is the context.
+    They die with the base var.
     """
     env: Dict[str, object] = {"_n_rel": relation.n_rows}
     produced: Dict[int, ViewData] = {}
+    # base var -> the context rows' weights; None is the bare relation
+    context_weights: Dict[Optional[str], np.ndarray] = (
+        {} if weights is None else {None: weights}
+    )
     for step, dead in zip(plan.steps, plan.frees):
         kind = type(step)
         if kind is GroupSumStep:
             if weights is None:
                 env[step.out] = _group_sum(step, env)
             else:
-                env[step.out] = _weighted_sum(step, env, weights)
+                w = context_weights.get(step.base)
+                if w is None:
+                    w = context_weights[step.base] = weights[env[step.base]]
+                env[step.out] = _weighted_sum(step, env, w)
         elif kind is Gather:
             env[step.out] = _gather(step, relation, incoming, env)
         elif kind is MulStep:
@@ -182,6 +192,9 @@ def execute_plan(
             raise TypeError(f"unknown step {step!r}")
         for var in dead:
             del env[var]
+        if context_weights:
+            for var in dead:
+                context_weights.pop(var, None)
     return produced
 
 
@@ -221,17 +234,20 @@ def _group_sum(step: GroupSumStep, env: Dict[str, object]) -> np.ndarray:
     if step.values is None:
         total = float(_context_length(env, step.n_var))
     else:
-        values = env[step.values]
-        total = float(np.sum(values)) if len(values) else 0.0
+        total = float(env[step.values].sum())
     return np.asarray([total], dtype=np.float64)
 
 
 def _weighted_sum(
-    step: GroupSumStep, env: Dict[str, object], weights: np.ndarray
+    step: GroupSumStep, env: Dict[str, object], w: np.ndarray
 ) -> np.ndarray:
-    w = weights if step.base is None else weights[env[step.base]]
+    """The sum of ``step`` with context row ``i`` weighed by ``w[i]``."""
+    if step.codes is None:
+        if step.values is None:
+            total = float(w.sum())
+        else:
+            total = float(np.dot(env[step.values], w))
+        return np.asarray([total], dtype=np.float64)
     values = w if step.values is None else env[step.values] * w
-    if step.codes is not None:
-        n_groups = _n_groups(env[step.keys])
-        return ops.group_sums(env[step.codes], values, n_groups)
-    return np.asarray([float(np.sum(values))], dtype=np.float64)
+    n_groups = _n_groups(env[step.keys])
+    return ops.group_sums(env[step.codes], values, n_groups)

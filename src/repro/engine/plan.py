@@ -9,7 +9,8 @@ Optimization of §3.5:
 * evaluated factor columns are shared across aggregates (local variables
   in the paper's generated code);
 * partial products are shared via prefix caching (the paper's "reuse of
-  arithmetic operations");
+  arithmetic operations"), and a product folds the factors most of the
+  group's aggregates share first, so their common prefix is built once;
 * group-by key encodings are shared across all aggregates of a view and
   across views with equal group-by;
 * **sum before you multiply** (the loop-invariant decomposition of
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..data.relation import Relation
 from ..query.functions import Function
 from .grouping import ViewGroup
-from .views import View
+from .views import View, ViewRef
 
 # ---------------------------------------------------------------------------
 # Step IR
@@ -404,6 +405,8 @@ class GroupPlanBuilder:
         self._groupkey_cache: Dict[tuple, Tuple[str, str]] = {}
         self._grouprows_cache: Dict[str, str] = {}  # codes var -> rows var
         self._sum_cache: Dict[tuple, str] = {}
+        # (context key, row factor name) -> aggregates multiplying it
+        self._uses: Dict[tuple, int] = {}
         self._input_views: Dict[int, None] = {}
 
     # -- var bookkeeping -----------------------------------------------------
@@ -417,8 +420,10 @@ class GroupPlanBuilder:
     def build(self) -> GroupPlan:
         base = _Context(key=(), base_idx=None, view_idx={}, n_var="_n_rel")
         self._contexts[()] = base
-        for view_id in self.group.view_ids:
-            self._build_view(self.views[view_id])
+        views = [self.views[view_id] for view_id in self.group.view_ids]
+        laid_out = [self._lay_out(view) for view in views]
+        for view, specs in zip(views, laid_out):
+            self._build_view(view, specs)
         return GroupPlan(
             group=self.group,
             node=self.node,
@@ -427,7 +432,50 @@ class GroupPlanBuilder:
             relation_attrs=self.relation_attrs,
         )
 
-    def _build_view(self, view: View) -> None:
+    def _lay_out(self, view: View) -> List[tuple]:
+        """Each aggregate of ``view`` as ``(spec, context key, covered
+        refs, row factors)``, counting the row factors' uses.
+
+        A row factor is ``(name, function or ref)``; its name identifies
+        it within a context.  Row factors come in signature / view-id
+        order.  ``self._uses`` counts, per context, how many aggregates
+        of the group multiply each one row by row, which is the order
+        :meth:`_build_product` folds them in.
+        """
+        uses = self._uses
+        covered = set(view.group_by)
+        laid_out = []
+        for spec in view.aggregates:
+            row_factors: List[tuple] = []
+            group_refs, joined = [], set()
+            for function in sorted(
+                spec.functions, key=lambda f: repr(f.signature())
+            ):
+                name = (
+                    ("dyn", self.dyn_slots.get(id(function)))
+                    if function.dynamic
+                    else function.signature()
+                )
+                row_factors.append((name, function))
+            for ref in sorted(
+                spec.refs, key=lambda r: (r.view_id, r.agg_index)
+            ):
+                self._input_views.setdefault(ref.view_id, None)
+                view_key = self.views[ref.view_id].group_by
+                if view_key:  # key {} has nothing to join on
+                    joined.add(ref.view_id)
+                if covered.issuperset(view_key):
+                    group_refs.append(ref)
+                else:
+                    origin = ("viewagg", ref.view_id, ref.agg_index)
+                    row_factors.append((origin, ref))
+            context = tuple(sorted(joined))
+            for name, _ in row_factors:
+                uses[context, name] = uses.get((context, name), 0) + 1
+            laid_out.append((spec, context, group_refs, row_factors))
+        return laid_out
+
+    def _build_view(self, view: View, laid_out: List[tuple]) -> None:
         """One output view: per aggregate, a shared sum times its factors.
 
         **The hoisting rule.**  An aggregate is
@@ -442,27 +490,15 @@ class GroupPlanBuilder:
         :class:`GroupRowsStep`.  The view still joins into the context:
         the join is what drops rows without a partner and what says
         which payload row a group reads.  Only relation-column functions
-        and views whose key is *not* covered are multiplied row by row.
+        and views whose key is *not* covered are multiplied row by row
+        (:meth:`_lay_out` sorts the references into the two kinds).
         """
         agg_vars: List[str] = []
         codes: Optional[str] = None
         keys: Optional[str] = None
         ctx: Optional[_Context] = None
-        covered = set(view.group_by)
-        for spec in view.aggregates:
-            row_refs, group_refs, joined = [], [], set()
-            for ref in sorted(
-                spec.refs, key=lambda r: (r.view_id, r.agg_index)
-            ):
-                self._input_views.setdefault(ref.view_id, None)
-                view_key = self.views[ref.view_id].group_by
-                if view_key:  # key {} has nothing to join on
-                    joined.add(ref.view_id)
-                if covered.issuperset(view_key):
-                    group_refs.append(ref)
-                else:
-                    row_refs.append(ref)
-            ctx = self._context_for(tuple(sorted(joined)))
+        for spec, context, group_refs, row_factors in laid_out:
+            ctx = self._context_for(context)
             if view.group_by:
                 codes, keys = self._group_keys(ctx, view.group_by)
             factors: List[Union[str, float]] = [
@@ -472,7 +508,7 @@ class GroupPlanBuilder:
             if spec.coefficient != 1.0:
                 factors.append(spec.coefficient)
             total = self._group_sum(
-                ctx, codes, keys, self._build_product(ctx, spec, row_refs)
+                ctx, codes, keys, self._build_product(ctx, row_factors)
             )
             agg_vars.append(self._fold(total, factors))
         support_var: Optional[str] = None
@@ -619,23 +655,28 @@ class GroupPlanBuilder:
 
     # -- products ----------------------------------------------------------------
 
-    def _build_product(self, ctx: _Context, spec, row_refs) -> Optional[str]:
-        """Row-aligned product of factor functions and view aggregates.
+    def _build_product(
+        self, ctx: _Context, row_factors: List[tuple]
+    ) -> Optional[str]:
+        """Row-aligned product of an aggregate's row factors.
 
-        ``row_refs`` are the references whose view key the output
-        group-by does not cover.  Returns ``None`` when there is nothing
-        row-wise to multiply (a pure count).
+        The factors the group's aggregates in this context share most
+        are folded first, ties kept in signature / view-id order, so
+        aggregates that share all factors but a few share the prefix
+        of their products (:meth:`_fold` caches it).  Returns ``None``
+        when there is nothing row-wise to multiply (a pure count).
         """
-        factor_vars: List[str] = []
-        for function in sorted(
-            spec.functions, key=lambda f: repr(f.signature())
-        ):
-            factor_vars.append(self._factor(ctx, function))
-        for ref in row_refs:
-            origin = ("viewagg", ref.view_id, ref.agg_index)
-            factor_vars.append(self._row_column(ctx, origin))
-        if not factor_vars:
+        if not row_factors:
             return None
+        uses = self._uses
+        factor_vars = [
+            self._row_column(ctx, name)
+            if isinstance(item, ViewRef)
+            else self._factor(ctx, item, name)
+            for name, item in sorted(
+                row_factors, key=lambda f: -uses[ctx.key, f[0]]
+            )
+        ]
         return self._fold(factor_vars[0], factor_vars[1:])
 
     def _fold(self, first: str, rest: Sequence[Union[str, float]]) -> str:
@@ -699,14 +740,10 @@ class GroupPlanBuilder:
         )
         return self._gather(origin, index, "g")
 
-    def _factor(self, ctx: _Context, function: Function) -> str:
-        slot = self.dyn_slots.get(id(function))
-        sig = (
-            ("dyn", slot)
-            if function.dynamic
-            else function.signature()
-        )
-        cache_key = (ctx.key, sig)
+    def _factor(self, ctx: _Context, function: Function, name: tuple) -> str:
+        """``function`` over the context's rows; ``name`` is its
+        signature, or its dyn slot for a dynamic function."""
+        cache_key = (ctx.key, name)
         if cache_key in self._factor_cache:
             return self._factor_cache[cache_key]
         col_vars = tuple(
@@ -719,7 +756,7 @@ class GroupPlanBuilder:
                 out=out,
                 function=function,
                 col_vars=col_vars,
-                dyn_slot=slot if function.dynamic else None,
+                dyn_slot=name[1] if function.dynamic else None,
             )
         )
         self._factor_cache[cache_key] = out

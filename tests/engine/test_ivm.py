@@ -18,7 +18,9 @@ from repro import (
     Query,
     QueryBatch,
 )
+from repro.data import Database, Relation
 from repro.data.database import AppliedDelta
+from repro.engine.plan import GroupSumStep
 from repro.engine.viewcache import ViewCache
 
 from .helpers import assert_results_equal
@@ -206,11 +208,11 @@ class TestDeltaPartitionRuns:
     partition's additive share of every view: inserted rows add it,
     retracted rows add its negation."""
 
-    def _sales_group(self, toy_db):
+    def _sales_group(self, toy_db, batch=None):
         from repro.engine.interpreter import execute_plan
 
         engine = LMFAO(toy_db, root="Sales", view_cache=ViewCache())
-        plan = engine.plan(simple_batch(["city"]))
+        plan = engine.plan(batch or simple_batch(["city"]))
         view_data = {}
         for group_plan in plan.group_plans:  # topological order
             view_data.update(
@@ -277,6 +279,150 @@ class TestDeltaPartitionRuns:
         self._assert_same_views(
             merged, execute_plan(group_plan, tail, incoming, [])
         )
+
+    # -- one signed run == the inserted rows' run - the retracted rows' --
+
+    @staticmethod
+    def _signed_run(group_plan, relation, incoming, inserted, retracted):
+        """The group run once over the inserted rows at +1 and the
+        retracted rows at -1, and each of the two runs unweighted."""
+        from repro.engine.interpreter import execute_plan
+
+        ins, ret = relation.take(inserted), relation.take(retracted)
+        rows = Relation(
+            relation.name,
+            relation.schema,
+            {
+                n: np.concatenate([ins.column(n), ret.column(n)])
+                for n in relation.schema.names
+            },
+        )
+        signs = np.concatenate(
+            [np.ones(ins.n_rows), np.full(ret.n_rows, -1.0)]
+        )
+        return (
+            execute_plan(group_plan, rows, incoming, [], signs),
+            execute_plan(group_plan, ins, incoming, []),
+            execute_plan(group_plan, ret, incoming, []),
+        )
+
+    @staticmethod
+    def _by_key(data):
+        """{key: aggregates then support} of one view's data."""
+        support = [] if data.support is None else [data.support]
+        columns = np.column_stack(data.agg_cols + support)
+        keys = zip(*(col.tolist() for col in data.key_cols))
+        if not data.key_cols:
+            keys = [()]
+        return dict(zip(keys, columns))
+
+    def _assert_signed_is_difference(self, signed, inserted, retracted):
+        assert set(signed) == set(inserted) == set(retracted)
+        for vid in signed:
+            got = self._by_key(signed[vid])
+            plus = self._by_key(inserted[vid])
+            minus = self._by_key(retracted[vid])
+            assert set(got) == set(plus) | set(minus)
+            data = signed[vid]
+            zero = np.zeros(len(data.agg_cols) + (data.support is not None))
+            for key, row in got.items():
+                np.testing.assert_allclose(
+                    row,
+                    plus.get(key, zero) - minus.get(key, zero),
+                    rtol=1e-12,
+                    atol=1e-12,
+                    err_msg=f"view {vid} key {key}",
+                )
+
+    @staticmethod
+    def _sum_shapes(group_plan):
+        """{(grouped?, counts only?, over the bare relation?)} of the
+        plan's sums."""
+        return {
+            (s.codes is not None, s.values is None, s.base is None)
+            for s in group_plan.steps
+            if isinstance(s, GroupSumStep)
+        }
+
+    def test_signed_run_is_inserted_minus_retracted(self, toy_db):
+        batch = QueryBatch(
+            [
+                Query(
+                    "n",
+                    [],
+                    [
+                        Aggregate.count(),
+                        Aggregate.of("units", name="u"),
+                        Aggregate.of("units", "price", name="up"),
+                    ],
+                ),
+                Query(
+                    "by_city",
+                    ["city"],
+                    [Aggregate.count(name="c"), Aggregate.of("units", "size")],
+                ),
+                Query("by_store", ["store"], [Aggregate.of("units")]),
+            ]
+        )
+        group_plan, incoming = self._sales_group(toy_db, batch)
+        # scalar and grouped sums and grouped counts, over joined rows
+        assert {(False, False, False), (True, False, False)} <= (
+            self._sum_shapes(group_plan)
+        )
+        assert (True, True, False) in self._sum_shapes(group_plan)
+        # the parts overlap: rows 25-39 are inserted and retracted alike
+        self._assert_signed_is_difference(
+            *self._signed_run(
+                group_plan,
+                toy_db.relation("Sales"),
+                incoming,
+                np.arange(0, 40),
+                np.arange(25, 60),
+            )
+        )
+
+    def test_signed_run_over_the_bare_relation(self, toy_db):
+        sales = toy_db.relation("Sales")
+        engine = LMFAO(Database([sales], name="one"), view_cache=ViewCache())
+        batch = QueryBatch(
+            [
+                Query("n", [], [Aggregate.count(), Aggregate.of("units")]),
+                Query(
+                    "by_store",
+                    ["store"],
+                    [Aggregate.count(name="c"), Aggregate.of("units")],
+                ),
+            ]
+        )
+        (group_plan,) = engine.plan(batch).group_plans
+        # every sum shape, each over the relation's own rows
+        assert self._sum_shapes(group_plan) == {
+            (grouped, counts, True)
+            for grouped in (False, True)
+            for counts in (False, True)
+        }
+        self._assert_signed_is_difference(
+            *self._signed_run(
+                group_plan, sales, {}, np.arange(0, 40), np.arange(25, 60)
+            )
+        )
+
+    def test_signed_rows_that_join_nothing_sum_to_zero(self, toy_db):
+        group_plan, incoming = self._sales_group(toy_db)
+        sales = toy_db.relation("Sales")
+        columns = {n: sales.column(n)[:12] for n in sales.schema.names}
+        columns["store"] = columns["store"] + 100  # no Stores partner
+        strays = Relation("Sales", sales.schema, columns)
+        signed, inserted, retracted = self._signed_run(
+            group_plan, strays, incoming, np.arange(0, 8), np.arange(4, 12)
+        )
+        self._assert_signed_is_difference(signed, inserted, retracted)
+        for data in signed.values():
+            if data.group_by:
+                assert data.n_rows == 0
+                assert data.support is not None and len(data.support) == 0
+            else:
+                assert all(col.tolist() == [0.0] for col in data.agg_cols)
 
 
 class TestKeyRetirement:

@@ -5,7 +5,8 @@ Plan-shape tests pin down *where* each incoming view's payload is read
 (once per output group, once per row, or as a broadcast scalar);
 differential tests hold interpreter, generated code and the
 materialized-join baseline to the same answers on every input shape the
-rule has to survive.
+rule has to survive.  Product-order tests hold what is left row by row
+to sharing: the factors most aggregates share are multiplied first.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.data.schema import Schema, continuous, key
 from repro.engine.grouping import ViewGroup
 from repro.engine.interpreter import ViewData, execute_plan
 from repro.engine.plan import (
+    FactorStep,
     Gather,
     GroupRowsStep,
     GroupSumStep,
@@ -286,6 +288,146 @@ class TestHandBuiltGroup:
                 assert data.support is None
         for got, want in zip(interpreted.agg_cols, generated.agg_cols):
             np.testing.assert_array_equal(got, want)
+
+
+# -- product order: the factors most aggregates share are folded first ----------
+
+
+def shared_factor_group(k):
+    """``Q[a] = (SUM 1[x <= t_i] * x * y * V0[0][b] for i < k)`` at
+    Fact(a, b, x, y): the k aggregates share every row factor but their
+    own condition, whose signature sorts before all the shared ones."""
+    rng = np.random.default_rng(11)
+    n = 50
+    fact = Relation(
+        "Fact",
+        Schema([key("a"), key("b"), continuous("x"), continuous("y")]),
+        {
+            "a": rng.integers(0, 4, n),
+            "b": rng.integers(0, 6, n),  # 1 dangles: no partner in V0
+            "x": np.round(rng.normal(0, 2, n), 2),
+            "y": np.round(rng.normal(1, 1, n), 2),
+        },
+    )
+    thresholds = np.linspace(-1.0, 1.0, k)
+    views = [
+        View(0, "Dim", "Fact", ("b",), [None]),
+        View(
+            1,
+            "Fact",
+            None,
+            ("a",),
+            [
+                AggregateSpec(
+                    1.0,
+                    (Identity("y"), Delta("x", "<=", t), Identity("x")),
+                    (ViewRef(0, 0),),
+                )
+                for t in thresholds
+            ],
+        ),
+    ]
+    incoming = {
+        0: ViewData(("b",), [np.arange(5)], [np.array([2.0, -1.0, 0.5, 4.0, 3.0])])
+    }
+    group = ViewGroup(id=0, node="Fact", view_ids=[1])
+    return fact, views, incoming, group, thresholds
+
+
+def row_products(plan):
+    """The row-level multiplies: those a row-level sum reads, traced
+    back from its values."""
+    per_row = row_level_vars(plan)
+    return [
+        s for s in plan.steps if isinstance(s, MulStep) and s.out in per_row
+    ]
+
+
+def parent_order_products(plan):
+    """How many row-level multiplies the plan would hold were each
+    product folded in signature / view-id order: the distinct prefixes,
+    two factors or longer, of every sum's factors in that order."""
+    by_out = {s.out: s for s in plan.steps if isinstance(s, MulStep)}
+    order = {}
+    for step in plan.steps:
+        if isinstance(step, FactorStep):
+            order[step.out] = (0, repr(step.function.signature()))
+        elif isinstance(step, Gather) and step.origin[0] == "viewagg":
+            order[step.out] = (1, step.origin[1:])
+
+    def factors(var):
+        if var not in by_out:
+            return [var]
+        return factors(by_out[var].a) + [by_out[var].b]
+
+    prefixes = set()
+    for step in plan.steps:
+        if isinstance(step, GroupSumStep) and step.values is not None:
+            ordered = sorted(factors(step.values), key=order.__getitem__)
+            for end in range(2, len(ordered) + 1):
+                prefixes.add(tuple(ordered[:end]))
+    return len(prefixes)
+
+
+class TestProductOrder:
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_shared_factors_are_multiplied_once(self, k):
+        fact, views, incoming, group, thresholds = shared_factor_group(k)
+        plan = build_group_plan(group, views, fact, {})
+        # x * y * V0 once (two multiplies), then one per aggregate for
+        # its own condition: the fewest k distinct four-factor products
+        # sharing three factors can take
+        assert len(row_products(plan)) == k + 2
+        assert sum(isinstance(s, MulStep) for s in plan.steps) == k + 2
+
+        a, b, x, y = (fact.column(c) for c in ("a", "b", "x", "y"))
+        keep = b < 5
+        payload = incoming[0].agg_cols[0]
+        want = np.zeros((k, 4))
+        for i, t in enumerate(thresholds):
+            np.add.at(
+                want[i],
+                a[keep],
+                (x[keep] <= t) * x[keep] * y[keep] * payload[b[keep]],
+            )
+        present = np.bincount(a[keep], minlength=4) > 0
+        interpreted = execute_plan(plan, fact, incoming, [])[1]
+        generated = execute_rendered(plan, fact, incoming, [])[1]
+        for data in (interpreted, generated):
+            assert data.key_cols[0].tolist() == np.flatnonzero(present).tolist()
+            for got, wanted in zip(data.agg_cols, want):
+                np.testing.assert_allclose(
+                    got, wanted[present], rtol=1e-12, atol=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "fixture", ["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"]
+    )
+    def test_no_served_group_multiplies_more_than_in_signature_order(
+        self, request, fixture
+    ):
+        from repro.__main__ import (
+            SERVE_WORKLOADS,
+            WorkloadUnavailable,
+            _build_workload,
+        )
+
+        ds = request.getfixturevalue(fixture)
+        root = max(ds.database, key=lambda r: r.n_rows).name
+        engine = LMFAO(ds.database, ds.join_tree, root=root)
+        planned = reference = 0
+        for workload in SERVE_WORKLOADS:
+            try:
+                batch = _build_workload(ds, engine, workload)
+            except WorkloadUnavailable:
+                continue
+            for group_plan in engine.plan(batch).group_plans:
+                mine = len(row_products(group_plan))
+                theirs = parent_order_products(group_plan)
+                assert mine <= theirs, (workload, group_plan.group.id)
+                planned += mine
+                reference += theirs
+        assert planned < reference
 
 
 # -- differential: interpreter == rendered source == materialized join ----------

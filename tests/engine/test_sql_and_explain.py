@@ -137,3 +137,34 @@ class TestExplain:
         )
         # a group with no covered view sums once per aggregate
         assert any(line.endswith("248 -> 248") for line in group_lines)
+
+    def test_groups_show_their_row_level_products(self, tiny_retailer):
+        from repro.engine.plan import MulStep
+        from repro.ml import CARTLearner
+
+        from .test_post_sum_factors import row_products
+
+        ds = tiny_retailer
+        engine = LMFAO(ds.database, ds.join_tree)
+        batch = CARTLearner(
+            engine,
+            [f for f in ds.continuous_features if f != ds.label],
+            list(ds.categorical_features),
+            ds.label,
+            "regression",
+        ).node_batch([])
+        plan = engine.plan(batch)
+        shown = [
+            int(line.split("row-level products: ")[1].split()[0])
+            for line in explain(plan, engine.join_tree).splitlines()
+            if "row-level products:" in line
+        ]
+        # the multiplies a group's row-level sums read, traced back from
+        # each sum's values; the per-group ones after a sum are not
+        assert shown == [len(row_products(p)) for p in plan.group_plans]
+        assert max(shown) > 0
+        # covered views multiply per group, after the sum: not counted
+        n_multiplies = sum(
+            isinstance(s, MulStep) for p in plan.group_plans for s in p.steps
+        )
+        assert sum(shown) < n_multiplies

@@ -4,9 +4,8 @@ views of an engine with a view cache attached.
 With a cache, every keyed view of every group — interior groups
 included — emits its context-row count per key, so a retraction can
 retire a key at any level of the view DAG.  Without one, no view emits
-support, and the plans are step for step the ones planned before support
-reached interior views: pinned below as the step count and a digest of
-the steps' reprs over the paper's four batches.
+support, and the plans are pinned below as the step count and a digest
+of the steps' reprs over the paper's four batches.
 """
 
 import hashlib
@@ -21,14 +20,14 @@ from .test_key_encodings import paper_batches
 
 #: (dataset fixture, plan shape) -> (steps, digest) of the cache-less plans
 CACHELESS_PLANS = {
-    ("tiny_retailer", "multi-root"): (8593, "604cb4518a72f572"),
-    ("tiny_retailer", "single-root"): (10526, "cd62d6a2459147f7"),
-    ("tiny_favorita", "multi-root"): (2956, "d79922cbf03cba0f"),
-    ("tiny_favorita", "single-root"): (3940, "50455ee142ab3801"),
-    ("tiny_yelp", "multi-root"): (3412, "8700af5f076ea6f1"),
-    ("tiny_yelp", "single-root"): (2714, "b3147ee80e5dcce5"),
-    ("tiny_tpcds", "multi-root"): (9435, "99a34f1db21c4c3c"),
-    ("tiny_tpcds", "single-root"): (11049, "8679717c000f9f78"),
+    ("tiny_retailer", "multi-root"): (8580, "665e6d693c4df3a6"),
+    ("tiny_retailer", "single-root"): (8315, "9b14fdd250e08c72"),
+    ("tiny_favorita", "multi-root"): (2876, "837feba5c1832a29"),
+    ("tiny_favorita", "single-root"): (3834, "05b993f8dd3547b0"),
+    ("tiny_yelp", "multi-root"): (2875, "f2a20985d4634fb5"),
+    ("tiny_yelp", "single-root"): (2515, "097dd31e855b80f6"),
+    ("tiny_tpcds", "multi-root"): (7775, "6a45479e0ddca18b"),
+    ("tiny_tpcds", "single-root"): (8776, "c26833208a06609c"),
 }
 
 
