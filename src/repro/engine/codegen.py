@@ -21,16 +21,16 @@ rendered code shows the optimizations of §3.5/Appendix C in Python form:
   per-group factors — covered views' payloads read through
   ``ops.group_rows``, scalar views, the coefficient — so those products
   run over ``(n_groups,)`` arrays, not over rows;
-* aggregate columns of one view are produced contiguously and emitted as
-  one fixed-layout tuple (the fixed-size aggregate array analog).
+* a view's aggregates are emitted as one (aggregates x keys) array (the
+  fixed-size aggregate array analog).
 
 ``render_source`` exposes the generated code for inspection (the paper's
 Figure 7 analog).  The function takes
-``(rel_cols, rel_keys, n_rel, key_cols, agg_cols, dyn)`` — the
+``(rel_cols, rel_keys, n_rel, key_cols, sums, dyn)`` — the
 relation's columns and their ``(codes, uniques)`` encodings by
-attribute, its row count, the incoming views' key/aggregate column
-lists by view id, and the dynamic function table — and returns
-``{view id: (group_by, key_cols, agg_cols[, support])}``; ``np`` and
+attribute, its row count, the incoming views' key column lists and
+sums blocks by view id, and the dynamic function table — and returns
+``{view id: (group_by, key_cols, sums[, support])}``; ``np`` and
 ``ops`` (:mod:`repro.data.ops`) are its only free names.
 """
 
@@ -56,7 +56,7 @@ from .plan import (
 def render_source(plan: GroupPlan, fn_name: str = "group_fn") -> str:
     """Render a group plan to Python source."""
     lines: List[str] = [
-        f"def {fn_name}(rel_cols, rel_keys, n_rel, key_cols, agg_cols, dyn):",
+        f"def {fn_name}(rel_cols, rel_keys, n_rel, key_cols, sums, dyn):",
         f"    # multi-output plan for view group {plan.group.id} at node "
         f"{plan.node!r}",
         "    out = {}",
@@ -116,14 +116,15 @@ def _render_step(step) -> List[str]:
         return [_render_group_sum(step)]
     if isinstance(step, EmitStep):
         keys = step.keys_var if step.keys_var is not None else "[]"
-        aggs = ", ".join(step.agg_vars)
-        if step.support_var is not None:
-            return [
-                f"out[{step.view_id}] = ({step.group_by!r}, {keys}, "
-                f"[{aggs}], {step.support_var})"
-            ]
+        if step.agg_vars:
+            block = f"np.array([{', '.join(step.agg_vars)}], dtype=np.float64)"
+        else:
+            n_rows = f"len({keys}[0])" if step.keys_var is not None else "1"
+            block = f"np.empty((0, {n_rows}))"
+        support = "" if step.support_var is None else f", {step.support_var}"
         return [
-            f"out[{step.view_id}] = ({step.group_by!r}, {keys}, [{aggs}])"
+            f"out[{step.view_id}] = ({step.group_by!r}, {keys}, "
+            f"{block}{support})"
         ]
     raise TypeError(f"unknown step {step!r}")  # pragma: no cover
 
@@ -139,7 +140,7 @@ def _render_gather(step: Gather) -> str:
     elif kind == "viewkey":
         base = f"key_cols[{step.origin[1]}][{step.origin[2]}]"
     else:
-        base = f"agg_cols[{step.origin[1]}][{step.origin[2]}]"
+        base = f"sums[{step.origin[1]}][{step.origin[2]}]"
     if step.index is None:
         return f"{step.out} = {base}"
     return f"{step.out} = {base}[{step.index}]"

@@ -475,7 +475,7 @@ class LMFAO:
         for agg, refs in zip(query.aggregates, output.term_refs):
             total = None
             for ref in refs:
-                col = view_data[ref.view_id].agg_cols[ref.agg_index]
+                col = view_data[ref.view_id].sums[ref.agg_index]
                 total = col if total is None else total + col
             name = agg.name or "agg"
             if name in used_names:

@@ -37,8 +37,9 @@ class ViewData:
     """The materialized result of a view.
 
     ``key_cols`` holds one array per group-by attribute (aligned rows, in
-    lexicographic key order); ``agg_cols`` one float array per aggregate.
-    Scalar views have no key columns and length-1 aggregate arrays.
+    lexicographic key order); ``sums`` is one C-order float64 block of
+    (aggregates x keys), row ``j`` aggregate ``j``.  Scalar views have no
+    key columns and one block column.
 
     ``support`` (optional) counts the context rows contributing to each
     group key.  An engine with a view cache attached plans it on every
@@ -55,7 +56,7 @@ class ViewData:
 
     group_by: Tuple[str, ...]
     key_cols: List[np.ndarray]
-    agg_cols: List[np.ndarray]
+    sums: np.ndarray
     support: Optional[np.ndarray] = None
     _encodings: Dict[int, ops.Encoded] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -69,11 +70,11 @@ class ViewData:
         return encoded
 
     def with_sums(
-        self, agg_cols: List[np.ndarray], support: Optional[np.ndarray] = None
+        self, sums: np.ndarray, support: Optional[np.ndarray] = None
     ) -> "ViewData":
         """The same keys carrying new sums; key encodings made so far
         carry over, as the key columns are the same arrays."""
-        data = ViewData(self.group_by, list(self.key_cols), agg_cols, support)
+        data = ViewData(self.group_by, list(self.key_cols), sums, support)
         data._encodings.update(self._encodings)
         return data
 
@@ -84,18 +85,13 @@ class ViewData:
         every aggregate is a SUM over context rows, so removed rows
         contribute the additive inverse of what they contributed.
         """
-        return ViewData(
-            group_by=self.group_by,
-            key_cols=list(self.key_cols),
-            agg_cols=[-col for col in self.agg_cols],
-            support=None if self.support is None else -self.support,
+        return self.with_sums(
+            -self.sums, None if self.support is None else -self.support
         )
 
     @property
     def n_rows(self) -> int:
-        if self.key_cols:
-            return len(self.key_cols[0])
-        return 1
+        return self.sums.shape[1]
 
 
 def execute_plan(
@@ -150,19 +146,15 @@ def execute_plan(
                 env[step.out] = step.function.evaluate(columns)
         elif kind is EmitStep:
             keys = env[step.keys_var] if step.keys_var is not None else []
-            support = (
-                np.asarray(env[step.support_var], dtype=np.float64)
-                if step.support_var is not None
-                else None
-            )
+            if step.agg_vars:
+                sums = np.array(
+                    [env[v] for v in step.agg_vars], dtype=np.float64
+                )
+            else:
+                sums = np.empty((0, len(keys[0]) if keys else 1))
+            support = env[step.support_var] if step.support_var else None
             produced[step.view_id] = ViewData(
-                group_by=step.group_by,
-                key_cols=list(keys),
-                agg_cols=[
-                    np.asarray(env[v], dtype=np.float64)
-                    for v in step.agg_vars
-                ],
-                support=support,
+                step.group_by, list(keys), sums, support
             )
         elif kind is GroupKeyStep:
             codes, keys = ops.factorize_rows(
@@ -205,7 +197,7 @@ def _gather(step: Gather, relation: Relation, incoming, env) -> np.ndarray:
     elif kind == "viewkey":
         column = incoming[step.origin[1]].key_cols[step.origin[2]]
     elif kind == "viewagg":
-        column = incoming[step.origin[1]].agg_cols[step.origin[2]]
+        column = incoming[step.origin[1]].sums[step.origin[2]]
     else:  # pragma: no cover - defensive
         raise ValueError(f"unknown gather origin {step.origin!r}")
     if step.index is None:

@@ -76,8 +76,7 @@ DEFAULT_BUDGET_BYTES = 64 << 20
 
 def view_nbytes(data: ViewData) -> int:
     """Approximate in-memory size of one materialized view."""
-    total = sum(col.nbytes for col in data.key_cols)
-    total += sum(col.nbytes for col in data.agg_cols)
+    total = sum(col.nbytes for col in data.key_cols) + data.sums.nbytes
     if data.support is not None:
         total += data.support.nbytes
     return int(total)
@@ -280,14 +279,14 @@ def changed_keys(old: ViewData, new: ViewData) -> List[np.ndarray]:
     holds = np.zeros(n_keys, dtype=bool)
     holds[after] = True
     differs = held != holds
-    columns = list(zip(old.agg_cols, new.agg_cols))
+    blocks = [(old.sums, new.sums)]
     if old.support is not None and new.support is not None:
-        columns.append((old.support, new.support))
-    for was, now in columns:
-        by_key = np.zeros((2, n_keys))
-        by_key[0, before] = was
-        by_key[1, after] = now
-        differs |= by_key[0] != by_key[1]
+        blocks.append((old.support[None], new.support[None]))
+    for was, now in blocks:
+        by_key = np.zeros((2, len(was), n_keys))
+        by_key[0][:, before] = was
+        by_key[1][:, after] = now
+        differs |= (by_key[0] != by_key[1]).any(axis=0)
     return [key[differs] for key in keys]
 
 
@@ -322,11 +321,12 @@ def merge(data: ViewData, *deltas: ViewData) -> ViewData:
     """``data`` plus partial views of the same view, summed per key.
 
     Valid because every view aggregate is a SUM over context rows, and
-    context rows partition with the node relation's rows.  Support
-    counts (when every piece carries them) sum like any other aggregate;
-    they are integer-valued, so the zero test is exact, and a key whose
-    support cancels to zero — every context row that produced it
-    retracted, when a from-scratch run would not emit it — is retired.
+    context rows partition with the node relation's rows.  The deltas
+    come from ``data``'s own plan, so carry support exactly when it does;
+    supports sum like any aggregate and are integer-valued, so the zero
+    test is exact, and a key whose support cancels to zero — every
+    context row that produced it retracted, when a from-scratch run
+    would not emit it — is retired.
 
     A delta that only touches keys the view holds is added in place at
     those keys' rows, piece by piece as a regrouping would add it, and
@@ -334,37 +334,33 @@ def merge(data: ViewData, *deltas: ViewData) -> ViewData:
     """
     pieces = (data,) + deltas
     if not data.group_by:  # one row per piece
-        if not data.agg_cols:
-            return ViewData(data.group_by, [], [])
-        totals = np.stack(
-            [np.concatenate(p.agg_cols) for p in pieces], axis=1
-        ).sum(axis=1)
-        return ViewData(data.group_by, [], list(totals[:, None]))
-    with_support = all(p.support is not None for p in pieces)
+        return data.with_sums(np.add.reduce([p.sums for p in pieces]))
+    with_support = data.support is not None
     positions = _positions(data, deltas)
     if positions is None:
         return _regrouped(pieces, with_support)
-    sums = _stacked(data, with_support)
+    sums = data.sums.copy()
+    support = data.support.copy() if with_support else None
     for delta, at in zip(deltas, positions):
-        sums[:, at] += _stacked(delta, with_support)
-    if not with_support:
-        return data.with_sums(list(sums))
-    alive = sums[-1] > 0.5
+        sums[:, at] += delta.sums
+        if with_support:
+            support[at] += delta.support
+    return _live(data.with_sums(sums, support))
+
+
+def _live(data: ViewData) -> ViewData:
+    """``data`` less the keys whose support cancelled to zero."""
+    if data.support is None:
+        return data
+    alive = data.support > 0.5
     if alive.all():
-        return data.with_sums(list(sums[:-1]), sums[-1])
-    sums = sums[:, alive]
+        return data
     return ViewData(
         data.group_by,
         [key[alive] for key in data.key_cols],
-        list(sums[:-1]),
-        support=sums[-1],
+        data.sums[:, alive],
+        data.support[alive],
     )
-
-
-def _stacked(data: ViewData, with_support: bool) -> np.ndarray:
-    """A fresh (sums x keys) array of the view's sums, support last."""
-    cols = list(data.agg_cols) + ([data.support] if with_support else [])
-    return np.stack(cols) if cols else np.empty((0, data.n_rows))
 
 
 def _positions(
@@ -388,27 +384,25 @@ def _positions(
 
 def _regrouped(pieces: Tuple[ViewData, ...], with_support: bool) -> ViewData:
     """The pieces' rows grouped and summed by key afresh."""
-    data = pieces[0]
-    key_cols = [
-        np.concatenate([p.key_cols[k] for p in pieces])
-        for k in range(len(data.key_cols))
-    ]
-    value_cols = [
-        np.concatenate([p.agg_cols[i] for p in pieces])
-        for i in range(len(data.agg_cols))
-    ]
-    if with_support:
-        value_cols.append(np.concatenate([p.support for p in pieces]))
-    keys, sums = ops.group_aggregate(key_cols, value_cols)
-    if not with_support:
-        return ViewData(data.group_by, keys, sums)
-    support = sums.pop()
-    alive = support > 0.5
-    if not alive.all():
-        keys = [key[alive] for key in keys]
-        sums = [col[alive] for col in sums]
-        support = support[alive]
-    return ViewData(data.group_by, keys, sums, support=support)
+    codes, keys = ops.factorize_rows(
+        [
+            ops.factorize(np.concatenate([p.key_cols[k] for p in pieces]))
+            for k in range(len(pieces[0].key_cols))
+        ]
+    )
+    n_keys = len(keys[0])
+    rows = np.concatenate([p.sums for p in pieces], axis=1)
+    sums = np.empty((len(rows), n_keys))
+    for j, row in enumerate(rows):
+        sums[j] = ops.group_sums(codes, row, n_keys)
+    support = (
+        ops.group_sums(
+            codes, np.concatenate([p.support for p in pieces]), n_keys
+        )
+        if with_support
+        else None
+    )
+    return _live(ViewData(pieces[0].group_by, list(keys), sums, support))
 
 
 class ViewCache:

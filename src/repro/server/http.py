@@ -173,6 +173,9 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-analytics/1.0"
     protocol_version = "HTTP/1.1"
+    # a response is two sends: under Nagle, a held connection's body
+    # waits ~40 ms for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

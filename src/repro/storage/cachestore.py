@@ -18,9 +18,11 @@ never an exception escaping to the engine.  A half-written file cannot
 exist — writes land in a temp file and ``os.replace`` into place.
 
 One view per file, ``<digest>.view``: a :mod:`~repro.storage.codec`
-record (magic ``RVC1``) whose header names the digest, the relations,
-the group-by and whether a support column follows; its columns are the
-key columns, the aggregate columns, then the support column.
+record (magic ``RVC2``) whose header names the digest, the relations,
+the group-by, ``n_aggs`` and whether a support column follows; its
+columns are the key columns, the sums block as one raw column (reshaped
+on load; a block that is not ``n_aggs`` x rows is corrupt), then the
+support column.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..engine.interpreter import ViewData
 from ..engine.viewcache.signature import ViewSignature
 from . import codec
 
-_MAGIC = b"RVC1"
+_MAGIC = b"RVC2"  # RVC1 records held one column per aggregate: a miss
 
 _SUFFIX = ".view"
 
@@ -43,10 +45,10 @@ def _encode_entry(sig: ViewSignature, data: ViewData) -> List:
         "digest": sig.digest,
         "relations": sorted(sig.relations),
         "group_by": list(data.group_by),
-        "n_aggs": len(data.agg_cols),
+        "n_aggs": len(data.sums),
         "support": data.support is not None,
     }
-    columns = list(data.key_cols) + list(data.agg_cols)
+    columns = list(data.key_cols) + [data.sums]
     if data.support is not None:
         columns.append(data.support)
     return codec.encode(_MAGIC, header, columns)
@@ -60,9 +62,12 @@ def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
     if header["digest"] != digest:
         raise ValueError("digest mismatch")
     n_keys = len(header["group_by"])
-    n_aggs = header["n_aggs"]
-    if len(columns) != n_keys + n_aggs + bool(header["support"]):
+    if len(columns) != n_keys + 1 + bool(header["support"]):
         raise ValueError("column count mismatch")
+    n_rows = len(columns[0]) if n_keys else 1
+    n_aggs = header["n_aggs"]
+    if columns[n_keys].size != n_aggs * n_rows:
+        raise ValueError("sums block is not n_aggs x n_rows")
     sig = ViewSignature(
         digest=digest,
         relations=frozenset(header["relations"]),
@@ -72,7 +77,7 @@ def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
     data = ViewData(
         group_by=tuple(header["group_by"]),
         key_cols=columns[:n_keys],
-        agg_cols=columns[n_keys : n_keys + n_aggs],
+        sums=columns[n_keys].reshape(n_aggs, n_rows),
         support=columns[-1] if header["support"] else None,
     )
     return sig, data

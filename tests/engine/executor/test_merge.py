@@ -17,7 +17,7 @@ from ..helpers import WORKLOADS
 
 def view_table(view, with_support):
     """{group key: [sums..., support]} of one view, independent of row order."""
-    columns = list(view.agg_cols)
+    columns = list(view.sums)
     if with_support:
         columns.append(view.support)
     n_rows = len(columns[0])
@@ -82,18 +82,18 @@ def grouped_view(keys, values, support=None):
     return ViewData(
         ("g",),
         [np.asarray(keys)],
-        [np.asarray(values, dtype=np.float64)],
+        np.asarray([values], dtype=np.float64),
         support=None if support is None else np.asarray(support, float),
     )
 
 
 class TestMerge:
     def test_scalar_views_add(self):
-        part1 = ViewData((), [], [np.array([2.0]), np.array([5.0])])
-        part2 = ViewData((), [], [np.array([3.0]), np.array([-1.0])])
+        part1 = ViewData((), [], np.array([[2.0], [5.0]]))
+        part2 = ViewData((), [], np.array([[3.0], [-1.0]]))
         merged = merge(part1, part2)
-        assert merged.agg_cols[0].tolist() == [5.0]
-        assert merged.agg_cols[1].tolist() == [4.0]
+        assert merged.sums[0].tolist() == [5.0]
+        assert merged.sums[1].tolist() == [4.0]
 
     def test_grouped_views_reaggregate(self):
         merged = merge(
@@ -101,7 +101,7 @@ class TestMerge:
             grouped_view([1, 2], [10.0, 20.0]),
         )
         table = dict(
-            zip(merged.key_cols[0].tolist(), merged.agg_cols[0].tolist())
+            zip(merged.key_cols[0].tolist(), merged.sums[0].tolist())
         )
         assert table == {0: 1.0, 1: 12.0, 2: 20.0}
 
@@ -118,18 +118,18 @@ class TestMergeEdgeCases:
     def test_no_delta_grouped_reaggregates_to_itself(self):
         merged = merge(grouped_view([1, 4], [3.0, 9.0]))
         assert merged.key_cols[0].tolist() == [1, 4]
-        assert merged.agg_cols[0].tolist() == [3.0, 9.0]
+        assert merged.sums[0].tolist() == [3.0, 9.0]
 
     def test_no_delta_scalar(self):
-        merged = merge(ViewData((), [], [np.array([4.5])]))
-        assert merged.agg_cols[0].tolist() == [4.5]
+        merged = merge(ViewData((), [], np.array([[4.5]])))
+        assert merged.sums[0].tolist() == [4.5]
 
     def test_disjoint_group_keys_concatenate(self):
         merged = merge(
             grouped_view([0, 1], [1.0, 2.0]), grouped_view([5, 9], [3.0, 4.0])
         )
         assert merged.key_cols[0].tolist() == [0, 1, 5, 9]
-        assert merged.agg_cols[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert merged.sums[0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_fully_overlapping_group_keys_sum(self):
         merged = merge(
@@ -137,18 +137,18 @@ class TestMergeEdgeCases:
             grouped_view([0, 1], [10.0, 20.0]),
         )
         assert merged.key_cols[0].tolist() == [0, 1]
-        assert merged.agg_cols[0].tolist() == [11.0, 22.0]
+        assert merged.sums[0].tolist() == [11.0, 22.0]
 
     def test_composite_keys_align_by_tuple(self):
         part1 = ViewData(
             ("a", "b"),
             [np.array([0, 0]), np.array([0, 1])],
-            [np.array([1.0, 2.0])],
+            np.array([[1.0, 2.0]]),
         )
         part2 = ViewData(
             ("a", "b"),
             [np.array([0, 1]), np.array([1, 0])],
-            [np.array([5.0, 7.0])],
+            np.array([[5.0, 7.0]]),
         )
         merged = merge(part1, part2)
         table = dict(
@@ -157,7 +157,7 @@ class TestMergeEdgeCases:
                     merged.key_cols[0].tolist(),
                     merged.key_cols[1].tolist(),
                 ),
-                merged.agg_cols[0].tolist(),
+                merged.sums[0].tolist(),
             )
         )
         assert table == {(0, 0): 1.0, (0, 1): 7.0, (1, 0): 7.0}
@@ -168,14 +168,7 @@ class TestMergeEdgeCases:
             grouped_view([1], [-2.0], support=[1.0]),
         )
         assert merged.support.tolist() == [2.0, 2.0]
-        assert merged.agg_cols[0].tolist() == [1.0, 0.0]
-
-    def test_support_dropped_when_any_piece_lacks_it(self):
-        merged = merge(
-            grouped_view([0], [1.0], support=[1.0]), grouped_view([0], [1.0])
-        )
-        assert merged.support is None
-        assert merged.agg_cols[0].tolist() == [2.0]
+        assert merged.sums[0].tolist() == [1.0, 0.0]
 
 
 class TestDeltaMerge:
@@ -188,7 +181,7 @@ class TestDeltaMerge:
         delta = grouped_view([1], [-2.0], support=[-1.0])
         merged = merge(current, delta)
         assert merged.key_cols[0].tolist() == [0]
-        assert merged.agg_cols[0].tolist() == [1.0]
+        assert merged.sums[0].tolist() == [1.0]
         assert merged.support.tolist() == [1.0]
 
     def test_zero_support_retires_even_a_nonzero_sum(self):
@@ -197,14 +190,14 @@ class TestDeltaMerge:
         delta = grouped_view([1], [0.0], support=[-1.0])
         merged = merge(current, delta)
         assert merged.key_cols[0].tolist() == [0, 2]
-        assert merged.agg_cols[0].tolist() == [1.0, 3.0]
+        assert merged.sums[0].tolist() == [1.0, 3.0]
         assert merged.support.tolist() == [2.0, 1.0]
 
     def test_zero_sum_key_is_kept_without_support(self):
         current = grouped_view([0, 1], [1.0, 2.0])
         merged = merge(current, grouped_view([1], [-2.0]))
         assert merged.key_cols[0].tolist() == [0, 1]
-        assert merged.agg_cols[0].tolist() == [1.0, 0.0]
+        assert merged.sums[0].tolist() == [1.0, 0.0]
 
     def test_zero_row_delta_views(self):
         """A delta whose views carry zero rows merges cleanly."""
@@ -214,7 +207,7 @@ class TestDeltaMerge:
         )
         merged = merge(current, empty)
         assert merged.key_cols[0].tolist() == [0, 1]
-        assert merged.agg_cols[0].tolist() == [1.0, 2.0]
+        assert merged.sums[0].tolist() == [1.0, 2.0]
 
     def test_all_retracted(self):
         """Retracting every contributing row retires every group key:
@@ -225,7 +218,7 @@ class TestDeltaMerge:
         merged = merge(current, retract_all)
         assert merged.n_rows == 0
         assert merged.key_cols[0].tolist() == []
-        assert merged.agg_cols[0].tolist() == []
+        assert merged.sums[0].tolist() == []
         assert merged.support.tolist() == []
 
 
@@ -239,7 +232,7 @@ class TestInPlaceMerge:
         return ViewData(
             ("a", "b"),
             [np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])],
-            [rng.normal(size=len(pairs)) for _ in range(n_sums)],
+            rng.normal(size=(n_sums, len(pairs))),
             support=rng.integers(1, 4, len(pairs)).astype(float),
         )
 
@@ -255,8 +248,8 @@ class TestInPlaceMerge:
             got = merge(*pieces)
             expected = _regrouped(pieces, with_support=True)
             for got_col, expected_col in zip(
-                got.key_cols + got.agg_cols + [got.support],
-                expected.key_cols + expected.agg_cols + [expected.support],
+                got.key_cols + list(got.sums) + [got.support],
+                expected.key_cols + list(expected.sums) + [expected.support],
             ):
                 assert np.array_equal(got_col, expected_col)
 
@@ -266,7 +259,7 @@ class TestInPlaceMerge:
         merged = merge(current, grouped_view([4], [5.0], support=[2]))
         assert merged.key_cols[0] is current.key_cols[0]
         assert merged.encoded(0) is encoded
-        assert merged.agg_cols[0].tolist() == [1.0, 7.0, 3.0]
+        assert merged.sums[0].tolist() == [1.0, 7.0, 3.0]
         assert merged.support.tolist() == [1.0, 3.0, 1.0]
 
     def test_retiring_a_key_in_place_drops_its_row(self):
@@ -275,7 +268,7 @@ class TestInPlaceMerge:
             current, grouped_view([4, 7], [-2.0, -1.0], support=[-1, -1])
         )
         assert merged.key_cols[0].tolist() == [1, 7]
-        assert merged.agg_cols[0].tolist() == [1.0, 2.0]
+        assert merged.sums[0].tolist() == [1.0, 2.0]
         assert merged.support.tolist() == [1.0, 1.0]
 
     def test_a_new_key_regroups(self):
@@ -286,5 +279,5 @@ class TestInPlaceMerge:
             grouped_view([2], [5.0], support=[1]),
         )
         assert merged.key_cols[0].tolist() == [1, 2, 4]
-        assert merged.agg_cols[0].tolist() == [1.0, 5.0, 3.0]
+        assert merged.sums[0].tolist() == [1.0, 5.0, 3.0]
         assert merged.support.tolist() == [1.0, 1.0, 2.0]

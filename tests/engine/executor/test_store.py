@@ -11,7 +11,7 @@ def scalar_view(value, support=None):
     return ViewData(
         (),
         [],
-        [np.array([float(value)])],
+        np.array([[float(value)]]),
         support=None if support is None else np.asarray(support, float),
     )
 
@@ -20,7 +20,7 @@ def grouped_view(keys, values, support=None):
     return ViewData(
         ("g",),
         [np.asarray(keys)],
-        [np.asarray(values, dtype=np.float64)],
+        np.asarray([values], dtype=np.float64),
         support=None if support is None else np.asarray(support, float),
     )
 
@@ -33,7 +33,7 @@ class TestMappingProtocol:
         assert 3 in store and 5 in store and 4 not in store
         assert len(store) == 2
         assert sorted(store) == [3, 5]
-        assert store[5].agg_cols[0].tolist() == [2.0]
+        assert store[5].sums[0].tolist() == [2.0]
         assert dict(store.items()).keys() == {3, 5}
         assert store.get(4) is None
 
@@ -79,7 +79,7 @@ class TestEviction:
         snap = {vid: store[vid] for vid in [1]}
         store.group_finished([1])
         assert 1 not in store
-        assert snap[1].agg_cols[0].tolist() == [1.0, 2.0]
+        assert snap[1].sums[0].tolist() == [1.0, 2.0]
 
     def test_view_never_stored_is_not_reported_evicted(self):
         received = []
@@ -110,7 +110,7 @@ class TestEvictionHandoff:
         store[1] = grouped_view([0, 1], [3.0, 4.0])
         store.group_finished([1])
         assert 1 not in store
-        assert received[1].agg_cols[0].tolist() == [3.0, 4.0]
+        assert received[1].sums[0].tolist() == [3.0, 4.0]
 
     def test_on_evict_skips_pinned_and_surviving_views(self):
         received = {}

@@ -20,15 +20,15 @@ def execute_rendered(plan, relation, incoming, dyn=()):
         relation.encodings,
         relation.n_rows,
         {vid: data.key_cols for vid, data in incoming.items()},
-        {vid: data.agg_cols for vid, data in incoming.items()},
+        {vid: data.sums for vid, data in incoming.items()},
         dyn,
     )
     views = {}
-    for vid, (group_by, keys, aggs, *support) in raw.items():
+    for vid, (group_by, keys, sums, *support) in raw.items():
         views[vid] = ViewData(
             group_by=group_by,
             key_cols=list(keys),
-            agg_cols=[np.asarray(a, dtype=np.float64) for a in aggs],
+            sums=sums,
             support=(
                 np.asarray(support[0], dtype=np.float64) if support else None
             ),

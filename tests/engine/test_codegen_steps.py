@@ -62,7 +62,7 @@ class TestGatherRendering:
         env = run_lines(
             [_render_gather(step)],
             {
-                "agg_cols": {3: [np.zeros(2), np.array([1.5, 2.5])]},
+                "sums": {3: np.array([np.zeros(2), [1.5, 2.5]])},
                 "ri": np.array([1, 1, 0]),
             },
         )
@@ -254,9 +254,9 @@ class TestPostSumFactorsInBothRenderers:
             4: ViewData(
                 ("k",),
                 [np.array([1, 2])],
-                [np.zeros(2), np.array([10.0, 100.0])],
+                np.array([np.zeros(2), [10.0, 100.0]]),
             ),
-            5: ViewData((), [], [np.array([0.5])]),
+            5: ViewData((), [], np.array([[0.5]])),
         }
         plan = GroupPlan(
             group=ViewGroup(id=0, node="R", view_ids=[9]),
@@ -270,4 +270,4 @@ class TestPostSumFactorsInBothRenderers:
         for data in (interpreted, generated):
             assert data.key_cols[0].tolist() == [1, 2]
             # (2 + 16) * 10 * 0.5 * 3 and (1 + 4) * 100 * 0.5 * 3
-            assert data.agg_cols[0].tolist() == [270.0, 750.0]
+            assert data.sums[0].tolist() == [270.0, 750.0]

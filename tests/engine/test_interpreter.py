@@ -15,12 +15,12 @@ from repro.jointree.join_tree import join_tree_from_database
 
 class TestViewData:
     def test_scalar_view(self):
-        data = ViewData((), [], [np.array([7.0])])
+        data = ViewData((), [], np.array([[7.0]]))
         assert data.n_rows == 1
 
     def test_grouped_view(self):
         data = ViewData(
-            ("g",), [np.array([1, 2, 3])], [np.zeros(3)]
+            ("g",), [np.array([1, 2, 3])], np.zeros((1, 3))
         )
         assert data.n_rows == 3
 
@@ -75,7 +75,7 @@ class TestExecutePlan:
             for v in decomposed.views
             if v.is_output
         )
-        assert output.agg_cols[0][0] == 300.0
+        assert output.sums[0][0] == 300.0
 
     def test_empty_relation_produces_empty_views(self):
         sales = Relation(

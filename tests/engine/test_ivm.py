@@ -233,7 +233,7 @@ class TestDeltaPartitionRuns:
         for vid in want:
             for a, b in zip(got[vid].key_cols, want[vid].key_cols):
                 np.testing.assert_array_equal(a, b)
-            for a, b in zip(got[vid].agg_cols, want[vid].agg_cols):
+            for a, b in zip(got[vid].sums, want[vid].sums):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(got[vid].support, want[vid].support)
 
@@ -310,7 +310,7 @@ class TestDeltaPartitionRuns:
     def _by_key(data):
         """{key: aggregates then support} of one view's data."""
         support = [] if data.support is None else [data.support]
-        columns = np.column_stack(data.agg_cols + support)
+        columns = np.column_stack(list(data.sums) + support)
         keys = zip(*(col.tolist() for col in data.key_cols))
         if not data.key_cols:
             keys = [()]
@@ -324,7 +324,7 @@ class TestDeltaPartitionRuns:
             minus = self._by_key(retracted[vid])
             assert set(got) == set(plus) | set(minus)
             data = signed[vid]
-            zero = np.zeros(len(data.agg_cols) + (data.support is not None))
+            zero = np.zeros(len(data.sums) + (data.support is not None))
             for key, row in got.items():
                 np.testing.assert_allclose(
                     row,
@@ -422,7 +422,7 @@ class TestDeltaPartitionRuns:
                 assert data.n_rows == 0
                 assert data.support is not None and len(data.support) == 0
             else:
-                assert all(col.tolist() == [0.0] for col in data.agg_cols)
+                assert all(col.tolist() == [0.0] for col in data.sums)
 
 
 class TestKeyRetirement:

@@ -231,10 +231,10 @@ def hand_built_group():
         0: ViewData(
             ("a",),
             [np.arange(5)],
-            [np.arange(5) + 1.0, np.array([2.0, -1.0, 0.5, 4.0, 8.0])],
+            np.array([np.arange(5) + 1.0, [2.0, -1.0, 0.5, 4.0, 8.0]]),
         ),
-        1: ViewData(("b",), [np.arange(4)], [np.array([1.0, 3.0, 0.0, -2.0])]),
-        2: ViewData((), [], [np.array([0.25])]),
+        1: ViewData(("b",), [np.arange(4)], np.array([[1.0, 3.0, 0.0, -2.0]])),
+        2: ViewData((), [], np.array([[0.25]])),
     }
     group = ViewGroup(id=0, node="Fact", view_ids=[3])
     return fact, views, incoming, group
@@ -264,7 +264,7 @@ class TestHandBuiltGroup:
         keep = a < 5
         want_sum = np.zeros(5)
         want_count = np.zeros(5)
-        v0, v1, v2 = (incoming[i].agg_cols for i in range(3))
+        v0, v1, v2 = (incoming[i].sums for i in range(3))
         np.add.at(
             want_sum,
             a[keep],
@@ -280,13 +280,13 @@ class TestHandBuiltGroup:
         for data in (interpreted, generated):
             present = support > 0
             assert data.key_cols[0].tolist() == np.flatnonzero(present).tolist()
-            np.testing.assert_allclose(data.agg_cols[0], want_sum[present], rtol=1e-12)
-            np.testing.assert_allclose(data.agg_cols[1], want_count[present], rtol=1e-12)
+            np.testing.assert_allclose(data.sums[0], want_sum[present], rtol=1e-12)
+            np.testing.assert_allclose(data.sums[1], want_count[present], rtol=1e-12)
             if track_support:
                 np.testing.assert_array_equal(data.support, support[present])
             else:
                 assert data.support is None
-        for got, want in zip(interpreted.agg_cols, generated.agg_cols):
+        for got, want in zip(interpreted.sums, generated.sums):
             np.testing.assert_array_equal(got, want)
 
 
@@ -328,7 +328,7 @@ def shared_factor_group(k):
         ),
     ]
     incoming = {
-        0: ViewData(("b",), [np.arange(5)], [np.array([2.0, -1.0, 0.5, 4.0, 3.0])])
+        0: ViewData(("b",), [np.arange(5)], np.array([[2.0, -1.0, 0.5, 4.0, 3.0]]))
     }
     group = ViewGroup(id=0, node="Fact", view_ids=[1])
     return fact, views, incoming, group, thresholds
@@ -382,7 +382,7 @@ class TestProductOrder:
 
         a, b, x, y = (fact.column(c) for c in ("a", "b", "x", "y"))
         keep = b < 5
-        payload = incoming[0].agg_cols[0]
+        payload = incoming[0].sums[0]
         want = np.zeros((k, 4))
         for i, t in enumerate(thresholds):
             np.add.at(
@@ -395,7 +395,7 @@ class TestProductOrder:
         generated = execute_rendered(plan, fact, incoming, [])[1]
         for data in (interpreted, generated):
             assert data.key_cols[0].tolist() == np.flatnonzero(present).tolist()
-            for got, wanted in zip(data.agg_cols, want):
+            for got, wanted in zip(data.sums, want):
                 np.testing.assert_allclose(
                     got, wanted[present], rtol=1e-12, atol=1e-12
                 )

@@ -138,7 +138,7 @@ class TestSnowflakeDifferential:
             ref = output.term_refs[0][0]
             data = view_data[ref.view_id]
             expected_rel = default[query.name]
-            got_total = float(np.sum(data.agg_cols[ref.agg_index]))
+            got_total = float(np.sum(data.sums[ref.agg_index]))
             agg_name = query.aggregates[0].name or "agg"
             expected_total = float(np.sum(expected_rel.column(agg_name)))
             assert np.isclose(got_total, expected_total, rtol=1e-7, atol=1e-7)

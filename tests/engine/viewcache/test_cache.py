@@ -12,7 +12,7 @@ def view(n_rows=4, value=1.0):
     return ViewData(
         ("g",),
         [np.arange(n_rows)],
-        [np.full(n_rows, float(value))],
+        np.full((1, n_rows), float(value)),
     )
 
 
@@ -30,7 +30,7 @@ class TestGetPut:
         assert cache.get("a") is None
         assert cache.put(sig("a"), view())
         got = cache.get("a")
-        assert got is not None and got.agg_cols[0][0] == 1.0
+        assert got is not None and got.sums[0][0] == 1.0
         assert cache.stats().hits == 1
         assert cache.stats().misses == 1
         assert cache.stats().puts == 1

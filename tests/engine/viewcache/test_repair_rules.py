@@ -216,7 +216,7 @@ class TestChangedKeys:
         return ViewData(
             group_by=("k",),
             key_cols=[np.asarray(keys)],
-            agg_cols=[np.asarray(values, dtype=np.float64)],
+            sums=np.asarray([values], dtype=np.float64),
             support=None if support is None else np.asarray(support, float),
         )
 

@@ -1,6 +1,11 @@
 """The HTTP front-end and blocking client, over an ephemeral port."""
 
+import http.client
+import json
+import statistics
 import threading
+import time
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -257,6 +262,39 @@ class TestEndpoints:
         stats = client.stats()["datasets"]["toy"]
         assert stats["epoch"] == 0
         assert stats["storage"]["wal_len"] == 0
+
+
+class TestHeldConnection:
+    def test_keep_alive_reads_are_not_held_back(self, served):
+        """Twenty reads on one held HTTP/1.1 connection.  The handler
+        writes the headers and the body in two sends; with Nagle's
+        algorithm on, the body waits for the client's delayed ACK of the
+        headers, about 40 ms on Linux, on every response."""
+        _service, client = served
+        address = urllib.parse.urlsplit(client.base_url)
+        body = json.dumps(
+            {"dataset": "toy", "workloads": ["counts"], "include_data": True}
+        )
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=30
+        )
+        seconds = []
+        try:
+            # the first read executes, the other twenty are memo hits
+            for _ in range(21):
+                start = time.perf_counter()
+                connection.request(
+                    "POST", "/query", body,
+                    {"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200, payload
+                assert payload["epoch"] == 0
+        finally:
+            connection.close()
+        assert statistics.median(seconds[1:]) < 0.020, seconds
 
 
 class TestAnswerMemoOverTheWire:

@@ -1,6 +1,7 @@
 """Persistent view-cache tier: spill, warm load, corruption = miss."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro import CacheStore
 from repro.engine.interpreter import ViewData
 from repro.engine.viewcache.cache import ViewCache
 from repro.engine.viewcache.signature import ViewSignature
+from repro.storage import codec
 
 
 def digest_of(text):
@@ -22,8 +24,19 @@ def keyed_view(n=5, with_support=False):
             np.arange(n, dtype=np.int64),
             np.arange(n, dtype=np.int64) % 3,
         ],
-        agg_cols=[np.linspace(1, 2, n), np.full(n, 7.0)],
+        sums=np.array([np.linspace(1, 2, n), np.full(n, 7.0)]),
         support=np.ones(n) if with_support else None,
+    )
+
+
+def wide_view(n=6, n_aggs=5):
+    """A keyed view with several aggregates and support counts."""
+    rng = np.random.default_rng(3)
+    return ViewData(
+        group_by=("store",),
+        key_cols=[np.arange(n, dtype=np.int64) * 7],
+        sums=rng.normal(size=(n_aggs, n)),
+        support=rng.integers(1, 5, n).astype(np.float64),
     )
 
 
@@ -31,8 +44,12 @@ def scalar_view():
     return ViewData(
         group_by=(),
         key_cols=[],
-        agg_cols=[np.array([42.0])],
+        sums=np.array([[42.0]]),
     )
+
+
+def aggless_scalar_view():
+    return ViewData(group_by=(), key_cols=[], sums=np.empty((0, 1)))
 
 
 def sig_for(name, relations=("Sales",), cacheable=True):
@@ -51,8 +68,14 @@ def store(tmp_path):
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "view",
-        [keyed_view(), keyed_view(with_support=True), scalar_view()],
-        ids=["keyed", "with-support", "scalar"],
+        [
+            keyed_view(),
+            keyed_view(with_support=True),
+            wide_view(),
+            scalar_view(),
+            aggless_scalar_view(),
+        ],
+        ids=["keyed", "with-support", "wide", "scalar", "aggless-scalar"],
     )
     def test_save_load_bit_exact(self, store, view):
         sig = sig_for("v1", relations=("Sales", "Stores"))
@@ -67,8 +90,10 @@ class TestRoundTrip:
         for mine, theirs in zip(view.key_cols, got.key_cols):
             np.testing.assert_array_equal(mine, theirs)
             assert mine.dtype == theirs.dtype
-        for mine, theirs in zip(view.agg_cols, got.agg_cols):
-            np.testing.assert_array_equal(mine, theirs)
+        assert got.sums.shape == view.sums.shape
+        assert got.sums.dtype == np.float64
+        assert got.sums.flags.c_contiguous
+        np.testing.assert_array_equal(view.sums, got.sums)
         if view.support is None:
             assert got.support is None
         else:
@@ -80,7 +105,7 @@ class TestRoundTrip:
         sig = sig_for("v1")
         store.save(sig, keyed_view())
         _, got = store.load(sig.digest)
-        got.agg_cols[0][0] = 99.0  # must not raise
+        got.sums[0][0] = 99.0  # must not raise
 
     def test_uncacheable_signature_never_persisted(self, store):
         sig = sig_for("v1", cacheable=False)
@@ -129,8 +154,6 @@ class TestCorruption:
         """A file renamed to the wrong digest must not serve."""
         sig = sig_for("v1")
         store.save(sig, keyed_view())
-        import os
-
         os.rename(
             store._path(sig.digest), store._path(digest_of("other"))
         )
@@ -143,10 +166,50 @@ class TestCorruption:
             pass
         assert store.load(sig.digest) is None
 
+    def write_record(self, store, digest, magic, header, columns):
+        path = store._path(digest)
+        with open(path, "wb") as handle:
+            codec.write(handle, codec.encode(magic, header, columns))
+        return path
+
+    def test_sums_block_of_the_wrong_size_is_a_miss(self, store):
+        """A well-framed record whose block is not n_aggs x n_rows."""
+        sig = sig_for("v1")
+        view = keyed_view(n=5)
+        header = {
+            "digest": sig.digest,
+            "relations": ["Sales"],
+            "group_by": list(view.group_by),
+            "n_aggs": 3,  # the block holds 2 x 5
+            "support": False,
+        }
+        path = self.write_record(
+            store, sig.digest, b"RVC2", header, view.key_cols + [view.sums]
+        )
+        assert store.load(sig.digest) is None
+        assert not os.path.exists(path)
+
+    def test_old_rvc1_record_is_a_miss(self, store):
+        """The column-per-aggregate layout of the first record version
+        is never read as a block."""
+        sig = sig_for("v1")
+        view = keyed_view(n=5)
+        header = {
+            "digest": sig.digest,
+            "relations": ["Sales"],
+            "group_by": list(view.group_by),
+            "n_aggs": 2,
+            "support": False,
+        }
+        path = self.write_record(
+            store, sig.digest, b"RVC1", header, view.key_cols + list(view.sums)
+        )
+        assert store.load(sig.digest) is None
+        assert not os.path.exists(path)
+
 
 class TestBudget:
     def test_prune_removes_oldest_first(self, tmp_path):
-        import os
         import time
 
         store = CacheStore(str(tmp_path / "cache"), budget_bytes=1)
@@ -189,7 +252,7 @@ class TestViewCacheSecondTier:
         got = second.get(sig.digest)
         assert got is not None
         np.testing.assert_array_equal(
-            got.agg_cols[0], view.agg_cols[0]
+            got.sums, view.sums
         )
         stats = second.stats()
         assert stats.warm_hits == 1
