@@ -24,20 +24,27 @@ works on the integer codes:
   group code, so a column that is constant within each group is read
   once per group instead of once per row (``engine/plan.py``'s
   post-sum factors).
+* **one product per shared factor.**  :func:`view_dot` computes the
+  scalar sums of many payloads of one joined view, each times the same
+  per-row factor, as one matrix-vector product (``engine/plan.py``'s
+  :class:`~repro.engine.plan.DotStep`).
 
-Two fallbacks, both chosen from the input, never from a flag:
+Three choices, each read off the input, never off a flag:
 
 * :func:`join_indices` keeps its sort-based merge for a right side that
   repeats a key (a direct-address table holds one row per code) and for
   code spaces too large to address;
 * a composite code space too large for a bitmap is compacted with one
   integer ``np.unique`` instead, and one whose size would overflow
-  ``int64`` is compacted part-way through the columns.
+  ``int64`` is compacted part-way through the columns;
+* :func:`view_dot` multiplies over the context's rows or over the
+  view's keys, whichever are fewer.
 
-Every path yields the same codes, the same (lexicographic) key order and
-the same ``(left_idx, right_idx)`` order, so grouped float sums
-accumulate in one order whatever path ran.  Negative codes and NaN keys
-match nothing.
+The join and group-key paths yield the same codes, the same
+(lexicographic) key order and the same ``(left_idx, right_idx)`` order,
+so grouped float sums accumulate in one order whatever path ran; the
+two forms of :func:`view_dot` agree up to float rounding.  Negative
+codes and NaN keys match nothing.
 
 All kernels are pure functions over ``np.ndarray`` inputs so they are easy
 to test against brute-force references (see ``tests/data/test_ops.py``).
@@ -257,6 +264,48 @@ def group_rows(codes: np.ndarray, n_groups: int) -> np.ndarray:
     rows = np.empty(n_groups, dtype=np.int64)
     rows[codes] = np.arange(len(codes), dtype=np.int64)
     return rows
+
+
+def view_dot(
+    block: np.ndarray,
+    picks,
+    index: np.ndarray,
+    values=None,
+) -> np.ndarray:
+    """``block[picks][:, index] @ values``: many scalar sums in one product.
+
+    ``block`` holds rows of an incoming view's (aggregates x keys) sums,
+    ``picks`` the rows wanted (``None``: all of them), ``index`` the view
+    row each context row joins and ``values`` the context rows' common
+    factor (``None``: 1 per row).  Output ``k`` is the sum over context
+    rows of ``values`` times payload ``picks[k]`` of the row's partner.
+    Which of the two forms runs is read off ``min(len(index), n_keys)``:
+    a context with fewer rows than the view has keys gathers its
+    partners' payloads (:func:`_row_dot`); any other first sums its
+    factor per view row (:func:`_view_dot`).
+    """
+    if len(index) < block.shape[1]:
+        return _row_dot(block, picks, index, values)
+    return _view_dot(block, picks, index, values)
+
+
+def _row_dot(block, picks, index, values) -> np.ndarray:
+    """Row form: one product over the context's rows."""
+    if picks is None:
+        payloads = block[:, index]
+    else:
+        payloads = block[np.ix_(picks, index)]
+    return payloads.sum(axis=1) if values is None else payloads @ values
+
+
+def _view_dot(block, picks, index, values) -> np.ndarray:
+    """View form: the context's factor summed per view row (sum before
+    multiply, pushed through the join), then one product over the view's
+    keys.  Every row of ``block`` is multiplied and ``picks`` selected
+    after: no copy of the block."""
+    q = np.bincount(index, values, minlength=block.shape[1])
+    totals = block @ q.astype(np.float64, copy=False)
+    return totals if picks is None else totals[picks]
 
 
 def group_aggregate(

@@ -21,6 +21,12 @@ rendered code shows the optimizations of §3.5/Appendix C in Python form:
   per-group factors — covered views' payloads read through
   ``ops.group_rows``, scalar views, the coefficient — so those products
   run over ``(n_groups,)`` arrays, not over rows;
+* the scalar sums that end in payloads of one incoming view after a
+  shared prefix are one assignment of many locals,
+  ``sum3, sum4, = ops.view_dot(sums[2][0:5], None, ri1, p2)[:, None]``
+  (a :class:`~repro.engine.plan.DotStep`): one matrix-vector product
+  over the context's rows or the view's keys, the same helper the
+  interpreter calls;
 * a view's aggregates are emitted as one (aggregates x keys) array (the
   fixed-size aggregate array analog).
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 from typing import List
 
 from .plan import (
+    DotStep,
     EmitStep,
     EncodeStep,
     FactorStep,
@@ -114,6 +121,8 @@ def _render_step(step) -> List[str]:
         ]
     if isinstance(step, GroupSumStep):
         return [_render_group_sum(step)]
+    if isinstance(step, DotStep):
+        return [_render_dot(step)]
     if isinstance(step, EmitStep):
         keys = step.keys_var if step.keys_var is not None else "[]"
         if step.agg_vars:
@@ -148,6 +157,16 @@ def _render_gather(step: Gather) -> str:
 
 def _n_groups_expr(keys: str) -> str:
     return f"(len({keys}[0]) if {keys} else 0)"
+
+
+def _render_dot(step: DotStep) -> str:
+    span = f"sums[{step.view_id}][{step.span.start}:{step.span.stop}]"
+    picks = "None" if step.picks is None else repr(step.picks.tolist())
+    values = "None" if step.prefix is None else step.prefix
+    return (
+        f"{', '.join(step.outs)}, = ops.view_dot({span}, {picks}, "
+        f"{step.index}, {values})[:, None]"
+    )
 
 
 def _render_group_sum(step: GroupSumStep) -> str:

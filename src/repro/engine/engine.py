@@ -152,7 +152,8 @@ class LMFAO:
     keyed view also carries *support counts* (its context rows per
     group key), so :meth:`ViewCache.on_delta` can retire a key whose
     support cancels to zero under a retraction; without one, plans
-    compute no support.
+    compute no support.  A result's columns may then be a cached view's
+    memory, so they are read-only (:meth:`assemble`).
     """
 
     def __init__(
@@ -444,18 +445,29 @@ class LMFAO:
         *,
         database: Optional[Database] = None,
     ) -> BatchResult:
-        """Assemble per-query result relations from materialized views."""
+        """Assemble per-query result relations from materialized views.
+
+        With a view cache attached every result column is a read-only
+        view: a key column or a single-term sum is a cached view's own
+        memory, so a write into a result raises instead of changing the
+        next run's answer.  Without one the views die with the run, and
+        the columns stay writable.
+        """
         db = database if database is not None else self.database
         result = BatchResult()
         outputs_by_name = {o.query_name: o for o in plan.decomposed.outputs}
+        shared = self.view_cache is not None
         for query in batch:
             output = outputs_by_name[query.name]
             result[query.name] = self._assemble_query(
-                query, output, view_data, db
+                query, output, view_data, db, shared
             )
         return result
 
-    def _assemble_query(self, query, output, view_data, database) -> Relation:
+    def _assemble_query(
+        self, query, output, view_data, database, shared: bool
+    ) -> Relation:
+        hand_out = _read_only if shared else np.asarray
         # key columns come from any referenced output view (all are
         # lexicographically aligned over the same group-by tuple set)
         first_ref = output.term_refs[0][0]
@@ -465,7 +477,7 @@ class LMFAO:
         attrs: List[Attribute] = []
         for attr_name in query.group_by:
             pos = sorted_group_by.index(attr_name)
-            columns[attr_name] = base.key_cols[pos]
+            columns[attr_name] = hand_out(base.key_cols[pos])
             attrs.append(
                 self._attribute(attr_name, base.key_cols[pos], database)
             )
@@ -483,7 +495,7 @@ class LMFAO:
                 name = f"{name}_{used_names[name]}"
             else:
                 used_names[name] = 0
-            columns[name] = np.asarray(total, dtype=np.float64)
+            columns[name] = hand_out(np.asarray(total, dtype=np.float64))
             attrs.append(Attribute(name, "continuous", np.float64))
         return Relation(query.name, Schema(attrs), columns)
 
@@ -495,3 +507,10 @@ class LMFAO:
         except KeyError:
             kind = "categorical"
         return Attribute(name, kind, column.dtype)
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A view of ``column`` that raises on write; no copy."""
+    view = column.view()
+    view.flags.writeable = False
+    return view

@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 
 from ..jointree.join_tree import JoinTree
 from .engine import EnginePlan
-from .plan import GroupSumStep, MulStep
+from .plan import DotStep, GroupSumStep, MulStep
 
 
 def explain(plan: EnginePlan, tree: JoinTree) -> str:
@@ -90,12 +90,15 @@ def _explain_groups(plan: EnginePlan) -> List[str]:
         # row, and how many arrays its liveness lets a run hold at once
         n_aggregates = sum(len(views[v].aggregates) for v in group.view_ids)
         n_sums, n_products = _row_level_work(group_plan.steps)
+        dots = [s for s in group_plan.steps if isinstance(s, DotStep)]
         lines.append(
             f"  level {level_of[group.id]}: group {group.id} @ "
             f"{group.node} computes views {sorted(group.view_ids)}  "
             f"steps: {len(group_plan.steps)}, "
             f"peak live arrays: {group_plan.peak_live}  "
             f"row-level products: {n_products}  "
+            f"dot products: {len(dots)} folding "
+            f"{sum(len(s.outs) for s in dots)} sums  "
             f"aggregates -> row-level sums: {n_aggregates} -> {n_sums}"
         )
     return lines
@@ -104,15 +107,16 @@ def _explain_groups(plan: EnginePlan) -> List[str]:
 def _row_level_work(steps) -> Tuple[int, int]:
     """How many sums and multiplies of a group run over context rows.
 
-    A :class:`MulStep` whose left operand is a sum, or a product of
-    one, multiplies per group, after the sum; every other one
-    multiplies rows.
+    A :class:`DotStep` folds several sums, one per output.  A
+    :class:`MulStep` whose left operand is a sum, or a product of one,
+    multiplies per group, after the sum; every other one multiplies
+    rows.
     """
     n_sums, n_products, per_group = 0, 0, set()
     for step in steps:
-        if isinstance(step, GroupSumStep):
-            n_sums += 1
-            per_group.add(step.out)
+        if isinstance(step, (GroupSumStep, DotStep)):
+            n_sums += len(step.writes)
+            per_group.update(step.writes)
         elif isinstance(step, MulStep):
             if step.a in per_group:
                 per_group.add(step.out)

@@ -18,6 +18,7 @@ import numpy as np
 from ..data import ops
 from ..data.relation import Relation
 from .plan import (
+    DotStep,
     EmitStep,
     EncodeStep,
     FactorStep,
@@ -121,16 +122,32 @@ def execute_plan(
     context_weights: Dict[Optional[str], np.ndarray] = (
         {} if weights is None else {None: weights}
     )
+
+    def weights_of(base: Optional[str]) -> np.ndarray:
+        w = context_weights.get(base)
+        if w is None:
+            w = context_weights[base] = weights[env[base]]
+        return w
+
     for step, dead in zip(plan.steps, plan.frees):
         kind = type(step)
         if kind is GroupSumStep:
             if weights is None:
                 env[step.out] = _group_sum(step, env)
             else:
-                w = context_weights.get(step.base)
-                if w is None:
-                    w = context_weights[step.base] = weights[env[step.base]]
-                env[step.out] = _weighted_sum(step, env, w)
+                env[step.out] = _weighted_sum(step, env, weights_of(step.base))
+        elif kind is DotStep:
+            values = None if step.prefix is None else env[step.prefix]
+            if weights is not None:
+                w = weights_of(step.base)
+                values = w if values is None else values * w
+            totals = ops.view_dot(
+                incoming[step.view_id].sums[step.span],
+                step.picks,
+                env[step.index],
+                values,
+            )
+            env.update(zip(step.outs, totals[:, None]))
         elif kind is Gather:
             env[step.out] = _gather(step, relation, incoming, env)
         elif kind is MulStep:

@@ -13,6 +13,11 @@ Optimization of §3.5:
   group's aggregates share first, so their common prefix is built once;
 * group-by key encodings are shared across all aggregates of a view and
   across views with equal group-by;
+* **one product per shared prefix**: the scalar sums of a context whose
+  row-level products end in payloads of one incoming view, after the
+  same prefix, are one :class:`DotStep` — a matrix-vector product of
+  the view's (aggregates x keys) block, taken over the context's rows
+  or over the view's keys, whichever are fewer;
 * **sum before you multiply** (the loop-invariant decomposition of
   Appendix C, Figure 4's alpha/beta variables): a factor that is
   constant within every output group — the coefficient, and the payload
@@ -45,6 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..data.relation import Relation
 from ..query.functions import Function
@@ -269,6 +276,54 @@ class GroupSumStep:
 
 
 @dataclass(frozen=True)
+class DotStep:
+    """Scalar sums of one incoming view's payloads, as one product.
+
+    ``outs[k]`` is ``SUM over context rows i of prefix[i] *
+    V.sums[aggs[k], index[i]]`` for the view ``V`` = ``view_id``: the
+    scalar sums of a context whose row-level products end in a payload
+    of ``V`` and agree on everything before it, the ``prefix``
+    (``None`` is a factor of 1).  :func:`repro.data.ops.view_dot`
+    computes them all in one matrix-vector product, over the context's
+    rows or over ``V``'s keys, whichever are fewer.  A weighted run
+    reads each context row's weight through ``base``, as
+    :class:`GroupSumStep` does.
+
+    ``span`` is the slice of ``V``'s block from the first to the last
+    of ``aggs`` (a view, no copy); ``picks`` the rows of ``aggs`` within
+    it, ``None`` when ``aggs`` are consecutive.
+    """
+
+    outs: Tuple[str, ...]
+    view_id: int
+    aggs: Tuple[int, ...]
+    index: str
+    prefix: Optional[str]
+    base: str
+    span: slice = field(init=False, repr=False, compare=False)
+    picks: Optional[np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        first, last = self.aggs[0], self.aggs[-1]
+        picks = None
+        if last - first + 1 != len(self.aggs):
+            picks = np.asarray(self.aggs, dtype=np.int64) - first
+        object.__setattr__(self, "span", slice(first, last + 1))
+        object.__setattr__(self, "picks", picks)
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        own = (self.index, self.base)
+        return own if self.prefix is None else own + (self.prefix,)
+
+    @property
+    def writes(self) -> Tuple[str, ...]:
+        return self.outs
+
+
+@dataclass(frozen=True)
 class EmitStep:
     """Assemble one output view from key columns + aggregate columns.
 
@@ -405,6 +460,11 @@ class GroupPlanBuilder:
         self._groupkey_cache: Dict[tuple, Tuple[str, str]] = {}
         self._grouprows_cache: Dict[str, str] = {}  # codes var -> rows var
         self._sum_cache: Dict[tuple, str] = {}
+        # (context key, prefix names, view id) -> (the prefix's row
+        # factors, {payload index: its sum's var once emitted})
+        self._dots: Dict[
+            tuple, Tuple[List[tuple], Dict[int, Optional[str]]]
+        ] = {}
         # (context key, row factor name) -> aggregates multiplying it
         self._uses: Dict[tuple, int] = {}
         self._input_views: Dict[int, None] = {}
@@ -423,6 +483,18 @@ class GroupPlanBuilder:
         views = [self.views[view_id] for view_id in self.group.view_ids]
         laid_out = [self._lay_out(view) for view in views]
         for view, specs in zip(views, laid_out):
+            for i, (spec, context, group_refs, row_factors) in enumerate(
+                specs
+            ):
+                row_factors.sort(key=lambda f: -self._uses[context, f[0]])
+                dot = None if view.group_by else _dot_key(context, row_factors)
+                if dot is not None:
+                    payloads = self._dots.setdefault(
+                        dot, (row_factors[:-1], {})
+                    )[1]
+                    payloads[row_factors[-1][1].agg_index] = None
+                specs[i] = (spec, context, group_refs, row_factors, dot)
+        for view, specs in zip(views, laid_out):
             self._build_view(view, specs)
         return GroupPlan(
             group=self.group,
@@ -439,8 +511,10 @@ class GroupPlanBuilder:
         A row factor is ``(name, function or ref)``; its name identifies
         it within a context.  Row factors come in signature / view-id
         order.  ``self._uses`` counts, per context, how many aggregates
-        of the group multiply each one row by row, which is the order
-        :meth:`_build_product` folds them in.
+        of the group multiply each one row by row.  Once every view is
+        laid out, :meth:`build` sorts each product's factors most used
+        first, the order :meth:`_build_product` folds them in, and adds
+        the aggregate's :func:`_dot_key`.
         """
         uses = self._uses
         covered = set(view.group_by)
@@ -497,7 +571,7 @@ class GroupPlanBuilder:
         codes: Optional[str] = None
         keys: Optional[str] = None
         ctx: Optional[_Context] = None
-        for spec, context, group_refs, row_factors in laid_out:
+        for spec, context, group_refs, row_factors, dot in laid_out:
             ctx = self._context_for(context)
             if view.group_by:
                 codes, keys = self._group_keys(ctx, view.group_by)
@@ -507,9 +581,12 @@ class GroupPlanBuilder:
             ]
             if spec.coefficient != 1.0:
                 factors.append(spec.coefficient)
-            total = self._group_sum(
-                ctx, codes, keys, self._build_product(ctx, row_factors)
-            )
+            if dot is None:
+                total = self._group_sum(
+                    ctx, codes, keys, self._build_product(ctx, row_factors)
+                )
+            else:
+                total = self._dot(ctx, dot, row_factors[-1][1].agg_index)
             agg_vars.append(self._fold(total, factors))
         support_var: Optional[str] = None
         if self.track_support and keys is not None:
@@ -660,22 +737,19 @@ class GroupPlanBuilder:
     ) -> Optional[str]:
         """Row-aligned product of an aggregate's row factors.
 
-        The factors the group's aggregates in this context share most
-        are folded first, ties kept in signature / view-id order, so
-        aggregates that share all factors but a few share the prefix
-        of their products (:meth:`_fold` caches it).  Returns ``None``
-        when there is nothing row-wise to multiply (a pure count).
+        The factors come sorted most used in the context first, ties
+        kept in signature / view-id order, so aggregates that share all
+        factors but a few share the prefix of their products
+        (:meth:`_fold` caches it).  Returns ``None`` when there is
+        nothing row-wise to multiply (a pure count).
         """
         if not row_factors:
             return None
-        uses = self._uses
         factor_vars = [
             self._row_column(ctx, name)
             if isinstance(item, ViewRef)
             else self._factor(ctx, item, name)
-            for name, item in sorted(
-                row_factors, key=lambda f: -uses[ctx.key, f[0]]
-            )
+            for name, item in row_factors
         ]
         return self._fold(factor_vars[0], factor_vars[1:])
 
@@ -722,6 +796,28 @@ class GroupPlanBuilder:
             )
             self._sum_cache[cache_key] = out
         return self._sum_cache[cache_key]
+
+    def _dot(self, ctx: _Context, dot: tuple, agg_index: int) -> str:
+        """The var of payload ``agg_index``'s sum of the shared product
+        ``dot``; the first aggregate to ask emits the :class:`DotStep`
+        for every payload :meth:`build` found sharing it."""
+        prefix_factors, outs = self._dots[dot]
+        if outs[agg_index] is None:
+            view_id = dot[2]
+            aggs = tuple(sorted(outs))
+            for j in aggs:
+                outs[j] = self._new_var("sum")
+            self.steps.append(
+                DotStep(
+                    outs=tuple(outs[j] for j in aggs),
+                    view_id=view_id,
+                    aggs=aggs,
+                    index=ctx.view_idx[view_id],
+                    prefix=self._build_product(ctx, prefix_factors),
+                    base=ctx.base_idx,
+                )
+            )
+        return outs[agg_index]
 
     def _group_payload(
         self, ctx: _Context, codes: Optional[str], keys: Optional[str], ref
@@ -789,6 +885,21 @@ class GroupPlanBuilder:
         )
         self._groupkey_cache[cache_key] = (codes, keys)
         return codes, keys
+
+
+def _dot_key(
+    context: Tuple[int, ...], row_factors: List[tuple]
+) -> Optional[tuple]:
+    """``(context, prefix names, view id)`` of a scalar sum whose last
+    row factor is an incoming view's payload, else ``None``.
+
+    The scalar sums of one context that end in payloads of one view
+    after the same prefix share one :class:`DotStep`.
+    """
+    if not row_factors or not isinstance(row_factors[-1][1], ViewRef):
+        return None
+    prefix = tuple(name for name, _ in row_factors[:-1])
+    return context, prefix, row_factors[-1][1].view_id
 
 
 def build_group_plan(

@@ -6,9 +6,9 @@ this (tiny) matrix alone — no pass over the data.  By default
 :func:`repro.ml.linalg.solve_ridge`.  ``method="bgd"`` is the paper's
 optimizer, and what its Table 4 times: batch gradient descent over the
 matrix with Armijo backtracking line search and the Barzilai-Borwein step
-size, as in AC/DC.  Its iterations stop at a fixed budget, which on an
-ill-conditioned covar matrix (one-hot blocks nearly collinear with the
-intercept) is short of the optimum.
+size, as in AC/DC, in Jacobi-scaled coordinates: a one-hot covar matrix
+(blocks nearly collinear with the intercept) is ill-conditioned.  Its
+iterations stop at the tolerance or at a fixed budget.
 """
 
 from __future__ import annotations
@@ -151,8 +151,19 @@ def _bgd(
 
     Iterations touch only the covar matrix — the cost per step is
     O(p^2) regardless of dataset size, the heart of the paper's claim.
+    They run in Jacobi-scaled coordinates, ``theta * scale`` with
+    ``scale`` the root of the regularized matrix's diagonal, as
+    :func:`~repro.ml.linalg.solve_ridge` scales its factorization: the
+    unscaled descent on a one-hot covar matrix used up any budget short
+    of the optimum, where a one-ulp change of the matrix moved it by
+    more than the model's tolerance.
     """
     p = len(c_fl)
+    diagonal = np.diag(c_ff) + l2
+    scale = np.sqrt(np.where(diagonal > 0, diagonal, 1.0))
+    c_ff = c_ff / np.outer(scale, scale)
+    c_fl = c_fl / scale
+    l2 = l2 / scale**2  # per coordinate: the ridge term's diagonal
     theta = np.zeros(p)
     c_ll = 0.0  # constant offset, irrelevant to the optimizer
     gradient = c_ff @ theta - c_fl + l2 * theta
@@ -165,7 +176,7 @@ def _bgd(
         candidate_step = step
         gradient_norm2 = float(gradient @ gradient)
         if gradient_norm2 < tolerance:
-            return theta, iteration
+            return theta / scale, iteration
         for _ in range(60):
             candidate = theta - candidate_step * gradient
             new_objective = _objective(candidate, c_ff, c_fl, c_ll, l2)
@@ -183,4 +194,4 @@ def _bgd(
             step = float(delta_theta @ delta_theta) / denominator
         else:
             step = candidate_step
-    return theta, max_iterations
+    return theta / scale, max_iterations

@@ -21,8 +21,9 @@ One view per file, ``<digest>.view``: a :mod:`~repro.storage.codec`
 record (magic ``RVC2``) whose header names the digest, the relations,
 the group-by, ``n_aggs`` and whether a support column follows; its
 columns are the key columns, the sums block as one raw column (reshaped
-on load; a block that is not ``n_aggs`` x rows is corrupt), then the
-support column.
+on load), then the support column.  Every key column and the support
+column hold one entry per row, and the block ``n_aggs`` x rows; a record
+that breaks either is corrupt.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
     n_aggs = header["n_aggs"]
     if columns[n_keys].size != n_aggs * n_rows:
         raise ValueError("sums block is not n_aggs x n_rows")
+    rowed = columns[:n_keys] + columns[n_keys + 1:]  # keys, then support
+    if any(len(column) != n_rows for column in rowed):
+        raise ValueError("a key or support column is not n_rows long")
     sig = ViewSignature(
         digest=digest,
         relations=frozenset(header["relations"]),

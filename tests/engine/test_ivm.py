@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.data import Database, Relation
 from repro.data.database import AppliedDelta
-from repro.engine.plan import GroupSumStep
+from repro.engine.plan import DotStep, GroupSumStep
 from repro.engine.viewcache import ViewCache
 
 from .helpers import assert_results_equal
@@ -337,11 +337,15 @@ class TestDeltaPartitionRuns:
     @staticmethod
     def _sum_shapes(group_plan):
         """{(grouped?, counts only?, over the bare relation?)} of the
-        plan's sums."""
+        plan's sums; a :class:`DotStep`'s are scalar payload sums."""
         return {
             (s.codes is not None, s.values is None, s.base is None)
             for s in group_plan.steps
             if isinstance(s, GroupSumStep)
+        } | {
+            (False, False, s.base is None)
+            for s in group_plan.steps
+            if isinstance(s, DotStep)
         }
 
     def test_signed_run_is_inserted_minus_retracted(self, toy_db):

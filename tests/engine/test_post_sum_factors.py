@@ -32,6 +32,7 @@ from repro.data.schema import Schema, continuous, key
 from repro.engine.grouping import ViewGroup
 from repro.engine.interpreter import ViewData, execute_plan
 from repro.engine.plan import (
+    DotStep,
     FactorStep,
     Gather,
     GroupRowsStep,
@@ -90,9 +91,11 @@ def payload_reads(plan):
 
 def row_level_vars(plan):
     """Vars holding one value per context row: whatever a GroupSumStep
-    sums, and everything multiplied into it."""
+    sums or a DotStep multiplies its payloads by, and everything
+    multiplied into it."""
     by_out = {s.out: s for s in plan.steps if isinstance(s, MulStep)}
     pending = [s.values for s in plan.steps if isinstance(s, GroupSumStep)]
+    pending += [s.prefix for s in plan.steps if isinstance(s, DotStep)]
     seen = set()
     while pending:
         var = pending.pop()
@@ -346,7 +349,9 @@ def row_products(plan):
 def parent_order_products(plan):
     """How many row-level multiplies the plan would hold were each
     product folded in signature / view-id order: the distinct prefixes,
-    two factors or longer, of every sum's factors in that order."""
+    two factors or longer, of every sum's factors in that order.  A
+    :class:`DotStep`'s sum ``j`` has its prefix's factors and payload
+    ``j`` of its view."""
     by_out = {s.out: s for s in plan.steps if isinstance(s, MulStep)}
     order = {}
     for step in plan.steps:
@@ -360,12 +365,21 @@ def parent_order_products(plan):
             return [var]
         return factors(by_out[var].a) + [by_out[var].b]
 
-    prefixes = set()
+    products = []
     for step in plan.steps:
         if isinstance(step, GroupSumStep) and step.values is not None:
-            ordered = sorted(factors(step.values), key=order.__getitem__)
-            for end in range(2, len(ordered) + 1):
-                prefixes.add(tuple(ordered[:end]))
+            products.append(factors(step.values))
+        elif isinstance(step, DotStep):
+            shared = [] if step.prefix is None else factors(step.prefix)
+            for j in step.aggs:
+                payload = ("viewagg", step.view_id, j)
+                order[payload] = (1, payload[1:])
+                products.append(shared + [payload])
+    prefixes = set()
+    for product in products:
+        ordered = sorted(product, key=order.__getitem__)
+        for end in range(2, len(ordered) + 1):
+            prefixes.add(tuple(ordered[:end]))
     return len(prefixes)
 
 

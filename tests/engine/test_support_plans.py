@@ -20,14 +20,14 @@ from .test_key_encodings import paper_batches
 
 #: (dataset fixture, plan shape) -> (steps, digest) of the cache-less plans
 CACHELESS_PLANS = {
-    ("tiny_retailer", "multi-root"): (8580, "665e6d693c4df3a6"),
-    ("tiny_retailer", "single-root"): (8315, "9b14fdd250e08c72"),
-    ("tiny_favorita", "multi-root"): (2876, "837feba5c1832a29"),
-    ("tiny_favorita", "single-root"): (3834, "05b993f8dd3547b0"),
-    ("tiny_yelp", "multi-root"): (2875, "f2a20985d4634fb5"),
-    ("tiny_yelp", "single-root"): (2515, "097dd31e855b80f6"),
-    ("tiny_tpcds", "multi-root"): (7775, "6a45479e0ddca18b"),
-    ("tiny_tpcds", "single-root"): (8776, "c26833208a06609c"),
+    ("tiny_retailer", "multi-root"): (6010, "34174fb102cbc90d"),
+    ("tiny_retailer", "single-root"): (4805, "c213a4d9ed057ec0"),
+    ("tiny_favorita", "multi-root"): (2631, "ddcfe71c969d208c"),
+    ("tiny_favorita", "single-root"): (3550, "d56f7bfa78cd15b3"),
+    ("tiny_yelp", "multi-root"): (2108, "fb47f36cb0798171"),
+    ("tiny_yelp", "single-root"): (1707, "c7b13ddc14d125cc"),
+    ("tiny_tpcds", "multi-root"): (6366, "4d5646aa30019ccb"),
+    ("tiny_tpcds", "single-root"): (7596, "0c97452577379966"),
 }
 
 

@@ -102,3 +102,43 @@ class TestValidation:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ViewCache(budget_bytes=0)
+
+
+class TestResultsDoNotAliasTheCache:
+    def test_a_write_into_a_result_raises_and_the_next_run_holds(
+        self, tiny_favorita
+    ):
+        """A result's key columns and single-term sums are the cached
+        views' own arrays; a caller's write must raise, not change what
+        the next run answers."""
+        from repro import LMFAO
+        from repro.__main__ import _build_workload
+
+        ds = tiny_favorita
+        engine = LMFAO(ds.database, ds.join_tree, view_cache=ViewCache())
+        batch = _build_workload(ds, engine, "covar")
+        first = engine.run(batch)
+        before = {
+            (name, column): np.array(relation.column(column))
+            for name, relation in first.items()
+            for column in relation.schema.names
+        }
+        for name, column in before:
+            with pytest.raises(ValueError, match="read-only"):
+                first[name].column(column)[0] += 1000
+        again = engine.run(batch)
+        assert again.cache_report.n_misses == 0  # served from the cache
+        for (name, column), want in before.items():
+            np.testing.assert_array_equal(again[name].column(column), want)
+
+    def test_without_a_cache_results_stay_writable(self, tiny_favorita):
+        """Without a cache the views die with the run: nothing to guard."""
+        from repro import LMFAO
+        from repro.__main__ import _build_workload
+
+        ds = tiny_favorita
+        engine = LMFAO(ds.database, ds.join_tree)
+        result = engine.run(_build_workload(ds, engine, "covar"))
+        for relation in result.values():
+            for column in relation.schema.names:
+                assert relation.column(column).flags.writeable

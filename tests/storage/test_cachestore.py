@@ -189,6 +189,46 @@ class TestCorruption:
         assert store.load(sig.digest) is None
         assert not os.path.exists(path)
 
+    def test_support_shorter_than_the_keys_is_a_miss(self, store):
+        """A well-framed record with 5 keys but 3 support counts."""
+        sig = sig_for("v1")
+        view = keyed_view(n=5)
+        header = {
+            "digest": sig.digest,
+            "relations": ["Sales"],
+            "group_by": list(view.group_by),
+            "n_aggs": 2,
+            "support": True,
+        }
+        path = self.write_record(
+            store,
+            sig.digest,
+            b"RVC2",
+            header,
+            view.key_cols + [view.sums, np.ones(3)],
+        )
+        assert store.load(sig.digest) is None
+        assert not os.path.exists(path)
+
+    def test_key_columns_of_unequal_length_are_a_miss(self, store):
+        """The first key column and the block agree on 5 rows; the
+        second key column holds 4."""
+        sig = sig_for("v1")
+        view = keyed_view(n=5)
+        header = {
+            "digest": sig.digest,
+            "relations": ["Sales"],
+            "group_by": list(view.group_by),
+            "n_aggs": 2,
+            "support": False,
+        }
+        keys = [view.key_cols[0], view.key_cols[1][:4]]
+        path = self.write_record(
+            store, sig.digest, b"RVC2", header, keys + [view.sums]
+        )
+        assert store.load(sig.digest) is None
+        assert not os.path.exists(path)
+
     def test_old_rvc1_record_is_a_miss(self, store):
         """The column-per-aggregate layout of the first record version
         is never read as a block."""

@@ -137,14 +137,16 @@ class TestCli:
         from repro import LMFAO
         from repro.__main__ import _build_workload
         from repro.datasets import retailer
+        from repro.engine.plan import DotStep
 
         assert main(["--scale", "0.05", "plan", "retailer", "covar"]) == 0
+        out = capsys.readouterr().out
         shown = {
             int(group): (int(steps), int(live))
             for group, steps, live in re.findall(
                 r"group (\d+) @ \w+ computes views \[[\d, ]*\]  "
                 r"steps: (\d+), peak live arrays: (\d+)",
-                capsys.readouterr().out,
+                out,
             )
         }
         ds = retailer(scale=0.05)
@@ -153,8 +155,21 @@ class TestCli:
         assert shown == {
             p.group.id: (len(p.steps), p.peak_live) for p in plan.group_plans
         }
-        # liveness is what keeps a group's arrays below its step count
-        assert all(live < steps for steps, live in shown.values())
+        # each group's DotSteps and the scalar sums they fold
+        dots = [
+            [s for s in p.steps if isinstance(s, DotStep)]
+            for p in plan.group_plans
+        ]
+        assert re.findall(r"dot products: (\d+) folding (\d+) sums", out) == [
+            (str(len(d)), str(sum(len(s.outs) for s in d))) for d in dots
+        ]
+        assert any(dots)
+        # liveness is what keeps a group's arrays below the count of vars
+        # its steps write (a DotStep writes one per sum it folds)
+        assert all(
+            p.peak_live < sum(len(s.writes) for s in p.steps)
+            for p in plan.group_plans
+        )
 
     def test_sql_covar(self, capsys):
         assert main(["--scale", "0.05", "sql", "favorita", "covar"]) == 0
