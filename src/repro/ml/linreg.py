@@ -83,7 +83,9 @@ def train_ridge(
 ) -> LinearRegressionModel:
     """Train a ridge model with LMFAO-computed sufficient statistics.
 
-    ``max_iterations`` and ``tolerance`` apply to ``method="bgd"`` only.
+    ``max_iterations`` and ``tolerance`` apply to ``method="bgd"`` only:
+    it stops once the squared norm of the objective's gradient falls
+    below ``tolerance``, or after ``max_iterations``.
     """
     if engine is None:
         engine = LMFAO(database, join_tree)
@@ -109,7 +111,11 @@ def optimize_from_covar(
     max_iterations: int = 2_000,
     tolerance: float = 1e-10,
 ) -> LinearRegressionModel:
-    """Optimize ridge parameters given the assembled covar matrix."""
+    """Optimize ridge parameters given the assembled covar matrix.
+
+    ``max_iterations`` and ``tolerance`` apply to ``method="bgd"`` only,
+    as in :func:`train_ridge`.
+    """
     n = matrix[0, 0]
     if n <= 0:
         raise ValueError("empty training dataset (count aggregate is 0)")
@@ -156,7 +162,9 @@ def _bgd(
     :func:`~repro.ml.linalg.solve_ridge` scales its factorization: the
     unscaled descent on a one-hot covar matrix used up any budget short
     of the optimum, where a one-ulp change of the matrix moved it by
-    more than the model's tolerance.
+    more than the model's tolerance.  ``tolerance`` bounds the squared
+    norm of the unscaled gradient, ``gradient * scale``, so it means what
+    it meant for the unscaled descent.
     """
     p = len(c_fl)
     diagonal = np.diag(c_ff) + l2
@@ -175,7 +183,8 @@ def _bgd(
         # Armijo backtracking from the current (possibly BB) step
         candidate_step = step
         gradient_norm2 = float(gradient @ gradient)
-        if gradient_norm2 < tolerance:
+        unscaled = gradient * scale
+        if float(unscaled @ unscaled) < tolerance:
             return theta / scale, iteration
         for _ in range(60):
             candidate = theta - candidate_step * gradient
