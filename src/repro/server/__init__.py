@@ -16,8 +16,9 @@ into one batch that runs each distinct workload once.
 * :mod:`~repro.server.http` — stdlib HTTP endpoints
   (``/query``, ``/delta``, ``/stats``, ``/healthz``);
 * :mod:`~repro.server.client` — :class:`AnalyticsClient`, the blocking
-  client the CLI and tests use (``retries=`` makes it honor the
-  server's 503 + ``Retry-After`` back-pressure).
+  client the CLI and tests use: one keep-alive connection per calling
+  thread (``retries=`` makes it honor the server's 503 + ``Retry-After``
+  back-pressure).
 
 With ``AnalyticsService(data_dir=...)`` the serving state is durable
 (:mod:`repro.storage`): delta commits are write-ahead-logged before

@@ -40,11 +40,12 @@ the engine; memo hits never leave their handler thread.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import traceback
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
@@ -176,6 +177,10 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
     # a response is two sends: under Nagle, a held connection's body
     # waits ~40 ms for the client's delayed ACK of the headers
     disable_nagle_algorithm = True
+    # seconds a socket operation may wait, above all the read of the next
+    # request on a held connection: an idle client cannot pin a handler
+    # thread forever (a timed-out handler closes its connection)
+    timeout = 30.0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -200,17 +205,27 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ValueError("request needs a JSON body")
-        if length > MAX_BODY_BYTES:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body stays unread, so the connection cannot frame the
+            # next request: answer, then close it
+            self.close_connection = True
             raise ValueError(
-                f"request body over {MAX_BODY_BYTES} bytes"
+                f"request needs a Content-Length of at most "
+                f"{MAX_BODY_BYTES} bytes, got {header!r}"
             )
+        if length == 0:
+            raise ValueError("request needs a JSON body")
         raw = self.rfile.read(length)
         body = json.loads(raw)
         if not isinstance(body, dict):
@@ -328,7 +343,13 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
 
 
 class AnalyticsHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one service instance."""
+    """A :class:`ThreadingHTTPServer` bound to one service instance.
+
+    Clients hold their connections between requests, so the server
+    keeps the set of open ones, and :meth:`server_close` shuts each
+    down: a client's next request on it fails instead of reaching a
+    service that is closing, and the handler threads end.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -337,6 +358,28 @@ class AnalyticsHTTPServer(ThreadingHTTPServer):
         super().__init__(address, AnalyticsRequestHandler)
         self.service = service
         self.verbose = verbose
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
 
 def make_http_server(
