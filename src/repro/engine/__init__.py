@@ -1,7 +1,7 @@
 """The LMFAO engine: layered optimization and execution of aggregate batches."""
 
 from .engine import LMFAO, BatchResult, EnginePlan
-from .executor import DataflowScheduler, InterpreterBackend, ViewStore
+from .executor import DataflowScheduler, InterpreterBackend
 from .explain import explain
 from .grouping import GroupedPlan, ViewGroup, group_views
 from .ivm import DeltaMaintenance, DeltaReport, IncrementalEngine
@@ -19,7 +19,6 @@ __all__ = [
     "EnginePlan",
     "InterpreterBackend",
     "DataflowScheduler",
-    "ViewStore",
     "ViewCache",
     "ViewSignature",
     "view_signatures",

@@ -5,13 +5,15 @@
     -> Parallelization -> Compilation
 
 Planning (this module + the layers it calls) produces an
-:class:`EnginePlan`; execution is delegated to the executor subsystem
-(:mod:`repro.engine.executor`): a :class:`DataflowScheduler` runs the
-view groups one at a time in topological order, the
-:class:`InterpreterBackend` evaluates each group by walking its step
-IR, and materialized views live in a :class:`ViewStore` with
-ref-counted eviction of interior views.  The Compilation layer renders
-each group's steps as specialized source for reading
+:class:`EnginePlan`; execution is one loop (:mod:`repro.engine.executor`):
+the :class:`DataflowScheduler` runs the view groups front to back in the
+order ``group_views`` lists them, the :class:`InterpreterBackend`
+evaluates each group by walking its step IR, and the views live in a
+plain dict that drops each one after the last group that reads it.
+Which views those are is read off once per plan
+(:attr:`EnginePlan.view_frees`), by the same ``step_liveness`` that
+frees a group's vars after their last step.  The Compilation layer
+renders each group's steps as specialized source for reading
 (:meth:`EnginePlan.generated_source`); nothing executes it.
 
 Usage::
@@ -25,7 +27,7 @@ Usage::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,15 +38,10 @@ from ..data.schema import Attribute, Schema
 from ..jointree.join_tree import JoinTree, join_tree_from_database
 from ..query.query import QueryBatch
 from . import codegen
-from .executor import (
-    DataflowScheduler,
-    GroupTask,
-    InterpreterBackend,
-    ViewStore,
-)
+from .executor import DataflowScheduler, InterpreterBackend
 from .grouping import GroupedPlan, group_views
 from .interpreter import ViewData
-from .plan import GroupPlan, build_group_plan
+from .plan import GroupPlan, build_group_plan, step_liveness
 from .pushdown import DecomposedBatch, Decomposer
 from .roots import assign_roots
 from .stats import PlanStatistics, compute_statistics
@@ -69,6 +66,26 @@ class EnginePlan:
     #: planning-time ``id(function) -> dyn slot`` (content signatures
     #: resolve dynamic functions to their runtime bindings through it)
     dyn_slots: Dict[int, int]
+    #: ``view_frees[i]``: ids of the views no group after group ``i``
+    #: reads and no query output holds, dropped after group ``i`` runs
+    view_frees: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # a group reads its input views and writes its own; result
+        # assembly reads the output views after the last group, so they
+        # never die
+        accesses = [
+            _ViewAccess(p.input_view_ids, tuple(p.group.view_ids))
+            for p in self.group_plans
+        ]
+        outputs = tuple(
+            ref.view_id
+            for output in self.decomposed.outputs
+            for refs in output.term_refs
+            for ref in refs
+        )
+        frees, _ = step_liveness([*accesses, _ViewAccess(outputs, ())])
+        self.view_frees = frees[:-1]
 
     def describe(self) -> str:
         """Dump all group plans (Figure 4 analog)."""
@@ -81,26 +98,14 @@ class EnginePlan:
             for p in self.group_plans
         )
 
-    def dependencies(self) -> Dict[int, set]:
-        """Group id -> ids of the groups it reads views from."""
-        return {g.id: set(g.depends_on) for g in self.grouped.groups}
 
-    def view_consumers(self) -> Dict[int, int]:
-        """View id -> number of groups that read it (for eviction)."""
-        consumers: Dict[int, int] = {}
-        for group_plan in self.group_plans:
-            for vid in group_plan.input_view_ids:
-                consumers[vid] = consumers.get(vid, 0) + 1
-        return consumers
+@dataclass(frozen=True)
+class _ViewAccess:
+    """The views one group (or result assembly) reads and writes: a
+    step, as :func:`step_liveness` sees it."""
 
-    def output_view_ids(self) -> set:
-        """Ids of views referenced by query outputs (never evictable)."""
-        return {
-            ref.view_id
-            for output in self.decomposed.outputs
-            for refs in output.term_refs
-            for ref in refs
-        }
+    reads: Tuple[int, ...]
+    writes: Tuple[int, ...]
 
 
 class BatchResult(dict):
@@ -145,15 +150,15 @@ class LMFAO:
     :class:`~repro.engine.viewcache.cache.ViewCache`: before execution
     every planned view's content signature is probed, groups whose
     outputs are all cached are skipped, and newly materialized views
-    are admitted back into the cache (interior views via the store's
-    eviction handoff).  The cache may be shared between engines and
-    sessions — keys are content addresses, so a hit is always the data
-    the engine would have recomputed.  With a cache attached, every
-    keyed view also carries *support counts* (its context rows per
-    group key), so :meth:`ViewCache.on_delta` can retire a key whose
-    support cancels to zero under a retraction; without one, plans
-    compute no support.  A result's columns may then be a cached view's
-    memory, so they are read-only (:meth:`assemble`).
+    are admitted back into the cache (interior views the moment the
+    last group that reads them has run).  The cache may be shared
+    between engines and sessions — keys are content addresses, so a hit
+    is always the data the engine would have recomputed.  With a cache
+    attached, every keyed view also carries *support counts* (its
+    context rows per group key), so :meth:`ViewCache.on_delta` can
+    retire a key whose support cancels to zero under a retraction;
+    without one, plans compute no support.  A result's columns may then
+    be a cached view's memory, so they are read-only (:meth:`assemble`).
     """
 
     def __init__(
@@ -269,8 +274,8 @@ class LMFAO:
                 "batch dynamic-function count changed between planning "
                 "and execution"
             )
-        store, report = self._execute_impl(plan, dyn, database=db)
-        result = self.assemble(batch, plan, store, database=db)
+        views, report = self.execute(plan, dyn, database=db)
+        result = self.assemble(batch, plan, views, database=db)
         result.plan_seconds = t1 - t0
         result.execute_seconds = time.perf_counter() - t1
         result.cache_report = report
@@ -316,33 +321,24 @@ class LMFAO:
         dyn: Sequence,
         *,
         database: Optional[Database] = None,
-    ) -> ViewStore:
+    ) -> Tuple[Dict[int, ViewData], Optional[CacheRunReport]]:
         """Materialize the output views of a planned batch.
 
-        The scheduler runs each view group once its input views are
-        published; the backend evaluates each group.
-        Interior views are evicted once their last consumer
-        finishes (output views are pinned and always survive).
-        ``database`` pins execution to an explicit database version (see
-        :meth:`run`).
+        The scheduler runs the groups front to back and drops each view
+        after the last group that reads it, so what is returned is the
+        output views, by id.  With a view cache attached, a group whose
+        views are all cache hits does not run, a dropped or output view
+        that was a miss is admitted to the cache, and the second value
+        is the run's cache report (else None).  ``database`` pins
+        execution to an explicit database version (see :meth:`run`).
         """
-        store, _ = self._execute_impl(plan, dyn, database=database)
-        return store
-
-    def _execute_impl(
-        self,
-        plan: EnginePlan,
-        dyn: Sequence,
-        *,
-        database: Optional[Database] = None,
-    ) -> Tuple[ViewStore, Optional[CacheRunReport]]:
         db = database if database is not None else self.database
         cache = self.view_cache
         report: Optional[CacheRunReport] = None
-        sigs: Dict[int, ViewSignature] = {}
-        preloaded: Dict[int, ViewData] = {}
-        recipes: Dict[int, PatchRecipe] = {}
+        views: Dict[int, ViewData] = {}
         skip: set = set()
+        # view id -> (signature, repair recipe) of this run's cache misses
+        misses: Dict[int, Tuple[ViewSignature, Optional[PatchRecipe]]] = {}
         if cache is not None:
             sigs = self.view_signatures_for(plan, dyn, database=db)
             report = CacheRunReport(total_groups=len(plan.group_plans))
@@ -355,9 +351,10 @@ class LMFAO:
                 data = cache.get(sig.digest, database=db)
                 if data is None:
                     report.events[view.id] = "miss"
+                    misses[view.id] = (sig, None)
                 else:
                     report.events[view.id] = "hit"
-                    preloaded[view.id] = data
+                    views[view.id] = data
             for group_plan in plan.group_plans:
                 if all(
                     report.events.get(vid) == "hit"
@@ -372,8 +369,8 @@ class LMFAO:
                 # input has a digest)
                 for vid in group_plan.group.view_ids:
                     sig = sigs[vid]
-                    if sig.cacheable and sig.structure is not None:
-                        recipes[vid] = PatchRecipe(
+                    if vid in misses and sig.structure is not None:
+                        recipe = PatchRecipe(
                             plan=group_plan,
                             view_id=vid,
                             dyn=tuple(dyn),
@@ -383,57 +380,18 @@ class LMFAO:
                                 for ivid in group_plan.input_view_ids
                             ),
                         )
+                        misses[vid] = (sig, recipe)
             report.skipped_groups = len(skip)
-
-        def handoff(vid: int, data: ViewData) -> None:
-            # an interior view just lost its last in-batch consumer:
-            # admit it to the cross-run cache instead of dropping it
-            if report is not None and report.events.get(vid) == "miss":
-                cache.put(
-                    sigs[vid], data, recipe=recipes.get(vid), database=db
-                )
-
-        store = ViewStore(
-            consumers=plan.view_consumers(),
-            pinned=plan.output_view_ids(),
-            on_evict=handoff if cache is not None else None,
+        DataflowScheduler().run(
+            plan, views, self.backend, db, dyn, skip, cache, misses
         )
-        store.update(preloaded)
-
-        def task(group_id: int) -> Dict[int, ViewData]:
-            if group_id in skip:
-                return {}  # every output of this group came from cache
-            group_plan = plan.group_plans[group_id]
-            return self.backend.run_group(
-                GroupTask(
-                    plan=group_plan,
-                    relation=db.relation(group_plan.node),
-                    incoming={
-                        vid: store[vid] for vid in group_plan.input_view_ids
-                    },
-                    dyn=dyn,
-                )
-            )
-
-        def publish(group_id: int, produced: Dict[int, ViewData]) -> None:
-            store.update(produced)
-            store.group_finished(
-                plan.group_plans[group_id].input_view_ids
-            )
-
-        DataflowScheduler().run(plan.dependencies(), task, publish)
-        if cache is not None:
-            # views still resident (the pinned outputs) that were cache
-            # misses are admitted too
-            for vid, data in store.items():
-                if report.events.get(vid) == "miss":
-                    cache.put(
-                        sigs[vid],
-                        data,
-                        recipe=recipes.get(vid),
-                        database=db,
-                    )
-        return store, report
+        # the output views outlive the loop; a miss among them is
+        # admitted here
+        for vid, data in views.items():
+            if vid in misses:
+                sig, recipe = misses[vid]
+                cache.put(sig, data, recipe=recipe, database=db)
+        return views, report
 
     # -- output assembly ------------------------------------------------------
 

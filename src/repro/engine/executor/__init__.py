@@ -1,22 +1,12 @@
-"""The executor subsystem: serial execution of planned view groups.
+"""The executor: a plan's view groups run front to back.
 
-Three layers, composed by the :class:`repro.engine.engine.LMFAO` facade:
-
-* :mod:`~repro.engine.executor.backend` — *how* one view group runs
-  (:class:`InterpreterBackend` walks its step IR);
-* :mod:`~repro.engine.executor.scheduler` — *when* each group runs
-  (a deterministic topological loop over the group DAG);
-* :mod:`~repro.engine.executor.store` — *where* materialized views live
-  during a run (:class:`ViewStore`, a dict with ref-counted eviction).
+:class:`DataflowScheduler` is the loop: it runs each group through
+:class:`InterpreterBackend` (which walks the group's step IR) in the
+order ``group_views`` lists them, and drops each view after the last
+group that reads it.
 """
 
-from .backend import GroupTask, InterpreterBackend
+from .backend import InterpreterBackend
 from .scheduler import DataflowScheduler
-from .store import ViewStore
 
-__all__ = [
-    "DataflowScheduler",
-    "GroupTask",
-    "InterpreterBackend",
-    "ViewStore",
-]
+__all__ = ["DataflowScheduler", "InterpreterBackend"]

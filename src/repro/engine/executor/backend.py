@@ -1,7 +1,6 @@
 """The execution backend: how one view group turns into materialized views.
 
-The scheduler decides *when* a group runs; :class:`InterpreterBackend`
-decides *how*: it walks the group's step IR with
+:class:`InterpreterBackend` walks a group's step IR with
 :func:`~repro.engine.interpreter.execute_plan` (the AC/DC style
 "interpreted LMFAO", paper §4.1) — the same function view repair runs.
 Every group the engine executes enters through
@@ -10,7 +9,6 @@ Every group the engine executes enters through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ...data.relation import Relation
@@ -18,19 +16,15 @@ from ..interpreter import ViewData, execute_plan
 from ..plan import GroupPlan
 
 
-@dataclass
-class GroupTask:
-    """Everything the backend needs to evaluate one view group."""
-
-    plan: GroupPlan
-    relation: Relation
-    incoming: Dict[int, ViewData]
-    dyn: Sequence = ()
-
-
 class InterpreterBackend:
     """Interpret the step IR of each group plan."""
 
-    def run_group(self, task: GroupTask) -> Dict[int, ViewData]:
+    def run_group(
+        self,
+        plan: GroupPlan,
+        relation: Relation,
+        incoming: Dict[int, ViewData],
+        dyn: Sequence = (),
+    ) -> Dict[int, ViewData]:
         """Materialize every view of one group; returns views by id."""
-        return execute_plan(task.plan, task.relation, task.incoming, task.dyn)
+        return execute_plan(plan, relation, incoming, dyn)

@@ -1,71 +1,70 @@
-"""Dependency-counting scheduling of the view-group DAG.
+"""The group loop: a plan's view groups run front to back.
 
-Each node carries its unmet-input count; a node becomes ready the
-instant the count reaches zero, and ready nodes run one at a time in a
-deterministic order (sorted by ``repr`` as they unlock).  Results are
-published through an ``on_result`` callback before any dependent runs,
-so a group only ever reads views that are fully published.
+``GroupedPlan.groups`` lists every group after the groups whose views
+it reads, so the list is the run order.  Which views die after each
+group is read off once, when the plan is built
+(``EnginePlan.view_frees``, by the
+:func:`~repro.engine.plan.step_liveness` that frees a group's vars
+after their last step): the loop drops them there, as the paper's
+generated code (Figure 7) lets a local go out of scope after its last
+use.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Container,
+    Dict,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from ...data.database import Database
+from ..interpreter import ViewData
+from .backend import InterpreterBackend
+
+if TYPE_CHECKING:
+    from ..engine import EnginePlan
+    from ..viewcache.cache import PatchRecipe, ViewCache
+    from ..viewcache.signature import ViewSignature
 
 
 class DataflowScheduler:
-    """Run a DAG of tasks in a deterministic topological order.
-
-    The scheduler is agnostic to what a task does — backends decide how
-    a node computes.
-    """
+    """Runs an engine plan's view groups front to back."""
 
     def run(
         self,
-        dependencies: Mapping[Hashable, Iterable[Hashable]],
-        task: Callable[[Hashable], Any],
-        on_result: Optional[Callable[[Hashable, Any], None]] = None,
-    ) -> Dict[Hashable, Any]:
-        """Execute every node; returns {node: task(node) result}.
+        plan: EnginePlan,
+        views: Dict[int, ViewData],
+        backend: InterpreterBackend,
+        database: Database,
+        dyn: Sequence,
+        skip: Container[int],
+        cache: Optional[ViewCache],
+        misses: Mapping[int, Tuple[ViewSignature, Optional[PatchRecipe]]],
+    ) -> None:
+        """Run every group of ``plan`` whose id is not in ``skip``.
 
-        ``dependencies`` maps each node to the nodes it reads from.
-        ``on_result`` (if given) is called exactly once per node, after
-        the node's task returns and before any dependent of the node
-        starts.  Raises ``ValueError`` on unknown dependencies or
-        cycles; a task exception stops the run and propagates.
+        ``views`` holds the cache hits on entry and exactly the output
+        views on return.  A view is popped after the last group that
+        reads it; one of ``misses`` (this run's cache misses, with their
+        signatures and repair recipes) then goes to ``cache.put``.
         """
-        indegree: Dict[Hashable, int] = {}
-        dependents: Dict[Hashable, List[Hashable]] = {
-            node: [] for node in dependencies
-        }
-        for node, deps in dependencies.items():
-            deps = set(deps) - {node}  # self-loops would never fire
-            indegree[node] = len(deps)
-            for dep in deps:
-                if dep not in dependents:
-                    raise ValueError(
-                        f"node {node!r} depends on unknown node {dep!r}"
+        for group_plan, dead in zip(plan.group_plans, plan.view_frees):
+            if group_plan.group.id not in skip:
+                views.update(
+                    backend.run_group(
+                        group_plan,
+                        database.relation(group_plan.node),
+                        {vid: views[vid] for vid in group_plan.input_view_ids},
+                        dyn,
                     )
-                dependents[dep].append(node)
-
-        ready = sorted(
-            (n for n, count in indegree.items() if count == 0), key=repr
-        )
-        results: Dict[Hashable, Any] = {}
-        while ready:
-            node = ready.pop(0)
-            result = task(node)
-            results[node] = result
-            if on_result is not None:
-                on_result(node, result)
-            unlocked = []
-            for dependent in dependents[node]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    unlocked.append(dependent)
-            ready.extend(sorted(unlocked, key=repr))
-        if len(results) != len(indegree):
-            raise ValueError(
-                f"dependency cycle: {len(indegree) - len(results)} of "
-                f"{len(indegree)} nodes unreachable"
-            )
-        return results
+                )
+            for vid in dead:
+                data = views.pop(vid)
+                if vid in misses:
+                    sig, recipe = misses[vid]
+                    cache.put(sig, data, recipe=recipe, database=database)

@@ -9,7 +9,8 @@ pass over the node's relation.
 We assign each view a *rank* — the length of the longest reference chain
 below it — and group by ``(source node, rank)``.  Ranks strictly increase
 along dependency chains, so same-rank views at a node are independent.
-The groups form a DAG the executor runs in topological order.
+Groups are listed by rank, so every group comes after the groups it
+reads from, and the executor runs them in that order.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ class GroupedPlan:
     """All view groups in a topological execution order.
 
     ``groups`` is ordered so that every group appears after all groups
-    it depends on — consumers may simply iterate it front to back.  The
-    engine's :class:`~repro.engine.executor.DataflowScheduler` derives
-    its own serial order from each group's ``depends_on``.
+    it depends on, and a group's ``id`` is its position in the list: the
+    engine's group loop simply iterates it front to back.
     """
 
     groups: List[ViewGroup]

@@ -216,13 +216,15 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
             length = int(header)
         except ValueError:
             length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
+        encoding = self.headers.get("Transfer-Encoding")
+        if encoding is not None or not 0 <= length <= MAX_BODY_BYTES:
             # the body stays unread, so the connection cannot frame the
             # next request: answer, then close it
             self.close_connection = True
             raise ValueError(
                 f"request needs a Content-Length of at most "
-                f"{MAX_BODY_BYTES} bytes, got {header!r}"
+                f"{MAX_BODY_BYTES} bytes and no Transfer-Encoding, got "
+                f"Content-Length {header!r}, Transfer-Encoding {encoding!r}"
             )
         if length == 0:
             raise ValueError("request needs a JSON body")
@@ -235,6 +237,12 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        if "Transfer-Encoding" in self.headers or (
+            self.headers.get("Content-Length") or "0"
+        ).strip() != "0":
+            # no route reads a GET body: answer, then close (see
+            # _read_body)
+            self.close_connection = True
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
             service = self.service

@@ -1,8 +1,10 @@
-"""The execution backend: one way to run a group plan.
+"""The executor: one way to run a group plan, one loop over the groups.
 
 The interpreter is the only executor; the Compilation layer's rendered
 source is held to it bit for bit, and the executor settings the engines
-used to take are gone.
+used to take are gone.  The groups run front to back, each view is
+dropped after the last group that reads it, and with a view cache a
+dropped miss is admitted to the cache.
 """
 
 import pytest
@@ -17,8 +19,14 @@ from repro import (
 )
 from repro.__main__ import main
 from repro.engine.executor import InterpreterBackend
+from repro.engine.viewcache import ViewCache
 
-from ..helpers import WORKLOADS, assert_results_identical, run_rendered
+from ..helpers import (
+    WORKLOADS,
+    assert_results_identical,
+    output_view_ids,
+    run_rendered,
+)
 
 
 class TestDifferential:
@@ -134,38 +142,102 @@ class TestCompileKnob:
                 )
 
 
-class TestEngineEviction:
+class TestWhatExecuteLeaves:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_plain_run_evicts_interior_views(self, toy_db, workload):
+    def test_execute_leaves_exactly_the_output_views(self, toy_db, workload):
         engine = LMFAO(toy_db)
         batch = WORKLOADS[workload]()
         plan = engine.plan(batch)
-        store = engine.execute(plan, [])
-        outputs = plan.output_view_ids()
-        interior = set(plan.view_consumers()) - outputs
+        views, report = engine.execute(plan, [])
+        outputs = output_view_ids(plan)
+        interior = {view.id for view in plan.decomposed.views} - outputs
         assert interior, "workload should produce interior views"
-        assert store.evicted == interior
-        for vid in outputs:
-            assert vid in store
+        assert set(views) == outputs
+        assert report is None
 
 
 class TestGroupEntry:
-    """Every planned group enters ``run_group`` once."""
+    """Every planned group enters ``run_group`` once, front to back."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_every_group_enters_run_group(self, toy_db, monkeypatch, workload):
         entered = []
         original = InterpreterBackend.run_group
 
-        def counting(self, task):
-            entered.append(task.plan.group.id)
-            return original(self, task)
+        def counting(self, plan, relation, incoming, dyn=()):
+            entered.append(plan.group.id)
+            return original(self, plan, relation, incoming, dyn)
 
         monkeypatch.setattr(InterpreterBackend, "run_group", counting)
         batch = WORKLOADS[workload]()
         engine = LMFAO(toy_db)
         plan = engine.plan(batch)
         engine.run(batch)
-        assert sorted(entered) == sorted(
+        assert entered == [
             group_plan.group.id for group_plan in plan.group_plans
+        ]
+
+
+class TestCacheHandoff:
+    """With a view cache, a cold run admits every cacheable miss once,
+    dropped interior views included; a warm rerun admits nothing and
+    runs no group."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_cold_run_puts_each_miss_once_warm_run_puts_none(
+        self, toy_db, monkeypatch, workload
+    ):
+        puts, entered = [], []
+        put, run_group = ViewCache.put, InterpreterBackend.run_group
+
+        def counting_put(self, sig, data, recipe=None, *, database=None):
+            puts.append(sig.digest)
+            return put(self, sig, data, recipe, database=database)
+
+        def counting_run_group(self, plan, relation, incoming, dyn=()):
+            entered.append(plan.group.id)
+            return run_group(self, plan, relation, incoming, dyn)
+
+        monkeypatch.setattr(ViewCache, "put", counting_put)
+        monkeypatch.setattr(
+            InterpreterBackend, "run_group", counting_run_group
         )
+        cache = ViewCache()
+        engine = LMFAO(toy_db, view_cache=cache)
+        batch = WORKLOADS[workload]()
+        plan = engine.plan(batch)
+        sigs = engine.view_signatures_for(plan, batch.dynamic_functions())
+        cold = engine.run(batch)
+        events = cold.cache_report.events
+        misses = [vid for vid, event in events.items() if event == "miss"]
+        assert sorted(misses) == sorted(
+            vid for vid, sig in sigs.items() if sig.cacheable
+        )
+        assert sorted(puts) == sorted(sigs[vid].digest for vid in misses)
+        interior = {
+            view.id for view in plan.decomposed.views
+        } - output_view_ids(plan)
+        cacheable_interior = [
+            vid for vid in interior if sigs[vid].cacheable
+        ]
+        assert cacheable_interior, "workload should cache interior views"
+        for vid in cacheable_interior:
+            assert sigs[vid].digest in cache, vid
+
+        puts.clear()
+        entered.clear()
+        warm = engine.run(batch)
+        assert puts == [] and entered == []
+        report = warm.cache_report
+        assert report.skipped_groups == report.total_groups == len(
+            plan.group_plans
+        )
+        assert_results_identical(warm, cold)
+
+
+class TestLegacyModules:
+    def test_legacy_parallel_module_is_gone(self):
+        # the deprecated repro.engine.parallel shim was removed; the one
+        # home of the merge delta repair folds views with is the cache
+        with pytest.raises(ModuleNotFoundError):
+            import repro.engine.parallel  # noqa: F401

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from repro import LMFAO
-from repro.engine.executor import DataflowScheduler
 from repro.engine.interpreter import ViewData, execute_plan
 from repro.engine.viewcache import ViewCache
 from repro.engine.viewcache.cache import _regrouped, merge
 
-from ..helpers import WORKLOADS
+from ..helpers import WORKLOADS, output_view_ids
 
 
 def view_table(view, with_support):
@@ -40,9 +39,7 @@ class TestRowSplitsMergeToTheWhole:
         engine = LMFAO(toy_db, root="Sales", view_cache=ViewCache())
         plan = engine.plan(batch)
         views = {}
-
-        def task(group_id):
-            group_plan = plan.group_plans[group_id]
+        for group_plan in plan.group_plans:
             relation = engine.database.relation(group_plan.node)
             incoming = {vid: views[vid] for vid in group_plan.input_view_ids}
             whole = execute_plan(group_plan, relation, incoming, dyn)
@@ -68,14 +65,8 @@ class TestRowSplitsMergeToTheWhole:
                     assert got_table[key] == pytest.approx(
                         sums, rel=1e-9, abs=1e-9
                     )
-            return whole
-
-        DataflowScheduler().run(
-            plan.dependencies(),
-            task,
-            lambda group_id, produced: views.update(produced),
-        )
-        assert views.keys() >= plan.output_view_ids()
+            views.update(whole)
+        assert views.keys() >= output_view_ids(plan)
 
 
 def grouped_view(keys, values, support=None):

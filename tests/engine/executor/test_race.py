@@ -14,7 +14,7 @@ import threading
 
 from repro import LMFAO, Aggregate, Query, QueryBatch
 
-from ..helpers import assert_results_equal
+from ..helpers import assert_results_equal, output_view_ids
 
 
 def wide_batch():
@@ -37,14 +37,14 @@ def wide_batch():
     return QueryBatch(queries)
 
 
-def test_execute_evicts_exactly_the_interior_views(toy_db):
+def test_execute_leaves_exactly_the_output_views(toy_db):
     batch = wide_batch()
     engine = LMFAO(toy_db)
     plan = engine.plan(batch)
-    store = engine.execute(plan, batch.dynamic_functions())
-    outputs = plan.output_view_ids()
-    assert outputs <= set(store)
-    assert store.evicted == set(plan.view_consumers()) - outputs
+    views, _ = engine.execute(plan, batch.dynamic_functions())
+    outputs = output_view_ids(plan)
+    assert {view.id for view in plan.decomposed.views} > outputs
+    assert set(views) == outputs
 
 
 def test_wide_batch_reruns_match_the_first_run(toy_db):

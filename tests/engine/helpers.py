@@ -39,10 +39,8 @@ def execute_rendered(plan, relation, incoming, dyn=()):
 class RenderedBackend:
     """Runs every view group through its rendered source."""
 
-    def run_group(self, task):
-        return execute_rendered(
-            task.plan, task.relation, task.incoming, task.dyn
-        )
+    def run_group(self, plan, relation, incoming, dyn=()):
+        return execute_rendered(plan, relation, incoming, dyn)
 
 
 def run_rendered(engine, batch):
@@ -59,6 +57,16 @@ def run_rendered(engine, batch):
     finally:
         engine.backend = interpreter
         engine.view_cache = cache
+
+
+def output_view_ids(plan):
+    """Ids of the views an engine plan's query outputs read."""
+    return {
+        ref.view_id
+        for output in plan.decomposed.outputs
+        for refs in output.term_refs
+        for ref in refs
+    }
 
 
 def assert_results_identical(got, expected):

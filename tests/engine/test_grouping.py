@@ -1,10 +1,24 @@
 """Group Views: ranks, groups, dependency DAG, execution levels."""
 
-from repro import Aggregate, Query, QueryBatch
+import pytest
+
+from repro import LMFAO, Aggregate, Query, QueryBatch
 from repro.engine.grouping import group_views
 from repro.engine.pushdown import Decomposer
 from repro.engine.roots import assign_roots
 from repro.jointree.join_tree import join_tree_from_database
+
+from .test_key_encodings import paper_batches
+
+
+def assert_listed_topologically(grouped):
+    """Every dependency is listed before its consumer, and a group's id
+    is its position in the list."""
+    assert grouped.groups
+    for position, group in enumerate(grouped.groups):
+        assert group.id == position
+        for dep in group.depends_on:
+            assert dep < position, (dep, group.id)
 
 
 def grouped_for(db, batch, group_enabled=True, multi_root=True):
@@ -75,9 +89,9 @@ class TestGrouping:
                         assert dep_group in group.depends_on
 
     def test_groups_listed_topologically(self, toy_db):
-        """``grouped.groups`` is a valid execution order by itself —
-        every dependency appears before its consumer (the contract the
-        dataflow scheduler and hand-rolled test loops rely on)."""
+        """``grouped.groups`` is the execution order by itself — every
+        dependency appears before its consumer (the contract the group
+        loop and hand-rolled test loops rely on)."""
         batch = QueryBatch(
             [
                 Query("a", ["city"], [Aggregate.count()]),
@@ -85,12 +99,28 @@ class TestGrouping:
             ]
         )
         _, grouped = grouped_for(toy_db, batch)
-        position = {
-            group.id: index for index, group in enumerate(grouped.groups)
-        }
-        for group in grouped.groups:
-            for dep in group.depends_on:
-                assert position[dep] < position[group.id]
+        assert_listed_topologically(grouped)
+
+    @pytest.mark.parametrize("merge_mode", ["full", "dedup", "none"])
+    @pytest.mark.parametrize("multi_root", [True, False])
+    @pytest.mark.parametrize("group_enabled", [True, False])
+    @pytest.mark.parametrize(
+        "fixture",
+        ["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"],
+    )
+    def test_paper_batches_listed_topologically(
+        self, request, fixture, group_enabled, multi_root, merge_mode
+    ):
+        ds = request.getfixturevalue(fixture)
+        engine = LMFAO(
+            ds.database,
+            ds.join_tree,
+            multi_root=multi_root,
+            merge_mode=merge_mode,
+            group_views=group_enabled,
+        )
+        for batch in paper_batches(ds, engine):
+            assert_listed_topologically(engine.plan(batch).grouped)
 
     def test_grouping_disabled_gives_singletons(self, toy_db):
         batch = QueryBatch([Query("a", ["city"], [Aggregate.count()])])

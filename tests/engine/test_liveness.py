@@ -2,9 +2,10 @@
 
 ``GroupPlan.frees`` is read off the steps once, when the plan is built;
 the interpreter drops those vars from its environment and the rendered
-source ``del``-s them.  These tests hold the rule sound on every group
-plan of the paper's four batches, and hold a cold served run's memory to
-the plan's own bound.
+source ``del``-s them.  One level up, ``EnginePlan.view_frees`` is read
+off the groups by the same rule, and the group loop drops those views.
+These tests hold both sound on every plan of the paper's four batches,
+and hold a cold served run's memory to the plan's own bound.
 """
 
 import tracemalloc
@@ -23,7 +24,7 @@ from repro.engine.plan import (
 )
 from repro.ml import CovarBatch
 
-from .helpers import assert_results_identical, run_rendered
+from .helpers import assert_results_identical, output_view_ids, run_rendered
 from .test_key_encodings import paper_batches
 from .viewcache.test_fusion import regression_label
 
@@ -64,6 +65,34 @@ def assert_liveness_sound(plan: GroupPlan) -> None:
     assert held == 0 and peak == plan.peak_live
 
 
+def assert_view_frees_sound(plan) -> None:
+    """The groups run front to back: no group reads a view before it
+    is written or after it is freed, and exactly the views some group
+    reads, less the outputs result assembly reads, are freed, once."""
+    outputs = output_view_ids(plan)
+    written, freed_at = set(), {}
+    for i, (group_plan, dead) in enumerate(
+        zip(plan.group_plans, plan.view_frees)
+    ):
+        for vid in group_plan.input_view_ids:
+            assert vid in written, f"view {vid} read by group {i} unwritten"
+            assert vid not in freed_at, (
+                f"view {vid} read by group {i}, freed after group "
+                f"{freed_at[vid]}"
+            )
+        written.update(group_plan.group.view_ids)
+        for vid in dead:
+            assert vid in written and vid not in freed_at, vid
+            freed_at[vid] = i
+    consumed = {
+        vid
+        for group_plan in plan.group_plans
+        for vid in group_plan.input_view_ids
+    }
+    assert not outputs & set(freed_at)
+    assert set(freed_at) == written - outputs == consumed - outputs
+
+
 class TestSoundness:
     @pytest.mark.parametrize("fixture", DATASETS)
     def test_paper_batches_free_only_dead_vars(self, request, fixture):
@@ -71,7 +100,9 @@ class TestSoundness:
         n_plans = 0
         for engine in engines(ds).values():
             for batch in paper_batches(ds, engine):
-                for group_plan in engine.plan(batch).group_plans:
+                plan = engine.plan(batch)
+                assert_view_frees_sound(plan)
+                for group_plan in plan.group_plans:
                     assert_liveness_sound(group_plan)
                     n_plans += 1
         assert n_plans > 0

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -295,6 +296,59 @@ class TestHeldConnection:
         finally:
             connection.close()
         assert statistics.median(seconds[1:]) < 0.020, seconds
+
+
+def exchange_raw(client, request):
+    """Send raw bytes on a fresh connection; the bytes answered until
+    the server closes it (a server that holds it open times out)."""
+    address = urllib.parse.urlsplit(client.base_url)
+    with socket.create_connection((address.hostname, address.port)) as sock:
+        sock.settimeout(10)
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+class TestUnreadBodyClosesTheConnection:
+    """A body the handler leaves unread would be parsed as the next
+    request: the server answers, then closes the connection, and the
+    request sent behind it on the same socket gets no answer."""
+
+    NEXT = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def assert_answered_once_then_closed(self, reply, status):
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), reply
+        assert b"\r\nConnection: close" in head, reply
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        return json.loads(body)
+
+    def test_a_get_with_a_body(self, served):
+        _service, client = served
+        reply = exchange_raw(
+            client,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 8\r\n"
+            b"\r\n" + b'{"x": 1}' + self.NEXT,
+        )
+        payload = self.assert_answered_once_then_closed(reply, 200)
+        assert payload["status"] == "ok"
+        assert client.healthz()["status"] == "ok"
+
+    def test_a_chunked_post(self, served):
+        _service, client = served
+        body = json.dumps({"dataset": "toy", "workloads": ["counts"]})
+        reply = exchange_raw(
+            client,
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body.encode())
+            + self.NEXT,
+        )
+        payload = self.assert_answered_once_then_closed(reply, 400)
+        assert "Transfer-Encoding" in payload["error"]
+        assert client.query("toy", ["counts"])["epoch"] == 0
 
 
 class TestAnswerMemoOverTheWire:
