@@ -7,8 +7,12 @@ subsystem exists for:
   ``WorkloadSession`` DAG versus three independent engine runs.  What
   fusion can remove is the duplicated work: linreg's view DAG is
   covar's, so the fused run should cost one of the twins less.
-  Acceptance bar: the fused run saves >= half the cheaper twin's
-  independent time.  (The bar used to be a 1.3x ratio of the totals;
+  Acceptance bar: in the median of ``ROUNDS`` paired rounds, the fused
+  run saves >= half the cheaper twin's independent time.  Each round
+  times both sides back to back, in alternating order, so a burst of
+  load from another process on a shared host lands in a few rounds'
+  savings instead of in one side's best-of time.  (The bar used to be
+  a 1.3x ratio of the totals;
   a ratio moves with how fast the kernels are — halving the twins'
   cost while ``trees`` stays put caps it at 1.24x however well fusion
   works — so it is recorded, not asserted.);
@@ -22,6 +26,7 @@ Correctness rides along: fused results must match the independent runs.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -43,6 +48,8 @@ from .common import (
 pytestmark = pytest.mark.slow
 
 REPEATS = 4
+#: paired rounds of independent vs fused runs; the bar holds the median
+ROUNDS = 9
 #: share of the cheaper twin's (covar, linreg) time fusion must save
 FUSED_SAVING_BAR = 0.5
 WARM_SPEEDUP_BAR = 3.0
@@ -84,9 +91,10 @@ def test_viewcache_benchmark():
     workloads = build_workloads(ds)
 
     # independent baseline engines and the fused session, all planned
-    # up front; the timed measurements below interleave both sides
-    # round-robin so machine-load drift (this can run after two minutes
-    # of other benchmark modules) hits them equally
+    # up front; the timed measurements below pair both sides per round,
+    # in alternating order, so machine-load drift (this can run after
+    # two minutes of other benchmark modules, or beside another
+    # process) hits them equally
     engines = {}
     for name, batch in workloads.items():
         engines[name] = LMFAO(ds.database, ds.join_tree)
@@ -96,21 +104,44 @@ def test_viewcache_benchmark():
         session.add_workload(name, batch)
     session.engine.plan(session.fused_batch())
 
-    independent_seconds = {name: float("inf") for name in workloads}
     independent_results = {}
-    fused_seconds = float("inf")
     fused_results = None
-    for _ in range(REPEATS):
+
+    def run_independent():
+        seconds = {}
         for name, batch in workloads.items():
             start = time.perf_counter()
             independent_results[name] = engines[name].run(batch)
-            independent_seconds[name] = min(
-                independent_seconds[name], time.perf_counter() - start
-            )
+            seconds[name] = time.perf_counter() - start
+        return seconds
+
+    def run_fused():
+        nonlocal fused_results
         start = time.perf_counter()
         fused_results = session.run()
-        fused_seconds = min(fused_seconds, time.perf_counter() - start)
-    independent_total = sum(independent_seconds.values())
+        return time.perf_counter() - start
+
+    rounds = []  # (independent seconds by workload, fused seconds)
+    for i in range(ROUNDS):
+        if i % 2:
+            fused = run_fused()
+            rounds.append((run_independent(), fused))
+        else:
+            rounds.append((run_independent(), run_fused()))
+    savings = sorted(
+        (sum(seconds.values()) - fused)
+        / min(seconds["covar"], seconds["linreg"])
+        for seconds, fused in rounds
+    )
+    fused_saving = statistics.median(savings)
+    independent_seconds = {
+        name: statistics.median(seconds[name] for seconds, _ in rounds)
+        for name in workloads
+    }
+    independent_total = statistics.median(
+        sum(seconds.values()) for seconds, _ in rounds
+    )
+    fused_seconds = statistics.median(fused for _, fused in rounds)
     fusion = session.fusion_report()
 
     for name, batch in workloads.items():
@@ -140,7 +171,6 @@ def test_viewcache_benchmark():
 
     fused_speedup = independent_total / fused_seconds
     duplicated = min(independent_seconds["covar"], independent_seconds["linreg"])
-    fused_saving = (independent_total - fused_seconds) / duplicated
     warm_speedup = cold_seconds / warm_seconds
 
     # record everything BEFORE asserting the bars
@@ -148,7 +178,7 @@ def test_viewcache_benchmark():
     with open(os.path.join(RESULTS_DIR, "viewcache.txt"), "w") as handle:
         handle.write(
             f"view cache & fusion — covar+linreg+trees on retailer "
-            f"(scale {BENCH_SCALE})\n"
+            f"(scale {BENCH_SCALE}; medians of {ROUNDS} paired rounds)\n"
         )
         for name, seconds in independent_seconds.items():
             handle.write(f"independent {name:8} {seconds:9.4f}s\n")
@@ -156,7 +186,8 @@ def test_viewcache_benchmark():
             f"independent total    {independent_total:9.4f}s\n"
             f"fused                {fused_seconds:9.4f}s  "
             f"({fused_speedup:.2f}x; saves {fused_saving:.2f} of the "
-            f"duplicated twin, bar {FUSED_SAVING_BAR})\n"
+            f"duplicated twin, bar {FUSED_SAVING_BAR}; rounds "
+            f"{savings[0]:.2f}..{savings[-1]:.2f})\n"
             f"cold cached          {cold_seconds:9.4f}s\n"
             f"warm cached          {warm_seconds:9.4f}s  "
             f"({warm_speedup:.2f}x, bar {WARM_SPEEDUP_BAR}x)\n"
@@ -167,8 +198,9 @@ def test_viewcache_benchmark():
 
     assert fused_saving >= FUSED_SAVING_BAR, (
         f"fused covar+linreg+trees must save >={FUSED_SAVING_BAR} of the "
-        f"duplicated twin ({duplicated:.4f}s); measured {fused_saving:.2f} "
-        f"({fused_seconds:.4f}s vs {independent_total:.4f}s)"
+        f"duplicated twin ({duplicated:.4f}s) in the median round; "
+        f"measured {fused_saving:.2f} ({fused_seconds:.4f}s vs "
+        f"{independent_total:.4f}s; rounds {savings})"
     )
     assert warm_speedup >= WARM_SPEEDUP_BAR, (
         f"warm-cache re-run must beat the cold run by "

@@ -36,8 +36,9 @@ Figure 7 analog).  The function takes
 relation's columns and their ``(codes, uniques)`` encodings by
 attribute, its row count, the incoming views' key column lists and
 sums blocks by view id, and the dynamic function table — and returns
-``{view id: (group_by, key_cols, sums[, support])}``; ``np`` and
-``ops`` (:mod:`repro.data.ops`) are its only free names.
+``{view id: (group_by, key_cols, sums, count)}``, ``count`` being the
+row of ``sums`` that holds the view's COUNT (its support) or None;
+``np`` and ``ops`` (:mod:`repro.data.ops`) are its only free names.
 """
 
 from __future__ import annotations
@@ -130,10 +131,9 @@ def _render_step(step) -> List[str]:
         else:
             n_rows = f"len({keys}[0])" if step.keys_var is not None else "1"
             block = f"np.empty((0, {n_rows}))"
-        support = "" if step.support_var is None else f", {step.support_var}"
         return [
             f"out[{step.view_id}] = ({step.group_by!r}, {keys}, "
-            f"{block}{support})"
+            f"{block}, {step.count!r})"
         ]
     raise TypeError(f"unknown step {step!r}")  # pragma: no cover
 

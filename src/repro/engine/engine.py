@@ -154,11 +154,13 @@ class LMFAO:
     last group that reads them has run).  The cache may be shared
     between engines and sessions — keys are content addresses, so a hit
     is always the data the engine would have recomputed.  With a cache
-    attached, every keyed view also carries *support counts* (its
-    context rows per group key), so :meth:`ViewCache.on_delta` can
-    retire a key whose support cancels to zero under a retraction;
-    without one, plans compute no support.  A result's columns may then
-    be a cached view's memory, so they are read-only (:meth:`assemble`).
+    attached, every keyed view also carries its *support*: a COUNT
+    aggregate, the multiplicity of its subtree join per group key (an
+    existing COUNT column where the batch has one), so
+    :meth:`ViewCache.on_delta` can retire a key whose count cancels to
+    zero under a retraction; without one, plans count nothing extra.  A
+    result's columns may then be a cached view's memory, so they are
+    read-only (:meth:`assemble`).
     """
 
     def __init__(
@@ -219,22 +221,24 @@ class LMFAO:
                 self.database,
                 multi_root=self.multi_root,
             )
+        # support counts only matter where delta merges happen: in the
+        # cache's views
         decomposer = Decomposer(
-            self.join_tree, merge_mode=self.merge_mode, dyn_slots=dyn_slots
+            self.join_tree,
+            merge_mode=self.merge_mode,
+            dyn_slots=dyn_slots,
+            track_support=self.view_cache is not None,
         )
         decomposed = decomposer.decompose(batch, roots)
         grouped = group_views(
             decomposed, group_enabled=self.group_views_enabled
         )
-        # support counts only matter where delta merges happen: in the
-        # cache's views
         group_plans = [
             build_group_plan(
                 group,
                 decomposed.views,
                 self.database.relation(group.node),
                 dyn_slots,
-                track_support=self.view_cache is not None,
             )
             for group in grouped.groups
         ]

@@ -42,12 +42,12 @@ class ViewData:
     (aggregates x keys), row ``j`` aggregate ``j``.  Scalar views have no
     key columns and one block column.
 
-    ``support`` (optional) counts the context rows contributing to each
-    group key.  An engine with a view cache attached plans it on every
-    keyed view; the cache's delta repair uses it to drop keys whose
-    support reaches zero after retractions.  Supports are integer-valued
-    floats, so they add and cancel exactly under the distributive-SUM
-    merge.
+    ``count`` (optional) is the row of ``sums`` that holds the view's
+    COUNT aggregate: the multiplicity of its subtree join per key, its
+    *support*.  An engine with a view cache attached plans one on every
+    keyed view; the cache's delta repair retires the keys whose count
+    reaches zero after retractions.  Counts are integer-valued floats,
+    so they add and cancel exactly like the SUMs they sit among.
 
     :meth:`encoded` dictionary-encodes a key column on first use and
     keeps it, as a :class:`~repro.data.relation.Relation` keeps its own
@@ -58,7 +58,7 @@ class ViewData:
     group_by: Tuple[str, ...]
     key_cols: List[np.ndarray]
     sums: np.ndarray
-    support: Optional[np.ndarray] = None
+    count: Optional[int] = None
     _encodings: Dict[int, ops.Encoded] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -70,25 +70,12 @@ class ViewData:
             encoded = self._encodings[pos] = ops.factorize(self.key_cols[pos])
         return encoded
 
-    def with_sums(
-        self, sums: np.ndarray, support: Optional[np.ndarray] = None
-    ) -> "ViewData":
+    def with_sums(self, sums: np.ndarray) -> "ViewData":
         """The same keys carrying new sums; key encodings made so far
         carry over, as the key columns are the same arrays."""
-        data = ViewData(self.group_by, list(self.key_cols), sums, support)
+        data = ViewData(self.group_by, list(self.key_cols), sums, self.count)
         data._encodings.update(self._encodings)
         return data
-
-    def negated(self) -> "ViewData":
-        """This view's data with all sums (and support) sign-flipped.
-
-        A retraction delta is an insertion delta with negated payload:
-        every aggregate is a SUM over context rows, so removed rows
-        contribute the additive inverse of what they contributed.
-        """
-        return self.with_sums(
-            -self.sums, None if self.support is None else -self.support
-        )
 
     @property
     def n_rows(self) -> int:
@@ -169,9 +156,8 @@ def execute_plan(
                 )
             else:
                 sums = np.empty((0, len(keys[0]) if keys else 1))
-            support = env[step.support_var] if step.support_var else None
             produced[step.view_id] = ViewData(
-                step.group_by, list(keys), sums, support
+                step.group_by, list(keys), sums, step.count
             )
         elif kind is GroupKeyStep:
             codes, keys = ops.factorize_rows(

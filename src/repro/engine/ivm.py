@@ -1,15 +1,17 @@
 """Incremental view maintenance (IVM): the commit facade over the view cache.
 
-Every LMFAO view aggregate is a SUM over context rows, which partition
-with the node relation's rows, and is linear in each incoming view, so
-one delta rule maintains every view (cf. Berkholz et al., "Answering
-FO+MOD queries under updates"): run the unchanged group plan over what
-the delta can affect and merge the result into the materialized view.
-At the updated relation that is the signed delta (retractions weigh
--1); above it, the node relation's rows that join a changed child key,
-run with the new children minus run with the old.  Every keyed cached
-view carries support counts (its context rows per key, one more SUM),
-so a key retires exactly when its support cancels to zero.  That rule
+Every LMFAO view aggregate is a SUM of products over the join, linear
+in the node relation and in each incoming view, so one delta rule
+maintains every view (cf. Berkholz et al., "Answering FO+MOD queries
+under updates"): ``δ(R ⋈ V) = R ⋈ δV``.  Run the unchanged group plan
+once with one input replaced by its delta and merge the result into the
+materialized view.  At the updated relation that input is the relation
+(the signed delta rows, retractions weighing -1); above it, the views
+from the changed child edge, replaced by the deltas their own repairs
+merged, over the node rows that join a key of them.  Every keyed cached
+view carries its support as a COUNT aggregate (the multiplicity of its
+subtree join per key), so a key retires exactly when its count cancels
+to zero.  That rule
 has one implementation, ``ViewCache.on_delta``, and a materialized view
 one home between runs, the ``ViewCache``.
 
@@ -90,14 +92,15 @@ class IncrementalEngine:
 
     Every query is planned rooted at ``root`` (default: the largest
     relation, where updates land in practice).  Because a cache is
-    attached, every keyed view carries *support counts* — a hidden
-    context-row count per group key — so a retraction anywhere retires
-    a key exactly when its support cancels to zero, and maintained views
-    match a from-scratch run key-for-key.  A delta on any relation is
-    merged up the affected cone of the view DAG, each view above the
-    updated relation reading only the node rows that join a changed
-    child key.  Relations keep user row order, as in every engine, so
-    ``delete_indices`` name the rows the caller observes.
+    attached, every keyed view carries its *support* — a COUNT
+    aggregate, the multiplicity of its subtree join per group key — so a
+    retraction anywhere retires a key exactly when its count cancels to
+    zero, and maintained views match a from-scratch run key-for-key.  A
+    delta on any relation is merged up the affected cone of the view
+    DAG, each group above the updated relation running once over the
+    node rows that join a key of its children's deltas.  Relations keep
+    user row order, as in every engine, so ``delete_indices`` name the
+    rows the caller observes.
 
     ``view_cache`` is where the maintained views live: pass one to share
     it, or omit it for a private default-budget :class:`ViewCache`.

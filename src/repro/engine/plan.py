@@ -327,21 +327,21 @@ class DotStep:
 class EmitStep:
     """Assemble one output view from key columns + aggregate columns.
 
-    ``support_var`` optionally names a per-group context-row count used by
-    incremental maintenance to retire group keys whose support reaches
-    zero after retractions (``None`` when support is not tracked).
+    ``count`` is the index of the view's COUNT aggregate, its support:
+    incremental maintenance retires a group key whose count cancels to
+    zero (``None`` when support is not tracked).
     """
 
     view_id: int
     group_by: Tuple[str, ...]
     keys_var: Optional[str]  # var of GroupKeyStep.out_keys, None if scalar
     agg_vars: Tuple[str, ...]
-    support_var: Optional[str] = None
+    count: Optional[int] = None
 
     @property
     def reads(self) -> Tuple[str, ...]:
-        own = (self.keys_var, self.support_var)
-        return tuple(v for v in own if v is not None) + self.agg_vars
+        own = () if self.keys_var is None else (self.keys_var,)
+        return own + self.agg_vars
 
     @property
     def writes(self) -> Tuple[str, ...]:
@@ -440,14 +440,12 @@ class GroupPlanBuilder:
         views: Sequence[View],
         relation_attrs: Sequence[str],
         dyn_slots: Dict[int, int],
-        track_support: bool = False,
     ):
         self.group = group
         self.views = views
         self.node = group.node
         self.relation_attrs = tuple(relation_attrs)
         self.dyn_slots = dyn_slots  # id(function) -> slot
-        self.track_support = track_support
         self.steps: List[Step] = []
         self._var_count = 0
         self._contexts: Dict[Tuple[int, ...], _Context] = {}
@@ -570,7 +568,6 @@ class GroupPlanBuilder:
         agg_vars: List[str] = []
         codes: Optional[str] = None
         keys: Optional[str] = None
-        ctx: Optional[_Context] = None
         for spec, context, group_refs, row_factors, dot in laid_out:
             ctx = self._context_for(context)
             if view.group_by:
@@ -588,18 +585,13 @@ class GroupPlanBuilder:
             else:
                 total = self._dot(ctx, dot, row_factors[-1][1].agg_index)
             agg_vars.append(self._fold(total, factors))
-        support_var: Optional[str] = None
-        if self.track_support and keys is not None:
-            # context-row count per emitted group key: the multiplicity
-            # incremental maintenance needs to retire keys on retraction
-            support_var = self._group_sum(ctx, codes, keys, None)
         self.steps.append(
             EmitStep(
                 view_id=view.id,
                 group_by=view.group_by,
                 keys_var=keys,
                 agg_vars=tuple(agg_vars),
-                support_var=support_var,
+                count=view.count,
             )
         )
 
@@ -907,7 +899,6 @@ def build_group_plan(
     views: Sequence[View],
     relation: Relation,
     dyn_slots: Dict[int, int],
-    track_support: bool = False,
 ) -> GroupPlan:
     """Build the multi-output plan for one view group."""
     builder = GroupPlanBuilder(
@@ -915,6 +906,5 @@ def build_group_plan(
         views=views,
         relation_attrs=relation.schema.names,
         dyn_slots=dyn_slots,
-        track_support=track_support,
     )
     return builder.build()

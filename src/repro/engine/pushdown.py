@@ -20,6 +20,10 @@ query's root.  The decomposition partially pushes aggregates past joins
 * ``"dedup"``  — only identical-view sharing (case 3);
 * ``"none"``   — one view per (query, term, edge): the unconsolidated
   3,256-view regime the paper describes before merging.
+
+``track_support`` (set when a view cache is attached) gives every keyed
+view a COUNT aggregate, its *support*: delta repair retires a key whose
+count cancels to zero.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class Decomposer:
         tree: JoinTree,
         merge_mode: str = "full",
         dyn_slots: Optional[Dict[int, int]] = None,
+        track_support: bool = False,
     ):
         if merge_mode not in MERGE_MODES:
             raise ValueError(
@@ -71,6 +76,7 @@ class Decomposer:
         self.tree = tree
         self.merge_mode = merge_mode
         self.dyn_slots = dyn_slots or {}
+        self.track_support = track_support
         self.views: List[View] = []
         # (source, target, group_by) -> View   [case 2/1 bucketing]
         self._buckets: Dict[tuple, View] = {}
@@ -214,7 +220,44 @@ class Decomposer:
         group_by: Tuple[str, ...],
         spec: AggregateSpec,
     ) -> ViewRef:
-        """Insert an aggregate spec into the view store, merging per mode."""
+        """Insert an aggregate spec into the view store, merging per mode.
+
+        With ``track_support``, the first spec placed in a view — any
+        but a scalar query output — brings the view's COUNT along: the
+        product of the COUNT columns of the child views the spec reads,
+        i.e. the multiplicity of the view's subtree join per key.  The
+        memo merges it with an identical COUNT term.
+        """
+        ref = self._insert(source, target, group_by, spec)
+        view = self.views[ref.view_id]
+        if (
+            self.track_support
+            and view.count is None
+            and (group_by or target is not None)
+        ):
+            count = AggregateSpec(
+                1.0,
+                (),
+                tuple(
+                    ViewRef(r.view_id, self.views[r.view_id].count)
+                    for r in spec.refs
+                ),
+            )
+            if self.merge_mode == "full":
+                view.count = self._insert(
+                    source, target, group_by, count
+                ).agg_index
+            else:
+                view.count = view.add_aggregate(count)
+        return ref
+
+    def _insert(
+        self,
+        source: str,
+        target: Optional[str],
+        group_by: Tuple[str, ...],
+        spec: AggregateSpec,
+    ) -> ViewRef:
         if self.merge_mode == "none":
             view = View(
                 id=len(self.views),

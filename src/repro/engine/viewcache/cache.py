@@ -13,22 +13,24 @@ to :meth:`ViewCache.on_delta`, which touches exactly the entries whose
 relation footprint contains the updated relation, bottom-up through
 the reference DAG —
 
-* entries *at* the updated relation **merge the signed delta**: the
-  cached group plan runs once over the inserted and retracted rows,
-  weighted +1 and -1, and the result is folded in with :func:`merge`;
-* *interior* entries above them **merge a child delta**: a view is
-  linear in each incoming view, so its change is ``plan(R', V_new) -
-  plan(R', V_old)``, where ``R'`` holds the node relation's rows whose
-  shared key values match a child key whose aggregates or support
-  changed (every row, for a child key sharing no attribute with the
-  relation).  Every other row reads the same child rows in both runs
-  and cancels.  An entry whose children did not change is only re-keyed;
-* every keyed view carries support counts — its context rows per key,
-  summed like any aggregate — so :func:`merge` retires exactly the keys
-  whose support cancels to zero, at the updated relation and above it;
+* every affected entry **merges a delta** its cached group plan
+  computes in one run, with one input replaced by that input's delta —
+  ``δ(R ⋈ V) = δR ⋈ V = R ⋈ δV``, since every aggregate is a SUM of
+  products, linear in each input.  *At* the updated relation the input
+  is the relation, replaced by the inserted and retracted rows weighted
+  +1 and -1; *above* it, every view from the changed child edge is
+  replaced by the delta its own repair merged, and the run covers only
+  the node rows that join a key of those deltas.  :func:`merge` adds
+  the result, and the delta, less its all-zero rows, is handed to the
+  parents;
+* a view's support is its COUNT aggregate — the multiplicity of its
+  subtree join per key, linear like every other SUM — so :func:`merge`
+  retires exactly the keys whose count cancels to zero, at the updated
+  relation and above it;
 * entries that cannot be repaired — no recipe (revived from disk),
-  stale epoch, a child view missing from both cache tiers — are
-  **evicted**.
+  stale epoch, a child view missing from both cache tiers or changed
+  without a delta merged in this pass, a COUNT past float64's exact
+  integers — are **evicted**.
 
 Every repaired entry is re-keyed under the digest the next run's
 signatures will compute (updated relation fingerprint at the changed
@@ -76,10 +78,7 @@ DEFAULT_BUDGET_BYTES = 64 << 20
 
 def view_nbytes(data: ViewData) -> int:
     """Approximate in-memory size of one materialized view."""
-    total = sum(col.nbytes for col in data.key_cols) + data.sums.nbytes
-    if data.support is not None:
-        total += data.support.nbytes
-    return int(total)
+    return int(sum(col.nbytes for col in data.key_cols) + data.sums.nbytes)
 
 
 @dataclass
@@ -196,40 +195,72 @@ class _Reconciliation:
     signs: Optional[np.ndarray]
     #: old digest -> the digest its repaired entry was re-keyed under
     rekey: Dict[str, str] = field(default_factory=dict)
-    #: repaired digest -> the entry's data (before, after) the delta
-    repaired: Dict[str, Tuple[ViewData, ViewData]] = field(
-        default_factory=dict
-    )
-    #: group-run memo (see :meth:`ViewCache._run_plan`)
+    #: repaired digest -> the delta merged into it, all-zero rows dropped
+    deltas: Dict[str, ViewData] = field(default_factory=dict)
+    #: group-run memo (see :meth:`delta_of`)
     runs: Dict[tuple, Dict[int, ViewData]] = field(default_factory=dict)
-    _changes: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    #: (relation, repaired digests) -> the rows joining their deltas
     _rows: Dict[tuple, Relation] = field(default_factory=dict)
 
-    def changes(self, digest: str) -> List[np.ndarray]:
-        """A repaired entry's changed keys."""
-        found = self._changes.get(digest)
-        if found is None:
-            found = self._changes[digest] = changed_keys(
-                *self.repaired[digest]
-            )
-        return found
+    def delta_of(
+        self,
+        data: ViewData,
+        recipe: PatchRecipe,
+        incoming: Dict[int, ViewData],
+        input_key: Tuple[Tuple[int, str], ...],
+    ) -> ViewData:
+        """The delta of a view holding ``data``, all-zero rows dropped:
+        its group run once with one input replaced by that input's delta.
 
-    def restricted(
-        self, relation: Relation, changed: Tuple[str, ...]
-    ) -> Relation:
-        """The rows of ``relation`` that join a key the repaired entries
-        ``changed`` changed.  Computed once per pass and relation."""
-        key = (relation.name, changed)
-        if key not in self._rows:
-            self._rows[key] = _rows_joining(
-                relation,
-                [
-                    (self.repaired[digest][1].group_by,
-                     self.changes(digest))
-                    for digest in changed
-                ],
-            )
-        return self._rows[key]
+        At the updated relation the relation is replaced by the signed
+        delta rows (no child can have changed: a view's children cover
+        only relations below its node).  Above it, every child repaired
+        in this pass is replaced by its delta — a zero one too, as a
+        0-row view: a context joining it adds nothing — and the run
+        covers the node rows that join a key of those deltas; any other
+        row joins only unchanged inputs.  Nothing to run is a zero delta.
+        The aggregates of a cached view read the same view of each
+        child edge (its factors each read one attribute, so its group-by
+        fixes its children's), so their contexts still share one key
+        set.  Sibling views of one group share a plan object, dyn binding
+        and inputs, so the memo runs the group once for all of them.
+        """
+        relation = self.applied.database.relation(recipe.plan.node)
+        weights = None
+        if relation.name == self.applied.relation:
+            relation, weights = self.delta, self.signs
+        else:
+            changed = {
+                vid: digest
+                for vid, digest in input_key
+                if digest in self.deltas
+            }
+            if changed:
+                digests = tuple(sorted(set(changed.values())))
+                if (relation.name, digests) not in self._rows:
+                    self._rows[relation.name, digests] = _rows_joining(
+                        relation, [self.deltas[d] for d in digests]
+                    )
+                relation = self._rows[relation.name, digests]
+                incoming = dict(incoming)
+                for vid, digest in changed.items():
+                    incoming[vid] = self.deltas[digest]
+            else:
+                relation = None
+        if relation is None or not relation.n_rows:
+            if data.group_by:
+                return _rows(data, np.zeros(data.n_rows, dtype=bool))
+            return data.with_sums(np.zeros_like(data.sums))
+        key = (id(recipe.plan), tuple(id(f) for f in recipe.dyn), input_key)
+        produced = self.runs.get(key)
+        if produced is None:
+            produced = self.runs[key] = {
+                vid: _nonzero(view)
+                for vid, view in execute_plan(
+                    recipe.plan, relation, incoming, recipe.dyn, weights
+                ).items()
+            }
+        return produced[recipe.view_id]
 
 
 def _signed_rows(
@@ -257,75 +288,62 @@ def _signed_rows(
     return rows, signs
 
 
-def changed_keys(old: ViewData, new: ViewData) -> List[np.ndarray]:
-    """The keys whose row differs between two versions of a keyed view.
+def _rows_joining(relation: Relation, deltas: List[ViewData]) -> Relation:
+    """The rows of ``relation`` that join a key of one of ``deltas``.
 
-    A key differs when only one version holds it or when an aggregate or
-    its support differs.  Returns the differing keys' columns; a scalar
-    view has no keys to return.
-    """
-    if not new.group_by:
-        return []
-    codes, keys = ops.factorize_rows(
-        [
-            ops.factorize(np.concatenate([was, now]))
-            for was, now in zip(old.key_cols, new.key_cols)
-        ]
-    )
-    before, after = codes[: old.n_rows], codes[old.n_rows :]
-    n_keys = len(keys[0])
-    held = np.zeros(n_keys, dtype=bool)
-    held[before] = True
-    holds = np.zeros(n_keys, dtype=bool)
-    holds[after] = True
-    differs = held != holds
-    blocks = [(old.sums, new.sums)]
-    if old.support is not None and new.support is not None:
-        blocks.append((old.support[None], new.support[None]))
-    for was, now in blocks:
-        by_key = np.zeros((2, len(was), n_keys))
-        by_key[0][:, before] = was
-        by_key[1][:, after] = now
-        differs |= (by_key[0] != by_key[1]).any(axis=0)
-    return [key[differs] for key in keys]
-
-
-def _rows_joining(
-    relation: Relation,
-    changed: List[Tuple[Tuple[str, ...], List[np.ndarray]]],
-) -> Relation:
-    """The rows of ``relation`` whose shared key values match a changed key.
-
-    ``changed`` holds each changed view's group-by and changed keys.  A
-    view's key is matched on the attributes it shares with the relation
-    only, so the rows are a superset of those whose join partner
-    changed; a key sharing no attribute (a keyless view) joins every row.
+    A delta's key is matched on the attributes it shares with the
+    relation only, so the rows are a superset of those whose join
+    partner changed; a keyless delta joins every row.
     """
     mask = np.zeros(relation.n_rows, dtype=bool)
-    for group_by, keys in changed:
+    for delta in deltas:
         shared = [
-            pos for pos, attr in enumerate(group_by)
+            pos for pos, attr in enumerate(delta.group_by)
             if relation.has_column(attr)
         ]
         if not shared:
             return relation
         left, right = ops.shared_codes(
-            [relation.encodings[group_by[pos]] for pos in shared],
-            [keys[pos] for pos in shared],
+            [relation.encodings[delta.group_by[pos]] for pos in shared],
+            [delta.key_cols[pos] for pos in shared],
         )
         mask |= ops.semijoin_mask(left, right[right >= 0])
     return relation.filter(mask)
 
 
+def _rows(data: ViewData, keep: np.ndarray) -> ViewData:
+    """The rows of a keyed view where ``keep`` holds."""
+    if keep.all():
+        return data
+    return ViewData(
+        data.group_by,
+        [key[keep] for key in data.key_cols],
+        data.sums[:, keep],
+        data.count,
+    )
+
+
+def _nonzero(delta: ViewData) -> ViewData:
+    """A delta less its all-zero rows (a keyless delta keeps its row).
+
+    A key whose every aggregate, its count included, is unchanged
+    changes nothing above it, so its rows need not join the parents'
+    runs.
+    """
+    if not delta.group_by:
+        return delta
+    return _rows(delta, delta.sums.any(axis=0))
+
+
 def merge(data: ViewData, *deltas: ViewData) -> ViewData:
     """``data`` plus partial views of the same view, summed per key.
 
-    Valid because every view aggregate is a SUM over context rows, and
-    context rows partition with the node relation's rows.  The deltas
-    come from ``data``'s own plan, so carry support exactly when it does;
-    supports sum like any aggregate and are integer-valued, so the zero
-    test is exact, and a key whose support cancels to zero — every
-    context row that produced it retracted, when a from-scratch run
+    Valid because every view aggregate is a SUM over the join, and the
+    join's tuples partition with the node relation's rows and with each
+    incoming view's keys.  The deltas come from ``data``'s own plan, so
+    carry its COUNT row exactly when it does; counts are integer-valued,
+    so the zero test is exact, and a key whose count cancels to zero —
+    every join tuple that produced it gone, when a from-scratch run
     would not emit it — is retired.
 
     A delta that only touches keys the view holds is added in place at
@@ -335,32 +353,33 @@ def merge(data: ViewData, *deltas: ViewData) -> ViewData:
     pieces = (data,) + deltas
     if not data.group_by:  # one row per piece
         return data.with_sums(np.add.reduce([p.sums for p in pieces]))
-    with_support = data.support is not None
     positions = _positions(data, deltas)
     if positions is None:
-        return _regrouped(pieces, with_support)
+        return _regrouped(pieces)
     sums = data.sums.copy()
-    support = data.support.copy() if with_support else None
     for delta, at in zip(deltas, positions):
         sums[:, at] += delta.sums
-        if with_support:
-            support[at] += delta.support
-    return _live(data.with_sums(sums, support))
+    return _live(data.with_sums(sums))
 
 
 def _live(data: ViewData) -> ViewData:
-    """``data`` less the keys whose support cancelled to zero."""
-    if data.support is None:
+    """``data`` less the keys whose count cancelled to zero."""
+    if data.count is None:
         return data
-    alive = data.support > 0.5
-    if alive.all():
-        return data
-    return ViewData(
-        data.group_by,
-        [key[alive] for key in data.key_cols],
-        data.sums[:, alive],
-        data.support[alive],
-    )
+    return _rows(data, data.sums[data.count] > 0.5)
+
+
+#: float64 holds every integer below this exactly; a COUNT at or past
+#: it may not cancel to zero when its key's last join tuple goes
+EXACT_COUNT = 2.0**53
+
+
+def _exact_counts(data: ViewData) -> bool:
+    """Whether every COUNT of ``data`` is small enough that merging a
+    delta into it retires exactly the keys it empties."""
+    if data.count is None or not data.group_by or not data.n_rows:
+        return True
+    return bool(np.abs(data.sums[data.count]).max() < EXACT_COUNT)
 
 
 def _positions(
@@ -382,7 +401,7 @@ def _positions(
     return positions
 
 
-def _regrouped(pieces: Tuple[ViewData, ...], with_support: bool) -> ViewData:
+def _regrouped(pieces: Tuple[ViewData, ...]) -> ViewData:
     """The pieces' rows grouped and summed by key afresh."""
     codes, keys = ops.factorize_rows(
         [
@@ -395,14 +414,9 @@ def _regrouped(pieces: Tuple[ViewData, ...], with_support: bool) -> ViewData:
     sums = np.empty((len(rows), n_keys))
     for j, row in enumerate(rows):
         sums[j] = ops.group_sums(codes, row, n_keys)
-    support = (
-        ops.group_sums(
-            codes, np.concatenate([p.support for p in pieces]), n_keys
-        )
-        if with_support
-        else None
+    return _live(
+        ViewData(pieces[0].group_by, list(keys), sums, pieces[0].count)
     )
-    return _live(ViewData(pieces[0].group_by, list(keys), sums, support))
 
 
 class ViewCache:
@@ -673,17 +687,17 @@ class ViewCache:
         """Reconcile the cache with one applied delta.
 
         Affected entries (footprint contains the updated relation) are
-        repaired bottom-up through the reference DAG, each by merging a
-        delta: an entry at the updated relation runs its group plan once
-        over the signed delta; an entry above it runs its plan over the
-        node relation's rows that join a changed child key, once with the
-        children's new data and once with their old, and merges the
-        difference; an entry whose children did not change is only
-        re-keyed.  Support counts retire the keys a delta empties.
-        Every repaired entry is re-keyed under its new content digest so
-        the next run's signatures find it.  Entries that cannot be
-        repaired — no recipe, stale epoch, a child view missing from both
-        tiers — are evicted.
+        repaired bottom-up through the reference DAG, each by merging the
+        delta its group plan computes in one run: at the updated relation
+        over the signed delta rows, above it over the node relation's
+        rows that join a key of the children's deltas, with those deltas
+        in place of the children.  An entry whose children's deltas join
+        no row merges nothing and is only re-keyed.  A key whose COUNT
+        cancels to zero retires.  Every repaired entry is re-keyed under
+        its new content digest so the next run's signatures find it.
+        Entries that cannot be repaired — no recipe, stale epoch, a child
+        view missing from both tiers or read at its pre-delta digest, a
+        COUNT of 2**53 or more — are evicted.
 
         Returns {old digest: "merged" | "evicted"} for the affected
         entries — repaired by merging a delta (or re-keyed unchanged), or
@@ -745,26 +759,24 @@ class ViewCache:
             if count:
                 self._stats.invalidations += 1
 
-    def _resolve_input(self, digest: str) -> Optional[ViewData]:
-        """A repair input by digest: in-memory first, then the disk tier."""
-        data = self.peek(digest)
-        if data is None and self._store is not None:
-            loaded = self._store.load(digest)
-            if loaded is not None:
-                data = loaded[1]
-        return data
+    def _resolve_input(
+        self, digest: str
+    ) -> Optional[Tuple[ViewSignature, ViewData]]:
+        """A repair input and its signature by digest: in-memory first,
+        then the disk tier."""
+        with self._lock:
+            entry = self._entries.get(digest)
+            if entry is not None:
+                return entry.sig, entry.data
+        return None if self._store is None else self._store.load(digest)
 
     def _repair(
         self, digest: str, entry: _Entry, repair: _Reconciliation
     ) -> Optional[str]:
-        """Repair one affected entry in place by merging a delta.
+        """Repair one affected entry in place by merging its delta.
 
         Returns ``"merged"`` or ``"evicted"``, or None when the entry
-        must wait for a still-pending child to be re-keyed first.  At the
-        updated relation the delta is the group run over the signed
-        delta rows (no child of it can have changed: a view's children
-        cover only relations below its node); above it, the group run
-        over the rows joining a changed child key, new minus old.
+        must wait for a still-pending child to be repaired first.
         """
         applied = repair.applied
         recipe = entry.recipe
@@ -790,34 +802,30 @@ class ViewCache:
             return "evicted"
         incoming: Dict[int, ViewData] = {}
         new_inputs: List[Tuple[int, str]] = []
-        changed: Dict[int, str] = {}  # input view id -> repaired digest
         for vid, child in recipe.input_digests:
             if child in repair.pending:
                 return None  # repair children first
             current = repair.rekey.get(child, child)
-            data = self._resolve_input(current)
-            if data is None:  # child evicted (delta or LRU): give up
+            resolved = self._resolve_input(current)
+            if resolved is None or (
+                applied.relation in resolved[0].relations
+                and current not in repair.deltas
+            ):
+                # child evicted (delta or LRU), or changed without a
+                # delta merged in this pass (only on disk, no recipe,
+                # or it outgrew the budget): its data predates the
+                # delta, and run beside its siblings' deltas it would
+                # add its whole value again.  Give up.
                 self._evict_entry(digest)
                 return "evicted"
-            incoming[vid] = data
+            incoming[vid] = resolved[1]
             new_inputs.append((vid, current))
-            if current != child:
-                changed[vid] = current
         input_key = tuple(new_inputs)
-        if node_changed:
-            data = self._merge_signed_delta(
-                entry, recipe, repair, incoming, input_key
-            )
-        else:
-            data = self._merge_interior_delta(
-                entry,
-                recipe,
-                repair,
-                applied.database.relation(source),
-                incoming,
-                changed,
-                input_key,
-            )
+        delta = repair.delta_of(entry.data, recipe, incoming, input_key)
+        data = merge(entry.data, delta) if delta.n_rows else entry.data
+        if not (_exact_counts(entry.data) and _exact_counts(data)):
+            self._evict_entry(digest)
+            return "evicted"
         new_structure = rekey_structure(recipe.structure, repair.rekey)
         new_digest = structure_digest(
             new_structure, repair.new_fp if node_changed else node_old_fp
@@ -846,98 +854,8 @@ class ViewCache:
         with self._lock:
             self._stats.patches += 1
         repair.rekey[digest] = new_digest
-        repair.repaired[new_digest] = (entry.data, data)
+        repair.deltas[new_digest] = delta
         return "merged"
-
-    def _merge_signed_delta(
-        self,
-        entry: _Entry,
-        recipe: PatchRecipe,
-        repair: _Reconciliation,
-        incoming: Dict[int, ViewData],
-        input_key: tuple,
-    ) -> ViewData:
-        """The entry with its group run once over the signed delta merged in.
-
-        For an entry at the updated relation.
-        """
-        data = entry.data
-        if repair.delta is None:  # empty delta: data unchanged
-            return data
-        produced = self._run_plan(
-            recipe,
-            repair.delta,
-            incoming,
-            repair,
-            ("signed", input_key),
-            repair.signs,
-        )
-        return merge(data, produced[recipe.view_id])
-
-    def _merge_interior_delta(
-        self,
-        entry: _Entry,
-        recipe: PatchRecipe,
-        repair: _Reconciliation,
-        relation: Relation,
-        incoming: Dict[int, ViewData],
-        changed: Dict[int, str],
-        input_key: tuple,
-    ) -> ViewData:
-        """The entry plus ``plan(R', new) - plan(R', old)``.
-
-        For an entry above the updated relation.  ``R'`` holds the node
-        relation's rows whose shared key values match a changed child
-        key; every other row reads the same child rows in both runs, so
-        its contribution cancels and need not be computed.  Support
-        counts difference the same way, so keys whose last context row
-        lost its partner retire.
-        """
-        data = entry.data
-        if not changed:  # children unchanged: re-keyed only
-            return data
-        rows_key = tuple(sorted(changed.values()))
-        rows = repair.restricted(relation, rows_key)
-        if rows.n_rows == 0:  # no row joins a changed key
-            return data
-        before = dict(incoming)
-        for vid, digest in changed.items():
-            before[vid] = repair.repaired[digest][0]
-        new = self._run_plan(
-            recipe, rows, incoming, repair, ("new", input_key, rows_key)
-        )
-        old = self._run_plan(
-            recipe, rows, before, repair, ("old", input_key, rows_key)
-        )
-        view_id = recipe.view_id
-        return merge(data, new[view_id], old[view_id].negated())
-
-    def _run_plan(
-        self,
-        recipe: PatchRecipe,
-        relation: Relation,
-        incoming: Dict[int, ViewData],
-        repair: _Reconciliation,
-        run: tuple,
-        weights: Optional[np.ndarray] = None,
-    ) -> Dict[int, ViewData]:
-        """Run a recipe's group plan once per reconciliation pass.
-
-        Sibling views of one multi-output group share a plan object and
-        dyn binding, so the memo collapses their repairs into a single
-        execution per delta.  ``run`` names what the run reads: its kind
-        (the ``"signed"`` delta, or ``"new"`` or ``"old"`` children over
-        the restricted rows), the input digests and, for a restricted
-        run, the changed children that chose its rows.
-        """
-        key = (id(recipe.plan), tuple(id(f) for f in recipe.dyn)) + run
-        produced = repair.runs.get(key)
-        if produced is None:
-            produced = execute_plan(
-                recipe.plan, relation, incoming, recipe.dyn, weights
-            )
-            repair.runs[key] = produced
-        return produced
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:

@@ -71,6 +71,9 @@ class View:
     target: Optional[str]
     group_by: Tuple[str, ...]
     aggregates: List[AggregateSpec] = field(default_factory=list)
+    #: index of the aggregate counting the view's subtree join per key
+    #: (its support), or None when no count is tracked
+    count: Optional[int] = None
 
     @property
     def is_output(self) -> bool:

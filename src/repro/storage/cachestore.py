@@ -18,12 +18,13 @@ never an exception escaping to the engine.  A half-written file cannot
 exist — writes land in a temp file and ``os.replace`` into place.
 
 One view per file, ``<digest>.view``: a :mod:`~repro.storage.codec`
-record (magic ``RVC2``) whose header names the digest, the relations,
-the group-by, ``n_aggs`` and whether a support column follows; its
-columns are the key columns, the sums block as one raw column (reshaped
-on load), then the support column.  Every key column and the support
-column hold one entry per row, and the block ``n_aggs`` x rows; a record
-that breaks either is corrupt.
+record (magic ``RVC3``) whose header names the digest, the relations,
+the group-by, ``n_aggs`` and ``count``, the row of the block holding
+the view's COUNT (its support; null if none); its columns are the key
+columns, then the sums block as one raw column (reshaped on load).
+Every key column holds one entry per row, the block ``n_aggs`` x rows,
+and ``count`` names one of the block's rows; a record that breaks
+either is corrupt.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from ..engine.interpreter import ViewData
 from ..engine.viewcache.signature import ViewSignature
 from . import codec
 
-_MAGIC = b"RVC2"  # RVC1 records held one column per aggregate: a miss
+#: RVC1 records held one column per aggregate, RVC2 ones a separate
+#: context-row support column: either is a miss
+_MAGIC = b"RVC3"
 
 _SUFFIX = ".view"
 
@@ -47,12 +50,9 @@ def _encode_entry(sig: ViewSignature, data: ViewData) -> List:
         "relations": sorted(sig.relations),
         "group_by": list(data.group_by),
         "n_aggs": len(data.sums),
-        "support": data.support is not None,
+        "count": data.count,
     }
-    columns = list(data.key_cols) + [data.sums]
-    if data.support is not None:
-        columns.append(data.support)
-    return codec.encode(_MAGIC, header, columns)
+    return codec.encode(_MAGIC, header, list(data.key_cols) + [data.sums])
 
 
 def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
@@ -63,15 +63,16 @@ def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
     if header["digest"] != digest:
         raise ValueError("digest mismatch")
     n_keys = len(header["group_by"])
-    if len(columns) != n_keys + 1 + bool(header["support"]):
+    if len(columns) != n_keys + 1:
         raise ValueError("column count mismatch")
     n_rows = len(columns[0]) if n_keys else 1
-    n_aggs = header["n_aggs"]
+    n_aggs, count = header["n_aggs"], header["count"]
     if columns[n_keys].size != n_aggs * n_rows:
         raise ValueError("sums block is not n_aggs x n_rows")
-    rowed = columns[:n_keys] + columns[n_keys + 1:]  # keys, then support
-    if any(len(column) != n_rows for column in rowed):
-        raise ValueError("a key or support column is not n_rows long")
+    if any(len(column) != n_rows for column in columns[:n_keys]):
+        raise ValueError("a key column is not n_rows long")
+    if count is not None and not 0 <= count < n_aggs:
+        raise ValueError("count names no row of the sums block")
     sig = ViewSignature(
         digest=digest,
         relations=frozenset(header["relations"]),
@@ -82,7 +83,7 @@ def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
         group_by=tuple(header["group_by"]),
         key_cols=columns[:n_keys],
         sums=columns[n_keys].reshape(n_aggs, n_rows),
-        support=columns[-1] if header["support"] else None,
+        count=count,
     )
     return sig, data
 

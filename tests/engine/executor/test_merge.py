@@ -14,11 +14,9 @@ from repro.engine.viewcache.cache import _regrouped, merge
 from ..helpers import WORKLOADS, output_view_ids
 
 
-def view_table(view, with_support):
-    """{group key: [sums..., support]} of one view, independent of row order."""
+def view_table(view):
+    """{group key: [sums...]} of one view, independent of row order."""
     columns = list(view.sums)
-    if with_support:
-        columns.append(view.support)
     n_rows = len(columns[0])
     if view.key_cols:
         keys = list(zip(*(col.tolist() for col in view.key_cols)))
@@ -55,11 +53,9 @@ class TestRowSplitsMergeToTheWhole:
             for vid, expected in whole.items():
                 got = merge(head[vid], tail[vid])
                 assert got.group_by == expected.group_by
-                with_support = expected.support is not None and bool(
-                    expected.group_by
-                )
-                got_table = view_table(got, with_support)
-                expected_table = view_table(expected, with_support)
+                assert got.count == expected.count
+                got_table = view_table(got)
+                expected_table = view_table(expected)
                 assert got_table.keys() == expected_table.keys()
                 for key, sums in expected_table.items():
                     assert got_table[key] == pytest.approx(
@@ -70,12 +66,18 @@ class TestRowSplitsMergeToTheWhole:
 
 
 def grouped_view(keys, values, support=None):
+    """A view keyed by ``g``; ``support`` (optional) is its COUNT row."""
+    rows = [values] if support is None else [values, support]
     return ViewData(
         ("g",),
         [np.asarray(keys)],
-        np.asarray([values], dtype=np.float64),
-        support=None if support is None else np.asarray(support, float),
+        np.asarray(rows, dtype=np.float64),
+        None if support is None else 1,
     )
+
+
+def count_row(view):
+    return view.sums[view.count]
 
 
 class TestMerge:
@@ -158,7 +160,7 @@ class TestMergeEdgeCases:
             grouped_view([0, 1], [1.0, 2.0], support=[2.0, 1.0]),
             grouped_view([1], [-2.0], support=[1.0]),
         )
-        assert merged.support.tolist() == [2.0, 2.0]
+        assert count_row(merged).tolist() == [2.0, 2.0]
         assert merged.sums[0].tolist() == [1.0, 0.0]
 
 
@@ -173,7 +175,7 @@ class TestDeltaMerge:
         merged = merge(current, delta)
         assert merged.key_cols[0].tolist() == [0]
         assert merged.sums[0].tolist() == [1.0]
-        assert merged.support.tolist() == [1.0]
+        assert count_row(merged).tolist() == [1.0]
 
     def test_zero_support_retires_even_a_nonzero_sum(self):
         current = grouped_view([0, 1, 2], [1.0, 0.5, 3.0],
@@ -182,7 +184,7 @@ class TestDeltaMerge:
         merged = merge(current, delta)
         assert merged.key_cols[0].tolist() == [0, 2]
         assert merged.sums[0].tolist() == [1.0, 3.0]
-        assert merged.support.tolist() == [2.0, 1.0]
+        assert count_row(merged).tolist() == [2.0, 1.0]
 
     def test_zero_sum_key_is_kept_without_support(self):
         current = grouped_view([0, 1], [1.0, 2.0])
@@ -210,7 +212,7 @@ class TestDeltaMerge:
         assert merged.n_rows == 0
         assert merged.key_cols[0].tolist() == []
         assert merged.sums[0].tolist() == []
-        assert merged.support.tolist() == []
+        assert count_row(merged).tolist() == []
 
 
 class TestInPlaceMerge:
@@ -223,8 +225,13 @@ class TestInPlaceMerge:
         return ViewData(
             ("a", "b"),
             [np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])],
-            rng.normal(size=(n_sums, len(pairs))),
-            support=rng.integers(1, 4, len(pairs)).astype(float),
+            np.vstack(
+                [
+                    rng.normal(size=(n_sums, len(pairs))),
+                    rng.integers(1, 4, len(pairs)).astype(float),
+                ]
+            ),
+            count=n_sums,
         )
 
     def test_bit_for_bit_what_regrouping_gives(self):
@@ -235,12 +242,12 @@ class TestInPlaceMerge:
             pick = np.random.default_rng(seed).permutation(len(held))
             new = self.composite_view(rng, [held[i] for i in pick[:9]])
             old = self.composite_view(rng, [held[i] for i in pick[5:12]])
-            pieces = (current, new, old.negated())
+            pieces = (current, new, old.with_sums(-old.sums))
             got = merge(*pieces)
-            expected = _regrouped(pieces, with_support=True)
+            expected = _regrouped(pieces)
             for got_col, expected_col in zip(
-                got.key_cols + list(got.sums) + [got.support],
-                expected.key_cols + list(expected.sums) + [expected.support],
+                got.key_cols + list(got.sums),
+                expected.key_cols + list(expected.sums),
             ):
                 assert np.array_equal(got_col, expected_col)
 
@@ -251,7 +258,7 @@ class TestInPlaceMerge:
         assert merged.key_cols[0] is current.key_cols[0]
         assert merged.encoded(0) is encoded
         assert merged.sums[0].tolist() == [1.0, 7.0, 3.0]
-        assert merged.support.tolist() == [1.0, 3.0, 1.0]
+        assert count_row(merged).tolist() == [1.0, 3.0, 1.0]
 
     def test_retiring_a_key_in_place_drops_its_row(self):
         current = grouped_view([1, 4, 7], [1.0, 2.0, 3.0], support=[1, 1, 2])
@@ -260,7 +267,7 @@ class TestInPlaceMerge:
         )
         assert merged.key_cols[0].tolist() == [1, 7]
         assert merged.sums[0].tolist() == [1.0, 2.0]
-        assert merged.support.tolist() == [1.0, 1.0]
+        assert count_row(merged).tolist() == [1.0, 1.0]
 
     def test_a_new_key_regroups(self):
         current = grouped_view([1, 4], [1.0, 2.0], support=[1, 1])
@@ -271,4 +278,4 @@ class TestInPlaceMerge:
         )
         assert merged.key_cols[0].tolist() == [1, 2, 4]
         assert merged.sums[0].tolist() == [1.0, 5.0, 3.0]
-        assert merged.support.tolist() == [1.0, 1.0, 2.0]
+        assert count_row(merged).tolist() == [1.0, 1.0, 2.0]

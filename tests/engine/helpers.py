@@ -24,15 +24,8 @@ def execute_rendered(plan, relation, incoming, dyn=()):
         dyn,
     )
     views = {}
-    for vid, (group_by, keys, sums, *support) in raw.items():
-        views[vid] = ViewData(
-            group_by=group_by,
-            key_cols=list(keys),
-            sums=sums,
-            support=(
-                np.asarray(support[0], dtype=np.float64) if support else None
-            ),
-        )
+    for vid, (group_by, keys, sums, count) in raw.items():
+        views[vid] = ViewData(group_by, list(keys), sums, count)
     return views
 
 

@@ -207,9 +207,24 @@ class TestGroupSumRendering:
             {"keys": [np.array([0, 1])], "agg": np.array([1.0, 2.0])},
         )
         assert 5 in env["out"]
-        group_by, keys, aggs = env["out"][5]
+        group_by, keys, aggs, count = env["out"][5]
         assert group_by == ("g",)
         assert aggs[0].tolist() == [1.0, 2.0]
+        assert count is None
+
+    def test_emit_step_names_its_count_row(self):
+        step = EmitStep(5, ("g",), "keys", ("agg", "n"), count=1)
+        env = run_lines(
+            _render_step(step),
+            {
+                "keys": [np.array([0, 1])],
+                "agg": np.array([1.0, 2.0]),
+                "n": np.array([3.0, 1.0]),
+            },
+        )
+        _, _, aggs, count = env["out"][5]
+        assert count == 1
+        assert aggs[count].tolist() == [3.0, 1.0]
 
 
 class TestPostSumFactorsInBothRenderers:

@@ -235,7 +235,7 @@ class TestDeltaPartitionRuns:
                 np.testing.assert_array_equal(a, b)
             for a, b in zip(got[vid].sums, want[vid].sums):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(got[vid].support, want[vid].support)
+            assert got[vid].count == want[vid].count
 
     def test_inserted_rows_add_their_run(self, toy_db):
         from repro.engine.interpreter import execute_plan
@@ -265,7 +265,7 @@ class TestDeltaPartitionRuns:
         head = sales.take(np.arange(10))
         tail = sales.take(np.arange(10, sales.n_rows))
         retraction = {
-            vid: data.negated()
+            vid: data.with_sums(-data.sums)
             for vid, data in execute_plan(
                 group_plan, head, incoming, []
             ).items()
@@ -308,9 +308,8 @@ class TestDeltaPartitionRuns:
 
     @staticmethod
     def _by_key(data):
-        """{key: aggregates then support} of one view's data."""
-        support = [] if data.support is None else [data.support]
-        columns = np.column_stack(list(data.sums) + support)
+        """{key: aggregates} of one view's data."""
+        columns = np.column_stack(list(data.sums))
         keys = zip(*(col.tolist() for col in data.key_cols))
         if not data.key_cols:
             keys = [()]
@@ -324,7 +323,7 @@ class TestDeltaPartitionRuns:
             minus = self._by_key(retracted[vid])
             assert set(got) == set(plus) | set(minus)
             data = signed[vid]
-            zero = np.zeros(len(data.sums) + (data.support is not None))
+            zero = np.zeros(len(data.sums))
             for key, row in got.items():
                 np.testing.assert_allclose(
                     row,
@@ -369,11 +368,11 @@ class TestDeltaPartitionRuns:
             ]
         )
         group_plan, incoming = self._sales_group(toy_db, batch)
-        # scalar and grouped sums and grouped counts, over joined rows
+        # scalar and grouped sums over joined rows; a count over joined
+        # rows is a sum of the children's COUNT payloads
         assert {(False, False, False), (True, False, False)} <= (
             self._sum_shapes(group_plan)
         )
-        assert (True, True, False) in self._sum_shapes(group_plan)
         # the parts overlap: rows 25-39 are inserted and retracted alike
         self._assert_signed_is_difference(
             *self._signed_run(
@@ -424,7 +423,7 @@ class TestDeltaPartitionRuns:
         for data in signed.values():
             if data.group_by:
                 assert data.n_rows == 0
-                assert data.support is not None and len(data.support) == 0
+                assert data.count is not None
             else:
                 assert all(col.tolist() == [0.0] for col in data.sums)
 

@@ -8,7 +8,7 @@ from-scratch evaluation of the updated database produces.
 Every test here applies inserts and/or retractions to *non-root*
 (dimension) relations and asserts the maintenance mode: every delta,
 retractions included, merges a delta at every level (``incremental``),
-since support counts on every keyed view retire the keys a retraction
+since the COUNT aggregate on every keyed view retires the keys a retraction
 empties.  Each test checks the differential against a cold engine.
 The engine's first run materializes the views, and every post-delta
 run is assembled from the views ``ViewCache.on_delta`` repaired.

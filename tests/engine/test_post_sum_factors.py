@@ -257,12 +257,13 @@ class TestHandBuiltGroup:
         # the coefficient is one more post-sum factor
         assert [s.b for s in plan.steps if isinstance(s, MulStep)].count(3.0) == 1
 
-    @pytest.mark.parametrize("track_support", [False, True])
-    def test_interpreted_and_generated_equal_brute_force(self, track_support):
+    @pytest.mark.parametrize("count", [None, 1])
+    def test_interpreted_and_generated_equal_brute_force(self, count):
+        """``count=1`` names the second aggregate the view's COUNT: the
+        inputs' payload 0 then stands for their counts."""
         fact, views, incoming, group = hand_built_group()
-        plan = build_group_plan(
-            group, views, fact, {}, track_support=track_support
-        )
+        views[3].count = count
+        plan = build_group_plan(group, views, fact, {})
         a, b, x = (fact.column(c) for c in ("a", "b", "x"))
         keep = a < 5
         want_sum = np.zeros(5)
@@ -276,19 +277,15 @@ class TestHandBuiltGroup:
         np.add.at(
             want_count, a[keep], v0[0][a[keep]] * v1[0][b[keep]] * v2[0][0]
         )
-        support = np.bincount(a[keep], minlength=5).astype(float)
+        present = np.bincount(a[keep], minlength=5) > 0
 
         interpreted = execute_plan(plan, fact, incoming, [])[3]
         generated = execute_rendered(plan, fact, incoming, [])[3]
         for data in (interpreted, generated):
-            present = support > 0
             assert data.key_cols[0].tolist() == np.flatnonzero(present).tolist()
             np.testing.assert_allclose(data.sums[0], want_sum[present], rtol=1e-12)
             np.testing.assert_allclose(data.sums[1], want_count[present], rtol=1e-12)
-            if track_support:
-                np.testing.assert_array_equal(data.support, support[present])
-            else:
-                assert data.support is None
+            assert data.count == count
         for got, want in zip(interpreted.sums, generated.sums):
             np.testing.assert_array_equal(got, want)
 
@@ -497,6 +494,31 @@ def snowflake(
     )
 
 
+def with_repeated_dim_keys(db, keys):
+    """``db`` with one more ``Dim`` row for each of ``keys``, a copy of
+    the key's row under another ``c``."""
+    dim = db.relation("Dim")
+    rows = np.searchsorted(dim.column("a"), keys)
+    extra = {name: dim.column(name)[rows] for name in dim.schema.names}
+    extra["c"] = (extra["c"] + 1) % 3
+    return Database(
+        [
+            Relation(
+                "Dim",
+                dim.schema,
+                {
+                    name: np.concatenate([dim.column(name), extra[name]])
+                    for name in dim.schema.names
+                },
+            )
+            if rel.name == "Dim"
+            else rel
+            for rel in db
+        ],
+        name=db.name,
+    )
+
+
 def mixed_batch():
     """Group-bys that cover one, both and neither of Fact's two views."""
     aggs = lambda: [  # noqa: E731 - Aggregate objects are per-query
@@ -624,8 +646,13 @@ class TestDifferential:
         if (a == 3).any():
             assert np.isnan(expected[(3,)][0])
 
-    def test_support_counts_context_rows(self):
+    @pytest.mark.parametrize("dim_keys", ["unique", "repeated"])
+    def test_support_is_the_join_count(self, dim_keys):
+        """A view's support is its COUNT: the multiplicity of its subtree
+        join per key, which a repeated dimension key multiplies."""
         db = snowflake()
+        if dim_keys == "repeated":
+            db = with_repeated_dim_keys(db, [2, 5])
         batch = mixed_batch()
         assert_all_modes_agree(db, batch, view_cache=ViewCache())
         engine = LMFAO(db, root="Fact", view_cache=ViewCache())
@@ -648,10 +675,12 @@ class TestDifferential:
             for o in plan.decomposed.outputs
             if o.query_name == "by_a"
         )
-        # every dimension is keyed uniquely, so a group's context rows
-        # are its joined rows
+        assert by_a.count is not None
         assert dict(
-            zip([(k,) for k in by_a.key_cols[0].tolist()], by_a.support.tolist())
+            zip(
+                [(k,) for k in by_a.key_cols[0].tolist()],
+                by_a.sums[by_a.count].tolist(),
+            )
         ) == {k: v[0] for k, v in counts.items()}
 
 

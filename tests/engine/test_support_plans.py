@@ -1,11 +1,12 @@
-"""Support counts are planned exactly where delta repair merges: in the
-views of an engine with a view cache attached.
+"""Support is planned exactly where delta repair merges: in the views of
+an engine with a view cache attached.
 
 With a cache, every keyed view of every group — interior groups
-included — emits its context-row count per key, so a retraction can
-retire a key at any level of the view DAG.  Without one, no view emits
-support, and the plans are pinned below as the step count and a digest
-of the steps' reprs over the paper's four batches.
+included — carries a COUNT aggregate, the multiplicity of its subtree
+join per key, so a retraction can retire a key at any level of the view
+DAG.  Without one, no view names a count, and the plans are pinned
+below as the step count and a digest of the steps' reprs over the
+paper's four batches.
 """
 
 import hashlib
@@ -20,14 +21,14 @@ from .test_key_encodings import paper_batches
 
 #: (dataset fixture, plan shape) -> (steps, digest) of the cache-less plans
 CACHELESS_PLANS = {
-    ("tiny_retailer", "multi-root"): (6010, "34174fb102cbc90d"),
-    ("tiny_retailer", "single-root"): (4805, "c213a4d9ed057ec0"),
-    ("tiny_favorita", "multi-root"): (2631, "ddcfe71c969d208c"),
-    ("tiny_favorita", "single-root"): (3550, "d56f7bfa78cd15b3"),
-    ("tiny_yelp", "multi-root"): (2108, "fb47f36cb0798171"),
-    ("tiny_yelp", "single-root"): (1707, "c7b13ddc14d125cc"),
-    ("tiny_tpcds", "multi-root"): (6366, "4d5646aa30019ccb"),
-    ("tiny_tpcds", "single-root"): (7596, "0c97452577379966"),
+    ("tiny_retailer", "multi-root"): (6010, "2ee9bc83a510c873"),
+    ("tiny_retailer", "single-root"): (4805, "0b32e6c69d2c5b02"),
+    ("tiny_favorita", "multi-root"): (2631, "668493f6fc9ef70a"),
+    ("tiny_favorita", "single-root"): (3550, "b6db369b1b08aeba"),
+    ("tiny_yelp", "multi-root"): (2108, "47359179c7dacb83"),
+    ("tiny_yelp", "single-root"): (1707, "20548754a0dd05e3"),
+    ("tiny_tpcds", "multi-root"): (6366, "d5c7e7f0806f1438"),
+    ("tiny_tpcds", "single-root"): (7596, "40e50a9e88eaa9f6"),
 }
 
 
@@ -62,11 +63,20 @@ def test_support_is_planned_on_every_keyed_view_iff_a_cache_is_attached(
                 digest.update(repr(step).encode())
                 n_steps += 1
         every = range(len(plan.group_plans))
-        assert all(e.support_var is None for e in emits(plan, every))
+        assert all(e.count is None for e in emits(plan, every))
 
         plan = cached.plan(batch)
+        views = plan.decomposed.views
         keyed = [e for e in emits(plan, every) if e.group_by]
-        assert keyed and all(e.support_var is not None for e in keyed)
+        assert keyed and all(e.count is not None for e in keyed)
+        for e in keyed:
+            # COUNT(*): no factor of its own, times each child's COUNT
+            count = views[e.view_id].aggregates[e.count]
+            assert count.coefficient == 1.0 and not count.functions
+            assert all(
+                ref.agg_index == views[ref.view_id].count
+                for ref in count.refs
+            )
         interior = {d for g in plan.grouped.groups for d in g.depends_on}
         n_interior += sum(bool(e.group_by) for e in emits(plan, interior))
     assert n_interior > 0  # interior groups have keyed views, and count

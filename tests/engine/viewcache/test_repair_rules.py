@@ -7,11 +7,11 @@ about which rows a run reads and how many runs there are.
 
 * At the updated relation a group runs **once** over the signed delta
   (inserted rows at +1, retracted rows at -1), not once per sign.
-* Above it a group runs over the node relation's rows that join a
-  changed child key — twice, with the new and the old child views —
-  never over the whole relation.
-* Support counts on every keyed view retire the keys a delta empties,
-  at the updated relation and above it.
+* Above it a group runs **once** over the node relation's rows that
+  join a key of its children's deltas, with the deltas in place of the
+  children — never over the whole relation.
+* The COUNT aggregate on every keyed view (its support) retires the
+  keys a delta empties, at the updated relation and above it.
 * A view that cannot be repaired is evicted, a counted recompute that
   still leaves ground-truth answers behind.
 """
@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 from repro import LMFAO, DeltaBatch, IncrementalEngine
-from repro.engine.interpreter import ViewData, execute_plan
-from repro.engine.viewcache import cache as cache_module
-from repro.engine.viewcache.cache import changed_keys
+from repro.engine.interpreter import execute_plan
+from repro.engine.viewcache import ViewCache, cache as cache_module
+from repro.storage.cachestore import CacheStore
 
 from ..helpers import assert_results_equal
 from ..test_ivm import covar_batch, simple_batch
+from ..test_repair_property import assert_same_answer, served
 
 
 @pytest.fixture
@@ -120,8 +121,8 @@ def test_dimension_update_reads_only_the_fact_rows_it_can_affect(
     matching = int(np.isin(fact.column("ksn"), inserts["ksn"]).sum())
     assert 0 < matching < fact.n_rows
     at_root = [n_rows for node, n_rows, _ in runs if node == "Inventory"]
-    # each affected root group runs twice (new and old children)
-    assert at_root == [matching] * (2 * groups_at(engine, "Inventory"))
+    # each affected root group runs once, with the children's deltas
+    assert at_root == [matching] * groups_at(engine, "Inventory")
     assert assert_ground_truth(engine, batch).cache_report.n_misses == 0
 
 
@@ -147,7 +148,7 @@ def test_interior_key_retires_by_support_when_its_child_key_is_lost(
     """Retracting the only ``Oil`` row of a date drops that date from
     the ``Transactions`` views above it.  The retraction merges at every
     level: ``Transactions`` runs only over its rows with that date, and
-    the keyed view's support for the date cancels to zero, retiring it."""
+    the keyed view's COUNT for the date cancels to zero, retiring it."""
     ds = tiny_favorita
     engine = IncrementalEngine(ds.database, ds.join_tree)
     batch = simple_batch(["date"])
@@ -164,14 +165,14 @@ def test_interior_key_retires_by_support_when_its_child_key_is_lost(
         if entry.recipe.structure[0] == "Transactions"
         and "date" in entry.data.group_by
     ]
-    assert keyed and all(data.support is not None for data in keyed)
+    assert keyed and all(data.count is not None for data in keyed)
     assert all(unique_date in data.key_cols[0] for data in keyed)
     victim = np.flatnonzero(oil.column("date") == unique_date)
     report = engine.apply_delta(DeltaBatch.delete("Oil", victim))
     assert [m.mode for m in report.maintenance] == ["incremental"]
     at_txns = [n_rows for node, n_rows, _ in runs if node == "Transactions"]
-    # new and old children over the dated rows, never the whole relation
-    assert at_txns == [n_dated] * (2 * groups_at(engine, "Transactions"))
+    # once over the dated rows, never the whole relation
+    assert at_txns == [n_dated] * groups_at(engine, "Transactions")
     repaired = [
         entry.data
         for entry in engine.view_cache._entries.values()
@@ -211,28 +212,152 @@ def test_child_missing_from_both_tiers_is_a_counted_recompute(
     assert assert_ground_truth(engine, batch).cache_report.n_misses > 0
 
 
-class TestChangedKeys:
-    def view(self, keys, values, support=None):
-        return ViewData(
-            group_by=("k",),
-            key_cols=[np.asarray(keys)],
-            sums=np.asarray([values], dtype=np.float64),
-            support=None if support is None else np.asarray(support, float),
+def assert_served_answers_recomputed(engine, ds):
+    """Every served batch answered from the repaired views equals an
+    LMFAO run without a view cache, and nothing fell back."""
+    planner, batches = served(ds)
+    planner.database = engine.database
+    for batch in batches.values():
+        assert_same_answer(engine.run(batch), planner.run(batch), batch)
+    assert engine.stats()["fallbacks"] == 0, engine.stats()
+
+
+def test_duplicate_dimension_key_inserted_then_retracted(tiny_retailer):
+    """A copy of an ``Items`` row repeats its ``ksn``: every ``Inventory``
+    row of that key now joins twice, so every view above it doubles that
+    key's multiplicity.  Retracting the copy halves it back."""
+    ds = tiny_retailer
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    for batch in served(ds)[1].values():
+        engine.run(batch)
+    items = engine.database.relation("Items")
+    copy = {a: items.column(a)[[5]].copy() for a in items.schema.names}
+    engine.apply_delta(DeltaBatch.insert("Items", copy))
+    assert_served_answers_recomputed(engine, ds)
+    n_items = engine.database.relation("Items").n_rows
+    engine.apply_delta(DeltaBatch.delete("Items", [n_items - 1]))
+    assert_served_answers_recomputed(engine, ds)
+
+
+def test_zero_delta_of_a_sibling_view_still_replaces_it(tiny_favorita):
+    """Moving three ``Holidays`` rows to another ``htype`` leaves the
+    ``('date',)`` view as it was while ``('date', 'htype')`` changes.
+    The root groups read both; the unchanged one must enter their runs
+    as its zero delta, not as itself, or the contexts that join only it
+    would add their whole value again."""
+    ds = tiny_favorita
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    for batch in served(ds)[1].values():
+        engine.run(batch)
+
+    def holidays_views():
+        return {
+            entry.data.group_by: entry.data
+            for entry in engine.view_cache._entries.values()
+            if entry.recipe.structure[0] == "Holidays"
+        }
+
+    before = holidays_views()
+    holidays = engine.database.relation("Holidays")
+    rows = np.array([17, 9, 21])
+    moved = {a: holidays.column(a)[rows].copy() for a in holidays.schema.names}
+    n_htypes = holidays.column("htype").max() + 1
+    moved["htype"] = (moved["htype"] + 1) % n_htypes
+    engine.apply_delta(
+        DeltaBatch("Holidays", inserts=moved, delete_indices=rows)
+    )
+    after = holidays_views()
+
+    def same(group_by):
+        was, now = before[group_by], after[group_by]
+        return was.n_rows == now.n_rows and all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                was.key_cols + list(was.sums), now.key_cols + list(now.sums)
+            )
         )
 
-    def test_added_dropped_and_changed_keys(self):
-        old = self.view([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
-        new = self.view([2, 3, 4, 5], [2.0, 3.5, 4.0, 5.0])
-        (keys,) = changed_keys(old, new)
-        assert keys.tolist() == [1, 3, 5]
+    assert same(("date",))
+    assert not same(("date", "htype"))
+    assert_served_answers_recomputed(engine, ds)
 
-    def test_support_change_alone_is_a_change(self):
-        old = self.view([1, 2], [1.0, 2.0], support=[1, 2])
-        new = self.view([1, 2], [1.0, 2.0], support=[1, 3])
-        (keys,) = changed_keys(old, new)
-        assert keys.tolist() == [2]
 
-    def test_equal_views_change_nothing(self):
-        old = self.view([1, 2], [1.0, 2.0])
-        (keys,) = changed_keys(old, self.view([1, 2], [1.0, 2.0]))
-        assert len(keys) == 0
+def test_changed_child_read_from_disk_is_a_counted_recompute(
+    tiny_favorita, tmp_path
+):
+    """A changed child view that no repair in the pass merged a delta
+    into — here dropped from memory, so the disk tier holds it at its
+    pre-delta digest — cannot stand in for its own delta.  The views
+    above it are evicted, not fed the stale view whole beside their
+    other children's deltas; moving the rows back must not revive such
+    a view under a digest the next run asks for."""
+    ds = tiny_favorita
+    engine = IncrementalEngine(
+        ds.database,
+        ds.join_tree,
+        view_cache=ViewCache(store=CacheStore(str(tmp_path / "cache"))),
+    )
+    planner, batches = served(ds)
+    for batch in batches.values():
+        engine.run(batch)
+    cache = engine.view_cache
+    (dates,) = [
+        digest
+        for digest, entry in cache._entries.items()
+        if entry.recipe.structure[0] == "Holidays"
+        and entry.data.group_by == ("date",)
+    ]
+    cache._evict_entry(dates, count=False)
+    holidays = engine.database.relation("Holidays")
+    rows = np.arange(holidays.n_rows - 3, holidays.n_rows)
+    original = {a: holidays.column(a)[rows].copy() for a in holidays.schema.names}
+    moved = {a: col.copy() for a, col in original.items()}
+    moved["htype"] = (moved["htype"] + 1) % (holidays.column("htype").max() + 1)
+    for inserts in (moved, original):
+        report = engine.apply_delta(
+            DeltaBatch("Holidays", inserts=inserts, delete_indices=rows)
+        )
+        planner.database = engine.database
+        for batch in batches.values():
+            assert_same_answer(engine.run(batch), planner.run(batch), batch)
+    # the move evicted the views above the dropped one; its inverse,
+    # with every view back in memory, repairs them all
+    assert engine.stats()["fallbacks"] == 1
+    assert [m.mode for m in report.maintenance] == ["incremental"]
+
+
+def test_counts_past_exact_float_integers_are_recomputed(
+    tiny_retailer, monkeypatch
+):
+    """Retirement needs a cancelled COUNT to read exactly zero, which
+    float64 guarantees below 2**53 only.  With the bound lowered under
+    the views' counts, every keyed view a delta reaches is evicted
+    instead of merged, and the answers stay those of a recompute."""
+    monkeypatch.setattr(cache_module, "EXACT_COUNT", 2.0)
+    ds = tiny_retailer
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batch = covar_batch(ds)
+    engine.run(batch)
+    items = engine.database.relation("Items")
+    report = engine.apply_delta(
+        DeltaBatch.insert(
+            "Items", {a: items.column(a)[:2] for a in items.schema.names}
+        )
+    )
+    assert [m.mode for m in report.maintenance] == ["recompute"]
+    assert assert_ground_truth(engine, batch).cache_report.n_misses > 0
+
+
+def test_served_counts_are_exact(tiny_tpcds, tiny_yelp):
+    """The largest COUNT any served view of the fan-out datasets holds
+    is far inside float64's exact integers, so repairs merge them."""
+    for ds in (tiny_tpcds, tiny_yelp):
+        engine = IncrementalEngine(ds.database, ds.join_tree)
+        for batch in served(ds)[1].values():
+            engine.run(batch)
+        counts = [
+            entry.data.sums[entry.data.count].max()
+            for entry in engine.view_cache._entries.values()
+            if entry.data.count is not None and entry.data.n_rows
+        ]
+        assert counts and max(counts) < cache_module.EXACT_COUNT / 2**20

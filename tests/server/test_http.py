@@ -181,7 +181,7 @@ class TestEndpoints:
             assert record["seconds"] >= 0 and record["reason"] is None
             modes.append(record["mode"])
         # every delta merges at every level, the Oil retraction too:
-        # support counts retire the keys it empties
+        # the views' COUNT aggregates retire the keys it empties
         assert modes == ["incremental"] * 5
         ivm = client.stats()["datasets"]["toy"]["ivm"]
         assert ivm == {

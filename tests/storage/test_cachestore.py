@@ -17,7 +17,8 @@ def digest_of(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def keyed_view(n=5, with_support=False):
+def keyed_view(n=5, with_count=False):
+    """A keyed view; ``with_count`` names its second row its COUNT."""
     return ViewData(
         group_by=("store", "city"),
         key_cols=[
@@ -25,18 +26,23 @@ def keyed_view(n=5, with_support=False):
             np.arange(n, dtype=np.int64) % 3,
         ],
         sums=np.array([np.linspace(1, 2, n), np.full(n, 7.0)]),
-        support=np.ones(n) if with_support else None,
+        count=1 if with_count else None,
     )
 
 
 def wide_view(n=6, n_aggs=5):
-    """A keyed view with several aggregates and support counts."""
+    """A keyed view with several aggregates, the last its COUNT."""
     rng = np.random.default_rng(3)
     return ViewData(
         group_by=("store",),
         key_cols=[np.arange(n, dtype=np.int64) * 7],
-        sums=rng.normal(size=(n_aggs, n)),
-        support=rng.integers(1, 5, n).astype(np.float64),
+        sums=np.vstack(
+            [
+                rng.normal(size=(n_aggs - 1, n)),
+                rng.integers(1, 5, n).astype(np.float64),
+            ]
+        ),
+        count=n_aggs - 1,
     )
 
 
@@ -70,12 +76,12 @@ class TestRoundTrip:
         "view",
         [
             keyed_view(),
-            keyed_view(with_support=True),
+            keyed_view(with_count=True),
             wide_view(),
             scalar_view(),
             aggless_scalar_view(),
         ],
-        ids=["keyed", "with-support", "wide", "scalar", "aggless-scalar"],
+        ids=["keyed", "with-count", "wide", "scalar", "aggless-scalar"],
     )
     def test_save_load_bit_exact(self, store, view):
         sig = sig_for("v1", relations=("Sales", "Stores"))
@@ -94,10 +100,7 @@ class TestRoundTrip:
         assert got.sums.dtype == np.float64
         assert got.sums.flags.c_contiguous
         np.testing.assert_array_equal(view.sums, got.sums)
-        if view.support is None:
-            assert got.support is None
-        else:
-            np.testing.assert_array_equal(view.support, got.support)
+        assert got.count == view.count
 
     def test_loaded_arrays_are_writable(self, store):
         """The cache merges into loaded views; frombuffer views are
@@ -181,16 +184,16 @@ class TestCorruption:
             "relations": ["Sales"],
             "group_by": list(view.group_by),
             "n_aggs": 3,  # the block holds 2 x 5
-            "support": False,
+            "count": None,
         }
         path = self.write_record(
-            store, sig.digest, b"RVC2", header, view.key_cols + [view.sums]
+            store, sig.digest, b"RVC3", header, view.key_cols + [view.sums]
         )
         assert store.load(sig.digest) is None
         assert not os.path.exists(path)
 
-    def test_support_shorter_than_the_keys_is_a_miss(self, store):
-        """A well-framed record with 5 keys but 3 support counts."""
+    def test_count_naming_no_row_of_the_block_is_a_miss(self, store):
+        """A well-framed record whose ``count`` is past its 2 rows."""
         sig = sig_for("v1")
         view = keyed_view(n=5)
         header = {
@@ -198,14 +201,10 @@ class TestCorruption:
             "relations": ["Sales"],
             "group_by": list(view.group_by),
             "n_aggs": 2,
-            "support": True,
+            "count": 2,
         }
         path = self.write_record(
-            store,
-            sig.digest,
-            b"RVC2",
-            header,
-            view.key_cols + [view.sums, np.ones(3)],
+            store, sig.digest, b"RVC3", header, view.key_cols + [view.sums]
         )
         assert store.load(sig.digest) is None
         assert not os.path.exists(path)
@@ -220,18 +219,21 @@ class TestCorruption:
             "relations": ["Sales"],
             "group_by": list(view.group_by),
             "n_aggs": 2,
-            "support": False,
+            "count": None,
         }
         keys = [view.key_cols[0], view.key_cols[1][:4]]
         path = self.write_record(
-            store, sig.digest, b"RVC2", header, keys + [view.sums]
+            store, sig.digest, b"RVC3", header, keys + [view.sums]
         )
         assert store.load(sig.digest) is None
         assert not os.path.exists(path)
 
-    def test_old_rvc1_record_is_a_miss(self, store):
-        """The column-per-aggregate layout of the first record version
-        is never read as a block."""
+    @pytest.mark.parametrize("magic", [b"RVC1", b"RVC2"])
+    def test_old_record_versions_are_a_miss(self, store, magic):
+        """Neither the column-per-aggregate layout of the first record
+        version nor the second's context-row support column is read: a
+        multiplicity delta merged into a context-row support could
+        retire a live key."""
         sig = sig_for("v1")
         view = keyed_view(n=5)
         header = {
@@ -239,10 +241,13 @@ class TestCorruption:
             "relations": ["Sales"],
             "group_by": list(view.group_by),
             "n_aggs": 2,
-            "support": False,
+            "support": magic == b"RVC2",
         }
+        columns = (
+            list(view.sums) if magic == b"RVC1" else [view.sums, np.ones(5)]
+        )
         path = self.write_record(
-            store, sig.digest, b"RVC1", header, view.key_cols + list(view.sums)
+            store, sig.digest, magic, header, view.key_cols + columns
         )
         assert store.load(sig.digest) is None
         assert not os.path.exists(path)
