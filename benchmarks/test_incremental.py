@@ -12,9 +12,11 @@ fact relation against a materialized covar workload and compares
 Expected shape: maintenance cost scales with the delta, not the
 database, so the speedup is largest at 1% and decays toward parity as
 the delta approaches the relation size.  The hard acceptance bar is a
->=3x speedup at 1% on the largest bundled dataset; ``results/ivm.txt``
-holds the full grid.  On retailer the 1 % repair takes ~19 ms and an
-interpreted cold run ~77 ms, 3.4–4.9x apart over eight fresh processes.
+>=3x speedup at 1% on the largest bundled dataset, taken as the median
+of ``FLOOR_PAIRS`` alternating (1 % repair, cold run) pairs: single
+pairs of one run read from 2.5x to 4.7x on a busy 2-CPU host, so a
+single shot can fail a change that moved nothing.  ``results/ivm.txt`` holds the
+full grid and the pairs' range.
 """
 
 import json
@@ -38,6 +40,13 @@ pytestmark = pytest.mark.slow
 
 DELTA_FRACTIONS = [0.01, 0.10, 0.50]
 
+#: alternating (repair, cold run) pairs the speed-up floor takes the
+#: median of
+FLOOR_PAIRS = 7
+
+#: alternating pairs each grid cell takes the minimum of, per side
+GRID_PAIRS = 3
+
 
 def largest_dataset_name() -> str:
     return max(
@@ -50,44 +59,44 @@ def sample_inserts(rng, relation, n):
     return {a: relation.column(a)[idx] for a in relation.schema.names}
 
 
-def measure(name, fraction):
-    """(incremental, full) seconds for one dataset and delta fraction."""
+def measure(name, fraction, n_pairs):
+    """``n_pairs`` of (repair s, cold run s), alternating.
+
+    A repair is ``apply_delta`` of a ``fraction`` insert at the root
+    plus the run served from the repaired views (delta run over the
+    delta partition, distributive merge into the cached views).  The
+    cold run that follows it re-executes the cached plan from scratch
+    on a cleared cache — the exact work ``apply_delta`` avoids, planning
+    cached on both sides — and so leaves the cache warm for the next
+    pair's repair.
+    """
     ds = dataset(name)
     engine = IncrementalEngine(ds.database, ds.join_tree)
     batch = covar_workload(ds)
     engine.run(batch)  # materialize views; plan cached
-
     rng = np.random.default_rng(42)
-    t_incremental = []
-    for _ in range(3):
+    pairs = []
+    for _ in range(n_pairs):
         fact = engine.database.relation(engine.root)
-        n_delta = max(1, int(fact.n_rows * fraction))
         delta = DeltaBatch.insert(
-            engine.root, sample_inserts(rng, fact, n_delta)
+            engine.root,
+            sample_inserts(rng, fact, max(1, int(fact.n_rows * fraction))),
         )
         t0 = time.perf_counter()
         report = engine.apply_delta(delta)
         maintained = engine.run(batch)
-        t_incremental.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
         assert report.all_incremental, report
         assert maintained.cache_report.n_misses == 0
-
-    t_full = []
-    for _ in range(3):
-        # a cold run on a cleared cache re-executes the cached plan from
-        # scratch — the exact work apply_delta avoids (planning cached
-        # on both sides)
         engine.view_cache.clear()
-        t0 = time.perf_counter()
         engine.run(batch)
-        t_full.append(time.perf_counter() - t0)
-    return min(t_incremental), min(t_full)
+        pairs.append((t1 - t0, time.perf_counter() - t1))
+    return pairs
 
 
 @pytest.fixture(scope="module")
-def grid():
-    """{(dataset, fraction): (incremental s, full s)}, measured in a
-    fresh interpreter.
+def measured():
+    """The grid and the floor pairs, measured in a fresh interpreter.
 
     The ratio depends on allocator state the benchmark modules before
     this one leave behind: once any of them has freed a huge array (the
@@ -98,11 +107,16 @@ def grid():
     ~25 ms.  A fresh process is the state a standalone
     ``IncrementalEngine`` user is in, and the same whatever ran first.
     """
+    return measured_in_fresh_interpreter(__name__)
+
+
+@pytest.fixture(scope="module")
+def grid(measured):
+    """{(dataset, fraction): (incremental s, full s)}, each side the
+    minimum over its pairs."""
     return {
-        (name, fraction): (incremental_s, full_s)
-        for name, fraction, incremental_s, full_s in (
-            measured_in_fresh_interpreter(__name__)
-        )
+        (name, fraction): tuple(np.min(pairs, axis=0))
+        for name, fraction, pairs in measured["grid"]
     }
 
 
@@ -117,7 +131,7 @@ def test_delta_vs_full(grid, name, fraction):
     )
 
 
-def test_zz_speedup_floor_and_report(grid):
+def test_zz_speedup_floor_and_report(grid, measured):
     report = Report(
         "ivm",
         f"{'dataset':10}{'delta':>7}{'incremental s':>15}{'full s':>10}"
@@ -128,21 +142,32 @@ def test_zz_speedup_floor_and_report(grid):
             f"{name:10}{fraction:>6.0%}{inc_s:>15.5f}{full_s:>10.5f}"
             f"{full_s / inc_s:>8.1f}x"
         )
+    name = largest_dataset_name()
+    speedups = sorted(full_s / inc_s for inc_s, full_s in measured["floor"])
+    median = float(np.median(speedups))
+    report.add(
+        f"floor: {name} 1% median {median:.1f}x over {len(speedups)} "
+        f"alternating (repair, cold run) pairs, range "
+        f"{speedups[0]:.1f}x-{speedups[-1]:.1f}x"
+    )
     path = report.write()
     print(f"\nwrote {path}")
-    inc_s, full_s = grid[(largest_dataset_name(), 0.01)]
-    assert full_s / inc_s >= 3.0, (
-        f"1% delta on {largest_dataset_name()} only {full_s / inc_s:.1f}x "
-        "faster than full re-evaluation"
+    assert len(speedups) >= 5
+    assert median >= 3.0, (
+        f"1% delta on {name} only {median:.1f}x faster than full "
+        f"re-evaluation (median of {speedups})"
     )
 
 
-if __name__ == "__main__":  # the child process of the ``grid`` fixture
+if __name__ == "__main__":  # the child process of the ``measured`` fixture
     json.dump(
-        [
-            [name, fraction, *measure(name, fraction)]
-            for name in DATASET_NAMES
-            for fraction in DELTA_FRACTIONS
-        ],
+        {
+            "floor": measure(largest_dataset_name(), 0.01, FLOOR_PAIRS),
+            "grid": [
+                [name, fraction, measure(name, fraction, GRID_PAIRS)]
+                for name in DATASET_NAMES
+                for fraction in DELTA_FRACTIONS
+            ],
+        },
         sys.stdout,
     )

@@ -68,16 +68,16 @@ class AppliedDelta:
     ``inserted``/``deleted`` are the delta partitions as relations with
     the original schema — exactly what delta re-evaluation needs.
     ``previous`` is the database the delta was applied *to*: consumers
-    that patch cached state forward (``ViewCache.on_delta``) use it to
-    check a cached entry really holds the pre-delta version before
-    patching, instead of assuming every entry is current.
+    that patch cached state forward (``ViewCache.on_delta``) hash its
+    fingerprints to check a cached entry really holds the pre-delta
+    version before patching, instead of assuming every entry is current.
     """
 
     database: "Database"
     relation: str
     inserted: Optional[Relation]
     deleted: Optional[Relation]
-    previous: Optional["Database"] = None
+    previous: "Database"
 
 
 class Database:

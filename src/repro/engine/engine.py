@@ -301,7 +301,7 @@ class LMFAO:
         epoch-pinned runs pass their snapshot so signatures address that
         version's data.  Memoized per (plan, database, binding).  The
         views' shapes are kept per (plan, binding): a new database
-        version re-hashes only fingerprints and child digests, and a
+        version re-hashes only fingerprints and one digest per view, and a
         re-binding rebuilds the shapes.
         """
         db = database if database is not None else self.database
@@ -372,19 +372,17 @@ class LMFAO:
                 # (a cacheable view's inputs are all cacheable, so every
                 # input has a digest)
                 for vid in group_plan.group.view_ids:
-                    sig = sigs[vid]
-                    if vid in misses and sig.structure is not None:
+                    if vid in misses:
                         recipe = PatchRecipe(
                             plan=group_plan,
                             view_id=vid,
                             dyn=tuple(dyn),
-                            structure=sig.structure,
                             input_digests=tuple(
                                 (ivid, sigs[ivid].digest)
                                 for ivid in group_plan.input_view_ids
                             ),
                         )
-                        misses[vid] = (sig, recipe)
+                        misses[vid] = (sigs[vid], recipe)
             report.skipped_groups = len(skip)
         DataflowScheduler().run(
             plan, views, self.backend, db, dyn, skip, cache, misses

@@ -3,13 +3,13 @@
 Three pieces, layered on the executor subsystem:
 
 * :mod:`~repro.engine.viewcache.signature` — canonical *content
-  signatures* for views (relation fingerprints + structure), so two
+  signatures* for views (shape + footprint fingerprints), so two
   independently planned batches agree on structurally equal views;
 * :mod:`~repro.engine.viewcache.cache` — :class:`ViewCache`, a
   byte-budget LRU of materialized views keyed by content digest, with
   hit/miss/eviction stats and delta-driven repair: affected
-  entries are patched bottom-up and re-keyed, with eviction only as
-  the fallback;
+  entries are patched in one pass, smallest footprint first, and
+  re-keyed, with eviction only as the fallback;
 * :mod:`~repro.engine.viewcache.fusion` — :class:`WorkloadSession`,
   which fuses several query batches into one deduplicated DAG, executes
   shared views once, and fans results back out per workload.

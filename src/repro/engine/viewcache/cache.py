@@ -10,8 +10,9 @@ construction* the same data the engine would recompute.
 Consistency under updates is event-driven: the incremental-maintenance
 layer forwards every applied :class:`~repro.data.database.DeltaBatch`
 to :meth:`ViewCache.on_delta`, which touches exactly the entries whose
-relation footprint contains the updated relation, bottom-up through
-the reference DAG —
+relation footprint contains the updated relation, in one pass, smallest
+footprint first (a child's footprint is a strict subset of its
+parent's, so every child is repaired before its parents) —
 
 * every affected entry **merges a delta** its cached group plan
   computes in one run, with one input replaced by that input's delta —
@@ -32,15 +33,17 @@ the reference DAG —
   without a delta merged in this pass, a COUNT past float64's exact
   integers — are **evicted**.
 
-Every repaired entry is re-keyed under the digest the next run's
-signatures will compute (updated relation fingerprint at the changed
-node, substituted child digests above it), so patches replace
-evictions throughout the DAG.  Entries whose footprint does not
-contain the updated relation keep their digests — their content
-addresses still match — and survive.  A repaired entry lives in memory
-only: the next delta re-keys it again, so writing it to the second
-tier would only leave garbage there.  It reaches disk when the LRU
-evicts it or at :meth:`ViewCache.flush`.
+A view's address is its shape plus its footprint's fingerprints
+(:func:`~repro.engine.viewcache.signature.view_digest`), so every
+repaired entry is re-keyed under the digest the next run's signatures
+will compute by hashing its shape over the updated fingerprints, and
+patches replace evictions throughout the DAG.  A parent finds its
+repaired children through one old-digest → new-digest map.  Entries
+whose footprint does not contain the updated relation keep their
+digests — their content addresses still match — and survive.  A
+repaired entry lives in memory only: the next delta re-keys it again,
+so writing it to the second tier would only leave garbage there.  It
+reaches disk when the LRU evicts it or at :meth:`ViewCache.flush`.
 
 Admission is epoch-gated: each delta advances a per-relation
 fingerprint watermark, and a :meth:`ViewCache.put` offered from an
@@ -65,12 +68,7 @@ from ...data.database import AppliedDelta
 from ...data.relation import Relation
 from ..interpreter import ViewData, execute_plan
 from ..plan import GroupPlan
-from .signature import (
-    ViewSignature,
-    rekey_structure,
-    relation_fingerprint,
-    structure_digest,
-)
+from .signature import ViewSignature, relation_fingerprint, view_digest
 
 #: default cache budget: 64 MiB of view payload
 DEFAULT_BUDGET_BYTES = 64 << 20
@@ -86,19 +84,17 @@ class PatchRecipe:
     """How to repair a cached view in place after a delta.
 
     ``plan`` is the multi-output group plan that produced the view;
-    ``dyn`` is the dynamic-function table it was executed with.
-    ``structure`` is what the view's digest hashes besides its node
-    relation's fingerprint — ``(source, shape digest, child digests)``
-    — used to detect stale entries and to re-key the repaired entry;
+    ``dyn`` is the dynamic-function table it was executed with;
     ``input_digests`` maps the plan's input view ids to the digests
     their data was read under, so re-execution can resolve the same (or
-    re-keyed) children from the cache.
+    re-keyed) children from the cache.  The view's new address is
+    :func:`view_digest` of its signature's shape over the updated
+    fingerprints, so the recipe keeps no copy of it.
     """
 
     plan: GroupPlan
     view_id: int
     dyn: tuple
-    structure: tuple
     input_digests: Tuple[Tuple[int, str], ...] = ()
 
 
@@ -186,9 +182,9 @@ class _Reconciliation:
     """The working state of one :meth:`ViewCache.on_delta` pass."""
 
     applied: AppliedDelta
-    old_fp: Optional[str]
-    new_fp: str
-    pending: Dict[str, _Entry]
+    #: relation name -> fingerprint before and after the delta
+    old_fps: Dict[str, str]
+    new_fps: Dict[str, str]
     #: the delta's rows as one relation (None if empty), and their signs:
     #: inserted rows +1, retracted rows -1 (None: nothing retracted)
     delta: Optional[Relation]
@@ -687,17 +683,21 @@ class ViewCache:
         """Reconcile the cache with one applied delta.
 
         Affected entries (footprint contains the updated relation) are
-        repaired bottom-up through the reference DAG, each by merging the
-        delta its group plan computes in one run: at the updated relation
-        over the signed delta rows, above it over the node relation's
-        rows that join a key of the children's deltas, with those deltas
-        in place of the children.  An entry whose children's deltas join
-        no row merges nothing and is only re-keyed.  A key whose COUNT
-        cancels to zero retires.  Every repaired entry is re-keyed under
-        its new content digest so the next run's signatures find it.
-        Entries that cannot be repaired — no recipe, stale epoch, a child
-        view missing from both tiers or read at its pre-delta digest, a
-        COUNT of 2**53 or more — are evicted.
+        repaired in one pass, smallest footprint first.  A child's
+        footprint is a strict subset of its parent's — the parent's node
+        relation lies outside the child's subtree — so every child is
+        repaired before the views that read it.  Each entry merges the
+        delta its group plan computes in one run: at the updated
+        relation over the signed delta rows, above it over the node
+        relation's rows that join a key of the children's deltas, with
+        those deltas in place of the children.  An entry whose
+        children's deltas join no row merges nothing and is only
+        re-keyed.  A key whose COUNT cancels to zero retires.  Every
+        repaired entry is re-keyed under :func:`view_digest` over the
+        updated fingerprints, the digest the next run's signatures
+        compute.  Entries that cannot be repaired — no recipe, stale
+        epoch, a child view missing from both tiers or read at its
+        pre-delta digest, a COUNT of 2**53 or more — are evicted.
 
         Returns {old digest: "merged" | "evicted"} for the affected
         entries — repaired by merging a delta (or re-keyed unchanged), or
@@ -705,49 +705,38 @@ class ViewCache:
         relation) do not appear.
         """
         relation = applied.relation
-        new_fp = relation_fingerprint(applied.database.relation(relation))
+        new_fps = {
+            rel.name: relation_fingerprint(rel) for rel in applied.database
+        }
         # patching is only sound for entries that hold the *pre-delta*
-        # version of the relation's data: an entry admitted by a reader
-        # pinned to an older epoch (its digest hangs off an older
-        # fingerprint) must be evicted, not patched forward past the
-        # deltas it never saw
-        old_fp = (
-            None
-            if applied.previous is None
-            else relation_fingerprint(applied.previous.relation(relation))
+        # version: ``_repair`` evicts an entry whose digest is not its
+        # address under these fingerprints (say, one a reader pinned to
+        # an older epoch admitted)
+        old_fps = dict(new_fps)
+        old_fps[relation] = relation_fingerprint(
+            applied.previous.relation(relation)
         )
         # advance the admission watermark FIRST: from here on, puts by
         # readers still pinned to the pre-delta database are rejected
         # (stale_rejects) instead of entering only to be evicted by the
         # next delta — see :meth:`put`
-        fingerprints = {
-            rel.name: relation_fingerprint(rel) for rel in applied.database
-        }
         with self._lock:
-            self._current_fp.update(fingerprints)
-            pending: Dict[str, _Entry] = {
-                digest: entry
-                for digest, entry in self._entries.items()
-                if relation in entry.sig.relations
-            }
+            self._current_fp.update(new_fps)
+            affected = sorted(
+                (
+                    (digest, entry)
+                    for digest, entry in self._entries.items()
+                    if relation in entry.sig.relations
+                ),
+                key=lambda item: len(item[1].sig.relations),
+            )
         repair = _Reconciliation(
-            applied, old_fp, new_fp, pending, *_signed_rows(applied)
+            applied, old_fps, new_fps, *_signed_rows(applied)
         )
-        outcome: Dict[str, str] = {}
-        progress = True
-        while pending and progress:
-            progress = False
-            for digest in list(pending):
-                status = self._repair(digest, pending[digest], repair)
-                if status is None:  # a child is still pending: defer
-                    continue
-                del pending[digest]
-                progress = True
-                outcome[digest] = status
-        for digest in pending:  # reference cycles cannot happen; be safe
-            self._evict_entry(digest)
-            outcome[digest] = "evicted"
-        return outcome
+        return {
+            digest: self._repair(digest, entry, repair)
+            for digest, entry in affected
+        }
 
     def _evict_entry(self, digest: str, *, count: bool = True) -> None:
         """Drop one entry by digest (``count``: as an invalidation)."""
@@ -772,39 +761,27 @@ class ViewCache:
 
     def _repair(
         self, digest: str, entry: _Entry, repair: _Reconciliation
-    ) -> Optional[str]:
+    ) -> str:
         """Repair one affected entry in place by merging its delta.
 
-        Returns ``"merged"`` or ``"evicted"``, or None when the entry
-        must wait for a still-pending child to be repaired first.
+        Every affected child was repaired (or evicted) earlier in the
+        pass.  Returns ``"merged"`` or ``"evicted"``.
         """
         applied = repair.applied
-        recipe = entry.recipe
-        if recipe is None or recipe.structure is None:
-            self._evict_entry(digest)
-            return "evicted"
-        source = recipe.structure[0]
-        node_changed = source == applied.relation
-        if node_changed and repair.old_fp is None:
-            self._evict_entry(digest)
-            return "evicted"
-        node_old_fp = (
-            repair.old_fp
-            if node_changed
-            else relation_fingerprint(applied.database.relation(source))
-        )
-        if digest != structure_digest(recipe.structure, node_old_fp):
-            # stale: admitted against an older database version; its
-            # children resolve elsewhere (or nowhere), and repairing it
-            # would publish data under an address no current run asks
-            # for.  Content addressing makes eviction always correct.
+        recipe, sig = entry.recipe, entry.sig
+        if recipe is None or digest != view_digest(
+            sig.shape, sig.relations, repair.old_fps
+        ):
+            # no recipe (revived from disk), or stale: admitted against
+            # an older database version; its children resolve elsewhere
+            # (or nowhere), and repairing it would publish data under an
+            # address no current run asks for.  Content addressing makes
+            # eviction always correct.
             self._evict_entry(digest)
             return "evicted"
         incoming: Dict[int, ViewData] = {}
         new_inputs: List[Tuple[int, str]] = []
         for vid, child in recipe.input_digests:
-            if child in repair.pending:
-                return None  # repair children first
             current = repair.rekey.get(child, child)
             resolved = self._resolve_input(current)
             if resolved is None or (
@@ -826,35 +803,23 @@ class ViewCache:
         if not (_exact_counts(entry.data) and _exact_counts(data)):
             self._evict_entry(digest)
             return "evicted"
-        new_structure = rekey_structure(recipe.structure, repair.rekey)
-        new_digest = structure_digest(
-            new_structure, repair.new_fp if node_changed else node_old_fp
-        )
-        new_sig = ViewSignature(
-            digest=new_digest,
-            relations=entry.sig.relations,
-            cacheable=True,
-            structure=new_structure,
-        )
-        new_recipe = PatchRecipe(
-            plan=recipe.plan,
-            view_id=recipe.view_id,
-            dyn=recipe.dyn,
-            structure=new_structure,
-            input_digests=input_key,
+        new_sig = replace(
+            sig, digest=view_digest(sig.shape, sig.relations, repair.new_fps)
         )
         self._evict_entry(digest, count=False)
         # memory only: the next delta re-keys it again (see the module
         # docstring); it reaches disk on LRU eviction or flush()
-        if not self._admit(new_sig, data, recipe=new_recipe):
+        if not self._admit(
+            new_sig, data, recipe=replace(recipe, input_digests=input_key)
+        ):
             # e.g. the repaired view outgrew the budget
             with self._lock:
                 self._stats.invalidations += 1
             return "evicted"
         with self._lock:
             self._stats.patches += 1
-        repair.rekey[digest] = new_digest
-        repair.deltas[new_digest] = delta
+        repair.rekey[digest] = new_sig.digest
+        repair.deltas[new_sig.digest] = delta
         return "merged"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

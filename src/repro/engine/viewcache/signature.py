@@ -1,33 +1,35 @@
 """Canonical content signatures for materialized views.
 
-A view's materialization is fully determined by
+A view aggregates over the join of the relations in one subtree of the
+join tree, so its materialization is fully determined by
 
-* the *data* of the relations in its subtree (captured transitively:
-  every view hashes its own node relation and the signatures of the
-  views it consumes), and
-* its *structure*: group-by attributes plus the ordered list of
-  aggregate columns (coefficient, factor functions, references into
-  child views).
+* its *shape*: its group-by attributes and aggregate columns
+  (coefficient, factor functions, references into child views by the
+  children's shapes) — which, through the children, fix the definition
+  of the whole subtree — and
+* the *data* of its *footprint*: the base relations of that subtree.
 
-Hashing exactly those inputs yields a **content address**: two views
-with equal digests hold bitwise-interchangeable :class:`ViewData`, no
-matter which batch, plan, or engine produced them.  That is what lets
-the :class:`~repro.engine.viewcache.cache.ViewCache` share materialized
-views across batches, models, and sessions.
+Hashing exactly those inputs, ``H(shape digest, (name, fingerprint) of
+each footprint relation)`` (:func:`view_digest`), yields a **content
+address**: two views with equal digests hold bitwise-interchangeable
+:class:`ViewData`, no matter which batch, plan, or engine produced
+them.  That is what lets the
+:class:`~repro.engine.viewcache.cache.ViewCache` share materialized
+views across batches, models, and sessions, and what lets it compute a
+repaired view's new address from the updated database's fingerprints
+alone.
 
 Canonicalization choices:
 
-* a digest has two halves: the view's *shape* (:func:`view_shapes`:
-  group-by, coefficients, functions, and references into child views
-  by the children's shapes), which depends only on the plan and the
-  dyn binding, and per database version the node relation's
-  fingerprint plus the children's digests in shape order
-  (:func:`structure_digest`).  A shape is built once per plan and
-  binding, so a new database version costs one short hash per view;
+* a digest has two halves: the view's shape (:func:`view_shapes`),
+  which depends only on the plan and the dyn binding, and per database
+  version its footprint's fingerprints in relation-name order.  A shape
+  is built once per plan and binding, so a new database version costs
+  one short hash per view;
 * view ids never enter a signature — a :class:`ViewRef` contributes the
-  shape of the referenced view plus the referenced column position, and
-  children are ordered by shape, so two plans built independently (with
-  different id spaces) agree on structurally equal views;
+  shape of the referenced view plus the referenced column position, so
+  two plans built independently (with different id spaces) agree on
+  structurally equal views;
 * the view's ``target`` node is deliberately excluded: the edge a view
   flows along affects where its data is *consumed*, not what the data
   *is*, so views from differently-rooted plans can still share;
@@ -54,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ...data.database import Database
 from ...data.relation import Relation
@@ -121,17 +123,14 @@ class ViewShape:
 
     ``digest`` hashes the view's source, group-by and aggregate columns
     (coefficient, factor functions under this run's dyn binding, and
-    references into child views by the *children's shape digests*);
-    ``children`` are the ids of the views it reads, one per distinct
-    child shape, in shape-digest order.  Within one database version
-    equal shapes hold equal data, so that order never depends on
-    plan-local view ids.  A shape depends only on the plan and the dyn
+    references into child views by the *children's shape digests*), so
+    it fixes the definition of the whole subtree the view aggregates
+    over; ``relations`` is that subtree's set of base relations, the
+    view's *footprint*.  A shape depends only on the plan and the dyn
     binding: it is built once and reused for every database version.
     """
 
     digest: str
-    source: str
-    children: Tuple[int, ...]
     relations: frozenset
     cacheable: bool
 
@@ -140,44 +139,34 @@ class ViewShape:
 class ViewSignature:
     """The content address of one view.
 
-    ``digest`` is the cache key; ``relations`` names every base relation
-    the view's data depends on (the invalidation footprint);
-    ``cacheable`` is False when any factor in the view's subtree has no
-    trustworthy content identity (UDFs).  ``structure`` is what the
-    digest hashes besides the node relation's fingerprint —
-    ``(source, shape digest, child digests in shape order)`` — which
-    lets the cache *re-key* a delta-patched view against the updated
-    relation fingerprint (and, for interior views, the re-keyed child
-    digests) without replanning.
+    ``digest`` is the cache key, :func:`view_digest` of ``shape`` (the
+    shape digest) over the fingerprints of ``relations``, the base
+    relations the view's data depends on (its footprint, and its
+    invalidation set); ``cacheable`` is False when any factor in the
+    view's subtree has no trustworthy content identity (UDFs).  A
+    signature read back from disk carries no ``shape``.
     """
 
     digest: str
     relations: frozenset
     cacheable: bool
-    structure: Optional[tuple] = None
+    shape: Optional[str] = None
 
 
-def structure_digest(structure: tuple, relation_fp: str) -> str:
-    """The digest formula: H(shape, node fingerprint, child digests).
+def view_digest(
+    shape: str, relations: Iterable[str], fingerprints: Mapping[str, str]
+) -> str:
+    """The digest formula: H(shape digest, (name, fingerprint) of each
+    footprint relation in name order).
 
-    One formula for :func:`view_signatures` and for re-keying repaired
-    views after deltas.
+    One formula for :func:`view_signatures` and for re-addressing views
+    a delta repaired: ``fingerprints`` maps a relation name to the
+    fingerprint of the database version the view's data reflects.
     """
-    _, shape, children = structure
-    payload = "\0".join(("view", shape, relation_fp) + children)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def rekey_structure(structure: tuple, rekey: Mapping[str, str]) -> tuple:
-    """Substitute re-keyed child digests into a view structure.
-
-    After a delta patches child views in place, their digests change;
-    the parent's new content address is the digest of its structure
-    with those substituted.  Children stay in shape order, matching
-    what :func:`view_signatures` computes from scratch.
-    """
-    source, shape, children = structure
-    return (source, shape, tuple(rekey.get(d, d) for d in children))
+    parts = ["view", shape]
+    for name in sorted(relations):
+        parts += (name, fingerprints[name])
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
 def view_shapes(
@@ -219,7 +208,6 @@ def view_shapes(
         view = views[view_id]
         cacheable = True
         relations = {view.source}
-        children: Dict[str, int] = {}  # shape digest -> one child id
         agg_parts = []
         for spec in view.aggregates:
             func_sigs = []
@@ -232,7 +220,6 @@ def view_shapes(
                 child = shape(ref.view_id)
                 cacheable = cacheable and child.cacheable
                 relations |= child.relations
-                children.setdefault(child.digest, ref.view_id)
                 ref_parts.append((child.digest, ref.agg_index))
             # sort refs by content, never by plan-local view id — two
             # plans assigning flipped ids to equal children must agree
@@ -248,8 +235,6 @@ def view_shapes(
         )
         memo[view_id] = ViewShape(
             digest=hashlib.sha256(payload.encode()).hexdigest(),
-            source=view.source,
-            children=tuple(children[d] for d in sorted(children)),
             relations=frozenset(relations),
             cacheable=cacheable,
         )
@@ -270,38 +255,26 @@ def view_signatures(
 ) -> Dict[int, ViewSignature]:
     """Content signatures for every view of a decomposed batch.
 
-    A view's digest is :func:`structure_digest` over its shape, its
-    node relation's fingerprint and its children's digests, computed
-    bottom-up over the reference DAG.  ``shapes`` are the views' shapes
-    under this run's binding (:func:`view_shapes`, built from
-    ``dyn_slots`` and ``dyn`` when omitted); a caller that keeps them
-    hashes only fingerprints and digests per database version.
+    A view's digest is :func:`view_digest` over its shape and the
+    fingerprints of its footprint's relations in ``database``.
+    ``shapes`` are the views' shapes under this run's binding
+    (:func:`view_shapes`, built from ``dyn_slots`` and ``dyn`` when
+    omitted); a caller that keeps them hashes only fingerprints and one
+    short digest per view per database version.
     """
     if shapes is None:
         shapes = view_shapes(views, dyn_slots, dyn)
-    memo: Dict[int, ViewSignature] = {}
-
-    def signature(view_id: int) -> ViewSignature:
-        cached = memo.get(view_id)
-        if cached is not None:
-            return cached
-        shape = shapes[view_id]
-        structure = (
-            shape.source,
-            shape.digest,
-            tuple(signature(child).digest for child in shape.children),
-        )
-        memo[view_id] = ViewSignature(
-            digest=structure_digest(
-                structure,
-                relation_fingerprint(database.relation(shape.source)),
-            ),
+    fingerprints = {
+        name: relation_fingerprint(database.relation(name))
+        for name in frozenset().union(*(s.relations for s in shapes.values()))
+    }
+    sigs: Dict[int, ViewSignature] = {}
+    for view in views:
+        shape = shapes[view.id]
+        sigs[view.id] = ViewSignature(
+            digest=view_digest(shape.digest, shape.relations, fingerprints),
             relations=shape.relations,
             cacheable=shape.cacheable,
-            structure=structure,
+            shape=shape.digest,
         )
-        return memo[view_id]
-
-    for view in views:
-        signature(view.id)
-    return memo
+    return sigs

@@ -77,7 +77,6 @@ def _decode_entry(handle, digest: str) -> Tuple[ViewSignature, ViewData]:
         digest=digest,
         relations=frozenset(header["relations"]),
         cacheable=True,
-        structure=None,
     )
     data = ViewData(
         group_by=tuple(header["group_by"]),

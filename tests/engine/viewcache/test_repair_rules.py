@@ -48,7 +48,7 @@ def groups_at(engine, relation):
     plans = {
         id(entry.recipe.plan)
         for entry in cache._entries.values()
-        if entry.recipe is not None and entry.recipe.structure[0] == relation
+        if entry.recipe is not None and entry.recipe.plan.node == relation
     }
     return len(plans)
 
@@ -162,7 +162,7 @@ def test_interior_key_retires_by_support_when_its_child_key_is_lost(
     keyed = [
         entry.data
         for entry in engine.view_cache._entries.values()
-        if entry.recipe.structure[0] == "Transactions"
+        if entry.recipe.plan.node == "Transactions"
         and "date" in entry.data.group_by
     ]
     assert keyed and all(data.count is not None for data in keyed)
@@ -176,7 +176,7 @@ def test_interior_key_retires_by_support_when_its_child_key_is_lost(
     repaired = [
         entry.data
         for entry in engine.view_cache._entries.values()
-        if entry.recipe.structure[0] == "Transactions"
+        if entry.recipe.plan.node == "Transactions"
         and "date" in entry.data.group_by
     ]
     assert len(repaired) == len(keyed)
@@ -254,7 +254,7 @@ def test_zero_delta_of_a_sibling_view_still_replaces_it(tiny_favorita):
         return {
             entry.data.group_by: entry.data
             for entry in engine.view_cache._entries.values()
-            if entry.recipe.structure[0] == "Holidays"
+            if entry.recipe.plan.node == "Holidays"
         }
 
     before = holidays_views()
@@ -304,7 +304,7 @@ def test_changed_child_read_from_disk_is_a_counted_recompute(
     (dates,) = [
         digest
         for digest, entry in cache._entries.items()
-        if entry.recipe.structure[0] == "Holidays"
+        if entry.recipe.plan.node == "Holidays"
         and entry.data.group_by == ("date",)
     ]
     cache._evict_entry(dates, count=False)
@@ -361,3 +361,46 @@ def test_served_counts_are_exact(tiny_tpcds, tiny_yelp):
             if entry.data.count is not None and entry.data.n_rows
         ]
         assert counts and max(counts) < cache_module.EXACT_COUNT / 2**20
+
+
+@pytest.mark.parametrize(
+    "fixture, dimension",
+    [("tiny_retailer", "Census"), ("tiny_favorita", "Oil")],
+)
+def test_each_affected_entry_is_repaired_once_children_first(
+    request, fixture, dimension, monkeypatch
+):
+    """One pass per delta: every affected entry enters ``_repair``
+    exactly once, and after every affected input of its recipe.  The
+    served batches run before each delta, so the LRU order the entries
+    sit in is not the order their repairs need."""
+    ds = request.getfixturevalue(fixture)
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    calls = []
+    real = ViewCache._repair
+
+    def recorded(self, digest, entry, repair):
+        calls.append((digest, entry.recipe))
+        return real(self, digest, entry, repair)
+
+    monkeypatch.setattr(ViewCache, "_repair", recorded)
+    rng = np.random.default_rng(0)
+    for relation in (engine.root, dimension):
+        for batch in served(ds)[1].values():
+            engine.run(batch)
+        calls.clear()
+        rel = engine.database.relation(relation)
+        rows = rng.integers(0, rel.n_rows, 3)
+        report = engine.apply_delta(
+            DeltaBatch.insert(
+                relation, {a: rel.column(a)[rows] for a in rel.schema.names}
+            )
+        )
+        assert report.all_incremental
+        order = [digest for digest, _ in calls]
+        assert len(order) == len(set(order)) == report.views_patched > 0
+        position = {digest: i for i, digest in enumerate(order)}
+        for i, (_, recipe) in enumerate(calls):
+            for _, child in recipe.input_digests:
+                assert position.get(child, -1) < i
+    assert_served_answers_recomputed(engine, ds)

@@ -17,8 +17,8 @@ from repro.data.database import DeltaBatch
 from repro.engine.views import AggregateSpec, View, ViewRef
 from repro.engine.viewcache.signature import (
     database_fingerprint,
-    structure_digest,
     relation_fingerprint,
+    view_digest,
     view_shapes,
     view_signatures,
 )
@@ -119,8 +119,11 @@ class TestCanonicalAcrossPlans:
         for view in plan.decomposed.views:
             sig = sigs[view.id]
             assert view.source in sig.relations
+            # strictly: the node relation lies outside every child's
+            # subtree, which is what lets repair go smallest footprint
+            # first
             for ref_vid in view.referenced_view_ids():
-                assert sigs[ref_vid].relations <= sig.relations
+                assert sigs[ref_vid].relations < sig.relations
         # output views at the root cover the whole database
         outputs = [v for v in plan.decomposed.views if v.is_output]
         assert any(
@@ -261,16 +264,20 @@ class TestCacheability:
         assert all(s.cacheable for s in sigs.values())
 
 
-class TestStructure:
-    def test_every_view_exposes_rekey_structure(self, toy_db):
-        plan, sigs = signatures_for(
-            LMFAO(toy_db), count_batch()
-        )
+class TestAddress:
+    def test_every_digest_is_its_shape_over_its_footprint(self, toy_db):
+        plan, sigs = signatures_for(LMFAO(toy_db), count_batch())
+        shapes = view_shapes(plan.decomposed.views)
+        fingerprints = {
+            rel.name: relation_fingerprint(rel) for rel in toy_db
+        }
         for view in plan.decomposed.views:
-            sig = sigs[view.id]
-            assert sig.structure is not None
-            fp = relation_fingerprint(toy_db.relation(view.source))
-            assert structure_digest(sig.structure, fp) == sig.digest
+            sig, shape = sigs[view.id], shapes[view.id]
+            assert sig.shape == shape.digest
+            assert sig.relations == shape.relations
+            assert sig.digest == view_digest(
+                shape.digest, shape.relations, fingerprints
+            )
 
 
 def sample_rows(relation, rng, n=2):
@@ -279,8 +286,8 @@ def sample_rows(relation, rng, n=2):
 
 
 class TestShapes:
-    """A digest is H(shape, node fingerprint, child digests in shape
-    order); shapes depend on the plan and the binding only."""
+    """A digest is H(shape, footprint fingerprints in name order);
+    shapes depend on the plan and the binding only."""
 
     def test_a_second_database_version_builds_no_shape(
         self, toy_db, monkeypatch
@@ -331,7 +338,8 @@ class TestShapes:
     def test_rekeyed_digests_equal_fresh_signatures(self, request, fixture):
         """After a root delta and then a dimension delta, the repaired
         cache holds exactly the digests a from-scratch signature pass
-        over the updated database computes."""
+        over the updated database computes, and each repaired view's old
+        digest is replaced by the one that pass gives the same view."""
         from repro.ml import CovarBatch
 
         from .test_fusion import regression_label
@@ -358,6 +366,7 @@ class TestShapes:
             )
         )
         for relation in (engine.root, dimension):
+            was = view_signatures(plan.decomposed.views, engine.database)
             report = engine.apply_delta(
                 DeltaBatch.insert(
                     relation,
@@ -366,6 +375,8 @@ class TestShapes:
             )
             assert report.views_evicted == 0 and report.views_patched > 0
             fresh = view_signatures(plan.decomposed.views, engine.database)
-            assert set(engine.view_cache.digests()) == {
-                sig.digest for sig in fresh.values()
-            }
+            cached = set(engine.view_cache.digests())
+            assert cached == {sig.digest for sig in fresh.values()}
+            for vid, sig in fresh.items():
+                if was[vid].digest != sig.digest:
+                    assert was[vid].digest not in cached, vid

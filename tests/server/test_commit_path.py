@@ -19,6 +19,7 @@ from repro.server.http import query_response_body
 from repro.server.service import Answer, QueryResponse
 
 from ..engine.helpers import WORKLOADS, assert_results_equal
+from .helpers import assert_stats_identities
 from .test_durability import dimension_delta, insert_delta, make_service
 from .test_service import sales_delta
 
@@ -80,9 +81,7 @@ class TestPublishedAnswers:
             answers = toy_stats(service)["answers"]
             assert answers["executed"] == executed
             assert answers["published"] == len(commits) * len(WORKLOADS)
-            assert toy_stats(service)["queries"] == (
-                answers["memo_hits"] + answers["executed"]
-            )
+            assert_stats_identities(service.stats())
 
     def test_first_read_after_a_commit_is_a_hit_encoded_at_commit(
         self, toy_db, tmp_path
@@ -134,6 +133,7 @@ class TestPublishedAnswers:
                 assert after["executed"] == before["executed"]
                 assert after["memo_hits"] == before["memo_hits"] + 6
             assert_published_equal_fresh_runs(service)
+            assert_stats_identities(service.stats())
         finally:
             server.shutdown()
             server.server_close()
@@ -169,6 +169,7 @@ class TestPublishedAnswers:
             assert read.epoch == 1 and read.seconds > 0
             assert toy_stats(service)["answers"]["executed"] == executed + 1
             assert_published_equal_fresh_runs(service)
+            assert_stats_identities(service.stats())
             live = epoch.database
         with make_service(data_dir, toy_db) as revived:
             assert revived.epoch("toy") == 1
@@ -194,6 +195,7 @@ class TestRepairedViewsStayInMemory:
                 assert after["patches"] > cache["patches"]
                 assert after["spills"] == cache["spills"]
                 cache = after
+            assert_stats_identities(service.stats())
 
     def test_a_repaired_view_the_lru_evicts_is_spilled_and_served_warm(
         self, toy_db, tmp_path
@@ -223,6 +225,7 @@ class TestRepairedViewsStayInMemory:
             assert_results_equal(
                 result, LMFAO(database).run(batch), batch, rtol=1e-8
             )
+            assert_stats_identities(service.stats())
 
     def test_deltas_then_a_graceful_close_restart_without_misses(
         self, toy_db, tmp_path
@@ -234,6 +237,7 @@ class TestRepairedViewsStayInMemory:
             for delta in (insert_delta(toy_db), dimension_delta(toy_db)):
                 service.apply_delta("toy", delta)
             spills = toy_stats(service)["cache"]["spills"]
+            assert_stats_identities(service.stats())
         # close() wrote the repaired views out
         assert service._state("toy").cache.stats().spills > spills
         with make_service(data_dir, toy_db) as revived:
@@ -241,6 +245,7 @@ class TestRepairedViewsStayInMemory:
                 revived.query("toy", [name], timeout=60)
             cache = toy_stats(revived)["cache"]
             assert cache["misses"] == 0 and cache["warm_hits"] > 0
+            assert_stats_identities(revived.stats())
 
 
 def test_a_pinned_reader_serves_disk_hits_without_admitting_them(
@@ -271,3 +276,4 @@ def test_a_pinned_reader_serves_disk_hits_without_admitting_them(
         assert_results_equal(
             result, LMFAO(pinned.database).run(batch), batch, rtol=1e-8
         )
+        assert_stats_identities(service.stats())

@@ -35,6 +35,7 @@ from ..engine.helpers import (
     assert_results_equal,
     relation_to_table,
 )
+from .helpers import assert_stats_identities
 
 N_READERS = 4
 N_DELTAS = 6
@@ -273,7 +274,8 @@ def test_http_histories_match_committed_epochs(toy_db):
         for thread in threads:
             thread.join(240)
         assert not any(thread.is_alive() for thread in threads)
-        answers = service.stats()["datasets"]["toy"]["answers"]
+        stats = service.stats()
+        answers = stats["datasets"]["toy"]["answers"]
     finally:
         done.set()
         server.shutdown()
@@ -314,3 +316,4 @@ def test_http_histories_match_committed_epochs(toy_db):
     assert answers["memo_hits"] > 0
     assert answers["executed"] == executed_before_deltas[0]
     assert answers["published"] == N_DELTAS * len(WORKLOAD_NAMES)
+    assert_stats_identities(stats)

@@ -23,6 +23,7 @@ from repro.server.http import query_response_body, query_response_payload
 from repro.server.service import Answer, Epoch, QueryResponse
 
 from ..engine.helpers import WORKLOADS, assert_results_equal
+from .helpers import assert_stats_identities
 from .test_durability import dimension_delta
 
 
@@ -544,11 +545,8 @@ class TestAnswerMemo:
                         batch,
                         rtol=1e-8,
                     )
-            stats = service.stats()["datasets"]["toy"]
-            answers = stats["answers"]
-            assert stats["queries"] == (
-                answers["memo_hits"] + answers["executed"]
-            )
+            assert_stats_identities(service.stats())
+            answers = service.stats()["datasets"]["toy"]["answers"]
             assert answers["resident"] == len(WORKLOADS)
             assert answers["encoded_bytes"] > 0
             # only misses went through the coalescer
@@ -734,3 +732,4 @@ class TestAnswerMemo:
         assert stats["answers"]["memo_hits"] == n_threads * n_reads
         assert stats["queries"] == n_threads * n_reads + 1
         assert service.coalescer.stats().submitted == 1
+        assert_stats_identities(service.stats())
