@@ -13,7 +13,9 @@ server subsystem exists for:
   with ``cache_mb=0``: with a cache, repeat reads would be answer-memo
   hits and shared views would carry over between requests, so the
   comparison would no longer isolate coalescing.
-  Acceptance bar: the storm sustains >= 1.2x the request throughput;
+  Acceptance bar: over alternating (storm, sequential) rounds, each on
+  fresh services, the median round's storm sustains >= 1.2x the
+  request throughput (one shot is at the mercy of a shared host);
 * **latency under writes** — p50/p95 query latency while a background
   delta stream commits epochs on the root *and* on dimension relations
   (recorded, no bar on latency: the point is that reads keep flowing
@@ -30,6 +32,7 @@ requests must return identical epoch-0 results.
 
 import itertools
 import os
+import statistics
 import threading
 import time
 
@@ -54,6 +57,8 @@ pytestmark = [pytest.mark.slow, pytest.mark.timeout(900)]
 N_CLIENTS = 6
 REQUESTS_PER_CLIENT = 8
 SPEEDUP_BAR = 1.2
+#: (storm, sequential) rounds; the bar holds the median round's ratio
+THROUGHPUT_ROUNDS = 5
 
 LATENCY_REQUESTS = 30
 DELTA_INTERVAL_S = 0.03
@@ -128,57 +133,63 @@ def run_clients(service, per_client):
     return seconds, responses
 
 
+def measure_throughput(ds, workloads, per_client):
+    """The client threads' requests on a fresh cache-less service:
+    (measurement, one sample result per workload)."""
+    service = make_service(ds, workloads, cache_mb=0)
+    try:
+        seconds, responses = run_clients(service, per_client)
+        stats = service.coalescer.stats()
+    finally:
+        service.close()
+    n_requests = sum(len(names) for names in per_client)
+    measurement = {
+        "requests_per_second": n_requests / seconds,
+        "max_batch": stats.max_batch,
+    }
+    samples = {
+        name: next(
+            response.results[name]
+            for answered in responses
+            for response in answered
+            if name in response.results
+        )
+        for name in workloads
+    }
+    return measurement, samples
+
+
 def test_server_benchmark():
     ds = dataset("retailer")
     workloads = build_workloads(ds)
     names = list(workloads)
-    n_requests = N_CLIENTS * REQUESTS_PER_CLIENT
 
     # -- throughput: a concurrent storm vs the same requests from one
-    # sequential client (no cache: see the module docstring) -----------
+    # sequential client (no cache: see the module docstring), in
+    # alternating rounds ----------------------------------------------
     storm = storm_requests(names)
-    measurements = {}
-    sample_results = {}
-    for mode, per_client in (
-        ("storm", storm),
-        ("sequential", [sum(storm, [])]),
-    ):
-        service = make_service(ds, workloads, cache_mb=0)
-        seconds, responses = run_clients(service, per_client)
-        stats = service.coalescer.stats()
-        measurements[mode] = {
-            "seconds": round(seconds, 6),
-            "requests_per_second": round(n_requests / seconds, 3),
-            "mean_batch": stats.as_dict()["mean_batch"],
-            "max_batch": stats.max_batch,
-            "batches": stats.batches,
-        }
-        sample_results[mode] = {
-            name: next(
-                response.results[name]
-                for answered in responses
-                for response in answered
-                if name in response.results
-            )
-            for name in names
-        }
-        service.close()
-
-    # correctness rides along: coalesced and lone requests answered
-    # epoch 0 identically
-    assert measurements["sequential"]["max_batch"] == 1
-    for name in names:
-        assert_results_equal(
-            sample_results["storm"][name],
-            sample_results["sequential"][name],
-            workloads[name],
-            rtol=1e-8,
+    rounds = []
+    for _ in range(THROUGHPUT_ROUNDS):
+        storm_run, storm_samples = measure_throughput(ds, workloads, storm)
+        lone_run, lone_samples = measure_throughput(
+            ds, workloads, [sum(storm, [])]
         )
-
-    speedup = (
-        measurements["storm"]["requests_per_second"]
-        / measurements["sequential"]["requests_per_second"]
+        # correctness rides along: coalesced and lone requests answered
+        # epoch 0 identically
+        assert lone_run["max_batch"] == 1
+        for name in names:
+            assert_results_equal(
+                storm_samples[name],
+                lone_samples[name],
+                workloads[name],
+                rtol=1e-8,
+            )
+        rounds.append((storm_run, lone_run))
+    speedups = sorted(
+        storm_run["requests_per_second"] / lone_run["requests_per_second"]
+        for storm_run, lone_run in rounds
     )
+    speedup = statistics.median(speedups)
 
     # -- p50 latency under a background delta stream -------------------
     service = make_service(ds, workloads, cache_mb=256)
@@ -246,18 +257,21 @@ def test_server_benchmark():
             f"analytics service — covar+linreg+trees on retailer "
             f"(scale {BENCH_SCALE})\n"
         )
-        for label, mode in (
-            (f"storm of {N_CLIENTS} clients", "storm"),
-            ("one sequential client", "sequential"),
+        for label, side in (
+            (f"storm of {N_CLIENTS} clients", 0),
+            ("one sequential client", 1),
         ):
-            m = measurements[mode]
+            runs = [pair[side] for pair in rounds]
+            rates = sorted(run["requests_per_second"] for run in runs)
             handle.write(
-                f"{label:<22}{m['seconds']:9.4f}s  "
-                f"{m['requests_per_second']:8.2f} req/s  "
-                f"(mean batch {m['mean_batch']}, max {m['max_batch']})\n"
+                f"{label:<22}{statistics.median(rates):8.2f} req/s "
+                f"median [{rates[0]:.2f}, {rates[-1]:.2f}]  (max batch "
+                f"{max(run['max_batch'] for run in runs)})\n"
             )
         handle.write(
-            f"{'speedup':<22}{speedup:9.2f}x  (bar {SPEEDUP_BAR}x)\n"
+            f"{'speedup':<22}{speedup:8.2f}x  median [{speedups[0]:.2f}, "
+            f"{speedups[-1]:.2f}] over {THROUGHPUT_ROUNDS} rounds  "
+            f"(bar {SPEEDUP_BAR}x)\n"
             f"p50 latency under delta stream: {p50:.1f}ms "
             f"(p95 {p95:.1f}ms, {deltas_committed[0]} deltas over "
             f"{len(targets)} relations, "
@@ -269,10 +283,9 @@ def test_server_benchmark():
 
     assert speedup >= SPEEDUP_BAR, (
         f"a concurrent storm must sustain >={SPEEDUP_BAR}x the throughput "
-        f"of one sequential client on a fusion-friendly mix; measured "
-        f"{speedup:.2f}x "
-        f"({measurements['storm']['requests_per_second']} vs "
-        f"{measurements['sequential']['requests_per_second']} req/s)"
+        f"of one sequential client on a fusion-friendly mix; the median "
+        f"of {THROUGHPUT_ROUNDS} rounds measured {speedup:.2f}x "
+        f"(rounds: {', '.join(f'{s:.2f}x' for s in speedups)})"
     )
     assert len(epochs_seen) >= 2, (
         "latency phase never observed a committed epoch change; the "

@@ -26,7 +26,7 @@ records what the cache did with it, one :class:`DeltaMaintenance` each:
 """
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..data.database import AppliedDelta, Database, DeltaBatch
@@ -126,6 +126,8 @@ class IncrementalEngine:
         )
         self.root = root
         self._stats = MaintenanceStats()
+        # what rollback() restores: the state before the last apply_delta
+        self._undo = (database, replace(self._stats))
 
     @property
     def database(self) -> Database:
@@ -154,6 +156,7 @@ class IncrementalEngine:
         live = [delta for delta in deltas if not delta.is_empty]
         applied: List[AppliedDelta] = []
         database = self.engine.database
+        self._undo = (database, replace(self._stats))
         for delta in live:
             applied.append(database.apply_delta(delta))
             database = applied[-1].database
@@ -183,3 +186,13 @@ class IncrementalEngine:
             report.views_patched += len(statuses) - evicted
             self._stats.count(record)
         return report
+
+    def rollback(self) -> None:
+        """Undo the last :meth:`apply_delta`, whose commit could not be
+        made durable: the database and the counters return to what they
+        were before it, and the cache, whose repairs cannot be undone,
+        is cleared."""
+        database, stats = self._undo
+        self.engine.database, self._stats = database, replace(stats)
+        if self.view_cache is not None:
+            self.view_cache.clear()

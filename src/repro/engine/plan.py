@@ -4,15 +4,19 @@ For each view group the :class:`GroupPlanBuilder` emits a linear list of
 *steps* (a small SSA-like IR).  The builder performs the Multi-Output
 Optimization of §3.5:
 
-* the node relation is scanned once per *join context* — aggregates that
-  reference the same incoming views share the join index computation;
-* evaluated factor columns are shared across aggregates (local variables
-  in the paper's generated code);
-* partial products are shared via prefix caching (the paper's "reuse of
-  arithmetic operations"), and a product folds the factors most of the
-  group's aggregates share first, so their common prefix is built once;
-* group-by key encodings are shared across all aggregates of a view and
-  across views with equal group-by;
+* **a step is emitted once per inputs**: every step but
+  :class:`DotStep` and :class:`EmitStep` goes through one table keyed by
+  its type and its inputs (all of its fields but its outputs), and a
+  step whose inputs were seen before is not emitted again
+  (:meth:`GroupPlanBuilder._emit`).  A join context's vars are its own,
+  so this one rule scans the node relation once per *join context*
+  (aggregates that reference the same incoming views share the join),
+  evaluates a factor column once per context (the paper's local
+  variables), builds a shared leading sub-product once (its "reuse of
+  arithmetic operations"), and encodes a group-by key and sums a
+  row-level product once per context and group-by;
+* a product folds the factors most of the group's aggregates share
+  first, so their common prefix is as long as it can be;
 * **one product per shared prefix**: the scalar sums of a context whose
   row-level products end in payloads of one incoming view, after the
   same prefix, are one :class:`DotStep` — a matrix-vector product of
@@ -449,15 +453,8 @@ class GroupPlanBuilder:
         self.steps: List[Step] = []
         self._var_count = 0
         self._contexts: Dict[Tuple[int, ...], _Context] = {}
-        # caches for sharing
-        self._gather_cache: Dict[tuple, str] = {}
-        self._encode_cache: Dict[tuple, Tuple[str, str]] = {}
-        self._index_cache: Dict[tuple, str] = {}
-        self._factor_cache: Dict[tuple, str] = {}
-        self._product_cache: Dict[tuple, str] = {}
-        self._groupkey_cache: Dict[tuple, Tuple[str, str]] = {}
-        self._grouprows_cache: Dict[str, str] = {}  # codes var -> rows var
-        self._sum_cache: Dict[tuple, str] = {}
+        # (step type, *the step's inputs) -> its output var(s)
+        self._emitted: Dict[tuple, Union[str, Tuple[str, ...]]] = {}
         # (context key, prefix names, view id) -> (the prefix's row
         # factors, {payload index: its sum's var once emitted})
         self._dots: Dict[
@@ -472,6 +469,28 @@ class GroupPlanBuilder:
     def _new_var(self, hint: str = "v") -> str:
         self._var_count += 1
         return f"{hint}{self._var_count}"
+
+    def _emit(self, step: tuple, hints: Union[str, Tuple[str, ...]]):
+        """The output var of ``step``, or the tuple of its vars when
+        ``hints`` names several outputs.
+
+        ``step`` is ``(kind, *inputs)``: the step's type and its fields
+        after its outputs, in field order.  A step of one kind over
+        equal inputs computes the same thing, so a step seen before is
+        not emitted again: its output vars are reused.  Otherwise the
+        new step writes fresh vars, named after ``hints``.
+        """
+        outs = self._emitted.get(step)
+        if outs is None:
+            kind, *inputs = step
+            if isinstance(hints, str):
+                outs = self._new_var(hints)
+                self.steps.append(kind(outs, *inputs))
+            else:
+                outs = tuple(map(self._new_var, hints))
+                self.steps.append(kind(*outs, *inputs))
+            self._emitted[step] = outs
+        return outs
 
     # -- build ----------------------------------------------------------------
 
@@ -568,10 +587,15 @@ class GroupPlanBuilder:
         agg_vars: List[str] = []
         codes: Optional[str] = None
         keys: Optional[str] = None
+        # the view's group keys per context it reads, looked up once:
+        # one lookup per aggregate made planning measurably slower
+        group_keys: Dict[Tuple[int, ...], Tuple[str, str]] = {}
         for spec, context, group_refs, row_factors, dot in laid_out:
             ctx = self._context_for(context)
             if view.group_by:
-                codes, keys = self._group_keys(ctx, view.group_by)
+                if context not in group_keys:
+                    group_keys[context] = self._group_keys(ctx, view.group_by)
+                codes, keys = group_keys[context]
             factors: List[Union[str, float]] = [
                 self._group_payload(ctx, codes, keys, ref)
                 for ref in group_refs
@@ -598,23 +622,19 @@ class GroupPlanBuilder:
     # -- contexts --------------------------------------------------------------
 
     def _context_for(self, view_ids: Tuple[int, ...]) -> _Context:
-        """Get/build the context joining the relation with these views.
+        """The context joining the relation with these views.
 
-        Contexts are built incrementally and cached on the sorted view-id
-        tuple; a group's aggregates that share incoming views share the
-        join work — the "one pass over the relation" of §3.5.
+        Built one join at a time, the last view joined into the context
+        of the others, and memoized on the sorted view-id tuple: a
+        group's aggregates that share incoming views share the join
+        work, the "one pass over the relation" of §3.5.  The join
+        realigns the context's index arrays through its fresh left
+        index, so every context's vars are its own.
         """
         if view_ids in self._contexts:
             return self._contexts[view_ids]
-        prefix = view_ids[:-1]
-        ctx = self._context_for(prefix)
-        new_ctx = self._join(ctx, view_ids[-1], view_ids)
-        self._contexts[view_ids] = new_ctx
-        return new_ctx
-
-    def _join(
-        self, ctx: _Context, view_id: int, new_key: Tuple[int, ...]
-    ) -> _Context:
+        ctx = self._context_for(view_ids[:-1])
+        view_id = view_ids[-1]
         group_by = self.views[view_id].group_by
         join_attrs = [
             a for a in group_by if self._available(ctx, a) is not None
@@ -631,34 +651,23 @@ class GroupPlanBuilder:
             self._gather(("viewkey", view_id, group_by.index(a)), None, "k")
             for a in join_attrs
         )
-        li = self._new_var("li")
-        ri = self._new_var("ri")
-        self.steps.append(
-            JoinStep(
-                out_left=li,
-                out_right=ri,
-                left_vars=left_vars,
-                right_vars=right_vars,
-            )
-        )
-        # realign existing index arrays
-        if ctx.base_idx is None:
-            new_base = li
-        else:
-            new_base = self._new_var("ix")
-            self.steps.append(IndexStep(out=new_base, arr=ctx.base_idx, idx=li))
-        new_view_idx = {}
-        for vid, var in ctx.view_idx.items():
-            realigned = self._new_var("ix")
-            self.steps.append(IndexStep(out=realigned, arr=var, idx=li))
-            new_view_idx[vid] = realigned
-        new_view_idx[view_id] = ri
-        return _Context(
-            key=new_key,
-            base_idx=new_base,
-            view_idx=new_view_idx,
+        li, ri = self._emit((JoinStep, left_vars, right_vars), ("li", "ri"))
+        # realign the context's index arrays to the joined rows
+        base_idx = li
+        if ctx.base_idx is not None:
+            base_idx = self._index(ctx.base_idx, li, "ix")
+        view_idx = {
+            vid: self._index(var, li, "ix")
+            for vid, var in ctx.view_idx.items()
+        }
+        view_idx[view_id] = ri
+        joined = self._contexts[view_ids] = _Context(
+            key=view_ids,
+            base_idx=base_idx,
+            view_idx=view_idx,
             n_var=li,  # length of li defines the context length
         )
+        return joined
 
     def _available(self, ctx: _Context, attr: str) -> Optional[tuple]:
         """Where ``attr`` can be read in this context (origin tuple)."""
@@ -680,12 +689,7 @@ class GroupPlanBuilder:
         ``None`` is the column itself: a relation column over the bare
         relation, or a view's own key / aggregate column.
         """
-        cache_key = (origin, index)
-        if cache_key not in self._gather_cache:
-            out = self._new_var(hint)
-            self.steps.append(Gather(out=out, origin=origin, index=index))
-            self._gather_cache[cache_key] = out
-        return self._gather_cache[cache_key]
+        return self._emit((Gather, origin, index), hint)
 
     def _row_column(self, ctx: _Context, origin: tuple) -> str:
         """Row-aligned column of the context for the given origin."""
@@ -703,24 +707,16 @@ class GroupPlanBuilder:
         The source is encoded once per plan; the context's codes are the
         source's codes gathered through the context's index array.
         """
-        source = self._encode_cache.get(origin)
-        if source is None:
-            source = (self._new_var("kc"), self._new_var("ku"))
-            self.steps.append(EncodeStep(*source, origin=origin))
-            self._encode_cache[origin] = source
+        codes, uniques = self._emit((EncodeStep, origin), ("kc", "ku"))
         index = ctx.base_idx if origin[0] == "rel" else ctx.view_idx[origin[1]]
         if index is None:
-            return source
-        return self._index(source[0], index, "kc"), source[1]
+            return codes, uniques
+        return self._index(codes, index, "kc"), uniques
 
     def _index(self, arr: str, idx: str, hint: str) -> str:
-        """``arr[idx]``, emitted once per pair of vars."""
-        cache_key = (arr, idx)
-        if cache_key not in self._index_cache:
-            out = self._new_var(hint)
-            self.steps.append(IndexStep(out=out, arr=arr, idx=idx))
-            self._index_cache[cache_key] = out
-        return self._index_cache[cache_key]
+        """``arr[idx]``: a context's key codes, a join's realigned index
+        array, or a covered view's index at each group's row."""
+        return self._emit((IndexStep, arr, idx), hint)
 
     # -- products ----------------------------------------------------------------
 
@@ -732,7 +728,7 @@ class GroupPlanBuilder:
         The factors come sorted most used in the context first, ties
         kept in signature / view-id order, so aggregates that share all
         factors but a few share the prefix of their products
-        (:meth:`_fold` caches it).  Returns ``None`` when there is
+        (:meth:`_fold` emits it once).  Returns ``None`` when there is
         nothing row-wise to multiply (a pure count).
         """
         if not row_factors:
@@ -748,19 +744,13 @@ class GroupPlanBuilder:
     def _fold(self, first: str, rest: Sequence[Union[str, float]]) -> str:
         """``first * rest[0] * rest[1] ...``, left to right.
 
-        Prefix-cached: shared leading sub-products are computed once
-        (the paper's reuse of repeated multiplications).  Var names are
-        unique per context and per group-by, so they key the cache.
+        A product's var stands for its whole prefix, so products that
+        share leading factors share their sub-products: the paper's
+        reuse of repeated multiplications.
         """
         current = first
-        prefix: tuple = (first,)
         for factor in rest:
-            prefix = (prefix, factor)
-            if prefix not in self._product_cache:
-                out = self._new_var("p")
-                self.steps.append(MulStep(out=out, a=current, b=factor))
-                self._product_cache[prefix] = out
-            current = self._product_cache[prefix]
+            current = self._emit((MulStep, current, factor), "p")
         return current
 
     # -- sums and their per-group factors -----------------------------------------
@@ -773,21 +763,8 @@ class GroupPlanBuilder:
         values: Optional[str],
     ) -> str:
         """The (shared) sum of a row-level product per group of ``ctx``."""
-        cache_key = (ctx.key, codes, values)
-        if cache_key not in self._sum_cache:
-            out = self._new_var("sum")
-            self.steps.append(
-                GroupSumStep(
-                    out=out,
-                    codes=codes,
-                    keys=keys,
-                    values=values,
-                    n_var=ctx.n_var,
-                    base=ctx.base_idx,
-                )
-            )
-            self._sum_cache[cache_key] = out
-        return self._sum_cache[cache_key]
+        step = (GroupSumStep, codes, keys, values, ctx.n_var, ctx.base_idx)
+        return self._emit(step, "sum")
 
     def _dot(self, ctx: _Context, dot: tuple, agg_index: int) -> str:
         """The var of payload ``agg_index``'s sum of the shared product
@@ -819,36 +796,26 @@ class GroupPlanBuilder:
         if not self.views[ref.view_id].group_by:
             # key {}: the length-1 column broadcasts over the groups
             return self._gather(origin, None, "s")
-        if codes not in self._grouprows_cache:
-            rows = self._new_var("rows")
-            self.steps.append(GroupRowsStep(out=rows, codes=codes, keys=keys))
-            self._grouprows_cache[codes] = rows
-        index = self._index(
-            ctx.view_idx[ref.view_id], self._grouprows_cache[codes], "gix"
-        )
+        rows = self._emit((GroupRowsStep, codes, keys), "rows")
+        index = self._index(ctx.view_idx[ref.view_id], rows, "gix")
         return self._gather(origin, index, "g")
 
     def _factor(self, ctx: _Context, function: Function, name: tuple) -> str:
         """``function`` over the context's rows; ``name`` is its
-        signature, or its dyn slot for a dynamic function."""
-        cache_key = (ctx.key, name)
-        if cache_key in self._factor_cache:
-            return self._factor_cache[cache_key]
+        signature, or its dyn slot for a dynamic function.
+
+        The step's column vars are the context's own, so a factor is
+        evaluated once per context.  A factor over no attributes (a
+        zero-argument :class:`~repro.query.functions.Udf`) reads no var
+        and is evaluated once per group: its value cannot depend on the
+        context it is read in.
+        """
         col_vars = tuple(
             (attr, self._row_column(ctx, self._require(ctx, attr)))
             for attr in function.attrs
         )
-        out = self._new_var("f")
-        self.steps.append(
-            FactorStep(
-                out=out,
-                function=function,
-                col_vars=col_vars,
-                dyn_slot=name[1] if function.dynamic else None,
-            )
-        )
-        self._factor_cache[cache_key] = out
-        return out
+        dyn_slot = name[1] if function.dynamic else None
+        return self._emit((FactorStep, function, col_vars, dyn_slot), "f")
 
     def _require(self, ctx: _Context, attr: str) -> tuple:
         origin = self._available(ctx, attr)
@@ -864,19 +831,10 @@ class GroupPlanBuilder:
     def _group_keys(
         self, ctx: _Context, group_by: Tuple[str, ...]
     ) -> Tuple[str, str]:
-        cache_key = (ctx.key, group_by)
-        if cache_key in self._groupkey_cache:
-            return self._groupkey_cache[cache_key]
         key_vars = tuple(
             self._encoded(ctx, self._require(ctx, a)) for a in group_by
         )
-        codes = self._new_var("codes")
-        keys = self._new_var("keys")
-        self.steps.append(
-            GroupKeyStep(out_codes=codes, out_keys=keys, key_vars=key_vars)
-        )
-        self._groupkey_cache[cache_key] = (codes, keys)
-        return codes, keys
+        return self._emit((GroupKeyStep, key_vars), ("codes", "keys"))
 
 
 def _dot_key(

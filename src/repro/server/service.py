@@ -624,12 +624,11 @@ class AnalyticsService:
                     except BaseException:
                         # the commit cannot be made durable, so it must
                         # not be served: restore the published epoch's
-                        # database and drop every in-memory artifact
-                        # derived from the unlogged version, then tell
-                        # the caller.  Recovery and memory agree again.
-                        state.engine.database = state.epoch.database
-                        if state.cache is not None:
-                            state.cache.clear()
+                        # database and the ivm counters, drop every
+                        # in-memory artifact derived from the unlogged
+                        # version, then tell the caller.  Recovery and
+                        # memory agree again.
+                        state.ivm.rollback()
                         raise
                 epoch = Epoch(next_epoch, state.ivm.database)
                 encode = self._publish(state, state.epoch, epoch)

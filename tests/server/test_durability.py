@@ -7,6 +7,7 @@ from repro import AnalyticsService, DatasetStorage, DeltaBatch
 from repro.engine.viewcache.signature import database_fingerprint
 
 from ..engine.helpers import WORKLOADS, assert_results_equal
+from .helpers import assert_stats_identities
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -179,6 +180,7 @@ class TestServiceDurability:
             service.apply_delta("toy", insert_delta(toy_db))
             before = service.query("toy", ["groupbys"], timeout=60)
             state = service._state("toy")
+            ivm = service.stats()["datasets"]["toy"]["ivm"]
 
             def broken(epoch, deltas):
                 raise OSError("disk full")
@@ -190,14 +192,18 @@ class TestServiceDurability:
                     service.apply_delta("toy", insert_delta(toy_db))
             finally:
                 state.storage.log_commit = original
-            # epoch unchanged, and the served data matches it: the repeat
-            # read is answered from the (still published) epoch's memo
-            # without touching the cleared view cache ...
+            # epoch and ivm counters unchanged: the rolled-back repair is
+            # counted nowhere
             assert service.epoch("toy") == 1
 
             def stats():
                 return service.stats()["datasets"]["toy"]
 
+            assert stats()["ivm"] == ivm
+            assert_stats_identities(service.stats())
+            # the served data matches the epoch: the repeat read is
+            # answered from the (still published) epoch's memo without
+            # touching the cleared view cache ...
             start = stats()
             after = service.query("toy", ["groupbys"], timeout=60)
             assert after.epoch == 1
