@@ -8,16 +8,21 @@ run NumPy kernels on synthetic data at laptop scale) — the reproduction
 target is the *shape*: who wins, by roughly what factor, and where the
 layers contribute.
 
-Scale via ``REPRO_BENCH_SCALE`` (default 0.3).
+Scale via ``REPRO_BENCH_SCALE`` (default 0.3).  Every timing goes
+through :func:`alternating` and :func:`timed`, and every bar asserts
+its bound on the median of the per-round ratios of one
+:func:`alternating` call.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
-from typing import Dict, List
+import time
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from repro.datasets import favorita, retailer, tpcds, yelp
 from repro.ml import CovarBatch, build_cube_batch, build_mi_batch
@@ -53,11 +58,47 @@ def regression_label(ds) -> str:
     return ds.continuous_features[0]
 
 
+T = TypeVar("T")
+
+
+def alternating(rounds: int, *sides: Callable[[], T]) -> List[List[T]]:
+    """Call each side once per round, ``rounds`` times; return what each
+    side returned, one list per side in round order.
+
+    Round ``i`` starts at side ``i mod n`` and goes on in order, so every
+    side goes first equally often: a burst of load from another process
+    on a shared host, or state one side leaves for the next, lands on
+    every side alike instead of on one side's time.
+    """
+    results: List[List[T]] = [[] for _ in sides]
+    for i in range(rounds):
+        for k in range(len(sides)):
+            side = (i + k) % len(sides)
+            results[side].append(sides[side]())
+    return results
+
+
+def timed(fn: Callable[[], T]) -> Tuple[float, T]:
+    """Seconds one call of ``fn`` took, and what it returned."""
+    start = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - start, value
+
+
+def spread(values: Sequence[float]) -> str:
+    """``median [min, max] over n`` of ``values``."""
+    ordered = sorted(values)
+    return (
+        f"{statistics.median(ordered):.3g} [{ordered[0]:.3g}, "
+        f"{ordered[-1]:.3g}] over {len(ordered)}"
+    )
+
+
 def measured_in_fresh_interpreter(module: str):
     """Run ``python -m <module>`` and parse the JSON it prints.
 
     Timing ratios depend on the allocator state earlier benchmark
-    modules leave behind (see ``test_incremental.grid``); a module that
+    modules leave behind (see ``test_incremental.measured``); a module that
     asserts one measures its grid in a child process, which is in the
     same state whatever ran first.
     """

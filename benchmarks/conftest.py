@@ -8,7 +8,7 @@ import pytest
 from repro import LMFAO
 from repro.baselines import MaterializedEngine
 
-from .common import DATASET_NAMES, dataset
+from .common import dataset
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -27,11 +27,6 @@ def trimmed_heap():
         ctypes.CDLL("libc.so.6").malloc_trim(0)
     except (OSError, AttributeError):  # not glibc: nothing to trim
         pass
-
-
-@pytest.fixture(scope="session", params=DATASET_NAMES)
-def bench_dataset(request):
-    return dataset(request.param)
 
 
 _ENGINES = {}

@@ -9,11 +9,16 @@ independently (not cumulatively) on the covar workload:
 Writes ``results/ablation.txt``.
 """
 
+import statistics
+from functools import partial
+
 import pytest
 
 from repro import LMFAO
 
-from .common import Report, covar_workload, dataset
+from tests.engine.helpers import assert_results_equal
+
+from .common import Report, alternating, covar_workload, dataset, spread, timed
 
 pytestmark = pytest.mark.slow
 
@@ -26,52 +31,65 @@ CONFIGS = [
     ("groups=off", dict(group_views=False)),
     ("groups=on", dict(group_views=True)),
 ]
+ROUNDS = 3
 
 _measured = {}
 
 
-@pytest.mark.parametrize("name", DATASETS)
-@pytest.mark.parametrize("config_index", range(len(CONFIGS)))
-def test_design_choice(benchmark, name, config_index):
+@pytest.fixture(scope="module")
+def answers(request):
+    """Every configuration timed on one dataset in alternating rounds:
+    the batch and each configuration's last answer."""
+    name = request.param
     ds = dataset(name)
-    label, kwargs = CONFIGS[config_index]
-    engine = LMFAO(ds.database, ds.join_tree, **kwargs)
     batch = covar_workload(ds)
-    engine.plan(batch)
-    result = benchmark.pedantic(
-        lambda: engine.run(batch), rounds=2, iterations=1, warmup_rounds=1
+    engines = [LMFAO(ds.database, ds.join_tree, **kw) for _, kw in CONFIGS]
+    stats = [engine.plan(batch).statistics for engine in engines]
+    runs = alternating(
+        ROUNDS, *(partial(timed, partial(e.run, batch)) for e in engines)
     )
-    assert len(result) == len(batch)
-    _measured[(name, label)] = {
-        "seconds": benchmark.stats["mean"],
-        "views": engine.plan(batch).statistics.n_views,
-        "groups": engine.plan(batch).statistics.n_groups,
+    seconds = {
+        label: [s for s, _ in config]
+        for (label, _), config in zip(CONFIGS, runs)
     }
+    full, none = seconds["merge=full"], seconds["merge=none"]
+    _measured[name] = (
+        [
+            (label, statistics.median(seconds[label]), plan.n_views,
+             plan.n_groups)
+            for (label, _), plan in zip(CONFIGS, stats)
+        ],
+        [f / n for f, n in zip(full, none)],
+    )
+    return batch, [config[-1][1] for config in runs]
 
 
-def test_zz_ablation_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+@pytest.mark.parametrize("answers", DATASETS, indirect=True, scope="module")
+@pytest.mark.parametrize("config_index", range(len(CONFIGS)))
+def test_design_choice(answers, config_index):
+    batch, results = answers
+    # every configuration answers the batch as merge=none does
+    assert len(results[config_index]) == len(batch)
+    assert_results_equal(results[config_index], results[0], batch)
+
+
+def test_zz_ablation_report():
     report = Report(
         "ablation",
         f"{'dataset':10}{'configuration':16}{'seconds':>10}"
         f"{'views':>7}{'groups':>8}",
     )
-    for name in DATASETS:
-        for label, _ in CONFIGS:
-            row = _measured.get((name, label))
-            if row is None:
-                continue
+    for name, (rows, full_vs_none) in _measured.items():
+        for label, seconds, views, groups in rows:
             report.add(
-                f"{name:10}{label:16}{row['seconds']:>10.4f}"
-                f"{row['views']:>7}{row['groups']:>8}"
+                f"{name:10}{label:16}{seconds:>10.4f}{views:>7}{groups:>8}"
             )
+        report.add(f"{name:10}merge=full / merge=none  {spread(full_vs_none)}")
     path = report.write()
     print(f"\nwrote {path}")
     # design-choice shape: full merging produces the fewest views and is
     # not slower than no merging
-    for name in DATASETS:
-        full = _measured.get((name, "merge=full"))
-        none = _measured.get((name, "merge=none"))
-        if full and none:
-            assert full["views"] < none["views"]
-            assert full["seconds"] <= none["seconds"] * 1.5
+    for name, (rows, full_vs_none) in _measured.items():
+        views = {label: n_views for label, _, n_views, _ in rows}
+        assert views["merge=full"] < views["merge=none"]
+        assert statistics.median(full_vs_none) <= 1.5, (name, full_vs_none)

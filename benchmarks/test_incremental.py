@@ -13,15 +13,17 @@ Expected shape: maintenance cost scales with the delta, not the
 database, so the speedup is largest at 1% and decays toward parity as
 the delta approaches the relation size.  The hard acceptance bar is a
 >=3x speedup at 1% on the largest bundled dataset, taken as the median
-of ``FLOOR_PAIRS`` alternating (1 % repair, cold run) pairs: single
+of ``FLOOR_ROUNDS`` alternating (1 % repair, cold run) rounds: single
 pairs of one run read from 2.5x to 4.7x on a busy 2-CPU host, so a
-single shot can fail a change that moved nothing.  ``results/ivm.txt`` holds the
-full grid and the pairs' range.
+single shot can fail a change that moved nothing.  Each grid cell must
+not be meaningfully slower than recomputation, in the median of
+``GRID_ROUNDS`` rounds.  ``results/ivm.txt`` holds the full grid and
+every cell's spread.
 """
 
 import json
+import statistics
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -31,21 +33,24 @@ from repro import DeltaBatch, IncrementalEngine
 from .common import (
     DATASET_NAMES,
     Report,
+    alternating,
     covar_workload,
     dataset,
     measured_in_fresh_interpreter,
+    spread,
+    timed,
 )
 
 pytestmark = pytest.mark.slow
 
 DELTA_FRACTIONS = [0.01, 0.10, 0.50]
 
-#: alternating (repair, cold run) pairs the speed-up floor takes the
+#: alternating (repair, cold run) rounds the speed-up floor takes the
 #: median of
-FLOOR_PAIRS = 7
+FLOOR_ROUNDS = 15
 
-#: alternating pairs each grid cell takes the minimum of, per side
-GRID_PAIRS = 3
+#: alternating rounds each grid cell takes the median of
+GRID_ROUNDS = 3
 
 
 def largest_dataset_name() -> str:
@@ -59,44 +64,45 @@ def sample_inserts(rng, relation, n):
     return {a: relation.column(a)[idx] for a in relation.schema.names}
 
 
-def measure(name, fraction, n_pairs):
-    """``n_pairs`` of (repair s, cold run s), alternating.
+def measure(name, fraction, rounds):
+    """(repair seconds, cold run seconds) of ``rounds`` alternating rounds.
 
     A repair is ``apply_delta`` of a ``fraction`` insert at the root
     plus the run served from the repaired views (delta run over the
     delta partition, distributive merge into the cached views).  The
-    cold run that follows it re-executes the cached plan from scratch
-    on a cleared cache — the exact work ``apply_delta`` avoids, planning
-    cached on both sides — and so leaves the cache warm for the next
-    pair's repair.
+    cold run re-executes the cached plan from scratch on a cleared
+    cache — the exact work ``apply_delta`` avoids, planning cached on
+    both sides — and so leaves the cache warm for the next repair.
     """
     ds = dataset(name)
     engine = IncrementalEngine(ds.database, ds.join_tree)
     batch = covar_workload(ds)
     engine.run(batch)  # materialize views; plan cached
     rng = np.random.default_rng(42)
-    pairs = []
-    for _ in range(n_pairs):
+
+    def repair():
         fact = engine.database.relation(engine.root)
         delta = DeltaBatch.insert(
             engine.root,
             sample_inserts(rng, fact, max(1, int(fact.n_rows * fraction))),
         )
-        t0 = time.perf_counter()
-        report = engine.apply_delta(delta)
-        maintained = engine.run(batch)
-        t1 = time.perf_counter()
+        seconds, (report, maintained) = timed(
+            lambda: (engine.apply_delta(delta), engine.run(batch))
+        )
         assert report.all_incremental, report
         assert maintained.cache_report.n_misses == 0
+        return seconds
+
+    def cold():
         engine.view_cache.clear()
-        engine.run(batch)
-        pairs.append((t1 - t0, time.perf_counter() - t1))
-    return pairs
+        return timed(lambda: engine.run(batch))[0]
+
+    return alternating(rounds, repair, cold)
 
 
 @pytest.fixture(scope="module")
 def measured():
-    """The grid and the floor pairs, measured in a fresh interpreter.
+    """The grid and the floor rounds, measured in a fresh interpreter.
 
     The ratio depends on allocator state the benchmark modules before
     this one leave behind: once any of them has freed a huge array (the
@@ -110,64 +116,58 @@ def measured():
     return measured_in_fresh_interpreter(__name__)
 
 
-@pytest.fixture(scope="module")
-def grid(measured):
-    """{(dataset, fraction): (incremental s, full s)}, each side the
-    minimum over its pairs."""
-    return {
-        (name, fraction): tuple(np.min(pairs, axis=0))
-        for name, fraction, pairs in measured["grid"]
-    }
+def speedups(rounds):
+    """Per-round cold run / repair seconds of one ``measure``."""
+    repairs, colds = rounds
+    return [cold / repair for repair, cold in zip(repairs, colds)]
 
 
 @pytest.mark.parametrize("fraction", DELTA_FRACTIONS)
 @pytest.mark.parametrize("name", DATASET_NAMES)
-def test_delta_vs_full(grid, name, fraction):
-    incremental_s, full_s = grid[(name, fraction)]
+def test_delta_vs_full(measured, name, fraction):
+    ratios = speedups(measured["grid"][f"{name} {fraction}"])
     # maintenance must never cost meaningfully more than recomputation
-    assert full_s / incremental_s > 0.5, (
-        f"{name} @ {fraction:.0%}: incremental {incremental_s:.4f}s vs "
-        f"full {full_s:.4f}s"
+    assert statistics.median(ratios) > 0.5, (
+        f"{name} @ {fraction:.0%}: full / incremental {spread(ratios)}"
     )
 
 
-def test_zz_speedup_floor_and_report(grid, measured):
+def test_zz_speedup_floor_and_report(measured):
     report = Report(
         "ivm",
-        f"{'dataset':10}{'delta':>7}{'incremental s':>15}{'full s':>10}"
-        f"{'speedup':>9}",
+        f"{'dataset':10}{'delta':>7}{'repair ms':>11}{'cold ms':>9}"
+        f"  full / incremental per round",
     )
-    for (name, fraction), (inc_s, full_s) in grid.items():
-        report.add(
-            f"{name:10}{fraction:>6.0%}{inc_s:>15.5f}{full_s:>10.5f}"
-            f"{full_s / inc_s:>8.1f}x"
-        )
+    for name in DATASET_NAMES:
+        for fraction in DELTA_FRACTIONS:
+            rounds = measured["grid"][f"{name} {fraction}"]
+            report.add(
+                f"{name:10}{fraction:>6.0%}"
+                f"{statistics.median(rounds[0]) * 1000:>11.1f}"
+                f"{statistics.median(rounds[1]) * 1000:>9.1f}"
+                f"  {spread(speedups(rounds))}"
+            )
     name = largest_dataset_name()
-    speedups = sorted(full_s / inc_s for inc_s, full_s in measured["floor"])
-    median = float(np.median(speedups))
-    report.add(
-        f"floor: {name} 1% median {median:.1f}x over {len(speedups)} "
-        f"alternating (repair, cold run) pairs, range "
-        f"{speedups[0]:.1f}x-{speedups[-1]:.1f}x"
-    )
+    floor = speedups(measured["floor"])
+    report.add(f"floor: {name} 1% full / incremental {spread(floor)}")
     path = report.write()
     print(f"\nwrote {path}")
-    assert len(speedups) >= 5
+    median = statistics.median(floor)
     assert median >= 3.0, (
         f"1% delta on {name} only {median:.1f}x faster than full "
-        f"re-evaluation (median of {speedups})"
+        f"re-evaluation ({spread(floor)})"
     )
 
 
 if __name__ == "__main__":  # the child process of the ``measured`` fixture
     json.dump(
         {
-            "floor": measure(largest_dataset_name(), 0.01, FLOOR_PAIRS),
-            "grid": [
-                [name, fraction, measure(name, fraction, GRID_PAIRS)]
+            "floor": measure(largest_dataset_name(), 0.01, FLOOR_ROUNDS),
+            "grid": {
+                f"{name} {fraction}": measure(name, fraction, GRID_ROUNDS)
                 for name in DATASET_NAMES
                 for fraction in DELTA_FRACTIONS
-            ],
+            },
         },
         sys.stdout,
     )

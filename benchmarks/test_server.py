@@ -15,7 +15,7 @@ server subsystem exists for:
   comparison would no longer isolate coalescing.
   Acceptance bar: over alternating (storm, sequential) rounds, each on
   fresh services, the median round's storm sustains >= 1.2x the
-  request throughput (one shot is at the mercy of a shared host);
+  request throughput;
 * **latency under writes** — p50/p95 query latency while a background
   delta stream commits epochs on the root *and* on dimension relations
   (recorded, no bar on latency: the point is that reads keep flowing
@@ -31,10 +31,8 @@ requests must return identical epoch-0 results.
 """
 
 import itertools
-import os
 import statistics
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -45,10 +43,13 @@ from tests.engine.helpers import assert_results_equal
 
 from .common import (
     BENCH_SCALE,
-    RESULTS_DIR,
+    Report,
+    alternating,
     covar_workload,
     dataset,
     rt_node_workload,
+    spread,
+    timed,
 )
 from .test_viewcache import linreg_workload
 
@@ -125,10 +126,12 @@ def run_clients(service, per_client):
     for thread in threads:
         thread.start()
     barrier.wait(timeout=60)
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join(600)
-    seconds = time.perf_counter() - start
+
+    def join():
+        for thread in threads:
+            thread.join(600)
+
+    seconds, _ = timed(join)
     assert not errors, errors
     return seconds, responses
 
@@ -168,12 +171,14 @@ def test_server_benchmark():
     # sequential client (no cache: see the module docstring), in
     # alternating rounds ----------------------------------------------
     storm = storm_requests(names)
-    rounds = []
-    for _ in range(THROUGHPUT_ROUNDS):
-        storm_run, storm_samples = measure_throughput(ds, workloads, storm)
-        lone_run, lone_samples = measure_throughput(
-            ds, workloads, [sum(storm, [])]
-        )
+    storm_runs, lone_runs = alternating(
+        THROUGHPUT_ROUNDS,
+        lambda: measure_throughput(ds, workloads, storm),
+        lambda: measure_throughput(ds, workloads, [sum(storm, [])]),
+    )
+    for (_, storm_samples), (lone_run, lone_samples) in zip(
+        storm_runs, lone_runs
+    ):
         # correctness rides along: coalesced and lone requests answered
         # epoch 0 identically
         assert lone_run["max_batch"] == 1
@@ -184,12 +189,10 @@ def test_server_benchmark():
                 workloads[name],
                 rtol=1e-8,
             )
-        rounds.append((storm_run, lone_run))
-    speedups = sorted(
+    speedups = [
         storm_run["requests_per_second"] / lone_run["requests_per_second"]
-        for storm_run, lone_run in rounds
-    )
-    speedup = statistics.median(speedups)
+        for (storm_run, _), (lone_run, _) in zip(storm_runs, lone_runs)
+    ]
 
     # -- p50 latency under a background delta stream -------------------
     service = make_service(ds, workloads, cache_mb=256)
@@ -237,9 +240,10 @@ def test_server_benchmark():
     try:
         for i in range(LATENCY_REQUESTS):
             name = names[i % len(names)]
-            start = time.perf_counter()
-            response = service.query("retailer", [name], timeout=300)
-            latencies.append(time.perf_counter() - start)
+            seconds, response = timed(
+                lambda: service.query("retailer", [name], timeout=300)
+            )
+            latencies.append(seconds)
             epochs_seen.add(response.epoch)
     finally:
         stop.set()
@@ -251,41 +255,38 @@ def test_server_benchmark():
     p50, p95 = np.percentile(np.asarray(latencies) * 1000.0, [50, 95])
 
     # record everything BEFORE asserting the bar
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "server.txt"), "w") as handle:
-        handle.write(
-            f"analytics service — covar+linreg+trees on retailer "
-            f"(scale {BENCH_SCALE})\n"
+    report = Report(
+        "server",
+        f"analytics service — covar+linreg+trees on retailer "
+        f"(scale {BENCH_SCALE})",
+    )
+    for label, runs in (
+        (f"storm of {N_CLIENTS} clients", storm_runs),
+        ("one sequential client", lone_runs),
+    ):
+        rates = [run["requests_per_second"] for run, _ in runs]
+        report.add(
+            f"{label:<22} req/s {spread(rates)}  (max batch "
+            f"{max(run['max_batch'] for run, _ in runs)})"
         )
-        for label, side in (
-            (f"storm of {N_CLIENTS} clients", 0),
-            ("one sequential client", 1),
-        ):
-            runs = [pair[side] for pair in rounds]
-            rates = sorted(run["requests_per_second"] for run in runs)
-            handle.write(
-                f"{label:<22}{statistics.median(rates):8.2f} req/s "
-                f"median [{rates[0]:.2f}, {rates[-1]:.2f}]  (max batch "
-                f"{max(run['max_batch'] for run in runs)})\n"
-            )
-        handle.write(
-            f"{'speedup':<22}{speedup:8.2f}x  median [{speedups[0]:.2f}, "
-            f"{speedups[-1]:.2f}] over {THROUGHPUT_ROUNDS} rounds  "
-            f"(bar {SPEEDUP_BAR}x)\n"
-            f"p50 latency under delta stream: {p50:.1f}ms "
-            f"(p95 {p95:.1f}ms, {deltas_committed[0]} deltas over "
-            f"{len(targets)} relations, "
-            f"{len(epochs_seen)} epochs observed)\n"
-            f"view cache under deltas: {cache_stats['patches']} patches "
-            f"vs {cache_stats['invalidations']} invalidations "
-            f"({ivm_stats['fallbacks']} IVM fallbacks)\n"
-        )
+    report.add(f"{'speedup':<22} {spread(speedups)}  (bar {SPEEDUP_BAR}x)")
+    report.add(
+        f"p50 latency under delta stream: {p50:.1f}ms "
+        f"(p95 {p95:.1f}ms, {deltas_committed[0]} deltas over "
+        f"{len(targets)} relations, {len(epochs_seen)} epochs observed)"
+    )
+    report.add(
+        f"view cache under deltas: {cache_stats['patches']} patches "
+        f"vs {cache_stats['invalidations']} invalidations "
+        f"({ivm_stats['fallbacks']} IVM fallbacks)"
+    )
+    report.write()
 
+    speedup = statistics.median(speedups)
     assert speedup >= SPEEDUP_BAR, (
         f"a concurrent storm must sustain >={SPEEDUP_BAR}x the throughput "
-        f"of one sequential client on a fusion-friendly mix; the median "
-        f"of {THROUGHPUT_ROUNDS} rounds measured {speedup:.2f}x "
-        f"(rounds: {', '.join(f'{s:.2f}x' for s in speedups)})"
+        f"of one sequential client on a fusion-friendly mix; measured "
+        f"{spread(speedups)}"
     )
     assert len(epochs_seen) >= 2, (
         "latency phase never observed a committed epoch change; the "

@@ -1,6 +1,6 @@
 """Table 1 — dataset characteristics, paper vs this reproduction.
 
-Benchmarks the join materialization per dataset (the quantity behind the
+Times the join materialization per dataset (the quantity behind the
 "size of join result" row that two-step solutions must pay for) and
 writes ``results/table1.txt`` with the side-by-side characteristics.
 """
@@ -9,37 +9,44 @@ import pytest
 
 from repro import materialize_join
 
-from .common import DATASET_NAMES, PAPER_TABLE1, Report, dataset
+from .common import (
+    DATASET_NAMES,
+    PAPER_TABLE1,
+    Report,
+    alternating,
+    dataset,
+    spread,
+    timed,
+)
 
 pytestmark = pytest.mark.slow
+
+ROUNDS = 3
 
 _measured = {}
 
 
 @pytest.mark.parametrize("name", DATASET_NAMES)
-def test_join_materialization(benchmark, name):
+def test_join_materialization(name):
     ds = dataset(name)
-    flat = benchmark.pedantic(
-        lambda: materialize_join(ds.database),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
+    (runs,) = alternating(
+        ROUNDS, lambda: timed(lambda: materialize_join(ds.database))
     )
+    flat = runs[-1][1]
     summary = ds.summary()
     summary["join_tuples"] = flat.n_rows
-    summary["join_mb"] = flat.nbytes() / 1e6
+    summary["join_s"] = spread([seconds for seconds, _ in runs])
     _measured[name] = summary
     # Table 1's Yelp signature: the join result exceeds the database
     if name == "yelp":
         assert flat.n_rows > ds.database.total_tuples()
 
 
-def test_zz_table1_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_zz_table1_report():
     report = Report(
         "table1",
         f"{'':14}{'paper tuples':>14}{'ours':>10}{'paper join':>12}"
-        f"{'ours':>10}{'rel':>5}{'attrs':>7}{'cat':>5}",
+        f"{'ours':>10}{'rel':>5}{'attrs':>7}{'cat':>5}  join s",
     )
     for name in DATASET_NAMES:
         paper = PAPER_TABLE1[name]
@@ -50,7 +57,7 @@ def test_zz_table1_report(benchmark):
             f"{name:14}{paper['tuples']:>14}{ours['tuples']:>10}"
             f"{paper['join_tuples']:>12}{ours['join_tuples']:>10}"
             f"{ours['relations']:>5}{ours['attributes']:>7}"
-            f"{ours['categorical']:>5}"
+            f"{ours['categorical']:>5}  {ours['join_s']}"
         )
         assert ours["relations"] == paper["relations"]
     path = report.write()

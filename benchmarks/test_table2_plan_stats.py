@@ -2,8 +2,8 @@
 
 These statistics are pure plan-shape quantities: they depend on schema
 and workload, not on data scale, so this is the most directly comparable
-table of the reproduction.  Benchmarks the planning (optimization) time
-and writes ``results/table2.txt``.
+table of the reproduction.  Times the planning (optimization) and
+writes ``results/table2.txt``.
 """
 
 import pytest
@@ -12,16 +12,20 @@ from .common import (
     DATASET_NAMES,
     PAPER_TABLE2,
     Report,
+    alternating,
     covar_workload,
     cube_workload,
     dataset,
     mi_workload,
     rt_node_workload,
+    spread,
+    timed,
 )
 
 pytestmark = pytest.mark.slow
 
 WORKLOADS = ["covar", "rt_node", "mi", "cube"]
+ROUNDS = 3
 
 _measured = {}
 
@@ -39,7 +43,7 @@ def build_batch(workload, name, engine):
 
 @pytest.mark.parametrize("name", DATASET_NAMES)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_planning(benchmark, workload, name, lmfao_engine):
+def test_planning(workload, name, lmfao_engine):
     engine = lmfao_engine(name)
     batch = build_batch(workload, name, engine)
 
@@ -47,33 +51,36 @@ def test_planning(benchmark, workload, name, lmfao_engine):
         engine._plan_cache.clear()
         return engine.plan(batch)
 
-    plan = benchmark.pedantic(plan_fresh, rounds=2, iterations=1)
-    stats = plan.statistics
-    _measured[(workload, name)] = stats
+    (runs,) = alternating(ROUNDS, lambda: timed(plan_fresh))
+    stats = runs[-1][1].statistics
+    _measured[(workload, name)] = (
+        stats, spread([seconds * 1000 for seconds, _ in runs])
+    )
     # invariants that must hold at any scale
     assert stats.n_views >= 1
     assert stats.n_groups >= 1
     assert stats.n_application_aggregates == batch.n_application_aggregates
 
 
-def test_zz_table2_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_zz_table2_report():
     report = Report(
         "table2",
         f"{'workload':10}{'dataset':10}{'paper A+I':>14}{'ours A+I':>14}"
-        f"{'paper V':>9}{'ours V':>8}{'paper G':>9}{'ours G':>8}",
+        f"{'paper V':>9}{'ours V':>8}{'paper G':>9}{'ours G':>8}"
+        f"  planning ms",
     )
     for workload in WORKLOADS:
         for name in DATASET_NAMES:
-            stats = _measured.get((workload, name))
-            if stats is None:
+            if (workload, name) not in _measured:
                 continue
+            stats, planning_ms = _measured[(workload, name)]
             a, i, v, g = PAPER_TABLE2[(workload, name)]
             report.add(
                 f"{workload:10}{name:10}"
                 f"{f'{a}+{i}':>14}"
                 f"{f'{stats.n_application_aggregates}+{stats.n_intermediate_aggregates}':>14}"
                 f"{v:>9}{stats.n_views:>8}{g:>9}{stats.n_groups:>8}"
+                f"  {planning_ms}"
             )
     path = report.write()
     print(f"\nwrote {path}")

@@ -7,27 +7,23 @@ subsystem exists for:
   ``WorkloadSession`` DAG versus three independent engine runs.  What
   fusion can remove is the duplicated work: linreg's view DAG is
   covar's, so the fused run should cost one of the twins less.
-  Acceptance bar: in the median of ``ROUNDS`` paired rounds, the fused
-  run saves >= half the cheaper twin's independent time.  Each round
-  times both sides back to back, in alternating order, so a burst of
-  load from another process on a shared host lands in a few rounds'
-  savings instead of in one side's best-of time.  (The bar used to be
-  a 1.3x ratio of the totals;
-  a ratio moves with how fast the kernels are — halving the twins'
-  cost while ``trees`` stays put caps it at 1.24x however well fusion
-  works — so it is recorded, not asserted.);
+  Acceptance bar: in the median of ``ROUNDS`` alternating rounds, the
+  fused run saves >= half the cheaper twin's independent time.  (The
+  bar used to be a 1.3x ratio of the totals; a ratio moves with how
+  fast the kernels are — halving the twins' cost while ``trees`` stays
+  put caps it at 1.24x however well fusion works — so it is recorded,
+  not asserted.);
 * **warm cache** — re-running the fused session against a populated
-  content-addressed ``ViewCache`` versus the cold run (every group
-  skipped; acceptance bar >= 3x).
+  content-addressed ``ViewCache`` versus a run on the cleared cache
+  (every group skipped; acceptance bar >= 3x in the median of
+  ``WARM_ROUNDS`` alternating rounds).
 
 Ratios are always recorded in ``results/viewcache.txt`` *before* the
 bars are asserted, so a regression still leaves the measurement behind.
 Correctness rides along: fused results must match the independent runs.
 """
 
-import os
 import statistics
-import time
 
 import pytest
 
@@ -37,19 +33,23 @@ from repro.ml import CovarBatch
 from tests.engine.helpers import assert_results_equal
 
 from .common import (
-    RESULTS_DIR,
     BENCH_SCALE,
+    Report,
+    alternating,
     covar_workload,
     dataset,
     regression_label,
     rt_node_workload,
+    spread,
+    timed,
 )
 
 pytestmark = pytest.mark.slow
 
-REPEATS = 4
-#: paired rounds of independent vs fused runs; the bar holds the median
+#: alternating rounds of independent vs fused runs
 ROUNDS = 9
+#: alternating rounds of cold vs warm cached runs
+WARM_ROUNDS = 9
 #: share of the cheaper twin's (covar, linreg) time fusion must save
 FUSED_SAVING_BAR = 0.5
 WARM_SPEEDUP_BAR = 3.0
@@ -77,78 +77,43 @@ def build_workloads(ds):
     }
 
 
-def best_of(repeats, fn):
-    best, value = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
-
-
 def test_viewcache_benchmark():
     ds = dataset("retailer")
     workloads = build_workloads(ds)
 
     # independent baseline engines and the fused session, all planned
-    # up front; the timed measurements below pair both sides per round,
-    # in alternating order, so machine-load drift (this can run after
-    # two minutes of other benchmark modules, or beside another
-    # process) hits them equally
+    # up front (planning untimed, as everywhere)
     engines = {}
     for name, batch in workloads.items():
         engines[name] = LMFAO(ds.database, ds.join_tree)
-        engines[name].plan(batch)  # planning untimed, as everywhere
+        engines[name].plan(batch)
     session = WorkloadSession(ds.database, ds.join_tree)
     for name, batch in workloads.items():
         session.add_workload(name, batch)
     session.engine.plan(session.fused_batch())
 
-    independent_results = {}
-    fused_results = None
-
-    def run_independent():
-        seconds = {}
-        for name, batch in workloads.items():
-            start = time.perf_counter()
-            independent_results[name] = engines[name].run(batch)
-            seconds[name] = time.perf_counter() - start
-        return seconds
-
-    def run_fused():
-        nonlocal fused_results
-        start = time.perf_counter()
-        fused_results = session.run()
-        return time.perf_counter() - start
-
-    rounds = []  # (independent seconds by workload, fused seconds)
-    for i in range(ROUNDS):
-        if i % 2:
-            fused = run_fused()
-            rounds.append((run_independent(), fused))
-        else:
-            rounds.append((run_independent(), run_fused()))
-    savings = sorted(
-        (sum(seconds.values()) - fused)
-        / min(seconds["covar"], seconds["linreg"])
-        for seconds, fused in rounds
-    )
-    fused_saving = statistics.median(savings)
-    independent_seconds = {
-        name: statistics.median(seconds[name] for seconds, _ in rounds)
-        for name in workloads
-    }
-    independent_total = statistics.median(
-        sum(seconds.values()) for seconds, _ in rounds
-    )
-    fused_seconds = statistics.median(fused for _, fused in rounds)
-    fusion = session.fusion_report()
-
+    # one untimed call each, checked: fused results match independent ones
+    fused_results = session.run()
     for name, batch in workloads.items():
         assert_results_equal(
-            fused_results[name], independent_results[name], batch,
-            rtol=1e-8,
+            fused_results[name], engines[name].run(batch), batch, rtol=1e-8
         )
+
+    def run_independent():
+        return {
+            name: timed(lambda: engines[name].run(batch))[0]
+            for name, batch in workloads.items()
+        }
+
+    seconds, fused = alternating(
+        ROUNDS, run_independent, lambda: timed(session.run)[0]
+    )
+    totals = [sum(by_name.values()) for by_name in seconds]
+    savings = [
+        (total - fused_s) / min(by_name["covar"], by_name["linreg"])
+        for total, by_name, fused_s in zip(totals, seconds, fused)
+    ]
+    fusion = session.fusion_report()
 
     # -- cold vs warm cache (fused session + ViewCache) --------------------
     cache = ViewCache(budget_bytes=CACHE_BUDGET_MB << 20)
@@ -158,52 +123,70 @@ def test_viewcache_benchmark():
         for name, batch in workloads.items():
             cached_session.add_workload(name, batch)
         cached_session.engine.plan(cached_session.fused_batch())
-        start = time.perf_counter()
+
+        def cold():
+            cache.clear()
+            return timed(cached_session.run)[0]
+
+        def warm():
+            seconds, result = timed(cached_session.run)
+            assert result.cache_report.n_misses == 0
+            return seconds
+
+        # one untimed call each, checked: warm results equal cold ones
         cold_results = cached_session.run()
-        cold_seconds = time.perf_counter() - start
-        warm_seconds, warm_results = best_of(REPEATS, cached_session.run)
-
-    assert warm_results.cache_report.n_misses == 0
-    for name, batch in workloads.items():
-        assert_results_equal(
-            warm_results[name], cold_results[name], batch, rtol=0
-        )
-
-    fused_speedup = independent_total / fused_seconds
-    duplicated = min(independent_seconds["covar"], independent_seconds["linreg"])
-    warm_speedup = cold_seconds / warm_seconds
+        warm_results = cached_session.run()
+        for name, batch in workloads.items():
+            assert_results_equal(
+                warm_results[name], cold_results[name], batch, rtol=0
+            )
+        # a cold run leaves the cache warm, so every warm run finds it
+        # populated whichever side goes first
+        cold_runs, warm_runs = alternating(WARM_ROUNDS, cold, warm)
+    warm_speedups = [c / w for c, w in zip(cold_runs, warm_runs)]
 
     # record everything BEFORE asserting the bars
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "viewcache.txt"), "w") as handle:
-        handle.write(
-            f"view cache & fusion — covar+linreg+trees on retailer "
-            f"(scale {BENCH_SCALE}; medians of {ROUNDS} paired rounds)\n"
+    report = Report(
+        "viewcache",
+        f"view cache & fusion — covar+linreg+trees on retailer "
+        f"(scale {BENCH_SCALE}); seconds are medians",
+    )
+    for name in workloads:
+        report.add(
+            f"independent {name:8} "
+            f"{statistics.median(by_name[name] for by_name in seconds):9.4f}s"
         )
-        for name, seconds in independent_seconds.items():
-            handle.write(f"independent {name:8} {seconds:9.4f}s\n")
-        handle.write(
-            f"independent total    {independent_total:9.4f}s\n"
-            f"fused                {fused_seconds:9.4f}s  "
-            f"({fused_speedup:.2f}x; saves {fused_saving:.2f} of the "
-            f"duplicated twin, bar {FUSED_SAVING_BAR}; rounds "
-            f"{savings[0]:.2f}..{savings[-1]:.2f})\n"
-            f"cold cached          {cold_seconds:9.4f}s\n"
-            f"warm cached          {warm_seconds:9.4f}s  "
-            f"({warm_speedup:.2f}x, bar {WARM_SPEEDUP_BAR}x)\n"
-            f"fused DAG: {fusion.views_fused} views vs "
-            f"{fusion.views_independent} independent "
-            f"({fusion.views_saved} shared)\n"
-        )
+    report.add(f"independent total    {statistics.median(totals):9.4f}s")
+    report.add(
+        f"fused                {statistics.median(fused):9.4f}s"
+        f"  (independent / fused: "
+        f"{spread([t / f for t, f in zip(totals, fused)])})"
+    )
+    report.add(
+        f"fused saving, share of the duplicated twin: {spread(savings)} "
+        f"(bar {FUSED_SAVING_BAR})"
+    )
+    report.add(f"cold cached          {statistics.median(cold_runs):9.4f}s")
+    report.add(f"warm cached          {statistics.median(warm_runs):9.4f}s")
+    report.add(
+        f"warm speedup: {spread(warm_speedups)} (bar {WARM_SPEEDUP_BAR}x)"
+    )
+    report.add(
+        f"fused DAG: {fusion.views_fused} views vs "
+        f"{fusion.views_independent} independent "
+        f"({fusion.views_saved} shared)"
+    )
+    report.write()
 
+    fused_saving = statistics.median(savings)
     assert fused_saving >= FUSED_SAVING_BAR, (
         f"fused covar+linreg+trees must save >={FUSED_SAVING_BAR} of the "
-        f"duplicated twin ({duplicated:.4f}s) in the median round; "
-        f"measured {fused_saving:.2f} ({fused_seconds:.4f}s vs "
-        f"{independent_total:.4f}s; rounds {savings})"
+        f"duplicated twin in the median round; measured "
+        f"{spread(savings)}"
     )
+    warm_speedup = statistics.median(warm_speedups)
     assert warm_speedup >= WARM_SPEEDUP_BAR, (
         f"warm-cache re-run must beat the cold run by "
-        f">={WARM_SPEEDUP_BAR}x; measured {warm_speedup:.2f}x "
-        f"({warm_seconds:.4f}s vs {cold_seconds:.4f}s)"
+        f">={WARM_SPEEDUP_BAR}x in the median round; measured "
+        f"{spread(warm_speedups)}"
     )

@@ -805,10 +805,7 @@ class GroupPlanBuilder:
         signature, or its dyn slot for a dynamic function.
 
         The step's column vars are the context's own, so a factor is
-        evaluated once per context.  A factor over no attributes (a
-        zero-argument :class:`~repro.query.functions.Udf`) reads no var
-        and is evaluated once per group: its value cannot depend on the
-        context it is read in.
+        evaluated once per context.
         """
         col_vars = tuple(
             (attr, self._row_column(ctx, self._require(ctx, attr)))

@@ -21,11 +21,23 @@ def _as_function(factor: FactorLike) -> Function:
 
 
 class Product:
-    """One product term ``coefficient * prod_k f_k``."""
+    """One product term ``coefficient * prod_k f_k``.
+
+    Constant factors fold into the coefficient.  Every other factor must
+    read an attribute: the engine evaluates a factor over the rows of
+    the context its attributes live in, so one that reads none has no
+    rows to broadcast to.
+    """
 
     def __init__(self, factors: Iterable[FactorLike] = (), coefficient: float = 1.0):
         funcs = [_as_function(f) for f in factors]
         folded, rest = fold_constants(funcs)
+        for factor in rest:
+            if not factor.attrs:
+                raise ValueError(
+                    f"factor {factor!r} reads no attribute; fold a value "
+                    f"that is the same on every row into the coefficient"
+                )
         self.coefficient = coefficient * folded
         self.factors: Tuple[Function, ...] = rest
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.query.aggregates import Aggregate, Product
-from repro.query.functions import Constant, Delta, Identity, Power
+from repro.query.functions import Constant, Delta, Exp, Identity, Power, Udf
 
 
 class TestProduct:
@@ -43,6 +43,22 @@ class TestProduct:
     def test_bad_factor_type_rejected(self):
         with pytest.raises(TypeError):
             Product([object()])
+
+    @pytest.mark.parametrize(
+        "factor, name",
+        [
+            (Udf([], lambda: 2.0, "two", dynamic=False), "two"),
+            (Exp([], []), "Exp"),
+        ],
+        ids=["udf", "exp"],
+    )
+    def test_factor_reading_no_attribute_rejected(self, factor, name):
+        # the engine evaluates a factor over its attributes' rows: one
+        # that reads none used to sum to its value once (2.0, not 8.0,
+        # over 4 rows) or raise inside the engine
+        with pytest.raises(ValueError, match=name):
+            Product(["x", factor])
+        assert Product(["x", Constant(2.0)]).coefficient == 2.0
 
 
 class TestAggregate:
