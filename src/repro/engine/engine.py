@@ -69,6 +69,13 @@ class EnginePlan:
     #: ``view_frees[i]``: ids of the views no group after group ``i``
     #: reads and no query output holds, dropped after group ``i`` runs
     view_frees: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
+    #: the batch's aggregate names (:meth:`QueryBatch.aggregate_names`,
+    #: which the plan-cache key leaves out) -> one
+    #: :class:`AnswerLayout` per query, built by the first
+    #: :meth:`LMFAO.assemble` under those names
+    layouts: Dict[tuple, Tuple[AnswerLayout, ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # a group reads its input views and writes its own; result
@@ -407,66 +414,121 @@ class LMFAO:
     ) -> BatchResult:
         """Assemble per-query result relations from materialized views.
 
-        With a view cache attached every result column is a read-only
-        view: a key column or a single-term sum is a cached view's own
-        memory, so a write into a result raises instead of changing the
-        next run's answer.  Without one the views die with the run, and
-        the columns stay writable.
+        Each query's :class:`AnswerLayout` is built once per plan and
+        aggregate names.  Where a query's aggregates are one contiguous
+        run of single terms of one view, its aggregate columns are the
+        rows of one slice of that view's sums block; other aggregates
+        add up their terms.  With a view cache attached every result
+        column is a read-only view (the block slice is flagged once):
+        a key column or a block row is a cached view's own memory, so a
+        write into a result raises instead of changing the next run's
+        answer.  Without one the views die with the run, and the
+        columns stay writable.
         """
-        db = database if database is not None else self.database
-        result = BatchResult()
-        outputs_by_name = {o.query_name: o for o in plan.decomposed.outputs}
+        names = batch.aggregate_names()
+        layouts = plan.layouts.get(names)
+        if layouts is None:
+            # two threads may both build it; they build equal layouts
+            db = database if database is not None else self.database
+            layouts = plan.layouts[names] = tuple(
+                _layout(query, output, view_data, db)
+                for query, output in zip(batch, plan.decomposed.outputs)
+            )
         shared = self.view_cache is not None
-        for query in batch:
-            output = outputs_by_name[query.name]
-            result[query.name] = self._assemble_query(
-                query, output, view_data, db, shared
+        result = BatchResult()
+        for layout in layouts:
+            result[layout.query_name] = _assemble_query(
+                layout, view_data, shared
             )
         return result
 
-    def _assemble_query(
-        self, query, output, view_data, database, shared: bool
-    ) -> Relation:
-        hand_out = _read_only if shared else np.asarray
-        # key columns come from any referenced output view (all are
-        # lexicographically aligned over the same group-by tuple set)
-        first_ref = output.term_refs[0][0]
-        base = view_data[first_ref.view_id]
-        sorted_group_by = base.group_by
-        columns: Dict[str, np.ndarray] = {}
-        attrs: List[Attribute] = []
-        for attr_name in query.group_by:
-            pos = sorted_group_by.index(attr_name)
-            columns[attr_name] = hand_out(base.key_cols[pos])
-            attrs.append(
-                self._attribute(attr_name, base.key_cols[pos], database)
-            )
-        # group-by columns reserve their names; colliding aggregate names
-        # get suffixed like duplicates
-        used_names: Dict[str, int] = {name: 0 for name in query.group_by}
-        for agg, refs in zip(query.aggregates, output.term_refs):
-            total = None
-            for ref in refs:
-                col = view_data[ref.view_id].sums[ref.agg_index]
-                total = col if total is None else total + col
-            name = agg.name or "agg"
-            if name in used_names:
-                used_names[name] += 1
-                name = f"{name}_{used_names[name]}"
-            else:
-                used_names[name] = 0
-            columns[name] = hand_out(np.asarray(total, dtype=np.float64))
-            attrs.append(Attribute(name, "continuous", np.float64))
-        return Relation(query.name, Schema(attrs), columns)
 
-    def _attribute(
-        self, name: str, column: np.ndarray, database: Database
-    ) -> Attribute:
-        try:
-            kind = database.attribute_kind(name)
-        except KeyError:
-            kind = "categorical"
-        return Attribute(name, kind, column.dtype)
+@dataclass(frozen=True)
+class AnswerLayout:
+    """Where one query's result columns live in the output views.
+
+    ``key_positions`` index ``key_view``'s group-by in the query's
+    group-by order.  ``block`` is ``(view_id, lo, hi)`` when aggregate
+    ``i`` is the single term at row ``lo + i`` of one view's sums, so
+    the aggregate columns are the rows of ``sums[lo:hi]``; otherwise it
+    is None and ``terms`` lists each aggregate's ``(view_id, row)``
+    terms, which are added up.
+    """
+
+    query_name: str
+    names: Tuple[str, ...]
+    schema: Schema
+    key_view: int
+    key_positions: Tuple[int, ...]
+    block: Optional[Tuple[int, int, int]]
+    terms: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def _layout(query, output, view_data, database: Database) -> AnswerLayout:
+    assert output.query_name == query.name, (output.query_name, query.name)
+    key_view = output.term_refs[0][0].view_id
+    # key columns come from any referenced output view (all are
+    # lexicographically aligned over the same group-by tuple set)
+    base = view_data[key_view]
+    key_positions = tuple(base.group_by.index(a) for a in query.group_by)
+    attrs = [
+        Attribute(name, _kind(name, database), base.key_cols[pos].dtype)
+        for name, pos in zip(query.group_by, key_positions)
+    ]
+    # group-by columns reserve their names; colliding aggregate names
+    # get suffixed like duplicates
+    used_names: Dict[str, int] = {name: 0 for name in query.group_by}
+    for agg in query.aggregates:
+        name = agg.name or "agg"
+        if name in used_names:
+            used_names[name] += 1
+            name = f"{name}_{used_names[name]}"
+        else:
+            used_names[name] = 0
+        attrs.append(Attribute(name, "continuous", np.float64))
+    terms = tuple(
+        tuple((ref.view_id, ref.agg_index) for ref in refs)
+        for refs in output.term_refs
+    )
+    (view_id, lo), block = terms[0][0], None
+    if all(t == ((view_id, lo + i),) for i, t in enumerate(terms)):
+        block = (view_id, lo, lo + len(terms))
+    schema = Schema(attrs)
+    return AnswerLayout(
+        query.name, schema.names, schema, key_view, key_positions, block,
+        terms,
+    )
+
+
+def _kind(name: str, database: Database) -> str:
+    try:
+        return database.attribute_kind(name)
+    except KeyError:
+        return "categorical"
+
+
+def _assemble_query(
+    layout: AnswerLayout, view_data: Mapping[int, ViewData], shared: bool
+) -> Relation:
+    key_cols = view_data[layout.key_view].key_cols
+    columns = [key_cols[pos] for pos in layout.key_positions]
+    if shared:
+        columns = [_read_only(column) for column in columns]
+    if layout.block is not None:
+        view_id, lo, hi = layout.block
+        block = view_data[view_id].sums[lo:hi]
+        if shared:
+            block.flags.writeable = False
+        columns.extend(block)
+    else:
+        for refs in layout.terms:
+            total = view_data[refs[0][0]].sums[refs[0][1]]
+            for view_id, row in refs[1:]:
+                total = total + view_data[view_id].sums[row]
+            columns.append(_read_only(total) if shared else total)
+    return Relation(
+        layout.query_name, layout.schema, dict(zip(layout.names, columns))
+    )
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:

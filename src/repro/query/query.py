@@ -69,6 +69,7 @@ class QueryBatch:
         # and the value-free signature are computed once per batch
         self._dynamic: Optional[Tuple] = None
         self._structural_signature: Optional[tuple] = None
+        self._aggregate_names: Optional[tuple] = None
 
     def __iter__(self):
         return iter(self.queries)
@@ -113,6 +114,16 @@ class QueryBatch:
         if self._structural_signature is None:
             self._structural_signature = self._compute_signature()
         return self._structural_signature
+
+    def aggregate_names(self) -> Tuple[Tuple[str, ...], ...]:
+        """Each query's aggregate names, in batch order: what a result's
+        column names depend on besides the plan-cache key.  Memoized."""
+        if self._aggregate_names is None:
+            self._aggregate_names = tuple(
+                tuple(a.name for a in query.aggregates)
+                for query in self.queries
+            )
+        return self._aggregate_names
 
     def _compute_signature(self) -> tuple:
         slots = {id(f): i for i, f in enumerate(self.dynamic_functions())}

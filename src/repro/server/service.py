@@ -215,6 +215,33 @@ class DeltaResponse:
     encode: Dict[bool, Dict[str, Answer]] = field(default_factory=dict)
 
 
+class _CommitPhases:
+    """How many commits of one kind a dataset took, and the total time
+    of each phase under the write lock: ``repair``
+    (``IncrementalEngine.apply_delta``), ``wal`` (the durable append)
+    and ``publish`` (the next epoch's answers)."""
+
+    __slots__ = ("count", "repair", "wal", "publish")
+
+    def __init__(self):
+        self.count = 0
+        self.repair = self.wal = self.publish = 0.0
+
+    def add(self, repair: float, wal: float, publish: float) -> None:
+        self.count += 1
+        self.repair += repair
+        self.wal += wal
+        self.publish += publish
+
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "count": self.count,
+            "repair_ms": round(self.repair * 1e3, 3),
+            "wal_ms": round(self.wal * 1e3, 3),
+            "publish_ms": round(self.publish * 1e3, 3),
+        }
+
+
 class _DatasetState:
     """Everything the service owns for one registered dataset."""
 
@@ -264,6 +291,9 @@ class _DatasetState:
         self.executed = 0
         self.published = 0  # answers computed at commit (write_lock)
         self.n_deltas = 0  # mutated only under write_lock
+        # commits whose deltas all hit the IVM root, and the others
+        # (write_lock)
+        self.commits = {"root": _CommitPhases(), "other": _CommitPhases()}
 
 
 class AnalyticsService:
@@ -551,7 +581,7 @@ class AnalyticsService:
         batch = state.workloads[name]
         key = (
             batch.structural_signature(),
-            tuple(tuple(a.name for a in q.aggregates) for q in batch),
+            batch.aggregate_names(),
             binding,
         )
         result = results.get(key)
@@ -614,7 +644,9 @@ class AnalyticsService:
         """
         state = self._state(dataset)
         with state.write_lock:
+            start = time.perf_counter()
             report = state.ivm.apply_delta(*deltas)
+            repaired = time.perf_counter()
             encode: Dict[bool, Dict[str, Answer]] = {}
             if report.n_changes:
                 next_epoch = state.epoch.number + 1
@@ -630,10 +662,21 @@ class AnalyticsService:
                         # memory agree again.
                         state.ivm.rollback()
                         raise
+                logged = time.perf_counter()
                 epoch = Epoch(next_epoch, state.ivm.database)
                 encode = self._publish(state, state.epoch, epoch)
                 state.epoch = epoch
                 state.n_deltas += 1
+                kind = (
+                    "root"
+                    if all(d.relation == state.ivm.root for d in deltas)
+                    else "other"
+                )
+                state.commits[kind].add(
+                    repaired - start,
+                    logged - repaired,
+                    time.perf_counter() - logged,
+                )
                 if (
                     state.storage is not None
                     and self._compact_wal
@@ -683,7 +726,10 @@ class AnalyticsService:
         """One JSON-ready report over the whole service.
 
         Cache counters come from the snapshot-consistent
-        ``ViewCache.stats()``; coalescer counters likewise.
+        ``ViewCache.stats()``; coalescer counters likewise.  ``commit``
+        counts the commits whose deltas all hit the IVM root (``root``)
+        apart from the others, with each kind's total milliseconds of
+        repair, WAL append and publish.
         """
         datasets = {}
         with self._registry_lock:
@@ -713,6 +759,10 @@ class AnalyticsService:
                     ),
                 },
                 "deltas": state.n_deltas,
+                "commit": {
+                    kind: phases.as_dict()
+                    for kind, phases in state.commits.items()
+                },
                 "ivm": state.ivm.stats(),
                 "cache": (
                     None

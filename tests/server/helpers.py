@@ -6,7 +6,8 @@ def assert_stats_identities(stats):
     (or ``/stats``) payload.
 
     Per dataset every applied delta is counted once, as incremental or
-    as a fallback, and every query once, as a memo hit or as executed.
+    as a fallback, every commit once, as a root commit or another one,
+    and every query once, as a memo hit or as executed.
     The service must be idle (no request in flight): every request the
     coalescer admitted has finished exactly one way and none is waiting.
     """
@@ -15,6 +16,10 @@ def assert_stats_identities(stats):
         assert ivm["incremental"] + ivm["fallbacks"] == ivm["deltas"], (
             name, ivm,
         )
+        commit = dataset["commit"]
+        assert commit["root"]["count"] + commit["other"]["count"] == (
+            dataset["deltas"]
+        ), (name, commit, dataset["deltas"])
         assert dataset["queries"] == (
             answers["memo_hits"] + answers["executed"]
         ), (name, dataset["queries"], answers)

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import LMFAO, AnalyticsService
+from repro import LMFAO, AnalyticsService, DeltaBatch
 from repro.server import AnalyticsClient, serve_in_background
 from repro.server.http import query_response_body
 from repro.server.service import Answer, QueryResponse
@@ -180,6 +180,46 @@ class TestPublishedAnswers:
                 broken,
                 rtol=1e-8,
             )
+
+
+class TestCommitStats:
+    def test_commits_are_timed_root_and_other_apart(self, toy_db, tmp_path):
+        """``/stats`` ``commit`` counts a commit as root when every delta
+        in it hits the IVM root (``Sales``), and sums each kind's phase
+        times; a delta that changes nothing is no commit."""
+        with make_service(str(tmp_path / "data"), toy_db) as service:
+            for name in WORKLOADS:
+                service.query("toy", [name], timeout=60)
+            assert service._state("toy").ivm.root == "Sales"
+            service.apply_delta("toy", insert_delta(toy_db))
+            service.apply_delta("toy", dimension_delta(toy_db))
+            service.apply_delta(
+                "toy", insert_delta(toy_db), dimension_delta(toy_db)
+            )
+            service.apply_delta(
+                "toy", DeltaBatch.delete("Sales", np.array([], dtype=int))
+            )
+            stats = service.stats()
+        assert_stats_identities(stats)
+        toy = stats["datasets"]["toy"]
+        assert toy["deltas"] == 3
+        commit = toy["commit"]
+        assert commit["root"]["count"] == 1
+        assert commit["other"]["count"] == 2
+        for phases in commit.values():
+            for phase in ("repair_ms", "wal_ms", "publish_ms"):
+                assert phases[phase] > 0, (phase, phases)
+
+    def test_without_storage_nothing_is_logged(self, toy_db):
+        with AnalyticsService(cache_mb=8) as service:
+            service.register_dataset("toy", toy_db)
+            service.apply_delta("toy", insert_delta(toy_db))
+            commit = toy_stats(service)["commit"]
+        assert commit["root"]["count"] == 1
+        assert commit["root"]["wal_ms"] < commit["root"]["repair_ms"]
+        assert commit["other"] == {
+            "count": 0, "repair_ms": 0.0, "wal_ms": 0.0, "publish_ms": 0.0,
+        }
 
 
 class TestRepairedViewsStayInMemory:

@@ -11,10 +11,12 @@ import urllib.parse
 import numpy as np
 import pytest
 
-from repro import AnalyticsService
+from repro import LMFAO, AnalyticsService
+from repro.__main__ import _build_workload
 from repro.server import AnalyticsClient, ClientError, serve_in_background
 
 from ..engine.helpers import WORKLOADS
+from .helpers import assert_stats_identities
 from .test_service import (
     assert_same_json,
     commit_stages,
@@ -100,6 +102,146 @@ class TestSameShapedWorkloads:
         assert failures == []
         assert answered == [24, 24]
         assert service.coalescer.stats().failed == 0
+
+    def test_twin_workloads_read_beside_a_delta_stream(self, tiny_retailer):
+        """``linreg`` in a served read mix: two readers ask for covar,
+        linreg, trees and their fused pairs while a writer commits root
+        and dimension deltas.  No request fails, and every answer equals
+        a fresh engine run at the epoch it claims, under its own
+        workload's column names."""
+        ds = tiny_retailer
+        planner = LMFAO(ds.database, ds.join_tree)
+        batches = {
+            name: _build_workload(ds, planner, name)
+            for name in ("covar", "linreg", "trees")
+        }
+        service = AnalyticsService(cache_mb=16)
+        service.register_dataset("retailer", ds.database, ds.join_tree)
+        for name, batch in batches.items():
+            service.register_workload("retailer", name, batch)
+        server, _thread = serve_in_background(service, port=0)
+        host, port = server.server_address[:2]
+        mix = (
+            ["covar"],
+            ["linreg"],
+            ["trees"],
+            ["covar", "trees"],
+            ["linreg", "trees"],
+            ["covar", "linreg"],
+        )
+        databases = {0: ds.database}
+        answers, failures = [], []
+        stop = threading.Event()
+
+        def reader(which):
+            client = AnalyticsClient(host, port)
+            i = which
+            while not stop.is_set() or i < which + 2 * len(mix):
+                wanted = mix[i % len(mix)]
+                i += 1
+                try:
+                    answers.append(
+                        client.query("retailer", wanted, include_data=True)
+                    )
+                except Exception as exc:  # noqa: BLE001 - counted below
+                    failures.append((wanted, exc))
+            client.close()
+
+        def writer():
+            try:
+                commit_stream()
+            except Exception as exc:  # noqa: BLE001 - counted below
+                failures.append(("delta", exc))
+            stop.set()
+
+        def commit_stream():
+            client = AnalyticsClient(host, port)
+            rng = np.random.default_rng(5)
+            for step in range(8):
+                relation = "Inventory" if step % 2 else "Items"
+                payload = client.delta(
+                    "retailer",
+                    relation,
+                    **retailer_delta(
+                        service.snapshot("retailer").database.relation(
+                            relation
+                        ),
+                        rng,
+                    ),
+                )
+                epoch = service.snapshot("retailer")
+                assert epoch.number == payload["epoch"]
+                databases[epoch.number] = epoch.database
+                time.sleep(0.02)
+            client.close()
+
+        try:
+            AnalyticsClient(host, port).wait_ready(timeout=10)
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader, args=(which,))
+                for which in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(100)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = service.stats()
+        finally:
+            stop.set()
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert failures == []
+        assert service.coalescer.stats().failed == 0
+        assert_stats_identities(stats)
+        commit = stats["datasets"]["retailer"]["commit"]
+        assert (commit["root"]["count"], commit["other"]["count"]) == (4, 4)
+        assert len(databases) == 9
+        expected = {}
+        for payload in answers:
+            epoch = payload["epoch"]
+            for workload, served in payload["results"].items():
+                key = (epoch, workload)
+                if key not in expected:
+                    expected[key] = LMFAO(
+                        databases[epoch], ds.join_tree
+                    ).run(batches[workload])
+                want = expected[key]
+                assert set(served) == set(want), key
+                for query_name, relation in want.items():
+                    got = served[query_name]
+                    assert got["columns"] == list(relation.schema.names), (
+                        key, query_name,
+                    )
+                    for column in got["columns"]:
+                        np.testing.assert_allclose(
+                            got["data"][column],
+                            relation.column(column),
+                            rtol=1e-8,
+                            atol=1e-8,
+                            err_msg=f"{key} {query_name}.{column}",
+                        )
+        assert {workload for _epoch, workload in expected} == set(batches)
+        assert len({epoch for epoch, _workload in expected}) > 1
+
+
+def retailer_delta(relation, rng, n=3):
+    """A ``/delta`` body that retracts ``n`` rows of ``relation`` and
+    inserts them back, their continuous attributes bumped: key sets
+    stay, values move."""
+    rows = rng.choice(relation.n_rows, n, replace=False)
+    bump = float(rng.integers(1, 5))
+    return {
+        "inserts": {
+            attr.name: (
+                relation.column(attr.name)[rows]
+                + (bump if attr.kind == "continuous" else 0)
+            ).tolist()
+            for attr in relation.schema
+        },
+        "delete_indices": sorted(int(i) for i in rows),
+    }
 
 
 class TestEndpoints:
