@@ -69,10 +69,10 @@ class EnginePlan:
     #: ``view_frees[i]``: ids of the views no group after group ``i``
     #: reads and no query output holds, dropped after group ``i`` runs
     view_frees: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
-    #: the batch's aggregate names (:meth:`QueryBatch.aggregate_names`,
-    #: which the plan-cache key leaves out) -> one
-    #: :class:`AnswerLayout` per query, built by the first
-    #: :meth:`LMFAO.assemble` under those names
+    #: (first query, aggregate names of the batch assembled from it:
+    #: :meth:`QueryBatch.aggregate_names`, which the plan-cache key
+    #: leaves out) -> one :class:`AnswerLayout` per query, built by the
+    #: first :meth:`LMFAO.assemble` under that key
     layouts: Dict[tuple, Tuple[AnswerLayout, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -411,41 +411,48 @@ class LMFAO:
         view_data: Mapping[int, ViewData],
         *,
         database: Optional[Database] = None,
+        first: int = 0,
     ) -> BatchResult:
         """Assemble per-query result relations from materialized views.
 
-        Each query's :class:`AnswerLayout` is built once per plan and
-        aggregate names.  Where a query's aggregates are one contiguous
-        run of single terms of one view, its aggregate columns are the
-        rows of one slice of that view's sums block; other aggregates
-        add up their terms.  With a view cache attached every result
-        column is a read-only view (the block slice is flagged once):
-        a key column or a block row is a cached view's own memory, so a
-        write into a result raises instead of changing the next run's
-        answer.  Without one the views die with the run, and the
-        columns stay writable.
+        ``batch`` is the planned batch, or a run of its queries starting
+        at query ``first`` under names of their own: one member of a
+        fused batch (:class:`~repro.engine.viewcache.fusion.FusedBatch`).
+        Each query's :class:`AnswerLayout` is built once per plan, first
+        query and aggregate names.  Where a query's aggregates are one
+        contiguous run of single terms of one view, its aggregate
+        columns are the rows of one slice of that view's sums block;
+        other aggregates add up their terms.  With a view cache attached
+        every result column is a read-only view (the block slice is
+        flagged once): a key column or a block row is a cached view's
+        own memory, so a write into a result raises instead of changing
+        the next run's answer.  Without one the views die with the run,
+        and the columns stay writable.
         """
-        names = batch.aggregate_names()
-        layouts = plan.layouts.get(names)
+        key = (first, batch.aggregate_names())
+        layouts = plan.layouts.get(key)
         if layouts is None:
             # two threads may both build it; they build equal layouts
             db = database if database is not None else self.database
-            layouts = plan.layouts[names] = tuple(
+            outputs = plan.decomposed.outputs[first : first + len(batch)]
+            assert len(outputs) == len(batch), (first, len(batch))
+            layouts = plan.layouts[key] = tuple(
                 _layout(query, output, view_data, db)
-                for query, output in zip(batch, plan.decomposed.outputs)
+                for query, output in zip(batch, outputs)
             )
         shared = self.view_cache is not None
         result = BatchResult()
-        for layout in layouts:
-            result[layout.query_name] = _assemble_query(
-                layout, view_data, shared
+        for query, layout in zip(batch, layouts):
+            result[query.name] = _assemble_query(
+                query.name, layout, view_data, shared
             )
         return result
 
 
 @dataclass(frozen=True)
 class AnswerLayout:
-    """Where one query's result columns live in the output views.
+    """Where one query's result columns live in the output views (the
+    query's name is the assembled batch's, not the layout's).
 
     ``key_positions`` index ``key_view``'s group-by in the query's
     group-by order.  ``block`` is ``(view_id, lo, hi)`` when aggregate
@@ -455,7 +462,6 @@ class AnswerLayout:
     terms, which are added up.
     """
 
-    query_name: str
     names: Tuple[str, ...]
     schema: Schema
     key_view: int
@@ -465,7 +471,9 @@ class AnswerLayout:
 
 
 def _layout(query, output, view_data, database: Database) -> AnswerLayout:
-    assert output.query_name == query.name, (output.query_name, query.name)
+    assert len(output.term_refs) == query.n_aggregates, (
+        output.query_name, query.name,
+    )
     key_view = output.term_refs[0][0].view_id
     # key columns come from any referenced output view (all are
     # lexicographically aligned over the same group-by tuple set)
@@ -495,8 +503,7 @@ def _layout(query, output, view_data, database: Database) -> AnswerLayout:
         block = (view_id, lo, lo + len(terms))
     schema = Schema(attrs)
     return AnswerLayout(
-        query.name, schema.names, schema, key_view, key_positions, block,
-        terms,
+        schema.names, schema, key_view, key_positions, block, terms
     )
 
 
@@ -508,7 +515,10 @@ def _kind(name: str, database: Database) -> str:
 
 
 def _assemble_query(
-    layout: AnswerLayout, view_data: Mapping[int, ViewData], shared: bool
+    name: str,
+    layout: AnswerLayout,
+    view_data: Mapping[int, ViewData],
+    shared: bool,
 ) -> Relation:
     key_cols = view_data[layout.key_view].key_cols
     columns = [key_cols[pos] for pos in layout.key_positions]
@@ -526,9 +536,7 @@ def _assemble_query(
             for view_id, row in refs[1:]:
                 total = total + view_data[view_id].sums[row]
             columns.append(_read_only(total) if shared else total)
-    return Relation(
-        layout.query_name, layout.schema, dict(zip(layout.names, columns))
-    )
+    return Relation(name, layout.schema, dict(zip(layout.names, columns)))
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:

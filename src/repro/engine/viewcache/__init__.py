@@ -10,9 +10,10 @@ Three pieces, layered on the executor subsystem:
   hit/miss/eviction stats and delta-driven repair: affected
   entries are patched in one pass, smallest footprint first, and
   re-keyed, with eviction only as the fallback;
-* :mod:`~repro.engine.viewcache.fusion` — :class:`WorkloadSession`,
-  which fuses several query batches into one deduplicated DAG, executes
-  shared views once, and fans results back out per workload.
+* :mod:`~repro.engine.viewcache.fusion` — :class:`FusedBatch`, which
+  fuses several query batches into one deduplicated DAG, executes
+  shared views once, and assembles each workload's answer from the run;
+  :class:`WorkloadSession` is its library front end.
 """
 
 from .cache import (
@@ -34,6 +35,7 @@ __all__ = [
     "CacheRunReport",
     "CacheStats",
     "DEFAULT_BUDGET_BYTES",
+    "FusedBatch",
     "FusionReport",
     "PatchRecipe",
     "SessionResult",
@@ -50,7 +52,9 @@ __all__ = [
 def __getattr__(name):
     # fusion imports the engine facade, which imports this package; the
     # deferred import breaks the cycle without an import-order landmine
-    if name in ("WorkloadSession", "SessionResult", "FusionReport"):
+    if name in (
+        "FusedBatch", "WorkloadSession", "SessionResult", "FusionReport"
+    ):
         from . import fusion
 
         return getattr(fusion, name)

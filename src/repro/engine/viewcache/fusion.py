@@ -3,28 +3,32 @@
 LMFAO's sharing (paper §3.4) stops at the boundary of one
 :class:`QueryBatch`: covar, linear-regression, and decision-tree
 batches over the same dataset each rebuild near-identical view DAGs
-from scratch.  A :class:`WorkloadSession` removes that boundary by
-*fusing* the batches — every query is renamed ``workload::query`` and
-the union is planned as one mega-batch, so the Merge Views layer's own
-memo/bucketing deduplicates structurally equal views **across**
-workloads.  Shared views execute once; results fan back out per workload with the original query names.
+from scratch.  A :class:`FusedBatch` removes that boundary: every query
+is renamed ``workload::query`` and the union is planned as one
+mega-batch, so the Merge Views layer's own memo/bucketing deduplicates
+structurally equal views **across** workloads.  Shared views execute
+once; each workload's answer is then assembled from the run's views
+under its own query names.  :class:`WorkloadSession` (the library and
+``repro run --fuse``) and the analytics service both fuse this way.
 
 A :class:`~repro.engine.viewcache.cache.ViewCache` attached to the
-session extends the sharing across *runs*: the fused plan's views are
+engine extends the sharing across *runs*: the fused plan's views are
 content-addressed, so a warm re-run (or a later session over the same
 data) serves them from cache instead of recomputing.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ...data.database import Database
 from ...jointree.join_tree import JoinTree
 from ...query.query import Query, QueryBatch
-from ..engine import LMFAO, BatchResult
-from .cache import ViewCache
+from ..engine import LMFAO, BatchResult, EnginePlan
+from ..interpreter import ViewData
+from .cache import CacheRunReport, ViewCache
 
 #: joins workload and query names in the fused batch
 WORKLOAD_SEPARATOR = "::"
@@ -65,6 +69,91 @@ class SessionResult(dict):
         self.cache_report = None
 
 
+class FusedBatch:
+    """Named batches as one: the union of their queries, each renamed
+    ``workload::query``, and the position of each member's first query
+    in it.
+
+    Aggregate objects are shared with the member batches, so dynamic
+    functions keep their identities and plan-cache slots, and re-binding
+    one in place re-binds the union too.
+    """
+
+    def __init__(self, workloads: Mapping[str, QueryBatch]):
+        if not workloads:
+            raise ValueError("no workloads to fuse")
+        self.members: Dict[str, QueryBatch] = dict(workloads)
+        self.offsets: Dict[str, int] = {}
+        queries: List[Query] = []
+        for workload, batch in self.members.items():
+            _check_name(workload)
+            self.offsets[workload] = len(queries)
+            queries.extend(
+                Query(
+                    f"{workload}{WORKLOAD_SEPARATOR}{query.name}",
+                    query.group_by,
+                    query.aggregates,
+                )
+                for query in batch
+            )
+        self.batch = QueryBatch(queries)
+
+    def run(
+        self, engine: LMFAO, *, database: Optional[Database] = None
+    ) -> "FusedRun":
+        """Plan and execute the union once through ``engine``;
+        ``database`` pins the run to one version (:meth:`LMFAO.run`)."""
+        db = database if database is not None else engine.database
+        t0 = time.perf_counter()
+        plan = engine.plan(self.batch)
+        t1 = time.perf_counter()
+        views, report = engine.execute(
+            plan, self.batch.dynamic_functions(), database=db
+        )
+        return FusedRun(
+            self, engine, plan, views, db, report,
+            plan_seconds=t1 - t0,
+            execute_seconds=time.perf_counter() - t1,
+        )
+
+
+@dataclass
+class FusedRun:
+    """One execution of a :class:`FusedBatch`: its output views, from
+    which :meth:`result` assembles any member's answer."""
+
+    fused: FusedBatch
+    engine: LMFAO
+    plan: EnginePlan
+    views: Dict[int, ViewData]
+    database: Database
+    cache_report: Optional[CacheRunReport]
+    plan_seconds: float
+    execute_seconds: float
+
+    def result(self, workload: str) -> BatchResult:
+        """One member's :class:`BatchResult`, under its own query names."""
+        result = self.engine.assemble(
+            self.fused.members[workload],
+            self.plan,
+            self.views,
+            database=self.database,
+            first=self.fused.offsets[workload],
+        )
+        result.plan_seconds = self.plan_seconds
+        result.execute_seconds = self.execute_seconds
+        result.cache_report = self.cache_report
+        return result
+
+
+def _check_name(workload: str) -> None:
+    if WORKLOAD_SEPARATOR in workload:
+        raise ValueError(
+            f"workload name {workload!r} may not contain "
+            f"{WORKLOAD_SEPARATOR!r}"
+        )
+
+
 class WorkloadSession:
     """Several query batches sharing one engine, one DAG, one cache.
 
@@ -95,7 +184,7 @@ class WorkloadSession:
             database, join_tree, view_cache=cache, **engine_kwargs
         )
         self._workloads: Dict[str, QueryBatch] = {}
-        self._fused: Optional[QueryBatch] = None
+        self._fused: Optional[FusedBatch] = None
 
     @property
     def cache(self) -> Optional[ViewCache]:
@@ -116,11 +205,7 @@ class WorkloadSession:
 
     def add_workload(self, name: str, batch: QueryBatch) -> "WorkloadSession":
         """Register one named batch; returns self for chaining."""
-        if WORKLOAD_SEPARATOR in name:
-            raise ValueError(
-                f"workload name {name!r} may not contain "
-                f"{WORKLOAD_SEPARATOR!r}"
-            )
+        _check_name(name)
         if name in self._workloads:
             raise ValueError(f"duplicate workload name {name!r}")
         self._workloads[name] = batch
@@ -128,33 +213,28 @@ class WorkloadSession:
         return self
 
     def fused_batch(self) -> QueryBatch:
-        """The union of all workloads, queries renamed ``workload::query``.
+        """The union of all workloads, queries renamed ``workload::query``
+        (:class:`FusedBatch`)."""
+        return self._fusion().batch
 
-        Aggregate objects are shared with the source batches, so dynamic
-        functions keep their identities and plan-cache slots.
-        """
+    def _fusion(self) -> FusedBatch:
         if not self._workloads:
             raise ValueError("session has no workloads")
         if self._fused is None:
-            self._fused = QueryBatch(
-                [
-                    Query(
-                        f"{workload}{WORKLOAD_SEPARATOR}{query.name}",
-                        query.group_by,
-                        query.aggregates,
-                    )
-                    for workload, batch in self._workloads.items()
-                    for query in batch
-                ]
-            )
+            self._fused = FusedBatch(self._workloads)
         return self._fused
 
     # -- execution ---------------------------------------------------------
 
     def run(self) -> SessionResult:
         """Execute all workloads as one fused DAG; fan results back out."""
-        merged = self.engine.run(self.fused_batch())
-        result = self._split(merged)
+        run = self._fusion().run(self.engine)
+        result = SessionResult(
+            (workload, run.result(workload)) for workload in self._workloads
+        )
+        result.plan_seconds = run.plan_seconds
+        result.execute_seconds = run.execute_seconds
+        result.cache_report = run.cache_report
         result.fused = True
         return result
 
@@ -167,24 +247,6 @@ class WorkloadSession:
             result.plan_seconds += batch_result.plan_seconds
             result.execute_seconds += batch_result.execute_seconds
             result.cache_report = batch_result.cache_report
-        return result
-
-    def _split(self, merged: BatchResult) -> SessionResult:
-        result = SessionResult()
-        for workload in self._workloads:
-            result[workload] = BatchResult()
-        for fused_name, relation in merged.items():
-            workload, _, query_name = fused_name.partition(
-                WORKLOAD_SEPARATOR
-            )
-            result[workload][query_name] = relation.rename(query_name)
-        result.plan_seconds = merged.plan_seconds
-        result.execute_seconds = merged.execute_seconds
-        result.cache_report = merged.cache_report
-        for batch_result in result.values():
-            batch_result.plan_seconds = merged.plan_seconds
-            batch_result.execute_seconds = merged.execute_seconds
-            batch_result.cache_report = merged.cache_report
         return result
 
     # -- reporting -----------------------------------------------------------

@@ -31,12 +31,23 @@ readers at the new epoch hit the delta-patched views immediately.
 backlog: a request that finds the worker idle runs at once, and the
 requests against the same dataset that queue up while a batch executes
 are drained together as the next one.  Each distinct answer in the
-batch is computed once through the dataset's engine — one run per
-workload, or per batch registered under several names — and fans back
-out to every request that named it.  Workloads in one batch share views
-the way they share them across batches and epochs: through the
-content-addressed :class:`ViewCache`, so a view one workload computed
-is a hit for the next.
+batch is computed once and fans back out to every request that named
+it.
+
+**One fused batch per dataset.**  LMFAO's Merge Views layer shares
+views only within one batch, so the service plans every registered
+workload whose answer is cacheable (no ``Udf`` views, see
+:func:`answer_binding`) as one
+:class:`~repro.engine.viewcache.fusion.FusedBatch`: the union of their
+queries, rebuilt by :meth:`AnalyticsService.register_workload` and
+planned by :meth:`AnalyticsService.prepare`.  A coalesced batch or a
+commit runs it at most once, and each member's answer is its own
+queries, under its own names, assembled from that run's views.  Views
+the workloads share are computed, cached and repaired once: on retailer
+``covar``, ``trees`` and ``mutual_information`` need half the views
+fused that they need planned apart, and a commit repairs and publishes
+one DAG instead of three.  A ``Udf`` workload runs on its own, once per
+distinct batch and binding.  ``cache_mb=0`` takes the same path.
 
 **The answer memo.**  Between two commits an answer cannot change, and
 the :class:`Epoch` object already marks exactly when it stops being
@@ -60,12 +71,14 @@ for every workload resident in the previous epoch's memo, after view
 repair and the WAL append and before the epoch swap, so the first read
 after a delta is a memo hit like any other.  The commit computes an
 answer the way the coalescer does (:meth:`AnalyticsService._answer`:
-one engine run per distinct answer, over views the repair just
-re-keyed).  Two kinds of workload are left to the miss path: one whose
-dynamic functions were re-bound since its answer was stored, and one
-with ``Udf`` views, which no cache holds, so publishing it would re-run
-it from scratch inside every commit.  A workload whose answer fails to
-compute stays a miss too; the commit stands.
+one run of the fused batch, over views the repair just re-keyed).  Two
+kinds of workload are left to the miss path: one whose dynamic
+functions were re-bound since its answer was stored, and one with
+``Udf`` views, which no cache holds, so publishing it would re-run it
+from scratch inside every commit.  A workload whose answer fails to
+compute stays a miss too, and the commit stands.  A failing fused run
+fails every member's answer (it is tried once per commit); a failure
+in one member's assembly fails that member alone.
 
 The memo needs no invalidation, budget or TTL because it is reachable
 only from its epoch: it dies with the epoch object, a reader pinned to
@@ -91,8 +104,10 @@ from ..data.database import Database, DeltaBatch
 from ..engine.engine import LMFAO, BatchResult
 from ..engine.ivm import DeltaReport, IncrementalEngine
 from ..engine.viewcache.cache import ViewCache
+from ..engine.viewcache.fusion import FusedBatch
 from ..engine.viewcache.signature import dyn_binding_key
 from ..jointree.join_tree import JoinTree
+from ..obs import GcPauses
 from ..query.functions import Udf
 from ..query.query import QueryBatch
 from ..storage.manager import DatasetStorage, RecoveryStats
@@ -280,6 +295,10 @@ class _DatasetState:
             self.engine.view_cache = None
         self.join_tree = self.engine.join_tree
         self.workloads: Dict[str, QueryBatch] = {}
+        # every registered workload whose answer is cacheable, as one
+        # batch (module docstring); rebuilt, never mutated, so a reader
+        # takes one reference
+        self.fused: Optional[FusedBatch] = None
         # swapped atomically under write_lock; readers take one
         # reference read and never lock
         self.epoch = Epoch(initial_epoch, self.engine.database)
@@ -347,6 +366,9 @@ class AnalyticsService:
             int(spill_mb * (1 << 20)) if spill_mb else None
         )
         self._started = time.time()
+        # the interpreter's full collections while this service runs
+        self._gc = GcPauses()
+        self._gc.install()
         self.coalescer = RequestCoalescer(
             self._execute_coalesced, max_queue=max_queue
         )
@@ -428,14 +450,28 @@ class AnalyticsService:
         """Register one named query batch servable on a dataset.
 
         The batch object is reused across every request naming it, so
-        plans are built once and shared.
+        plans are built once and shared.  A batch whose answer is
+        cacheable (no ``Udf``) joins the dataset's fused batch, which is
+        rebuilt here (module docstring).
         """
         state = self._state(dataset)
-        if name in state.workloads:
-            raise ValueError(
-                f"workload {name!r} already registered on {dataset!r}"
-            )
-        state.workloads[name] = batch
+        with self._registry_lock:
+            if name in state.workloads:
+                raise ValueError(
+                    f"workload {name!r} already registered on {dataset!r}"
+                )
+            if not answer_binding(batch)[1]:
+                # published before the name: a request that finds the
+                # name finds it fused
+                workloads = {**state.workloads, name: batch}
+                state.fused = FusedBatch(
+                    {
+                        member: member_batch
+                        for member, member_batch in workloads.items()
+                        if not answer_binding(member_batch)[1]
+                    }
+                )
+            state.workloads[name] = batch
         return self
 
     def datasets(self) -> List[str]:
@@ -454,11 +490,15 @@ class AnalyticsService:
         return self._state(dataset).epoch
 
     def prepare(self, dataset: str) -> "AnalyticsService":
-        """Plan every registered workload before traffic, so serving
-        threads never pay planning inline."""
+        """Plan the fused batch and every workload outside it before
+        traffic, so serving threads never pay planning inline."""
         state = self._state(dataset)
-        for batch in state.workloads.values():
-            state.engine.plan(batch)
+        fused = state.fused
+        if fused is not None:
+            state.engine.plan(fused.batch)
+        for name, batch in state.workloads.items():
+            if fused is None or name not in fused.members:
+                state.engine.plan(batch)
         return self
 
     def _state(self, dataset: str) -> _DatasetState:
@@ -535,7 +575,7 @@ class AnalyticsService:
             name: answer_binding(state.workloads[name]) for name in distinct
         }
         start = time.perf_counter()
-        results: Dict[tuple, BatchResult] = {}
+        results: Dict[object, object] = {}
         answers = {
             name: self._answer(
                 state, name, bindings[name], epoch.database, results
@@ -565,19 +605,33 @@ class AnalyticsService:
         name: str,
         binding: tuple,
         database: Database,
-        results: Dict[tuple, BatchResult],
+        results: Dict[object, object],
     ) -> Answer:
         """One workload's answer at ``database``: the one way both the
         coalescer and a commit compute answers.
 
-        ``results`` holds the runs the caller made so far, keyed by what
-        identifies an answer: the batch's plan-cache key
-        (``structural_signature``), its aggregate names (the result's
-        column names, which that key leaves out) and its
+        ``results`` holds the runs the caller made so far.  A member of
+        the fused batch reads its answer off the one run of that batch,
+        kept under the :class:`FusedBatch` itself (or the exception it
+        raised, which every member then raises).  Any other workload
+        runs alone, keyed by what identifies an answer: the batch's
+        plan-cache key (``structural_signature``), its aggregate names
+        (the result's column names, which that key leaves out) and its
         :func:`answer_binding` — not its workload name, so one batch
-        registered under two names (the covar matrix served as both
-        ``covar`` and ``linreg``) runs once.
+        registered under two names runs once.
         """
+        fused = state.fused
+        if fused is not None and name in fused.members:
+            run = results.get(fused)
+            if run is None:
+                try:
+                    run = fused.run(state.engine, database=database)
+                except Exception as exc:
+                    run = exc
+                results[fused] = run
+            if isinstance(run, Exception):
+                raise run
+            return Answer(run.result(name), binding)
         batch = state.workloads[name]
         key = (
             batch.structural_signature(),
@@ -597,7 +651,7 @@ class AnalyticsService:
         """Fill ``epoch``'s memo before it is published (module
         docstring); returns the new answers grouped by the serialised
         forms of their predecessors (:attr:`DeltaResponse.encode`)."""
-        results: Dict[tuple, BatchResult] = {}
+        results: Dict[object, object] = {}
         encode: Dict[bool, Dict[str, Answer]] = {}
         for name, old in list(previous.answers.items()):
             binding = answer_binding(state.workloads[name])
@@ -729,7 +783,9 @@ class AnalyticsService:
         ``ViewCache.stats()``; coalescer counters likewise.  ``commit``
         counts the commits whose deltas all hit the IVM root (``root``)
         apart from the others, with each kind's total milliseconds of
-        repair, WAL append and publish.
+        repair, WAL append and publish.  ``gc`` counts the process's full
+        garbage collections since this service started
+        (:class:`repro.obs.GcPauses`).
         """
         datasets = {}
         with self._registry_lock:
@@ -795,6 +851,7 @@ class AnalyticsService:
         return {
             "uptime_seconds": round(time.time() - self._started, 3),
             "coalescer": self.coalescer.stats().as_dict(),
+            "gc": self._gc.as_dict(),
             "datasets": datasets,
         }
 
@@ -811,6 +868,7 @@ class AnalyticsService:
         them warm.
         """
         self.coalescer.close()
+        self._gc.uninstall()
         with self._registry_lock:
             states = list(self._states.values())
         for state in states:

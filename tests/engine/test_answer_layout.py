@@ -118,8 +118,10 @@ def test_only_outputs_off_one_block_run_add_terms(toy_db):
     full = LMFAO(toy_db)
     full.run(batch)
     blocks = {
-        layout.query_name: layout.block
-        for layout in full.plan(batch).layouts[batch.aggregate_names()]
+        query.name: layout.block
+        for query, layout in zip(
+            batch, full.plan(batch).layouts[0, batch.aggregate_names()]
+        )
     }
     assert blocks.pop("mix") is None
     assert all(block is not None for block in blocks.values()), blocks
@@ -134,7 +136,7 @@ def test_only_outputs_off_one_block_run_add_terms(toy_db):
     )
     none = LMFAO(toy_db, merge_mode="none")
     none.run(two)
-    (layout,) = none.plan(two).layouts[two.aggregate_names()]
+    (layout,) = none.plan(two).layouts[0, two.aggregate_names()]
     assert layout.block is None
     assert len(layout.terms) == 2
 
@@ -185,14 +187,15 @@ def test_served_batches_take_the_block_slice(tiny_retailer):
         result = engine.run(batch)
         plan = engine.plan(batch)
         views, _ = engine.execute(plan, batch.dynamic_functions())
-        for layout in plan.layouts[batch.aggregate_names()]:
-            assert layout.block is not None, (workload, layout.query_name)
+        layouts = plan.layouts[0, batch.aggregate_names()]
+        for query, layout in zip(batch, layouts):
+            assert layout.block is not None, (workload, query.name)
             view_id, lo, hi = layout.block
             sums = views[view_id].sums
             aggregates = layout.names[len(layout.key_positions):]
             assert hi - lo == len(aggregates)
             for row, name in zip(range(lo, hi), aggregates):
-                column = result[layout.query_name].column(name)
+                column = result[query.name].column(name)
                 assert np.shares_memory(column, sums[row])
                 np.testing.assert_array_equal(column, sums[row])
             n_queries += 1

@@ -8,6 +8,7 @@ returns results ``allclose``-identical to three independent
 import pytest
 
 from repro import LMFAO, ViewCache, WorkloadSession
+from repro.engine.viewcache import FusedBatch
 from repro.ml import CovarBatch
 from repro.ml.trees import CARTLearner
 
@@ -111,6 +112,47 @@ class TestSessionWithCache:
         assert_results_equal(
             results["linreg"], expected, workloads["linreg"], rtol=1e-9
         )
+
+
+class TestFusedBatch:
+    def test_members_are_assembled_under_their_own_names(
+        self, tiny_retailer, workloads
+    ):
+        """Each member's answer comes off the one run under its own
+        query names, through one answer layout per member kept on the
+        fused plan; nothing is renamed."""
+        ds = tiny_retailer
+        fused = FusedBatch(workloads)
+        engine = LMFAO(ds.database, ds.join_tree, view_cache=ViewCache())
+        run = fused.run(engine)
+        assert run.plan is engine.plan(fused.batch)
+        for name, batch in workloads.items():
+            result = run.result(name)
+            assert [r.name for r in result.values()] == [
+                query.name for query in batch
+            ]
+            assert_results_equal(
+                result,
+                LMFAO(ds.database, ds.join_tree).run(batch),
+                batch,
+                rtol=1e-9,
+            )
+        assert set(run.plan.layouts) == {
+            (fused.offsets[name], batch.aggregate_names())
+            for name, batch in workloads.items()
+        }
+
+    def test_offsets_index_the_union(self, workloads):
+        fused = FusedBatch(workloads)
+        queries = list(fused.batch)
+        for name, batch in workloads.items():
+            first = fused.offsets[name]
+            for i, query in enumerate(batch):
+                assert queries[first + i].name == f"{name}::{query.name}"
+                assert queries[first + i].aggregates is query.aggregates
+        assert len(queries) == sum(len(b) for b in workloads.values())
+        with pytest.raises(ValueError, match="no workloads"):
+            FusedBatch({})
 
 
 class TestSessionValidation:

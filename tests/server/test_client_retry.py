@@ -223,10 +223,11 @@ class TestExecutionErrorIsNotRetried:
         service.register_dataset("toy", toy_db)
         service.register_workload("toy", "counts", WORKLOADS["counts"]())
 
-        def broken(batch, **kwargs):
+        def broken(plan, dyn, **kwargs):
             raise RuntimeError("engine blew up")
 
-        service._state("toy").engine.run = broken
+        # every answer, fused or not, executes through here
+        service._state("toy").engine.execute = broken
         server, _thread = serve_in_background(service, port=0)
         try:
             client = client_for(server, retries=3, max_retry_after=0.01)

@@ -149,17 +149,25 @@ class TestPublishedAnswers:
             state = service._state("toy")
             assemble = state.engine.assemble
             broken = state.workloads["groupbys"]
+            fused_plan = state.engine.plan(state.fused.batch)
+            assembled = []
 
-            def flaky(batch, *args, **kwargs):
+            def flaky(batch, plan, *args, **kwargs):
+                # each member is assembled off the one fused run
+                assembled.append((batch, plan))
                 if batch is broken:
                     raise RuntimeError("assembly failed")
-                return assemble(batch, *args, **kwargs)
+                return assemble(batch, plan, *args, **kwargs)
 
             state.engine.assemble = flaky
             try:
                 response = service.apply_delta("toy", insert_delta(toy_db))
             finally:
                 state.engine.assemble = assemble
+            assert {batch for batch, _ in assembled} == {
+                broken, state.workloads["counts"]
+            }
+            assert all(plan is fused_plan for _, plan in assembled)
             epoch = service.snapshot("toy")
             assert response.epoch == epoch.number == 1
             assert list(epoch.answers) == ["counts"]
@@ -180,6 +188,38 @@ class TestPublishedAnswers:
                 broken,
                 rtol=1e-8,
             )
+
+
+    def test_a_failed_fused_run_fails_every_member_and_the_commit_stands(
+        self, toy_db, tmp_path
+    ):
+        with make_service(str(tmp_path / "data"), toy_db) as service:
+            for name in ("counts", "groupbys"):
+                service.query("toy", [name], timeout=60)
+            state = service._state("toy")
+            execute = state.engine.execute
+            calls = []
+
+            def broken(plan, dyn, **kwargs):
+                calls.append(plan)
+                raise RuntimeError("execution failed")
+
+            state.engine.execute = broken
+            try:
+                response = service.apply_delta("toy", insert_delta(toy_db))
+            finally:
+                state.engine.execute = execute
+            # tried once for both members, and neither was published
+            assert calls == [state.engine.plan(state.fused.batch)]
+            epoch = service.snapshot("toy")
+            assert response.epoch == epoch.number == 1
+            assert response.encode == {} and not epoch.answers
+            assert toy_stats(service)["storage"]["wal_len"] == 1
+            for name in ("counts", "groupbys"):
+                read = service.query("toy", [name], timeout=60)
+                assert read.epoch == 1 and read.seconds > 0
+            assert_published_equal_fresh_runs(service)
+            assert_stats_identities(service.stats())
 
 
 class TestCommitStats:
@@ -240,10 +280,18 @@ class TestRepairedViewsStayInMemory:
     def test_a_repaired_view_the_lru_evicts_is_spilled_and_served_warm(
         self, toy_db, tmp_path
     ):
-        with make_service(str(tmp_path / "data"), toy_db) as service:
+        service = AnalyticsService(
+            cache_mb=8, data_dir=str(tmp_path / "data")
+        )
+        service.register_dataset("toy", toy_db)
+        # one workload first: the fused batch's views are its views
+        service.register_workload(
+            "toy", "covar_style", WORKLOADS["covar_style"]()
+        )
+        with service:
             state = service._state("toy")
             service.query("toy", ["covar_style"], timeout=60)
-            # room for this workload's views and not much more
+            # room for the fused batch's views and not much more
             state.cache.budget_bytes = state.cache.total_bytes + 64
             before = set(state.cache.digests())
             service.apply_delta("toy", insert_delta(toy_db))
@@ -251,7 +299,11 @@ class TestRepairedViewsStayInMemory:
             assert repaired
             store = state.storage.cache_store
             assert not [d for d in repaired if store.load(d) is not None]
-            # another workload's cold views push the repaired ones out
+            # a workload registered now joins the fused batch, and its
+            # cold views push the repaired ones out
+            service.register_workload(
+                "toy", "groupbys", WORKLOADS["groupbys"]()
+            )
             service.query("toy", ["groupbys"], timeout=60)
             evicted = repaired - set(state.cache.digests())
             assert evicted
@@ -259,7 +311,9 @@ class TestRepairedViewsStayInMemory:
             stats = state.cache.stats()
             batch = state.workloads["covar_style"]
             database = service.snapshot("toy").database
-            result = state.engine.run(batch, database=database)
+            result = state.fused.run(
+                state.engine, database=database
+            ).result("covar_style")
             after = state.cache.stats()
             assert after.warm_hits > stats.warm_hits
             assert_results_equal(
@@ -291,9 +345,10 @@ class TestRepairedViewsStayInMemory:
 def test_a_pinned_reader_serves_disk_hits_without_admitting_them(
     toy_db, tmp_path
 ):
-    """A reader pinned to epoch 0 after two commits finds the epoch-0
-    views on disk (written through when they were cold).  Admitted, they
-    would carry no recipe, and the next delta could only evict them."""
+    """A reader pinned to epoch 0 after two commits finds the fused
+    batch's epoch-0 views on disk (written through when they were cold).
+    Admitted, they would carry no recipe, and the next delta could only
+    evict them."""
     with make_service(str(tmp_path / "data"), toy_db) as service:
         state = service._state("toy")
         batch = state.workloads["covar_style"]
@@ -303,7 +358,9 @@ def test_a_pinned_reader_serves_disk_hits_without_admitting_them(
             service.apply_delta("toy", insert_delta(toy_db, n=n))
         before = state.cache.stats()
         ivm = toy_stats(service)["ivm"]
-        result = state.engine.run(batch, database=pinned.database)
+        result = state.fused.run(
+            state.engine, database=pinned.database
+        ).result("covar_style")
         after = state.cache.stats()
         warm = after.warm_hits - before.warm_hits
         assert warm > 0

@@ -529,10 +529,11 @@ class TestErrorsAreAnswered:
     ):
         service, client = served
 
-        def broken(batch, **kwargs):
+        def broken(plan, dyn, **kwargs):
             raise ZeroDivisionError("engine blew up")
 
-        service._state("toy").engine.run = broken
+        # every answer, fused or not, executes through here
+        service._state("toy").engine.execute = broken
         with pytest.raises(ClientError) as info:
             client.query("toy", ["counts"])
         assert info.value.status == 500

@@ -272,20 +272,24 @@ class TestQueries:
 
 @pytest.mark.timeout(120)
 class TestCrossWorkloadSharing:
-    """A coalesced batch runs each workload on its own through the view
-    cache: no combination of workloads is ever planned or cached."""
+    """Every cacheable workload is a member of the dataset's fused batch,
+    and a coalesced batch reads their answers off one run of it; a
+    workload with ``Udf`` views runs alone."""
 
     def test_prepare_plans_each_registered_batch_once(self, service):
+        """``prepare`` plans the fused batch and each ``Udf`` workload
+        once; answering them plans nothing more."""
         state = service._state("toy")
+        service.register_workload("toy", "udf", _udf_batch())
+        assert list(state.fused.members) == list(WORKLOADS)
         service.prepare("toy")
-        distinct = {
-            batch.structural_signature()
-            for batch in state.workloads.values()
-        }
-        assert len(state.engine._plan_cache) == len(distinct)
         planned = list(state.engine._plan_cache)
+        assert [key[0] for key in planned] == [
+            state.fused.batch.structural_signature(),
+            state.workloads["udf"].structural_signature(),
+        ]
         response = service.query(
-            "toy", ["conditional", "counts", "groupbys"], timeout=60
+            "toy", ["conditional", "counts", "groupbys", "udf"], timeout=60
         )
         assert response.seconds > 0
         assert list(state.engine._plan_cache) == planned
@@ -339,19 +343,32 @@ class TestCrossWorkloadSharing:
         }
         with AnalyticsService(cache_mb=0) as svc:
             svc.register_dataset("toy", toy_db, workloads=workloads)
-            engine = svc._state("toy").engine
-            runs = []
-            run = engine.run
+            state = svc._state("toy")
+            engine = state.engine
+            plans, runs = [], []
+            execute, run = engine.execute, engine.run
+
+            def counting_execute(plan, dyn, **kwargs):
+                plans.append(plan)
+                return execute(plan, dyn, **kwargs)
 
             def counting_run(batch, **kwargs):
                 runs.append(batch)
                 return run(batch, **kwargs)
 
+            engine.execute = counting_execute
             engine.run = counting_run
             response = svc.query("toy", list(workloads), timeout=60)
-        assert len(runs) == 4
+        # the fused batch runs once for both names; each Udf binding
+        # runs on its own
+        assert list(state.fused.members) == ["covar", "linreg"]
+        assert len(plans) == 4
+        assert plans[0] is engine.plan(state.fused.batch)
+        assert runs == [workloads[n] for n in ("cheap", "every", "halved")]
         results = response.results
-        assert results["covar"] is results["linreg"]
+        assert_results_equal(
+            results["covar"], results["linreg"], workloads["covar"], rtol=0
+        )
         for name, batch in workloads.items():
             assert_results_equal(
                 results[name], LMFAO(toy_db).run(batch), batch, rtol=1e-8
@@ -678,17 +695,17 @@ class TestAnswerMemo:
         that batch's (pre-commit) answers."""
         state = service._state("toy")
         old = service.snapshot("toy")
-        run = state.engine.run
+        execute = state.engine.execute
 
-        def run_then_commit(batch, **kwargs):
-            result = run(batch, **kwargs)
-            state.engine.run = run
+        def execute_then_commit(plan, dyn, **kwargs):
+            result = execute(plan, dyn, **kwargs)
+            state.engine.execute = execute
             service.apply_delta(
                 "toy", sales_delta(toy_db, np.random.default_rng(9), n=30)
             )
             return result
 
-        state.engine.run = run_then_commit
+        state.engine.execute = execute_then_commit
         stale = service.query("toy", ["counts"], timeout=60)
         new = service.snapshot("toy")
         assert (stale.epoch, new.number) == (0, 1)
