@@ -1,23 +1,30 @@
 """CART decision trees over aggregate batches (paper §2, eqs. (8)-(10)).
 
+One learner grows both kinds of tree.  A fragment of the join is
+summarised by one vector of sums: ``(n, Σy, Σy²)`` for a regression tree,
+whose cost is the variance, and for a classification tree the count per
+class of the label, in ascending order, whose cost is the Gini index.
+The kinds differ only in the aggregates of that vector (``{1, y, y²}``,
+or ``1`` grouped by the label) and in its row count, impurity and
+prediction; the batches, the split search and the growth are shared.
+
 Each tree node is learned from one LMFAO batch: the node's dataset
 fragment is never materialized — it is encoded as a product of Kronecker
 deltas over the ancestor conditions (the *dynamic functions* of §1.2).
 Because ancestor thresholds are dynamic, re-running a node batch at the
-same depth hits the engine's plan cache.  A node's totals (count and
-label sums, or class counts) are the ones its parent's split search
-already summed for the winning split, so only the root runs a totals
-batch: a tree costs one batch plus one per node whose split was searched.
+same depth hits the engine's plan cache.  A node's vector is the one its
+parent's split search already summed for the winning split, so only the
+root runs a totals batch: a tree costs one batch plus one per node whose
+split was searched.
 
 :meth:`CARTLearner.node_batch` is the paper's RT batch: one
 ``Σ δ(x ≤ t)·{1, y, y²}`` aggregate per bucket threshold.  The learner
 runs its histogram form, :meth:`CARTLearner.split_batch`: one query per
 feature, grouped by it, whose prefix sums over the sorted feature values
-give every threshold's left sums.  A node thus costs three aggregates
+give every threshold's left vector.  A node thus costs three aggregates
 per feature (one for classification) whatever the number of buckets.
 
-Regression trees use the variance cost, classification trees the Gini
-index, with the paper's experimental setup: bucketized continuous
+Trees follow the paper's experimental setup: bucketized continuous
 attributes, maximum depth 4 (31 nodes), and a minimum number of instances
 per split.
 """
@@ -25,8 +32,10 @@ per split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,8 +142,8 @@ class DecisionTree:
 class SplitCandidate:
     cost: float
     condition: Condition
-    left_stats: tuple
-    right_stats: tuple
+    left_stats: list
+    right_stats: list
 
 
 class CARTLearner:
@@ -153,8 +162,6 @@ class CARTLearner:
         min_samples_leaf: int = 1,
         n_buckets: int = 20,
     ):
-        if kind not in ("regression", "classification"):
-            raise ValueError(f"unknown tree kind {kind!r}")
         self.engine = engine
         self.continuous = tuple(a for a in continuous if a != label)
         self.categorical = tuple(a for a in categorical if a != label)
@@ -164,6 +171,30 @@ class CARTLearner:
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.n_buckets = n_buckets
+        # what the kinds differ in: the sums a fragment's vector holds
+        # (the group-by and factors of its aggregates), how a result's
+        # rows make vectors, and a vector's count, impurity and prediction
+        if kind == "regression":
+            self._group_by: List[str] = []
+            self._factors = {
+                "n": [],
+                "sy": [Identity(label)],
+                "syy": [Power(label, 2)],
+            }
+            self._vectors = partial(_stacked_sums, tuple(self._factors))
+            self._count = itemgetter(0)
+            self._impurity = _variance
+            self._prediction = _mean
+        elif kind == "classification":
+            classes = np.unique(self._column_of(label))
+            self._group_by = [label]
+            self._factors = {"n": []}
+            self._vectors = partial(_class_counts, label, classes)
+            self._count = sum
+            self._impurity = _gini_cost
+            self._prediction = partial(_majority, classes.tolist())
+        else:
+            raise ValueError(f"unknown tree kind {kind!r}")
         # the paper's buckets, over the column of the relation storing
         # the attribute
         self.thresholds = {
@@ -183,17 +214,17 @@ class CARTLearner:
     # -- learning ----------------------------------------------------------------
 
     def fit(self) -> DecisionTree:
-        root = self._grow([], 0, self._root_statistics())
+        root = self._grow([], 0, self._root_sums())
         return DecisionTree(root=root, kind=self.kind, label=self.label)
 
-    def _grow(self, conditions: List[Condition], depth: int, stats) -> TreeNode:
+    def _grow(self, conditions: List[Condition], depth: int, sums) -> TreeNode:
         """Grow the subtree of the fragment ``conditions`` select, whose
-        totals are ``stats``: a child's come from its parent's split
-        search, so only the root runs a totals batch."""
-        node = self._make_leaf(stats)
+        vector of sums is ``sums``: a child's comes from its parent's
+        split search, so only the root runs a totals batch."""
+        node = self._make_leaf(sums)
         if depth >= self.max_depth or node.n_samples < self.min_samples_split:
             return node
-        best = self._best_split(conditions, stats)
+        best = self._best_split(conditions, sums)
         # the tie rule of the split search: a child's impurity is summed
         # differently from brute_force_cart's, so a split that only
         # rounding makes cheaper must not be taken by one learner alone
@@ -211,58 +242,33 @@ class CARTLearner:
         )
         return node
 
+    def _make_leaf(self, sums: List[float]) -> TreeNode:
+        return TreeNode(
+            prediction=self._prediction(*sums),
+            n_samples=self._count(sums),
+            impurity=self._impurity(*sums),
+        )
+
     # -- node batches ---------------------------------------------------------------
 
     def _alpha(self, conditions: Sequence[Condition]) -> List[Delta]:
         return [c.delta() for c in conditions]
 
-    def _root_statistics(self):
-        """Totals of the whole join (count / sums or class counts)."""
-        if self.kind == "regression":
-            queries = [
-                Query(
-                    "node:totals",
-                    [],
-                    [
-                        Aggregate.count(name="n"),
-                        Aggregate.of(Identity(self.label), name="sy"),
-                        Aggregate.of(Power(self.label, 2), name="syy"),
-                    ],
-                )
-            ]
-            results = self.engine.run(QueryBatch(queries))
-            self.batches_run += 1
-            rel = results["node:totals"]
-            return (
-                float(rel.column("n")[0]),
-                float(rel.column("sy")[0]),
-                float(rel.column("syy")[0]),
-            )
-        queries = [Query("node:classes", [self.label], [Aggregate.count(name="n")])]
-        results = self.engine.run(QueryBatch(queries))
-        self.batches_run += 1
-        rel = results["node:classes"]
-        return dict(
-            zip(
-                rel.column(self.label).tolist(),
-                rel.column("n").tolist(),
-            )
-        )
+    def _aggregates(self, factors: list, suffix: str = "") -> List[Aggregate]:
+        """The aggregates of the vector of sums over the rows ``factors``
+        select, named ``<sum><suffix>``."""
+        return [
+            Aggregate([Product(factors + extra)], name=name + suffix)
+            for name, extra in self._factors.items()
+        ]
 
-    def _make_leaf(self, stats) -> TreeNode:
-        if self.kind == "regression":
-            n, sy, syy = stats
-            mean = sy / n if n > 0 else 0.0
-            impurity = _variance(n, sy, syy)
-            return TreeNode(prediction=mean, n_samples=n, impurity=impurity)
-        total = sum(stats.values())
-        prediction = (
-            max(stats, key=stats.get) if stats else 0.0
-        )
-        impurity = total * _gini(stats) if total > 0 else 0.0
-        return TreeNode(
-            prediction=float(prediction), n_samples=total, impurity=impurity
-        )
+    def _root_sums(self) -> List[float]:
+        """The vector of sums of the whole join."""
+        query = Query("node:totals", self._group_by, self._aggregates([]))
+        rel = self.engine.run(QueryBatch([query]))["node:totals"]
+        self.batches_run += 1
+        _, sums = self._vectors(rel, np.zeros(rel.n_rows))
+        return sums.sum(axis=0).tolist()
 
     def split_batch(self, conditions: Sequence[Condition]) -> QueryBatch:
         """The split-search batch the learner runs for one node.
@@ -276,25 +282,12 @@ class CARTLearner:
         sum of the groups at or below it.
         """
         alpha = self._alpha(conditions)
-        if self.kind == "regression":
-            group_by = []
-            factors = {
-                "n": [],
-                "sy": [Identity(self.label)],
-                "syy": [Power(self.label, 2)],
-            }
-        else:
-            group_by = [self.label]
-            factors = {"n": []}
         return QueryBatch(
             [
                 Query(
                     f"split:{attr}",
-                    [attr] + group_by,
-                    [
-                        Aggregate([Product(alpha + extra)], name=name)
-                        for name, extra in factors.items()
-                    ],
+                    [attr] + self._group_by,
+                    self._aggregates(alpha),
                 )
                 for attr in dict.fromkeys(self.continuous + self.categorical)
             ]
@@ -308,72 +301,20 @@ class CARTLearner:
         this batch at the root; the learner runs :meth:`split_batch`,
         its histogram form."""
         alpha = self._alpha(conditions)
-        if self.kind == "regression":
-            return self._regression_batch(alpha)
-        return self._classification_batch(alpha)
-
-    def _regression_batch(self, alpha: List[Delta]) -> QueryBatch:
-        scalar_aggs: List[Aggregate] = []
+        scalars: List[Aggregate] = []
         for attr, values in self.thresholds.items():
             for i, threshold in enumerate(values):
                 delta = Delta(attr, "<=", float(threshold))
-                scalar_aggs.append(
-                    Aggregate([Product(alpha + [delta])], name=f"n:{attr}:{i}")
-                )
-                scalar_aggs.append(
-                    Aggregate(
-                        [Product(alpha + [delta, Identity(self.label)])],
-                        name=f"sy:{attr}:{i}",
-                    )
-                )
-                scalar_aggs.append(
-                    Aggregate(
-                        [Product(alpha + [delta, Power(self.label, 2)])],
-                        name=f"syy:{attr}:{i}",
-                    )
-                )
+                scalars += self._aggregates(alpha + [delta], f":{attr}:{i}")
         queries = []
-        if scalar_aggs:
-            queries.append(Query("split:cont", [], scalar_aggs))
+        if scalars:
+            queries.append(Query("split:cont", self._group_by, scalars))
         for attr in self.categorical:
             queries.append(
                 Query(
                     f"split:cat:{attr}",
-                    [attr],
-                    [
-                        Aggregate([Product(alpha)], name="n"),
-                        Aggregate(
-                            [Product(alpha + [Identity(self.label)])],
-                            name="sy",
-                        ),
-                        Aggregate(
-                            [Product(alpha + [Power(self.label, 2)])],
-                            name="syy",
-                        ),
-                    ],
-                )
-            )
-        return QueryBatch(queries)
-
-    def _classification_batch(self, alpha: List[Delta]) -> QueryBatch:
-        class_aggs: List[Aggregate] = []
-        for attr, values in self.thresholds.items():
-            for i, threshold in enumerate(values):
-                delta = Delta(attr, "<=", float(threshold))
-                class_aggs.append(
-                    Aggregate(
-                        [Product(alpha + [delta])], name=f"n:{attr}:{i}"
-                    )
-                )
-        queries = []
-        if class_aggs:
-            queries.append(Query("split:cont", [self.label], class_aggs))
-        for attr in self.categorical:
-            queries.append(
-                Query(
-                    f"split:cat:{attr}",
-                    [attr, self.label],
-                    [Aggregate([Product(alpha)], name="n")],
+                    [attr] + self._group_by,
+                    self._aggregates(alpha),
                 )
             )
         return QueryBatch(queries)
@@ -381,132 +322,57 @@ class CARTLearner:
     # -- split search ---------------------------------------------------------------
 
     def _best_split(
-        self, conditions: List[Condition], totals
+        self, conditions: List[Condition], totals: List[float]
     ) -> Optional[SplitCandidate]:
         batch = self.split_batch(conditions)
         if not len(batch):
             return None
         results = self.engine.run(batch)
         self.batches_run += 1
-        if self.kind == "regression":
-            return self._best_regression_split(results, totals)
-        return self._best_classification_split(results, totals)
+        best: Optional[SplitCandidate] = None
+        totals = np.asarray(totals)
+        for attr, op, values, lefts in self._candidates(results):
+            # a right side is its node's vector less its left one, the
+            # arithmetic brute_force_cart does
+            rights = (totals - lefts).tolist()
+            for value, left, right in zip(values, lefts.tolist(), rights):
+                cost = self._cost(left, right)
+                if cost is not None and _improves(
+                    cost, None if best is None else best.cost
+                ):
+                    condition = Condition(attr, op, value)
+                    best = SplitCandidate(cost, condition, left, right)
+        return best
 
-    def _threshold_sums(self, results, attr: str) -> Tuple[list, np.ndarray]:
-        """Every threshold's left sums for ``attr``, read from its
-        ``split:<attr>`` histogram in ``results``.
-
-        Returns the names of the sums (``n, sy, syy``, or the classes for
-        classification) and one row of them per threshold of ``attr``.
-        """
+    def _histogram(self, results, attr: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct values of ``attr`` in ascending order and the
+        vector of sums of each, read from its ``split:<attr>`` result."""
         rel = results[f"split:{attr}"]
-        if self.kind == "regression":
-            names = ["n", "sy", "syy"]
-            keys = rel.column(attr)
-            sums = np.stack([rel.column(name) for name in names], axis=1)
-        else:
-            keys, key_row = np.unique(rel.column(attr), return_inverse=True)
-            classes, class_col = np.unique(
-                rel.column(self.label), return_inverse=True
-            )
-            sums = np.zeros((len(keys), len(classes)))
-            np.add.at(sums, (key_row, class_col), rel.column("n"))
-            names = classes.tolist()
-        return names, _left_sums(keys, sums, self.thresholds[attr])
+        return self._vectors(rel, rel.column(attr))
 
-    def _best_regression_split(
-        self, results, totals
-    ) -> Optional[SplitCandidate]:
-        n_tot, sy_tot, syy_tot = totals
-        best: Optional[SplitCandidate] = None
+    def _candidates(self, results):
+        """Per feature, ``(attr, op, split values, left sums of each)``:
+        every bucket threshold of a continuous feature, then every value
+        of a categorical one in ascending order, the order
+        brute_force_cart tries them in."""
         for attr, thresholds in self.thresholds.items():
-            _, lefts = self._threshold_sums(results, attr)
-            for threshold, left in zip(thresholds.tolist(), lefts.tolist()):
-                best = self._consider_regression(
-                    best,
-                    Condition(attr, "<=", threshold),
-                    tuple(left),
-                    (n_tot - left[0], sy_tot - left[1], syy_tot - left[2]),
-                )
+            keys, sums = self._histogram(results, attr)
+            lefts = _left_sums(keys, sums, thresholds)
+            yield attr, "<=", thresholds.tolist(), lefts
         for attr in self.categorical:
-            rel = results[f"split:{attr}"]
-            values = rel.column(attr)
-            ns = rel.column("n")
-            sys_ = rel.column("sy")
-            syys = rel.column("syy")
-            for value, n, sy, syy in zip(values, ns, sys_, syys):
-                left = (float(n), float(sy), float(syy))
-                best = self._consider_regression(
-                    best,
-                    Condition(attr, "==", float(value)),
-                    left,
-                    (n_tot - left[0], sy_tot - left[1], syy_tot - left[2]),
-                )
-        return best
+            keys, sums = self._histogram(results, attr)
+            values = np.asarray(keys, dtype=np.float64)
+            yield attr, "==", values.tolist(), sums
 
-    def _consider_regression(self, best, condition, left, right):
-        n_l, sy_l, syy_l = left
-        n_r, sy_r, syy_r = right
-        if n_l < self.min_samples_leaf or n_r < self.min_samples_leaf:
-            return best
-        cost = _variance(n_l, sy_l, syy_l) + _variance(n_r, sy_r, syy_r)
-        if _improves(cost, None if best is None else best.cost):
-            return SplitCandidate(cost, condition, left, right)
-        return best
-
-    def _best_classification_split(
-        self, results, totals: Dict
-    ) -> Optional[SplitCandidate]:
-        best: Optional[SplitCandidate] = None
-        n_tot = sum(totals.values())
-        for attr, thresholds in self.thresholds.items():
-            classes, lefts = self._threshold_sums(results, attr)
-            for threshold, row in zip(thresholds.tolist(), lefts.tolist()):
-                left = dict(zip(classes, row))
-                right = {
-                    k: totals.get(k, 0.0) - left.get(k, 0.0) for k in totals
-                }
-                best = self._consider_classification(
-                    best,
-                    Condition(attr, "<=", threshold),
-                    left,
-                    right,
-                    n_tot,
-                )
-        for attr in self.categorical:
-            rel = results[f"split:{attr}"]
-            per_value: Dict[float, Dict] = {}
-            for value, cls, n in zip(
-                rel.column(attr).tolist(),
-                rel.column(self.label).tolist(),
-                rel.column("n").tolist(),
-            ):
-                per_value.setdefault(value, {})[cls] = n
-            # ascending values, the order brute_force_cart tries them in
-            # (rows come in the order of the sorted group-by names)
-            for value in sorted(per_value):
-                left = per_value[value]
-                right = {
-                    k: totals.get(k, 0.0) - left.get(k, 0.0) for k in totals
-                }
-                best = self._consider_classification(
-                    best,
-                    Condition(attr, "==", float(value)),
-                    left,
-                    right,
-                    n_tot,
-                )
-        return best
-
-    def _consider_classification(self, best, condition, left, right, n_tot):
-        n_l = sum(left.values())
-        n_r = sum(right.values())
-        if n_l < self.min_samples_leaf or n_r < self.min_samples_leaf:
-            return best
-        cost = n_l * _gini(left) + n_r * _gini(right)
-        if _improves(cost, None if best is None else best.cost):
-            return SplitCandidate(cost, condition, left, right)
-        return best
+    def _cost(self, left: List[float], right: List[float]) -> Optional[float]:
+        """A split's cost from its sides' vectors, or None when a side
+        holds fewer than ``min_samples_leaf`` rows."""
+        if (
+            self._count(left) < self.min_samples_leaf
+            or self._count(right) < self.min_samples_leaf
+        ):
+            return None
+        return self._impurity(*left) + self._impurity(*right)
 
 
 class _NotAtMost(Delta):
@@ -564,6 +430,39 @@ def _left_sums(
     prefix = np.zeros((len(keys) + 1, sums.shape[1]))
     np.cumsum(sums[order], axis=0, out=prefix[1:])
     return prefix[np.searchsorted(keys[order], thresholds, side="right")]
+
+
+def _stacked_sums(names: Tuple[str, ...], rel: Relation, keys: np.ndarray):
+    """Regression's vectors, the aggregates ``names`` of each row of
+    ``rel``: a result grouped by nothing but its key has one row per
+    key, in ascending order."""
+    return keys, np.array([rel.column(name) for name in names]).T
+
+
+def _class_counts(label: str, classes: np.ndarray, rel: Relation, keys):
+    """Classification's vectors, one count per class of ``classes`` for
+    each distinct key: ``rel`` holds one row per key and class present."""
+    keys, row = np.unique(keys, return_inverse=True)
+    counts = np.zeros((len(keys), len(classes)))
+    column = np.searchsorted(classes, rel.column(label))
+    np.add.at(counts, (row, column), rel.column("n"))
+    return keys, counts
+
+
+def _mean(n: float, sy: float, syy: float) -> float:
+    return sy / n if n > 0 else 0.0
+
+
+def _gini_cost(*counts: float) -> float:
+    """A fragment's Gini cost: its size times its Gini index."""
+    total = sum(counts)
+    return total * _gini(dict(enumerate(counts))) if total > 0 else 0.0
+
+
+def _majority(classes: list, *counts: float) -> float:
+    """The most frequent class, the smallest of a tie (0 when empty)."""
+    top = max(counts, default=0.0)
+    return float(classes[counts.index(top)]) if top > 0 else 0.0
 
 
 def _variance(n: float, sy: float, syy: float) -> float:

@@ -47,7 +47,11 @@ the workloads share are computed, cached and repaired once: on retailer
 ``covar``, ``trees`` and ``mutual_information`` need half the views
 fused that they need planned apart, and a commit repairs and publishes
 one DAG instead of three.  A ``Udf`` workload runs on its own, once per
-distinct batch and binding.  ``cache_mb=0`` takes the same path.
+distinct batch and binding.  Fusing pays only through the cache: a
+fused run computes every member's views, which only a cache keeps for
+the next member's read or repairs at a commit.  So with ``cache_mb=0``
+there is no fused batch, and every workload runs alone, once per
+distinct batch and binding: a lone request computes its own views only.
 
 **The answer memo.**  Between two commits an answer cannot change, and
 the :class:`Epoch` object already marks exactly when it stops being
@@ -295,9 +299,9 @@ class _DatasetState:
             self.engine.view_cache = None
         self.join_tree = self.engine.join_tree
         self.workloads: Dict[str, QueryBatch] = {}
-        # every registered workload whose answer is cacheable, as one
-        # batch (module docstring); rebuilt, never mutated, so a reader
-        # takes one reference
+        # with a view cache, every registered workload whose answer is
+        # cacheable, as one batch (module docstring); rebuilt, never
+        # mutated, so a reader takes one reference
         self.fused: Optional[FusedBatch] = None
         # swapped atomically under write_lock; readers take one
         # reference read and never lock
@@ -450,9 +454,9 @@ class AnalyticsService:
         """Register one named query batch servable on a dataset.
 
         The batch object is reused across every request naming it, so
-        plans are built once and shared.  A batch whose answer is
-        cacheable (no ``Udf``) joins the dataset's fused batch, which is
-        rebuilt here (module docstring).
+        plans are built once and shared.  On a dataset with a view
+        cache, a batch whose answer is cacheable (no ``Udf``) joins the
+        dataset's fused batch, which is rebuilt here (module docstring).
         """
         state = self._state(dataset)
         with self._registry_lock:
@@ -460,7 +464,7 @@ class AnalyticsService:
                 raise ValueError(
                     f"workload {name!r} already registered on {dataset!r}"
                 )
-            if not answer_binding(batch)[1]:
+            if state.cache is not None and not answer_binding(batch)[1]:
                 # published before the name: a request that finds the
                 # name finds it fused
                 workloads = {**state.workloads, name: batch}

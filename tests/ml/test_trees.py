@@ -11,6 +11,8 @@ from repro.ml.trees import (
     SplitCandidate,
     _ComplementCondition,
     _gini,
+    _improves,
+    _left_sums,
     _variance,
     bucket_thresholds,
 )
@@ -168,8 +170,14 @@ class TestSplitBatch:
         histograms = learner.engine.run(learner.split_batch(conditions))
         batch = learner.node_batch(conditions)
         scalars = learner.engine.run(batch)["split:cont"]
+        # a vector holds (n, Σy, Σy²), or one count per class of the label
+        if learner.kind == "regression":
+            names = ["n", "sy", "syy"]
+        else:
+            names = np.unique(learner._column_of(learner.label)).tolist()
         for attr, values in learner.thresholds.items():
-            names, lefts = learner._threshold_sums(histograms, attr)
+            keys, sums = learner._histogram(histograms, attr)
+            lefts = _left_sums(keys, sums, values)
             assert lefts.shape == (len(values), len(names))
             for i in range(len(values)):
                 if learner.kind == "regression":
@@ -363,18 +371,12 @@ class TestTies:
 
     def test_regression_keeps_the_earlier_of_one_ulp_apart(self, toy_db):
         learner = CARTLearner(LMFAO(toy_db), ["price"], [], "units")
-        first = learner._consider_regression(
-            None, Condition("c", "==", 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, 0.0)
-        )
+        first = learner._cost([1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
         one_ulp_lower = float(np.nextafter(1.0, 0.0))
-        assert one_ulp_lower < first.cost
-        kept = learner._consider_regression(
-            first,
-            Condition("c", "==", 1.0),
-            (1.0, 0.0, one_ulp_lower),
-            (1.0, 0.0, 0.0),
-        )
-        assert kept is first
+        assert one_ulp_lower < first
+        later = learner._cost([1.0, 0.0, one_ulp_lower], [1.0, 0.0, 0.0])
+        assert later < first
+        assert not _improves(later, first)
 
     def test_classification_keeps_the_earlier_of_rounding_apart(
         self, toy_db
@@ -382,17 +384,30 @@ class TestTies:
         learner = CARTLearner(
             LMFAO(toy_db), [], [], "city", "classification"
         )
-        first = learner._consider_classification(
-            None, Condition("c", "==", 0.0), {0: 1.0, 1: 1.0}, {0: 2.0}, 4.0
-        )
-        left = {0: 1.0, 1: float(np.nextafter(1.0, 2.0))}
-        kept = learner._consider_classification(
-            first, Condition("c", "==", 1.0), left, {0: 2.0}, 4.0
-        )
-        assert kept is first
+        # one count per class of city (0, 1, 2)
+        first = learner._cost([1.0, 1.0, 0.0], [2.0, 0.0, 0.0])
+        left = [1.0, float(np.nextafter(1.0, 2.0)), 0.0]
+        later = learner._cost(left, [2.0, 0.0, 0.0])
+        assert later != first
+        assert not _improves(later, first)
+
+    @pytest.mark.parametrize(
+        "kind, label, left, right",
+        [
+            ("regression", "units", [0.0, 0.0, 0.0], [2.0, 4.0, 10.0]),
+            ("classification", "city", [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]),
+        ],
+    )
+    def test_a_side_below_min_samples_leaf_is_no_candidate(
+        self, toy_db, kind, label, left, right
+    ):
+        learner = CARTLearner(LMFAO(toy_db), [], [], label, kind)
+        assert learner._cost(left, right) is None
+        assert learner._cost(right, left) is None
+        assert learner._cost(right, right) is not None
 
     @staticmethod
-    def both_learners(y):
+    def both_learners(y, kind="regression"):
         """Depth-1 trees over rows ``c = 0, 0, 0, 1, 1, 1`` with label
         ``y``, from brute_force_cart and from CARTLearner."""
         flat = Relation.from_dict(
@@ -401,9 +416,10 @@ class TestTies:
         database = Database([flat], name="ties")
         params = dict(max_depth=1, min_samples_split=2)
         brute = brute_force_cart(
-            database, [], ["c"], "y", flat=flat, thresholds={}, **params
+            database, [], ["c"], "y", kind, flat=flat, thresholds={},
+            **params,
         )
-        learned = CARTLearner(LMFAO(database), [], ["c"], "y", **params)
+        learned = CARTLearner(LMFAO(database), [], ["c"], "y", kind, **params)
         return brute, learned.fit()
 
     def test_both_learners_keep_the_first_of_one_partition(self):
@@ -412,22 +428,37 @@ class TestTies:
         for tree in self.both_learners([0.1, 3.7, 0.8, 6.5, 2.7, 7.0]):
             assert str(tree.root.condition) == "c == 0"
 
+    def test_both_classifiers_keep_the_first_of_one_partition(self):
+        trees = self.both_learners([0, 1, 0, 1, 1, 1], "classification")
+        for tree in trees:
+            assert str(tree.root.condition) == "c == 0"
+
     def test_both_learners_keep_a_leaf_that_rounding_would_split(self):
         # both groups have mean 4.4, so splitting saves nothing; summed,
         # the split costs a few ulps less than the node's impurity
         for tree in self.both_learners([3.6, 4.2, 5.4, 4.1, 4.7, 4.4]):
             assert tree.root.is_leaf
 
+    def test_both_classifiers_keep_a_leaf_no_split_improves(self):
+        # both groups hold one 0 and two 1s: a split saves nothing
+        trees = self.both_learners([0, 1, 1, 0, 1, 1], "classification")
+        for tree in trees:
+            assert tree.root.is_leaf
+
+    @pytest.mark.parametrize(
+        "kind, label", [("regression", "units"), ("classification", "city")]
+    )
     def test_a_split_within_rounding_of_the_impurity_is_not_taken(
-        self, toy_db, monkeypatch
+        self, toy_db, monkeypatch, kind, label
     ):
         learner = CARTLearner(
-            LMFAO(toy_db), ["price"], [], "units",
+            LMFAO(toy_db), ["price"], [], label, kind,
             max_depth=1, min_samples_split=1, n_buckets=4,
         )
 
         def barely_cheaper(conditions, totals):
             impurity = learner._make_leaf(totals).impurity
+            assert impurity > 0
             return SplitCandidate(
                 impurity * (1 - 1e-12), Condition("price", "<=", 0.0),
                 totals, totals,

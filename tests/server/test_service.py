@@ -341,7 +341,8 @@ class TestCrossWorkloadSharing:
             "every": dynamic(1e9, double),
             "halved": dynamic(50.0, lambda u: 0.5 * u),
         }
-        with AnalyticsService(cache_mb=0) as svc:
+        # a small cache: only a dataset with a view cache fuses
+        with AnalyticsService(cache_mb=1) as svc:
             svc.register_dataset("toy", toy_db, workloads=workloads)
             state = svc._state("toy")
             engine = state.engine
@@ -373,6 +374,37 @@ class TestCrossWorkloadSharing:
             assert_results_equal(
                 results[name], LMFAO(toy_db).run(batch), batch, rtol=1e-8
             )
+
+    def test_without_a_cache_a_lone_request_runs_its_own_plan(
+        self, toy_db
+    ):
+        # fused, a lone request would compute every member's views, and
+        # with no cache nothing keeps them for the next read
+        with AnalyticsService(cache_mb=0) as svc:
+            svc.register_dataset("toy", toy_db)
+            for name, factory in WORKLOADS.items():
+                svc.register_workload("toy", name, factory())
+            state = svc._state("toy")
+            engine = state.engine
+            plans = []
+            execute = engine.execute
+
+            def recording_execute(plan, dyn, **kwargs):
+                plans.append(plan)
+                return execute(plan, dyn, **kwargs)
+
+            engine.execute = recording_execute
+            svc.prepare("toy")
+            for name in WORKLOADS:
+                response = svc.query("toy", [name], timeout=60)
+                batch = state.workloads[name]
+                assert plans[-1] is engine.plan(batch), name
+                assert_results_equal(
+                    response.results[name], LMFAO(toy_db).run(batch),
+                    batch, rtol=1e-8,
+                )
+            assert state.fused is None
+            assert len(plans) == len(WORKLOADS)
 
     def test_batches_differing_only_in_aggregate_names_run_apart(
         self, toy_db
