@@ -26,6 +26,7 @@ Usage::
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -366,6 +367,7 @@ class LMFAO:
                 else:
                     report.events[view.id] = "hit"
                     views[view.id] = data
+            binding = tuple(copy.copy(f) for f in dyn)
             for group_plan in plan.group_plans:
                 if all(
                     report.events.get(vid) == "hit"
@@ -373,23 +375,19 @@ class LMFAO:
                 ):
                     skip.add(group_plan.group.id)
                     continue
-                # remember how to repair this group's views after
-                # updates: the group plan re-runs over what a delta can
-                # affect, resolving the re-keyed child views by digest
-                # (a cacheable view's inputs are all cacheable, so every
-                # input has a digest)
+                # fix how to repair this group's views after updates:
+                # its plan, a copy of this run's binding, and each input
+                # by shape (a cacheable view's inputs are all cacheable)
+                inputs = tuple(
+                    (ivid, sigs[ivid].shape, sigs[ivid].relations)
+                    for ivid in group_plan.input_view_ids
+                )
                 for vid in group_plan.group.view_ids:
                     if vid in misses:
-                        recipe = PatchRecipe(
-                            plan=group_plan,
-                            view_id=vid,
-                            dyn=tuple(dyn),
-                            input_digests=tuple(
-                                (ivid, sigs[ivid].digest)
-                                for ivid in group_plan.input_view_ids
-                            ),
+                        misses[vid] = (
+                            sigs[vid],
+                            PatchRecipe(group_plan, vid, binding, inputs),
                         )
-                        misses[vid] = (sigs[vid], recipe)
             report.skipped_groups = len(skip)
         DataflowScheduler().run(
             plan, views, self.backend, db, dyn, skip, cache, misses

@@ -9,7 +9,10 @@ Three pieces, layered on the executor subsystem:
   byte-budget LRU of materialized views keyed by content digest, with
   hit/miss/eviction stats and delta-driven repair: affected
   entries are patched in one pass, smallest footprint first, and
-  re-keyed, with eviction only as the fallback;
+  re-keyed, with eviction only as the fallback.  A
+  :class:`PatchRecipe` is fixed when its view is admitted (group plan,
+  a copy of the binding, inputs by shape and footprint), and a pass
+  runs each group once for all of its views;
 * :mod:`~repro.engine.viewcache.fusion` — :class:`FusedBatch`, which
   fuses several query batches into one deduplicated DAG, executes
   shared views once, and assembles each workload's answer from the run;

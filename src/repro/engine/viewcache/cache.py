@@ -38,9 +38,10 @@ A view's address is its shape plus its footprint's fingerprints
 repaired entry is re-keyed under the digest the next run's signatures
 will compute by hashing its shape over the updated fingerprints, and
 patches replace evictions throughout the DAG.  A parent finds its
-repaired children through one old-digest → new-digest map.  Entries
-whose footprint does not contain the updated relation keep their
-digests — their content addresses still match — and survive.  A
+inputs by shape the same way, and a group's plan runs once per pass
+for all of its views.  Entries whose footprint does not contain the
+updated relation keep their digests — their content addresses still
+match — and survive.  A
 repaired entry lives in memory only: the next delta re-keys it again,
 so writing it to the second tier would only leave garbage there.  It
 reaches disk when the LRU evicts it or at :meth:`ViewCache.flush`.
@@ -79,23 +80,22 @@ def view_nbytes(data: ViewData) -> int:
     return int(sum(col.nbytes for col in data.key_cols) + data.sums.nbytes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchRecipe:
-    """How to repair a cached view in place after a delta.
+    """How to repair a cached view after a delta, fixed at admission.
 
     ``plan`` is the multi-output group plan that produced the view;
-    ``dyn`` is the dynamic-function table it was executed with;
-    ``input_digests`` maps the plan's input view ids to the digests
-    their data was read under, so re-execution can resolve the same (or
-    re-keyed) children from the cache.  The view's new address is
-    :func:`view_digest` of its signature's shape over the updated
-    fingerprints, so the recipe keeps no copy of it.
+    ``dyn`` a copy of the binding it ran with (a function re-bound in
+    place later changes no repair); ``inputs`` names each input view by
+    ``(view id, shape digest, footprint)``, its address over any
+    database version's fingerprints (:func:`view_digest`).  The views
+    of one group run share all three, and a pass runs the group once.
     """
 
     plan: GroupPlan
     view_id: int
     dyn: tuple
-    input_digests: Tuple[Tuple[int, str], ...] = ()
+    inputs: Tuple[Tuple[int, str, frozenset], ...] = ()
 
 
 @dataclass
@@ -189,74 +189,13 @@ class _Reconciliation:
     #: inserted rows +1, retracted rows -1 (None: nothing retracted)
     delta: Optional[Relation]
     signs: Optional[np.ndarray]
-    #: old digest -> the digest its repaired entry was re-keyed under
-    rekey: Dict[str, str] = field(default_factory=dict)
     #: repaired digest -> the delta merged into it, all-zero rows dropped
     deltas: Dict[str, ViewData] = field(default_factory=dict)
-    #: group-run memo (see :meth:`delta_of`)
-    runs: Dict[tuple, Dict[int, ViewData]] = field(default_factory=dict)
+    #: (id of a recipe's plan, id of its dyn; the affected entries keep
+    #: both alive) -> view id -> delta (absent: zero), None: unrepairable
+    runs: Dict[tuple, Optional[dict]] = field(default_factory=dict)
     #: (relation, repaired digests) -> the rows joining their deltas
     _rows: Dict[tuple, Relation] = field(default_factory=dict)
-
-    def delta_of(
-        self,
-        data: ViewData,
-        recipe: PatchRecipe,
-        incoming: Dict[int, ViewData],
-        input_key: Tuple[Tuple[int, str], ...],
-    ) -> ViewData:
-        """The delta of a view holding ``data``, all-zero rows dropped:
-        its group run once with one input replaced by that input's delta.
-
-        At the updated relation the relation is replaced by the signed
-        delta rows (no child can have changed: a view's children cover
-        only relations below its node).  Above it, every child repaired
-        in this pass is replaced by its delta — a zero one too, as a
-        0-row view: a context joining it adds nothing — and the run
-        covers the node rows that join a key of those deltas; any other
-        row joins only unchanged inputs.  Nothing to run is a zero delta.
-        The aggregates of a cached view read the same view of each
-        child edge (its factors each read one attribute, so its group-by
-        fixes its children's), so their contexts still share one key
-        set.  Sibling views of one group share a plan object, dyn binding
-        and inputs, so the memo runs the group once for all of them.
-        """
-        relation = self.applied.database.relation(recipe.plan.node)
-        weights = None
-        if relation.name == self.applied.relation:
-            relation, weights = self.delta, self.signs
-        else:
-            changed = {
-                vid: digest
-                for vid, digest in input_key
-                if digest in self.deltas
-            }
-            if changed:
-                digests = tuple(sorted(set(changed.values())))
-                if (relation.name, digests) not in self._rows:
-                    self._rows[relation.name, digests] = _rows_joining(
-                        relation, [self.deltas[d] for d in digests]
-                    )
-                relation = self._rows[relation.name, digests]
-                incoming = dict(incoming)
-                for vid, digest in changed.items():
-                    incoming[vid] = self.deltas[digest]
-            else:
-                relation = None
-        if relation is None or not relation.n_rows:
-            if data.group_by:
-                return _rows(data, np.zeros(data.n_rows, dtype=bool))
-            return data.with_sums(np.zeros_like(data.sums))
-        key = (id(recipe.plan), tuple(id(f) for f in recipe.dyn), input_key)
-        produced = self.runs.get(key)
-        if produced is None:
-            produced = self.runs[key] = {
-                vid: _nonzero(view)
-                for vid, view in execute_plan(
-                    recipe.plan, relation, incoming, recipe.dyn, weights
-                ).items()
-            }
-        return produced[recipe.view_id]
 
 
 def _signed_rows(
@@ -696,8 +635,9 @@ class ViewCache:
         repaired entry is re-keyed under :func:`view_digest` over the
         updated fingerprints, the digest the next run's signatures
         compute.  Entries that cannot be repaired — no recipe, stale
-        epoch, a child view missing from both tiers or read at its
-        pre-delta digest, a COUNT of 2**53 or more — are evicted.
+        epoch, an unchanged child view missing from both tiers, a
+        changed one no repair of this pass merged a delta into, a COUNT
+        of 2**53 or more — are evicted.
 
         Returns {old digest: "merged" | "evicted"} for the affected
         entries — repaired by merging a delta (or re-keyed unchanged), or
@@ -748,26 +688,85 @@ class ViewCache:
             if count:
                 self._stats.invalidations += 1
 
-    def _resolve_input(
-        self, digest: str
-    ) -> Optional[Tuple[ViewSignature, ViewData]]:
-        """A repair input and its signature by digest: in-memory first,
-        then the disk tier."""
+    def _resolve_input(self, digest: str) -> Optional[ViewData]:
+        """A repair input by digest: in-memory first, then the disk
+        tier."""
         with self._lock:
             entry = self._entries.get(digest)
             if entry is not None:
-                return entry.sig, entry.data
-        return None if self._store is None else self._store.load(digest)
+                return entry.data
+        loaded = None if self._store is None else self._store.load(digest)
+        return None if loaded is None else loaded[1]
+
+    def _group_deltas(
+        self, recipe: PatchRecipe, repair: _Reconciliation
+    ) -> Optional[Dict[int, ViewData]]:
+        """The deltas of a group's views, all-zero rows dropped: its plan
+        run once with one input replaced by that input's delta, or None
+        if the group cannot be repaired.
+
+        Each input's address is its shape over the updated
+        fingerprints.  An input whose footprint holds the updated
+        relation is replaced by the delta its repair merged in this
+        pass — a zero one too, as a 0-row view: a context joining it
+        adds nothing.  With no such delta (evicted, or changed without
+        a repair: only on disk, no recipe, outgrew the budget) its data
+        predates the delta and, beside its siblings' deltas, would add
+        its whole value again.  Any other input is resolved from either
+        tier.  At the updated relation the run reads the signed delta
+        rows (no input can have changed: a view's children cover only
+        relations below its node); above it, the node rows that join a
+        key of the changed inputs' deltas.  Nothing to run is a zero
+        delta for every view, none returned.  The aggregates of a cached
+        view read the same view of each child edge (its factors each
+        read one attribute, so its group-by fixes its children's), so
+        their contexts still share one key set.
+        """
+        applied = repair.applied
+        incoming: Dict[int, ViewData] = {}
+        changed: List[str] = []
+        for vid, shape, footprint in recipe.inputs:
+            digest = view_digest(shape, footprint, repair.new_fps)
+            if applied.relation in footprint:
+                data = repair.deltas.get(digest)
+                changed.append(digest)
+            else:
+                data = self._resolve_input(digest)
+            if data is None:
+                return None
+            incoming[vid] = data
+        relation = applied.database.relation(recipe.plan.node)
+        weights = None
+        if relation.name == applied.relation:
+            relation, weights = repair.delta, repair.signs
+        elif changed:
+            digests = tuple(sorted(set(changed)))
+            if (relation.name, digests) not in repair._rows:
+                repair._rows[relation.name, digests] = _rows_joining(
+                    relation, [repair.deltas[d] for d in digests]
+                )
+            relation = repair._rows[relation.name, digests]
+        else:
+            relation = None
+        if relation is None or not relation.n_rows:
+            return {}
+        return {
+            vid: _nonzero(view)
+            for vid, view in execute_plan(
+                recipe.plan, relation, incoming, recipe.dyn, weights
+            ).items()
+        }
 
     def _repair(
         self, digest: str, entry: _Entry, repair: _Reconciliation
     ) -> str:
         """Repair one affected entry in place by merging its delta.
 
-        Every affected child was repaired (or evicted) earlier in the
-        pass.  Returns ``"merged"`` or ``"evicted"``.
+        Every affected input was repaired (or evicted) earlier in the
+        pass.  The entry's group runs once per pass for all its views
+        (:meth:`_group_deltas`), and its recipe carries over unchanged.
+        Returns ``"merged"`` or ``"evicted"``.
         """
-        applied = repair.applied
         recipe, sig = entry.recipe, entry.sig
         if recipe is None or digest != view_digest(
             sig.shape, sig.relations, repair.old_fps
@@ -779,26 +778,20 @@ class ViewCache:
             # eviction always correct.
             self._evict_entry(digest)
             return "evicted"
-        incoming: Dict[int, ViewData] = {}
-        new_inputs: List[Tuple[int, str]] = []
-        for vid, child in recipe.input_digests:
-            current = repair.rekey.get(child, child)
-            resolved = self._resolve_input(current)
-            if resolved is None or (
-                applied.relation in resolved[0].relations
-                and current not in repair.deltas
-            ):
-                # child evicted (delta or LRU), or changed without a
-                # delta merged in this pass (only on disk, no recipe,
-                # or it outgrew the budget): its data predates the
-                # delta, and run beside its siblings' deltas it would
-                # add its whole value again.  Give up.
-                self._evict_entry(digest)
-                return "evicted"
-            incoming[vid] = resolved[1]
-            new_inputs.append((vid, current))
-        input_key = tuple(new_inputs)
-        delta = repair.delta_of(entry.data, recipe, incoming, input_key)
+        key = (id(recipe.plan), id(recipe.dyn))
+        if key not in repair.runs:
+            repair.runs[key] = self._group_deltas(recipe, repair)
+        deltas = repair.runs[key]
+        if deltas is None:
+            self._evict_entry(digest)
+            return "evicted"
+        delta = deltas.get(recipe.view_id)
+        if delta is None:  # zero
+            delta = (
+                _rows(entry.data, np.zeros(entry.data.n_rows, dtype=bool))
+                if entry.data.group_by
+                else entry.data.with_sums(np.zeros_like(entry.data.sums))
+            )
         data = merge(entry.data, delta) if delta.n_rows else entry.data
         if not (_exact_counts(entry.data) and _exact_counts(data)):
             self._evict_entry(digest)
@@ -809,16 +802,13 @@ class ViewCache:
         self._evict_entry(digest, count=False)
         # memory only: the next delta re-keys it again (see the module
         # docstring); it reaches disk on LRU eviction or flush()
-        if not self._admit(
-            new_sig, data, recipe=replace(recipe, input_digests=input_key)
-        ):
+        if not self._admit(new_sig, data, recipe=recipe):
             # e.g. the repaired view outgrew the budget
             with self._lock:
                 self._stats.invalidations += 1
             return "evicted"
         with self._lock:
             self._stats.patches += 1
-        repair.rekey[digest] = new_sig.digest
         repair.deltas[new_sig.digest] = delta
         return "merged"
 

@@ -14,14 +14,30 @@ about which rows a run reads and how many runs there are.
   keys a delta empties, at the updated relation and above it.
 * A view that cannot be repaired is evicted, a counted recompute that
   still leaves ground-truth answers behind.
+* A group's cached views repair through one run of its plan, under the
+  binding they were computed with, each input resolved once.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro import LMFAO, DeltaBatch, IncrementalEngine
+from repro import (
+    LMFAO,
+    Aggregate,
+    Delta,
+    DeltaBatch,
+    IncrementalEngine,
+    Query,
+    QueryBatch,
+)
 from repro.engine.interpreter import execute_plan
 from repro.engine.viewcache import ViewCache, cache as cache_module
+from repro.engine.viewcache.signature import (
+    relation_fingerprint,
+    view_digest,
+)
 from repro.storage.cachestore import CacheStore
 
 from ..helpers import assert_results_equal
@@ -380,7 +396,13 @@ def test_each_affected_entry_is_repaired_once_children_first(
     real = ViewCache._repair
 
     def recorded(self, digest, entry, repair):
-        calls.append((digest, entry.recipe))
+        # each input's digest before the delta: its shape over the
+        # pass's pre-delta fingerprints
+        inputs = [
+            view_digest(shape, footprint, repair.old_fps)
+            for _, shape, footprint in entry.recipe.inputs
+        ]
+        calls.append((digest, inputs))
         return real(self, digest, entry, repair)
 
     monkeypatch.setattr(ViewCache, "_repair", recorded)
@@ -400,7 +422,112 @@ def test_each_affected_entry_is_repaired_once_children_first(
         order = [digest for digest, _ in calls]
         assert len(order) == len(set(order)) == report.views_patched > 0
         position = {digest: i for i, digest in enumerate(order)}
-        for i, (_, recipe) in enumerate(calls):
-            for _, child in recipe.input_digests:
+        for i, (_, inputs) in enumerate(calls):
+            for child in inputs:
                 assert position.get(child, -1) < i
     assert_served_answers_recomputed(engine, ds)
+
+
+@pytest.mark.parametrize(
+    "fixture, dimension",
+    [("tiny_retailer", "Census"), ("tiny_favorita", "Oil")],
+)
+def test_a_group_runs_once_per_pass_and_resolves_each_input_once(
+    request, fixture, dimension, monkeypatch
+):
+    """A group's cached views repair through one run: in one pass the
+    group (its plan under one run's binding) executes its plan at most
+    once, and resolves each input the delta did not change at most
+    once, however many of its views are cached."""
+    ds = request.getfixturevalue(fixture)
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    batches = served(ds)[1]
+    recipes, resolved, ran = [], [], []
+    real_repair, real_resolve = ViewCache._repair, ViewCache._resolve_input
+
+    def repair(self, digest, entry, pass_):
+        recipes.append(entry.recipe)
+        return real_repair(self, digest, entry, pass_)
+
+    def resolve(self, digest):
+        resolved.append(digest)
+        return real_resolve(self, digest)
+
+    def run(plan, relation, incoming, dyn, weights=None):
+        ran.append((id(plan), id(dyn)))
+        return execute_plan(plan, relation, incoming, dyn, weights)
+
+    monkeypatch.setattr(ViewCache, "_repair", repair)
+    monkeypatch.setattr(ViewCache, "_resolve_input", resolve)
+    monkeypatch.setattr(cache_module, "execute_plan", run)
+    rng = np.random.default_rng(0)
+    for relation in (engine.root, dimension):
+        engine.run(batches["covar"])
+        engine.run(batches["trees"])
+        del recipes[:], resolved[:], ran[:]
+        rel = engine.database.relation(relation)
+        rows = rng.integers(0, rel.n_rows, 3)
+        report = engine.apply_delta(
+            DeltaBatch.insert(
+                relation, {a: rel.column(a)[rows] for a in rel.schema.names}
+            )
+        )
+        assert report.all_incremental
+        groups = {(id(r.plan), id(r.dyn)): r for r in recipes}
+        assert 0 < len(groups) < len(recipes) == report.views_patched
+        assert 0 < len(resolved) <= sum(
+            len(recipe.plan.input_view_ids) for recipe in groups.values()
+        )
+        fps = {
+            rel.name: relation_fingerprint(rel) for rel in engine.database
+        }
+        unchanged = Counter(
+            view_digest(shape, footprint, fps)
+            for recipe in groups.values()
+            for _, shape, footprint in recipe.inputs
+            if relation not in footprint
+        )
+        assert not Counter(resolved) - unchanged
+        assert ran and set(Counter(ran).values()) == {1}
+        assert set(ran) <= set(groups)
+    assert_served_answers_recomputed(engine, ds)
+
+
+def test_a_function_rebound_in_place_does_not_change_a_repair(
+    tiny_favorita,
+):
+    """A repair runs a view's group under the binding the view was
+    computed with.  One batch runs under a dynamic threshold, then under
+    another after the function was re-bound in place, and a ``Sales``
+    delta repairs the views of both runs.  Re-bound back, the batch is
+    served from its first run's repaired views: they must equal a fresh
+    run, not hold the second threshold's delta."""
+    ds = tiny_favorita
+    engine = IncrementalEngine(ds.database, ds.join_tree)
+    sales = engine.database.relation("Sales")
+    low, high = np.quantile(sales.column("units"), [0.3, 0.8])
+    threshold = Delta("units", "<=", low, dynamic=True)
+    batch = QueryBatch(
+        [
+            Query("total", [], [Aggregate.of(threshold, name="n")]),
+            Query("by_store", ["store"], [Aggregate.of(threshold, name="n")]),
+        ]
+    )
+    engine.run(batch)
+    threshold.value = float(high)
+    engine.run(batch)
+    rng = np.random.default_rng(0)
+    n = sales.n_rows // 100
+    source = rng.integers(0, sales.n_rows, n)
+    report = engine.apply_delta(
+        DeltaBatch(
+            "Sales",
+            inserts={a: sales.column(a)[source] for a in sales.schema.names},
+            delete_indices=rng.choice(sales.n_rows, n, replace=False),
+        )
+    )
+    assert report.all_incremental
+    threshold.value = float(low)
+    got = assert_ground_truth(engine, batch)
+    report = got.cache_report
+    assert report.skipped_groups == report.total_groups > 0

@@ -720,6 +720,31 @@ class TestAnswerMemo:
         assert seconds > 0 and doubled == pytest.approx(2.0 * units)
         assert answers_stats(service)["resident"] == 1
 
+    def test_rebinding_in_place_leaves_each_binding_repaired_under_its_own(
+        self, service, toy_db
+    ):
+        """Views cached under two bindings of one function re-bound in
+        place are each repaired under their own binding: bound back
+        after a commit, the answer equals a fresh run's."""
+        low, high = np.quantile(
+            toy_db.relation("Sales").column("units"), [0.3, 0.8]
+        )
+        threshold = Delta("units", "<=", low, dynamic=True)
+        batch = QueryBatch(
+            [Query("n", ["store"], [Aggregate.of(threshold, name="n")])]
+        )
+        service.register_workload("toy", "dyn", batch)
+        service.query("toy", ["dyn"], timeout=60)
+        threshold.value = float(high)
+        service.query("toy", ["dyn"], timeout=60)
+        service.apply_delta(
+            "toy", sales_delta(toy_db, np.random.default_rng(3), n=10)
+        )
+        threshold.value = float(low)
+        response = service.query("toy", ["dyn"], timeout=60)
+        expected = LMFAO(service.snapshot("toy").database).run(batch)
+        assert_results_equal(response.results["dyn"], expected, batch)
+
     def test_answers_land_on_the_epoch_they_were_computed_at(
         self, service, toy_db
     ):

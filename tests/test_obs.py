@@ -10,6 +10,10 @@ def test_counts_full_collections_only():
     pauses = GcPauses()
     pauses.install()
     pauses.install()  # once is enough
+    # no automatic collection inside the counted window: only the
+    # explicit gc.collect(2) calls count
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         assert gc.callbacks.count(pauses._callback) == 1
         gc.collect(0)
@@ -25,6 +29,8 @@ def test_counts_full_collections_only():
         gc.collect(2)
     finally:
         pauses.uninstall()
+        if enabled:
+            gc.enable()
     assert pauses._callback not in gc.callbacks
     assert pauses.passes == 2
     assert 0.0 < pauses.longest <= pauses.total
@@ -37,12 +43,16 @@ def test_counts_full_collections_only():
 
 def test_stats_count_collections_while_the_service_runs():
     service = AnalyticsService(cache_mb=8)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         before = service.stats()["gc"]
         gc.collect(2)
         after = service.stats()["gc"]
     finally:
         service.close()
+        if enabled:
+            gc.enable()
     assert set(after) == {"gen2_passes", "gen2_ms", "gen2_max_ms"}
     assert after["gen2_passes"] == before["gen2_passes"] + 1
     assert after["gen2_ms"] >= before["gen2_ms"]
