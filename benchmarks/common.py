@@ -25,8 +25,6 @@ import time
 from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from repro.datasets import favorita, retailer, tpcds, yelp
-from repro.ml import CovarBatch, build_cube_batch, build_mi_batch
-from repro.ml.trees import CARTLearner
 from repro.query.aggregates import Aggregate
 from repro.query.query import Query, QueryBatch
 
@@ -49,13 +47,6 @@ def dataset(name: str):
     if name not in _CACHE:
         _CACHE[name] = _GENERATORS[name](scale=BENCH_SCALE)
     return _CACHE[name]
-
-
-def regression_label(ds) -> str:
-    """A continuous label for covar/RT workloads on every dataset."""
-    if ds.database.attribute_kind(ds.label) == "continuous":
-        return ds.label
-    return ds.continuous_features[0]
 
 
 T = TypeVar("T")
@@ -113,41 +104,12 @@ def measured_in_fresh_interpreter(module: str):
 
 
 # ---------------------------------------------------------------------------
-# The Table 2 / Table 3 workload batches
+# Table 3's count row (the paper's batches are ``repro.workloads``)
 # ---------------------------------------------------------------------------
 
 
 def count_batch() -> QueryBatch:
     return QueryBatch([Query("count", [], [Aggregate.count()])])
-
-
-def covar_workload(ds) -> QueryBatch:
-    label = regression_label(ds)
-    continuous = [f for f in ds.continuous_features if f != label]
-    return CovarBatch(continuous, ds.categorical_features, label).batch
-
-
-def rt_node_workload(ds, engine) -> QueryBatch:
-    """The regression-tree-node batch (root node, all split candidates)."""
-    label = regression_label(ds)
-    continuous = [f for f in ds.continuous_features if f != label]
-    learner = CARTLearner(
-        engine,
-        continuous,
-        ds.categorical_features,
-        label,
-        "regression",
-        n_buckets=20,
-    )
-    return learner.node_batch([])
-
-
-def mi_workload(ds) -> QueryBatch:
-    return build_mi_batch(ds.discrete_attrs)
-
-
-def cube_workload(ds) -> QueryBatch:
-    return build_cube_batch(ds.cube_dimensions, ds.cube_measures)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from functools import partial
 
 import pytest
 
-from repro import LMFAO
+from repro import LMFAO, workloads
 
 from tests.engine.helpers import assert_results_equal
 
-from .common import Report, alternating, covar_workload, dataset, spread, timed
+from .common import Report, alternating, dataset, spread, timed
 
 pytestmark = pytest.mark.slow
 
@@ -42,7 +42,7 @@ def answers(request):
     the batch and each configuration's last answer."""
     name = request.param
     ds = dataset(name)
-    batch = covar_workload(ds)
+    batch = workloads.build(ds, "covar")
     engines = [LMFAO(ds.database, ds.join_tree, **kw) for _, kw in CONFIGS]
     stats = [engine.plan(batch).statistics for engine in engines]
     runs = alternating(

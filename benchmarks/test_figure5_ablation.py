@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from repro import LMFAO
+from repro import LMFAO, workloads
 from repro.baselines import FIGURE5_LADDER
 
 from tests.engine.helpers import assert_results_equal
@@ -24,7 +24,6 @@ from .common import (
     PAPER_FIGURE5,
     Report,
     alternating,
-    covar_workload,
     dataset,
     spread,
     timed,
@@ -43,7 +42,7 @@ def answers(request):
     batch and each step's last answer."""
     name = request.param
     ds = dataset(name)
-    batch = covar_workload(ds)
+    batch = workloads.build(ds, "covar")
     engines = [
         LMFAO(ds.database, ds.join_tree, **kwargs)
         for _, kwargs in FIGURE5_LADDER

@@ -28,13 +28,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro import DeltaBatch, IncrementalEngine
+from repro import DeltaBatch, IncrementalEngine, workloads
 
 from .common import (
     DATASET_NAMES,
     Report,
     alternating,
-    covar_workload,
     dataset,
     measured_in_fresh_interpreter,
     spread,
@@ -76,7 +75,7 @@ def measure(name, fraction, rounds):
     """
     ds = dataset(name)
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batch = covar_workload(ds)
+    batch = workloads.build(ds, "covar")
     engine.run(batch)  # materialize views; plan cached
     rng = np.random.default_rng(42)
 

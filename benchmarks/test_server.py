@@ -45,13 +45,11 @@ from .common import (
     BENCH_SCALE,
     Report,
     alternating,
-    covar_workload,
     dataset,
-    rt_node_workload,
     spread,
     timed,
 )
-from .test_viewcache import linreg_workload
+from .test_viewcache import build_workloads
 
 pytestmark = [pytest.mark.slow, pytest.mark.timeout(900)]
 
@@ -64,17 +62,6 @@ THROUGHPUT_ROUNDS = 5
 LATENCY_REQUESTS = 30
 DELTA_INTERVAL_S = 0.03
 DELTA_FRACTION = 0.005
-
-
-def build_workloads(ds):
-    from repro import LMFAO
-
-    planner = LMFAO(ds.database, ds.join_tree)
-    return {
-        "covar": covar_workload(ds),
-        "linreg": linreg_workload(ds),
-        "trees": rt_node_workload(ds, planner),
-    }
 
 
 def make_service(ds, workloads, *, cache_mb):

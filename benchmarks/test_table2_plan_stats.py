@@ -8,16 +8,14 @@ writes ``results/table2.txt``.
 
 import pytest
 
+from repro import workloads
+
 from .common import (
     DATASET_NAMES,
     PAPER_TABLE2,
     Report,
     alternating,
-    covar_workload,
-    cube_workload,
     dataset,
-    mi_workload,
-    rt_node_workload,
     spread,
     timed,
 )
@@ -30,22 +28,11 @@ ROUNDS = 3
 _measured = {}
 
 
-def build_batch(workload, name, engine):
-    ds = dataset(name)
-    if workload == "covar":
-        return covar_workload(ds)
-    if workload == "rt_node":
-        return rt_node_workload(ds, engine)
-    if workload == "mi":
-        return mi_workload(ds)
-    return cube_workload(ds)
-
-
 @pytest.mark.parametrize("name", DATASET_NAMES)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_planning(workload, name, lmfao_engine):
     engine = lmfao_engine(name)
-    batch = build_batch(workload, name, engine)
+    batch = workloads.build(dataset(name), workload)
 
     def plan_fresh():
         engine._plan_cache.clear()

@@ -19,6 +19,8 @@ import statistics
 
 import pytest
 
+from repro import workloads
+
 from tests.engine.helpers import assert_results_equal
 
 from .common import (
@@ -27,11 +29,7 @@ from .common import (
     Report,
     alternating,
     count_batch,
-    covar_workload,
-    cube_workload,
     dataset,
-    mi_workload,
-    rt_node_workload,
     spread,
     timed,
 )
@@ -44,17 +42,10 @@ ROUNDS = 3
 _measured = {}
 
 
-def build_batch(workload, name, engine):
-    ds = dataset(name)
+def build_batch(workload, name):
     if workload == "count":
         return count_batch()
-    if workload == "covar":
-        return covar_workload(ds)
-    if workload == "rt_node":
-        return rt_node_workload(ds, engine)
-    if workload == "mi":
-        return mi_workload(ds)
-    return cube_workload(ds)
+    return workloads.build(dataset(name), workload)
 
 
 @pytest.fixture(
@@ -67,7 +58,7 @@ def cell(request, lmfao_engine, materialized_engine):
     rounds: the batch and each side's answer per round."""
     workload, name = request.param
     engine, baseline = lmfao_engine(name), materialized_engine(name)
-    batch = build_batch(workload, name, engine)
+    batch = build_batch(workload, name)
     engine.plan(batch)  # plan once, outside the timing (warm cache)
     lmfao, base = alternating(
         ROUNDS,

@@ -28,7 +28,7 @@ import statistics
 import pytest
 
 from repro import LMFAO, ViewCache, WorkloadSession
-from repro.ml import CovarBatch
+from repro.workloads import build as build_batch
 
 from tests.engine.helpers import assert_results_equal
 
@@ -36,10 +36,7 @@ from .common import (
     BENCH_SCALE,
     Report,
     alternating,
-    covar_workload,
     dataset,
-    regression_label,
-    rt_node_workload,
     spread,
     timed,
 )
@@ -56,24 +53,12 @@ WARM_SPEEDUP_BAR = 3.0
 CACHE_BUDGET_MB = 512
 
 
-def linreg_workload(ds):
-    """The batch ridge regression actually trains on: the full covar
-    matrix over continuous + one-hot categorical features (what
-    ``train_ridge`` consumes).  Structurally this is the covar
-    workload — running covar, then linreg, recomputes a near-identical
-    view DAG, which is precisely the cross-workload redundancy the
-    cache/fusion subsystem removes."""
-    label = regression_label(ds)
-    continuous = [f for f in ds.continuous_features if f != label]
-    return CovarBatch(continuous, ds.categorical_features, label).batch
-
-
 def build_workloads(ds):
-    planner = LMFAO(ds.database, ds.join_tree)
+    """covar, linreg and trees: linreg's batch is covar's (ridge
+    regression trains on the covar matrix), which is precisely the
+    cross-workload redundancy the cache/fusion subsystem removes."""
     return {
-        "covar": covar_workload(ds),
-        "linreg": linreg_workload(ds),
-        "trees": rt_node_workload(ds, planner),
+        name: build_batch(ds, name) for name in ("covar", "linreg", "trees")
     }
 
 

@@ -29,9 +29,8 @@ import tempfile
 
 import numpy as np
 
-from repro import AnalyticsService, DeltaBatch
+from repro import AnalyticsService, DeltaBatch, workloads
 from repro.datasets import favorita
-from repro.ml import CovarBatch
 
 N_DELTAS = 5
 
@@ -43,14 +42,8 @@ def build_service(data_dir, dataset):
     service.register_dataset(
         "favorita", dataset.database, dataset.join_tree
     )
-    label = dataset.label
-    if dataset.database.attribute_kind(label) != "continuous":
-        label = dataset.continuous_features[0]
-    continuous = [f for f in dataset.continuous_features if f != label]
     service.register_workload(
-        "favorita",
-        "covar",
-        CovarBatch(continuous, dataset.categorical_features, label).batch,
+        "favorita", "covar", workloads.build(dataset, "covar")
     )
     return service
 

@@ -25,9 +25,8 @@ import time
 
 import numpy as np
 
-from repro import AnalyticsService, DeltaBatch
+from repro import AnalyticsService, DeltaBatch, workloads
 from repro.datasets import favorita
-from repro.ml import CovarBatch
 
 N_CLIENTS = 4
 REQUESTS_PER_CLIENT = 5
@@ -36,10 +35,6 @@ N_DELTAS = 8
 
 def main() -> None:
     dataset = favorita(scale=0.3)
-    label = dataset.label
-    if dataset.database.attribute_kind(label) != "continuous":
-        label = dataset.continuous_features[0]
-    continuous = [f for f in dataset.continuous_features if f != label]
 
     service = AnalyticsService(cache_mb=64)
     service.register_dataset(
@@ -48,16 +43,10 @@ def main() -> None:
     # covar and linreg are the paper's own redundancy story: the ridge
     # regression trains on the covar matrix, so the two view DAGs are
     # the same and one workload's views are cache hits for the other
-    service.register_workload(
-        "favorita",
-        "covar",
-        CovarBatch(continuous, dataset.categorical_features, label).batch,
-    )
-    service.register_workload(
-        "favorita",
-        "linreg",
-        CovarBatch(continuous, dataset.categorical_features, label).batch,
-    )
+    for name in ("covar", "linreg"):
+        service.register_workload(
+            "favorita", name, workloads.build(dataset, name)
+        )
     service.prepare("favorita")
     root = max(
         service.snapshot("favorita").database,

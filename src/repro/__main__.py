@@ -5,7 +5,7 @@ Commands:
 * ``info [dataset...]``   — Table 1-style characteristics of the
   synthetic datasets;
 * ``plan <dataset> <workload>`` — plan a workload and print EXPLAIN +
-  the Table 2 statistics (workloads: covar, rt_node, mi, cube);
+  the Table 2 statistics (workloads: ``repro.workloads.NAMES``);
 * ``sql <dataset> <workload>``  — print the view decomposition as SQL;
 * ``run <dataset> <workload>``  — execute the workload and time it;
 * ``run <dataset> --workloads covar,linreg,trees [--fuse] [--cache-mb N]``
@@ -42,119 +42,11 @@ from . import (
     IncrementalEngine,
     ViewCache,
     WorkloadSession,
+    workloads,
 )
 from .datasets import ALL_DATASETS
 from .engine.explain import explain
 from .engine.sql import render_batch_sql
-from .ml import (
-    CovarBatch,
-    PolynomialCovarBatch,
-    build_cube_batch,
-    build_mi_batch,
-)
-from .ml.trees import CARTLearner
-
-WORKLOAD_CHOICES = [
-    "covar",
-    "linreg",
-    "trees",
-    "rt_node",
-    "kmeans",
-    "polyreg",
-    "mi",
-    "mutual_information",
-    "chow_liu",
-    "cube",
-    "datacube",
-]
-
-
-class WorkloadUnavailable(SystemExit):
-    """A workload's optional dependency is missing.
-
-    SystemExit so a direct CLI invocation exits with the message, while
-    ``build_service`` catches it to skip registration and keep serving
-    the rest."""
-
-
-def _regression_label(dataset) -> str:
-    label = dataset.label
-    if dataset.database.attribute_kind(label) != "continuous":
-        label = dataset.continuous_features[0]
-    return label
-
-
-def _build_workload(dataset, engine, workload: str):
-    if workload == "covar":
-        label = _regression_label(dataset)
-        continuous = [f for f in dataset.continuous_features if f != label]
-        return CovarBatch(
-            continuous, dataset.categorical_features, label
-        ).batch
-    if workload == "linreg":
-        # the batch ridge regression trains on: the full covar matrix
-        # (train_ridge's input) — near-identical to the covar workload,
-        # so fusion/caching shares almost the whole view DAG
-        label = _regression_label(dataset)
-        continuous = [f for f in dataset.continuous_features if f != label]
-        return CovarBatch(
-            continuous, dataset.categorical_features, label
-        ).batch
-    if workload in ("trees", "rt_node"):
-        label = _regression_label(dataset)
-        continuous = [f for f in dataset.continuous_features if f != label]
-        learner = CARTLearner(
-            engine, continuous, dataset.categorical_features, label,
-            "regression",
-        )
-        return learner.node_batch([])
-    if workload == "kmeans":
-        # one Lloyd iteration as a servable batch: per-cluster count /
-        # sum / sum-of-squares aggregates with the (seeded) centroid
-        # assignment baked into dynamic UDFs — exactly the batch each
-        # kmeans() iteration issues.  The UDFs make it uncacheable, so
-        # it also exercises the cache-bypass path under serving.
-        from .ml.kmeans import _initial_centroids, _iteration_batch
-
-        features = [
-            f for f in dataset.continuous_features if f != dataset.label
-        ][:3]
-        centroids = _initial_centroids(
-            engine, features, 3, np.random.default_rng(0)
-        )
-        return _iteration_batch(features, centroids)
-    if workload == "polyreg":
-        # degree-2 moment batch (eq. 5) over a trimmed feature set —
-        # the full set squares the aggregate count, which is a batch
-        # benchmark, not a serving workload
-        label = _regression_label(dataset)
-        continuous = [
-            f for f in dataset.continuous_features if f != label
-        ][:4]
-        return PolynomialCovarBatch(
-            continuous, dataset.categorical_features[:2], label, degree=2
-        ).batch
-    if workload in ("mi", "mutual_information"):
-        return build_mi_batch(dataset.discrete_attrs)
-    if workload == "chow_liu":
-        # the served aggregates are the pairwise-MI batch chow_liu_tree
-        # consumes; tree assembly itself needs networkx, so gate on it
-        # here rather than failing at post-processing time
-        try:
-            from .ml.chow_liu import chow_liu_tree  # noqa: F401
-        except ImportError as exc:
-            raise WorkloadUnavailable(
-                f"workload 'chow_liu' needs networkx ({exc})"
-            ) from None
-        return build_mi_batch(dataset.discrete_attrs)
-    if workload in ("cube", "datacube"):
-        return build_cube_batch(
-            dataset.cube_dimensions, dataset.cube_measures
-        )
-    raise SystemExit(
-        f"unknown workload {workload!r}; use one of "
-        f"{'/'.join(WORKLOAD_CHOICES)}"
-    )
 
 
 def cmd_info(args) -> int:
@@ -184,7 +76,7 @@ def _dataset_and_engine(args):
 
 def cmd_plan(args) -> int:
     dataset, engine = _dataset_and_engine(args)
-    batch = _build_workload(dataset, engine, args.workload)
+    batch = workloads.build(dataset, args.workload)
     plan = engine.plan(batch)
     print(explain(plan, dataset.join_tree))
     print()
@@ -194,7 +86,7 @@ def cmd_plan(args) -> int:
 
 def cmd_sql(args) -> int:
     dataset, engine = _dataset_and_engine(args)
-    batch = _build_workload(dataset, engine, args.workload)
+    batch = workloads.build(dataset, args.workload)
     plan = engine.plan(batch)
     print(render_batch_sql(plan.decomposed))
     return 0
@@ -208,12 +100,12 @@ def cmd_run(args) -> int:
             )
         if args.incremental:
             raise SystemExit("--incremental takes a single workload")
-        dataset, engine = _dataset_and_engine(args)
-        return _run_workloads(args, dataset, engine)
+        dataset, _ = _dataset_and_engine(args)
+        return _run_workloads(args, dataset)
     if args.workload is None:
         raise SystemExit("run needs a workload (or --workloads)")
     dataset, engine = _dataset_and_engine(args)
-    batch = _build_workload(dataset, engine, args.workload)
+    batch = workloads.build(dataset, args.workload)
     if args.incremental:
         return _run_incremental(args, dataset, batch)
     print(
@@ -230,7 +122,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_workloads(args, dataset, engine) -> int:
+def _run_workloads(args, dataset) -> int:
     """Run several workloads through one (optionally fused/cached) session."""
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
     if not names:
@@ -243,14 +135,16 @@ def _run_workloads(args, dataset, engine) -> int:
         else None
     )
     session = WorkloadSession(
-        engine.database,  # loaded once, shared with the session
+        dataset.database,  # loaded once, shared with the session
         dataset.join_tree,
         cache=cache,
     )
-    batches = {}
-    for name in names:
-        batches[name] = _build_workload(dataset, engine, name)
-        session.add_workload(name, batches[name])
+    try:
+        batches = {name: workloads.build(dataset, name) for name in names}
+    except ValueError as exc:  # an unknown name
+        raise SystemExit(str(exc)) from None
+    for name, batch in batches.items():
+        session.add_workload(name, batch)
     mode = "fused" if args.fuse else "independent"
     print(
         f"{'+'.join(names)} on {args.dataset} "
@@ -356,21 +250,6 @@ def _run_incremental(args, dataset, batch) -> int:
     return 0
 
 
-#: workloads the service registers for ``serve`` — the full ML set
-#: (rt_node is the same batch as trees and mi/cube are short aliases
-#: of mutual_information/datacube; they stay CLI-only)
-SERVE_WORKLOADS = (
-    "covar",
-    "linreg",
-    "trees",
-    "kmeans",
-    "polyreg",
-    "chow_liu",
-    "mutual_information",
-    "datacube",
-)
-
-
 def build_service(args, dataset) -> AnalyticsService:
     """An :class:`AnalyticsService` over one dataset, all workloads."""
     service = AnalyticsService(
@@ -402,15 +281,7 @@ def build_service(args, dataset) -> AnalyticsService:
         )
     elif getattr(args, "data_dir", None):
         print(f"initialized durable storage at {args.data_dir}")
-    # a planner builds the workload batches (the tree learner wants an
-    # engine handle; node_batch never executes it)
-    planner = LMFAO(dataset.database, dataset.join_tree)
-    for name in SERVE_WORKLOADS:
-        try:
-            batch = _build_workload(dataset, planner, name)
-        except WorkloadUnavailable as exc:
-            print(f"skipping {exc}")
-            continue
+    for name, batch in workloads.served_batches(dataset).items():
         service.register_workload(args.dataset, name, batch)
     # plan every workload before accepting traffic, so no request pays
     # planning inline
@@ -561,11 +432,11 @@ def main(argv=None) -> int:
         p.add_argument("dataset", choices=sorted(ALL_DATASETS))
         if name == "run":
             p.add_argument(
-                "workload", nargs="?", choices=WORKLOAD_CHOICES,
+                "workload", nargs="?", choices=workloads.NAMES,
                 help="single workload to run (or use --workloads)",
             )
         else:
-            p.add_argument("workload", choices=WORKLOAD_CHOICES)
+            p.add_argument("workload", choices=workloads.NAMES)
         if name == "run":
             p.add_argument(
                 "--workloads",

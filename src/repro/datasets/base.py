@@ -43,6 +43,17 @@ class Dataset:
     def features(self) -> List[str]:
         return self.continuous_features + self.categorical_features
 
+    def regression_spec(self) -> Tuple[List[str], List[str], str]:
+        """``(continuous, categorical, label)`` of the regression
+        workloads: the label is ``label`` if that is continuous and the
+        first continuous feature otherwise; ``continuous`` is every other
+        continuous feature."""
+        label = self.label
+        if self.database.attribute_kind(label) != "continuous":
+            label = self.continuous_features[0]
+        continuous = [f for f in self.continuous_features if f != label]
+        return continuous, list(self.categorical_features), label
+
     def fact_table(self) -> str:
         """The largest relation (the snowflake/star fact table)."""
         return max(self.database, key=lambda r: r.n_rows).name

@@ -500,8 +500,8 @@ class ViewCache:
         as a ``stale_reject`` — if any relation in the view's footprint
         has since been delta'd past that version: a reader pinned to an
         older epoch must not publish entries the next delta could only
-        evict.  Callers that guarantee currency themselves (the repair
-        path) omit it.
+        evict.  Every caller in the engine passes it; repair does not
+        come through here but admits through :meth:`_admit`.
         """
         if not sig.cacheable:
             return False

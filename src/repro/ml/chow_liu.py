@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
-
 from .mutual_information import pairwise_mutual_information
 
 
@@ -21,8 +19,11 @@ def chow_liu_tree(
 
     Returns ``(edges, mi)`` where ``edges`` is the list of tree edges
     (each a sorted attribute pair) and ``mi`` the full pairwise
-    mutual-information table used to build it.
+    mutual-information table used to build it.  Needs networkx, which
+    is imported here so ``repro.ml`` imports without it.
     """
+    import networkx as nx
+
     attrs = list(attrs)
     if len(attrs) < 2:
         raise ValueError("a Chow-Liu tree needs at least two attributes")

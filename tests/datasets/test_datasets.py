@@ -47,6 +47,17 @@ class TestAllDatasets:
         else:
             assert kind == "continuous"
 
+    def test_regression_spec_has_a_continuous_label(self, name, generator):
+        ds = generator(scale=0.05)
+        continuous, categorical, label = ds.regression_spec()
+        assert ds.database.attribute_kind(label) == "continuous"
+        # tpcds's own label is its classification target
+        assert label == (
+            ds.continuous_features[0] if name == "tpcds" else ds.label
+        )
+        assert continuous == [f for f in ds.continuous_features if f != label]
+        assert categorical == ds.categorical_features
+
     def test_join_is_connected(self, name, generator):
         ds = generator(scale=0.05)
         flat = materialize_join(ds.database)

@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 
 from repro import LMFAO, Aggregate, IncrementalEngine, Query, QueryBatch
-from repro.__main__ import _build_workload
 from repro.baselines import MaterializedEngine
 from repro.engine.viewcache import ViewCache
-from repro.ml import CovarBatch, build_cube_batch, build_mi_batch
+from repro.workloads import build
 
 from .helpers import WORKLOADS, assert_results_equal
-from .viewcache.test_fusion import regression_label
 
 MERGE_MODES = ["full", "dedup", "none"]
 DATASETS = ["tiny_favorita", "tiny_retailer", "tiny_yelp", "tiny_tpcds"]
@@ -32,13 +30,7 @@ def dataset_batches(ds):
     """A scalar (covar), a grouped (MI) and a cube batch of one dataset;
     the tree learner's node batch is served, so the served check below
     covers it."""
-    label = regression_label(ds)
-    continuous = [f for f in ds.continuous_features if f != label]
-    return [
-        CovarBatch(continuous, list(ds.categorical_features), label).batch,
-        build_mi_batch(ds.discrete_attrs),
-        build_cube_batch(ds.cube_dimensions, ds.cube_measures),
-    ]
+    return [build(ds, name) for name in ("covar", "mi", "cube")]
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +175,7 @@ def test_served_batches_take_the_block_slice(tiny_retailer):
     ).engine
     n_queries = 0
     for workload in SERVED:
-        batch = _build_workload(ds, engine, workload)
+        batch = build(ds, workload)
         result = engine.run(batch)
         plan = engine.plan(batch)
         views, _ = engine.execute(plan, batch.dynamic_functions())

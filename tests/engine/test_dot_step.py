@@ -92,11 +92,7 @@ def test_the_form_is_read_off_min_of_context_rows_and_view_keys(
 def test_served_plans_render_to_the_interpreters_answers_bit_for_bit(
     request, fixture
 ):
-    from repro.__main__ import (
-        SERVE_WORKLOADS,
-        WorkloadUnavailable,
-        _build_workload,
-    )
+    from repro.workloads import served_batches
 
     ds = request.getfixturevalue(fixture)
     root = max(ds.database, key=lambda r: r.n_rows).name
@@ -104,11 +100,7 @@ def test_served_plans_render_to_the_interpreters_answers_bit_for_bit(
         ds.database, ds.join_tree, root=root, view_cache=ViewCache()
     )
     n_dots = 0
-    for workload in SERVE_WORKLOADS:
-        try:
-            batch = _build_workload(ds, engine, workload)
-        except WorkloadUnavailable:
-            continue
+    for batch in served_batches(ds).values():
         n_dots += sum(
             isinstance(step, DotStep)
             for group_plan in engine.plan(batch).group_plans

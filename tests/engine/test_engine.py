@@ -15,9 +15,9 @@ from repro import (
     QueryBatch,
 )
 from repro.baselines import MaterializedEngine
+from repro.workloads import paper_batches
 
 from .helpers import assert_results_equal
-from .test_key_encodings import paper_batches
 
 
 def standard_batch():
@@ -203,7 +203,7 @@ class TestRowOrder:
         ds = request.getfixturevalue(dataset_fixture)
         given = LMFAO(ds.database, ds.join_tree)
         shuffled = LMFAO(permuted(ds.database, "shuffled"), ds.join_tree)
-        for batch in paper_batches(ds, given):
+        for batch in paper_batches(ds).values():
             assert_results_equal(shuffled.run(batch), given.run(batch), batch)
 
 

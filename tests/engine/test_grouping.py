@@ -7,8 +7,7 @@ from repro.engine.grouping import group_views
 from repro.engine.pushdown import Decomposer
 from repro.engine.roots import assign_roots
 from repro.jointree.join_tree import join_tree_from_database
-
-from .test_key_encodings import paper_batches
+from repro.workloads import paper_batches
 
 
 def assert_listed_topologically(grouped):
@@ -119,7 +118,7 @@ class TestGrouping:
             merge_mode=merge_mode,
             group_views=group_enabled,
         )
-        for batch in paper_batches(ds, engine):
+        for batch in paper_batches(ds).values():
             assert_listed_topologically(engine.plan(batch).grouped)
 
     def test_grouping_disabled_gives_singletons(self, toy_db):

@@ -22,6 +22,7 @@ from repro.data import Database, Relation
 from repro.data.database import AppliedDelta
 from repro.engine.plan import DotStep, GroupSumStep
 from repro.engine.viewcache import ViewCache
+from repro.workloads import build
 
 from .helpers import assert_results_equal
 
@@ -37,16 +38,6 @@ def simple_batch(extra_group_by):
         ),
     ]
     return QueryBatch(queries)
-
-
-def covar_batch(ds):
-    from repro.ml import CovarBatch
-
-    label = ds.label
-    if ds.database.attribute_kind(label) != "continuous":
-        label = ds.continuous_features[0]
-    continuous = [f for f in ds.continuous_features if f != label]
-    return CovarBatch(continuous, ds.categorical_features, label).batch
 
 
 def reference_results(engine, batch):
@@ -187,7 +178,7 @@ class TestIncrementalMatchesRecomputation:
 
     def test_covar_workload(self, tiny_favorita):
         ds = tiny_favorita
-        batch = covar_batch(ds)
+        batch = build(ds, "covar")
 
         def deltas(rng, fact):
             idx = rng.choice(fact.n_rows, fact.n_rows // 50, replace=False)
@@ -550,7 +541,7 @@ class TestServedFromMaintainedViews:
     def test_post_delta_run_has_no_cache_misses(self, any_dataset, target):
         ds = any_dataset
         engine = IncrementalEngine(ds.database, ds.join_tree)
-        batch = covar_batch(ds)
+        batch = build(ds, "covar")
         first = engine.run(batch)
         assert first.cache_report.n_misses > 0
         name = engine.root

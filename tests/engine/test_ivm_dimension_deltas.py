@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from repro import DeltaBatch, IncrementalEngine
+from repro.workloads import build
 
 from .helpers import assert_results_equal
 from .test_ivm import (
     DATASET_FIXTURES,
-    covar_batch,
     reference_results,
     sample_inserts,
     simple_batch,
@@ -37,7 +37,7 @@ def any_dataset(request):
 #: the covar matrix, whose views carry many aggregate columns each
 BATCHES = {
     "simple": lambda ds: simple_batch([ds.categorical_features[0]]),
-    "covar": covar_batch,
+    "covar": lambda ds: build(ds, "covar"),
 }
 
 
@@ -166,11 +166,9 @@ class TestInterleavedRootAndDimension:
         assert_results_equal(got, expected, batch, rtol=1e-8, atol=1e-8)
 
     def test_covar_workload_dimension_delta(self, tiny_retailer):
-        from .test_ivm import covar_batch
-
         ds = tiny_retailer
         engine = IncrementalEngine(ds.database, ds.join_tree)
-        batch = covar_batch(ds)
+        batch = build(ds, "covar")
         engine.run(batch)
         rng = np.random.default_rng(4)
         dim = dimension_names(engine)[0]

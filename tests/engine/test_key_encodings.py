@@ -21,27 +21,11 @@ from repro import (
     ViewCache,
 )
 from repro.data import ops
-from repro.ml import CARTLearner, CovarBatch, build_cube_batch, build_mi_batch
 from repro.storage import codec, snapshot
 from repro.storage.snapshot import load_snapshot, write_snapshot
+from repro.workloads import build, paper_batches
 
 from .helpers import assert_results_equal
-from .viewcache.test_fusion import regression_label
-
-
-def paper_batches(ds, engine):
-    """The paper's four batches (Table 3) from the public builders."""
-    label = regression_label(ds)
-    continuous = [f for f in ds.continuous_features if f != label]
-    categorical = list(ds.categorical_features)
-    return [
-        CovarBatch(continuous, categorical, label).batch,
-        CARTLearner(
-            engine, continuous, categorical, label, "regression"
-        ).node_batch([]),
-        build_mi_batch(ds.discrete_attrs),
-        build_cube_batch(ds.cube_dimensions, ds.cube_measures),
-    ]
 
 
 def memo_entries(database):
@@ -81,7 +65,7 @@ class TestRerunsEncodeNothing:
     ):
         ds = request.getfixturevalue(fixture)
         engine = LMFAO(ds.database, ds.join_tree)
-        batches = paper_batches(ds, engine)
+        batches = list(paper_batches(ds).values())
         first = [engine.run(batch) for batch in batches]
         after_first = memo_entries(engine.database)
         assert after_first  # the batches do join and group
@@ -111,7 +95,7 @@ class TestOneAddressPerDataset:
         ds = tiny_retailer
         cache = ViewCache()
         engine = LMFAO(ds.database, ds.join_tree, view_cache=cache)
-        batch = paper_batches(ds, engine)[0]  # covar
+        batch = build(ds, "covar")
         cold = engine.run(batch)
         cacheable = cold.cache_report.n_misses
         assert cacheable and cold.cache_report.n_hits == 0
@@ -129,7 +113,7 @@ class TestOneAddressPerDataset:
     ):
         ds = tiny_favorita
         first = LMFAO(ds.database, ds.join_tree)
-        batches = paper_batches(ds, first)
+        batches = list(paper_batches(ds).values())
         expected = [first.run(batch) for batch in batches]
         del count_relation_encodings[:]
         second = LMFAO(ds.database, ds.join_tree)
@@ -243,7 +227,7 @@ class TestCachedViewsEncodeOnce:
     ):
         ds = tiny_retailer
         engine = IncrementalEngine(ds.database, ds.join_tree)
-        batch = paper_batches(ds, engine.engine)[0]  # covar
+        batch = build(ds, "covar")
         engine.run(batch)
         rng = np.random.default_rng(0)
 

@@ -22,11 +22,9 @@ from repro.engine.plan import (
     MulStep,
     step_liveness,
 )
-from repro.ml import CovarBatch
+from repro.workloads import build, paper_batches
 
 from .helpers import assert_results_identical, output_view_ids, run_rendered
-from .test_key_encodings import paper_batches
-from .viewcache.test_fusion import regression_label
 
 DATASETS = ["tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds"]
 
@@ -99,7 +97,7 @@ class TestSoundness:
         ds = request.getfixturevalue(fixture)
         n_plans = 0
         for engine in engines(ds).values():
-            for batch in paper_batches(ds, engine):
+            for batch in paper_batches(ds).values():
                 plan = engine.plan(batch)
                 assert_view_frees_sound(plan)
                 for group_plan in plan.group_plans:
@@ -139,7 +137,7 @@ class TestRenderedSource:
     def test_paper_batches_render_dels_and_agree(self, request, fixture):
         ds = request.getfixturevalue(fixture)
         for engine in engines(ds).values():
-            for batch in paper_batches(ds, engine):
+            for batch in paper_batches(ds).values():
                 plan = engine.plan(batch)
                 for group_plan in plan.group_plans:
                     source = codegen.render_source(group_plan)
@@ -158,12 +156,7 @@ def cold_served_peak(scale):
     of one cold single-root covar run on retailer."""
     ds = retailer(scale=scale)
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    label = regression_label(ds)
-    batch = CovarBatch(
-        [f for f in ds.continuous_features if f != label],
-        list(ds.categorical_features),
-        label,
-    ).batch
+    batch = build(ds, "covar")
     plan = engine.engine.plan(batch)
     n_rows = ds.database.relation(engine.root).n_rows
     tracemalloc.start()

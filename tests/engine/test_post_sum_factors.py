@@ -417,21 +417,13 @@ class TestProductOrder:
     def test_no_served_group_multiplies_more_than_in_signature_order(
         self, request, fixture
     ):
-        from repro.__main__ import (
-            SERVE_WORKLOADS,
-            WorkloadUnavailable,
-            _build_workload,
-        )
+        from repro.workloads import served_batches
 
         ds = request.getfixturevalue(fixture)
         root = max(ds.database, key=lambda r: r.n_rows).name
         engine = LMFAO(ds.database, ds.join_tree, root=root)
         planned = reference = 0
-        for workload in SERVE_WORKLOADS:
-            try:
-                batch = _build_workload(ds, engine, workload)
-            except WorkloadUnavailable:
-                continue
+        for workload, batch in served_batches(ds).items():
             for group_plan in engine.plan(batch).group_plans:
                 mine = len(row_products(group_plan))
                 theirs = parent_order_products(group_plan)

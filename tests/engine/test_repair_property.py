@@ -23,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import LMFAO, DeltaBatch, IncrementalEngine, ml
+from repro import LMFAO, DeltaBatch, IncrementalEngine
+from repro.workloads import build
 
 from .helpers import relation_to_table, _agg_names
 
@@ -32,28 +33,13 @@ ROOT_KINDS = ("insert", "retract", "update")
 #: every sequence holds one dimension delta of each of these kinds
 SPECIAL_KINDS = ("move_category", "retract_referenced", "new_key")
 
-_WORKLOADS = {}
+#: the served workloads the benchmark's readers ask for
+SERVED = ("covar", "trees", "mutual_information")
 
 
 def served(ds):
-    """The served batches of a dataset, with a planner that keeps its
-    plans: they depend on the schema, not on the data."""
-    if ds.name not in _WORKLOADS:
-        planner = LMFAO(ds.database, ds.join_tree)
-        label = ds.label
-        if ds.database.attribute_kind(label) != "continuous":
-            label = ds.continuous_features[0]
-        continuous = [f for f in ds.continuous_features if f != label]
-        categorical = list(ds.categorical_features)
-        batches = {
-            "covar": ml.CovarBatch(continuous, categorical, label).batch,
-            "trees": ml.CARTLearner(
-                planner, continuous, categorical, label, "regression"
-            ).node_batch([]),
-            "mutual_information": ml.build_mi_batch(ds.discrete_attrs),
-        }
-        _WORKLOADS[ds.name] = (planner, batches)
-    return _WORKLOADS[ds.name]
+    """Name -> a fresh batch of each workload in ``SERVED``."""
+    return {name: build(ds, name) for name in SERVED}
 
 
 def shared_attributes(database, name):
@@ -160,7 +146,10 @@ def assert_supports_positive(cache):
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_repaired_answers_match_recomputation(dataset, request):
     ds = request.getfixturevalue(dataset)
-    planner, batches = served(ds)
+    # the planner keeps its plans across examples: they depend on the
+    # schema, not on the data
+    planner = LMFAO(ds.database, ds.join_tree)
+    batches = served(ds)
 
     @settings(
         max_examples=4,

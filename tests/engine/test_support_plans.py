@@ -16,8 +16,8 @@ import pytest
 from repro import LMFAO
 from repro.engine.plan import EmitStep
 from repro.engine.viewcache import ViewCache
+from repro.workloads import paper_batches
 
-from .test_key_encodings import paper_batches
 
 #: (dataset fixture, plan shape) -> (steps, digest) of the cache-less plans
 CACHELESS_PLANS = {
@@ -108,7 +108,7 @@ def test_support_is_planned_on_every_keyed_view_iff_a_cache_is_attached(
     bare = LMFAO(ds.database, ds.join_tree, **kwargs)
     cached = LMFAO(ds.database, ds.join_tree, view_cache=ViewCache(), **kwargs)
     digest, n_steps, n_interior = hashlib.sha256(), 0, 0
-    for batch in paper_batches(ds, bare):
+    for batch in paper_batches(ds).values():
         plan = bare.plan(batch)
         for group_plan in plan.group_plans:
             for step in group_plan.steps:
@@ -159,7 +159,7 @@ def test_plans_are_pinned(request, name, shape, merge_mode, cached):
         **kwargs,
     )
     digest, n_steps = hashlib.sha256(), 0
-    for batch in paper_batches(ds, planned):
+    for batch in paper_batches(ds).values():
         for group_plan in planned.plan(batch).group_plans:
             for step in group_plan.steps:
                 digest.update(repr(step).encode())

@@ -112,11 +112,11 @@ class TestResultsDoNotAliasTheCache:
         views' own arrays; a caller's write must raise, not change what
         the next run answers."""
         from repro import LMFAO
-        from repro.__main__ import _build_workload
+        from repro.workloads import build
 
         ds = tiny_favorita
         engine = LMFAO(ds.database, ds.join_tree, view_cache=ViewCache())
-        batch = _build_workload(ds, engine, "covar")
+        batch = build(ds, "covar")
         first = engine.run(batch)
         before = {
             (name, column): np.array(relation.column(column))
@@ -134,11 +134,11 @@ class TestResultsDoNotAliasTheCache:
     def test_without_a_cache_results_stay_writable(self, tiny_favorita):
         """Without a cache the views die with the run: nothing to guard."""
         from repro import LMFAO
-        from repro.__main__ import _build_workload
+        from repro.workloads import build
 
         ds = tiny_favorita
         engine = LMFAO(ds.database, ds.join_tree)
-        result = engine.run(_build_workload(ds, engine, "covar"))
+        result = engine.run(build(ds, "covar"))
         for relation in result.values():
             for column in relation.schema.names:
                 assert relation.column(column).flags.writeable

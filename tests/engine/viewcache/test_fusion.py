@@ -15,18 +15,11 @@ from repro.ml.trees import CARTLearner
 from ..helpers import assert_results_equal
 
 
-def regression_label(ds):
-    if ds.database.attribute_kind(ds.label) == "continuous":
-        return ds.label
-    return ds.continuous_features[0]
-
-
 def build_workloads(ds):
     """covar + linreg + trees over a restricted feature set (kept small
     so they plan quickly in the fast lane)."""
-    label = regression_label(ds)
-    continuous = [f for f in ds.continuous_features if f != label][:3]
-    categorical = list(ds.categorical_features)[:2]
+    continuous, categorical, label = ds.regression_spec()
+    continuous, categorical = continuous[:3], categorical[:2]
     learner = CARTLearner(
         LMFAO(ds.database, ds.join_tree),
         continuous[:2],

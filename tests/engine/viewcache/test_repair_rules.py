@@ -39,9 +39,10 @@ from repro.engine.viewcache.signature import (
     view_digest,
 )
 from repro.storage.cachestore import CacheStore
+from repro.workloads import build
 
 from ..helpers import assert_results_equal
-from ..test_ivm import covar_batch, simple_batch
+from ..test_ivm import simple_batch
 from ..test_repair_property import assert_same_answer, served
 
 
@@ -81,7 +82,7 @@ def test_root_delta_runs_each_group_once_over_the_signed_delta(
 ):
     ds = tiny_retailer
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batch = covar_batch(ds)
+    batch = build(ds, "covar")
     engine.run(batch)
     root = engine.database.relation(engine.root)
     n_groups = groups_at(engine, engine.root)
@@ -123,7 +124,7 @@ def test_dimension_update_reads_only_the_fact_rows_it_can_affect(
     rows whose ``ksn`` is one of the two, never over all of them."""
     ds = tiny_retailer
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batch = covar_batch(ds)
+    batch = build(ds, "covar")
     engine.run(batch)
     items = engine.database.relation("Items")
     rows = np.array([3, 11])
@@ -147,7 +148,7 @@ def test_unchanged_children_are_only_rekeyed(tiny_retailer, runs):
     of any ``Inventory`` row: the root views are re-keyed, not run."""
     ds = tiny_retailer
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batch = covar_batch(ds)
+    batch = build(ds, "covar")
     engine.run(batch)
     items = engine.database.relation("Items")
     new = {a: items.column(a)[:1].copy() for a in items.schema.names}
@@ -210,7 +211,7 @@ def test_child_missing_from_both_tiers_is_a_counted_recompute(
     recompute, and the next run recomputes them from the database."""
     ds = tiny_retailer
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batch = covar_batch(ds)
+    batch = build(ds, "covar")
     engine.run(batch)
     cache = engine.view_cache
     for digest in cache.entries_containing("Items"):
@@ -231,9 +232,8 @@ def test_child_missing_from_both_tiers_is_a_counted_recompute(
 def assert_served_answers_recomputed(engine, ds):
     """Every served batch answered from the repaired views equals an
     LMFAO run without a view cache, and nothing fell back."""
-    planner, batches = served(ds)
-    planner.database = engine.database
-    for batch in batches.values():
+    planner = LMFAO(engine.database, ds.join_tree)
+    for batch in served(ds).values():
         assert_same_answer(engine.run(batch), planner.run(batch), batch)
     assert engine.stats()["fallbacks"] == 0, engine.stats()
 
@@ -244,7 +244,7 @@ def test_duplicate_dimension_key_inserted_then_retracted(tiny_retailer):
     key's multiplicity.  Retracting the copy halves it back."""
     ds = tiny_retailer
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    for batch in served(ds)[1].values():
+    for batch in served(ds).values():
         engine.run(batch)
     items = engine.database.relation("Items")
     copy = {a: items.column(a)[[5]].copy() for a in items.schema.names}
@@ -263,7 +263,7 @@ def test_zero_delta_of_a_sibling_view_still_replaces_it(tiny_favorita):
     would add their whole value again."""
     ds = tiny_favorita
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    for batch in served(ds)[1].values():
+    for batch in served(ds).values():
         engine.run(batch)
 
     def holidays_views():
@@ -313,7 +313,7 @@ def test_changed_child_read_from_disk_is_a_counted_recompute(
         ds.join_tree,
         view_cache=ViewCache(store=CacheStore(str(tmp_path / "cache"))),
     )
-    planner, batches = served(ds)
+    batches = served(ds)
     for batch in batches.values():
         engine.run(batch)
     cache = engine.view_cache
@@ -333,7 +333,7 @@ def test_changed_child_read_from_disk_is_a_counted_recompute(
         report = engine.apply_delta(
             DeltaBatch("Holidays", inserts=inserts, delete_indices=rows)
         )
-        planner.database = engine.database
+        planner = LMFAO(engine.database, ds.join_tree)
         for batch in batches.values():
             assert_same_answer(engine.run(batch), planner.run(batch), batch)
     # the move evicted the views above the dropped one; its inverse,
@@ -352,7 +352,7 @@ def test_counts_past_exact_float_integers_are_recomputed(
     monkeypatch.setattr(cache_module, "EXACT_COUNT", 2.0)
     ds = tiny_retailer
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batch = covar_batch(ds)
+    batch = build(ds, "covar")
     engine.run(batch)
     items = engine.database.relation("Items")
     report = engine.apply_delta(
@@ -369,7 +369,7 @@ def test_served_counts_are_exact(tiny_tpcds, tiny_yelp):
     is far inside float64's exact integers, so repairs merge them."""
     for ds in (tiny_tpcds, tiny_yelp):
         engine = IncrementalEngine(ds.database, ds.join_tree)
-        for batch in served(ds)[1].values():
+        for batch in served(ds).values():
             engine.run(batch)
         counts = [
             entry.data.sums[entry.data.count].max()
@@ -408,7 +408,7 @@ def test_each_affected_entry_is_repaired_once_children_first(
     monkeypatch.setattr(ViewCache, "_repair", recorded)
     rng = np.random.default_rng(0)
     for relation in (engine.root, dimension):
-        for batch in served(ds)[1].values():
+        for batch in served(ds).values():
             engine.run(batch)
         calls.clear()
         rel = engine.database.relation(relation)
@@ -441,7 +441,7 @@ def test_a_group_runs_once_per_pass_and_resolves_each_input_once(
     once, however many of its views are cached."""
     ds = request.getfixturevalue(fixture)
     engine = IncrementalEngine(ds.database, ds.join_tree)
-    batches = served(ds)[1]
+    batches = served(ds)
     recipes, resolved, ran = [], [], []
     real_repair, real_resolve = ViewCache._repair, ViewCache._resolve_input
 

@@ -342,15 +342,9 @@ class TestShapes:
         digest is replaced by the one that pass gives the same view."""
         from repro.ml import CovarBatch
 
-        from .test_fusion import regression_label
-
         ds = request.getfixturevalue(fixture)
-        label = regression_label(ds)
-        batch = CovarBatch(
-            [f for f in ds.continuous_features if f != label][:3],
-            list(ds.categorical_features)[:2],
-            label,
-        ).batch
+        continuous, categorical, label = ds.regression_spec()
+        batch = CovarBatch(continuous[:3], categorical[:2], label).batch
         engine = IncrementalEngine(ds.database, ds.join_tree)
         engine.run(batch)
         plan = engine.engine.plan(batch)

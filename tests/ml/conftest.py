@@ -12,8 +12,4 @@ def tiny_regression(request):
     every feature, and a continuous label (the first continuous feature
     where the dataset's own label is categorical)."""
     ds = request.getfixturevalue(request.param)
-    label = ds.label
-    if ds.database.attribute_kind(label) != "continuous":
-        label = ds.continuous_features[0]
-    continuous = [f for f in ds.continuous_features if f != label]
-    return ds, continuous, list(ds.categorical_features), label
+    return (ds, *ds.regression_spec())

@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from repro import LMFAO, AnalyticsService, DeltaBatch
-from repro.__main__ import (
-    SERVE_WORKLOADS,
-    WorkloadUnavailable,
-    _build_workload,
-)
 from repro.server import AnalyticsClient, serve_in_background
 from repro.server.http import query_response_payload
 from repro.server.service import Answer, QueryResponse
+from repro.workloads import served_batches
 
 from .helpers import assert_stats_identities
 from .test_service import assert_same_json
@@ -26,17 +22,6 @@ from .test_service import assert_same_json
 pytestmark = pytest.mark.timeout(300)
 
 DATASETS = ("tiny_retailer", "tiny_favorita", "tiny_yelp", "tiny_tpcds")
-
-
-def served_batches(ds):
-    planner = LMFAO(ds.database, ds.join_tree)
-    batches = {}
-    for name in SERVE_WORKLOADS:
-        try:
-            batches[name] = _build_workload(ds, planner, name)
-        except WorkloadUnavailable:
-            continue
-    return batches
 
 
 def root_delta(database, relation, rng, n=5):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro import LMFAO, AnalyticsService
-from repro.__main__ import _build_workload
 from repro.server import AnalyticsClient, ClientError, serve_in_background
+from repro.workloads import build
 
 from ..engine.helpers import WORKLOADS
 from .helpers import assert_stats_identities
@@ -110,10 +110,8 @@ class TestSameShapedWorkloads:
         a fresh engine run at the epoch it claims, under its own
         workload's column names."""
         ds = tiny_retailer
-        planner = LMFAO(ds.database, ds.join_tree)
         batches = {
-            name: _build_workload(ds, planner, name)
-            for name in ("covar", "linreg", "trees")
+            name: build(ds, name) for name in ("covar", "linreg", "trees")
         }
         service = AnalyticsService(cache_mb=16)
         service.register_dataset("retailer", ds.database, ds.join_tree)

@@ -153,9 +153,8 @@ def test_sigkill_recovers_every_committed_delta(tmp_path):
         stop(proc2)
 
     # offline ground truth over exactly the recovered prefix
-    from repro.__main__ import _build_workload
-
     from repro import LMFAO
+    from repro.workloads import build
 
     database = ds.database
     for payload in payloads[:recovered_epoch]:
@@ -171,7 +170,7 @@ def test_sigkill_recovers_every_committed_delta(tmp_path):
             )
         ).database
     engine = LMFAO(database, ds.join_tree)
-    batch = _build_workload(ds, engine, "covar")
+    batch = build(ds, "covar")
     expected = engine.run(batch)
 
     wire = served["results"]["covar"]

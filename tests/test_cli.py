@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import workloads
 from repro.__main__ import main
 
 
@@ -135,9 +136,9 @@ class TestCli:
 
     def test_plan_shows_each_groups_liveness(self, capsys):
         from repro import LMFAO
-        from repro.__main__ import _build_workload
         from repro.datasets import retailer
         from repro.engine.plan import DotStep
+        from repro.workloads import build
 
         assert main(["--scale", "0.05", "plan", "retailer", "covar"]) == 0
         out = capsys.readouterr().out
@@ -151,7 +152,7 @@ class TestCli:
         }
         ds = retailer(scale=0.05)
         engine = LMFAO(ds.database, ds.join_tree)
-        plan = engine.plan(_build_workload(ds, engine, "covar"))
+        plan = engine.plan(build(ds, "covar"))
         assert shown == {
             p.group.id: (len(p.steps), p.peak_live) for p in plan.group_plans
         }
@@ -248,20 +249,34 @@ class TestServeCli:
             service.close()
 
 
-def start_server(data_dir, port_holder):
-    """``repro serve favorita --data-dir`` in a child that starts with
-    SIGINT ignored, as a background job of a non-interactive shell does;
-    returns the process once it has printed the port it serves on."""
+#: ``python -m repro`` in an interpreter where ``import networkx`` fails
+WITHOUT_NETWORKX = (
+    sys.executable, "-c",
+    "import runpy, sys; sys.modules['networkx'] = None; "
+    "runpy.run_module('repro', run_name='__main__', alter_sys=True)",
+)
+
+
+def child_env():
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def start_server(
+    data_dir, port_holder, repro_cli=(sys.executable, "-m", "repro")
+):
+    """``repro serve favorita --data-dir`` in a child that starts with
+    SIGINT ignored, as a background job of a non-interactive shell does;
+    returns the process once it has printed the port it serves on."""
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "--scale", "0.05",
+            *repro_cli, "--scale", "0.05",
             "serve", "favorita", "--port", "0", "--data-dir", str(data_dir),
         ],
-        env=env,
+        env=child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -325,6 +340,44 @@ class TestServeShutdown:
             stats = client.stats()["datasets"]["favorita"]
             assert stats["epoch"] == 1, stats
             assert stats["storage"]["recovery"]["replayed_commits"] == 1
+        finally:
+            code, out = stop_with_sigterm(process, lines)
+        assert code == 0, out
+
+
+class TestWithoutNetworkx:
+    """networkx is optional: only ``chow_liu_tree`` imports it, so the
+    package, the CLI and the served ``chow_liu`` batch (the pairwise-MI
+    batch) work without it."""
+
+    def test_the_cli_plans_chow_liu(self):
+        done = subprocess.run(
+            [
+                *WITHOUT_NETWORKX, "--scale", "0.05",
+                "plan", "favorita", "chow_liu",
+            ],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Table 2 row:" in done.stdout
+
+    def test_serve_registers_every_workload_and_answers_chow_liu(
+        self, tmp_path
+    ):
+        from repro.server import AnalyticsClient
+
+        ports = []
+        process, lines = start_server(tmp_path, ports, WITHOUT_NETWORKX)
+        try:
+            client = AnalyticsClient(port=ports[0])
+            client.wait_ready(timeout=60)
+            answer = client.query("favorita", list(workloads.SERVED))
+            assert list(answer["results"]) == list(workloads.SERVED)
+            assert answer["results"]["chow_liu"], answer
+            client.close()
         finally:
             code, out = stop_with_sigterm(process, lines)
         assert code == 0, out
