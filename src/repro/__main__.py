@@ -252,13 +252,16 @@ def _run_incremental(args, dataset, batch) -> int:
 
 def build_service(args, dataset) -> AnalyticsService:
     """An :class:`AnalyticsService` over one dataset, all workloads."""
-    service = AnalyticsService(
-        max_queue=args.max_queue,
-        cache_mb=args.cache_mb,
-        data_dir=getattr(args, "data_dir", None),
-        compact_wal=getattr(args, "compact_wal", 0),
-        spill_mb=getattr(args, "spill_mb", 512.0),
-    )
+    try:
+        service = AnalyticsService(
+            max_queue=args.max_queue,
+            cache_mb=args.cache_mb,
+            data_dir=getattr(args, "data_dir", None),
+            compact_wal=getattr(args, "compact_wal", 0),
+            spill_mb=getattr(args, "spill_mb", 512.0),
+        )
+    except ValueError as exc:  # an out-of-range option
+        raise SystemExit(f"repro serve: {exc}")
     service.register_dataset(
         args.dataset, dataset.database, dataset.join_tree
     )

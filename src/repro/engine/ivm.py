@@ -16,18 +16,20 @@ has one implementation, ``ViewCache.on_delta``, and a materialized view
 one home between runs, the ``ViewCache``.
 
 :class:`IncrementalEngine` turns a :class:`DeltaBatch` into a commit —
-apply it to the database, hand the applied delta to the cache — and
-records what the cache did with it, one :class:`DeltaMaintenance` each:
+validate it, log it, install the new database, hand the applied delta
+to the cache — and records what the cache did with it, one
+:class:`DeltaMaintenance` each:
 
 * ``"incremental"`` — every affected cached view merged a delta (or,
   its inputs unchanged, was only re-keyed);
 * ``"recompute"`` — the counted fallback: a view could not be repaired
-  and was evicted (or no cache is attached); the next run recomputes it.
+  and was evicted, the repair raised and the cache was cleared, or no
+  cache is attached; the next run recomputes what was lost.
 """
 
 import time
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..data.database import AppliedDelta, Database, DeltaBatch
 from ..jointree.join_tree import JoinTree
@@ -126,8 +128,6 @@ class IncrementalEngine:
         )
         self.root = root
         self._stats = MaintenanceStats()
-        # what rollback() restores: the state before the last apply_delta
-        self._undo = (database, replace(self._stats))
 
     @property
     def database(self) -> Database:
@@ -146,20 +146,27 @@ class IncrementalEngine:
         """Evaluate a batch, served from maintained views where cached."""
         return self.engine.run(batch)
 
-    def apply_delta(self, *deltas: DeltaBatch) -> DeltaReport:
+    def apply_delta(
+        self, *deltas: DeltaBatch, log: Optional[Callable[[], None]] = None
+    ) -> DeltaReport:
         """Apply inserts/retractions and repair the cached views.
 
         Deltas apply to the database in order (later delete indices see
-        the rows earlier deltas left), all before any view is touched,
-        so a malformed delta raises with nothing changed.
+        the rows earlier deltas left), all before anything changes, so a
+        malformed delta raises with nothing changed.  If any is live,
+        ``log()`` (the durable service's WAL append) runs next; if it
+        raises, nothing has changed either.  Past it the commit is
+        durable and stands: a repair that raises clears the cache (which
+        content addressing makes always correct) and counts a fallback.
         """
         live = [delta for delta in deltas if not delta.is_empty]
         applied: List[AppliedDelta] = []
         database = self.engine.database
-        self._undo = (database, replace(self._stats))
         for delta in live:
             applied.append(database.apply_delta(delta))
             database = applied[-1].database
+        if live and log is not None:
+            log()
         report = DeltaReport(
             relations=tuple(dict.fromkeys(d.relation for d in live)),
             n_changes=sum(d.n_changes() for d in live),
@@ -168,31 +175,26 @@ class IncrementalEngine:
         cache = self.view_cache
         for step in applied:
             t0 = time.perf_counter()
-            outcome = {} if cache is None else cache.on_delta(step)
-            seconds = time.perf_counter() - t0
-            statuses = list(outcome.values())
+            statuses, reason = [], "no view cache attached"
+            if cache is not None:
+                reason = None
+                try:
+                    statuses = list(cache.on_delta(step).values())
+                except Exception as exc:  # noqa: BLE001 - a fallback
+                    statuses = ["evicted"] * len(cache)
+                    cache.clear()
+                    reason = f"repair raised {type(exc).__name__}: {exc}"
             evicted = statuses.count("evicted")
-            mode, reason = "incremental", None
-            if cache is None:
-                mode, reason = "recompute", "no view cache attached"
-            elif evicted:
-                mode, reason = "recompute", (
+            if evicted and reason is None:
+                reason = (
                     f"{evicted} of {len(statuses)} cached views over "
                     f"{step.relation!r} evicted, not repaired"
                 )
+            mode = "incremental" if reason is None else "recompute"
+            seconds = time.perf_counter() - t0
             record = DeltaMaintenance(step.relation, mode, seconds, reason)
             report.maintenance.append(record)
             report.views_evicted += evicted
             report.views_patched += len(statuses) - evicted
             self._stats.count(record)
         return report
-
-    def rollback(self) -> None:
-        """Undo the last :meth:`apply_delta`, whose commit could not be
-        made durable: the database and the counters return to what they
-        were before it, and the cache, whose repairs cannot be undone,
-        is cleared."""
-        database, stats = self._undo
-        self.engine.database, self._stats = database, replace(stats)
-        if self.view_cache is not None:
-            self.view_cache.clear()

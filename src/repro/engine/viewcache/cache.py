@@ -605,18 +605,15 @@ class ViewCache:
     # -- invalidation ------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop every entry and forget the admission watermark.
+        """Drop every in-memory entry.
 
-        The watermark goes too: a caller clears the cache to disown
-        whatever database version the entries (and the last delta)
-        belonged to — the service does after a commit it could not make
-        durable — and a watermark left pointing at that version would
-        reject every later admission from the surviving one.
+        Always correct, because entries are content-addressed: the next
+        run recomputes what it misses.  The admission watermark stays,
+        since clearing changes no database version.
         """
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            self._current_fp.clear()
 
     def on_delta(self, applied: AppliedDelta) -> Dict[str, str]:
         """Reconcile the cache with one applied delta.

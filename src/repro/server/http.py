@@ -313,10 +313,19 @@ class AnalyticsRequestHandler(BaseHTTPRequestHandler):
                 "'workloads' must be a list of workload names, got "
                 f"{workloads!r}"
             )
-        include_data = bool(body.get("include_data", False))
+        include_data = body.get("include_data", False)
+        if not isinstance(include_data, bool):
+            raise ValueError("'include_data' must be true or false")
         timeout = body.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ValueError("'timeout' must be a number (seconds)")
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout <= threading.TIMEOUT_MAX  # NaN fails too
+        ):
+            raise ValueError(
+                "'timeout' must be a number of seconds > 0 and at most "
+                f"{threading.TIMEOUT_MAX:g}"
+            )
         response = self.service.query(dataset, workloads, timeout=timeout)
         self._send_body(200, query_response_body(response, include_data))
 

@@ -71,8 +71,8 @@ that is the one miss path.
 
 **Answers are published at commit.**  A delta does not empty the memo:
 :meth:`AnalyticsService.apply_delta` computes the next epoch's answer
-for every workload resident in the previous epoch's memo, after view
-repair and the WAL append and before the epoch swap, so the first read
+for every workload resident in the previous epoch's memo, after the WAL
+append and view repair and before the epoch swap, so the first read
 after a delta is a memo hit like any other.  The commit computes an
 answer the way the coalescer does (:meth:`AnalyticsService._answer`:
 one run of the fused batch, over views the repair just re-keyed).  Two
@@ -88,11 +88,10 @@ The memo needs no invalidation, budget or TTL because it is reachable
 only from its epoch: it dies with the epoch object, a reader pinned to
 epoch *k* can only ever see epoch *k*'s answers, ``_execute_coalesced``
 stores on the epoch it *captured* (a commit that lands mid-run gets
-nothing), and a rolled-back commit never had an epoch to hang answers
-on.  It holds at most one answer per registered workload.  Batches
-whose dynamic functions can be re-bound in place stay correct because
-an entry is only served while :func:`answer_binding` still equals the
-key it was stored under.  ``cache_mb=0`` ("cache nothing") disables it
+nothing), and a failed commit changes nothing.  It holds at most one
+answer per registered workload.  Batches whose dynamic functions can be
+re-bound in place stay correct because an entry is only served while
+:func:`answer_binding` still equals the key it was stored under.  ``cache_mb=0`` ("cache nothing") disables it
 along with the view cache; there is no other switch.
 """
 
@@ -237,8 +236,9 @@ class DeltaResponse:
 class _CommitPhases:
     """How many commits of one kind a dataset took, and the total time
     of each phase under the write lock: ``repair``
-    (``IncrementalEngine.apply_delta``), ``wal`` (the durable append)
-    and ``publish`` (the next epoch's answers)."""
+    (``IncrementalEngine.apply_delta`` less the append inside it),
+    ``wal`` (the durable append) and ``publish`` (the next epoch's
+    answers)."""
 
     __slots__ = ("count", "repair", "wal", "publish")
 
@@ -313,7 +313,6 @@ class _DatasetState:
         self.memo_hits = 0
         self.executed = 0
         self.published = 0  # answers computed at commit (write_lock)
-        self.n_deltas = 0  # mutated only under write_lock
         # commits whose deltas all hit the IVM root, and the others
         # (write_lock)
         self.commits = {"root": _CommitPhases(), "other": _CommitPhases()}
@@ -361,6 +360,8 @@ class AnalyticsService:
             raise ValueError(
                 f"unknown backend {backend!r}; use 'interpret' or 'compiled'"
             )
+        if spill_mb < 0:
+            raise ValueError(f"spill_mb must be >= 0, got {spill_mb}")
         self._data_dir = data_dir
         self._compact_wal = max(0, int(compact_wal))
         # disk budget for the persistent cache tier: without one,
@@ -679,61 +680,47 @@ class AnalyticsService:
     def apply_delta(
         self, dataset: str, *deltas: DeltaBatch
     ) -> DeltaResponse:
-        """Commit inserts/retractions as one new epoch.
-
-        The IVM facade applies the deltas and hands each to
-        ``ViewCache.on_delta`` — cached views (leaf *and* interior) are
-        repaired bottom-up and re-keyed under their new content
-        addresses, with eviction only as a fallback; the returned
-        :class:`~repro.engine.ivm.DeltaReport` carries one maintenance
-        record per delta plus the per-view outcome counts
-        (``views_patched`` / ``views_evicted``).  The next epoch's
-        answers are computed for every workload resident in the current
-        epoch's memo (module docstring), and the new database version
-        with those answers then becomes the next epoch with one atomic
-        swap.  Queries already in flight keep reading their captured
-        epoch.
-
-        With durable storage attached, the commit is appended to the
-        write-ahead log (and fsynced) *before* the epoch swap: no epoch
-        is ever published that a crash-restart could not reconstruct.
-        When the WAL reaches ``compact_wal`` commits it is folded into
-        a fresh snapshot.
+        """Commit inserts/retractions as one new epoch, in order:
+        validate the deltas, append the commit to the WAL (with durable
+        storage; a failed append raises with nothing changed), repair
+        the cached views (``IncrementalEngine.apply_delta``; the
+        :class:`~repro.engine.ivm.DeltaReport` says how), compute the
+        next epoch's answers for every workload resident in the current
+        epoch's memo (module docstring), then publish the new database
+        version with them in one atomic swap.  No epoch is ever
+        published that a crash-restart could not reconstruct; queries
+        in flight keep reading their captured epoch.  When the WAL
+        reaches ``compact_wal`` commits it is folded into a fresh
+        snapshot.
         """
         state = self._state(dataset)
         with state.write_lock:
+            next_epoch = state.epoch.number + 1
+            wal = 0.0
+
+            def log() -> None:
+                nonlocal wal
+                t0 = time.perf_counter()
+                state.storage.log_commit(next_epoch, deltas)
+                wal = time.perf_counter() - t0
+
             start = time.perf_counter()
-            report = state.ivm.apply_delta(*deltas)
+            report = state.ivm.apply_delta(
+                *deltas, log=None if state.storage is None else log
+            )
             repaired = time.perf_counter()
             encode: Dict[bool, Dict[str, Answer]] = {}
             if report.n_changes:
-                next_epoch = state.epoch.number + 1
-                if state.storage is not None:
-                    try:
-                        state.storage.log_commit(next_epoch, deltas)
-                    except BaseException:
-                        # the commit cannot be made durable, so it must
-                        # not be served: restore the published epoch's
-                        # database and the ivm counters, drop every
-                        # in-memory artifact derived from the unlogged
-                        # version, then tell the caller.  Recovery and
-                        # memory agree again.
-                        state.ivm.rollback()
-                        raise
-                logged = time.perf_counter()
                 epoch = Epoch(next_epoch, state.ivm.database)
                 encode = self._publish(state, state.epoch, epoch)
                 state.epoch = epoch
-                state.n_deltas += 1
                 kind = (
                     "root"
                     if all(d.relation == state.ivm.root for d in deltas)
                     else "other"
                 )
                 state.commits[kind].add(
-                    repaired - start,
-                    logged - repaired,
-                    time.perf_counter() - logged,
+                    repaired - start - wal, wal, time.perf_counter() - repaired
                 )
                 if (
                     state.storage is not None
@@ -818,7 +805,7 @@ class AnalyticsService:
                         for fragment in list(answer.encoded.values())
                     ),
                 },
-                "deltas": state.n_deltas,
+                "deltas": sum(p.count for p in state.commits.values()),
                 "commit": {
                     kind: phases.as_dict()
                     for kind, phases in state.commits.items()

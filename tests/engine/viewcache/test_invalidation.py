@@ -249,25 +249,6 @@ class TestStaleEpochEntries:
         assert_results_equal(served, cold, batch, rtol=1e-9)
 
 
-    def test_clear_forgets_the_admission_watermark(self, toy_db):
-        """``clear()`` disowns the version the last delta produced (the
-        service rolls a non-durable commit back with it): admissions
-        from the surviving version must not be stale-rejected after."""
-        cache = ViewCache()
-        engine = IncrementalEngine(toy_db, view_cache=cache)
-        batch = mixed_batch()
-        engine.run(batch)
-        engine.apply_delta(stores_insert())
-        cache.clear()
-        assert len(cache) == 0
-        # roll back: serve the pre-delta database again
-        reader = LMFAO(toy_db, view_cache=cache)
-        reader.run(batch)
-        assert cache.stats().stale_rejects == 0
-        again = reader.run(batch)
-        assert again.cache_report.n_misses == 0
-
-
 class TestCachedRunMatchesCold:
     @pytest.mark.parametrize(
         "delta",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    LMFAO,
     Aggregate,
     AnalyticsService,
     DatasetStorage,
@@ -12,6 +13,7 @@ from repro import (
     Query,
     QueryBatch,
 )
+from repro.engine.viewcache.cache import ViewCache
 from repro.engine.viewcache.signature import database_fingerprint
 
 from ..engine.helpers import WORKLOADS, assert_results_equal
@@ -190,18 +192,22 @@ class TestServiceDurability:
             service.apply_delta("toy", insert_delta(toy_db))
             service.sync()  # must not raise; WAL already durable
 
-    def test_failed_wal_append_rolls_the_commit_back(
-        self, toy_db, tmp_path
-    ):
-        """A commit that cannot be made durable must not be served:
-        memory is rolled back to the published epoch, so recovery and
-        the live service never diverge."""
+    def test_failed_wal_append_changes_nothing(self, toy_db, tmp_path):
+        """A commit is validated, then logged, then applied: an append
+        that raises has changed nothing in memory, so there is nothing
+        to undo, and recovery and the live service never diverge."""
         data_dir = str(tmp_path / "data")
         with make_service(data_dir, toy_db) as service:
             service.apply_delta("toy", insert_delta(toy_db))
             before = service.query("toy", ["groupbys"], timeout=60)
             state = service._state("toy")
-            ivm = service.stats()["datasets"]["toy"]["ivm"]
+            database = state.ivm.database
+
+            def stats():
+                return service.stats()["datasets"]["toy"]
+
+            start, cache = stats(), state.cache.stats()
+            digests = state.cache.digests()
 
             def broken(epoch, deltas):
                 raise OSError("disk full")
@@ -213,45 +219,26 @@ class TestServiceDurability:
                     service.apply_delta("toy", insert_delta(toy_db))
             finally:
                 state.storage.log_commit = original
-            # epoch and ivm counters unchanged: the rolled-back repair is
-            # counted nowhere
+            # epoch, database, ivm and commit counters, cache contents:
+            # all as they were
             assert service.epoch("toy") == 1
-
-            def stats():
-                return service.stats()["datasets"]["toy"]
-
-            assert stats()["ivm"] == ivm
+            assert state.ivm.database is database
+            assert stats() == start
+            assert state.cache.stats() == cache
+            assert state.cache.digests() == digests
             assert_stats_identities(service.stats())
-            # the served data matches the epoch: the repeat read is
-            # answered from the (still published) epoch's memo without
-            # touching the cleared view cache ...
-            start = stats()
+            # the repeat read is answered from the epoch's memo
             after = service.query("toy", ["groupbys"], timeout=60)
             assert after.epoch == 1
             assert after.answers["groupbys"] is before.answers["groupbys"]
             assert stats()["answers"]["memo_hits"] == (
                 start["answers"]["memo_hits"] + 1
             )
-            assert stats()["cache"] == start["cache"]
-            # ... and a read the memo cannot answer — the same batch
-            # under a new name — is served from the restored database
-            service.register_workload(
-                "toy", "groupbys_twin", WORKLOADS["groupbys"]()
-            )
-            twin = service.query("toy", ["groupbys_twin"], timeout=60)
-            assert twin.epoch == 1 and twin.seconds > 0
-            assert_results_equal(
-                twin.results["groupbys_twin"],
-                before.results["groupbys"],
-                WORKLOADS["groupbys"](),
-            )
-            # the rollback also rewinds the cache's admission watermark:
-            # a workload first served after it is admitted (not
-            # stale-rejected against the rolled-back version), so the
-            # same batch under a second name — a read its memo entry
-            # cannot answer — is all view-cache hits.  Its threshold is
-            # one no registered workload has, so the twin's read above,
-            # which ran the whole fused batch, cached none of its views
+            # the admission watermark never moved: a workload first
+            # served now is admitted (not stale-rejected), so the same
+            # batch under a second name — a read its memo entry cannot
+            # answer — is all view-cache hits.  Its threshold is one no
+            # registered workload has, so nothing cached its views yet
             for name in ("fresh", "fresh_twin"):
                 service.register_workload("toy", name, cheaper_than(45.0))
             start = stats()["cache"]
@@ -263,7 +250,7 @@ class TestServiceDurability:
             assert second["misses"] == first["misses"]
             assert second["hits"] > first["hits"]
             assert second["stale_rejects"] == start["stale_rejects"]
-            # the WAL can still take the next commit normally
+            # the WAL takes the next commit normally
             response = service.apply_delta("toy", insert_delta(toy_db))
             assert response.epoch == 2
             live_db = service.snapshot("toy").database
@@ -273,6 +260,65 @@ class TestServiceDurability:
             assert database_fingerprint(
                 revived.snapshot("toy").database
             ) == database_fingerprint(live_db)
+
+    def test_a_repair_that_raises_leaves_the_logged_commit_standing(
+        self, toy_db, tmp_path, monkeypatch
+    ):
+        """After the WAL append the commit is durable, so memory follows
+        it even when view repair raises: the cache is cleared, the delta
+        counts as a fallback naming the exception, and the live database
+        is the one a restart recovers."""
+        data_dir = str(tmp_path / "data")
+        names = list(WORKLOADS)
+        with make_service(data_dir, toy_db) as service:
+            service.query("toy", names, timeout=60)
+            on_delta = ViewCache.on_delta
+            calls = []
+
+            def raise_once(cache, applied):
+                calls.append(applied.relation)
+                if len(calls) == 1:
+                    raise RuntimeError("repair crashed")
+                return on_delta(cache, applied)
+
+            monkeypatch.setattr(ViewCache, "on_delta", raise_once)
+            response = service.apply_delta("toy", insert_delta(toy_db))
+            assert response.epoch == 1
+            (record,) = response.report.maintenance
+            assert record.mode == "recompute"
+            ivm = service.stats()["datasets"]["toy"]["ivm"]
+            assert (ivm["deltas"], ivm["fallbacks"]) == (1, 1)
+            assert "RuntimeError: repair crashed" in (
+                ivm["last_fallback_reason"]
+            )
+            database = service.snapshot("toy").database
+            assert database.relation("Sales").n_rows == (
+                toy_db.relation("Sales").n_rows + 3
+            )
+            served = service.query("toy", names, timeout=60)
+            assert served.epoch == 1
+            for name in names:
+                batch = WORKLOADS[name]()
+                assert_results_equal(
+                    served.results[name], LMFAO(database).run(batch), batch
+                )
+            assert service.apply_delta(
+                "toy", insert_delta(toy_db)
+            ).epoch == 2
+            ivm = service.stats()["datasets"]["toy"]["ivm"]
+            assert (ivm["incremental"], ivm["fallbacks"]) == (1, 1)
+            assert_stats_identities(service.stats())
+            live_db = service.snapshot("toy").database
+
+        with make_service(data_dir, toy_db) as revived:
+            assert revived.epoch("toy") == 2
+            assert database_fingerprint(
+                revived.snapshot("toy").database
+            ) == database_fingerprint(live_db)
+
+    def test_negative_spill_budget_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="spill_mb"):
+            AnalyticsService(data_dir=str(tmp_path), spill_mb=-1)
 
     def test_recovery_replays_dimension_deltas_through_ivm(
         self, toy_db, tmp_path

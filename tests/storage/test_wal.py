@@ -164,8 +164,9 @@ class TestCrashTails:
         self, wal_path, monkeypatch
     ):
         """An append whose fsync fails must leave NO trace on disk:
-        a complete-but-unacknowledged frame would replay a rolled-back
-        commit, a torn one would orphan every later commit."""
+        a complete-but-unacknowledged frame would replay a commit the
+        service never applied, a torn one would orphan every later
+        commit."""
         import repro.storage.wal as wal_module
 
         wal = WriteAheadLog(wal_path)

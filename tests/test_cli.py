@@ -203,6 +203,20 @@ class TestServeCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_serve_rejects_a_negative_spill_budget(self, tmp_path):
+        # a negative budget would prune every spilled view at each save;
+        # ``repro serve`` builds its service here, before it serves
+        from repro.__main__ import build_service
+
+        class Args:
+            max_queue = 64
+            cache_mb = 8.0
+            data_dir = str(tmp_path)
+            spill_mb = -1.0
+
+        with pytest.raises(SystemExit, match="spill_mb must be >= 0"):
+            build_service(Args, None)
+
     def test_client_query_needs_dataset_and_workloads(self):
         with pytest.raises(SystemExit, match="client query needs"):
             main(["client", "query"])
